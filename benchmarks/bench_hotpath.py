@@ -8,19 +8,19 @@ particles per cell), and writes machine-readable
 trajectory.  Plan-build time is measured separately from steady-state
 force time (the plan is cached per grid geometry and amortizes to zero).
 
-Two further sections cover the simulated machine step (PR 2):
+Two further sections cover the simulated machine step:
 
 * ``machine_step`` — one `FasdaMachine.compute_forces` pass with traffic
-  accounting on/off, vectorized (padded pair path + group-by traffic)
-  vs the retained loop oracles, with in-bench equivalence asserts on
-  the full `StepStats`;
+  accounting on and off (its StepStats are asserted against the
+  chunked/loop oracles by ``tests/test_machine_vectorized.py`` at these
+  sizes, not here);
 * ``distributed_step`` — one `DistributedMachine` step, serial vs
-  thread-pooled node evaluation and batched vs per-record exchange,
-  with a bitwise force comparison between the modes.
+  thread-pooled node evaluation, with a bitwise force comparison
+  between the modes.
 
 A ``backends`` section (PR 6) times every *available* force backend
-(``numpy``/``soa`` always; ``numba``/``cext`` when importable or
-buildable — see `repro.md.backends`): engine reuse steps/s and one
+(``numpy``/``soa`` always; ``cext`` when buildable — see
+`repro.md.backends`): engine reuse steps/s and one
 machine force pass per backend, each validated in-bench against the
 float64 loop oracle (forces/energy within the documented bounds) and
 against the numpy backend's `StepStats` (exact).  Every record carries
@@ -370,31 +370,16 @@ def _fpga_grid_for(dims) -> tuple:
 
 
 def bench_machine_step(label: str, dims, reps: int) -> dict:
-    """One compute_forces pass: vectorized (padded + group-by traffic)
-    vs the loop oracles, traffic on and off."""
+    """One compute_forces pass on the numpy backend, traffic on and off."""
     fpga_grid = _fpga_grid_for(dims)
     machine = FasdaMachine(MachineConfig(dims, fpga_grid))
-    machine.compute_forces()  # warm plan/table/decode caches
+    machine.compute_forces()  # warm plan/table caches + band lists
 
-    # Equivalence before speed: full StepStats must match the oracles.
-    machine.pair_path, machine.traffic_impl = "auto", "vectorized"
-    s_vec = machine.compute_forces(collect_traffic=True)
-    machine.pair_path, machine.traffic_impl = "chunked", "loop"
-    s_loop = machine.compute_forces(collect_traffic=True)
-    assert _stats_signature(s_vec) == _stats_signature(s_loop), (
-        "vectorized StepStats diverged from the loop oracle"
-    )
-
-    machine.pair_path, machine.traffic_impl = "auto", "vectorized"
     t_traffic = _median_time(
         lambda: machine.compute_forces(collect_traffic=True), reps
     )
     t_no_traffic = _median_time(
         lambda: machine.compute_forces(collect_traffic=False), reps
-    )
-    machine.pair_path, machine.traffic_impl = "chunked", "loop"
-    t_loop = _median_time(
-        lambda: machine.compute_forces(collect_traffic=True), reps
     )
 
     result = {
@@ -405,53 +390,31 @@ def bench_machine_step(label: str, dims, reps: int) -> dict:
         "reps": reps,
         "machine_step_s": t_traffic,
         "machine_step_no_traffic_s": t_no_traffic,
-        "machine_step_loop_s": t_loop,
-        "speedup_vs_loop": t_loop / t_traffic,
-        "stats_match_loop_oracle": True,
     }
     print(
-        f"[{label}] machine step: vectorized {t_traffic * 1e3:.1f} ms "
-        f"(traffic off {t_no_traffic * 1e3:.1f} ms), "
-        f"loop oracle {t_loop * 1e3:.1f} ms "
-        f"({result['speedup_vs_loop']:.1f}x)"
+        f"[{label}] machine step: {t_traffic * 1e3:.1f} ms "
+        f"(traffic off {t_no_traffic * 1e3:.1f} ms)"
     )
     return result
 
 
-def bench_machine_phases(smoke: bool, machine_results: list) -> dict:
-    """Phase-timed, bitwise-gated optimized step (repro.harness.profiling).
+def bench_machine_phases(smoke: bool) -> dict:
+    """Phase-timed, bitwise-gated machine step (repro.harness.profiling).
 
-    Reports the per-phase breakdown of the fully optimized machine step
-    (persistent cell state + compiled admission/ROM-eval/scatter kernels
-    + group-by traffic) and its speedup over the *baseline
-    configuration* — the non-reuse vectorized path measured by
-    bench_machine_step in this same run, i.e. the configuration behind
-    the committed PR 6 machine_step baseline — so the comparison is
-    apples-to-apples on this host.
+    Reports the per-phase breakdown of the machine step on the best
+    available backend (compiled admission/ROM-eval/scatter kernels +
+    group-by traffic), asserted bitwise against the numpy sequence
+    before timing.
     """
     from repro.harness.profiling import format_profile, run_profile
 
     doc = run_profile(smoke=smoke)
     print(format_profile(doc))
-    m = doc["machine"]
-    for entry in machine_results:
-        if entry["dims"] == m["dims"]:
-            base = entry["machine_step_s"]
-            doc["baseline_config_step_s"] = base
-            doc["speedup_vs_baseline_config"] = base / m["machine_step_s"]
-            print(
-                f"[machine_phases] optimized "
-                f"{m['machine_step_s'] * 1e3:.1f} ms vs baseline-config "
-                f"vectorized {base * 1e3:.1f} ms -> "
-                f"{doc['speedup_vs_baseline_config']:.2f}x"
-            )
-            break
     return doc
 
 
 def bench_distributed_step(label: str, dims, reps: int) -> dict:
-    """One distributed force pass: serial vs thread-pooled nodes,
-    batched vs per-record exchange."""
+    """One distributed force pass: serial vs thread-pooled nodes."""
     fpga_grid = _fpga_grid_for(dims)
     system, _ = build_dataset(dims, seed=2023)
 
@@ -470,9 +433,6 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
 
         t_serial = _median_time(serial.compute_forces, reps)
         t_parallel = _median_time(pooled.compute_forces, reps)
-        serial.exchange_impl = "loop"
-        t_serial_loop_exchange = _median_time(serial.compute_forces, reps)
-        serial.exchange_impl = "batched"
     finally:
         pooled.close()
 
@@ -484,7 +444,6 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
         "reps": reps,
         "distributed_step_s": t_serial,
         "distributed_step_parallel_s": t_parallel,
-        "distributed_step_loop_exchange_s": t_serial_loop_exchange,
         "parallel_speedup": t_serial / t_parallel,
         "parallel_bitwise_identical": True,
     }
@@ -492,8 +451,7 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
         f"[{label}] distributed step ({np.prod(fpga_grid)} nodes): "
         f"serial {t_serial * 1e3:.1f} ms, "
         f"parallel {t_parallel * 1e3:.1f} ms "
-        f"({result['parallel_speedup']:.2f}x), "
-        f"loop exchange {t_serial_loop_exchange * 1e3:.1f} ms"
+        f"({result['parallel_speedup']:.2f}x)"
     )
     return result
 
@@ -538,7 +496,7 @@ def main() -> None:
         bench_distributed_step(label, dims, dist_reps)
         for label, dims in dist_sizes
     ]
-    machine_phases = bench_machine_phases(args.smoke, machine_results)
+    machine_phases = bench_machine_phases(args.smoke)
 
     payload = {
         "benchmark": "hotpath",

@@ -21,9 +21,7 @@ Layers:
 from repro.core.blocks import build_scbb, interleave_particles
 from repro.core.checkpoint import (
     CheckpointManager,
-    load_checkpoint,
     load_checkpoint_v2,
-    save_checkpoint,
     save_checkpoint_v2,
 )
 from repro.core.clustersim import ClusterTrace, simulate_cluster
@@ -64,8 +62,6 @@ __all__ = [
     "count_migrations",
     "expected_migration_rate",
     "RingSimulator",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_checkpoint_v2",
     "load_checkpoint_v2",
     "CheckpointManager",

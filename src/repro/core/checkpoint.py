@@ -2,15 +2,7 @@
 
 Long-timescale campaigns (the drug-discovery workloads of the paper's
 introduction run for days) need restartable state.  Two formats live
-here:
-
-``fasda-checkpoint-v1``
-    The original flat ``.npz`` covering :class:`FasdaMachine` only.
-    Kept loadable forever; its writer is now atomic and its loader
-    validates format and config round-trip *before* constructing
-    anything, raising :class:`~repro.util.errors.CheckpointError` on
-    truncated / bit-flipped / wrong-format files instead of leaking
-    ``zipfile``/``KeyError`` internals.
+here in one format:
 
 ``fasda-checkpoint-v2``
     A versioned container covering :class:`FasdaMachine`,
@@ -20,9 +12,14 @@ here:
     snapshots, fault plans and the recovery log.  The dynamic state is
     an inner ``.npz`` byte blob carried inside an outer ``.npz``
     alongside its CRC-32, so corruption anywhere in the payload is
-    detected at load time before any object is constructed.
+    detected at load time before any object is constructed.  The
+    loader validates format, digest and config round-trip *before*
+    constructing anything, raising
+    :class:`~repro.util.errors.CheckpointError` on truncated /
+    bit-flipped / wrong-format files instead of leaking
+    ``zipfile``/``KeyError`` internals.
 
-Both writers are crash-consistent: bytes go to a same-directory temp
+The writer is crash-consistent: bytes go to a same-directory temp
 file, ``fsync``, then ``os.replace`` — a reader never observes a torn
 file, and a crash mid-write leaves the previous checkpoint intact.
 
@@ -57,10 +54,14 @@ from repro.md.params import LJTable
 from repro.md.system import ParticleSystem
 from repro.util.errors import CheckpointError, ValidationError
 
-#: Format identifier written into every v1 checkpoint.
-CHECKPOINT_FORMAT = "fasda-checkpoint-v1"
 #: Format identifier of the container format.
 CHECKPOINT_FORMAT_V2 = "fasda-checkpoint-v2"
+
+#: Meta keys of retired path-selection knobs.  Machine and distributed
+#: payloads written before those layers had one production path carry
+#: them; the loader drops them (the paths they chose were bitwise-equal,
+#: so a restored run continues identically without them).
+_RETIRED_META_KEYS = ("pair_path", "traffic_impl", "exchange_impl", "reuse_state")
 
 #: Object kinds a v2 checkpoint can hold.  ``system`` is a bare
 #: :class:`~repro.md.system.ParticleSystem` — the job service uses it
@@ -114,18 +115,8 @@ def _npz_bytes(**arrays: Any) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# v1: the original FasdaMachine flat format
+# v2: the container format
 # ---------------------------------------------------------------------------
-
-_V1_KEYS = (
-    "format", "config", "species_names", "positions", "velocities32",
-    "forces32", "species", "charges", "box", "step", "primed",
-)
-
-
-def _with_npz_suffix(path: str) -> str:
-    """Mimic ``np.savez``'s historical suffix behavior for v1 paths."""
-    return path if path.endswith(".npz") else path + ".npz"
 
 
 def _config_from_dict(cfg_dict: Dict[str, Any], path: str) -> MachineConfig:
@@ -147,104 +138,6 @@ def _config_from_dict(cfg_dict: Dict[str, Any], path: str) -> MachineConfig:
             "round-trip (fields changed meaning between versions?)"
         )
     return config
-
-
-def save_checkpoint(machine: FasdaMachine, path: str) -> str:
-    """Write a machine's complete state to ``path`` (.npz), atomically.
-
-    Returns the path actually written (``.npz`` appended if missing,
-    matching the historical ``np.savez`` behavior).
-    """
-    cfg_json = json.dumps(dataclasses.asdict(machine.config))
-    step = machine.history[-1].step if machine.history else 0
-    data = _npz_bytes(
-        format=np.array(CHECKPOINT_FORMAT),
-        config=np.array(cfg_json),
-        species_names=np.array(machine.system.lj_table.species),
-        positions=machine.system.positions,
-        velocities32=machine.velocities,
-        forces32=machine.forces,
-        species=machine.system.species,
-        charges=machine.system.charges,
-        box=machine.system.box,
-        step=np.array(step, dtype=np.int64),
-        primed=np.array(machine._primed),
-    )
-    path = _with_npz_suffix(path)
-    _atomic_write_bytes(path, data)
-    return path
-
-
-def load_checkpoint(path: str) -> Tuple[FasdaMachine, int]:
-    """Restore a machine from a v1 checkpoint.
-
-    Every validation — format string, key inventory, config round-trip,
-    and full payload decompression (which exercises the zip CRCs, so a
-    bit-flipped file fails here) — happens *before* any machine is
-    constructed.
-
-    Returns
-    -------
-    (machine, step):
-        The restored machine (forces/velocities bit-identical to the
-        saved float32 caches) and the step count at save time.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            missing = [k for k in _V1_KEYS if k not in data.files]
-            if missing:
-                raise CheckpointError(
-                    f"not a FASDA checkpoint: {path!r} lacks keys {missing}"
-                )
-            if str(data["format"]) != CHECKPOINT_FORMAT:
-                raise CheckpointError(
-                    f"not a FASDA checkpoint (format {data['format']!r} "
-                    f"in {path!r}, expected {CHECKPOINT_FORMAT!r})"
-                )
-            cfg_dict = json.loads(str(data["config"]))
-            config = _config_from_dict(cfg_dict, path)
-            # Materialize every array while still inside the error net:
-            # decompression verifies the member CRCs, so truncation or a
-            # bit flip surfaces as CheckpointError, not as garbage state.
-            arrays = {k: data[k] for k in _V1_KEYS if k not in ("format", "config")}
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(
-            f"corrupt or unreadable checkpoint {path!r}: "
-            f"{type(exc).__name__}: {exc}"
-        )
-    _validate_finite_state(
-        {
-            "positions": arrays["positions"],
-            "velocities": arrays["velocities32"],
-            "forces": arrays["forces32"],
-        },
-        repr(path),
-    )
-    lj = LJTable(tuple(str(s) for s in arrays["species_names"]))
-    system = ParticleSystem(
-        positions=arrays["positions"],
-        velocities=arrays["velocities32"].astype(np.float64),
-        species=arrays["species"],
-        lj_table=lj,
-        box=arrays["box"],
-        forces=arrays["forces32"].astype(np.float64),
-        charges=arrays["charges"],
-    )
-    machine = FasdaMachine(config, system=system)
-    # Restore the exact float32 caches (construction re-casts from
-    # float64, which is lossless here since the values came from
-    # float32, but be explicit).
-    machine._velocities32 = arrays["velocities32"].copy()
-    machine._forces32 = arrays["forces32"].copy()
-    machine._primed = bool(arrays["primed"])
-    return machine, int(arrays["step"])
-
-
-# ---------------------------------------------------------------------------
-# v2: the container format
-# ---------------------------------------------------------------------------
 
 
 def _history_arrays(history) -> Dict[str, np.ndarray]:
@@ -283,8 +176,8 @@ def _validate_finite_state(arrays: Dict[str, Any], context: str) -> None:
 
     The CRC catches bit rot, but a checkpoint *written* from an already
     poisoned run is internally consistent — this is the semantic check
-    on top.  Shared by the v1 loader and every v2 kind (each batch
-    segment passes through here too).
+    on top.  Shared by every kind (each batch segment passes through
+    here too).
     """
     for name, arr in arrays.items():
         arr = np.asarray(arr)
@@ -329,10 +222,7 @@ def _machine_payload(m: FasdaMachine) -> Tuple[Dict[str, Any], Dict[str, np.ndar
         "step": m.history[-1].step if m.history else 0,
         "primed": bool(m._primed),
         "last_potential": float(m._last_potential),
-        "pair_path": m.pair_path,
-        "traffic_impl": m.traffic_impl,
         "force_impl": m.force_impl,
-        "reuse_state": bool(m.reuse_state),
         "reuse_skin": float(m.reuse_skin),
         "cellstate": m._cell_state.meta() if m._cell_state is not None else None,
     }
@@ -350,11 +240,8 @@ def _restore_machine(meta, inner) -> Tuple[FasdaMachine, int]:
     machine._forces32 = inner["forces32"].copy()
     machine._primed = bool(meta["primed"])
     machine._last_potential = float(meta["last_potential"])
-    machine.pair_path = meta["pair_path"]
-    machine.traffic_impl = meta["traffic_impl"]
     # Absent on pre-backend checkpoints: None = process-wide default.
     machine.force_impl = meta.get("force_impl")
-    machine.reuse_state = bool(meta["reuse_state"])
     machine.reuse_skin = float(meta["reuse_skin"])
     machine.history = _history_from_arrays(inner)
     if meta.get("cellstate") is not None:
@@ -456,9 +343,7 @@ def _distributed_payload(m) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         "primed": bool(m._primed),
         "iteration": int(m._iteration),
         "last_potential": float(m._last_potential),
-        "exchange_impl": m.exchange_impl,
         "force_impl": m.force_impl,
-        "reuse_state": bool(m.reuse_state),
         "state_builds": int(m.state_builds),
         "state_reused_steps": int(m.state_reused_steps),
         "degradation": m.degradation,
@@ -583,10 +468,8 @@ def _restore_distributed(meta, inner):
     m._primed = bool(meta["primed"])
     m._iteration = int(meta["iteration"])
     m._last_potential = float(meta["last_potential"])
-    m.exchange_impl = meta["exchange_impl"]
     # Absent on pre-backend checkpoints: None = process-wide default.
     m.force_impl = meta.get("force_impl")
-    m.reuse_state = bool(meta["reuse_state"])
     m.state_builds = int(meta["state_builds"])
     m.state_reused_steps = int(meta["state_reused_steps"])
     m.total_position_packets = int(meta["total_position_packets"])
@@ -830,6 +713,9 @@ def load_checkpoint_v2(path: str):
             f"corrupt or unreadable checkpoint {path!r}: "
             f"{type(exc).__name__}: {exc}"
         )
+    if kind in ("machine", "distributed"):
+        for key in _RETIRED_META_KEYS:
+            meta.pop(key, None)
     _, restore = _KIND_DISPATCH[kind]
     return restore(meta, inner)
 

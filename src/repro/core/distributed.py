@@ -40,7 +40,7 @@ from repro.core.config import MachineConfig
 from repro.core.datapath import ForcePipeline, PairFilter, quantize_cell_fractions
 from repro.core.elasticity import LoadBalancer, fpga_grid_for
 from repro.core.migration import plan_partition_migration
-from repro.core.packets import P2REncapsulatorChain, Packet, Record, RecordBatch
+from repro.core.packets import RecordBatch
 from repro.core.timing import StepTimings
 from repro.faults import (
     DegradationRecord,
@@ -253,10 +253,6 @@ class DistributedMachine:
         self._neighbor_cids = plan.neighbor_ids
         # Partition-derived structures (rebuilt on every elastic rescale).
         self._apply_partition(config)
-        #: Exchange implementation: "batched" (array-packed RecordBatch
-        #: per flow) or "loop" (per-particle Record objects through the
-        #: P2R chain — the retained protocol oracle).
-        self.exchange_impl = "batched"
         #: Force backend (see :mod:`repro.md.backends`), inherited by
         #: every node's evaluation: the fused gather/displacement
         #: kernel feeds the unchanged
@@ -264,12 +260,8 @@ class DistributedMachine:
         #: admissions, forces, statistics and traffic are bitwise
         #: identical across backends.  ``None`` = process-wide default.
         self.force_impl: Optional[str] = None
-        #: Reuse the node partition and the per-flow packing skeletons
-        #: across steps while the cell assignment is unchanged (see
-        #: :meth:`_build_nodes`).  Off by default: the per-step path is
-        #: the oracle the reuse path is asserted bitwise-equal against.
-        self.reuse_state = False
-        #: Node-structure rebuilds / reuse hits under ``reuse_state``.
+        #: Node-structure rebuilds / reuse hits of the node cache (see
+        #: :meth:`_build_nodes`).
         self.state_builds = 0
         self.state_reused_steps = 0
         self._nodes_cache: Optional[Dict[int, _Node]] = None
@@ -411,10 +403,10 @@ class DistributedMachine:
     def _invalidate_partition_caches(self) -> None:
         """Drop every structure keyed by the *old* partition.
 
-        Reuse skeletons, stale-halo snapshots, buddy-shadow bookkeeping,
-        the evaluation pool, and the shared-memory segments are all
-        shaped or keyed by node ids/counts; after a partition change
-        each is rebuilt lazily on the canonical (oracle) path, so
+        The node cache and packing skeletons, stale-halo snapshots,
+        buddy-shadow bookkeeping, the evaluation pool, and the
+        shared-memory segments are all shaped or keyed by node
+        ids/counts; after a partition change each is rebuilt lazily, so
         dropping them is always bitwise-safe.
         """
         self._nodes_cache = None
@@ -431,10 +423,10 @@ class DistributedMachine:
     def _build_nodes(self) -> Dict[int, _Node]:
         """Partition the current particle state across nodes.
 
-        With :attr:`reuse_state` on, the partition (which particles live
-        in which cell on which node) is kept across steps while no
-        particle changes cell — the distributed evaluation enumerates
-        *every* plan-row slot pair from the binning, so identical binning
+        The partition (which particles live in which cell on which node)
+        is cached across steps while no particle changes cell — the
+        distributed evaluation enumerates *every* plan-row slot pair
+        from the binning, so identical binning
         alone makes reuse bitwise identical; no skin criterion is needed.
         Reused steps only refresh the per-cell fraction payloads (one
         gather per cell of the cached index arrays, exactly the values a
@@ -450,21 +442,20 @@ class DistributedMachine:
         self._last_frac = frac
         cids = self.grid.cell_id(coords)
         self._last_cids = cids
-        if self.reuse_state:
-            if self._nodes_cache is not None and np.array_equal(
-                cids, self._build_cids
-            ):
-                self.state_reused_steps += 1
-                nodes = self._nodes_cache
-                for node in nodes.values():
-                    node.packets_in = 0
-                    node.packets_out = 0
-                    node.halo.clear()
-                    for data in node.cells.values():
-                        data.fractions = frac[data.particle_ids]
-                return nodes
-            self._build_cids = cids
-            self.state_builds += 1
+        if self._nodes_cache is not None and np.array_equal(
+            cids, self._build_cids
+        ):
+            self.state_reused_steps += 1
+            nodes = self._nodes_cache
+            for node in nodes.values():
+                node.packets_in = 0
+                node.packets_out = 0
+                node.halo.clear()
+                for data in node.cells.values():
+                    data.fractions = frac[data.particle_ids]
+            return nodes
+        self._build_cids = cids
+        self.state_builds += 1
         clist = CellList(self.grid, self.system.positions)
         nodes = {
             n: _Node(node_id=n, node_coords=self._node_coords[n])
@@ -479,9 +470,8 @@ class DistributedMachine:
                 fractions=frac[idx],
                 species=self.system.species[idx],
             )
-        if self.reuse_state:
-            self._nodes_cache = nodes
-            self._flow_static = None  # packing skeletons follow the build
+        self._nodes_cache = nodes
+        self._flow_static = None  # packing skeletons follow the build
         return nodes
 
     # -- position exchange ------------------------------------------------------
@@ -489,37 +479,21 @@ class DistributedMachine:
     def _exchange_positions(self, nodes: Dict[int, _Node]) -> None:
         """Pack, send, and unpack boundary-cell positions.
 
-        Dispatches on :attr:`exchange_impl` — the batched path ships one
-        array-packed :class:`~repro.core.packets.RecordBatch` per
-        (source node, destination node) flow; the loop path walks the
-        per-particle :class:`~repro.core.packets.Record` /
-        :class:`~repro.core.packets.P2REncapsulatorChain` protocol and
-        is retained as the equivalence oracle (identical halos and
-        packet counts, asserted by the tests).
-        """
-        if self.exchange_impl == "loop":
-            if self.injector is not None:
-                raise ConfigError(
-                    "fault injection requires the batched exchange path "
-                    "(exchange_impl='batched')"
-                )
-            self._exchange_positions_loop(nodes)
-        else:
-            self._exchange_positions_batched(nodes)
-
-    def _exchange_positions_batched(self, nodes: Dict[int, _Node]) -> None:
-        """Array-packed exchange: one RecordBatch per (src, dst) flow.
-
-        Gate-chain equivalence: the loop's per-destination gate receives
-        exactly this flow's records in ascending (cell, slot) order and
-        flushes once at end of iteration, so its packet count is
-        ``ceil(n_records / records_per_packet)`` — precisely
-        :meth:`~repro.core.packets.RecordBatch.n_packets`.
+        Ships one array-packed :class:`~repro.core.packets.RecordBatch`
+        per (source node, destination node) flow.  Gate-chain
+        equivalence: the per-particle
+        :class:`~repro.core.packets.P2REncapsulatorChain` walk (the
+        protocol oracle in ``tests/oracles.py``) gives each destination
+        gate exactly this flow's records in ascending (cell, slot)
+        order and flushes once at end of iteration, so its packet count
+        is ``ceil(n_records / records_per_packet)`` — precisely
+        :meth:`~repro.core.packets.RecordBatch.n_packets` — and its
+        halos are identical.
         """
         rpp = self.config.records_per_packet
         gd = np.asarray(self.config.global_cells, dtype=np.int64)
         ld = self.config.local_cells
-        if self.reuse_state and self._flow_static is None:
+        if self._flow_static is None:
             # Packing skeletons: everything about a flow's RecordBatch
             # except the fraction payload is frozen with the binning
             # (ids, species, cell coords, per-cell run boundaries), so
@@ -544,7 +518,6 @@ class DistributedMachine:
                 payload = np.empty((int(occ.sum()), 4))
                 payload[:, 3] = np.concatenate([p.species for p in parts])
                 self._flow_static[(src, dst)] = dict(
-                    occ=occ,
                     starts=np.concatenate([[0], np.cumsum(occ)]),
                     pids=np.concatenate([p.particle_ids for p in parts]),
                     payload=payload,
@@ -553,42 +526,19 @@ class DistributedMachine:
                 )
         for (src, dst), cids in self._node_flows.items():
             node = nodes[src]
-            if self.reuse_state and self._flow_static is not None:
-                ent = self._flow_static[(src, dst)]
-                if ent is None:
-                    continue
-                occ = ent["occ"]
-                payload = ent["payload"]
-                np.take(self._last_frac, ent["pids"], axis=0, out=ent["fracbuf"])
-                payload[:, :3] = ent["fracbuf"]
-                batch = RecordBatch(
-                    kind="position",
-                    dst=int(dst),
-                    particle_ids=ent["pids"],
-                    cells=ent["cells"],
-                    payload=payload,
-                )
-            else:
-                parts = [node.cells[int(c)] for c in cids]
-                occ = np.array(
-                    [len(p.particle_ids) for p in parts], dtype=np.int64
-                )
-                if int(occ.sum()) == 0:
-                    continue
-                payload = np.empty((int(occ.sum()), 4))
-                payload[:, :3] = np.concatenate(
-                    [p.fractions.reshape(-1, 3) for p in parts]
-                )
-                payload[:, 3] = np.concatenate([p.species for p in parts])
-                batch = RecordBatch(
-                    kind="position",
-                    dst=int(dst),
-                    particle_ids=np.concatenate(
-                        [p.particle_ids for p in parts]
-                    ),
-                    cells=np.repeat(self._cell_coords[cids], occ, axis=0),
-                    payload=payload,
-                )
+            ent = self._flow_static[(src, dst)]
+            if ent is None:
+                continue
+            payload = ent["payload"]
+            np.take(self._last_frac, ent["pids"], axis=0, out=ent["fracbuf"])
+            payload[:, :3] = ent["fracbuf"]
+            batch = RecordBatch(
+                kind="position",
+                dst=int(dst),
+                particle_ids=ent["pids"],
+                cells=ent["cells"],
+                payload=payload,
+            )
             n_pkts = batch.n_packets(rpp)
             node.packets_out += n_pkts
             self.total_position_packets += n_pkts
@@ -619,7 +569,7 @@ class DistributedMachine:
             back = np.mod(lcid + origin, gd)
             if not np.array_equal(back, batch.cells):
                 raise ValidationError("LCID conversion corrupted a cell id")
-            starts = np.concatenate([[0], np.cumsum(occ)])
+            starts = ent["starts"]
             for k, cid in enumerate(cids):
                 lo, hi = int(starts[k]), int(starts[k + 1])
                 if lo == hi:
@@ -648,72 +598,6 @@ class DistributedMachine:
                     self._stale_halo[(int(dst), int(cid))] = (
                         self._iteration, data,
                     )
-
-    def _exchange_positions_loop(self, nodes: Dict[int, _Node]) -> None:
-        """Per-particle packet exchange (the original protocol walk)."""
-        mailboxes: Dict[int, List[Packet]] = {n: [] for n in nodes}
-        for node in nodes.values():
-            neighbor_nodes = sorted(
-                {t for cid in node.local_cells for t in self._send_targets[cid]}
-            )
-            if not neighbor_nodes:
-                continue
-            chain = P2REncapsulatorChain(
-                neighbor_nodes, self.config.records_per_packet
-            )
-            out: List[Packet] = []
-            for cid in node.local_cells:
-                targets = self._send_targets[cid]
-                if not targets:
-                    continue
-                data = node.cells[cid]
-                cell = tuple(int(c) for c in self._cell_coords[cid])
-                for pid, fq, sp in zip(
-                    data.particle_ids, data.fractions, data.species
-                ):
-                    record = Record(
-                        "position",
-                        int(pid),
-                        cell,
-                        (float(fq[0]), float(fq[1]), float(fq[2]), int(sp)),
-                    )
-                    out.extend(chain.route(record, targets))
-            out.extend(chain.flush_all())
-            node.packets_out += len(out)
-            for pkt in out:
-                mailboxes[pkt.dst].append(pkt)
-        # Arrival: unpack, convert GCID -> LCID, bucket into the halo.
-        gd = self.config.global_cells
-        ld = self.config.local_cells
-        for node in nodes.values():
-            buckets: Dict[int, List[Tuple[int, Tuple[float, ...], int]]] = {}
-            for pkt in mailboxes[node.node_id]:
-                node.packets_in += 1
-                for rec in pkt.records:
-                    # The Sec. 4.2 conversion: express the sender's global
-                    # cell in this node's homogeneous local space, then
-                    # map back to the global id for bucketing.  The LCID
-                    # round-trip is exercised (and asserted) here.
-                    lcid = gcid_to_lcid(
-                        np.asarray(rec.cell), node.node_coords, ld, gd
-                    )
-                    origin = node.node_coords * np.asarray(ld)
-                    back = tuple(int(v) for v in np.mod(lcid + origin, gd))
-                    if back != rec.cell:
-                        raise ValidationError("LCID conversion corrupted a cell id")
-                    gcid_int = int(self.grid.cell_id(np.asarray(rec.cell)))
-                    buckets.setdefault(gcid_int, []).append(
-                        (rec.particle_id, rec.payload, int(rec.payload[3]))
-                    )
-            for gcid_int, items in buckets.items():
-                node.halo[gcid_int] = _CellData(
-                    particle_ids=np.array([i[0] for i in items], dtype=np.int64),
-                    fractions=np.array(
-                        [[i[1][0], i[1][1], i[1][2]] for i in items]
-                    ),
-                    species=np.array([i[2] for i in items], dtype=np.int32),
-                )
-        self.total_position_packets += sum(n.packets_out for n in nodes.values())
 
     # -- graceful degradation ---------------------------------------------------
 
@@ -848,7 +732,7 @@ class DistributedMachine:
         (deterministic replay of deterministic state), so by the time
         :meth:`_build_nodes` runs the partition and every float32
         accumulation are exactly those of a fault-free pass.  What a
-        crash *does* change: the cached reuse-state structures are
+        crash *does* change: the node cache is
         invalidated (an adopting node has no warm skeletons for foreign
         cells) and the :class:`~repro.faults.RecoveryRecord` accounting.
         """
@@ -939,8 +823,8 @@ class DistributedMachine:
             )
         )
         # The adopting nodes have no warm packing skeletons for foreign
-        # cells: force a full rebuild of the reuse-state caches.  The
-        # rebuild path is the asserted-bitwise oracle, so this is safe.
+        # cells: force a full rebuild of the node cache (bitwise-equal
+        # to a reused one, so this is always safe).
         self._nodes_cache = None
         self._build_cids = None
         self._flow_static = None

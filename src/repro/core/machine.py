@@ -99,8 +99,7 @@ class StepStats:
     #: Neighbor-force records produced per evaluating cell (nonzero only).
     neighbor_force_records_per_cell: Optional[np.ndarray] = None
     #: Cumulative :class:`~repro.md.cellstate.CellState` builds at the end
-    #: of this pass, and whether this pass reused persistent state (None
-    #: when ``reuse_state`` is off).
+    #: of this pass, and whether this pass reused persistent state.
     state_builds: Optional[int] = None
     state_reused: Optional[bool] = None
     #: Node-crash recoveries folded into this pass and their cycle cost
@@ -356,31 +355,15 @@ class FasdaMachine:
         # carries every (home, neighbor, shift) triple as flat arrays.
         self._plan = plan_for_grid(self.grid)
         self._neighbor_cids = self._plan.neighbor_ids
-        #: Pair enumeration path: "auto" (padded fast path when the box
-        #: is dense enough, else chunked), "padded", or "chunked".  Both
-        #: paths admit bitwise-identical pair sets.
-        self.pair_path = "auto"
-        #: Traffic accounting implementation: "vectorized" (group-by
-        #: passes) or "loop" (the retained per-row oracle).
-        self.traffic_impl = "vectorized"
         #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
         #: the process-wide default, ``"numpy"`` the inline reference
-        #: code, ``"soa"``/``"numba"``/``"cext"`` a fused admission
-        #: kernel.  The float64 recheck through
+        #: code, ``"soa"``/``"cext"`` a fused admission kernel.  The
+        #: float64 recheck through
         #: :meth:`~repro.core.datapath.PairFilter.admit_r2` (and its
         #: arithmetic restatements) stays authoritative on every
         #: backend, so admissions, statistics, traffic and the
         #: potential are **bitwise identical** across backends.
         self.force_impl: Optional[str] = None
-        #: Step-persistent cell state (PR 4): when True, binning and the
-        #: padded candidate search are amortized across steps through a
-        #: skin-banded :class:`~repro.md.cellstate.CellState`, rebuilt on
-        #: the skin/2 displacement criterion or any cell reassignment.
-        #: Forces, energies and all workload statistics stay bitwise
-        #: identical to the rebuild-every-step path (the retained
-        #: oracle).  Honored only where the fresh path would take the
-        #: padded broadcast; ``pair_path="chunked"`` disables it.
-        self.reuse_state = False
         #: Skin margin (angstrom) for the persistent state's band lists.
         self.reuse_skin = 0.15 * config.cutoff
         self._cell_state = None
@@ -434,34 +417,28 @@ class FasdaMachine:
         Updates the internal float32 force banks and returns workload
         statistics.  Does not advance time.
 
-        Dense boxes (the paper's 64-per-cell workload) take the
-        padded-broadcast fast path: candidate squared distances come
-        from batched per-cell float32 matmuls, a conservative band keeps
-        every possible admission, and only the ~15% of survivors are
-        rebuilt as exact fixed-point displacements and pushed through
-        the real :class:`~repro.core.datapath.PairFilter` — so the
-        admitted pair set, every ``dr``/``r2`` entering the pipelines,
-        and all integer workload statistics are bit-identical to the
-        chunked enumeration (``pair_path="chunked"``), which remains the
-        fallback for sparse or skewed occupancies.  Traffic accounting
-        runs as vectorized group-by passes (``traffic_impl="loop"``
-        selects the retained per-row oracle).
+        Every pass goes through the persistent skin-banded
+        :class:`~repro.md.cellstate.CellState`, rebuilt on the skin/2
+        displacement criterion or any cell reassignment.  Dense boxes
+        (the paper's 64-per-cell workload) evaluate over its band lists
+        (:meth:`_eval_reuse`); sparse or skewed occupancies, where the
+        padded candidate search does not pay, keep no band lists and
+        take the chunked enumeration (:meth:`_eval_chunked`) over a
+        fresh binning.  The choice depends only on the input, and both
+        admit the same pair set through the real
+        :class:`~repro.core.datapath.PairFilter`.  Traffic accounting
+        runs as vectorized group-by passes.
         """
         cfg = self.config
-        grid = self.grid
         plan = self._plan
         pos = self.system.positions
         n = self.system.n
-        n_cells = grid.n_cells
+        n_cells = self.grid.n_cells
         with self.timings.phase("build"):
-            state = self._ensure_cell_state(pos) if self.reuse_state else None
-            if state is not None:
-                clist = state.clist
-                coords = state.coords
-            else:
-                clist = CellList(grid, pos)
-                coords = grid.coords_of_positions(pos)
-            frac = quantize_cell_fractions(pos, coords, cfg.cutoff, self.fmt)
+            state = self.ensure_cell_state()
+            state.ensure(pos)
+            clist = state.clist
+            frac = quantize_cell_fractions(pos, state.coords, cfg.cutoff, self.fmt)
 
         # Persistent force banks (zeroed in place each pass) — the two
         # largest per-step arrays; their adder-tree sum below still
@@ -482,38 +459,18 @@ class FasdaMachine:
         uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
 
         with self.timings.phase("force"):
-            if state is not None:
-                potential = self._eval_reuse(
-                    state, frac, home_bank, nbr_bank, accepted, uniq_per_row
-                )
-            else:
-                use_padded = self.pair_path != "chunked" and (
-                    self.pair_path == "padded" or _padded_viable(plan, clist)
-                )
-                if use_padded:
-                    potential = self._eval_padded(
-                        clist, frac, home_bank, nbr_bank, accepted,
-                        uniq_per_row,
-                    )
-                else:
-                    potential = self._eval_chunked(
-                        clist, frac, home_bank, nbr_bank, accepted,
-                        uniq_per_row,
-                    )
+            potential = self._evaluate(
+                state, frac, home_bank, nbr_bank, accepted, uniq_per_row
+            )
 
         nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
         scatter_add(nbr_frc_records, plan.home, uniq_per_row)
 
         occupancy = clist.occupancies()
         if collect_traffic:
-            account = (
-                self._account_traffic_loop
-                if self.traffic_impl == "loop"
-                else self._account_traffic
-            )
             with self.timings.phase("traffic"):
                 position_records, force_records, pr_models, fr_models = (
-                    account(clist.counts, occupancy, uniq_per_row)
+                    self._account_traffic(clist.counts, occupancy, uniq_per_row)
                 )
         else:
             position_records = {}
@@ -540,23 +497,44 @@ class FasdaMachine:
             pr_load={n: RingLoadSummary.from_model(m) for n, m in pr_models.items()},
             fr_load={n: RingLoadSummary.from_model(m) for n, m in fr_models.items()},
             neighbor_force_records_per_cell=nbr_frc_records,
+            state_builds=state.builds,
+            state_reused=not state.last_rebuilt,
             timings=self.timings.snapshot(),
         )
-        if self.reuse_state:
-            cs = self._cell_state
-            stats.state_builds = cs.builds if cs is not None else 0
-            stats.state_reused = state is not None and not state.last_rebuilt
         self.last_stats = stats
         return stats
 
-    # -- step-persistent state (PR 4) ------------------------------------------
+    def _evaluate(
+        self,
+        state: CellState,
+        frac: np.ndarray,
+        home_bank: np.ndarray,
+        nbr_bank: np.ndarray,
+        accepted: np.ndarray,
+        uniq_per_row: np.ndarray,
+    ) -> np.float32:
+        """The datapath pass, chosen from the input alone: band lists
+        when the state holds them (dense boxes), chunked enumeration
+        otherwise."""
+        if state.pairs is not None:
+            return self._eval_reuse(
+                state, frac, home_bank, nbr_bank, accepted, uniq_per_row
+            )
+        return self._eval_chunked(
+            state.clist, frac, home_bank, nbr_bank, accepted, uniq_per_row
+        )
+
+    # -- step-persistent state -------------------------------------------------
 
     def ensure_cell_state(self) -> CellState:
         """Create (once) and return the persistent :class:`CellState`.
 
         Creation alone does not build the band lists (the next force
         pass does); checkpoint restore uses this to reattach the reuse
-        counters without paying an immediate build.
+        counters without paying an immediate build.  Band lists are
+        built only where the padded candidate search is viable
+        (:func:`~repro.md.reference._padded_viable`); other binnings
+        are rebuilt on every pass.
         """
         if self._cell_state is None:
             self._cell_state = CellState(
@@ -566,25 +544,9 @@ class FasdaMachine:
                 machine_pack_fn(
                     self.fmt, self.config.cutoff, self.reuse_skin, self.grid
                 ),
+                viable=_padded_viable,
             )
         return self._cell_state
-
-    def _ensure_cell_state(self, pos: np.ndarray) -> Optional[CellState]:
-        """Bring the persistent :class:`CellState` up to date, or decline.
-
-        Returns the state when the reuse path applies this step, else
-        None (``pair_path="chunked"``, or the fresh auto path would not
-        take the padded broadcast for this box — the band lists are the
-        padded search's, so reuse only ever replaces the padded path).
-        """
-        if self.pair_path == "chunked":
-            return None
-        state = self.ensure_cell_state()
-        if state.ensure(pos):
-            state.artifacts["usable"] = self.pair_path == "padded" or _padded_viable(
-                self._plan, state.clist
-            )
-        return state if state.artifacts.get("usable") else None
 
     def _rom32(self) -> Dict[object, Tuple[np.ndarray, np.ndarray]]:
         """Flattened float32 coefficient ROM images, built once.
@@ -620,10 +582,11 @@ class FasdaMachine:
     ) -> np.float32:
         """Datapath pass over the persistent skin-banded pair lists.
 
-        Bitwise-identical to :meth:`_eval_padded` on the same positions:
-        the band lists hold, per offset ``k`` and in the fresh path's
-        flat enumeration order, a superset of anything the fresh band
-        can pass, and the float32 cutoff test here is exactly the
+        Bitwise-identical to a fresh padded-broadcast pass on the same
+        positions (the oracle in ``tests/oracles.py``): the band lists
+        hold, per offset ``k`` and in the fresh path's flat enumeration
+        order, a superset of anything the fresh band can pass, and the
+        float32 cutoff test here is exactly the
         :meth:`~repro.core.datapath.PairFilter.admit_r2` admission — so
         the admitted pair *sequences*, every pipeline input, and the
         per-offset accumulation grouping all coincide with a fresh
@@ -672,10 +635,10 @@ class FasdaMachine:
             # admitted indices, r2 and displacements bitwise identical.
             # Scratch comes from the build-persistent artifacts; the
             # numpy/soa kernel wants whole-band work arrays, the
-            # compiled kernels compacted output arrays.
+            # compiled kernel compacted output arrays.
             if backend.name == "soa":
                 scratch = (art.dx, art.dy, art.dz, art.tf, art.r2f)
-            elif backend.name in ("numba", "cext"):
+            elif backend.name == "cext":
                 if art.idx64 is None:
                     art.idx64 = np.empty(len(art.A), dtype=np.int64)
                 scratch = (art.idx64, art.r2f, art.dx, art.dy, art.dz)
@@ -995,9 +958,9 @@ class FasdaMachine:
         """Gather-enumerated datapath pass (the original hot loop).
 
         All candidate pairs flow through the filter and the force
-        pipelines in step-wide batches from the shared pair plan; kept
-        as the general path for sparse/skewed boxes and as the oracle
-        the padded fast path is asserted against.
+        pipelines in step-wide batches from the shared pair plan — the
+        path for sparse or skewed boxes, where the padded candidate
+        search does not pay.
         """
         plan = self._plan
         n = np.int64(self.system.n)
@@ -1037,118 +1000,6 @@ class FasdaMachine:
                 # whole rows, so per-chunk uniqueness is per-block exact.
                 keys = np.unique(row[nsel] * n + jj[nsel])
                 scatter_add(uniq_per_row, keys // n)
-            potential += e.sum(dtype=np.float32)
-        return potential
-
-    def _eval_padded(
-        self,
-        clist: CellList,
-        frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> np.float32:
-        """Padded-broadcast datapath pass (dense-occupancy fast path).
-
-        Buckets are padded to the max occupancy ``cap`` and each of the
-        14 plan offsets becomes one ``(C, cap, cap)`` float32 matmul
-        over quantized in-cell fractions (exactly representable in
-        float32 at the default 23 fraction bits, and conservatively
-        banded regardless), ``r2 = |f_i|^2 + |f_j + off|^2 - 2 f_i.(f_j
-        + off)``.  Survivors of the band are rebuilt as exact float64
-        fixed-point displacements and pushed through the real
-        :class:`~repro.core.datapath.PairFilter`, so admissions, the
-        pipeline inputs, and the per-row unique-record statistics match
-        the chunked path exactly; only float32 accumulation *grouping*
-        differs (14 offset batches instead of ~2M-pair chunks).
-        """
-        plan = self._plan
-        n = self.system.n
-        C = plan.n_cells
-        order, start, counts = clist.order, clist.start, clist.counts
-        cap = int(counts.max())
-
-        # Bucket-sorted fractions: slot s holds particle order[s].
-        frac_s = frac[order]
-        fsx = np.ascontiguousarray(frac_s[:, 0])
-        fsy = np.ascontiguousarray(frac_s[:, 1])
-        fsz = np.ascontiguousarray(frac_s[:, 2])
-        within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
-        P = np.zeros((C, cap, 3), dtype=np.float32)
-        P[clist.sorted_cids, within] = frac_s.astype(np.float32)
-        padm = np.arange(cap)[None, :] >= counts[:, None]
-        S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
-        S[padm] = np.inf  # pad slots poison every r2 they appear in
-
-        nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
-        offs = np.concatenate(
-            [np.zeros((1, 3)), np.asarray(HALF_SHELL_OFFSETS, dtype=np.float64)]
-        )
-        # Cutoff in normalized units is 1; the band only ever admits
-        # *extra* candidates to the exact filter recheck.
-        band = np.float32(1.0 + 1e-3)
-        cell_of, i_of, j_of = plan.padded_decode(cap)
-        a_of = start[cell_of] + i_of
-        iu = np.arange(cap)
-        tri = iu[:, None] < iu[None, :]
-        mask = np.empty((C, cap, cap), dtype=bool)
-        G = np.empty((C, cap, cap), dtype=np.float32)
-        H = np.empty((C, cap, cap), dtype=np.float32)
-        present = np.zeros(C * cap, dtype=bool)
-        potential = np.float32(0.0)
-
-        for k in range(ROWS_PER_CELL):
-            nb = nbr_mat[:, k]
-            Q = P[nb] + offs[k].astype(np.float32)
-            Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
-            Sq[padm[nb]] = np.inf
-            np.matmul(P, Q.transpose(0, 2, 1), out=G)
-            # r2 = S_i + Sq_j - 2 G_ij < band  <=>  G > (S - band)/2 + Sq/2
-            np.add(
-                ((S - band) * np.float32(0.5))[:, :, None],
-                (Sq * np.float32(0.5))[:, None, :],
-                out=H,
-            )
-            np.greater(G, H, out=mask)
-            if k == 0:
-                mask &= tri  # home-home upper triangle
-            flat = np.flatnonzero(mask.reshape(-1))
-            if flat.size == 0:
-                continue
-            a = a_of[flat]
-            c = cell_of[flat]
-            jsl = j_of[flat]
-            b = start[nb][c] + jsl
-            # Exact fixed-point displacements for the band survivors,
-            # with the chunked path's arithmetic, through the real
-            # filter — bitwise-identical admissions and r2.
-            dr = np.empty((len(flat), 3))
-            dr[:, 0] = fsx[a] - fsx[b] - offs[k, 0]
-            dr[:, 1] = fsy[a] - fsy[b] - offs[k, 1]
-            dr[:, 2] = fsz[a] - fsz[b] - offs[k, 2]
-            res = self.filter.check(dr)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = order[a[m]]
-            jj = order[b[m]]
-            cc = c[m]
-            scatter_add(accepted, cc)
-            f, e = self._pipelines(dr[m], res.r2, ii, jj)
-            scatter_add(home_bank, ii, f)
-            if k == 0:
-                scatter_add(home_bank, jj, -f)
-            else:
-                scatter_add(nbr_bank, jj, -f)
-                # Unique (row, neighbor particle) records via bucket-slot
-                # presence bits — each offset k owns its rows outright.
-                present[:] = False
-                present[cc * cap + jsl[m]] = True
-                touched = np.flatnonzero(present)
-                scatter_add(
-                    uniq_per_row, (touched // cap) * ROWS_PER_CELL + k
-                )
             potential += e.sum(dtype=np.float32)
         return potential
 
@@ -1193,13 +1044,12 @@ class FasdaMachine:
     ]:
         """Vectorized traffic accounting over the active neighbor rows.
 
-        Replaces the per-row Python loop (retained as
-        :meth:`_account_traffic_loop`) with group-by passes over
-        composite (cell, node, slot) keys — through the backend
+        Group-by passes over composite (cell, node, slot) keys — through the backend
         ``traffic_flat`` kernel when the active backend compiles one
         (:func:`~repro.md.backends.traffic_flat_numpy` otherwise) — and
         batched :class:`~repro.core.rings.RingLoadModel` charging,
-        producing bitwise-identical records, link loads and summaries.
+        bitwise-identical in records, link loads and summaries to the
+        per-row loop oracle in ``tests/oracles.py``.
         """
         plan = self._plan
         S = self._ring_slots
@@ -1299,82 +1149,6 @@ class FasdaMachine:
                 # mid-ring).
                 for (src, dst), recs in force_records.items():
                     fr_models[dst].inject(self._ex_slot, S // 2, recs)
-
-        return position_records, force_records, pr_models, fr_models
-
-    def _account_traffic_loop(
-        self,
-        counts: np.ndarray,
-        occupancy: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> Tuple[
-        Dict[Tuple[int, int], int],
-        Dict[Tuple[int, int], int],
-        Dict[int, RingLoadModel],
-        Dict[int, RingLoadModel],
-    ]:
-        """Per-row traffic accounting (the original loop), retained as the
-        equivalence oracle for :meth:`_account_traffic`."""
-        position_records: Dict[Tuple[int, int], int] = {}
-        force_records: Dict[Tuple[int, int], int] = {}
-        pr_models, fr_models = self._traffic_models()
-        plan = self._plan
-        # (source cell, dest node) pairs that carried at least one position.
-        pos_sent: Dict[Tuple[int, int], bool] = {}
-        # Position-ring destinations per (node, source slot) for broadcasts.
-        pr_dests: Dict[Tuple[int, int], List[int]] = {}
-        pr_counts: Dict[Tuple[int, int], int] = {}
-        for r in self._active_neighbor_rows(counts):
-            cid = int(plan.home[r])
-            ncid = int(plan.nbr[r])
-            home_node = int(self._cell_node[cid])
-            home_slot = int(self._cell_ring_slot[cid])
-            src_node = int(self._cell_node[ncid])
-            # Position stream: source cell -> this node (dedup per node).
-            pos_sent[(ncid, home_node)] = True
-            # Ring broadcast bookkeeping.
-            key = (
-                home_node,
-                int(self._cell_ring_slot[ncid])
-                if src_node == home_node
-                else self._ex_slot + 10_000 + ncid,
-            )
-            pr_dests.setdefault(key, []).append(home_slot)
-            pr_counts[key] = int(counts[ncid])
-            uniq = int(uniq_per_row[r])
-            if uniq:
-                if src_node != home_node:
-                    key2 = (home_node, src_node)
-                    force_records[key2] = force_records.get(key2, 0) + uniq
-                # Force-ring injection: evaluating CBB -> home CBB
-                # (or EX when remote).
-                dst_slot = (
-                    int(self._cell_ring_slot[ncid])
-                    if src_node == home_node
-                    else self._ex_slot
-                )
-                fr_models[home_node].inject(home_slot, dst_slot, uniq)
-
-        # Replay position broadcasts: one ring traversal per source
-        # stream, visiting all destination CBBs (Sec. 4.5 semantics).
-        for (node, src_key), dests in pr_dests.items():
-            src_slot = src_key if src_key < self._ring_slots else self._ex_slot
-            pr_models[node].broadcast(src_slot, dests, pr_counts[(node, src_key)])
-        # Remote arriving forces also ride the destination node's FR
-        # from EX to the home CBB.
-        for (src, dst), recs in force_records.items():
-            # records arrive at node dst via EX; home cells unknown at
-            # this granularity — charge the mean path (EX to mid-ring).
-            fr_models[dst].inject(self._ex_slot, self._ring_slots // 2, recs)
-
-        for (src_cell, dst_node), _ in pos_sent.items():
-            src_node = int(self._cell_node[src_cell])
-            if src_node == dst_node:
-                continue
-            key = (src_node, dst_node)
-            position_records[key] = position_records.get(key, 0) + int(
-                occupancy[src_cell]
-            )
 
         return position_records, force_records, pr_models, fr_models
 

@@ -24,14 +24,19 @@ by a callable so straggler injection is trivial.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.eventsim import EventSimulator, Message, MessageNetwork, NodeProcess
-from repro.faults import FaultInjector, PredicateInjector, TransportConfig
+from repro.faults import (
+    CLEAN,
+    FaultDecision,
+    FaultInjector,
+    FaultPlan,
+    TransportConfig,
+)
 from repro.network.topology import Topology
 from repro.util.errors import ConfigError, DeadlockError, SimulationError
 
@@ -288,7 +293,6 @@ def run_chained_sync(
     link_latency: float = 200.0,
     mu_cycles: float = 100.0,
     position_tail_fraction: float = 0.05,
-    drop_message_fn: Optional[Callable[[Message], bool]] = None,
     injector: Optional[FaultInjector] = None,
     transport: Optional[TransportConfig] = None,
 ) -> SyncResult:
@@ -308,10 +312,6 @@ def run_chained_sync(
     position_tail_fraction:
         Fraction of the force phase needed to finish processing a
         neighbor's stream after its last position arrives.
-    drop_message_fn:
-        Deprecated — wrapped into a
-        :class:`~repro.faults.PredicateInjector`; pass ``injector``
-        instead.
     injector:
         Fault injection for the fabric (drop / duplicate / delay /
         corrupt) and node stall faults.  Without a ``transport`` the
@@ -328,19 +328,6 @@ def run_chained_sync(
     """
     if n_iterations < 1:
         raise ConfigError("n_iterations must be >= 1")
-    if drop_message_fn is not None:
-        if injector is not None:
-            raise ConfigError(
-                "pass either injector or the deprecated drop_message_fn, not both"
-            )
-        warnings.warn(
-            "drop_message_fn is deprecated; pass injector="
-            "repro.faults.PredicateInjector(fn) (or a FaultPlan-driven "
-            "FaultInjector) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        injector = PredicateInjector(drop_message_fn)
     effective_work = work_fn
     if injector is not None and injector.plan.has_stall_faults:
         def effective_work(node: int, iteration: int) -> float:
@@ -380,6 +367,21 @@ def run_chained_sync(
     )
 
 
+class _SilentNodeInjector(FaultInjector):
+    """Drops every message ``node`` sends and nothing else: a crashed
+    board, as its neighbors observe it."""
+
+    _DROP = FaultDecision(drop=True)
+
+    def __init__(self, node: int):
+        super().__init__(FaultPlan())
+        self.node = node
+
+    def decide_message(self, msg: Message, iteration: int, unit: int = 0,
+                       attempt: int = 0) -> FaultDecision:
+        return self._DROP if msg.src == self.node else CLEAN
+
+
 def diagnose_dead_node(
     topology: Topology,
     dead_node: int,
@@ -400,14 +402,13 @@ def diagnose_dead_node(
         raise ConfigError(
             f"dead_node must be in [0, {topology.n_nodes}), got {dead_node}"
         )
-    silent = PredicateInjector(lambda msg: msg.src == dead_node)
     try:
         run_chained_sync(
             topology,
             lambda node, it: work_cycles,
             n_iterations,
             link_latency=link_latency,
-            injector=silent,
+            injector=_SilentNodeInjector(dead_node),
         )
     except DeadlockError as exc:
         return str(exc)

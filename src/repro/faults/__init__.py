@@ -26,7 +26,6 @@ from repro.faults.plan import (
     FaultDecision,
     FaultInjector,
     FaultPlan,
-    PredicateInjector,
 )
 from repro.faults.transport import (
     ACK_SUFFIX,
@@ -50,7 +49,6 @@ __all__ = [
     "NodeFaultEvent",
     "NodeFaultInjector",
     "NodeFaultPlan",
-    "PredicateInjector",
     "RecoveryRecord",
     "RescaleAbortedRecord",
     "RescaleRecord",

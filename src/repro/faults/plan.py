@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ class FaultInjector:
         """Verdict for an event-layer :class:`~repro.eventsim.Message`.
 
         The default implementation keys off the message's envelope
-        (src, dst, kind); subclasses may inspect the full message (see
-        :class:`PredicateInjector`).
+        (src, dst, kind); subclasses may inspect the full message.
         """
         return self.decide(msg.src, msg.dst, msg.kind, iteration, unit, attempt)
 
@@ -263,25 +262,6 @@ class FaultInjector:
             return 1.0
         rng = self._rng(_SALT_STALL, node, iteration)
         return plan.stall_factor if rng.random() < plan.stall_rate else 1.0
-
-
-class PredicateInjector(FaultInjector):
-    """Adapter for the legacy ``drop_message_fn`` hook of the sync layer.
-
-    Wraps a ``Message -> bool`` predicate: messages for which it returns
-    True are dropped, nothing else is injected.  Exists so the old
-    keyword keeps working as a deprecated shim.
-    """
-
-    _DROP = FaultDecision(drop=True)
-
-    def __init__(self, predicate: Callable[[Any], bool]):
-        super().__init__(FaultPlan())
-        self.predicate = predicate
-
-    def decide_message(self, msg: Any, iteration: int, unit: int = 0,
-                       attempt: int = 0) -> FaultDecision:
-        return self._DROP if self.predicate(msg) else CLEAN
 
 
 class ChannelInjector(FaultInjector):

@@ -542,12 +542,11 @@ def machine_rate(
     fpga_grid: Tuple[int, int, int] = (1, 1, 1),
     particles_per_cell: int = 64,
     steps: int = 30,
-    reuse: bool = False,
     traffic: bool = True,
     mode: str = "run",
     force_impl: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """FasdaMachine steps/s with or without step-persistent cell state.
+    """FasdaMachine steps/s over its step-persistent cell state.
 
     ``mode="run"`` integrates (migrations can force rebuilds — the
     honest end-to-end number); ``mode="eval"`` re-evaluates forces on a
@@ -567,7 +566,6 @@ def machine_rate(
         dims, particles_per_cell=particles_per_cell, seed=seed
     )
     machine = FasdaMachine(cfg, system=system)
-    machine.reuse_state = reuse
     machine.force_impl = force_impl
     last = machine.compute_forces(collect_traffic=traffic)  # warm-up
     t0 = time.perf_counter()
@@ -581,16 +579,14 @@ def machine_rate(
     else:
         raise ValidationError(f"machine_rate mode must be run/eval, got {mode!r}")
     wall = time.perf_counter() - t0
-    builds = last.state_builds if last.state_builds is not None else steps
     return {
         "n_particles": int(system.n),
         "steps": steps,
-        "reuse": reuse,
         "mode": mode,
         "traffic": traffic,
         "backend": resolve_backend(force_impl).name,
-        "state_builds": int(builds) if reuse else steps,
-        "rebuild_rate": (int(builds) / (steps + 1)) if reuse else 1.0,
+        "state_builds": int(last.state_builds),
+        "rebuild_rate": int(last.state_builds) / (steps + 1),
         "potential_energy": float(last.potential_energy),
         "timing": {"steps_per_s": steps / wall},
     }
@@ -760,16 +756,17 @@ def build_default_campaign(
 ) -> List[CampaignPoint]:
     """The BENCH_campaign design points.
 
-    Reuse-amortization rates for the reference engine and the simulated
-    machine (fresh vs. persistent state, end-to-end and steady-state),
+    Reuse-amortization rates for the reference engine (fresh vs.
+    persistent state) and the simulated machine's step rates
+    (end-to-end and steady-state),
     plus the FPGA-scaling sweep and a slice of the sensitivity study so
     the campaign exercises heterogeneous workers.
 
-    Force-backend points: the six rate points above always run on the
+    Force-backend points: the four rate points above always run on the
     reference ``"numpy"`` backend (so the committed baseline stays
     comparable across hosts), and one extra engine/machine reuse pair is
-    added per *available* backend beyond it (``soa`` always; ``numba``/
-    ``cext`` when importable/buildable).  The extra labels are one-sided
+    added per *available* backend beyond it (``soa`` always; ``cext``
+    when buildable).  The extra labels are one-sided
     additions, which :func:`check_regression` ignores against baselines
     that predate them.
     """
@@ -780,14 +777,10 @@ def build_default_campaign(
               dims=dims, steps=steps, reuse=False),
         point("engine_rate", seed=seed, label="engine/reuse",
               dims=dims, steps=steps, reuse=True),
-        point("machine_rate", seed=seed, label="machine/fresh",
-              dims=dims, steps=steps, reuse=False, mode="run"),
         point("machine_rate", seed=seed, label="machine/reuse",
-              dims=dims, steps=steps, reuse=True, mode="run"),
-        point("machine_rate", seed=seed, label="machine/fresh-eval",
-              dims=dims, steps=steps, reuse=False, mode="eval"),
+              dims=dims, steps=steps, mode="run"),
         point("machine_rate", seed=seed, label="machine/reuse-eval",
-              dims=dims, steps=steps, reuse=True, mode="eval"),
+              dims=dims, steps=steps, mode="eval"),
     ]
     for name in available_backends():
         if name == "numpy":
@@ -798,8 +791,7 @@ def build_default_campaign(
         )
         pts.append(
             point("machine_rate", seed=seed, label=f"machine/reuse-{name}",
-                  dims=dims, steps=steps, reuse=True, mode="run",
-                  force_impl=name)
+                  dims=dims, steps=steps, mode="run", force_impl=name)
         )
     # Fused many-system stepping (one-sided addition: baselines that
     # predate it are simply not gated on it).
@@ -869,12 +861,6 @@ def run_default_campaign(
 
     doc["summary"] = {
         "engine_reuse_speedup": rate("engine/reuse") / rate("engine/fresh"),
-        "machine_run_reuse_speedup": (
-            rate("machine/reuse") / rate("machine/fresh")
-        ),
-        "machine_eval_reuse_speedup": (
-            rate("machine/reuse-eval") / rate("machine/fresh-eval")
-        ),
         "engine_rebuild_rate": merged["engine/reuse"]["result"]["rebuild_rate"],
         "machine_rebuild_rate": merged["machine/reuse"]["result"]["rebuild_rate"],
     }
@@ -940,12 +926,7 @@ def format_campaign(doc: Dict[str, Any]) -> str:
     lines = [table]
     if s:
         lines.append(
-            "reuse speedups — engine {:.2f}x, machine run {:.2f}x, "
-            "machine eval {:.2f}x".format(
-                s["engine_reuse_speedup"],
-                s["machine_run_reuse_speedup"],
-                s["machine_eval_reuse_speedup"],
-            )
+            "engine reuse speedup {:.2f}x".format(s["engine_reuse_speedup"])
         )
         lines.append(
             "rebuild rates — engine {:.0%}, machine {:.0%}".format(

@@ -6,20 +6,18 @@ section of ``benchmarks/bench_hotpath.py`` and the CI ``perf-machine``
 leg:
 
 * **Machine phase breakdown** — a :class:`~repro.core.machine.FasdaMachine`
-  on the optimized configuration (persistent cell state + best
-  available compiled backend + vectorized traffic) with
+  on the best available compiled backend with
   :class:`~repro.core.timing.StepTimings` enabled, reporting per-phase
   seconds (build / force / traffic / ring / integrate) over full
   ``step()`` calls.
-* **Bitwise oracle checks first, speed second** — before any timing,
-  the optimized machine's full :class:`StepStats` and float32 force
-  bank are asserted bitwise against the chunked/loop oracle (this
-  transitively certifies the fused admission, ROM-eval and scatter
-  kernels plus the group-by traffic and ring range-add paths); the
-  accounting kernels (``traffic_flat`` / ``ring_charge``) are also
-  checked head-to-head against their numpy references, the batched
-  position exchange against the per-record loop, and the shared-memory
-  process pool against the serial distributed run.
+* **Bitwise checks first, speed second** — before any timing, the
+  fused admission, ROM-eval and scatter kernels are asserted bitwise
+  against the numpy sequence (float32 force bank and full
+  :class:`StepStats`), the accounting kernels (``traffic_flat`` /
+  ``ring_charge``) head-to-head against their numpy references, and the
+  shared-memory process pool against the serial distributed run.  The
+  retired loop/chunked oracles are asserted by the tier-1 tests
+  (``tests/oracles.py``), not here.
 * **Rate metrics for the regression gate** — every throughput lands in
   a ``*_per_s`` key inside a ``points`` map, the exact shape
   :func:`repro.harness.campaign.check_regression` consumes, so CI can
@@ -34,7 +32,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +96,7 @@ def _stats_signature(stats) -> dict:
 
 def best_backend() -> str:
     """The fastest available force backend (compiled first)."""
-    for name in ("cext", "numba", "soa"):
+    for name in ("cext", "soa"):
         if resolve_backend(name).name == name:
             return name
     return "numpy"
@@ -166,7 +164,7 @@ def check_accounting_kernels(force_impl: str) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Machine: oracle check, phase table, rates
+# Machine: bitwise check, phase table, rates
 # ---------------------------------------------------------------------------
 
 
@@ -176,40 +174,27 @@ def profile_machine(
     force_impl: Optional[str] = None,
     phase_steps: int = 5,
 ) -> Dict[str, object]:
-    """Phase-timed optimized machine step with loop-oracle bitwise gate.
+    """Phase-timed machine step, bitwise-gated against the numpy sequence.
 
-    The optimized configuration is the full stack this repo has grown:
-    persistent skin-banded cell state (``reuse_state``), the fused
-    compiled admission + ROM-eval + scatter kernels of ``force_impl``
-    (best available by default), group-by traffic accounting and the
-    batched ring charge.  Its StepStats and float32 forces must match
-    the chunked/loop oracle bitwise before anything is timed.
+    The machine runs the fused compiled admission + ROM-eval + scatter
+    kernels of ``force_impl`` (best available by default); its float32
+    forces and full StepStats must match the same machine on the numpy
+    backend bitwise before anything is timed.
     """
     impl = force_impl or best_backend()
     fpga_grid = _fpga_grid_for(dims)
 
     mach = FasdaMachine(MachineConfig(dims, fpga_grid))
-    mach.pair_path, mach.traffic_impl = "auto", "vectorized"
-    mach.force_impl, mach.reuse_state = impl, True
-    # Two oracles, two invariants: the chunked/loop oracle certifies
-    # the full StepStats (admissions, traffic records, ring loads);
-    # accumulation *order* differs there by design, so the float32
-    # force bank — which certifies the fused admission/ROM-eval/scatter
-    # kernels — is asserted against the vectorized numpy sequence.
-    oracle = FasdaMachine(MachineConfig(dims, fpga_grid))
-    oracle.pair_path, oracle.traffic_impl = "chunked", "loop"
-    oracle.force_impl, oracle.reuse_state = "numpy", False
+    mach.force_impl = impl
     ref = FasdaMachine(MachineConfig(dims, fpga_grid))
-    ref.pair_path, ref.traffic_impl = "auto", "vectorized"
-    ref.force_impl, ref.reuse_state = "numpy", False
+    ref.force_impl = "numpy"
 
     mach.compute_forces()  # warm: plan/table caches + band artifacts
     mach.compute_forces()
     s_opt = mach.compute_forces(collect_traffic=True)
-    s_loop = oracle.compute_forces(collect_traffic=True)
-    ref.compute_forces(collect_traffic=True)
-    assert _stats_signature(s_opt) == _stats_signature(s_loop), (
-        "optimized StepStats diverged from the chunked/loop oracle"
+    s_ref = ref.compute_forces(collect_traffic=True)
+    assert _stats_signature(s_opt) == _stats_signature(s_ref), (
+        "fused-kernel StepStats diverged from the numpy sequence"
     )
     assert np.array_equal(mach.forces, ref.forces), (
         "fused-kernel float32 forces diverged from the numpy sequence"
@@ -217,9 +202,6 @@ def profile_machine(
 
     t_opt = _median_time(
         lambda: mach.compute_forces(collect_traffic=True), reps
-    )
-    t_loop = _median_time(
-        lambda: oracle.compute_forces(collect_traffic=True), max(1, reps // 2)
     )
 
     # Phase table over full step() calls (integrate included) with the
@@ -244,13 +226,9 @@ def profile_machine(
         "n_particles": int(mach.system.n),
         "force_impl": impl,
         "reps": reps,
-        "stats_match_loop_oracle": True,
         "forces_match_numpy_sequence": True,
         "machine_step_s": t_opt,
-        "machine_step_loop_s": t_loop,
         "machine_step_per_s": 1.0 / t_opt,
-        "machine_loop_per_s": 1.0 / t_loop,
-        "speedup_vs_loop": t_loop / t_opt,
         "phase_steps": phase_steps,
         "phase_step_wall_s": wall / max(1, phase_steps),
         "phases_s": phases,
@@ -267,13 +245,11 @@ def profile_distributed(
     reps: int,
     traj_steps: int = 4,
 ) -> Dict[str, object]:
-    """Serial vs shared-memory process pool, batched vs loop exchange.
+    """Serial vs shared-memory process pool.
 
-    Asserts, bitwise: the batched position exchange against the
-    per-record loop (same forces from the same positions), and a short
-    ``parallel="process"`` trajectory — evaluated through the
-    shared-memory segments when available — against the serial run
-    (positions, velocities, float32 forces).  The >=1.3x process
+    Asserts, bitwise, a short ``parallel="process"`` trajectory —
+    evaluated through the shared-memory segments when available —
+    against the serial run (positions, velocities, float32 forces).  The >=1.3x process
     speedup claim only applies on multi-core hosts; ``cpu_count`` is
     recorded so gates can condition on it.
     """
@@ -284,13 +260,6 @@ def profile_distributed(
         MachineConfig(dims, fpga_grid), system=system.copy(), parallel=False
     )
     serial.compute_forces()
-    f_batched = serial.forces.copy()
-    serial.exchange_impl = "loop"
-    serial.compute_forces()
-    assert np.array_equal(f_batched, serial.forces), (
-        "batched position exchange diverged from the per-record loop"
-    )
-    serial.exchange_impl = "batched"
     t_serial = _median_time(serial.compute_forces, reps)
 
     # Short trajectories: serial vs process pool over shared memory.
@@ -337,7 +306,6 @@ def profile_distributed(
         "reps": reps,
         "cpu_count": os.cpu_count() or 1,
         "shm_active": shm_active,
-        "exchange_batched_bitwise": True,
         "process_trajectory_bitwise": True,
         "distributed_step_s": t_serial,
         "distributed_step_process_s": t_process,
@@ -391,7 +359,6 @@ def run_profile(
             f"machine_{label}": {
                 "result": {
                     "machine_step_per_s": machine["machine_step_per_s"],
-                    "machine_loop_per_s": machine["machine_loop_per_s"],
                 }
             },
             f"distributed_{label}": {
@@ -413,9 +380,7 @@ def format_profile(doc: Dict[str, object]) -> str:
         f"machine step ({m['n_particles']} particles, "
         f"force_impl={m['force_impl']}): "
         f"{m['machine_step_s'] * 1e3:.1f} ms "
-        f"({m['machine_step_per_s']:.1f}/s), loop oracle "
-        f"{m['machine_step_loop_s'] * 1e3:.1f} ms "
-        f"-> {m['speedup_vs_loop']:.2f}x, bitwise ok",
+        f"({m['machine_step_per_s']:.1f}/s), bitwise ok",
         "  phase breakdown (per step, ring within traffic):",
     ]
     wall = m["phase_step_wall_s"]

@@ -1,4 +1,4 @@
-"""Selectable compiled force backends: ``numpy | soa | numba | cext``.
+"""Selectable compiled force backends: ``numpy | soa | cext``.
 
 PR 4's step-persistent cell state left the per-step force *kernel* as
 the wall: every hot path still walks the flat band lists with ~25
@@ -23,9 +23,6 @@ Backends
     index arrays with a conservative float32 prescreen, survivor
     compaction, exact float64 recheck and compacted LJ + scatters.
     Always available; this is the "SoA restructure alone" measurement.
-``numba``
-    The fused loop JIT-compiled with numba (optional dependency; never
-    required).  Falls back to ``numpy`` when numba is not importable.
 ``cext``
     The fused loop as a tiny C extension built on demand with cffi and
     the system compiler (both optional; never required).  Compiled with
@@ -83,6 +80,7 @@ import os
 import shutil
 import sysconfig
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -180,7 +178,7 @@ def compiled_backends() -> List[str]:
     """Available backends that actually compile the kernel (no numpy)."""
     return [
         n
-        for n in ("numba", "cext")
+        for n in ("cext",)
         if n in _REGISTRY and _REGISTRY[n].available
     ]
 
@@ -197,7 +195,7 @@ def resolve_backend(name: Optional[str] = None) -> ForceBackend:
     """The backend to use for ``force_impl=name``.
 
     ``None`` resolves to the process-wide active default.  Requesting an
-    *unavailable* optional backend (numba not installed, no compiler)
+    *unavailable* optional backend (no cffi or no compiler)
     falls back to the ``numpy`` reference backend rather than failing —
     pure numpy must always work.  Unknown names raise.
     """
@@ -219,7 +217,7 @@ def set_force_backend(name: str) -> str:
 
     Falls back to ``"numpy"`` when the requested optional backend is
     unavailable (mirroring :func:`resolve_backend`), so callers can
-    request ``numba`` unconditionally and still run everywhere.
+    request ``cext`` unconditionally and still run everywhere.
     """
     global _active
     resolved = resolve_backend(name)
@@ -1254,424 +1252,6 @@ def _make_cext_backend() -> ForceBackend:
 
 
 # ---------------------------------------------------------------------------
-# numba backend: the same fused loops, JIT-compiled
-# ---------------------------------------------------------------------------
-
-
-def _make_numba_backend() -> ForceBackend:
-    try:
-        import numba  # noqa: F401
-        from numba import njit
-    except Exception as exc:
-        return ForceBackend(
-            name="numba", available=False, why=f"{type(exc).__name__}: {exc}"
-        )
-
-    # Mirrors lj_flat_f64 exactly; numba's default (strict IEEE, no
-    # fastmath) keeps the float64 arithmetic identical to C/-O2 with
-    # contraction off.
-    @njit(cache=True)
-    def _lj_flat_jit(px, py, pz, ia, ib, srow, stab, spc, ns,
-                     c14t, c8t, c12t, c6t, cutoff2, shift_e, fx, fy, fz):
-        energy = 0.0
-        for p in range(len(ia)):
-            i = ia[p]
-            j = ib[p]
-            dx = px[i] - px[j]
-            dy = py[i] - py[j]
-            dz = pz[i] - pz[j]
-            r = srow[p]
-            if r >= 0:
-                dx -= stab[r, 0]
-                dy -= stab[r, 1]
-                dz -= stab[r, 2]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 >= cutoff2:
-                continue
-            sij = spc[i] * ns + spc[j]
-            inv_r2 = 1.0 / r2
-            inv_r4 = inv_r2 * inv_r2
-            inv_r6 = inv_r4 * inv_r2
-            inv_r8 = inv_r4 * inv_r4
-            scalar = (c14t[sij] * inv_r6 - c8t[sij]) * inv_r8
-            energy += (c12t[sij] * inv_r6 - c6t[sij]) * inv_r6 - shift_e
-            fxx = scalar * dx
-            fyy = scalar * dy
-            fzz = scalar * dz
-            fx[i] += fxx
-            fy[i] += fyy
-            fz[i] += fzz
-            fx[j] -= fxx
-            fy[j] -= fyy
-            fz[j] -= fzz
-        return energy
-
-    # Mirrors lj_flat_seg_f64: per-segment pair ranges, per-segment
-    # energy accumulators, shared force columns.
-    @njit(cache=True)
-    def _lj_flat_seg_jit(px, py, pz, ia, ib, srow, stab, spc, ns,
-                         c14t, c8t, c12t, c6t, seg_lo, seg_hi,
-                         cutoff2, shift_e, fx, fy, fz, energies):
-        for k in range(len(seg_lo)):
-            energy = 0.0
-            for p in range(seg_lo[k], seg_hi[k]):
-                i = ia[p]
-                j = ib[p]
-                dx = px[i] - px[j]
-                dy = py[i] - py[j]
-                dz = pz[i] - pz[j]
-                r = srow[p]
-                if r >= 0:
-                    dx -= stab[r, 0]
-                    dy -= stab[r, 1]
-                    dz -= stab[r, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                if r2 >= cutoff2:
-                    continue
-                sij = spc[i] * ns + spc[j]
-                inv_r2 = 1.0 / r2
-                inv_r4 = inv_r2 * inv_r2
-                inv_r6 = inv_r4 * inv_r2
-                inv_r8 = inv_r4 * inv_r4
-                scalar = (c14t[sij] * inv_r6 - c8t[sij]) * inv_r8
-                energy += (c12t[sij] * inv_r6 - c6t[sij]) * inv_r6 - shift_e
-                fxx = scalar * dx
-                fyy = scalar * dy
-                fzz = scalar * dz
-                fx[i] += fxx
-                fy[i] += fyy
-                fz[i] += fzz
-                fx[j] -= fxx
-                fy[j] -= fyy
-                fz[j] -= fzz
-            energies[k] = energy
-
-    @njit(cache=True)
-    def _admit_flat_jit(fsx, fsy, fsz, ia, ib, segs, offs, pre,
-                        idx_out, r2_out, dx_out, dy_out, dz_out):
-        m = 0
-        one = np.float32(1.0)
-        for k in range(len(segs) - 1):
-            ox = np.float32(offs[k, 0])
-            oy = np.float32(offs[k, 1])
-            oz = np.float32(offs[k, 2])
-            for p in range(segs[k], segs[k + 1]):
-                dx = fsx[ia[p]] - fsx[ib[p]]
-                dy = fsy[ia[p]] - fsy[ib[p]]
-                dz = fsz[ia[p]] - fsz[ib[p]]
-                if ox != np.float32(0.0):
-                    dx -= ox
-                if oy != np.float32(0.0):
-                    dy -= oy
-                if oz != np.float32(0.0):
-                    dz -= oz
-                r2s = dx * dx
-                r2s += dy * dy
-                r2s += dz * dz
-                if r2s < pre:
-                    r2 = np.float64(dx) * np.float64(dx)
-                    r2 += np.float64(dy) * np.float64(dy)
-                    r2 += np.float64(dz) * np.float64(dz)
-                    r2f = np.float32(r2)
-                    if r2f < one:
-                        idx_out[m] = p
-                        r2_out[m] = r2f
-                        dx_out[m] = dx
-                        dy_out[m] = dy
-                        dz_out[m] = dz
-                        m += 1
-        return m
-
-    @njit(cache=True)
-    def _screen_dr_jit(frac, ii, jj, offs, row, dr_out):
-        for p in range(len(ii)):
-            i = ii[p]
-            j = jj[p]
-            r = row[p]
-            dr_out[p, 0] = frac[i, 0] - frac[j, 0] - offs[r, 0]
-            dr_out[p, 1] = frac[i, 1] - frac[j, 1] - offs[r, 1]
-            dr_out[p, 2] = frac[i, 2] - frac[j, 2] - offs[r, 2]
-
-    # Mirrors traffic_groupby_i64: walk rows in stable (key, row) order
-    # and emit per-key reductions.  Weight sums accumulate each key's
-    # rows in input order — np.bincount's sequence, hence bitwise.
-    @njit(cache=True)
-    def _groupby_jit(order, keys, w, aux, has_w, has_aux,
-                     uniq_out, sum_out, max_out, first_out):
-        m = -1
-        prev = np.int64(-1)
-        for p in range(len(order)):
-            idx = order[p]
-            key = keys[idx]
-            if m < 0 or key != prev:
-                m += 1
-                prev = key
-                uniq_out[m] = key
-                if has_w:
-                    sum_out[m] = 0.0
-                if has_aux:
-                    max_out[m] = aux[idx]
-                first_out[m] = idx
-            elif has_aux and aux[idx] > max_out[m]:
-                max_out[m] = aux[idx]
-            if has_w:
-                sum_out[m] += w[idx]
-        return m + 1
-
-    # Mirrors rom_eval_f32: decode straight from the precomputed int32
-    # bit view, float32 ops in numpy's exact sequence (numba's strict
-    # IEEE default emits no FMA contraction).
-    @njit(cache=True)
-    def _rom_eval_jit(r2, bits, dx, dy, dz, idx, bias, nb, shift_bits,
-                      a14, b14, a8, b8, a12, b12, a6, b6,
-                      scalar_coeffs, c14, c8, c12, c6,
-                      has_coul, af, bf, ae, be, qq,
-                      fx, fy, fz, e_out):
-        for p in range(len(idx)):
-            r2a = r2[p]
-            b = np.int64(bits[p])
-            lin = ((b >> np.int64(23)) - bias) * nb + (
-                (b >> shift_bits) & (nb - np.int64(1))
-            )
-            inv14 = a14[lin] * r2a + b14[lin]
-            inv8 = a8[lin] * r2a + b8[lin]
-            inv12 = a12[lin] * r2a + b12[lin]
-            inv6 = a6[lin] * r2a + b6[lin]
-            if scalar_coeffs:
-                scalar = inv14 * c14[0]
-                inv8 = inv8 * c8[0]
-                e = inv12 * c12[0]
-                inv6 = inv6 * c6[0]
-            else:
-                q = idx[p]
-                scalar = c14[q] * inv14
-                inv8 = inv8 * c8[q]
-                e = c12[q] * inv12
-                inv6 = inv6 * c6[q]
-            scalar = scalar - inv8
-            e = e - inv6
-            fxp = scalar * dx[p]
-            fyp = scalar * dy[p]
-            fzp = scalar * dz[p]
-            if has_coul:
-                q32 = qq[idx[p]]
-                invf = af[lin] * r2a + bf[lin]
-                sc = invf * q32
-                fxp = fxp + sc * dx[p]
-                fyp = fyp + sc * dy[p]
-                fzp = fzp + sc * dz[p]
-                inve = ae[lin] * r2a + be[lin]
-                inve = inve * q32
-                e = e + inve
-            fx[p] = fxp
-            fy[p] = fyp
-            fz[p] = fzp
-            e_out[p] = e
-
-    # Mirrors scatter_cols_f32: f64 accumulate in input row order, one
-    # f32 rounding per row, a full-length f32 add onto the bank.
-    @njit(cache=True)
-    def _scatter_cols_jit(bank, idx, wx, wy, wz, n, acc):
-        for i in range(n):
-            acc[i, 0] = 0.0
-            acc[i, 1] = 0.0
-            acc[i, 2] = 0.0
-        for p in range(len(idx)):
-            i = idx[p]
-            acc[i, 0] += np.float64(wx[p])
-            acc[i, 1] += np.float64(wy[p])
-            acc[i, 2] += np.float64(wz[p])
-        for i in range(n):
-            bank[i, 0] = bank[i, 0] + np.float32(acc[i, 0])
-            bank[i, 1] = bank[i, 1] + np.float32(acc[i, 1])
-            bank[i, 2] = bank[i, 2] + np.float32(acc[i, 2])
-
-    # Mirrors ring_charge_i64: per-record circular link walk; integer
-    # adds are order-free so this is bitwise the difference-array path.
-    @njit(cache=True)
-    def _ring_charge_jit(link_load, direction, src, hops, counts):
-        n = len(link_load)
-        for p in range(len(src)):
-            h = hops[p]
-            c = counts[p]
-            s = src[p]
-            if direction != 1:
-                s = (s - h + 1) % n
-                if s < 0:
-                    s += n
-            for _ in range(h):
-                link_load[s] += c
-                s += 1
-                if s == n:
-                    s = 0
-
-    def lj_flat(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
-                shift_e, fx, fy, fz):
-        c14, c8, c12, c6 = _lj_tables(lj)
-        return float(
-            _lj_flat_jit(
-                psx, psy, psz, ia, ib, srow, stab,
-                spc, np.int64(lj.n_species),
-                c14.ravel(), c8.ravel(), c12.ravel(), c6.ravel(),
-                float(cutoff2), float(shift_e), fx, fy, fz,
-            )
-        )
-
-    def lj_flat_seg(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
-                    shift_e, fx, fy, fz, seg_lo, seg_hi):
-        c14, c8, c12, c6 = _lj_tables(lj)
-        lo64 = np.ascontiguousarray(seg_lo, dtype=np.int64)
-        hi64 = np.ascontiguousarray(seg_hi, dtype=np.int64)
-        energies = np.zeros(len(lo64), dtype=np.float64)
-        _lj_flat_seg_jit(
-            psx, psy, psz, ia, ib, srow, stab,
-            spc, np.int64(lj.n_species),
-            c14.ravel(), c8.ravel(), c12.ravel(), c6.ravel(),
-            lo64, hi64, float(cutoff2), float(shift_e),
-            fx, fy, fz, energies,
-        )
-        return energies
-
-    def admit_flat(fsx, fsy, fsz, ia, ib, segs, offs, scratch=None,
-                   copy=True):
-        L = len(ia)
-        if scratch is not None:
-            idx_out, r2_out, dx_out, dy_out, dz_out = scratch
-        else:
-            idx_out = np.empty(L, dtype=np.int64)
-            r2_out = np.empty(L, dtype=np.float32)
-            dx_out = np.empty(L, dtype=np.float32)
-            dy_out = np.empty(L, dtype=np.float32)
-            dz_out = np.empty(L, dtype=np.float32)
-        m = int(
-            _admit_flat_jit(
-                fsx, fsy, fsz, ia, ib,
-                np.ascontiguousarray(segs, dtype=np.int64),
-                np.ascontiguousarray(offs, dtype=np.float64),
-                np.float32(1.0 + 1e-5),
-                idx_out, r2_out, dx_out, dy_out, dz_out,
-            )
-        )
-        if not copy:
-            return (
-                idx_out[:m], r2_out[:m],
-                dx_out[:m], dy_out[:m], dz_out[:m],
-            )
-        return (
-            idx_out[:m].copy(), r2_out[:m].copy(),
-            dx_out[:m].copy(), dy_out[:m].copy(), dz_out[:m].copy(),
-        )
-
-    def screen_dr(frac, ii, jj, offset, row):
-        n = len(ii)
-        dr = np.empty((n, 3), dtype=np.float64)
-        _screen_dr_jit(
-            np.ascontiguousarray(frac, dtype=np.float64),
-            np.ascontiguousarray(ii, dtype=np.int64),
-            np.ascontiguousarray(jj, dtype=np.int64),
-            np.ascontiguousarray(offset, dtype=np.float64),
-            np.ascontiguousarray(row, dtype=np.int64),
-            dr,
-        )
-        return dr, _screen_r2(dr)
-
-    def traffic_flat(keys, weights=None, aux=None):
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        n = len(keys)
-        if n == 0:
-            return _traffic_flat_empty(weights, aux)
-        if int(keys.min()) < 0 or int(keys.max()) > (2 ** 62) // n:
-            return traffic_flat_numpy(keys, weights, aux)
-        skey = keys * np.int64(n)
-        skey += np.arange(n, dtype=np.int64)
-        order = np.argsort(skey)  # skey is unique: any sort is stable
-        has_w = weights is not None
-        has_aux = aux is not None
-        w64 = (
-            np.ascontiguousarray(weights, dtype=np.float64)
-            if has_w else np.empty(0, dtype=np.float64)
-        )
-        a64 = (
-            np.ascontiguousarray(aux, dtype=np.int64)
-            if has_aux else np.empty(0, dtype=np.int64)
-        )
-        uniq = np.empty(n, dtype=np.int64)
-        first = np.empty(n, dtype=np.int64)
-        sums = np.empty(n if has_w else 0, dtype=np.float64)
-        amax = np.empty(n if has_aux else 0, dtype=np.int64)
-        m = int(
-            _groupby_jit(
-                order, keys, w64, a64, has_w, has_aux,
-                uniq, sums, amax, first,
-            )
-        )
-        return (
-            uniq[:m].copy(),
-            sums[:m].copy() if has_w else None,
-            amax[:m].copy() if has_aux else None,
-            first[:m].copy(),
-        )
-
-    def ring_charge(link_load, direction, src, hops, counts):
-        if len(src) == 0:
-            return
-        _ring_charge_jit(
-            link_load, np.int64(direction),
-            np.ascontiguousarray(src, dtype=np.int64),
-            np.ascontiguousarray(hops, dtype=np.int64),
-            np.ascontiguousarray(counts, dtype=np.int64),
-        )
-
-    def rom_eval(r2, dx, dy, dz, idx, n_s, n_b, lj_roms, coeffs, coul,
-                 fx, fy, fz, e_out):
-        if len(idx) == 0:
-            return
-        a14, b14, a8, b8, a12, b12, a6, b6 = lj_roms
-        c14, c8, c12, c6 = coeffs
-        scalar = np.ndim(c14) == 0
-        if scalar:
-            c14 = np.asarray([c14], dtype=np.float32)
-            c8 = np.asarray([c8], dtype=np.float32)
-            c12 = np.asarray([c12], dtype=np.float32)
-            c6 = np.asarray([c6], dtype=np.float32)
-        has_coul = coul is not None
-        if has_coul:
-            af, bf, ae, be, qq = coul
-        else:
-            af = bf = ae = be = qq = np.empty(0, dtype=np.float32)
-        r2 = np.ascontiguousarray(r2, dtype=np.float32)
-        bits = r2.view(np.int32)
-        shift_bits = 24 - int(n_b).bit_length()
-        _rom_eval_jit(
-            r2, bits, dx, dy, dz, idx,
-            np.int64(127 - n_s), np.int64(n_b), np.int64(shift_bits),
-            a14, b14, a8, b8, a12, b12, a6, b6,
-            scalar, c14, c8, c12, c6,
-            has_coul, af, bf, ae, be, qq,
-            fx, fy, fz, e_out,
-        )
-
-    def scatter_cols(bank, idx, wx, wy, wz, n, acc):
-        _scatter_cols_jit(
-            bank, idx, wx, wy, wz, int(n), acc.reshape(int(n), 3)
-        )
-
-    return ForceBackend(
-        name="numba",
-        available=True,
-        why="numba importable",
-        lj_flat=lj_flat,
-        admit_flat=admit_flat,
-        screen_dr=screen_dr,
-        lj_flat_seg=lj_flat_seg,
-        traffic_flat=traffic_flat,
-        ring_charge=ring_charge,
-        rom_eval=rom_eval,
-        scatter_cols=scatter_cols,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Registration and the environment default
 # ---------------------------------------------------------------------------
 
@@ -1702,18 +1282,28 @@ register_backend(
         ring_charge=ring_charge_numpy,
     )
 )
-register_backend(_make_numba_backend())
 register_backend(_make_cext_backend())
 
 
 def _apply_env_default() -> str:
-    """Honor ``REPRO_FORCE_IMPL`` (called at import; test hook)."""
+    """Honor ``REPRO_FORCE_IMPL`` (called at import; test hook).
+
+    An unknown name leaves the default unchanged and emits a
+    :class:`RuntimeWarning` naming it, so a stale setting never
+    silently runs a different backend than the one asked for.
+    """
     name = os.environ.get(ENV_VAR, "").strip()
     if name:
         try:
             return set_force_backend(name)
         except ValidationError:
-            pass  # unknown names in the environment are ignored
+            warnings.warn(
+                f"{ENV_VAR}={name!r} names no force backend; "
+                f"registered: {backend_names()}; keeping "
+                f"{get_force_backend()!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return get_force_backend()
 
 

@@ -194,6 +194,11 @@ class CellState:
         :func:`band_slot_pairs`), with ``band`` already widened to
         ``(cutoff + skin)^2`` *in packed units* plus the conservative
         float32 margin.
+    viable:
+        Optional ``(plan, clist) -> bool`` gate on the band search.  A
+        binning it rejects is kept without band lists (:attr:`pairs` is
+        None), so the consumer takes its own non-padded path and every
+        later :meth:`ensure` rebuilds the binning.
     """
 
     def __init__(
@@ -202,6 +207,7 @@ class CellState:
         plan: CellPairPlan,
         skin: float,
         pack_fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]],
+        viable: Optional[Callable[[CellPairPlan, CellList], bool]] = None,
     ):
         if skin <= 0:
             raise ValidationError("CellState skin must be > 0")
@@ -209,6 +215,7 @@ class CellState:
         self.plan = plan
         self.skin = float(skin)
         self._pack_fn = pack_fn
+        self._viable = viable
         self.version = 0
         self.builds = 0
         self.reuse_steps = 0
@@ -298,8 +305,10 @@ class CellState:
         """
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
-        packed, offsets, band = self._pack_fn(positions)
-        pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
+        pairs = None
+        if self._viable is None or self._viable(self.plan, clist):
+            packed, offsets, band = self._pack_fn(positions)
+            pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
         self.clist = clist
         self.coords = coords
         self.cids = self.grid.cell_id(coords)
@@ -346,7 +355,8 @@ def machine_pack_fn(
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]]:
     """``pack_fn`` for the fixed-point machine path (cell fractions).
 
-    Mirrors ``FasdaMachine._eval_padded``: packed vectors are quantized
+    Mirrors the machine's fresh padded-broadcast pass (the oracle in
+    ``tests/oracles.py``): packed vectors are quantized
     in-cell fractions (normalized units, cutoff = 1), offsets are the
     integer half-shell offsets, and the band is ``(1 + skin')^2`` with
     the fresh path's 1e-3 float32 margin, ``skin' = skin / cutoff``.

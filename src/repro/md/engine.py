@@ -66,7 +66,7 @@ class ReferenceEngine:
     force_impl:
         Force backend (see :mod:`repro.md.backends`): ``None`` uses the
         process-wide default, ``"numpy"`` the reference numpy paths,
-        ``"soa"``/``"numba"``/``"cext"`` the fused flat kernels
+        ``"soa"``/``"cext"`` the fused flat kernels
         (identical admitted pairs; forces/energy within the documented
         round-off bound; unavailable optional backends fall back to
         ``"numpy"``).

@@ -556,7 +556,7 @@ def compute_forces_cells(
     ``force_impl`` selects the force backend (see
     :mod:`repro.md.backends`): ``None`` uses the process-wide default
     (``"numpy"`` unless overridden), ``"numpy"`` forces the reference
-    paths above, and ``"soa"``/``"numba"``/``"cext"`` route the same
+    paths above, and ``"soa"``/``"cext"`` route the same
     admission through a fused flat kernel — identical admitted pairs,
     forces/energy within the documented round-off bound.
     """

@@ -1,0 +1,340 @@
+"""Retired machine paths, kept as bitwise oracles for the tier-1 tests.
+
+Each machine layer has one production path, chosen only from its input.
+The alternates it replaced live here, as functions that take a machine,
+so the tests can still assert the production path against an
+independent restatement:
+
+* :func:`eval_padded` — the fresh padded-broadcast pass
+  ``FasdaMachine`` took on dense boxes before the persistent
+  :class:`~repro.md.cellstate.CellState` became its only path.  The
+  reuse path must match it bitwise, step after step.
+* :func:`account_traffic_loop` — the per-row traffic walk the
+  vectorized group-by accounting replaced.
+* :func:`exchange_positions_loop` — the per-particle
+  :class:`~repro.core.packets.P2REncapsulatorChain` exchange the
+  batched ``RecordBatch`` flows replaced.
+
+:func:`fresh_path`, :func:`loop_traffic` and
+:func:`rebuild_nodes_every_step` install them on one machine instance,
+giving the rebuild-every-step oracles a whole trajectory can run on.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from repro.core.cellids import gcid_to_lcid
+from repro.core.distributed import DistributedMachine, _CellData, _Node
+from repro.core.machine import _OFFS14, FasdaMachine
+from repro.core.packets import P2REncapsulatorChain, Packet, Record
+from repro.core.rings import RingLoadModel
+from repro.md.cells import CellList
+from repro.md.kernels import scatter_add
+from repro.md.pairplan import ROWS_PER_CELL
+from repro.md.reference import _padded_viable
+from repro.util.errors import ValidationError
+
+PAIR_PATHS = ("auto", "padded", "chunked")
+
+
+def eval_padded(
+    machine: FasdaMachine,
+    clist: CellList,
+    frac: np.ndarray,
+    home_bank: np.ndarray,
+    nbr_bank: np.ndarray,
+    accepted: np.ndarray,
+    uniq_per_row: np.ndarray,
+) -> np.float32:
+    """Padded-broadcast datapath pass over a fresh binning.
+
+    Buckets are padded to the max occupancy ``cap`` and each of the 14
+    plan offsets becomes one ``(C, cap, cap)`` float32 matmul over
+    quantized in-cell fractions, ``r2 = |f_i|^2 + |f_j + off|^2 - 2
+    f_i.(f_j + off)``.  Survivors of a conservative band are rebuilt as
+    exact float64 fixed-point displacements and pushed through the real
+    :class:`~repro.core.datapath.PairFilter` and
+    ``FasdaMachine._pipelines`` — no band lists, no fused kernels, no
+    pre-gathered coefficients.
+    """
+    plan = machine._plan
+    n = machine.system.n
+    C = plan.n_cells
+    order, start, counts = clist.order, clist.start, clist.counts
+    cap = int(counts.max())
+
+    # Bucket-sorted fractions: slot s holds particle order[s].
+    frac_s = frac[order]
+    fsx = np.ascontiguousarray(frac_s[:, 0])
+    fsy = np.ascontiguousarray(frac_s[:, 1])
+    fsz = np.ascontiguousarray(frac_s[:, 2])
+    within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
+    P = np.zeros((C, cap, 3), dtype=np.float32)
+    P[clist.sorted_cids, within] = frac_s.astype(np.float32)
+    padm = np.arange(cap)[None, :] >= counts[:, None]
+    S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
+    S[padm] = np.inf  # pad slots poison every r2 they appear in
+
+    nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
+    # Cutoff in normalized units is 1; the band only ever admits
+    # *extra* candidates to the exact filter recheck.
+    band = np.float32(1.0 + 1e-3)
+    cell_of, i_of, j_of = plan.padded_decode(cap)
+    a_of = start[cell_of] + i_of
+    iu = np.arange(cap)
+    tri = iu[:, None] < iu[None, :]
+    mask = np.empty((C, cap, cap), dtype=bool)
+    G = np.empty((C, cap, cap), dtype=np.float32)
+    H = np.empty((C, cap, cap), dtype=np.float32)
+    present = np.zeros(C * cap, dtype=bool)
+    potential = np.float32(0.0)
+
+    for k in range(ROWS_PER_CELL):
+        nb = nbr_mat[:, k]
+        Q = P[nb] + _OFFS14[k].astype(np.float32)
+        Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
+        Sq[padm[nb]] = np.inf
+        np.matmul(P, Q.transpose(0, 2, 1), out=G)
+        # r2 = S_i + Sq_j - 2 G_ij < band  <=>  G > (S - band)/2 + Sq/2
+        np.add(
+            ((S - band) * np.float32(0.5))[:, :, None],
+            (Sq * np.float32(0.5))[:, None, :],
+            out=H,
+        )
+        np.greater(G, H, out=mask)
+        if k == 0:
+            mask &= tri  # home-home upper triangle
+        flat = np.flatnonzero(mask.reshape(-1))
+        if flat.size == 0:
+            continue
+        a = a_of[flat]
+        c = cell_of[flat]
+        jsl = j_of[flat]
+        b = start[nb][c] + jsl
+        dr = np.empty((len(flat), 3))
+        dr[:, 0] = fsx[a] - fsx[b] - _OFFS14[k, 0]
+        dr[:, 1] = fsy[a] - fsy[b] - _OFFS14[k, 1]
+        dr[:, 2] = fsz[a] - fsz[b] - _OFFS14[k, 2]
+        res = machine.filter.check(dr)
+        if not res.n_accepted:
+            continue
+        m = res.mask
+        ii = order[a[m]]
+        jj = order[b[m]]
+        cc = c[m]
+        scatter_add(accepted, cc)
+        f, e = machine._pipelines(dr[m], res.r2, ii, jj)
+        scatter_add(home_bank, ii, f)
+        if k == 0:
+            scatter_add(home_bank, jj, -f)
+        else:
+            scatter_add(nbr_bank, jj, -f)
+            # Unique (row, neighbor particle) records via bucket-slot
+            # presence bits — each offset k owns its rows outright.
+            present[:] = False
+            present[cc * cap + jsl[m]] = True
+            touched = np.flatnonzero(present)
+            scatter_add(uniq_per_row, (touched // cap) * ROWS_PER_CELL + k)
+        potential += e.sum(dtype=np.float32)
+    return potential
+
+
+def fresh_path(machine: FasdaMachine, pair_path: str = "auto") -> FasdaMachine:
+    """Make ``machine`` evaluate every pass over a fresh binning.
+
+    ``pair_path`` picks the evaluator the way the retired knob did:
+    ``"auto"`` takes :func:`eval_padded` on boxes where the padded search
+    is viable and the chunked enumeration elsewhere, ``"padded"`` and
+    ``"chunked"`` force one of them.  Returns the machine.
+    """
+    if pair_path not in PAIR_PATHS:
+        raise ValueError(f"pair_path must be one of {PAIR_PATHS}")
+
+    def evaluate(state, frac, *acc):
+        clist = CellList(machine.grid, machine.system.positions)
+        padded = pair_path == "padded" or (
+            pair_path == "auto" and _padded_viable(machine._plan, clist)
+        )
+        if padded:
+            return eval_padded(machine, clist, frac, *acc)
+        return machine._eval_chunked(clist, frac, *acc)
+
+    machine._evaluate = evaluate
+    return machine
+
+
+def account_traffic_loop(
+    machine: FasdaMachine,
+    counts: np.ndarray,
+    occupancy: np.ndarray,
+    uniq_per_row: np.ndarray,
+) -> Tuple[
+    Dict[Tuple[int, int], int],
+    Dict[Tuple[int, int], int],
+    Dict[int, RingLoadModel],
+    Dict[int, RingLoadModel],
+]:
+    """Per-row traffic accounting, one plan row at a time."""
+    position_records: Dict[Tuple[int, int], int] = {}
+    force_records: Dict[Tuple[int, int], int] = {}
+    pr_models, fr_models = machine._traffic_models()
+    plan = machine._plan
+    ex_slot = machine._ex_slot
+    # (source cell, dest node) pairs that carried at least one position.
+    pos_sent: Dict[Tuple[int, int], bool] = {}
+    # Position-ring destinations per (node, source slot) for broadcasts.
+    pr_dests: Dict[Tuple[int, int], List[int]] = {}
+    pr_counts: Dict[Tuple[int, int], int] = {}
+    for r in machine._active_neighbor_rows(counts):
+        cid = int(plan.home[r])
+        ncid = int(plan.nbr[r])
+        home_node = int(machine._cell_node[cid])
+        home_slot = int(machine._cell_ring_slot[cid])
+        src_node = int(machine._cell_node[ncid])
+        pos_sent[(ncid, home_node)] = True
+        key = (
+            home_node,
+            int(machine._cell_ring_slot[ncid])
+            if src_node == home_node
+            else ex_slot + 10_000 + ncid,
+        )
+        pr_dests.setdefault(key, []).append(home_slot)
+        pr_counts[key] = int(counts[ncid])
+        uniq = int(uniq_per_row[r])
+        if uniq:
+            if src_node != home_node:
+                key2 = (home_node, src_node)
+                force_records[key2] = force_records.get(key2, 0) + uniq
+            # Force-ring injection: evaluating CBB -> home CBB (or EX
+            # when remote).
+            dst_slot = (
+                int(machine._cell_ring_slot[ncid])
+                if src_node == home_node
+                else ex_slot
+            )
+            fr_models[home_node].inject(home_slot, dst_slot, uniq)
+
+    # One ring traversal per source stream, visiting all destination
+    # CBBs (Sec. 4.5 broadcast semantics).
+    for (node, src_key), dests in pr_dests.items():
+        src_slot = src_key if src_key < machine._ring_slots else ex_slot
+        pr_models[node].broadcast(src_slot, dests, pr_counts[(node, src_key)])
+    # Remote arriving forces ride the destination node's FR from EX to
+    # the mean home slot.
+    for (src, dst), recs in force_records.items():
+        fr_models[dst].inject(ex_slot, machine._ring_slots // 2, recs)
+
+    for (src_cell, dst_node), _ in pos_sent.items():
+        src_node = int(machine._cell_node[src_cell])
+        if src_node == dst_node:
+            continue
+        key = (src_node, dst_node)
+        position_records[key] = position_records.get(key, 0) + int(
+            occupancy[src_cell]
+        )
+
+    return position_records, force_records, pr_models, fr_models
+
+
+def loop_traffic(machine: FasdaMachine) -> FasdaMachine:
+    """Make ``machine`` account traffic with :func:`account_traffic_loop`."""
+    machine._account_traffic = lambda *args: account_traffic_loop(machine, *args)
+    return machine
+
+
+def exchange_positions_loop(
+    machine: DistributedMachine, nodes: Dict[int, _Node]
+) -> None:
+    """Per-particle packet exchange: the original P2R protocol walk.
+
+    Fault-free only — the injector hooks live in the batched exchange.
+    """
+    if machine.injector is not None:
+        raise ValueError("the loop exchange oracle models a lossless fabric")
+    mailboxes: Dict[int, List[Packet]] = {n: [] for n in nodes}
+    for node in nodes.values():
+        neighbor_nodes = sorted(
+            {t for cid in node.local_cells for t in machine._send_targets[cid]}
+        )
+        if not neighbor_nodes:
+            continue
+        chain = P2REncapsulatorChain(
+            neighbor_nodes, machine.config.records_per_packet
+        )
+        out: List[Packet] = []
+        for cid in node.local_cells:
+            targets = machine._send_targets[cid]
+            if not targets:
+                continue
+            data = node.cells[cid]
+            cell = tuple(int(c) for c in machine._cell_coords[cid])
+            for pid, fq, sp in zip(
+                data.particle_ids, data.fractions, data.species
+            ):
+                record = Record(
+                    "position",
+                    int(pid),
+                    cell,
+                    (float(fq[0]), float(fq[1]), float(fq[2]), int(sp)),
+                )
+                out.extend(chain.route(record, targets))
+        out.extend(chain.flush_all())
+        node.packets_out += len(out)
+        for pkt in out:
+            mailboxes[pkt.dst].append(pkt)
+    # Arrival: unpack, convert GCID -> LCID, bucket into the halo.
+    gd = machine.config.global_cells
+    ld = machine.config.local_cells
+    for node in nodes.values():
+        buckets: Dict[int, List[Tuple[int, Tuple[float, ...], int]]] = {}
+        for pkt in mailboxes[node.node_id]:
+            node.packets_in += 1
+            for rec in pkt.records:
+                # The Sec. 4.2 conversion, round-trip asserted per record.
+                lcid = gcid_to_lcid(
+                    np.asarray(rec.cell), node.node_coords, ld, gd
+                )
+                origin = node.node_coords * np.asarray(ld)
+                back = tuple(int(v) for v in np.mod(lcid + origin, gd))
+                if back != rec.cell:
+                    raise ValidationError("LCID conversion corrupted a cell id")
+                gcid_int = int(machine.grid.cell_id(np.asarray(rec.cell)))
+                buckets.setdefault(gcid_int, []).append(
+                    (rec.particle_id, rec.payload, int(rec.payload[3]))
+                )
+        for gcid_int, items in buckets.items():
+            node.halo[gcid_int] = _CellData(
+                particle_ids=np.array([i[0] for i in items], dtype=np.int64),
+                fractions=np.array(
+                    [[i[1][0], i[1][1], i[1][2]] for i in items]
+                ),
+                species=np.array([i[2] for i in items], dtype=np.int32),
+            )
+    machine.total_position_packets += sum(n.packets_out for n in nodes.values())
+
+
+def loop_exchange(machine: DistributedMachine) -> DistributedMachine:
+    """Make ``machine`` exchange positions with :func:`exchange_positions_loop`."""
+    machine._exchange_positions = lambda nodes: exchange_positions_loop(
+        machine, nodes
+    )
+    return machine
+
+
+def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
+    """Clear ``machine``'s node cache before every force pass.
+
+    The rebuild-every-step oracle of the distributed layer: every pass
+    re-partitions the particles and re-packs every flow from scratch.
+    """
+    build = machine._build_nodes
+
+    def rebuild():
+        machine._nodes_cache = None
+        return build()
+
+    machine._build_nodes = rebuild
+    return machine

@@ -3,17 +3,17 @@
 The contract under test, per layer:
 
 * registry — numpy/soa always available; unknown names raise; an
-  unavailable *optional* backend (numba not installed, no compiler)
-  resolves to numpy instead of failing; ``REPRO_FORCE_IMPL`` selects
-  the process default and ignores unknown names.
+  unavailable *optional* backend (no cffi, no compiler) resolves to
+  numpy instead of failing; ``REPRO_FORCE_IMPL`` selects the process
+  default, and an unknown name keeps the default with a warning.
 * engine — every available backend reproduces the per-cell float64
   loop oracle and the O(N^2) brute-force golden model within the
   documented ``FORCE_ATOL``/``ENERGY_RTOL`` bounds, on both the fresh
   and the state-reuse paths, at small/medium/paper-density sizes.
 * machine — admissions run through the exact float64 recheck on every
   backend, so ``StepStats`` and the float32 force banks are **bitwise
-  identical** across backends (padded and chunked paths, reuse on and
-  off); same for :class:`DistributedMachine` per node.
+  identical** across backends (band-list path on a dense box, chunked
+  path on a skewed one); same for :class:`DistributedMachine` per node.
 * persistence — checkpoint v2 round-trips the ``force_impl`` knob for
   engine, machine and distributed payloads, and pre-knob checkpoints
   (no ``force_impl`` key) still restore.
@@ -46,6 +46,7 @@ from repro.md.backends import (
 )
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
+from repro.md.system import ParticleSystem
 from repro.md.reference import (
     compute_forces_bruteforce,
     compute_forces_cells,
@@ -75,9 +76,9 @@ class TestRegistry:
         assert "soa" in BACKENDS
         assert resolve_backend("numpy").is_reference
 
-    def test_all_four_backends_registered(self):
+    def test_all_backends_registered(self):
         # Registered regardless of availability — status says why.
-        assert set(backend_names()) >= {"numpy", "soa", "numba", "cext"}
+        assert backend_names() == ["cext", "numpy", "soa"]
         status = backend_status()
         for name in backend_names():
             assert status[name] == "available" or status[name].startswith(
@@ -101,10 +102,10 @@ class TestRegistry:
         finally:
             del _REGISTRY[fake.name]
 
-    def test_numba_resolution_matches_probe(self):
-        resolved = resolve_backend("numba")
-        if "numba" in BACKENDS:
-            assert resolved.name == "numba"
+    def test_cext_resolution_matches_probe(self):
+        resolved = resolve_backend("cext")
+        if "cext" in BACKENDS:
+            assert resolved.name == "cext"
         else:
             assert resolved.name == "numpy"  # gated, never an error
 
@@ -120,12 +121,18 @@ class TestRegistry:
         assert get_force_backend() == "soa"
 
     def test_env_unknown_name_ignored(self, monkeypatch):
-        set_force_backend("numpy")
-        monkeypatch.setenv(ENV_VAR, "no-such-backend")
-        assert _apply_env_default() == "numpy"
+        # The default stays, but a stale setting (numba was retired)
+        # must say so instead of silently running another backend.
+        set_force_backend("soa")
+        monkeypatch.setenv(ENV_VAR, "numba")
+        with pytest.warns(RuntimeWarning) as rec:
+            assert _apply_env_default() == "soa"
+        msg = str(rec[0].message)
+        assert "'numba'" in msg
+        assert "['cext', 'numpy', 'soa']" in msg
 
     def test_compiled_backends_subset(self):
-        assert set(compiled_backends()) <= {"numba", "cext"}
+        assert set(compiled_backends()) <= {"cext"}
         assert set(compiled_backends()) <= set(BACKENDS)
 
 
@@ -235,20 +242,43 @@ def _stats_signature(stats):
     )
 
 
+def _skewed_system(seed=11):
+    """The 4x4x4 paper box with one full cell and every other cell
+    thinned to ~1/8: too skewed for the padded band search."""
+    system, grid = build_dataset((4, 4, 4), seed=seed)
+    first = np.all(system.positions < grid.cell_edge, axis=1)
+    keep = first | (np.arange(system.n) % 8 == 0)
+    return ParticleSystem(
+        positions=system.positions[keep],
+        velocities=system.velocities[keep],
+        species=system.species[keep],
+        lj_table=system.lj_table,
+        box=system.box,
+    )
+
+
 class TestMachineBitwise:
     @pytest.mark.parametrize("pair_path", ["auto", "chunked"])
     @pytest.mark.parametrize("reuse", [False, True])
     def test_stats_and_forces_identical_across_backends(
         self, pair_path, reuse
     ):
+        # The path is chosen from the input: the dense paper box runs
+        # the band lists, a skewed box the chunked enumeration.  Without
+        # reuse the cell state is dropped, so the second pass rebuilds.
         ref_sig = ref_forces = None
         for name in BACKENDS:
-            machine = FasdaMachine(MachineConfig((4, 4, 4)), seed=11)
-            machine.pair_path = pair_path
-            machine.reuse_state = reuse
+            system = _skewed_system() if pair_path == "chunked" else None
+            machine = FasdaMachine(MachineConfig((4, 4, 4)), system, seed=11)
             machine.force_impl = name
             stats = machine.compute_forces(collect_traffic=True)
-            stats = machine.compute_forces(collect_traffic=True)  # reuse hit
+            if not reuse:
+                machine._cell_state = None
+            stats = machine.compute_forces(collect_traffic=True)
+            assert (machine._cell_state.pairs is None) == (
+                pair_path == "chunked"
+            )
+            assert stats.state_reused == (reuse and pair_path == "auto")
             sig = _stats_signature(stats)
             forces = machine.forces.copy()
             if ref_sig is None:
@@ -261,7 +291,6 @@ class TestMachineBitwise:
         ref = None
         for name in BACKENDS:
             machine = FasdaMachine(MachineConfig((3, 3, 3)), seed=4)
-            machine.reuse_state = True
             machine.force_impl = name
             for _ in range(3):
                 machine.step()
@@ -362,11 +391,10 @@ class TestCampaignBackends:
     def test_machine_rate_identical_across_backends(self):
         from repro.harness.campaign import machine_rate
 
-        base = machine_rate(seed=2023, dims=(3, 3, 3), steps=2,
-                            reuse=True)
+        base = machine_rate(seed=2023, dims=(3, 3, 3), steps=2)
         for name in BACKENDS:
             res = machine_rate(seed=2023, dims=(3, 3, 3), steps=2,
-                               reuse=True, force_impl=name)
+                               force_impl=name)
             assert res["backend"] == name
             assert res["potential_energy"] == base["potential_energy"]
 

@@ -1,11 +1,15 @@
-"""Tests for machine checkpoint/restore."""
+"""Machine checkpoint/restore through the fasda-checkpoint-v2 format.
+
+The container, partition and manager contracts live in
+``test_checkpoint_v2``; this module pins the single-machine cases.
+"""
+
+import os
 
 import numpy as np
 import pytest
 
-import os
-
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import load_checkpoint_v2, save_checkpoint_v2
 from repro.core.config import MachineConfig
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
@@ -22,9 +26,8 @@ def short_run_machine():
 
 def test_roundtrip_state_identical(short_run_machine, tmp_path):
     machine = short_run_machine
-    path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(machine, path)
-    restored, step = load_checkpoint(path)
+    path = save_checkpoint_v2(machine, str(tmp_path / "ckpt.npz"))
+    restored, step = load_checkpoint_v2(path)
     assert step == 5
     np.testing.assert_array_equal(restored.system.positions, machine.system.positions)
     np.testing.assert_array_equal(restored.velocities, machine.velocities)
@@ -35,9 +38,8 @@ def test_roundtrip_state_identical(short_run_machine, tmp_path):
 def test_restored_trajectory_continues_identically(short_run_machine, tmp_path):
     """The acid test: restore must be bit-transparent to the dynamics."""
     machine = short_run_machine
-    path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(machine, path)
-    restored, _ = load_checkpoint(path)
+    path = save_checkpoint_v2(machine, str(tmp_path / "ckpt.npz"))
+    restored, _ = load_checkpoint_v2(path)
     machine.run(5, record_every=0)
     restored.run(5, record_every=0)
     np.testing.assert_array_equal(
@@ -54,9 +56,8 @@ def test_charged_machine_roundtrip(tmp_path):
     cfg = MachineConfig((3, 3, 3), force_model="lj+coulomb", dt_fs=0.5)
     machine = FasdaMachine(cfg, system=system)
     machine.run(3, record_every=0)
-    path = str(tmp_path / "salt.npz")
-    save_checkpoint(machine, path)
-    restored, _ = load_checkpoint(path)
+    path = save_checkpoint_v2(machine, str(tmp_path / "salt.npz"))
+    restored, _ = load_checkpoint_v2(path)
     assert restored.config.force_model == "lj+coulomb"
     np.testing.assert_array_equal(restored.system.charges, machine.system.charges)
     machine.run(3, record_every=0)
@@ -67,9 +68,8 @@ def test_charged_machine_roundtrip(tmp_path):
 def test_unprimed_machine_roundtrip(tmp_path):
     system, _ = build_dataset((3, 3, 3), particles_per_cell=4, seed=8)
     machine = FasdaMachine(MachineConfig((3, 3, 3)), system=system)
-    path = str(tmp_path / "fresh.npz")
-    save_checkpoint(machine, path)
-    restored, step = load_checkpoint(path)
+    path = save_checkpoint_v2(machine, str(tmp_path / "fresh.npz"))
+    restored, step = load_checkpoint_v2(path)
     assert step == 0
     assert not restored._primed
 
@@ -78,58 +78,37 @@ def test_bad_file_rejected(tmp_path):
     path = str(tmp_path / "bogus.npz")
     np.savez(path, format=np.array("something-else"), x=np.zeros(3))
     with pytest.raises(CheckpointError, match="not a FASDA checkpoint"):
-        load_checkpoint(path)
+        load_checkpoint_v2(path)
 
 
 def test_truncated_file_rejected(short_run_machine, tmp_path):
-    path = save_checkpoint(short_run_machine, str(tmp_path / "trunc.npz"))
+    path = save_checkpoint_v2(short_run_machine, str(tmp_path / "trunc.npz"))
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[: len(raw) // 2])
     with pytest.raises(CheckpointError, match="corrupt or unreadable"):
-        load_checkpoint(path)
+        load_checkpoint_v2(path)
 
 
 def test_bit_flipped_file_rejected(short_run_machine, tmp_path):
-    """A single flipped payload bit fails the zip CRC with a clear error."""
-    path = save_checkpoint(short_run_machine, str(tmp_path / "flip.npz"))
+    """A single flipped payload byte is refused with a clear error."""
+    path = save_checkpoint_v2(short_run_machine, str(tmp_path / "flip.npz"))
     raw = bytearray(open(path, "rb").read())
     raw[len(raw) // 2] ^= 0xFF
     open(path, "wb").write(bytes(raw))
-    with pytest.raises(CheckpointError, match=r"corrupt or unreadable.*flip"):
-        load_checkpoint(path)
-
-
-def test_non_roundtripping_config_rejected(short_run_machine, tmp_path):
-    import dataclasses
-    import json
-
-    path = save_checkpoint(short_run_machine, str(tmp_path / "cfg.npz"))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    cfg = json.loads(str(arrays["config"]))
-    cfg["no_such_field"] = 1
-    arrays["config"] = np.array(json.dumps(cfg))
-    np.savez(path, **arrays)
-    with pytest.raises(CheckpointError, match="does not reconstruct"):
-        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=r"flip\.npz"):
+        load_checkpoint_v2(path)
 
 
 def test_save_is_atomic_no_tmp_leftovers(short_run_machine, tmp_path):
     """Overwriting an existing checkpoint never leaves a torn/partial file."""
     path = str(tmp_path / "atomic.npz")
-    first = save_checkpoint(short_run_machine, path)
+    first = save_checkpoint_v2(short_run_machine, path)
     short_run_machine.run(2)
-    second = save_checkpoint(short_run_machine, path)
+    second = save_checkpoint_v2(short_run_machine, path)
     assert first == second == path
     assert [f for f in os.listdir(tmp_path) if ".tmp." in f] == []
-    restored, step = load_checkpoint(path)
+    restored, step = load_checkpoint_v2(path)
     assert step == 7
     np.testing.assert_array_equal(
         restored.system.positions, short_run_machine.system.positions
     )
-
-
-def test_suffix_appended_like_np_savez(short_run_machine, tmp_path):
-    path = save_checkpoint(short_run_machine, str(tmp_path / "noext"))
-    assert path.endswith("noext.npz")
-    load_checkpoint(path)

@@ -34,33 +34,95 @@ def _flip_middle_byte(path):
     open(path, "wb").write(bytes(raw))
 
 
+def _tamper(path, mutate):
+    """Rewrite a v2 container with ``mutate(meta, arrays)`` applied.
+
+    Re-serializes the inner payload and recomputes the CRC, so the
+    corruption detector stays green and only the loader's semantic
+    checks see the change.
+    """
+    import io
+    import json
+    import zlib
+
+    with np.load(path, allow_pickle=False) as outer:
+        kind = str(outer["kind"])
+        payload = outer["payload"].tobytes()
+    with np.load(io.BytesIO(payload), allow_pickle=False) as inner:
+        meta = json.loads(str(inner["meta"]))
+        arrays = {k: inner[k] for k in inner.files if k != "meta"}
+    mutate(meta, arrays)
+
+    def npz_bytes(**kw):
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **kw)
+        return buf.getvalue()
+
+    new_payload = npz_bytes(meta=np.array(json.dumps(meta)), **arrays)
+    container = npz_bytes(
+        format=np.array("fasda-checkpoint-v2"),
+        kind=np.array(kind),
+        crc32=np.array(zlib.crc32(new_payload), dtype=np.int64),
+        payload=np.frombuffer(new_payload, dtype=np.uint8),
+    )
+    open(path, "wb").write(container)
+
+
+def _paper_machine():
+    return FasdaMachine(CFG)
+
+
+def _charged_machine():
+    system, _ = build_dataset(
+        (3, 3, 3), particles_per_cell=8, species=("Na", "Cl"),
+        charged=True, min_distance=2.4, seed=7,
+    )
+    cfg = MachineConfig((3, 3, 3), force_model="lj+coulomb", dt_fs=0.5)
+    return FasdaMachine(cfg, system=system)
+
+
 class TestMachineRoundTrip:
+    #: (label, factory, steps run before the save): the paper box, a
+    #: charged lj+coulomb box, and a machine saved before its first pass.
+    CASES = [
+        ("paper", _paper_machine, 4),
+        ("charged", _charged_machine, 3),
+        ("unprimed", _paper_machine, 0),
+    ]
+
     def test_trajectory_continues_bitwise(self, tmp_path):
-        m = FasdaMachine(CFG)
-        m.reuse_state = True
-        m.run(4)
-        path = save_checkpoint_v2(m, str(tmp_path / "m.npz"))
-        m2, step = load_checkpoint_v2(path)
-        assert step == 4
-        m.run(3)
-        m2.run(3)
-        np.testing.assert_array_equal(m.system.positions, m2.system.positions)
-        np.testing.assert_array_equal(m._forces32, m2._forces32)
-        assert [(r.step, r.kinetic, r.potential) for r in m.history] == [
-            (r.step, r.kinetic, r.potential) for r in m2.history
-        ]
+        for label, make, steps in self.CASES:
+            m = make()
+            if steps:
+                m.run(steps)
+            path = save_checkpoint_v2(m, str(tmp_path / f"{label}.npz"))
+            m2, step = load_checkpoint_v2(path)
+            assert step == steps, label
+            assert m2._primed == bool(steps), label
+            assert m2.config == m.config, label
+            np.testing.assert_array_equal(m2.system.charges, m.system.charges)
+            m.run(3)
+            m2.run(3)
+            np.testing.assert_array_equal(
+                m.system.positions, m2.system.positions, err_msg=label
+            )
+            np.testing.assert_array_equal(m._forces32, m2._forces32)
+            assert [(r.step, r.kinetic, r.potential) for r in m.history] == [
+                (r.step, r.kinetic, r.potential) for r in m2.history
+            ], label
 
     def test_knobs_and_cellstate_meta_restored(self, tmp_path):
         m = FasdaMachine(CFG)
-        m.reuse_state = True
-        m.pair_path = "padded"
+        m.force_impl = "soa"
+        m.reuse_skin = 0.5
         m.run(4)
         builds_before = m._cell_state.builds
         path = save_checkpoint_v2(m, str(tmp_path / "m.npz"))
         m2, _ = load_checkpoint_v2(path)
-        assert m2.pair_path == "padded"
-        assert m2.reuse_state
+        assert m2.force_impl == "soa"
+        assert m2.reuse_skin == 0.5
         assert m2._cell_state.builds == builds_before
+        assert m2._cell_state.skin == 0.5
 
 
 class TestEngineRoundTrip:
@@ -293,40 +355,6 @@ class TestPartitionValidation:
         m.step()
         return m
 
-    @staticmethod
-    def _tamper(path, mutate):
-        """Rewrite a v2 container with ``mutate(meta, arrays)`` applied.
-
-        Re-serializes the inner payload and recomputes the CRC, so the
-        corruption detector stays green and only the semantic partition
-        validator can catch the inconsistency.
-        """
-        import io
-        import json
-        import zlib
-
-        with np.load(path, allow_pickle=False) as outer:
-            kind = str(outer["kind"])
-            payload = outer["payload"].tobytes()
-        with np.load(io.BytesIO(payload), allow_pickle=False) as inner:
-            meta = json.loads(str(inner["meta"]))
-            arrays = {k: inner[k] for k in inner.files if k != "meta"}
-        mutate(meta, arrays)
-
-        def npz_bytes(**kw):
-            buf = io.BytesIO()
-            np.savez_compressed(buf, **kw)
-            return buf.getvalue()
-
-        new_payload = npz_bytes(meta=np.array(json.dumps(meta)), **arrays)
-        container = npz_bytes(
-            format=np.array("fasda-checkpoint-v2"),
-            kind=np.array(kind),
-            crc32=np.array(zlib.crc32(new_payload), dtype=np.int64),
-            payload=np.frombuffer(new_payload, dtype=np.uint8),
-        )
-        open(path, "wb").write(container)
-
     def test_cell_node_mismatch_rejected(self, tmp_path):
         # Written at 6 nodes, then the config is doctored to claim a
         # 4-node grid: the stored partition map no longer matches the
@@ -337,7 +365,7 @@ class TestPartitionValidation:
         def mutate(meta, arrays):
             meta["config"]["fpga_grid"] = [4, 1, 1]
 
-        self._tamper(path, mutate)
+        _tamper(path, mutate)
         with pytest.raises(CheckpointError, match="cell_node"):
             load_checkpoint_v2(path)
 
@@ -348,7 +376,7 @@ class TestPartitionValidation:
         def mutate(meta, arrays):
             meta["down_until"] = {"9": 5}
 
-        self._tamper(path, mutate)
+        _tamper(path, mutate)
         with pytest.raises(CheckpointError, match="down_until"):
             load_checkpoint_v2(path)
 
@@ -359,8 +387,18 @@ class TestPartitionValidation:
         def mutate(meta, arrays):
             meta["shadow_records"] = {"-1": 7}
 
-        self._tamper(path, mutate)
+        _tamper(path, mutate)
         with pytest.raises(CheckpointError, match="shadow_records"):
+            load_checkpoint_v2(path)
+
+    def test_non_round_tripping_config_rejected(self, tmp_path):
+        path = save_checkpoint_v2(FasdaMachine(CFG), str(tmp_path / "m.npz"))
+
+        def mutate(meta, arrays):
+            meta["config"]["no_such_field"] = 1
+
+        _tamper(path, mutate)
+        with pytest.raises(CheckpointError, match="does not reconstruct"):
             load_checkpoint_v2(path)
 
     def test_untampered_elastic_round_trip(self, tmp_path):
@@ -374,3 +412,44 @@ class TestPartitionValidation:
         assert m2.config.fpga_grid == (6, 1, 1)
         assert len(m2.rescale_log) == 1
         assert m2.rescale_log[0].flows == m.rescale_log[0].flows
+
+
+class TestRetiredKnobMeta:
+    """Checkpoints written while the machine layers still had
+    path-selection knobs carry them in their meta; they load, the keys
+    are ignored, and the run continues bitwise."""
+
+    RETIRED = dict(
+        pair_path="chunked",
+        traffic_impl="loop",
+        exchange_impl="loop",
+        reuse_state=False,
+    )
+
+    @pytest.mark.parametrize("kind", ["machine", "distributed"])
+    def test_old_meta_loads_and_continues_bitwise(self, tmp_path, kind):
+        system, _ = build_dataset((4, 4, 4), particles_per_cell=16, seed=3)
+
+        def make():
+            cls = FasdaMachine if kind == "machine" else DistributedMachine
+            return cls(CFG, system=system.copy())
+
+        m = make()
+        m.run(3)
+        path = save_checkpoint_v2(m, str(tmp_path / "old.npz"))
+
+        def mutate(meta, arrays):
+            meta.update(self.RETIRED)
+
+        _tamper(path, mutate)
+        m2, step = load_checkpoint_v2(path)
+        assert step == 3
+        for key in self.RETIRED:
+            assert not hasattr(m2, key)
+        m.run(4)
+        m2.run(4)
+        np.testing.assert_array_equal(m.system.positions, m2.system.positions)
+        np.testing.assert_array_equal(m.forces, m2.forces)
+        assert [(r.step, r.kinetic, r.potential) for r in m.history] == [
+            (r.step, r.kinetic, r.potential) for r in m2.history
+        ]

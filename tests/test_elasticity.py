@@ -19,6 +19,7 @@ from repro.faults import (
 )
 from repro.md import build_dataset
 from repro.util.errors import ConfigError, ValidationError
+from tests.oracles import rebuild_nodes_every_step
 
 DIMS = (12, 3, 3)
 
@@ -33,9 +34,12 @@ def _machine(n_nodes, seed=7, ppc=4, n_steps=0, **kw):
 
 
 def _fixed_reference(m, n_nodes):
-    """Fresh fixed-size machine primed with m's boundary state."""
+    """Fresh fixed-size machine primed with m's boundary state, on the
+    rebuild-every-step oracle path."""
     cfg = MachineConfig(DIMS, fpga_grid_for(DIMS, n_nodes))
-    ref = DistributedMachine(cfg, system=m.system.copy())
+    ref = rebuild_nodes_every_step(
+        DistributedMachine(cfg, system=m.system.copy())
+    )
     ref._velocities32 = m._velocities32.copy()
     ref._forces32 = m._forces32.copy()
     ref._primed = m._primed

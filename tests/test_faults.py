@@ -8,7 +8,6 @@ from repro.faults import (
     FaultDecision,
     FaultInjector,
     FaultPlan,
-    PredicateInjector,
     TransportConfig,
     TransportStats,
     send_flow,
@@ -132,16 +131,6 @@ class TestCorruptionAndStalls:
         assert always.work_multiplier(0, 0) == 3.0
         never = FaultInjector(FaultPlan(seed=1, stall_rate=0.0))
         assert never.work_multiplier(0, 0) == 1.0
-
-
-class TestPredicateInjector:
-    def test_wraps_predicate(self):
-        from repro.eventsim.messages import Message
-
-        inj = PredicateInjector(lambda m: m.kind == "last_position")
-        drop = inj.decide_message(Message("last_position", 0, 1, 0), 0)
-        keep = inj.decide_message(Message("last_force", 0, 1, 0), 0)
-        assert drop.drop and keep is CLEAN
 
 
 class TestTransportConfig:

@@ -162,25 +162,6 @@ class TestSyncFaults:
         )
         assert res.makespan > base.makespan
 
-    def test_legacy_drop_message_fn_warns(self):
-        with pytest.warns(DeprecationWarning, match="drop_message_fn"):
-            run_chained_sync(
-                TORUS,
-                constant_work(1000.0),
-                n_iterations=2,
-                drop_message_fn=lambda msg: False,
-            )
-
-    def test_legacy_and_injector_conflict(self):
-        with pytest.raises(ConfigError):
-            run_chained_sync(
-                TORUS,
-                constant_work(1000.0),
-                n_iterations=2,
-                drop_message_fn=lambda msg: False,
-                injector=FaultInjector(FaultPlan()),
-            )
-
     def test_deadlock_error_is_simulation_error(self):
         """Callers catching the old SimulationError keep working."""
         assert issubclass(DeadlockError, SimulationError)
@@ -317,16 +298,6 @@ class TestMachineFaults:
         cfg, system = dataset
         with pytest.raises(ConfigError):
             DistributedMachine(cfg, system=system.copy(), degradation="panic")
-
-    def test_loop_exchange_with_injector_rejected(self, dataset):
-        cfg, system = dataset
-        m = DistributedMachine(
-            cfg, system=system.copy(),
-            injector=FaultInjector(FaultPlan(seed=1)),
-        )
-        m.exchange_impl = "loop"
-        with pytest.raises(ConfigError):
-            m.compute_forces()
 
     def test_faulty_runs_reproducible(self, dataset):
         cfg, system = dataset

@@ -1,12 +1,13 @@
-"""Equivalence suite for the vectorized machine step (PR 2).
+"""Equivalence suite for the vectorized machine step.
 
-Three oracles guard the batched hot paths:
+Three oracles from ``tests/oracles.py`` guard the production paths:
 
-* traffic accounting — ``traffic_impl="vectorized"`` group-by passes vs
-  the retained ``"loop"`` per-row walk, across 1/2/4/8-node configs;
-* pair enumeration — ``pair_path="padded"`` broadcast matmuls vs the
-  ``"chunked"`` gather enumeration (bitwise-identical admissions and
-  integer workload statistics);
+* traffic accounting — the vectorized group-by passes vs the per-row
+  loop walk, across 1/2/4/8-node configs and at the sizes the profiler
+  and hot-path benchmark time;
+* pair enumeration — the fresh padded broadcast matmuls vs the chunked
+  gather enumeration (bitwise-identical admissions and integer
+  workload statistics);
 * distributed exchange — array-packed ``RecordBatch`` flows vs the
   per-particle P2R chain walk (identical halos and packet counts).
 """
@@ -20,14 +21,29 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
+from tests.oracles import (
+    exchange_positions_loop,
+    fresh_path,
+    loop_exchange,
+    loop_traffic,
+)
 
 GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
+#: (dims, fpga_grid, particles_per_cell): the 4x4x4 lattice over every
+#: node count, plus the paper-density boxes ``repro profile`` and
+#: ``benchmarks/bench_hotpath.py`` time (N ~ 2k / 10k; the bench's 50k
+#: box would cost this suite ~2 GB for the same assert).
+TRAFFIC_CASES = [((4, 4, 4), g, 16) for g in GRIDS] + [
+    ((3, 3, 3), (3, 1, 1), 64),
+    ((5, 5, 6), (1, 1, 2), 64),
+]
 
-def _machine(fpga_grid, **kw):
-    cfg = MachineConfig((4, 4, 4), fpga_grid)
-    system, _ = build_dataset((4, 4, 4), particles_per_cell=16, seed=11)
-    return FasdaMachine(cfg, system=system, **kw)
+
+def _machine(fpga_grid, dims=(4, 4, 4), ppc=16):
+    cfg = MachineConfig(dims, fpga_grid)
+    system, _ = build_dataset(dims, particles_per_cell=ppc, seed=11)
+    return FasdaMachine(cfg, system=system)
 
 
 def _stats_signature(stats):
@@ -45,22 +61,22 @@ def _stats_signature(stats):
 
 
 class TestTrafficAccountingEquivalence:
-    @pytest.mark.parametrize("fpga_grid", GRIDS)
-    def test_vectorized_matches_loop_oracle(self, fpga_grid):
-        m = _machine(fpga_grid)
-        m.traffic_impl = "vectorized"
+    @pytest.mark.parametrize("dims,fpga_grid,ppc", TRAFFIC_CASES)
+    def test_vectorized_matches_loop_oracle(self, dims, fpga_grid, ppc):
+        # Full StepStats of the production step vs the chunked
+        # enumeration + per-row loop accounting of the same system.
+        m = _machine(fpga_grid, dims, ppc)
+        oracle = loop_traffic(fresh_path(_machine(fpga_grid, dims, ppc), "chunked"))
         vec = _stats_signature(m.compute_forces())
-        m.traffic_impl = "loop"
-        loop = _stats_signature(m.compute_forces())
+        loop = _stats_signature(oracle.compute_forces())
         assert vec == loop
 
     def test_vectorized_matches_loop_after_steps(self):
         # Same equivalence on a perturbed (non-lattice) configuration.
         m = _machine((2, 2, 2))
         m.run(3)
-        m.traffic_impl = "vectorized"
         vec = _stats_signature(m.compute_forces())
-        m.traffic_impl = "loop"
+        loop_traffic(m)
         loop = _stats_signature(m.compute_forces())
         assert vec == loop
 
@@ -74,11 +90,10 @@ class TestTrafficAccountingEquivalence:
 
 class TestPairPathEquivalence:
     def test_padded_matches_chunked_exactly(self):
-        m = _machine((2, 2, 2))
-        m.pair_path = "padded"
+        m = fresh_path(_machine((2, 2, 2)), "padded")
         sp = m.compute_forces()
         fp = m.forces.copy()
-        m.pair_path = "chunked"
+        fresh_path(m, "chunked")
         sc = m.compute_forces()
         fc = m.forces.copy()
         # Integer workload statistics are bitwise equal (same admitted
@@ -103,8 +118,8 @@ class TestPairPathEquivalence:
         banks = []
         for fpga_grid in GRIDS:
             m = _machine(fpga_grid)
-            m.pair_path = "padded"
             m.compute_forces()
+            assert m._cell_state.pairs is not None  # band-list path
             banks.append(m.forces.copy())
         for other in banks[1:]:
             assert np.array_equal(banks[0], other)
@@ -112,9 +127,11 @@ class TestPairPathEquivalence:
 
 class TestDistributedExchangeEquivalence:
     def _exchange_signature(self, machine, impl):
-        machine.exchange_impl = impl
         nodes = machine._build_nodes()
-        machine._exchange_positions(nodes)
+        if impl == "loop":
+            exchange_positions_loop(machine, nodes)
+        else:
+            machine._exchange_positions(nodes)
         sig = {}
         for nid in sorted(nodes):
             node = nodes[nid]
@@ -129,10 +146,15 @@ class TestDistributedExchangeEquivalence:
             sig[nid] = (node.packets_in, node.packets_out, halo)
         return sig
 
-    @pytest.mark.parametrize("fpga_grid", [(2, 1, 1), (2, 2, 1), (2, 2, 2)])
-    def test_batched_matches_loop_oracle(self, fpga_grid):
-        cfg = MachineConfig((4, 4, 4), fpga_grid)
-        system, _ = build_dataset((4, 4, 4), particles_per_cell=16, seed=11)
+    @pytest.mark.parametrize(
+        "fpga_grid,dims,ppc",
+        [(g, (4, 4, 4), 16) for g in [(2, 1, 1), (2, 2, 1), (2, 2, 2)]]
+        # The boxes ``repro profile --smoke`` and ``repro profile`` run.
+        + [((3, 1, 1), (3, 3, 3), 64), ((1, 1, 2), (5, 5, 6), 64)],
+    )
+    def test_batched_matches_loop_oracle(self, fpga_grid, dims, ppc):
+        cfg = MachineConfig(dims, fpga_grid)
+        system, _ = build_dataset(dims, particles_per_cell=ppc, seed=11)
         d = DistributedMachine(cfg, system=system)
         batched = self._exchange_signature(d, "batched")
         loop = self._exchange_signature(d, "loop")
@@ -144,7 +166,8 @@ class TestDistributedExchangeEquivalence:
         counts = {}
         for impl in ("batched", "loop"):
             d = DistributedMachine(cfg, system=system.copy())
-            d.exchange_impl = impl
+            if impl == "loop":
+                loop_exchange(d)
             d.run(2)
             counts[impl] = (d.total_position_packets, d.total_force_packets)
         assert counts["batched"] == counts["loop"]

@@ -14,6 +14,7 @@ from repro.faults import (
 from repro.md import build_dataset
 from repro.network.topology import TorusTopology
 from repro.util.errors import ConfigError, NodeFailureError, ValidationError
+from tests.oracles import rebuild_nodes_every_step
 
 DIMS = (4, 4, 4)
 FPGA = (2, 2, 2)
@@ -153,21 +154,20 @@ class TestBitwiseLosslessRecovery:
             _machine(2023, node_faults=plan, n_steps=3)
 
     def test_reuse_state_survives_crash_bitwise(self):
-        baseline = _machine(2023)
-        baseline.reuse_state = True
-        for _ in range(5):
-            baseline.step()
+        oracle = rebuild_nodes_every_step(_machine(2023))
+        clean = _machine(2023)
         plan = NodeFaultPlan(events=(NodeFaultEvent(node=4, iteration=2),))
         m = _machine(2023, node_faults=plan)
-        m.reuse_state = True
         for _ in range(5):
+            oracle.step()
+            clean.step()
             m.step()
         np.testing.assert_array_equal(
-            m.system.positions, baseline.system.positions
+            m.system.positions, oracle.system.positions
         )
-        # Recovery invalidates the reuse caches, so the recovered run
-        # pays at least as many rebuilds.
-        assert m.state_builds >= baseline.state_builds
+        # Recovery invalidates the node cache, so the recovered run
+        # pays at least as many rebuilds as a fault-free one.
+        assert m.state_builds >= clean.state_builds
         assert len(m.recovery_log) == 1
 
     def test_slowdown_events_logged(self):

@@ -3,14 +3,14 @@
 The contract under test, per layer:
 
 * degenerate traffic — ``_account_traffic`` (vectorized + compiled
-  ``traffic_flat``) vs the ``"loop"`` per-row oracle on configurations
+  ``traffic_flat``) vs the per-row loop oracle on configurations
   the group-by passes can get wrong: a single-node fpga grid, a system
   with exactly one occupied cell, a mostly-empty lattice, and a system
   whose pair filter admits zero pairs.
 * accounting kernels — every available backend's ``traffic_flat`` /
   ``ring_charge`` is bitwise the numpy oracle, including empty inputs.
 * fused force kernels — ``rom_eval``/``scatter_cols`` backends drive a
-  multi-step state-reuse trajectory bitwise identical to the numpy
+  multi-step machine trajectory bitwise identical to the numpy
   sequence (float32 positions/forces and potential), and the
   ``scatter_cols`` kernel alone reproduces the three-bincount helper.
 * phase timings — ``StepTimings`` counts every machine phase and every
@@ -51,6 +51,7 @@ from repro.md.pairplan import (
     plan_for_grid,
     set_plan_cache_maxsize,
 )
+from tests.oracles import fresh_path, loop_traffic
 
 DIMS = (3, 3, 3)
 
@@ -82,13 +83,11 @@ def _subset(system, keep):
 
 
 def _signatures_match(system, fpga_grid=(1, 1, 1)):
-    """Vectorized-vs-loop traffic equivalence on one system."""
+    """Production step vs the chunked + loop-traffic oracle on one
+    system."""
     cfg = MachineConfig(DIMS, fpga_grid)
     vec = FasdaMachine(cfg, system=system)
-    vec.traffic_impl = "vectorized"
-    loop = FasdaMachine(cfg, system=system)
-    loop.pair_path = "chunked"
-    loop.traffic_impl = "loop"
+    loop = loop_traffic(fresh_path(FasdaMachine(cfg, system=system), "chunked"))
     sv = vec.compute_forces()
     sl = loop.compute_forces()
     assert _stats_signature(sv) == _stats_signature(sl)
@@ -216,7 +215,6 @@ class TestFusedKernelBitwise:
         system, _ = build_dataset((3, 3, 4), particles_per_cell=6, seed=13)
         m = FasdaMachine(MachineConfig((3, 3, 4), (1, 1, 2)), system=system)
         m.force_impl = force_impl
-        m.reuse_state = True
         last = None
         for _ in range(steps):
             last = m.step(collect_traffic=False)  # returns the potential
@@ -388,9 +386,7 @@ class TestRunProfileDocument:
 
     def test_bitwise_asserts_ran_green(self, doc):
         assert doc["machine"]["forces_match_numpy_sequence"] is True
-        assert doc["machine"]["stats_match_loop_oracle"] is True
         assert doc["distributed"]["process_trajectory_bitwise"] is True
-        assert doc["distributed"]["exchange_batched_bitwise"] is True
         assert doc["kernel_checks"]["traffic_flat"] is True
 
     def test_phase_tables_cover_every_phase(self, doc):

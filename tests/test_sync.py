@@ -10,6 +10,7 @@ from repro.core.sync import (
     run_chained_sync,
     straggler_work,
 )
+from repro.faults import ChannelInjector, FaultPlan
 from repro.network.topology import RingTopology, TorusTopology
 from repro.util.errors import ConfigError
 
@@ -209,45 +210,35 @@ class TestFaultInjection:
     """
 
     def test_lost_last_position_deadlocks(self):
-        from repro.util.errors import SimulationError
+        from repro.util.errors import DeadlockError
 
-        dropped = {"done": False}
-
-        def drop_first_last_position(msg):
-            if msg.kind == "last_position" and not dropped["done"]:
-                dropped["done"] = True
-                return True
-            return False
-
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(DeadlockError, match="deadlock"):
             run_chained_sync(
                 TORUS, constant_work(1000.0), n_iterations=2,
-                drop_message_fn=drop_first_last_position,
+                injector=ChannelInjector(
+                    FaultPlan(drop_rate=1.0), "last_position"
+                ),
             )
 
     def test_lost_last_force_deadlocks(self):
-        from repro.util.errors import SimulationError
+        from repro.util.errors import DeadlockError
 
-        dropped = {"done": False}
-
-        def drop_first_last_force(msg):
-            if msg.kind == "last_force" and not dropped["done"]:
-                dropped["done"] = True
-                return True
-            return False
-
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(DeadlockError, match="deadlock"):
             run_chained_sync(
                 TORUS, constant_work(1000.0), n_iterations=2,
-                drop_message_fn=drop_first_last_force,
+                injector=ChannelInjector(
+                    FaultPlan(drop_rate=1.0), "last_force"
+                ),
             )
 
     def test_no_drops_is_healthy(self):
+        # A lossy plan scoped to a channel the handshake never uses.
         res = run_chained_sync(
             TORUS, constant_work(1000.0), n_iterations=2,
-            drop_message_fn=lambda msg: False,
+            injector=ChannelInjector(FaultPlan(drop_rate=1.0), "migration"),
         )
         assert res.makespan > 0
+        assert res.fault_counts["dropped"] == 0
 
 
 class TestChainedVsBulkUnderRandomStragglers:
