@@ -191,7 +191,9 @@ class _MachineArtifacts:
     rebuild.  Pre-gathering the global particle ids, per-pair LJ
     coefficients and Coulomb charge products turns the per-step work
     into sequential passes over flat arrays; the preallocated scratch
-    buffers make the displacement/r2 phase allocation-free.
+    buffers make the displacement/r2 phase allocation-free.  Built in
+    the ``build`` phase right after each rebuild, so phase timings
+    charge every per-rebuild cost to ``build``.
     """
 
     __slots__ = (
@@ -436,9 +438,12 @@ class FasdaMachine:
         n_cells = self.grid.n_cells
         with self.timings.phase("build"):
             state = self.ensure_cell_state()
-            state.ensure(pos)
+            state.ensure(pos, resolve_backend(self.force_impl).band_pairs)
             clist = state.clist
             frac = quantize_cell_fractions(pos, state.coords, cfg.cutoff, self.fmt)
+            # Per-rebuild gathers belong to the build, not the force pass.
+            if state.pairs is not None and "machine" not in state.artifacts:
+                state.artifacts["machine"] = _MachineArtifacts(self, state)
 
         # Persistent force banks (zeroed in place each pass) — the two
         # largest per-step arrays; their adder-tree sum below still
@@ -600,10 +605,7 @@ class FasdaMachine:
         (power-of-two ``n_b``), and the per-column bincount scatters are
         :func:`~repro.md.kernels.scatter_add`'s own definition.
         """
-        art = state.artifacts.get("machine")
-        if art is None:
-            art = _MachineArtifacts(self, state)
-            state.artifacts["machine"] = art
+        art = state.artifacts["machine"]
         plan = self._plan
         n = self.system.n
         cap = state.cap

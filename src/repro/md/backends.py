@@ -66,6 +66,19 @@ Kernel contracts (see DESIGN.md §10)
   ``src[k]`` — the hot loop of
   :meth:`~repro.core.rings.RingLoadModel._charge_spans`.  Pure integer
   adds, order-free, bitwise by construction.
+* ``band_pairs`` (build phase, float32): the skin-band candidate search
+  of a :class:`~repro.md.cellstate.CellState` rebuild, ``(plan, clist,
+  packed, offsets, band, hint) -> (a, b, c, js, segs)``.  It walks the
+  pair plan per offset, home cell, home slot and neighbour slot and
+  tests a float32 direct-difference ``r2`` against the widened band.
+  The contract is **order plus superset, not bitwise band equality**:
+  every pair the exact admission can pass is listed, in
+  :func:`~repro.md.cellstate.band_slot_pairs`' ascending flat ``(cell,
+  slot_i, slot_j)`` order within each offset segment.  The band itself
+  may differ from the numpy matmul band for pairs with ``r2`` close to
+  the band, far outside the cutoff, so the admitted sequences, and with
+  them every consumer's results, are unchanged.  ``hint`` (the previous
+  build's length) sizes the outputs; they are trimmed to the exact size.
 
 The active default is ``numpy``; override per consumer via their
 ``force_impl`` knob, globally via :func:`set_force_backend`, or with the
@@ -76,8 +89,11 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import os
 import shutil
+import subprocess
+import sys
 import sysconfig
 import tempfile
 import warnings
@@ -150,6 +166,15 @@ class ForceBackend:
     #: rows).  Bitwise identical by construction.  ``None`` = keep the
     #: three-bincount numpy helper.
     scatter_cols: Optional[Callable] = None
+    #: Skin-band candidate search of a :class:`~repro.md.cellstate.CellState`
+    #: rebuild (build phase, float32): walks the pair plan per offset,
+    #: home cell, home slot and neighbour slot and returns the flat
+    #: ``(a, b, c, js, segs)`` band lists in exactly
+    #: :func:`~repro.md.cellstate.band_slot_pairs`' enumeration order.
+    #: Order plus superset, not bitwise band equality (see the module
+    #: docstring).  ``None`` = keep the numpy padded-broadcast search
+    #: (which remains the oracle).
+    band_pairs: Optional[Callable] = None
     #: True when selecting this backend changes no code path at all.
     is_reference: bool = field(default=False)
 
@@ -666,6 +691,13 @@ void rom_eval_f32(const float *r2, const float *dx, const float *dy,
 void scatter_cols_f32(float *bank, const int64_t *idx,
                       const float *wx, const float *wy, const float *wz,
                       int64_t m, int64_t n, double *acc);
+int64_t band_pairs_f32(const float *ps, const int64_t *start,
+                       const int64_t *counts, const int64_t *nbr,
+                       int64_t n_cells, int64_t n_rows, const float *offs,
+                       float band, int64_t cap_out,
+                       int64_t *a_out, int64_t *b_out, int64_t *c_out,
+                       int64_t *j_out, int64_t *segs,
+                       float *qx, float *qy, float *qz, int64_t *hit);
 """
 
 _C_SOURCE = r"""
@@ -997,6 +1029,70 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
     for (int64_t i = 0; i < 3 * n; i++)
         bank[i] = bank[i] + (float)acc[i];
 }
+
+/* Skin-band candidate search of a CellState rebuild (build phase).
+ * Walks the half-shell plan directly: per offset k, per home cell c,
+ * per home slot i, per neighbour slot j (i < j on the home row k = 0),
+ * testing the float32 direct-difference r2 of the bucket-sorted packed
+ * vectors against the widened band.  Hits are emitted in ascending
+ * flat (c, i, j) order within each offset segment -- the enumeration
+ * order of the numpy padded-broadcast search, whose band may differ
+ * from this one only for pairs with r2 ~ band.  Only the first cap_out
+ * hits are written; the return value is the total, so a caller whose
+ * outputs were too small knows the exact size to retry with.  qx/qy/qz
+ * and hit are caller scratch of max(counts) entries each (any cap). */
+int64_t band_pairs_f32(const float *ps, const int64_t *start,
+                       const int64_t *counts, const int64_t *nbr,
+                       int64_t n_cells, int64_t n_rows, const float *offs,
+                       float band, int64_t cap_out,
+                       int64_t *a_out, int64_t *b_out, int64_t *c_out,
+                       int64_t *j_out, int64_t *segs,
+                       float *qx, float *qy, float *qz, int64_t *hit)
+{
+    int64_t m = 0;
+    segs[0] = 0;
+    for (int64_t k = 0; k < n_rows; k++) {
+        float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
+        for (int64_t c = 0; c < n_cells; c++) {
+            int64_t ni = counts[c];
+            int64_t nc = nbr[c * n_rows + k];
+            int64_t nj = counts[nc];
+            if (ni == 0 || nj == 0)
+                continue;
+            const float *pc = ps + 3 * start[c];
+            const float *pn = ps + 3 * start[nc];
+            for (int64_t j = 0; j < nj; j++) {
+                qx[j] = pn[3 * j] + ox;
+                qy[j] = pn[3 * j + 1] + oy;
+                qz[j] = pn[3 * j + 2] + oz;
+            }
+            for (int64_t i = 0; i < ni; i++) {
+                float px = pc[3 * i], py = pc[3 * i + 1], pz = pc[3 * i + 2];
+                int64_t h = 0;
+                for (int64_t j = (k == 0 ? i + 1 : 0); j < nj; j++) {
+                    float dx = px - qx[j];
+                    float dy = py - qy[j];
+                    float dz = pz - qz[j];
+                    float r2 = dx * dx + dy * dy + dz * dz;
+                    hit[h] = j;
+                    h += r2 < band;
+                }
+                if (m + h <= cap_out) {
+                    int64_t a = start[c] + i, b0 = start[nc];
+                    for (int64_t t = 0; t < h; t++) {
+                        a_out[m + t] = a;
+                        b_out[m + t] = b0 + hit[t];
+                        c_out[m + t] = c;
+                        j_out[m + t] = hit[t];
+                    }
+                }
+                m += h;
+            }
+        }
+        segs[k + 1] = m;
+    }
+    return m;
+}
 """
 
 #: No-FMA, no-fast-math: the float32 machine kernel must round exactly
@@ -1004,17 +1100,34 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
 _C_FLAGS = ["-O2", "-ffp-contract=off", "-fno-fast-math"]
 
 
+#: Compiles the extension in a child interpreter: cffi's compile step
+#: imports setuptools, whose import alone adds over 10 MB to the peak
+#: resident set of every simulating process that hits a cold cache.
+#: Reads ``{cdef, source, flags, modname, tmpdir, final}`` as JSON on
+#: stdin and installs the built module at ``final`` by atomic rename.
+_COMPILE_SCRIPT = r"""
+import json, os, sys
+import cffi
+spec = json.load(sys.stdin)
+ffi = cffi.FFI()
+ffi.cdef(spec["cdef"])
+ffi.set_source(spec["modname"], spec["source"],
+               extra_compile_args=spec["flags"])
+os.replace(ffi.compile(tmpdir=spec["tmpdir"]), spec["final"])
+"""
+
+
 def _build_cext():
     """Build (or load from the on-disk cache) the C kernel module.
 
     The built extension is keyed by a hash of source + flags in a
     directory under the system temp dir, so repeated processes (test
-    runs, campaign pool children) reuse one compilation.  Concurrent
-    builders compile into per-pid scratch dirs and install with an
-    atomic rename.
+    runs, campaign pool children) reuse one compilation.  A cache miss
+    compiles in a child interpreter (:data:`_COMPILE_SCRIPT`) into a
+    per-pid scratch dir and installs with an atomic rename, so
+    concurrent builders never see a partial module and this process
+    only ever loads the finished ``.so``.
     """
-    import cffi
-
     tag = hashlib.sha1(
         (_CDEF + _C_SOURCE + " ".join(_C_FLAGS)).encode()
     ).hexdigest()[:12]
@@ -1023,16 +1136,22 @@ def _build_cext():
     cache = os.path.join(tempfile.gettempdir(), "repro-cext-cache")
     final = os.path.join(cache, modname + suffix)
     if not os.path.exists(final):
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        ffi.set_source(modname, _C_SOURCE, extra_compile_args=_C_FLAGS)
         scratch = os.path.join(cache, f"build-{os.getpid()}")
         os.makedirs(scratch, exist_ok=True)
+        spec = {
+            "cdef": _CDEF, "source": _C_SOURCE, "flags": _C_FLAGS,
+            "modname": modname, "tmpdir": scratch, "final": final,
+        }
         try:
-            so_path = ffi.compile(tmpdir=scratch)
-            os.replace(so_path, final)
+            proc = subprocess.run(
+                [sys.executable, "-c", _COMPILE_SCRIPT],
+                input=json.dumps(spec), capture_output=True, text=True,
+            )
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
+        if proc.returncode != 0:
+            tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+            raise RuntimeError(f"cext compile failed: {tail}")
     spec = importlib.util.spec_from_file_location(modname, final)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
@@ -1236,6 +1355,44 @@ def _make_cext_backend() -> ForceBackend:
             m, int(n), ptr("double *", acc),
         )
 
+    def band_pairs(plan, clist, packed, offsets, band, hint=0):
+        counts = np.ascontiguousarray(clist.counts, dtype=np.int64)
+        start = np.ascontiguousarray(clist.start, dtype=np.int64)
+        nbr = np.ascontiguousarray(plan.nbr, dtype=np.int64)
+        ps = np.ascontiguousarray(packed[clist.order], dtype=np.float32)
+        offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
+        n_rows = len(offs32)
+        if offs32.shape != (n_rows, 3) or nbr.size != plan.n_cells * n_rows:
+            raise ValidationError(
+                f"band_pairs: {n_rows} offsets do not match the plan rows"
+            )
+        cap = max(int(counts.max(initial=0)), 1)
+        qx, qy, qz = np.empty((3, cap), dtype=np.float32)
+        hit = np.empty(cap, dtype=np.int64)
+        segs = np.zeros(n_rows + 1, dtype=np.int64)
+        # Fill pass sized from the previous build's length (plus slack);
+        # the kernel counts past a full output, so an overflow (or the
+        # first build, hint 0) costs one more pass at the exact size.
+        size = hint + (hint >> 4)
+        while True:
+            outs = [np.empty(size, dtype=np.int64) for _ in range(4)]
+            m = int(lib.band_pairs_f32(
+                ptr("float *", ps), ptr("int64_t *", start),
+                ptr("int64_t *", counts), ptr("int64_t *", nbr),
+                int(plan.n_cells), n_rows, ptr("float *", offs32),
+                np.float32(band), size,
+                *(ptr("int64_t *", o) for o in outs),
+                ptr("int64_t *", segs),
+                ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
+                ptr("int64_t *", hit),
+            ))
+            if m <= size:
+                break
+            size = m
+        for o in outs:
+            o.resize(m, refcheck=False)  # in-place shrink to exact size
+        return (*outs, segs)
+
     return ForceBackend(
         name="cext",
         available=True,
@@ -1248,6 +1405,7 @@ def _make_cext_backend() -> ForceBackend:
         ring_charge=ring_charge,
         rom_eval=rom_eval,
         scatter_cols=scatter_cols,
+        band_pairs=band_pairs,
     )
 
 

@@ -505,7 +505,7 @@ class BatchedEngine:
         st = seg.state
         if not hasattr(st, "builds_restore_base"):
             st.builds_restore_base = st.builds + st.reuse_steps
-        st.build(positions)
+        st.build(positions, self._backend.band_pairs)
         st.last_rebuilt = True
         if not _padded_viable(seg.plan, st.clist):
             raise ValidationError(
@@ -513,7 +513,6 @@ class BatchedEngine:
                 "batched stepping requires the dense band path (a solo run "
                 "would take the chunked fresh path with a different stream)"
             )
-        st.artifacts["usable"] = True
         seg.art = _FlatArtifacts(
             st.pairs, seg.plan, self._spc[lo:hi], st.clist.order
         )

@@ -8,10 +8,12 @@ CPU MD engines amortize it with a Verlet skin.  :class:`CellState`
 brings that amortization to the cell-list hot paths while keeping the
 results **bitwise identical** to the rebuild-every-step code:
 
-* At build time the padded-broadcast matmul search runs once with the
-  cutoff *widened by a skin*, producing, per half-shell offset, the flat
-  (cell, slot_i, slot_j) candidate list in exactly the order the fresh
-  padded path would enumerate its own survivors.
+* At build time a band search runs once with the cutoff *widened by a
+  skin* — the padded-broadcast matmul search (:func:`band_slot_pairs`)
+  or the consumer backend's compiled ``band_pairs`` kernel — producing,
+  per half-shell offset, the flat (cell, slot_i, slot_j) candidate list
+  in exactly the order the fresh padded path would enumerate its own
+  survivors.
 * On reuse steps the candidate matmuls are skipped entirely; the exact
   float64 recheck (or the fixed-point :class:`~repro.core.datapath.PairFilter`
   admission) runs over the persistent band list.  Because every pair the
@@ -118,6 +120,9 @@ def band_slot_pairs(
     offset, every flat (cell, slot_i, slot_j) whose float32 banded
     ``r2`` passes — a superset of anything the fresh path can admit
     while no particle has moved more than skin/2.
+
+    This is the numpy band search and the oracle of the compiled
+    ``band_pairs`` kernels (``tests/test_band_kernel.py``).
     """
     order, start, counts = clist.order, clist.start, clist.counts
     C = plan.n_cells
@@ -285,18 +290,31 @@ class CellState:
         self.coords = coords
         return False
 
-    def ensure(self, positions: np.ndarray) -> bool:
-        """Rebuild if required; returns True when a rebuild happened."""
+    def ensure(
+        self, positions: np.ndarray, band_fn: Optional[Callable] = None
+    ) -> bool:
+        """Rebuild if required; returns True when a rebuild happened.
+
+        ``band_fn`` is passed on to :meth:`build`.
+        """
         if self.needs_rebuild(positions):
-            self.build(positions)
+            self.build(positions, band_fn)
             self.last_rebuilt = True
             return True
         self.reuse_steps += 1
         self.last_rebuilt = False
         return False
 
-    def build(self, positions: np.ndarray) -> None:
+    def build(
+        self, positions: np.ndarray, band_fn: Optional[Callable] = None
+    ) -> None:
         """(Re)build binning and band lists from the current positions.
+
+        ``band_fn`` is the consumer's backend band search
+        (:attr:`~repro.md.backends.ForceBackend.band_pairs`), resolved
+        by the caller at build time; ``None`` runs
+        :func:`band_slot_pairs`.  Either lists the same admissible pairs
+        in the same order (see DESIGN.md §10).
 
         Exception-safe: ``pack_fn`` may refuse pathological inputs (the
         reference pack raises ``FloatingPointError`` on non-box-local
@@ -308,7 +326,13 @@ class CellState:
         pairs = None
         if self._viable is None or self._viable(self.plan, clist):
             packed, offsets, band = self._pack_fn(positions)
-            pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
+            if band_fn is None:
+                pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
+            else:
+                hint = self.pairs.n_pairs if self.pairs is not None else 0
+                pairs = BandPairs(
+                    *band_fn(self.plan, clist, packed, offsets, band, hint)
+                )
         self.clist = clist
         self.coords = coords
         self.cids = self.grid.cell_id(coords)

@@ -16,7 +16,7 @@ from repro.md.cells import CellGrid
 from repro.md.cellstate import CellState, engine_pack_fn
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import plan_for_grid
-from repro.md.reference import compute_forces_cells
+from repro.md.reference import _padded_viable, compute_forces_cells
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 
@@ -96,7 +96,10 @@ class ReferenceEngine:
 
         Creation does not build the band lists — that happens on the
         next force pass.  Exposed so checkpoint restore can reattach the
-        reuse counters before the engine runs again.
+        reuse counters before the engine runs again.  Like the
+        machine's, the state lists bands only for padded-viable
+        binnings (:func:`~repro.md.reference._padded_viable`); other
+        binnings take the fresh path and are rebuilt on every pass.
         """
         if self._cell_state is None:
             skin = self.reuse_skin
@@ -104,7 +107,8 @@ class ReferenceEngine:
                 skin = 0.15 * float(self.grid.cell_edge)
             plan = plan_for_grid(self.grid)
             self._cell_state = CellState(
-                self.grid, plan, skin, engine_pack_fn(self.grid, plan, skin)
+                self.grid, plan, skin, engine_pack_fn(self.grid, plan, skin),
+                viable=_padded_viable,
             )
         return self._cell_state
 

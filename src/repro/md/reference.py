@@ -550,8 +550,10 @@ def compute_forces_cells(
     pass the skin/2 + same-binning criterion skip binning and candidate
     search entirely (:func:`_forces_cells_reuse`): forces bitwise equal
     to the stateless call, energy equal to float64 round-off.  Sparse
-    boxes where the padded path would not be viable mark the state
-    unusable and keep taking the fresh path below.
+    or skewed binnings where the padded path would not be viable get no
+    band lists from the state's viability gate (no band search runs)
+    and take the fresh path below; reuse resumes once a dense binning
+    is built again.
 
     ``force_impl`` selects the force backend (see
     :mod:`repro.md.backends`): ``None`` uses the process-wide default
@@ -572,23 +574,20 @@ def compute_forces_cells(
     plan = plan_for_grid(grid)
     backend = resolve_backend(force_impl)
 
-    if state is not None and state.artifacts.get("usable", True):
+    if state is not None:
         try:
-            rebuilt = state.ensure(pos)
+            state.ensure(pos, backend.band_pairs)
         except FloatingPointError:
-            rebuilt = None  # non-box-local positions: fresh path below
-        if rebuilt is not None:
-            if rebuilt:
-                state.artifacts["usable"] = _padded_viable(plan, state.clist)
-            if state.artifacts["usable"]:
-                if backend.lj_flat is not None:
-                    return _forces_cells_flat(
-                        pos, spc, lj, plan, state.clist, cutoff2,
-                        shift_e, state, backend,
-                    )
-                return _forces_cells_reuse(
-                    pos, spc, lj, plan, state.clist, cutoff2, shift_e, state
-                )
+            state = None  # non-box-local positions: fresh path below
+    if state is not None and state.pairs is not None:
+        if backend.lj_flat is not None:
+            return _forces_cells_flat(
+                pos, spc, lj, plan, state.clist, cutoff2,
+                shift_e, state, backend,
+            )
+        return _forces_cells_reuse(
+            pos, spc, lj, plan, state.clist, cutoff2, shift_e, state
+        )
 
     forces = np.zeros_like(pos)
     energy = 0.0

@@ -109,6 +109,37 @@ class TestRegistry:
         else:
             assert resolved.name == "numpy"  # gated, never an error
 
+    @pytest.mark.skipif("cext" not in BACKENDS, reason="cext unavailable")
+    def test_cext_compiles_out_of_process(self, tmp_path):
+        """A cold cache compiles in a child interpreter: the process
+        that resolves ``cext`` only loads the built module and never
+        imports setuptools or distutils (whose import alone would raise
+        its peak RSS)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys\n"
+            "from repro.md.backends import resolve_backend\n"
+            "assert resolve_backend('cext').name == 'cext'\n"
+            "bad = sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('setuptools', 'distutils'))\n"
+            "assert not bad, bad\n"
+        )
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+        env.pop(ENV_VAR, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        built = os.listdir(tmp_path / "repro-cext-cache")
+        assert len(built) == 1 and built[0].startswith("_repro_force_cext_")
+
     def test_set_get_roundtrip(self):
         assert set_force_backend("soa") == "soa"
         assert get_force_backend() == "soa"

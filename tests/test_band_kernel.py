@@ -1,0 +1,210 @@
+"""Property tests for the compiled skin-band search (``band_pairs``).
+
+The contract (DESIGN.md §10): the cext band lists every pair the exact
+admission can pass, in :func:`~repro.md.cellstate.band_slot_pairs`'
+enumeration order — ascending flat ``(cell, slot_i, slot_j)`` within
+each offset segment — and may differ from the numpy band only for pairs
+with ``r2`` close to the band.  So after exact float64 admission both
+bands yield the same admitted sequence, which is what keeps every
+consumer bitwise identical across band searches.
+
+Inputs cover empty cells, single particles, particles exactly on cell
+and box faces, 3-wide periodic grids (one neighbour cell reached under
+two offsets), both packings (machine quantized fractions, engine
+box-local angstrom) and one cell holding more than 1024 particles.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arith.fixedpoint import FixedPointFormat
+from repro.md.backends import available_backends, resolve_backend
+from repro.md.cells import CellGrid, CellList
+from repro.md.cellstate import (
+    band_slot_pairs,
+    engine_pack_fn,
+    machine_pack_fn,
+)
+from repro.md.pairplan import ROWS_PER_CELL, plan_for_grid
+from repro.util.errors import ValidationError
+
+pytestmark = pytest.mark.skipif(
+    "cext" not in available_backends(), reason="cext backend unavailable"
+)
+
+EDGE = 8.5
+SKIN = 0.15 * EDGE
+#: Relative float32 margin both pack functions add to the band.
+MARGIN = 1e-3
+
+
+def _pack(kind, grid, plan, positions):
+    """``(packed, offsets, band, admit_r2)`` for one packing."""
+    if kind == "machine":
+        pack = machine_pack_fn(FixedPointFormat(), EDGE, SKIN, grid)
+        packed, offs, band = pack(positions)
+        return packed, offs, band, 1.0
+    pack = engine_pack_fn(grid, plan, SKIN)
+    packed, offs, band = pack(positions)
+    return packed, offs, band, EDGE * EDGE
+
+
+def _exact_r2(packed_s, offs, start, counts, nbr, k, c):
+    """Exact float64 r2 matrix of home cell ``c`` against its row-``k``
+    neighbour; on the home row ``k = 0`` only ``i < j`` is finite."""
+    nc = nbr[c, k]
+    p = packed_s[start[c]:start[c] + counts[c]]
+    q = packed_s[start[nc]:start[nc] + counts[nc]] + offs[k]
+    d = p[:, None, :] - q[None, :, :]
+    r2 = np.einsum("ijx,ijx->ij", d, d)
+    if k == 0:
+        r2[np.tril_indices(len(p), m=len(q))] = np.inf
+    return r2
+
+
+def _admitted(pairs, packed_s, offs, start, nbr, admit_r2):
+    """Exact float64 admission over a band: ``(k, c, i, j)`` rows kept."""
+    a, b, c, js, segs = pairs
+    k = np.repeat(np.arange(ROWS_PER_CELL), np.diff(segs))
+    q = packed_s[b] + offs[k]
+    d = packed_s[a] - q
+    r2 = np.einsum("ij,ij->i", d, d)
+    keep = r2 < admit_r2
+    i = a - start[c]
+    return np.stack([k, c, i, js])[:, keep]
+
+
+def _check(grid, positions, kind):
+    plan = plan_for_grid(grid)
+    clist = CellList(grid, positions)
+    packed, offs, band, admit_r2 = _pack(kind, grid, plan, positions)
+    start, counts = clist.start, clist.counts
+    nbr = plan.nbr.reshape(plan.n_cells, ROWS_PER_CELL)
+    packed_s = packed[clist.order]
+    cap = max(int(counts.max()), 1)
+
+    kern = resolve_backend("cext").band_pairs
+    a, b, c, js, segs = kern(plan, clist, packed, offs, band)
+    assert all(x.dtype == np.int64 for x in (a, b, c, js, segs))
+    assert len(segs) == ROWS_PER_CELL + 1 and segs[0] == 0
+    assert len(a) == len(b) == len(c) == len(js) == segs[-1]
+    # A fill pass sized from a stale length (overflowing or not) gives
+    # the same lists as the count-then-fill first build.
+    for hint in (1, len(a) // 2, len(a) + 100):
+        again = kern(plan, clist, packed, offs, band, hint)
+        assert all(
+            np.array_equal(x, y) for x, y in zip(again, (a, b, c, js, segs))
+        )
+
+    i = a - start[c]
+    assert np.all((i >= 0) & (i < counts[c]))
+    for k in range(ROWS_PER_CELL):
+        lo, hi = segs[k], segs[k + 1]
+        nc = nbr[c[lo:hi], k]
+        assert np.array_equal(b[lo:hi], start[nc] + js[lo:hi])
+        assert np.all(js[lo:hi] < counts[nc])
+        # Strictly ascending flat (c, i, j) within the segment.
+        key = (c[lo:hi] * cap + i[lo:hi]) * cap + js[lo:hi]
+        assert np.all(np.diff(key) > 0)
+
+    # Superset: every pair with exact r2 below the unwidened band.  The
+    # flat keys put k first, so by the order check above ``listed`` is
+    # globally ascending and membership is a binary search.
+    def flat_key(k, cell, ii, jj):
+        return ((k * plan.n_cells + cell) * cap + ii) * cap + jj
+
+    k_of = np.repeat(np.arange(ROWS_PER_CELL), np.diff(segs))
+    listed = flat_key(k_of, c, i, js)
+    inner = band / (1.0 + MARGIN)
+    for k in range(ROWS_PER_CELL):
+        for cell in np.flatnonzero(counts):
+            r2 = _exact_r2(packed_s, offs, start, counts, nbr, k, cell)
+            want = flat_key(k, cell, *np.nonzero(r2 < inner))
+            at = np.searchsorted(listed, want)
+            assert np.all(at < len(listed))
+            assert np.array_equal(listed[at], want)
+
+    got = _admitted((a, b, c, js, segs), packed_s, offs, start, nbr, admit_r2)
+    if plan.n_cells * cap * cap <= 2_000_000:
+        ref = band_slot_pairs(plan, clist, packed, offs, band)
+        want = _admitted(
+            (ref.a, ref.b, ref.c, ref.js, ref.segs),
+            packed_s, offs, start, nbr, admit_r2,
+        )
+        assert np.array_equal(got, want)
+    return got
+
+
+def _positions(grid, occ, rng, faces):
+    """Uniform in-cell positions with ``occ[c]`` particles in cell ``c``;
+    ``faces`` snaps a share of coordinates onto cell/box faces."""
+    cids = np.repeat(np.arange(len(occ)), occ)
+    corner = grid.cell_coords(cids) * grid.cell_edge
+    pos = corner + rng.uniform(0.0, grid.cell_edge, size=(len(cids), 3))
+    if faces and len(cids):
+        lower = rng.random(pos.shape) < 0.2
+        pos[lower] = corner[lower]
+        upper = rng.random(pos.shape) < 0.1
+        pos[upper] = corner[upper] + grid.cell_edge  # box face at the top
+    return pos
+
+
+dims_st = st.tuples(st.integers(3, 4), st.integers(3, 4), st.integers(3, 5))
+
+
+class TestBandKernelProperties:
+    @given(
+        dims=dims_st,
+        max_occ=st.integers(0, 12),
+        empty_share=st.floats(0.0, 0.8),
+        faces=st.booleans(),
+        kind=st.sampled_from(["machine", "engine"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_order_superset_and_admission(
+        self, dims, max_occ, empty_share, faces, kind, seed
+    ):
+        grid = CellGrid(dims, EDGE)
+        rng = np.random.default_rng(seed)
+        occ = rng.integers(0, max_occ + 1, size=grid.n_cells)
+        occ[rng.random(grid.n_cells) < empty_share] = 0
+        _check(grid, _positions(grid, occ, rng, faces), kind)
+
+    @pytest.mark.parametrize("kind", ["machine", "engine"])
+    def test_single_particle(self, kind):
+        grid = CellGrid((3, 3, 3), EDGE)
+        got = _check(grid, np.array([[0.0, 0.0, 0.0]]), kind)
+        assert got.shape[1] == 0
+
+    @pytest.mark.parametrize("kind", ["machine", "engine"])
+    def test_all_on_faces_of_3_wide_grid(self, kind):
+        """Every particle on a cell corner: each neighbour cell of the
+        3-wide periodic grid is reached under two offsets, with pairs
+        at exactly one cell edge (outside the cutoff) in the band."""
+        grid = CellGrid((3, 3, 3), EDGE)
+        cids = np.arange(grid.n_cells)
+        pos = grid.cell_coords(cids) * EDGE
+        pos = np.concatenate([pos, pos + 0.5 * EDGE])
+        _check(grid, pos, kind)
+
+    @pytest.mark.parametrize("kind", ["machine", "engine"])
+    def test_cell_over_1024_particles(self, kind):
+        grid = CellGrid((3, 3, 3), EDGE)
+        rng = np.random.default_rng(7)
+        occ = rng.integers(0, 3, size=grid.n_cells)
+        occ[13] = 1100
+        got = _check(grid, _positions(grid, occ, rng, faces=False), kind)
+        assert got.shape[1] > 0
+
+    def test_offsets_must_match_plan_rows(self):
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        packed, offs, band, _ = _pack("engine", grid, plan, pos)
+        with pytest.raises(ValidationError, match="offsets"):
+            resolve_backend("cext").band_pairs(
+                plan, CellList(grid, pos), packed, offs[:-1], band
+            )

@@ -19,8 +19,11 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.faults import FaultInjector, FaultPlan, TransportConfig
+from repro.md.cells import CellList
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
+from repro.md.pairplan import plan_for_grid
+from repro.md.reference import _padded_viable, compute_forces_cells
 from tests.oracles import fresh_path, rebuild_nodes_every_step
 
 
@@ -107,6 +110,51 @@ class TestEngineReuseBitwise:
             assert rb.potential == pytest.approx(ra.potential, rel=1e-12)
         assert 1 <= reuse.state_builds < 50
         assert oracle.state_builds == 0
+
+    def test_skewed_pass_skips_band_search_and_reuse_resumes(
+        self, monkeypatch
+    ):
+        """The engine's state gates its band search on padded viability
+        (like the machine's): a skewed binning runs no band search, and
+        the dense passes after it rebuild once and then reuse again."""
+        import repro.md.cellstate as cellstate_mod
+
+        searches = []
+        real = cellstate_mod.band_slot_pairs
+
+        def counting(*args, **kwargs):
+            searches.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cellstate_mod, "band_slot_pairs", counting)
+        system, grid = build_dataset((4, 4, 4), particles_per_cell=8, seed=5)
+        dense = system.positions.copy()
+        skewed = dense.copy()
+        # Pile half the particles into cell 0: the padded search would
+        # spend almost all its work on empty slots of the other cells.
+        half = len(skewed) // 2
+        skewed[:half] = np.random.default_rng(1).uniform(
+            0.0, grid.cell_edge, size=(half, 3)
+        )
+        assert not _padded_viable(plan_for_grid(grid), CellList(grid, skewed))
+        assert _padded_viable(plan_for_grid(grid), CellList(grid, dense))
+
+        engine = ReferenceEngine(
+            system=system, grid=grid, reuse_state=True, force_impl="numpy"
+        )
+        state = engine.ensure_cell_state()
+        expect = [(1, 0, 1), (2, 0, 1), (3, 0, 2), (3, 1, 2), (3, 2, 2)]
+        for pos, (builds, reused, n_search) in zip(
+            [dense, skewed, dense, dense, dense], expect
+        ):
+            system.positions[:] = pos
+            stateless = compute_forces_cells(system, grid, force_impl="numpy")
+            forces, _ = compute_forces_cells(
+                system, grid, state=state, force_impl="numpy"
+            )
+            assert np.array_equal(forces, stateless[0])
+            assert (state.builds, state.reuse_steps) == (builds, reused)
+            assert len(searches) == n_search
 
     def test_run_primes_force_fn_once(self, monkeypatch):
         """Regression: priming used to evaluate the same configuration
