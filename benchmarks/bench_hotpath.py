@@ -1,7 +1,8 @@
 """Hot-path timing: batched pair-plan force path vs the per-cell loop.
 
 Times the two implementations of the cell-list force evaluation
-(`compute_forces_cells` batched vs `compute_forces_cells_loop`) and one
+(`compute_forces_cells` batched vs the per-cell loop oracle
+`compute_forces_cells_loop` from ``tests/oracles.py``) and one
 `FasdaMachine` timestep at N ~ {2k, 10k, 50k} (paper-density boxes, 64
 particles per cell), and writes machine-readable
 ``benchmarks/results/BENCH_hotpath.json`` so future PRs have a perf
@@ -19,7 +20,7 @@ Two further sections cover the simulated machine step:
   between the modes.
 
 A ``backends`` section (PR 6) times every *available* force backend
-(``numpy``/``soa`` always; ``cext`` when buildable — see
+(``numpy`` always; ``cext`` when buildable — see
 `repro.md.backends`): engine reuse steps/s and one
 machine force pass per backend, each validated in-bench against the
 float64 loop oracle (forces/energy within the documented bounds) and
@@ -30,10 +31,12 @@ JSON says which backend produced each number and why any are missing.
 A ``batched`` section (PR 7) times the fused K-system ``BatchedEngine``
 per available backend — cold formation (empty plan cache + priming)
 separate from warm steady-state aggregate steps/s, with in-bench
-*bitwise* trajectory asserts against solo oracle runs and
-``plan_cache_info`` recorded for cold and warm phases.
+*bitwise* trajectory asserts against solo oracle runs (``cext`` solo
+for ``cext``, the flat pure-numpy oracle of ``tests/oracles.py`` for
+``numpy``) and ``plan_cache_info`` recorded for cold and warm phases.
 
-Run standalone (not under pytest):
+Run standalone (not under pytest); the script puts the repository root
+on ``sys.path`` so the oracles in ``tests/`` import:
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--smoke]
 
@@ -47,9 +50,13 @@ import argparse
 import json
 import os
 import statistics
+import sys
 import time
 
 import numpy as np
+
+# The float64 oracles live with the tests, one directory up.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
@@ -63,11 +70,8 @@ from repro.md.backends import (
 from repro.md.cells import CellGrid, CellList
 from repro.md.dataset import build_dataset
 from repro.md.pairplan import clear_plan_cache, plan_for_grid
-from repro.md.reference import (
-    compute_forces_bruteforce,
-    compute_forces_cells,
-    compute_forces_cells_loop,
-)
+from repro.md.reference import compute_forces_bruteforce, compute_forces_cells
+from tests.oracles import compute_forces_cells_loop, solo_oracle
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -193,9 +197,7 @@ def bench_backends(label: str, dims, reps: int, steps: int) -> list:
             sig_ref = sig
         assert sig == sig_ref, f"{name}: machine StepStats diverged from numpy"
 
-        eng = ReferenceEngine(
-            system=system.copy(), grid=grid, reuse_state=True, force_impl=name
-        )
+        eng = ReferenceEngine(system=system.copy(), grid=grid, force_impl=name)
         eng.run(1)  # prime + warm caches / JIT / cext build
         t0 = time.perf_counter()
         eng.run(steps)
@@ -231,12 +233,12 @@ def bench_batched(reps: int, smoke: bool) -> list:
 
     Validated in-bench before timing: two of the K systems are stepped
     solo on the batched run's oracle backend (see
-    ``repro.md.batch.solo_oracle_impl``) and their trajectories must be
+    ``tests.oracles.solo_oracle``) and their trajectories must be
     *bitwise* identical to the batched segments.  Cold batch formation
     (empty plan cache, priming) is reported separately from warm
     steady-state stepping, with ``plan_cache_info`` recorded for both.
     """
-    from repro.md.batch import BatchedEngine, solo_oracle_impl
+    from repro.md.batch import BatchedEngine
     from repro.md.engine import ReferenceEngine
     from repro.md.pairplan import plan_cache_info
 
@@ -306,13 +308,11 @@ def bench_batched(reps: int, smoke: bool) -> list:
         assert not guarded.poison_log, f"{name}: healthy run tripped a guard"
 
         # Bitwise oracle: two sample systems stepped solo.
-        oracle = solo_oracle_impl(name)
         for i in (0, k_systems - 1):
             sysv, grid = cases[i]
-            solo = ReferenceEngine(
-                sysv.copy(), grid, reuse_state=True, force_impl=oracle
-            )
-            solo.run(5 + steps, record_every=0)
+            with solo_oracle(name) as oracle:
+                solo = ReferenceEngine(sysv.copy(), grid, force_impl=oracle)
+                solo.run(5 + steps, record_every=0)
             got = engine.extract(engine.handles()[i])
             assert np.array_equal(got.positions, solo.system.positions), (
                 f"{name}: batched segment {i} diverged from solo {oracle}"

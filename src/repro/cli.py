@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "for `campaign`: force backend for all points "
-            "(numpy/soa/cext; default numpy; an unavailable "
+            "(numpy/cext; default numpy; an unavailable "
             "optional backend falls back to numpy). Per-backend extra "
             "points run regardless and record their own backend."
         ),

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core.config import MachineConfig
 from repro.core.machine import FasdaMachine
+from repro.md.backends import RETIRED_BACKENDS
 from repro.md.params import LJTable
 from repro.md.system import ParticleSystem
 from repro.util.errors import CheckpointError, ValidationError
@@ -57,10 +58,11 @@ from repro.util.errors import CheckpointError, ValidationError
 #: Format identifier of the container format.
 CHECKPOINT_FORMAT_V2 = "fasda-checkpoint-v2"
 
-#: Meta keys of retired path-selection knobs.  Machine and distributed
-#: payloads written before those layers had one production path carry
-#: them; the loader drops them (the paths they chose were bitwise-equal,
-#: so a restored run continues identically without them).
+#: Meta keys of retired path-selection knobs.  Machine, distributed and
+#: engine payloads written before those layers had one production path
+#: carry them; the loader drops them (a restored run takes the one path
+#: whatever the key chose: bitwise-equal on the machines, equal to
+#: round-off in the engine's recorded potentials).
 _RETIRED_META_KEYS = ("pair_path", "traffic_impl", "exchange_impl", "reuse_state")
 
 #: Object kinds a v2 checkpoint can hold.  ``system`` is a bare
@@ -255,7 +257,6 @@ def _engine_payload(e) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         "cell_edge": float(e.grid.cell_edge),
         "dt_fs": float(e.dt_fs),
         "shift": bool(e.shift),
-        "reuse_state": bool(e.reuse_state),
         "reuse_skin": None if e.reuse_skin is None else float(e.reuse_skin),
         "force_impl": e.force_impl,
         "step": e.history[-1].step if e.history else 0,
@@ -278,7 +279,6 @@ def _restore_engine(meta, inner):
         grid=CellGrid(tuple(meta["grid_dims"]), meta["cell_edge"]),
         dt_fs=float(meta["dt_fs"]),
         shift=bool(meta["shift"]),
-        reuse_state=bool(meta["reuse_state"]),
         reuse_skin=meta["reuse_skin"],
         force_impl=meta.get("force_impl"),
     )
@@ -713,9 +713,12 @@ def load_checkpoint_v2(path: str):
             f"corrupt or unreadable checkpoint {path!r}: "
             f"{type(exc).__name__}: {exc}"
         )
-    if kind in ("machine", "distributed"):
+    if kind in ("machine", "distributed", "engine"):
         for key in _RETIRED_META_KEYS:
             meta.pop(key, None)
+    # Payloads saved on a retired backend restore onto its successor.
+    if meta.get("force_impl") in RETIRED_BACKENDS:
+        meta["force_impl"] = RETIRED_BACKENDS[meta["force_impl"]]
     _, restore = _KIND_DISPATCH[kind]
     return restore(meta, inner)
 

@@ -1268,21 +1268,10 @@ class DistributedMachine:
 
         backend = resolve_backend(self.force_impl)
         for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
-            if backend.screen_dr is not None:
-                # Fused gather/displacement kernel; r2 comes from the
-                # reference einsum over bitwise-identical dr, so the
-                # filter admits bit-for-bit the same pairs per node.
-                dr, r2 = backend.screen_dr(
-                    frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
-                )
-                res = self.filter.admit_r2(r2)
-            else:
-                dr = (
-                    frac_cat[chunk.ii]
-                    - frac_cat[chunk.jj]
-                    - plan.offset[chunk.row]
-                )
-                res = self.filter.check(dr)
+            dr, r2 = backend.screen_dr(
+                frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
+            )
+            res = self.filter.admit_r2(r2)
             if not res.n_accepted:
                 continue
             m = res.mask

@@ -51,7 +51,7 @@ from repro.md.pairplan import (
     plan_for_grid,
 )
 from repro.md.cellstate import CellState, machine_pack_fn
-from repro.md.backends import resolve_backend, traffic_flat_numpy
+from repro.md.backends import resolve_backend
 from repro.md.reference import _padded_viable
 from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
@@ -210,12 +210,7 @@ class _MachineArtifacts:
         "c12p",
         "c6p",
         "qqp",
-        "dx",
-        "dy",
-        "dz",
-        "tf",
-        "r2f",
-        "idx64",
+        "admit_scratch",
         "present",
     )
 
@@ -252,15 +247,12 @@ class _MachineArtifacts:
         if machine.coulomb_pipeline is not None:
             self.qqp = machine._charges32[self.II] * machine._charges32[self.JJ]
         L = pairs.n_pairs
-        self.dx = np.empty(L, dtype=np.float32)
-        self.dy = np.empty(L, dtype=np.float32)
-        self.dz = np.empty(L, dtype=np.float32)
-        self.tf = np.empty(L, dtype=np.float32)
-        self.r2f = np.empty(L, dtype=np.float32)
-        # Admitted-index output for compiled admit kernels (allocated on
-        # first use — the numpy paths never need it) and the bucket-slot
-        # presence bits of the unique-record statistics.
-        self.idx64 = None
+        # The backends' shared admit_flat scratch, (idx, r2, dx, dy,
+        # dz), and the bucket-slot presence bits of the unique-record
+        # statistics.
+        self.admit_scratch = (np.empty(L, dtype=np.int64),) + tuple(
+            np.empty(L, dtype=np.float32) for _ in range(4)
+        )
         self.present = np.zeros(
             machine._plan.n_cells * state.cap, dtype=bool
         )
@@ -358,8 +350,8 @@ class FasdaMachine:
         self._plan = plan_for_grid(self.grid)
         self._neighbor_cids = self._plan.neighbor_ids
         #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
-        #: the process-wide default, ``"numpy"`` the inline reference
-        #: code, ``"soa"``/``"cext"`` a fused admission kernel.  The
+        #: the process-wide default, ``"numpy"`` the pure-numpy
+        #: kernels, ``"cext"`` their compiled restatements.  The
         #: float64 recheck through
         #: :meth:`~repro.core.datapath.PairFilter.admit_r2` (and its
         #: arithmetic restatements) stays authoritative on every
@@ -606,9 +598,7 @@ class FasdaMachine:
         :func:`~repro.md.kernels.scatter_add`'s own definition.
         """
         art = state.artifacts["machine"]
-        plan = self._plan
         n = self.system.n
-        cap = state.cap
         order = state.clist.order
         segs = art.segs
 
@@ -631,100 +621,20 @@ class FasdaMachine:
         fsz[:] = t64col
         potential = np.float32(0.0)
         backend = resolve_backend(self.force_impl)
-        if backend.admit_flat is not None:
-            # Fused admission kernel: the exact per-pair arithmetic
-            # below restated in one loop (see repro.md.backends) —
-            # admitted indices, r2 and displacements bitwise identical.
-            # Scratch comes from the build-persistent artifacts; the
-            # numpy/soa kernel wants whole-band work arrays, the
-            # compiled kernel compacted output arrays.
-            if backend.name == "soa":
-                scratch = (art.dx, art.dy, art.dz, art.tf, art.r2f)
-            elif backend.name == "cext":
-                if art.idx64 is None:
-                    art.idx64 = np.empty(len(art.A), dtype=np.int64)
-                scratch = (art.idx64, art.r2f, art.dx, art.dy, art.dz)
-            else:
-                scratch = None
-            idx, r2a, dxa, dya, dza = backend.admit_flat(
-                fsx, fsy, fsz, art.A, art.B, segs, _OFFS14, scratch=scratch,
-                copy=False,
-            )
-            if idx.size == 0:
-                return potential
-        else:
-            dx, dy, dz, tf = art.dx, art.dy, art.dz, art.tf
-            np.take(fsx, art.A, out=dx)
-            np.take(fsx, art.B, out=tf)
-            dx -= tf
-            np.take(fsy, art.A, out=dy)
-            np.take(fsy, art.B, out=tf)
-            dy -= tf
-            np.take(fsz, art.A, out=dz)
-            np.take(fsz, art.B, out=tf)
-            dz -= tf
-            for k in range(1, ROWS_PER_CELL):
-                lo, hi = int(segs[k]), int(segs[k + 1])
-                if lo == hi:
-                    continue
-                ox, oy, oz = _OFFS14[k]
-                if ox:
-                    dx[lo:hi] -= np.float32(ox)
-                if oy:
-                    dy[lo:hi] -= np.float32(oy)
-                if oz:
-                    dz[lo:hi] -= np.float32(oz)
-            # Conservative float32 pre-screen before the exact recheck.
-            # The all-f32 r2 differs from the exact value by < 3
-            # products' worth of rounding (rel. error < 2e-7), so any
-            # pair with f32 r2 >= 1 + 1e-5 provably fails the exact
-            # f64 -> f32 cutoff test too; the exact recheck then only
-            # runs over the near-admitted shell instead of the whole
-            # widened band.
-            r2s = art.r2f
-            tf2 = art.tf
-            np.multiply(dx, dx, out=r2s)
-            np.multiply(dy, dy, out=tf2)
-            r2s += tf2
-            np.multiply(dz, dz, out=tf2)
-            r2s += tf2
-            cand = np.flatnonzero(r2s < np.float32(1.0 + 1e-5))
-            if cand.size == 0:
-                return potential
-            dxc = dx.take(cand)
-            dyc = dy.take(cand)
-            dzc = dz.take(cand)
-            # Exact float64 squared distance of the exact float32
-            # diffs, associating as (dx^2 + dy^2) + dz^2 — exactly the
-            # filter's einsum inner product (dtype= forces the float64
-            # product loop; plain out= would multiply in float32).
-            # Then the filter's f64 -> f32 rounding, i.e. the admitted
-            # r2 stream is bit-for-bit the fresh path's.
-            r2c = np.multiply(dxc, dxc, dtype=np.float64)
-            t64 = np.multiply(dyc, dyc, dtype=np.float64)
-            r2c += t64
-            np.multiply(dzc, dzc, out=t64, dtype=np.float64)
-            r2c += t64
-            r2fc = r2c.astype(np.float32)
-
-            # Global admission pass: admitted indices over the whole
-            # band, in stored order — which is exactly per-offset
-            # ascending flat (cell, slot_i, slot_j), the fresh path's
-            # enumeration order (``cand`` is ascending and ``keep``
-            # preserves order).  All elementwise pipeline math then
-            # runs once over the admitted set; only the order-sensitive
-            # reductions (bank scatters, the per-offset float32 energy
-            # sums, the presence-bit statistics) walk the 14 offset
-            # groups, each a contiguous slice.
-            one = np.float32(1.0)
-            keep = r2fc < one
-            idx = cand[keep]
-            if idx.size == 0:
-                return potential
-            r2a = r2fc[keep]
-            dxa = dxc[keep]
-            dya = dyc[keep]
-            dza = dzc[keep]
+        # Band-list admission (see repro.md.backends.admit_flat_numpy):
+        # admitted indices over the whole band in stored order, which is
+        # exactly per-offset ascending flat (cell, slot_i, slot_j), the
+        # fresh path's enumeration order.  All elementwise pipeline math
+        # then runs once over the admitted set; only the order-sensitive
+        # reductions (bank scatters, the per-offset float32 energy sums,
+        # the presence-bit statistics) walk the 14 offset groups, each a
+        # contiguous slice.
+        idx, r2a, dxa, dya, dza = backend.admit_flat(
+            fsx, fsy, fsz, art.A, art.B, segs, _OFFS14,
+            scratch=art.admit_scratch, copy=False,
+        )
+        if idx.size == 0:
+            return potential
         bounds = np.searchsorted(idx, segs)
         r2_min32 = np.float32(self.filter.r2_min)
         if np.any(r2a < r2_min32):
@@ -971,18 +881,11 @@ class FasdaMachine:
         for chunk in iter_pair_chunks(plan, clist.counts, clist.start, clist.order):
             # Displacement home - neighbor = frac_h - offset - frac_n
             # (offset zero on home-home rows), exact in float64 for
-            # quantized fractions.
-            if backend.screen_dr is not None:
-                # Fused gather/displacement kernel; r2 comes from the
-                # reference einsum reduction on bitwise-identical dr,
-                # so the filter sees bit-for-bit the same inputs.
-                dr, r2 = backend.screen_dr(
-                    frac, chunk.ii, chunk.jj, plan.offset, chunk.row
-                )
-                res = self.filter.admit_r2(r2)
-            else:
-                dr = frac[chunk.ii] - frac[chunk.jj] - plan.offset[chunk.row]
-                res = self.filter.check(dr)
+            # quantized fractions, and its exact r2 for the filter.
+            dr, r2 = backend.screen_dr(
+                frac, chunk.ii, chunk.jj, plan.offset, chunk.row
+            )
+            res = self.filter.admit_r2(r2)
             if not res.n_accepted:
                 continue
             m = res.mask
@@ -1046,9 +949,9 @@ class FasdaMachine:
     ]:
         """Vectorized traffic accounting over the active neighbor rows.
 
-        Group-by passes over composite (cell, node, slot) keys — through the backend
-        ``traffic_flat`` kernel when the active backend compiles one
-        (:func:`~repro.md.backends.traffic_flat_numpy` otherwise) — and
+        Group-by passes over composite (cell, node, slot) keys through
+        the backend ``traffic_flat`` kernel
+        (:func:`~repro.md.backends.traffic_flat_numpy` on ``numpy``) and
         batched :class:`~repro.core.rings.RingLoadModel` charging,
         bitwise-identical in records, link loads and summaries to the
         per-row loop oracle in ``tests/oracles.py``.
@@ -1062,10 +965,7 @@ class FasdaMachine:
         act = self._active_neighbor_rows(counts)
         if act.size == 0:
             return position_records, force_records, pr_models, fr_models
-        tfl = (
-            resolve_backend(self.force_impl).traffic_flat
-            or traffic_flat_numpy
-        )
+        tfl = resolve_backend(self.force_impl).traffic_flat
 
         cid = plan.home[act]
         ncid = plan.nbr[act]

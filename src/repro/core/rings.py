@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.md.backends import resolve_backend
 from repro.util.errors import ValidationError
 
 
@@ -74,14 +75,10 @@ class RingLoadModel:
         self.link_load = np.zeros(ring.n_slots, dtype=np.int64)
         self.total_records = 0
         self.total_hops = 0
-        # Optional compiled range-add (backend ``ring_charge`` contract);
-        # None keeps the numpy difference-array path below.  Resolved
-        # here once so the per-iteration charge calls pay no lookup.
-        self._ring_charge = None
-        if force_impl is not None:
-            from repro.md.backends import resolve_backend
-
-            self._ring_charge = resolve_backend(force_impl).ring_charge
+        # The backend's circular range-add (``ring_charge`` contract;
+        # ``None`` = the process default), resolved once so the
+        # per-iteration charge calls pay no lookup.
+        self._ring_charge = resolve_backend(force_impl).ring_charge
 
     def inject(self, src: int, dst: int, count: int = 1) -> None:
         """Account ``count`` records travelling src -> dst."""
@@ -112,44 +109,22 @@ class RingLoadModel:
     #
     # The per-record inject/broadcast calls above walk Python lists per
     # hop; charging a whole injection array at once replaces that with a
-    # circular range-add (difference array + cumsum), so one call covers
-    # an entire iteration's worth of ring traffic.  Results are integer
-    # adds and therefore bitwise identical to the per-record loop.
+    # circular range-add (the backend ``ring_charge`` kernel; numpy's is
+    # a difference array + cumsum), so one call covers an entire
+    # iteration's worth of ring traffic.  Results are integer adds and
+    # therefore bitwise identical to the per-record loop.
 
     def _charge_spans(
         self, src: np.ndarray, hops: np.ndarray, counts: np.ndarray
     ) -> None:
         """Add ``counts[k]`` to every link on the ``hops[k]``-link span
         leaving ``src[k]`` in ring direction, plus the record/hop totals."""
-        n = self.ring.n_slots
         live = (counts > 0) & (hops > 0)
         if np.any(live):
             s = src[live]
             h = hops[live]
             c = counts[live]
-            if self._ring_charge is not None:
-                self._ring_charge(
-                    self.link_load, self.ring.direction, s, h, c
-                )
-            else:
-                # Links crossed form a circular contiguous range: for +1
-                # it starts at src, for -1 it ends at src.
-                first = s if self.ring.direction == +1 else (s - h + 1) % n
-                end = first + h
-                # Difference array over [0, n]; wrapped spans contribute
-                # a second [0, end - n) range.
-                diff = np.bincount(first, weights=c, minlength=n + 1)
-                diff -= np.bincount(
-                    np.minimum(end, n), weights=c, minlength=n + 1
-                )
-                wrap = end > n
-                if np.any(wrap):
-                    cw = c[wrap]
-                    diff[0] += cw.sum()
-                    diff -= np.bincount(
-                        end[wrap] - n, weights=cw, minlength=n + 1
-                    )
-                self.link_load += np.cumsum(diff[:n]).astype(np.int64)
+            self._ring_charge(self.link_load, self.ring.direction, s, h, c)
         self.total_records += int(counts.sum())
         self.total_hops += int((counts * hops).sum())
 

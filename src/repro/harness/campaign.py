@@ -497,10 +497,9 @@ def engine_rate(
     dims: Tuple[int, int, int] = (5, 5, 6),
     particles_per_cell: int = 64,
     steps: int = 30,
-    reuse: bool = False,
     force_impl: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """ReferenceEngine steps/s with or without the persistent CellState.
+    """ReferenceEngine steps/s over its persistent CellState.
 
     The final potential energy ships in the payload so the campaign
     determinism test doubles as a trajectory-equivalence check.
@@ -516,9 +515,7 @@ def engine_rate(
     system, grid = build_dataset(
         dims, particles_per_cell=particles_per_cell, seed=seed
     )
-    eng = ReferenceEngine(
-        system=system, grid=grid, reuse_state=reuse, force_impl=force_impl
-    )
+    eng = ReferenceEngine(system=system, grid=grid, force_impl=force_impl)
     eng.run(1)  # prime forces and warm the plan/state caches
     t0 = time.perf_counter()
     eng.run(steps)
@@ -526,10 +523,9 @@ def engine_rate(
     return {
         "n_particles": int(system.n),
         "steps": steps,
-        "reuse": reuse,
         "backend": resolve_backend(force_impl).name,
         "state_builds": eng.state_builds,
-        "rebuild_rate": (eng.state_builds / (steps + 2)) if reuse else 1.0,
+        "rebuild_rate": eng.state_builds / (steps + 2),
         "final_potential": float(eng.history[-1].potential),
         "timing": {"steps_per_s": steps / wall},
     }
@@ -756,27 +752,24 @@ def build_default_campaign(
 ) -> List[CampaignPoint]:
     """The BENCH_campaign design points.
 
-    Reuse-amortization rates for the reference engine (fresh vs.
-    persistent state) and the simulated machine's step rates
-    (end-to-end and steady-state),
-    plus the FPGA-scaling sweep and a slice of the sensitivity study so
-    the campaign exercises heterogeneous workers.
+    The reference engine's step rate over its persistent state and the
+    simulated machine's step rates (end-to-end and steady-state), plus
+    the FPGA-scaling sweep and a slice of the sensitivity study so the
+    campaign exercises heterogeneous workers.
 
-    Force-backend points: the four rate points above always run on the
-    reference ``"numpy"`` backend (so the committed baseline stays
-    comparable across hosts), and one extra engine/machine reuse pair is
-    added per *available* backend beyond it (``soa`` always; ``cext``
-    when buildable).  The extra labels are one-sided
-    additions, which :func:`check_regression` ignores against baselines
-    that predate them.
+    Force-backend points: the three rate points above always run on the
+    ``"numpy"`` backend (so the committed baseline stays comparable
+    across hosts), and one extra engine/machine reuse pair is added per
+    *available* backend beyond it (``cext`` when buildable).  The extra
+    labels are one-sided additions, which :func:`check_regression`
+    ignores against baselines that predate them; so are retired labels
+    such as ``engine/fresh``, whose path no longer exists.
     """
     from repro.md.backends import available_backends
 
     pts = [
-        point("engine_rate", seed=seed, label="engine/fresh",
-              dims=dims, steps=steps, reuse=False),
         point("engine_rate", seed=seed, label="engine/reuse",
-              dims=dims, steps=steps, reuse=True),
+              dims=dims, steps=steps),
         point("machine_rate", seed=seed, label="machine/reuse",
               dims=dims, steps=steps, mode="run"),
         point("machine_rate", seed=seed, label="machine/reuse-eval",
@@ -787,7 +780,7 @@ def build_default_campaign(
             continue
         pts.append(
             point("engine_rate", seed=seed, label=f"engine/reuse-{name}",
-                  dims=dims, steps=steps, reuse=True, force_impl=name)
+                  dims=dims, steps=steps, force_impl=name)
         )
         pts.append(
             point("machine_rate", seed=seed, label=f"machine/reuse-{name}",
@@ -824,10 +817,11 @@ def run_default_campaign(
 
     Runs the campaign in parallel and (optionally) serially, verifies
     the merged payloads agree exactly, and returns the JSON-able
-    document with both wall times and the headline amortization ratios.
-    ``journal``/``resume`` are forwarded to :func:`run_campaign`: a
-    resumed campaign adopts the journaled completions and produces the
-    same points/summary content as an uninterrupted run.
+    document with both wall times, the rebuild rates and the backend
+    speedups.  ``journal``/``resume`` are forwarded to
+    :func:`run_campaign`: a resumed campaign adopts the journaled
+    completions and produces the same points/summary content as an
+    uninterrupted run.
     """
     pts = build_default_campaign(seed=seed, steps=steps, dims=dims)
     par = run_campaign(
@@ -860,7 +854,6 @@ def run_default_campaign(
         return merged[label]["result"]["timing"]["steps_per_s"]
 
     doc["summary"] = {
-        "engine_reuse_speedup": rate("engine/reuse") / rate("engine/fresh"),
         "engine_rebuild_rate": merged["engine/reuse"]["result"]["rebuild_rate"],
         "machine_rebuild_rate": merged["machine/reuse"]["result"]["rebuild_rate"],
     }
@@ -925,9 +918,6 @@ def format_campaign(doc: Dict[str, Any]) -> str:
     s = doc.get("summary", {})
     lines = [table]
     if s:
-        lines.append(
-            "engine reuse speedup {:.2f}x".format(s["engine_reuse_speedup"])
-        )
         lines.append(
             "rebuild rates — engine {:.0%}, machine {:.0%}".format(
                 s["engine_rebuild_rate"], s["machine_rebuild_rate"]

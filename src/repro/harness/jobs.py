@@ -1013,9 +1013,7 @@ def _bench_point(
     sample = min(serial_sample, k_systems)
     serial_wall = 0.0
     for sysv, grid in systems[:sample]:
-        eng = ReferenceEngine(
-            sysv.copy(), grid, reuse_state=True, force_impl=force_impl
-        )
+        eng = ReferenceEngine(sysv.copy(), grid, force_impl=force_impl)
         eng.run(warm_steps + 1, record_every=0)
         t0 = time.perf_counter()
         eng.run(steps, record_every=0)

@@ -95,11 +95,8 @@ def _stats_signature(stats) -> dict:
 
 
 def best_backend() -> str:
-    """The fastest available force backend (compiled first)."""
-    for name in ("cext", "soa"):
-        if resolve_backend(name).name == name:
-            return name
-    return "numpy"
+    """The fastest available force backend: ``cext`` when it compiles."""
+    return resolve_backend("cext").name
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,8 @@ def check_accounting_kernels(force_impl: str) -> Dict[str, object]:
     Covers the ``traffic_flat`` and ``ring_charge`` backend contracts
     head-to-head on adversarial synthetic inputs (duplicate keys,
     zero-hop spans, wrapped spans, both ring directions).  Raises
-    AssertionError on any bitwise mismatch.
+    AssertionError on any bitwise mismatch; returns the contracts
+    checked (both: every backend carries them).
     """
     backend = resolve_backend(force_impl)
     rng = np.random.default_rng(20230814)
@@ -121,46 +119,41 @@ def check_accounting_kernels(force_impl: str) -> Dict[str, object]:
     keys = rng.integers(0, 97, n)
     weights = rng.random(n)
     aux = rng.integers(0, 10_000, n)
-    checked = {"traffic_flat": False, "ring_charge": False}
 
-    if backend.traffic_flat is not None:
-        for w, a in ((weights, aux), (None, aux), (weights, None), (None, None)):
-            ru, rs, rm, rf = traffic_flat_numpy(keys, w, a)
-            gu, gs, gm, gf = backend.traffic_flat(keys, w, a)
-            assert np.array_equal(ru, gu), "traffic_flat: unique keys diverged"
-            assert (rs is None) == (gs is None) and (
-                rs is None or np.array_equal(rs, gs)
-            ), "traffic_flat: weight sums diverged"
-            assert (rm is None) == (gm is None) and (
-                rm is None or np.array_equal(rm, gm)
-            ), "traffic_flat: aux maxima diverged"
-            assert np.array_equal(rf, gf), "traffic_flat: first rows diverged"
-        checked["traffic_flat"] = True
+    for w, a in ((weights, aux), (None, aux), (weights, None), (None, None)):
+        ru, rs, rm, rf = traffic_flat_numpy(keys, w, a)
+        gu, gs, gm, gf = backend.traffic_flat(keys, w, a)
+        assert np.array_equal(ru, gu), "traffic_flat: unique keys diverged"
+        assert (rs is None) == (gs is None) and (
+            rs is None or np.array_equal(rs, gs)
+        ), "traffic_flat: weight sums diverged"
+        assert (rm is None) == (gm is None) and (
+            rm is None or np.array_equal(rm, gm)
+        ), "traffic_flat: aux maxima diverged"
+        assert np.array_equal(rf, gf), "traffic_flat: first rows diverged"
 
-    if backend.ring_charge is not None:
-        for direction in (+1, -1):
-            slots = 29
-            k = 512
-            src = rng.integers(0, slots, k)
-            hops = rng.integers(0, slots, k)
-            counts = rng.integers(0, 50, k)
-            ref = np.zeros(slots, dtype=np.int64)
-            live = (counts > 0) & (hops > 0)
-            ring_charge_numpy(ref, direction, src[live], hops[live], counts[live])
-            got = np.zeros(slots, dtype=np.int64)
-            backend.ring_charge(got, direction, src[live], hops[live], counts[live])
-            assert np.array_equal(ref, got), "ring_charge: link loads diverged"
-            # And both against the per-record inject loop.
-            model = RingLoadModel(RingPath(slots, direction))
-            for s, h, c in zip(src[live], hops[live], counts[live]):
-                d = (s + direction * h) % slots
-                model.inject(int(s), int(d), int(c))
-            assert np.array_equal(model.link_load, got), (
-                "ring_charge: diverged from the per-record inject loop"
-            )
-        checked["ring_charge"] = True
+    for direction in (+1, -1):
+        slots = 29
+        k = 512
+        src = rng.integers(0, slots, k)
+        hops = rng.integers(0, slots, k)
+        counts = rng.integers(0, 50, k)
+        ref = np.zeros(slots, dtype=np.int64)
+        live = (counts > 0) & (hops > 0)
+        ring_charge_numpy(ref, direction, src[live], hops[live], counts[live])
+        got = np.zeros(slots, dtype=np.int64)
+        backend.ring_charge(got, direction, src[live], hops[live], counts[live])
+        assert np.array_equal(ref, got), "ring_charge: link loads diverged"
+        # And both against the per-record inject loop.
+        model = RingLoadModel(RingPath(slots, direction))
+        for s, h, c in zip(src[live], hops[live], counts[live]):
+            d = (s + direction * h) % slots
+            model.inject(int(s), int(d), int(c))
+        assert np.array_equal(model.link_load, got), (
+            "ring_charge: diverged from the per-record inject loop"
+        )
 
-    return checked
+    return {"traffic_flat": True, "ring_charge": True}
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,7 @@ from repro.md.pairplan import (
     plan_for_grid,
 )
 from repro.md.params import Element, ELEMENTS, LJTable
-from repro.md.reference import (
-    compute_forces_bruteforce,
-    compute_forces_cells,
-    compute_forces_cells_loop,
-)
+from repro.md.reference import compute_forces_bruteforce, compute_forces_cells
 from repro.md.minimize import minimize
 from repro.md.system import ParticleSystem
 from repro.md.thermostat import BerendsenThermostat, VelocityRescaleThermostat
@@ -50,7 +46,6 @@ __all__ = [
     "VelocityVerlet",
     "ReferenceEngine",
     "compute_forces_cells",
-    "compute_forces_cells_loop",
     "compute_forces_bruteforce",
     "compute_forces_kernel",
     "CellPairPlan",

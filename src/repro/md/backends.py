@@ -1,4 +1,4 @@
-"""Selectable compiled force backends: ``numpy | soa | cext``.
+"""Selectable force backends: ``numpy | cext``.
 
 PR 4's step-persistent cell state left the per-step force *kernel* as
 the wall: every hot path still walks the flat band lists with ~25
@@ -8,26 +8,26 @@ throughput from a single fused filter->force pipeline over SoA particle
 buckets; this module gives the software reproduction the same shape — a
 flat ``(i_idx, j_idx)`` pair stream driven through one fused
 distance-filter + LJ + scatter-accumulate loop — behind a small
-registry so the pure-numpy reference paths stay the default and the
-oracles.
+registry whose pure-numpy kernels are the default and the oracles.
 
 Backends
 --------
 ``numpy``
-    The classic per-offset numpy paths in :mod:`repro.md.reference` and
-    :mod:`repro.core.machine` — bitwise-stable, dependency-free, the
-    default and the CI-green path.  Selecting it means "no flat kernel":
-    consumers keep their existing code.
-``soa``
-    The flat/SoA restructure in *pure numpy*: one pass over the flat
-    index arrays with a conservative float32 prescreen, survivor
-    compaction, exact float64 recheck and compacted LJ + scatters.
-    Always available; this is the "SoA restructure alone" measurement.
+    The pure-numpy kernels below — bitwise-stable, dependency-free, the
+    default and the CI-green path.  Every contract that has a numpy
+    implementation has exactly one, here; consumers call it without
+    branching.  ``lj_flat`` is the exception: the engine's per-offset
+    numpy path (:mod:`repro.md.reference`) is faster than a flat numpy
+    pass, so ``numpy`` registers none and the engine keeps that path.
 ``cext``
-    The fused loop as a tiny C extension built on demand with cffi and
+    The fused loops as a tiny C extension built on demand with cffi and
     the system compiler (both optional; never required).  Compiled with
     ``-ffp-contract=off`` so the float32 machine-layer arithmetic is
     bit-for-bit numpy's.  Falls back to ``numpy`` when unavailable.
+
+The ``soa`` backend (pure-numpy flat kernels) was retired into
+``numpy``: selecting it raises, and checkpoints that name it load as
+``numpy`` (:data:`RETIRED_BACKENDS`).
 
 Kernel contracts (see DESIGN.md §10)
 ------------------------------------
@@ -44,7 +44,11 @@ Kernel contracts (see DESIGN.md §10)
   is order-independent and restated with identical rounding, so the
   admitted index stream, r2 values and displacements are **bitwise
   identical** to numpy's; all downstream statistics, traffic and the
-  potential energy follow bitwise.
+  potential energy follow bitwise.  One scratch convention serves every
+  backend: ``scratch=(idx, r2, dx, dy, dz)``, band-length int64 and
+  four float32 arrays that each kernel may use as work space or as its
+  compacted outputs (with ``copy=False`` the results may be views into
+  them).
 * ``screen_dr`` (chunked/distributed layer, float64): fused gather +
   displacement over one candidate chunk.  The kernel produces ``dr``
   (bitwise identical to the numpy gather/subtract — elementwise, one
@@ -97,7 +101,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -121,33 +125,35 @@ ENV_VAR = "REPRO_FORCE_IMPL"
 class ForceBackend:
     """One registered force-kernel implementation.
 
-    ``lj_flat`` / ``admit_flat`` / ``screen_dr`` are the three kernel
-    entry points (see the module docstring); ``None`` means "use the
-    consumer's classic numpy code" (only the ``numpy`` backend does
-    this).  ``available`` is probed once at registration; ``why``
+    The kernel entry points are described in the module docstring.
+    ``admit_flat``, ``screen_dr``, ``lj_flat_seg``, ``traffic_flat``
+    and ``ring_charge`` are present on every available backend, so
+    consumers call them unconditionally.  For ``lj_flat``, ``rom_eval``,
+    ``scatter_cols`` and ``band_pairs``, ``None`` means "run the
+    consumer's numpy code", which stays the oracle the compiled kernel
+    mirrors.  ``available`` is probed once at registration; ``why``
     records the probe outcome for diagnostics.
     """
 
     name: str
     available: bool
     why: str = ""
+    #: Fused flat LJ pass (engine layer).  ``None`` = the engine's
+    #: per-offset numpy path in :mod:`repro.md.reference`.
     lj_flat: Optional[Callable] = None
     admit_flat: Optional[Callable] = None
     screen_dr: Optional[Callable] = None
     #: Segmented variant of ``lj_flat`` for the batched engine: one call
     #: serves K independent systems packed into one global pair stream,
     #: returning a ``(K,)`` per-segment energy vector (see
-    #: :mod:`repro.md.batch`).  Present on every available backend —
-    #: including ``numpy``, which shares the pure-numpy segmented kernel
-    #: with ``soa`` since batching has no "classic per-offset" shape.
+    #: :mod:`repro.md.batch`).  ``numpy`` carries the pure-numpy
+    #: segmented kernel: batching has no per-offset shape.
     lj_flat_seg: Optional[Callable] = None
     #: Stable group-reduce over int64 keys (accounting layer): see
-    #: :func:`traffic_flat_numpy` for the contract.  ``None`` means the
-    #: consumer keeps its classic ``np.unique``/``bincount`` code.
+    #: :func:`traffic_flat_numpy` for the contract.
     traffic_flat: Optional[Callable] = None
     #: In-place ring link range-add (accounting layer): see
-    #: :func:`ring_charge_numpy`.  ``None`` = keep the numpy
-    #: difference-array path in :class:`~repro.core.rings.RingLoadModel`.
+    #: :func:`ring_charge_numpy`.
     ring_charge: Optional[Callable] = None
     #: Fused ROM-pipeline evaluation over the admitted pair stream
     #: (machine layer, float32): section/bin decode from the r2 bit
@@ -175,12 +181,15 @@ class ForceBackend:
     #: docstring).  ``None`` = keep the numpy padded-broadcast search
     #: (which remains the oracle).
     band_pairs: Optional[Callable] = None
-    #: True when selecting this backend changes no code path at all.
-    is_reference: bool = field(default=False)
 
 
 _REGISTRY: Dict[str, ForceBackend] = {}
 _active: str = "numpy"
+
+#: Retired backend names and the backend each was folded into.
+#: Selecting one raises; checkpoints that name one load as its
+#: successor (``soa`` ran the ``numpy`` kernels' arithmetic).
+RETIRED_BACKENDS: Dict[str, str] = {"soa": "numpy"}
 
 
 def register_backend(backend: ForceBackend) -> ForceBackend:
@@ -222,10 +231,15 @@ def resolve_backend(name: Optional[str] = None) -> ForceBackend:
     ``None`` resolves to the process-wide active default.  Requesting an
     *unavailable* optional backend (no cffi or no compiler)
     falls back to the ``numpy`` reference backend rather than failing —
-    pure numpy must always work.  Unknown names raise.
+    pure numpy must always work.  Unknown and retired names raise.
     """
     if name is None:
         name = _active
+    if name in RETIRED_BACKENDS:
+        raise ValidationError(
+            f"force backend {name!r} was retired into "
+            f"{RETIRED_BACKENDS[name]!r}; select {RETIRED_BACKENDS[name]!r}"
+        )
     try:
         backend = _REGISTRY[name]
     except KeyError:
@@ -256,8 +270,8 @@ def get_force_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pure-numpy flat/SoA kernels — the always-available restructure, and the
-# reference implementation the compiled kernels mirror.
+# Pure-numpy kernels: the ``numpy`` backend, and the oracles the compiled
+# kernels mirror.
 # ---------------------------------------------------------------------------
 
 def _lj_tables(lj: LJTable) -> Tuple[np.ndarray, ...]:
@@ -267,87 +281,6 @@ def _lj_tables(lj: LJTable) -> Tuple[np.ndarray, ...]:
         np.ascontiguousarray(lj.c12, dtype=np.float64),
         np.ascontiguousarray(lj.c6, dtype=np.float64),
     )
-
-
-def lj_flat_numpy(
-    psx: np.ndarray,
-    psy: np.ndarray,
-    psz: np.ndarray,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    srow: np.ndarray,
-    stab: np.ndarray,
-    spc: np.ndarray,
-    lj: LJTable,
-    cutoff2: float,
-    shift_e: float,
-    fx: np.ndarray,
-    fy: np.ndarray,
-    fz: np.ndarray,
-) -> float:
-    """Flat SoA LJ pass in pure numpy (the ``soa`` backend's ``lj_flat``).
-
-    ``psx/psy/psz`` are contiguous float64 coordinate columns (bucket-
-    sorted for the band path, particle-indexed for the chunked path),
-    ``ia/ib`` the flat pair stream, ``srow`` a per-pair int32 row into
-    the ``(n_rows, 3)`` image-shift table ``stab`` (-1 = no shift).
-
-    One exact float64 cutoff test over the whole flat stream, then a
-    compaction so the expensive LJ passes and the six bincount scatters
-    only touch *admitted* pairs — on the skin-banded pair lists roughly
-    half the stream is beyond the cutoff, which is exactly the work the
-    reference path spends on exact-zero contributions to keep its
-    bitwise-reproducibility guarantee.  Admissions here are the same
-    ``r2 < cutoff2`` float64 test as the reference; only accumulation
-    order differs, so forces/energy agree to the documented bound.
-    Accumulates into ``fx/fy/fz`` and returns the energy.
-    """
-    n = len(psx)
-    dx = psx.take(ia)
-    dx -= psx.take(ib)
-    dy = psy.take(ia)
-    dy -= psy.take(ib)
-    dz = psz.take(ia)
-    dz -= psz.take(ib)
-    shifted = np.flatnonzero(srow >= 0)
-    if shifted.size:
-        rows = srow.take(shifted)
-        dx[shifted] -= stab[rows, 0]
-        dy[shifted] -= stab[rows, 1]
-        dz[shifted] -= stab[rows, 2]
-    r2 = dx * dx
-    tmp = dy * dy
-    r2 += tmp
-    np.multiply(dz, dz, out=tmp)
-    r2 += tmp
-    keep = np.flatnonzero(r2 < cutoff2)
-    if keep.size == 0:
-        return 0.0
-    a = ia.take(keep)
-    b = ib.take(keep)
-    dx = dx.take(keep)
-    dy = dy.take(keep)
-    dz = dz.take(keep)
-    r2 = r2.take(keep)
-    from repro.md.kernels import lj_scalar_energy
-
-    if lj.n_species == 1:
-        si = sj = None
-    else:
-        si = spc.take(a)
-        sj = spc.take(b)
-    scalar, evec = lj_scalar_energy(r2, si, sj, lj)
-    energy = float(np.sum(evec)) - shift_e * len(r2)
-    w = scalar * dx
-    fx += np.bincount(a, weights=w, minlength=n)
-    fx -= np.bincount(b, weights=w, minlength=n)
-    np.multiply(scalar, dy, out=w)
-    fy += np.bincount(a, weights=w, minlength=n)
-    fy -= np.bincount(b, weights=w, minlength=n)
-    np.multiply(scalar, dz, out=w)
-    fz += np.bincount(a, weights=w, minlength=n)
-    fz -= np.bincount(b, weights=w, minlength=n)
-    return energy
 
 
 #: Super-chunk budget of the pure-numpy segmented kernel: segments are
@@ -378,18 +311,21 @@ def lj_flat_seg_numpy(
     seg_hi: np.ndarray,
     target_pairs: int = DEFAULT_SEG_CHUNK_PAIRS,
 ) -> np.ndarray:
-    """Segmented flat LJ pass in pure numpy (``numpy``/``soa`` batched).
+    """Segmented flat LJ pass in pure numpy (batched ``numpy``).
 
-    Same arithmetic as :func:`lj_flat_numpy` over the *global* pair
-    stream of a :class:`~repro.md.batch.BatchedEngine`, with per-segment
-    energies: ``seg_lo[k]:seg_hi[k]`` delimits system ``k``'s live pairs
-    in the stream.  The numpy path slices whole contiguous spans — pad
-    rows between segments reference the two ghost slots (placed farther
-    than the cutoff apart) so the exact float64 cutoff test rejects them
-    for free; no pad ever reaches the LJ evaluation or the scatters.
+    One exact float64 cutoff test over the flat pair stream, a
+    compaction to the admitted pairs, then LJ and six bincount scatters
+    over the *global* pair stream of a
+    :class:`~repro.md.batch.BatchedEngine`, with per-segment energies:
+    ``seg_lo[k]:seg_hi[k]`` delimits system ``k``'s live pairs in the
+    stream.  The numpy path slices whole contiguous spans — pad rows
+    between segments reference the two ghost slots (placed farther than
+    the cutoff apart) so the exact float64 cutoff test rejects them for
+    free; no pad ever reaches the LJ evaluation or the scatters.
 
     Per-particle forces are bitwise identical to evaluating each
-    segment alone with :func:`lj_flat_numpy`: every elementwise op sees
+    segment alone with the same flat arithmetic (the solo oracle
+    ``lj_flat_numpy`` in ``tests/oracles.py``): every elementwise op sees
     the same operands, and a particle's bincount accumulation
     subsequence is exactly its solo stream (its index never appears in
     another segment's pairs).  Per-segment *energies* are reduced with a
@@ -477,26 +413,27 @@ def admit_flat_numpy(
     scratch: Optional[Tuple[np.ndarray, ...]] = None,
     copy: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Band-list admission phase in numpy (``soa``'s ``admit_flat``).
+    """Band-list admission phase of ``FasdaMachine._eval_reuse`` in numpy.
 
-    Exactly the arithmetic of ``FasdaMachine._eval_reuse``: float32
-    fraction differences, per-segment float32 offset subtraction, the
-    ``r2 < 1 + 1e-5`` float32 prescreen, the exact float64 recheck of
-    the float32 diffs associated ``(dx^2 + dy^2) + dz^2``, the float32
-    cast and the ``r2 < 1`` admission.  Returns ``(idx, r2, dx, dy,
-    dz)`` — admitted flat band indices (ascending) with their float32
-    r2 and displacements.  Bitwise identical to the inline machine code
-    and to the compiled kernels.
+    Float32 fraction differences, per-segment float32 offset
+    subtraction, the ``r2 < 1 + 1e-5`` float32 prescreen, the exact
+    float64 recheck of the float32 diffs associated ``(dx^2 + dy^2) +
+    dz^2``, the float32 cast and the ``r2 < 1`` admission.  Returns
+    ``(idx, r2, dx, dy, dz)`` — admitted flat band indices (ascending)
+    with their float32 r2 and displacements.  The compiled kernels
+    restate it bitwise.  ``scratch`` follows the shared convention (see
+    the module docstring): ``r2``/``dx``/``dy``/``dz`` hold the
+    whole-band work, and the first half of the int64 ``idx`` buffer's
+    bytes serves as the float32 temporary.  The returned arrays are
+    fresh compactions whatever ``copy`` says.
     """
     L = len(ia)
-    if scratch is not None:
-        dx, dy, dz, tf, r2s = scratch
-    else:
-        dx = np.empty(L, dtype=np.float32)
-        dy = np.empty(L, dtype=np.float32)
-        dz = np.empty(L, dtype=np.float32)
-        tf = np.empty(L, dtype=np.float32)
-        r2s = np.empty(L, dtype=np.float32)
+    if scratch is None:
+        scratch = (np.empty(L, dtype=np.int64),) + tuple(
+            np.empty(L, dtype=np.float32) for _ in range(4)
+        )
+    idx_buf, r2s, dx, dy, dz = scratch
+    tf = idx_buf.view(np.float32)[:L]
     np.take(fsx, ia, out=dx)
     np.take(fsx, ib, out=tf)
     dx -= tf
@@ -518,6 +455,11 @@ def admit_flat_numpy(
             dy[lo:hi] -= np.float32(oy)
         if oz:
             dz[lo:hi] -= np.float32(oz)
+    # Conservative float32 prescreen before the exact recheck.  The
+    # all-f32 r2 differs from the exact value by < 3 products' worth of
+    # rounding (rel. error < 2e-7), so any pair with f32 r2 >= 1 + 1e-5
+    # provably fails the exact f64 -> f32 cutoff test too; the recheck
+    # then only runs over the near-admitted shell.
     np.multiply(dx, dx, out=r2s)
     np.multiply(dy, dy, out=tf)
     r2s += tf
@@ -530,6 +472,11 @@ def admit_flat_numpy(
     dxc = dx.take(cand)
     dyc = dy.take(cand)
     dzc = dz.take(cand)
+    # Exact float64 squared distance of the exact float32 diffs, in the
+    # filter's einsum association (dtype= forces the float64 product
+    # loop), then the filter's f64 -> f32 rounding.  ``cand`` is
+    # ascending and the mask keeps order, so admitted indices stay in
+    # band order: per offset, ascending flat (cell, slot_i, slot_j).
     r2c = np.multiply(dxc, dxc, dtype=np.float64)
     t64 = np.multiply(dyc, dyc, dtype=np.float64)
     r2c += t64
@@ -548,11 +495,13 @@ def screen_dr_numpy(
     offset: np.ndarray,
     row: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunk displacement + squared distance in numpy (``soa`` variant).
+    """Chunk displacement + squared distance in numpy.
 
-    ``dr = frac[ii] - frac[jj] - offset[row]`` and its einsum inner
-    product, exactly as the chunked machine/distributed paths compute
-    them before :meth:`~repro.core.datapath.PairFilter.admit_r2`.
+    ``dr = frac[ii] - frac[jj] - offset[row]`` (exact in float64 for
+    quantized fractions) and its einsum inner product, the inputs of
+    :meth:`~repro.core.datapath.PairFilter.admit_r2` on the chunked
+    machine and distributed paths.  The same arithmetic as
+    :meth:`~repro.core.datapath.PairFilter.check` on that ``dr``.
     """
     dr = frac[ii] - frac[jj] - offset[row]
     return dr, _screen_r2(dr)
@@ -1417,22 +1366,7 @@ register_backend(
     ForceBackend(
         name="numpy",
         available=True,
-        why="reference paths",
-        is_reference=True,
-        # Batched stepping has no classic per-offset shape, so even the
-        # reference backend carries the shared pure-numpy segmented
-        # kernel: batched force_impl="numpy" is defined as running it
-        # (its per-system solo oracle is force_impl="soa" — see
-        # repro.md.batch.solo_oracle_impl).
-        lj_flat_seg=lj_flat_seg_numpy,
-    )
-)
-register_backend(
-    ForceBackend(
-        name="soa",
-        available=True,
-        why="pure-numpy flat/SoA kernels",
-        lj_flat=lj_flat_numpy,
+        why="pure-numpy kernels",
         admit_flat=admit_flat_numpy,
         screen_dr=screen_dr_numpy,
         lj_flat_seg=lj_flat_seg_numpy,
@@ -1446,7 +1380,7 @@ register_backend(_make_cext_backend())
 def _apply_env_default() -> str:
     """Honor ``REPRO_FORCE_IMPL`` (called at import; test hook).
 
-    An unknown name leaves the default unchanged and emits a
+    An unknown or retired name leaves the default unchanged and emits a
     :class:`RuntimeWarning` naming it, so a stale setting never
     silently runs a different backend than the one asked for.
     """
@@ -1454,9 +1388,9 @@ def _apply_env_default() -> str:
     if name:
         try:
             return set_force_backend(name)
-        except ValidationError:
+        except ValidationError as exc:
             warnings.warn(
-                f"{ENV_VAR}={name!r} names no force backend; "
+                f"{ENV_VAR}={name!r} names no force backend ({exc}); "
                 f"registered: {backend_names()}; keeping "
                 f"{get_force_backend()!r}",
                 RuntimeWarning,

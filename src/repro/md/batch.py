@@ -39,9 +39,11 @@ Bitwise contract
 ----------------
 Each packed system's trajectory (positions, velocities, forces) is
 **bitwise identical** to running it alone in a
-``ReferenceEngine(reuse_state=True, force_impl=solo_oracle_impl(impl))``
-on the same backend, including across :meth:`BatchedEngine.add` /
-:meth:`BatchedEngine.remove` swaps of *other* segments:
+``ReferenceEngine(force_impl=solo_oracle_impl(impl))`` on ``cext``, and
+on ``numpy`` to a solo engine on the flat pure-numpy kernel that only
+the tests register (``tests/oracles.py``), including across
+:meth:`BatchedEngine.add` / :meth:`BatchedEngine.remove` swaps of
+*other* segments:
 
 * every integrator / wrap / thermostat operation is elementwise (or a
   same-shape contiguous ``np.sum``) over the same operand values;
@@ -100,13 +102,21 @@ _MIN_CAP = 16
 def solo_oracle_impl(force_impl: Optional[str] = None) -> str:
     """The solo ``force_impl`` whose trajectory a batched run matches bitwise.
 
-    Identity for every backend except ``"numpy"``: batched stepping has
-    no classic per-offset shape, so ``force_impl="numpy"`` runs the
-    shared pure-numpy segmented kernel — whose solo equivalent is the
-    ``"soa"`` flat kernel, not the per-offset reference reuse path.
+    The backend itself when it has a solo flat kernel (``cext``): its
+    segmented kernel walks each segment exactly like a solo ``lj_flat``
+    pass.  ``numpy`` has none — a solo numpy engine takes the
+    per-offset path, which matches batched ``numpy`` only to round-off
+    — so no production backend is its bitwise solo oracle and this
+    raises :class:`~repro.util.errors.ValidationError`; the flat
+    pure-numpy oracle lives in ``tests/oracles.py``.
     """
-    name = resolve_backend(force_impl).name
-    return "soa" if name == "numpy" else name
+    backend = resolve_backend(force_impl)
+    if backend.lj_flat is None:
+        raise ValidationError(
+            f"no production backend runs batched {backend.name!r} "
+            "bitwise solo: its solo engine path is per-offset, not flat"
+        )
+    return backend.name
 
 
 class _Segment:

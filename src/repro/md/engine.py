@@ -2,12 +2,16 @@
 
 :class:`ReferenceEngine` wires the cell grid, the cell-list force kernel,
 and velocity-Verlet into a timestep loop with energy bookkeeping — the
-64-bit baseline the paper compares FASDA against in Fig. 19.
+64-bit baseline the paper compares FASDA against in Fig. 19.  Like the
+machine layers it has one stepping path: every force pass goes through
+its persistent skin-banded :class:`~repro.md.cellstate.CellState`.  The
+rebuild-every-step oracle it must match bitwise lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -53,30 +57,31 @@ class ReferenceEngine:
         conservation of the truncated potential; off by default to match
         the paper's plain truncation).
     reuse_state:
-        Keep a skin-banded :class:`~repro.md.cellstate.CellState` across
-        steps so force passes skip binning and candidate search until a
-        particle moves more than skin/2 or changes cell.  Forces (and
-        therefore trajectories) are bitwise identical to the default
-        rebuild-every-step path; recorded potentials agree to float64
-        round-off (the per-offset energy sums run over differently-sized
-        arrays).
+        Retired: the engine always keeps its skin-banded
+        :class:`~repro.md.cellstate.CellState` across steps, so force
+        passes skip binning and candidate search until a particle moves
+        more than skin/2 or changes cell.  Forces (and therefore
+        trajectories) are bitwise identical to rebuilding the state
+        every step; recorded potentials agree to float64 round-off on
+        ``numpy`` (the per-offset energy sums run over band lists of
+        different length) and bitwise on ``cext``.  ``True`` is still
+        accepted and selects nothing; ``False`` raises.
     reuse_skin:
-        Skin margin in angstrom for ``reuse_state``; defaults to
-        ``0.15 * cutoff``.
+        Skin margin in angstrom of the cell state's band lists; defaults
+        to ``0.15 * cutoff``.
     force_impl:
         Force backend (see :mod:`repro.md.backends`): ``None`` uses the
-        process-wide default, ``"numpy"`` the reference numpy paths,
-        ``"soa"``/``"cext"`` the fused flat kernels
-        (identical admitted pairs; forces/energy within the documented
-        round-off bound; unavailable optional backends fall back to
-        ``"numpy"``).
+        process-wide default, ``"numpy"`` the per-offset numpy path,
+        ``"cext"`` the fused flat kernel (identical admitted pairs;
+        forces/energy within the documented round-off bound; an
+        unavailable ``cext`` falls back to ``"numpy"``).
     """
 
     system: ParticleSystem
     grid: CellGrid
     dt_fs: float = 2.0
     shift: bool = False
-    reuse_state: bool = False
+    reuse_state: InitVar[Optional[bool]] = None
     reuse_skin: Optional[float] = None
     force_impl: Optional[str] = None
     history: List[EnergyRecord] = field(default_factory=list)
@@ -86,7 +91,12 @@ class ReferenceEngine:
     _last_potential: float = field(init=False, default=0.0)
     _cell_state: Optional[CellState] = field(init=False, default=None)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, reuse_state: Optional[bool]) -> None:
+        if reuse_state is not None and not reuse_state:
+            raise ValidationError(
+                "ReferenceEngine(reuse_state=False) is retired: the engine "
+                "always steps through its persistent CellState"
+            )
         if not np.allclose(self.grid.box, self.system.box):
             raise ValidationError("grid box must match system box")
         self._integrator = VelocityVerlet(self.dt_fs)
@@ -113,18 +123,17 @@ class ReferenceEngine:
         return self._cell_state
 
     def _force_fn(self, system: ParticleSystem):
-        state = self.ensure_cell_state() if self.reuse_state else None
         return compute_forces_cells(
             system,
             self.grid,
             shift=self.shift,
-            state=state,
+            state=self.ensure_cell_state(),
             force_impl=self.force_impl,
         )
 
     @property
     def state_builds(self) -> int:
-        """Cumulative CellState rebuilds (0 when ``reuse_state`` is off)."""
+        """Cumulative CellState rebuilds (0 before the first force pass)."""
         return self._cell_state.builds if self._cell_state is not None else 0
 
     def _prime(self) -> float:

@@ -1,6 +1,6 @@
 """Double-precision reference force evaluation (the golden model).
 
-Three implementations of the range-limited LJ force (paper Eqs. 1-2):
+Two implementations of the range-limited LJ force (paper Eqs. 1-2):
 
 * :func:`compute_forces_cells` — cell-list/half-shell evaluation driven
   by the cached :class:`~repro.md.pairplan.CellPairPlan`: all candidate
@@ -8,11 +8,13 @@ Three implementations of the range-limited LJ force (paper Eqs. 1-2):
   kernel runs fused over each batch, and forces scatter back through
   :func:`~repro.md.kernels.scatter_add`.  This is what production runs
   use and what the FASDA machine is compared against.
-* :func:`compute_forces_cells_loop` — the original per-cell Python loop,
-  kept as an independently-coded equivalence oracle for the batched path
-  (and as the pre-plan baseline for ``benchmarks/bench_hotpath.py``).
 * :func:`compute_forces_bruteforce` — O(N^2) minimum-image evaluation for
   small systems; exists purely to cross-check the cell-list code in tests.
+
+The original per-cell Python loop, an independently coded equivalence
+oracle for the batched path and the pre-plan baseline of
+``benchmarks/bench_hotpath.py``, is ``compute_forces_cells_loop`` in
+``tests/oracles.py``.
 
 All apply a plain truncation at the cutoff (no switching function), as
 the paper's LJ-only custom force field does, and optionally shift the
@@ -451,7 +453,7 @@ def _forces_cells_flat(
 ) -> Tuple[np.ndarray, float]:
     """Band-list evaluation through a backend's fused flat kernel.
 
-    The compiled/SoA analogue of :func:`_forces_cells_reuse`: same band
+    The compiled analogue of :func:`_forces_cells_reuse`: same band
     lists, same exact float64 ``r2 < cutoff2`` admission, but one fused
     filter + LJ + scatter pass over the flat pair stream instead of 14
     per-offset numpy passes.  Admitted pairs are identical to the
@@ -494,7 +496,7 @@ def _forces_cells_flat_chunks(
 ) -> Tuple[np.ndarray, float]:
     """Stateless chunked evaluation through a backend's flat kernel.
 
-    Fresh-binning fallback for non-reference backends: the chunked
+    Fresh-binning path of the backends with a flat kernel: the chunked
     enumerator produces candidate ``(ii, jj)`` particle indices and the
     fused kernel replaces the gather + einsum + LJ + scatter numpy
     passes.  Same exact admission; same documented round-off bound as
@@ -542,14 +544,16 @@ def compute_forces_cells(
     to the chunked pair-plan enumerator.  Both cut each candidate batch
     at the cutoff, run the fused LJ kernel once per batch, and scatter
     with bincount accumulation — Newton's third law applied exactly once
-    per pair.  Matches :func:`compute_forces_cells_loop` to float64
-    round-off.
+    per pair.  Matches the per-cell loop oracle (``tests/oracles.py``)
+    to float64 round-off.
 
     With a persistent ``state`` (:class:`~repro.md.cellstate.CellState`
     built with :func:`~repro.md.cellstate.engine_pack_fn`), steps that
     pass the skin/2 + same-binning criterion skip binning and candidate
     search entirely (:func:`_forces_cells_reuse`): forces bitwise equal
-    to the stateless call, energy equal to float64 round-off.  Sparse
+    to the stateless call, energy equal to float64 round-off.  This is
+    the :class:`~repro.md.engine.ReferenceEngine` path; ``state=None``
+    is the stateless one-shot evaluation.  Sparse
     or skewed binnings where the padded path would not be viable get no
     band lists from the state's viability gate (no band search runs)
     and take the fresh path below; reuse resumes once a dense binning
@@ -557,10 +561,10 @@ def compute_forces_cells(
 
     ``force_impl`` selects the force backend (see
     :mod:`repro.md.backends`): ``None`` uses the process-wide default
-    (``"numpy"`` unless overridden), ``"numpy"`` forces the reference
-    paths above, and ``"soa"``/``"cext"`` route the same
-    admission through a fused flat kernel — identical admitted pairs,
-    forces/energy within the documented round-off bound.
+    (``"numpy"`` unless overridden), ``"numpy"`` takes the numpy
+    paths above, and ``"cext"`` routes the same admission through its
+    fused flat kernel — identical admitted pairs, forces/energy within
+    the documented round-off bound.
     """
     if not np.allclose(grid.box, system.box):
         raise ValidationError(
@@ -623,71 +627,4 @@ def compute_forces_cells(
         scatter_add(forces, ii, f)
         scatter_add(forces, jj, -f)
         energy += e
-    return forces, energy
-
-
-def compute_forces_cells_loop(
-    system: ParticleSystem,
-    grid: CellGrid,
-    shift: bool = False,
-) -> Tuple[np.ndarray, float]:
-    """Per-cell-loop half-shell evaluation (pre-plan implementation).
-
-    Semantically identical to :func:`compute_forces_cells` but walks the
-    cells in Python and re-derives the half-shell topology per cell.
-    Retained as an independent oracle for the batched path and as the
-    baseline the hot-path benchmark measures speedup against.
-    """
-    if not np.allclose(grid.box, system.box):
-        raise ValidationError(
-            f"grid box {grid.box} does not match system box {system.box}"
-        )
-    cutoff = grid.cell_edge
-    cutoff2 = cutoff * cutoff
-    shift_e = _cutoff_shift(system.lj_table, cutoff, shift)
-    pos = system.positions
-    spc = system.species
-    lj = system.lj_table
-    forces = np.zeros_like(pos)
-    energy = 0.0
-    clist = CellList(grid, pos)
-
-    for cid in clist.cells_nonempty():
-        home_idx = clist.particles_in_cell(cid)
-        hp = pos[home_idx]
-        hs = spc[home_idx]
-        # Home-home pairs (upper triangle).
-        if len(home_idx) > 1:
-            ii, jj = np.triu_indices(len(home_idx), k=1)
-            dr = hp[ii] - hp[jj]
-            r2 = np.sum(dr * dr, axis=1)
-            mask = r2 < cutoff2
-            if np.any(mask):
-                f, e = pair_forces_energy(
-                    dr[mask], r2[mask], hs[ii[mask]], hs[jj[mask]], lj, shift_e
-                )
-                np.add.at(forces, home_idx[ii[mask]], f)
-                np.add.at(forces, home_idx[jj[mask]], -f)
-                energy += e
-        # Half-shell neighbor cells.
-        coord = tuple(int(c) for c in grid.cell_coords(np.int64(cid)))
-        for offset in HALF_SHELL_OFFSETS:
-            ncoord, img_shift = grid.neighbor_with_shift(coord, offset)
-            ncid = int(grid.cell_id(np.asarray(ncoord)))
-            nbr_idx = clist.particles_in_cell(ncid)
-            if len(nbr_idx) == 0:
-                continue
-            npos = pos[nbr_idx] + img_shift
-            dr = hp[:, None, :] - npos[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", dr, dr)
-            mask = r2 < cutoff2
-            if not np.any(mask):
-                continue
-            hi, nj = np.nonzero(mask)
-            f, e = pair_forces_energy(
-                dr[hi, nj], r2[hi, nj], hs[hi], spc[nbr_idx[nj]], lj, shift_e
-            )
-            np.add.at(forces, home_idx[hi], f)
-            np.add.at(forces, nbr_idx[nj], -f)
-            energy += e
     return forces, energy

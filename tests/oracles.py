@@ -1,9 +1,9 @@
-"""Retired machine paths, kept as bitwise oracles for the tier-1 tests.
+"""Retired paths, kept as oracles for the tier-1 tests and the bench.
 
-Each machine layer has one production path, chosen only from its input.
-The alternates it replaced live here, as functions that take a machine,
-so the tests can still assert the production path against an
-independent restatement:
+Each machine and engine layer has one production path, chosen only from
+its input.  The alternates it replaced live here, as functions that
+take a machine or an engine, so the tests can still assert the
+production path against an independent restatement:
 
 * :func:`eval_padded` — the fresh padded-broadcast pass
   ``FasdaMachine`` took on dense boxes before the persistent
@@ -15,14 +15,26 @@ independent restatement:
   :class:`~repro.core.packets.P2REncapsulatorChain` exchange the
   batched ``RecordBatch`` flows replaced.
 
-:func:`fresh_path`, :func:`loop_traffic` and
-:func:`rebuild_nodes_every_step` install them on one machine instance,
-giving the rebuild-every-step oracles a whole trajectory can run on.
+:func:`fresh_path`, :func:`loop_traffic`,
+:func:`rebuild_nodes_every_step` and :func:`rebuild_state_every_step`
+install them on one machine or engine instance, giving the
+rebuild-every-step oracles a whole trajectory can run on.
+
+The engine layer's float64 oracles:
+
+* :func:`compute_forces_cells_loop` — the original per-cell Python loop,
+  an independently coded restatement of
+  :func:`~repro.md.reference.compute_forces_cells` (to float64
+  round-off) and the baseline ``benchmarks/bench_hotpath.py`` times.
+* :func:`lj_flat_numpy` — one flat pure-numpy LJ pass over a pair
+  stream.  Registered as a solo backend by :func:`solo_oracle`, it is
+  the engine a batched ``numpy`` run matches bitwise, system by system.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,10 +43,21 @@ from repro.core.distributed import DistributedMachine, _CellData, _Node
 from repro.core.machine import _OFFS14, FasdaMachine
 from repro.core.packets import P2REncapsulatorChain, Packet, Record
 from repro.core.rings import RingLoadModel
-from repro.md.cells import CellList
-from repro.md.kernels import scatter_add
+from repro.md.backends import (
+    _REGISTRY,
+    ForceBackend,
+    lj_flat_seg_numpy,
+    register_backend,
+    resolve_backend,
+)
+from repro.md.batch import solo_oracle_impl
+from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
+from repro.md.engine import ReferenceEngine
+from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
 from repro.md.pairplan import ROWS_PER_CELL
-from repro.md.reference import _padded_viable
+from repro.md.params import LJTable
+from repro.md.reference import _cutoff_shift, _padded_viable
+from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 
 PAIR_PATHS = ("auto", "padded", "chunked")
@@ -338,3 +361,189 @@ def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
 
     machine._build_nodes = rebuild
     return machine
+
+
+def rebuild_state_every_step(engine: ReferenceEngine) -> ReferenceEngine:
+    """Drop ``engine``'s cell state before every force pass.
+
+    The rebuild-every-step oracle of the engine layer: every pass bins
+    the particles and searches the skin band from scratch, so no band
+    list ever outlives the step that built it.
+    """
+    force_fn = engine._force_fn
+
+    def rebuild(system):
+        engine._cell_state = None
+        return force_fn(system)
+
+    engine._force_fn = rebuild
+    return engine
+
+
+def compute_forces_cells_loop(
+    system: ParticleSystem,
+    grid: CellGrid,
+    shift: bool = False,
+) -> Tuple[np.ndarray, float]:
+    """Per-cell-loop half-shell evaluation (pre-plan implementation).
+
+    Semantically identical to
+    :func:`~repro.md.reference.compute_forces_cells` but walks the cells
+    in Python and re-derives the half-shell topology per cell.
+    """
+    if not np.allclose(grid.box, system.box):
+        raise ValidationError(
+            f"grid box {grid.box} does not match system box {system.box}"
+        )
+    cutoff = grid.cell_edge
+    cutoff2 = cutoff * cutoff
+    shift_e = _cutoff_shift(system.lj_table, cutoff, shift)
+    pos = system.positions
+    spc = system.species
+    lj = system.lj_table
+    forces = np.zeros_like(pos)
+    energy = 0.0
+    clist = CellList(grid, pos)
+
+    for cid in clist.cells_nonempty():
+        home_idx = clist.particles_in_cell(cid)
+        hp = pos[home_idx]
+        hs = spc[home_idx]
+        # Home-home pairs (upper triangle).
+        if len(home_idx) > 1:
+            ii, jj = np.triu_indices(len(home_idx), k=1)
+            dr = hp[ii] - hp[jj]
+            r2 = np.sum(dr * dr, axis=1)
+            mask = r2 < cutoff2
+            if np.any(mask):
+                f, e = pair_forces_energy(
+                    dr[mask], r2[mask], hs[ii[mask]], hs[jj[mask]], lj, shift_e
+                )
+                np.add.at(forces, home_idx[ii[mask]], f)
+                np.add.at(forces, home_idx[jj[mask]], -f)
+                energy += e
+        # Half-shell neighbor cells.
+        coord = tuple(int(c) for c in grid.cell_coords(np.int64(cid)))
+        for offset in HALF_SHELL_OFFSETS:
+            ncoord, img_shift = grid.neighbor_with_shift(coord, offset)
+            ncid = int(grid.cell_id(np.asarray(ncoord)))
+            nbr_idx = clist.particles_in_cell(ncid)
+            if len(nbr_idx) == 0:
+                continue
+            npos = pos[nbr_idx] + img_shift
+            dr = hp[:, None, :] - npos[None, :, :]
+            r2 = np.einsum("ijk,ijk->ij", dr, dr)
+            mask = r2 < cutoff2
+            if not np.any(mask):
+                continue
+            hi, nj = np.nonzero(mask)
+            f, e = pair_forces_energy(
+                dr[hi, nj], r2[hi, nj], hs[hi], spc[nbr_idx[nj]], lj, shift_e
+            )
+            np.add.at(forces, home_idx[hi], f)
+            np.add.at(forces, nbr_idx[nj], -f)
+            energy += e
+    return forces, energy
+
+
+def lj_flat_numpy(
+    psx: np.ndarray,
+    psy: np.ndarray,
+    psz: np.ndarray,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    srow: np.ndarray,
+    stab: np.ndarray,
+    spc: np.ndarray,
+    lj: LJTable,
+    cutoff2: float,
+    shift_e: float,
+    fx: np.ndarray,
+    fy: np.ndarray,
+    fz: np.ndarray,
+) -> float:
+    """Flat LJ pass in pure numpy, in the backend ``lj_flat`` contract.
+
+    ``psx/psy/psz`` are contiguous float64 coordinate columns, ``ia/ib``
+    the flat pair stream, ``srow`` a per-pair int32 row into the
+    ``(n_rows, 3)`` image-shift table ``stab`` (-1 = no shift).  One
+    exact float64 cutoff test over the whole stream, a compaction to the
+    admitted pairs, then LJ and six bincount scatters — per segment,
+    exactly the arithmetic of
+    :func:`~repro.md.backends.lj_flat_seg_numpy`.  Accumulates into
+    ``fx/fy/fz`` and returns the energy.
+    """
+    n = len(psx)
+    dx = psx.take(ia)
+    dx -= psx.take(ib)
+    dy = psy.take(ia)
+    dy -= psy.take(ib)
+    dz = psz.take(ia)
+    dz -= psz.take(ib)
+    shifted = np.flatnonzero(srow >= 0)
+    if shifted.size:
+        rows = srow.take(shifted)
+        dx[shifted] -= stab[rows, 0]
+        dy[shifted] -= stab[rows, 1]
+        dz[shifted] -= stab[rows, 2]
+    r2 = dx * dx
+    tmp = dy * dy
+    r2 += tmp
+    np.multiply(dz, dz, out=tmp)
+    r2 += tmp
+    keep = np.flatnonzero(r2 < cutoff2)
+    if keep.size == 0:
+        return 0.0
+    a = ia.take(keep)
+    b = ib.take(keep)
+    dx = dx.take(keep)
+    dy = dy.take(keep)
+    dz = dz.take(keep)
+    r2 = r2.take(keep)
+    if lj.n_species == 1:
+        si = sj = None
+    else:
+        si = spc.take(a)
+        sj = spc.take(b)
+    scalar, evec = lj_scalar_energy(r2, si, sj, lj)
+    energy = float(np.sum(evec)) - shift_e * len(r2)
+    w = scalar * dx
+    fx += np.bincount(a, weights=w, minlength=n)
+    fx -= np.bincount(b, weights=w, minlength=n)
+    np.multiply(scalar, dy, out=w)
+    fy += np.bincount(a, weights=w, minlength=n)
+    fy -= np.bincount(b, weights=w, minlength=n)
+    np.multiply(scalar, dz, out=w)
+    fz += np.bincount(a, weights=w, minlength=n)
+    fz -= np.bincount(b, weights=w, minlength=n)
+    return energy
+
+
+#: The solo engine backend whose flat pass batched ``numpy`` matches
+#: bitwise.  Registered only inside :func:`solo_oracle`.
+NUMPY_FLAT = ForceBackend(
+    name="numpy-flat-oracle",
+    available=True,
+    why="test oracle",
+    lj_flat=lj_flat_numpy,
+    lj_flat_seg=lj_flat_seg_numpy,
+)
+
+
+@contextmanager
+def solo_oracle(force_impl: Optional[str] = None) -> Iterator[str]:
+    """Yield the solo ``force_impl`` a batched run on ``force_impl``
+    matches bitwise.
+
+    :func:`~repro.md.batch.solo_oracle_impl` for backends with a solo
+    flat kernel; for ``numpy`` the :data:`NUMPY_FLAT` oracle, registered
+    for the duration of the block.
+    """
+    if resolve_backend(force_impl).lj_flat is not None:
+        yield solo_oracle_impl(force_impl)
+        return
+    register_backend(NUMPY_FLAT)
+    try:
+        yield NUMPY_FLAT.name
+    finally:
+        del _REGISTRY[NUMPY_FLAT.name]

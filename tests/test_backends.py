@@ -2,14 +2,16 @@
 
 The contract under test, per layer:
 
-* registry — numpy/soa always available; unknown names raise; an
-  unavailable *optional* backend (no cffi, no compiler) resolves to
-  numpy instead of failing; ``REPRO_FORCE_IMPL`` selects the process
-  default, and an unknown name keeps the default with a warning.
+* registry — numpy always available; unknown names raise, and the
+  retired ``soa`` raises naming its successor; an unavailable
+  *optional* backend (no cffi, no compiler) resolves to numpy instead
+  of failing; ``REPRO_FORCE_IMPL`` selects the process default, and an
+  unknown or retired name keeps the default with a warning.
 * engine — every available backend reproduces the per-cell float64
   loop oracle and the O(N^2) brute-force golden model within the
-  documented ``FORCE_ATOL``/``ENERGY_RTOL`` bounds, on both the fresh
-  and the state-reuse paths, at small/medium/paper-density sizes.
+  documented ``FORCE_ATOL``/``ENERGY_RTOL`` bounds, on both the
+  stateless and the cell-state paths, at small/medium/paper-density
+  sizes.
 * machine — admissions run through the exact float64 recheck on every
   backend, so ``StepStats`` and the float32 force banks are **bitwise
   identical** across backends (band-list path on a dense box, chunked
@@ -47,12 +49,9 @@ from repro.md.backends import (
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.system import ParticleSystem
-from repro.md.reference import (
-    compute_forces_bruteforce,
-    compute_forces_cells,
-    compute_forces_cells_loop,
-)
+from repro.md.reference import compute_forces_bruteforce, compute_forces_cells
 from repro.util.errors import ValidationError
+from tests.oracles import compute_forces_cells_loop, rebuild_state_every_step
 
 BACKENDS = available_backends()
 
@@ -71,14 +70,28 @@ def _restore_default_backend():
 
 
 class TestRegistry:
-    def test_numpy_and_soa_always_available(self):
+    def test_numpy_always_available(self):
         assert "numpy" in BACKENDS
-        assert "soa" in BACKENDS
-        assert resolve_backend("numpy").is_reference
+        assert resolve_backend("numpy").name == "numpy"
+
+    def test_soa_retired_into_numpy(self):
+        for select in (resolve_backend, set_force_backend):
+            with pytest.raises(ValidationError, match="retired into 'numpy'"):
+                select("soa")
+        assert get_force_backend() != "soa"
+
+    def test_numpy_carries_every_numpy_kernel(self):
+        # One implementation per contract: the consumers call these
+        # without a fallback, so the default backend must carry them.
+        b = resolve_backend("numpy")
+        for kernel in ("admit_flat", "screen_dr", "lj_flat_seg",
+                       "traffic_flat", "ring_charge"):
+            assert getattr(b, kernel) is not None, kernel
+        assert b.lj_flat is None  # the per-offset engine path is faster
 
     def test_all_backends_registered(self):
         # Registered regardless of availability — status says why.
-        assert backend_names() == ["cext", "numpy", "soa"]
+        assert backend_names() == ["cext", "numpy"]
         status = backend_status()
         for name in backend_names():
             assert status[name] == "available" or status[name].startswith(
@@ -141,26 +154,36 @@ class TestRegistry:
         assert len(built) == 1 and built[0].startswith("_repro_force_cext_")
 
     def test_set_get_roundtrip(self):
-        assert set_force_backend("soa") == "soa"
-        assert get_force_backend() == "soa"
-        assert resolve_backend(None).name == "soa"
-        assert resolve_backend().name == "soa"
+        expect = resolve_backend("cext").name
+        assert set_force_backend("cext") == expect
+        assert get_force_backend() == expect
+        assert resolve_backend(None).name == expect
+        assert resolve_backend().name == expect
+        assert set_force_backend("numpy") == "numpy"
+        assert resolve_backend().name == "numpy"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "soa")
-        assert _apply_env_default() == "soa"
-        assert get_force_backend() == "soa"
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        set_force_backend("cext")
+        assert _apply_env_default() == "numpy"
+        assert get_force_backend() == "numpy"
 
     def test_env_unknown_name_ignored(self, monkeypatch):
         # The default stays, but a stale setting (numba was retired)
         # must say so instead of silently running another backend.
-        set_force_backend("soa")
+        set_force_backend("numpy")
         monkeypatch.setenv(ENV_VAR, "numba")
         with pytest.warns(RuntimeWarning) as rec:
-            assert _apply_env_default() == "soa"
+            assert _apply_env_default() == "numpy"
         msg = str(rec[0].message)
         assert "'numba'" in msg
-        assert "['cext', 'numpy', 'soa']" in msg
+        assert "['cext', 'numpy']" in msg
+
+    def test_env_retired_name_ignored(self, monkeypatch):
+        set_force_backend("numpy")
+        monkeypatch.setenv(ENV_VAR, "soa")
+        with pytest.warns(RuntimeWarning, match="retired into 'numpy'"):
+            assert _apply_env_default() == "numpy"
 
     def test_compiled_backends_subset(self):
         assert set(compiled_backends()) <= {"cext"}
@@ -203,13 +226,13 @@ class TestEngineEquivalence:
     def test_state_reuse_path(self, name):
         system, grid = build_dataset((4, 4, 4), particles_per_cell=16,
                                      seed=7)
-        eng = ReferenceEngine(
-            system=system.copy(), grid=grid, reuse_state=True,
-            force_impl=name,
-        )
+        eng = ReferenceEngine(system=system.copy(), grid=grid,
+                              force_impl=name)
         eng.run(5)
-        ref = ReferenceEngine(system=system.copy(), grid=grid,
-                              reuse_state=False)
+        ref = rebuild_state_every_step(
+            ReferenceEngine(system=system.copy(), grid=grid,
+                            force_impl="numpy")
+        )
         ref.run(5)
         # Same admitted pairs, different accumulation order: the
         # trajectories agree to round-off over a short run.
@@ -251,10 +274,11 @@ class TestEngineEquivalence:
     def test_default_backend_is_used_when_knob_is_none(self):
         system, grid = build_dataset((3, 3, 3), particles_per_cell=4,
                                      seed=3)
-        f_soa, _ = compute_forces_cells(system, grid, force_impl="soa")
-        set_force_backend("soa")
-        f_def, _ = compute_forces_cells(system, grid, force_impl=None)
-        np.testing.assert_array_equal(f_def, f_soa)
+        for name in BACKENDS:
+            f_b, _ = compute_forces_cells(system, grid, force_impl=name)
+            set_force_backend(name)
+            f_def, _ = compute_forces_cells(system, grid, force_impl=None)
+            np.testing.assert_array_equal(f_def, f_b)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +379,11 @@ class TestCheckpointKnob:
     def test_engine_roundtrip(self, tmp_path):
         system, grid = build_dataset((3, 3, 3), particles_per_cell=4,
                                      seed=1)
-        eng = ReferenceEngine(system=system, grid=grid, force_impl="soa")
+        eng = ReferenceEngine(system=system, grid=grid, force_impl="cext")
         eng.run(2)
         path = save_checkpoint_v2(eng, str(tmp_path / "e.npz"))
         eng2, _ = load_checkpoint_v2(path)
-        assert eng2.force_impl == "soa"
+        assert eng2.force_impl == "cext"
         # And the restored engine keeps integrating identically.
         eng.run(2)
         eng2.run(2)
@@ -369,19 +393,19 @@ class TestCheckpointKnob:
 
     def test_machine_roundtrip(self, tmp_path):
         m = FasdaMachine(MachineConfig((3, 3, 3)), seed=2)
-        m.force_impl = "soa"
+        m.force_impl = "cext"
         m.step()
         path = save_checkpoint_v2(m, str(tmp_path / "m.npz"))
         m2, _ = load_checkpoint_v2(path)
-        assert m2.force_impl == "soa"
+        assert m2.force_impl == "cext"
 
     def test_distributed_roundtrip(self, tmp_path):
         d = DistributedMachine(MachineConfig((4, 4, 4), (1, 1, 2)), seed=3)
-        d.force_impl = "soa"
+        d.force_impl = "cext"
         d.step()
         path = save_checkpoint_v2(d, str(tmp_path / "d.npz"))
         d2, _ = load_checkpoint_v2(path)
-        assert d2.force_impl == "soa"
+        assert d2.force_impl == "cext"
 
     def test_missing_key_restores_as_default(self):
         # Old checkpoints predate the knob: restore must not require it.
@@ -390,7 +414,7 @@ class TestCheckpointKnob:
         from repro.core.checkpoint import _machine_payload, _restore_machine
 
         m = FasdaMachine(MachineConfig((3, 3, 3)), seed=2)
-        m.force_impl = "soa"
+        m.force_impl = "cext"
         m.step()
         meta, arrays = _machine_payload(m)
         meta = json.loads(json.dumps(meta))  # same round-trip as the file
@@ -409,8 +433,8 @@ class TestCampaignBackends:
         from repro.harness.campaign import engine_rate
 
         res = engine_rate(seed=2023, dims=(3, 3, 3), steps=2,
-                          force_impl="soa")
-        assert res["backend"] == "soa"
+                          force_impl="cext")
+        assert res["backend"] == resolve_backend("cext").name
         res_default = engine_rate(seed=2023, dims=(3, 3, 3), steps=2)
         assert res_default["backend"] == get_force_backend()
         # Deterministic payload (timing aside) is backend-independent
@@ -441,12 +465,12 @@ class TestCampaignBackends:
 
 
 # ---------------------------------------------------------------------------
-# Kernel-level cross-checks (compiled vs soa, when compiled available)
+# Kernel-level cross-checks (compiled vs numpy, when compiled available)
 # ---------------------------------------------------------------------------
 
 
 class TestKernelContracts:
-    @pytest.mark.parametrize("name", compiled_backends() or ["soa"])
+    @pytest.mark.parametrize("name", compiled_backends() or ["numpy"])
     def test_screen_dr_bitwise_vs_numpy(self, name):
         from repro.md.cells import CellList
         from repro.md.pairplan import iter_pair_chunks, plan_for_grid
@@ -463,7 +487,7 @@ class TestKernelContracts:
         clist = CellList(grid, pos)
         plan = plan_for_grid(grid)
         b = resolve_backend(name)
-        ref = resolve_backend("soa")
+        ref = resolve_backend("numpy")
         for chunk in iter_pair_chunks(
             plan, clist.counts, clist.start, clist.order
         ):

@@ -6,10 +6,11 @@ The contract under test, per layer:
   per-segment energies and scatters per-slot forces equal to
   evaluating each segment alone.
 * engine — each packed system's trajectory is **bitwise identical** to
-  a solo ``ReferenceEngine(reuse_state=True)`` run on the batched
-  run's oracle backend (``solo_oracle_impl``), on every available
-  backend, including across mid-run swap-out/swap-in of *other*
-  segments and with per-segment thermostats.
+  a solo ``ReferenceEngine`` run on the batched run's oracle backend
+  (``tests.oracles.solo_oracle``: ``cext`` itself, the flat numpy
+  oracle for ``numpy``), on every available backend, including across
+  mid-run swap-out/swap-in of *other* segments and with per-segment
+  thermostats.
 * persistence — checkpoint v2 round-trips a ``BatchedEngine`` (handles,
   thermostats, aux payloads, cell-state counters), and the continued
   run stays bitwise equal to an uninterrupted one.
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_checkpoint_v2, save_checkpoint_v2
-from repro.md.backends import available_backends, resolve_backend
+from repro.md.backends import available_backends, backend_names, resolve_backend
 from repro.md.batch import BatchedEngine, solo_oracle_impl
 from repro.md.cells import CellGrid, CellList
 from repro.md.dataset import build_dataset
@@ -38,6 +39,7 @@ from repro.md.thermostat import (
     thermostat_meta,
 )
 from repro.util.errors import ValidationError
+from tests.oracles import solo_oracle
 
 BACKENDS = available_backends()
 
@@ -46,17 +48,18 @@ def small_case(seed, ppc=4, dims=(3, 3, 3)):
     return build_dataset(dims, cutoff=8.5, particles_per_cell=ppc, seed=seed)
 
 
-def solo_run(system, grid, impl, steps, thermostat=None):
-    eng = ReferenceEngine(
-        system.copy(), grid, dt_fs=2.0, shift=False,
-        reuse_state=True, force_impl=impl,
-    )
-    if thermostat is None:
-        eng.run(steps, record_every=0)
-    else:
-        for _ in range(steps):
-            eng.run(1, record_every=0)
-            thermostat.apply(eng.system)
+def solo_run(system, grid, name, steps, thermostat=None):
+    """``system`` stepped alone on the solo oracle of batched ``name``."""
+    with solo_oracle(name) as impl:
+        eng = ReferenceEngine(
+            system.copy(), grid, dt_fs=2.0, shift=False, force_impl=impl,
+        )
+        if thermostat is None:
+            eng.run(steps, record_every=0)
+        else:
+            for _ in range(steps):
+                eng.run(1, record_every=0)
+                thermostat.apply(eng.system)
     return eng.system
 
 
@@ -67,8 +70,17 @@ def assert_states_equal(got, want, label=""):
 
 
 class TestSoloOracle:
-    def test_numpy_maps_to_soa(self):
-        assert solo_oracle_impl("numpy") == "soa"
+    def test_numpy_has_no_production_solo_oracle(self):
+        # The solo numpy engine is per-offset; the flat oracle that
+        # batched numpy matches bitwise is registered by the tests only.
+        with pytest.raises(ValidationError, match="per-offset"):
+            solo_oracle_impl("numpy")
+
+    def test_numpy_oracle_registered_only_in_block(self):
+        with solo_oracle("numpy") as impl:
+            assert impl in backend_names()
+            assert resolve_backend(impl).lj_flat is not None
+        assert impl not in backend_names()
 
     def test_compiled_backends_map_to_themselves(self):
         for name in BACKENDS:
@@ -76,7 +88,12 @@ class TestSoloOracle:
                 assert solo_oracle_impl(name) == name
 
     def test_default_resolves(self):
-        assert solo_oracle_impl(None) in BACKENDS + ["soa"]
+        default = resolve_backend(None)
+        if default.lj_flat is None:
+            with pytest.raises(ValidationError):
+                solo_oracle_impl(None)
+        else:
+            assert solo_oracle_impl(None) == default.name
 
 
 class TestSegKernel:
@@ -89,11 +106,9 @@ class TestSegKernel:
         be.prime()
         pots = be.potentials()
         for h, (s, g) in zip(handles, cases):
-            solo = ReferenceEngine(
-                s.copy(), g, reuse_state=True,
-                force_impl=solo_oracle_impl(name),
-            )
-            solo.run(0, record_every=0)  # prime only
+            with solo_oracle(name) as impl:
+                solo = ReferenceEngine(s.copy(), g, force_impl=impl)
+                solo.run(0, record_every=0)  # prime only
             got = be.extract(h)
             assert np.array_equal(got.forces, solo.system.forces), name
             ref_pot = solo.history[-1].potential
@@ -108,20 +123,18 @@ class TestBitwiseTrajectories:
             small_case(12, ppc=6, dims=(3, 4, 3)),
             small_case(13, ppc=3, dims=(4, 3, 3)),
         ]
-        oracle = solo_oracle_impl(name)
         be = BatchedEngine(force_impl=name)
         handles = [be.add(s.copy(), g) for s, g in cases]
         be.step(30)
         for h, (s, g) in zip(handles, cases):
             assert_states_equal(
-                be.extract(h), solo_run(s, g, oracle, 30), f"{name}/{h}"
+                be.extract(h), solo_run(s, g, name, 30), f"{name}/{h}"
             )
 
     def test_swap_out_and_in_mid_run(self):
         """Removing/adding segments never perturbs the others."""
         cases = [small_case(20 + i, ppc=3 + i % 3) for i in range(4)]
         name = BACKENDS[-1]
-        oracle = solo_oracle_impl(name)
         be = BatchedEngine(force_impl=name)
         handles = [be.add(s.copy(), g) for s, g in cases[:3]]
         be.step(12)
@@ -132,24 +145,23 @@ class TestBitwiseTrajectories:
         for idx in (0, 2):
             s, g = cases[idx]
             assert_states_equal(
-                be.extract(handles[idx]), solo_run(s, g, oracle, 30),
+                be.extract(handles[idx]), solo_run(s, g, name, 30),
                 f"undisturbed {idx}",
             )
         # Swapped-out segment: identical to a 12-step solo run.
         assert_states_equal(
-            removed, solo_run(cases[1][0], cases[1][1], oracle, 12),
+            removed, solo_run(cases[1][0], cases[1][1], name, 12),
             "swap-out",
         )
         # Swapped-in segment: identical to an 18-step solo run.
         assert_states_equal(
-            be.extract(h3), solo_run(cases[3][0], cases[3][1], oracle, 18),
+            be.extract(h3), solo_run(cases[3][0], cases[3][1], name, 18),
             "swap-in",
         )
 
     def test_per_segment_thermostats(self):
         cases = [small_case(31), small_case(32, ppc=5)]
         name = BACKENDS[0]
-        oracle = solo_oracle_impl(name)
         be = BatchedEngine(force_impl=name)
         ha = be.add(
             cases[0][0].copy(), cases[0][1],
@@ -161,11 +173,11 @@ class TestBitwiseTrajectories:
         )
         be.step(15)
         want_a = solo_run(
-            *cases[0], oracle, 15,
+            *cases[0], name, 15,
             thermostat=BerendsenThermostat(300.0, 100.0, 2.0),
         )
         want_b = solo_run(
-            *cases[1], oracle, 15,
+            *cases[1], name, 15,
             thermostat=VelocityRescaleThermostat(250.0),
         )
         assert np.array_equal(be.extract(ha).velocities, want_a.velocities)
@@ -177,10 +189,9 @@ class TestBitwiseTrajectories:
         be = BatchedEngine(force_impl=name)
         h = be.add(s.copy(), g)
         be.step(25)
-        solo = ReferenceEngine(
-            s.copy(), g, reuse_state=True, force_impl=solo_oracle_impl(name)
-        )
-        solo.run(25, record_every=0)
+        with solo_oracle(name) as impl:
+            solo = ReferenceEngine(s.copy(), g, force_impl=impl)
+            solo.run(25, record_every=0)
         be._sync_segment_stats()
         seg = be._by_handle[h]
         assert seg.state.builds == solo._cell_state.builds
@@ -312,10 +323,9 @@ class TestJobQueue:
         summary = run_jobs(q, force_impl=name, max_systems=3, chunk_steps=6)
         assert summary["jobs_done"] == 6
         assert summary["swaps"] == 6
-        oracle = solo_oracle_impl(name)
         for i, jid in enumerate(ids):
             assert q.status(jid) == DONE
-            want = solo_run(*cases[i], oracle, 8 + 5 * i)
+            want = solo_run(*cases[i], name, 8 + 5 * i)
             assert_states_equal(q.result(jid), want, f"job {jid}")
 
     def test_result_before_done_raises(self):

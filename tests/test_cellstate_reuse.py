@@ -1,8 +1,7 @@
 """Bitwise equivalence of the step-persistent cell state.
 
-The amortization contract: every layer (ReferenceEngine with
-``reuse_state``, FasdaMachine and DistributedMachine always) must
-produce the *same trajectory bit for bit* as the rebuild-every-step
+The amortization contract: every layer (ReferenceEngine, FasdaMachine
+and DistributedMachine) must produce the *same trajectory bit for bit* as the rebuild-every-step
 oracle — the persistent :class:`~repro.md.cellstate.CellState` and the
 distributed node cache are pure evaluation shortcuts, never an
 approximation.  These tests run the production path and the oracle
@@ -24,7 +23,12 @@ from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.pairplan import plan_for_grid
 from repro.md.reference import _padded_viable, compute_forces_cells
-from tests.oracles import fresh_path, rebuild_nodes_every_step
+from repro.md.backends import ENERGY_RTOL, available_backends
+from tests.oracles import (
+    fresh_path,
+    rebuild_nodes_every_step,
+    rebuild_state_every_step,
+)
 
 
 def _machine_pair(dims=(4, 4, 4), ppc=16, seed=11):
@@ -83,33 +87,52 @@ class TestMachineReuseBitwise:
         assert sb2.state_reused is True
 
 
+def _engine_vs_rebuild_every_step(force_impl, steps=50):
+    """Run the always-reuse engine and the rebuild-every-step oracle
+    side by side; assert the trajectories bitwise equal and return
+    both engines."""
+    system, grid = build_dataset((4, 4, 4), particles_per_cell=16, seed=7)
+    oracle = rebuild_state_every_step(
+        ReferenceEngine(system=system.copy(), grid=grid, force_impl=force_impl)
+    )
+    reuse = ReferenceEngine(
+        system=system.copy(), grid=grid, force_impl=force_impl
+    )
+    oracle.run(steps)
+    reuse.run(steps)
+    assert np.array_equal(oracle.system.positions, reuse.system.positions)
+    assert np.array_equal(oracle.system.velocities, reuse.system.velocities)
+    assert np.array_equal(oracle.system.forces, reuse.system.forces)
+    assert oracle.state_builds == 1
+    assert 1 <= reuse.state_builds < steps
+    return oracle, reuse
+
+
 class TestEngineReuseBitwise:
+    @pytest.mark.parametrize("name", ["numpy", "cext"])
+    def test_reuse_matches_rebuild_every_step(self, name):
+        """The engine contract on each backend: stepping through one
+        persistent cell state equals rebuilding it before every pass,
+        bit for bit in positions, velocities and forces.  Energies are
+        bitwise on cext (its sequential sums skip rejected band pairs);
+        numpy's per-offset ``np.sum`` runs over band lists of different
+        length, so they agree to round-off."""
+        if name not in available_backends():
+            pytest.skip(f"{name} backend unavailable")
+        oracle, reuse = _engine_vs_rebuild_every_step(name)
+        for ra, rb in zip(oracle.history, reuse.history):
+            if name == "cext":
+                assert ra.potential == rb.potential
+            else:
+                assert abs(ra.potential - rb.potential) <= ENERGY_RTOL * abs(
+                    ra.potential
+                )
+
     def test_50_step_trajectory_bitwise(self):
-        # The engine's bitwise reuse contract is the classic numpy
-        # path's, so it is pinned against a REPRO_FORCE_IMPL default; the
-        # flat backends match fresh runs to round-off only
-        # (test_backends.py::TestEngineEquivalence::test_state_reuse_path).
-        system, grid = build_dataset((4, 4, 4), particles_per_cell=16, seed=7)
-        oracle = ReferenceEngine(
-            system=system.copy(), grid=grid, force_impl="numpy"
-        )
-        reuse = ReferenceEngine(
-            system=system.copy(), grid=grid, reuse_state=True,
-            force_impl="numpy",
-        )
-        oracle.run(50)
-        reuse.run(50)
-        assert np.array_equal(oracle.system.positions, reuse.system.positions)
-        assert np.array_equal(
-            oracle.system.velocities, reuse.system.velocities
-        )
-        assert np.array_equal(oracle.system.forces, reuse.system.forces)
-        # Energies are round-off-equal only: the per-offset sums run
-        # over differently sized candidate arrays (see reference.py).
+        # The same contract on the process default backend.
+        oracle, reuse = _engine_vs_rebuild_every_step(None)
         for ra, rb in zip(oracle.history, reuse.history):
             assert rb.potential == pytest.approx(ra.potential, rel=1e-12)
-        assert 1 <= reuse.state_builds < 50
-        assert oracle.state_builds == 0
 
     def test_skewed_pass_skips_band_search_and_reuse_resumes(
         self, monkeypatch
@@ -139,9 +162,7 @@ class TestEngineReuseBitwise:
         assert not _padded_viable(plan_for_grid(grid), CellList(grid, skewed))
         assert _padded_viable(plan_for_grid(grid), CellList(grid, dense))
 
-        engine = ReferenceEngine(
-            system=system, grid=grid, reuse_state=True, force_impl="numpy"
-        )
+        engine = ReferenceEngine(system=system, grid=grid, force_impl="numpy")
         state = engine.ensure_cell_state()
         expect = [(1, 0, 1), (2, 0, 1), (3, 0, 2), (3, 1, 2), (3, 2, 2)]
         for pos, (builds, reused, n_search) in zip(

@@ -113,13 +113,13 @@ class TestMachineRoundTrip:
 
     def test_knobs_and_cellstate_meta_restored(self, tmp_path):
         m = FasdaMachine(CFG)
-        m.force_impl = "soa"
+        m.force_impl = "numpy"
         m.reuse_skin = 0.5
         m.run(4)
         builds_before = m._cell_state.builds
         path = save_checkpoint_v2(m, str(tmp_path / "m.npz"))
         m2, _ = load_checkpoint_v2(path)
-        assert m2.force_impl == "soa"
+        assert m2.force_impl == "numpy"
         assert m2.reuse_skin == 0.5
         assert m2._cell_state.builds == builds_before
         assert m2._cell_state.skin == 0.5
@@ -129,7 +129,7 @@ class TestEngineRoundTrip:
     def test_trajectory_continues_bitwise(self, tmp_path):
         system, _ = build_dataset((4, 4, 4), cutoff=8.0, seed=11)
         grid = CellGrid((4, 4, 4), 8.0)
-        e = ReferenceEngine(system=system.copy(), grid=grid, reuse_state=True)
+        e = ReferenceEngine(system=system.copy(), grid=grid)
         e.run(4)
         path = save_checkpoint_v2(e, str(tmp_path / "e.npz"))
         e2, step = load_checkpoint_v2(path)
@@ -140,7 +140,7 @@ class TestEngineRoundTrip:
         np.testing.assert_array_equal(
             e.system.velocities, e2.system.velocities
         )
-        assert e2.reuse_state and e2.state_builds >= 1
+        assert e2.state_builds >= 1
 
 
 class TestDistributedRoundTrip:
@@ -316,7 +316,7 @@ class TestPoisonedStateRejected:
 
     def test_engine_kind_rejects_nonfinite(self, tmp_path):
         system, grid = build_dataset((3, 3, 3), particles_per_cell=3, seed=11)
-        eng = ReferenceEngine(system, grid, reuse_state=True)
+        eng = ReferenceEngine(system, grid)
         eng.run(2, record_every=0)
         eng.system.velocities[0, 0] = np.inf
         path = str(tmp_path / "eng.npz")
@@ -453,3 +453,105 @@ class TestRetiredKnobMeta:
         assert [(r.step, r.kinetic, r.potential) for r in m.history] == [
             (r.step, r.kinetic, r.potential) for r in m2.history
         ]
+
+
+class TestRetiredBackendMeta:
+    """Payloads saved on the retired ``soa`` backend load as ``numpy``.
+
+    ``soa``'s machine-layer kernels were the numpy kernels the machines
+    now call, and its batched kernel is numpy's segmented one, so those
+    runs continue bitwise.  Its engine ran a flat pass whose
+    accumulation order differs from numpy's per-offset path, so an
+    engine continues within the documented round-off bounds.  Engine
+    payloads also carry the retired ``reuse_state`` key.
+    """
+
+    @staticmethod
+    def _as_soa(path, **extra):
+        def mutate(meta, arrays):
+            meta["force_impl"] = "soa"
+            meta.update(extra)
+
+        _tamper(path, mutate)
+
+    @pytest.mark.parametrize("kind", ["machine", "distributed"])
+    def test_machine_payloads_continue_bitwise(self, tmp_path, kind):
+        system, _ = build_dataset((4, 4, 4), particles_per_cell=16, seed=8)
+        cls = FasdaMachine if kind == "machine" else DistributedMachine
+        m = cls(CFG, system=system.copy())
+        m.force_impl = "numpy"
+        m.run(3)
+        path = save_checkpoint_v2(m, str(tmp_path / "soa.npz"))
+        self._as_soa(path)
+        m2, _ = load_checkpoint_v2(path)
+        assert m2.force_impl == "numpy"
+        m.run(4)
+        m2.run(4)
+        np.testing.assert_array_equal(m.system.positions, m2.system.positions)
+        np.testing.assert_array_equal(m.forces, m2.forces)
+        assert [(r.kinetic, r.potential) for r in m.history] == [
+            (r.kinetic, r.potential) for r in m2.history
+        ]
+
+    def test_batch_payload_continues_bitwise(self, tmp_path):
+        from repro.md.batch import BatchedEngine
+
+        be = BatchedEngine(force_impl="numpy")
+        handles = [
+            be.add(*build_dataset((3, 3, 3), particles_per_cell=4, seed=s))
+            for s in (81, 82)
+        ]
+        be.step(6)
+        path = save_checkpoint_v2(be, str(tmp_path / "soa.npz"))
+        self._as_soa(path)
+        be2, _ = load_checkpoint_v2(path)
+        assert be2.backend_name == "numpy"
+        be.step(8)
+        be2.step(8)
+        for h in handles:
+            a, b = be.extract(h), be2.extract(h)
+            np.testing.assert_array_equal(a.positions, b.positions)
+            np.testing.assert_array_equal(a.velocities, b.velocities)
+            np.testing.assert_array_equal(a.forces, b.forces)
+
+    def test_engine_payload_continues_within_bounds(self, tmp_path):
+        from repro.md.backends import ENERGY_RTOL, FORCE_ATOL
+        from tests.oracles import solo_oracle
+
+        system, grid = build_dataset((4, 4, 4), particles_per_cell=16, seed=9)
+        # The saving run steps on the flat pure-numpy pass ``soa`` ran.
+        with solo_oracle("numpy") as flat:
+            e = ReferenceEngine(system=system.copy(), grid=grid,
+                                force_impl=flat)
+            e.run(3)
+            path = save_checkpoint_v2(e, str(tmp_path / "soa.npz"))
+            e.run(4, start_step=3)
+        self._as_soa(path, reuse_state=True)
+        e2, step = load_checkpoint_v2(path)
+        assert e2.force_impl == "numpy"
+        e2.run(4, start_step=step)
+        assert np.abs(e.system.forces - e2.system.forces).max() < FORCE_ATOL
+        assert np.abs(e.system.positions - e2.system.positions).max() < 1e-10
+        for ra, rb in zip(e.history, e2.history):
+            assert ra.step == rb.step
+            assert abs(ra.potential - rb.potential) <= ENERGY_RTOL * abs(
+                ra.potential
+            )
+
+    def test_engine_payload_without_reuse_restores_and_steps(self, tmp_path):
+        system, grid = build_dataset((3, 3, 3), particles_per_cell=8, seed=10)
+        e = ReferenceEngine(system=system.copy(), grid=grid)
+        e.run(2)
+        path = save_checkpoint_v2(e, str(tmp_path / "fresh.npz"))
+
+        def mutate(meta, arrays):
+            # A payload saved by an engine that rebuilt every step.
+            meta["reuse_state"] = False
+            meta["cellstate"] = None
+
+        _tamper(path, mutate)
+        e2, step = load_checkpoint_v2(path)
+        e2.run(3, start_step=step)
+        e.run(3, start_step=step)
+        np.testing.assert_array_equal(e.system.positions, e2.system.positions)
+        assert e2.state_builds >= 1

@@ -22,6 +22,21 @@ def test_grid_box_mismatch_rejected():
         ReferenceEngine(sys_, CellGrid((4, 4, 4), 8.5))
 
 
+def test_reuse_state_knob_retired():
+    # One stepping path: the knob selects nothing, so it is no field;
+    # True is still accepted for existing callers, False is refused.
+    import dataclasses
+
+    sys_, grid = build_dataset((3, 3, 3), particles_per_cell=8, seed=0)
+    names = {f.name for f in dataclasses.fields(ReferenceEngine)}
+    assert "reuse_state" not in names
+    engine = ReferenceEngine(sys_.copy(), grid, reuse_state=True)
+    engine.run(1)
+    assert engine.state_builds == 1
+    with pytest.raises(ValidationError, match="retired"):
+        ReferenceEngine(sys_.copy(), grid, reuse_state=False)
+
+
 def test_negative_steps_rejected():
     sys_, grid = build_dataset((3, 3, 3), particles_per_cell=8, seed=0)
     with pytest.raises(ValidationError):

@@ -27,7 +27,7 @@ from repro.faults.health import (
     check_system_finite,
 )
 from repro.md.backends import available_backends
-from repro.md.batch import BatchedEngine, solo_oracle_impl
+from repro.md.batch import BatchedEngine
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.thermostat import VelocityRescaleThermostat

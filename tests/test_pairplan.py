@@ -28,12 +28,12 @@ from repro.md.reference import (
     _padded_viable,
     compute_forces_bruteforce,
     compute_forces_cells,
-    compute_forces_cells_loop,
 )
 from repro.core.config import MachineConfig
 from repro.core.datapath import quantize_cell_fractions
 from repro.core.machine import FasdaMachine
 from repro.util.errors import ValidationError
+from tests.oracles import compute_forces_cells_loop
 
 
 def random_system(dims, cell_edge=4.0, per_cell=6, seed=0, species=("Na",)):
