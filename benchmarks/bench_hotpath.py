@@ -488,8 +488,9 @@ def main() -> None:
     for label, dims in backend_sizes:
         backend_results.extend(bench_backends(label, dims, reps, backend_steps))
     batched_results = bench_batched(reps, args.smoke)
-    # The distributed machine favors protocol fidelity over speed; the
-    # largest size would dominate wall time for no extra signal.
+    # The distributed step adds exchange and merge work to the machine
+    # pass; the largest size would dominate wall time for no extra
+    # signal.
     dist_sizes = sizes[:1] if args.smoke else sizes[:2]
     dist_reps = 1 if args.smoke else max(args.reps // 2, 2)
     distributed_results = [

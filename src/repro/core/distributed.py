@@ -11,10 +11,14 @@ traffic; this module executes the way the cluster actually does:
 * on arrival, the receiving node converts the record's global cell
   coordinates through GCID -> LCID (node-relative) and LCID -> RCID
   (cell-relative) — the actual Sec. 4.2 machinery, exercised on real data;
-* each node evaluates its home cells against local + halo data, returns
-  nonzero neighbor forces as force packets, and integrates its particles.
+* each node runs the single machine's datapath
+  (:class:`~repro.core.machine.MachineCore`) over its *node view* — its
+  local cells plus received halo cells, slot by slot in ascending cid —
+  on a persistent :class:`~repro.md.cellstate.CellState` of that view,
+  returns the nonzero neighbor forces of rows another node owns as
+  force packets, and integrates its particles.
 
-The distributed trajectory must agree with the global machine's within
+The distributed trajectory agrees with the global machine's within
 float32 accumulation-order noise — asserted by the equivalence tests —
 which is precisely the guarantee the homogeneous-ID design gives the
 real cluster.
@@ -24,12 +28,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.arith.fixedpoint import FixedPointFormat
-from repro.arith.interp import ForceTableSet
 from repro.core.cellids import (
     RCID_HOME,
     cell_node_ids,
@@ -37,11 +39,11 @@ from repro.core.cellids import (
     lcid_to_rcid,
 )
 from repro.core.config import MachineConfig
-from repro.core.datapath import ForcePipeline, PairFilter, quantize_cell_fractions
+from repro.core.datapath import quantize_cell_fractions
 from repro.core.elasticity import LoadBalancer, fpga_grid_for
+from repro.core.machine import MachineCore, _Pass, _StepArena
 from repro.core.migration import plan_partition_migration
 from repro.core.packets import RecordBatch
-from repro.core.timing import StepTimings
 from repro.faults import (
     DegradationRecord,
     FaultInjector,
@@ -57,11 +59,9 @@ from repro.faults import (
 from repro.network.netsim import Burst, OutputQueuedSwitch, SwitchStats
 from repro.faults.nodes import REPLAY_CYCLES_PER_RECORD
 from repro.md.backends import resolve_backend
-from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
-from repro.md.dataset import build_dataset
+from repro.md.cells import CellList, HALF_SHELL_OFFSETS
+from repro.md.cellstate import CellState
 from repro.md.kernels import scatter_add
-from repro.md.pairplan import ROWS_PER_CELL, iter_pair_chunks, plan_for_grid
-from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
     ConfigError,
@@ -69,7 +69,6 @@ from repro.util.errors import (
     TransportError,
     ValidationError,
 )
-from repro.util.units import KCAL_MOL_TO_INTERNAL
 
 
 @dataclass
@@ -95,6 +94,18 @@ class _Node:
     packets_out: int = 0
 
 
+class _NodeResult(NamedTuple):
+    """One node's force pass: forces on its own particles ``ids``, its
+    potential, per-owner ``(particle ids, forces)`` neighbor-force
+    records and the number of pairs its filters admitted."""
+
+    ids: np.ndarray
+    forces: np.ndarray
+    potential: float
+    returns: Dict[int, Tuple[np.ndarray, np.ndarray]]
+    admitted: int
+
+
 #: Machine inherited by forked evaluation workers (set just before the
 #: fork; the machine's tables/pipelines hold lambdas and cannot be
 #: pickled, but a forked child shares them by copy-on-write).
@@ -109,21 +120,22 @@ def _fork_eval_node(node: "_Node"):
 def _fork_eval_node_shm(task: Tuple[int, int, int]):
     """Zero-copy process-pool entry point.
 
-    ``task`` is only ``(node_id, pid_offset, pid_len)``; everything
-    bulky — current fractions, the per-node particle-id catalog, the
-    per-node force bank — lives in :mod:`multiprocessing.shared_memory`
-    segments the forked worker inherited by mapping, so nothing big is
-    pickled in either direction.
+    ``task`` is only ``(node_id, pid_offset, pid_len)``; the bulky
+    inputs — current fractions and the per-node particle-id catalog —
+    live in :mod:`multiprocessing.shared_memory` segments the forked
+    worker inherited by mapping.  Only the node's result, sized to the
+    node, is pickled back.
     """
     return _FORK_MACHINE._evaluate_node_shm(task)
 
 
-class DistributedMachine:
+class DistributedMachine(MachineCore):
     """Executes a FASDA deployment node by node with explicit exchange.
 
-    Parameters mirror :class:`~repro.core.machine.FasdaMachine`.  This
-    implementation favors protocol fidelity over speed — use the global
-    machine for large sweeps.
+    Parameters mirror :class:`~repro.core.machine.FasdaMachine`.  Every
+    node evaluates its view through the shared
+    :class:`~repro.core.machine.MachineCore` datapath into force banks
+    sized to the slots it sees; the merge runs in node-id order.
     """
 
     def __init__(
@@ -148,11 +160,12 @@ class DistributedMachine:
             Evaluate nodes concurrently.  ``False`` runs serially;
             ``True`` or ``"thread"`` uses a thread pool (NumPy kernels
             release the GIL); ``"process"`` uses a forked process pool
-            (node evaluation reads only static machine state, so forked
-            workers stay valid across steps).  Each node accumulates
-            into a private force bank and results are merged in node-id
-            order regardless of worker scheduling, so every mode
-            produces the bitwise-identical trajectory.
+            (node evaluation reads static machine state plus node
+            states that are caches, so forked workers stay valid across
+            steps).  Each node accumulates into private force banks and
+            results are merged in node-id order regardless of worker
+            scheduling, so every mode produces the bitwise-identical
+            trajectory.
         max_workers:
             Pool size (defaults to the node count).
         injector:
@@ -202,78 +215,29 @@ class DistributedMachine:
             )
         if watchdog_timeout_cycles < 0:
             raise ConfigError("watchdog_timeout_cycles must be >= 0")
+        super().__init__(config, system, seed)
         self.parallel = parallel
         self.max_workers = max_workers
         self.injector = injector
         self.transport = transport
         self.degradation = degradation
-        self.config = config
-        self.grid = CellGrid(config.global_cells, config.cutoff)
-        if system is None:
-            system, _ = build_dataset(
-                config.global_cells, cutoff=config.cutoff, seed=seed
-            )
-        if not np.allclose(system.box, self.grid.box):
-            raise ConfigError("system box does not match config box")
-        self.system = system.copy()
-        self._velocities32 = self.system.velocities.astype(np.float32)
-        self._forces32 = np.zeros_like(self._velocities32)
-        self.fmt = FixedPointFormat(frac_bits=config.frac_bits)
-        self.tables = ForceTableSet(n_s=config.table_ns, n_b=config.table_nb)
-        self.filter = PairFilter(self.tables.r2_min)
-        self.pipeline = ForcePipeline(self.system.lj_table, config.cutoff, self.tables)
-        # Optional Ewald pipeline (same dual-pipeline arrangement as the
-        # global machine); charges travel in the position payload.
-        self.coulomb_pipeline = None
-        self._charges32 = None
-        if config.force_model == "lj+coulomb":
-            from repro.core.datapath import TabulatedRadialPipeline
-            from repro.md.ewald import (
-                choose_beta,
-                ewald_real_energy_scalar,
-                ewald_real_scalar,
-            )
-
-            self.ewald_beta = choose_beta(config.cutoff, config.ewald_tolerance)
-            beta = self.ewald_beta
-            self.coulomb_pipeline = TabulatedRadialPipeline.from_physical(
-                lambda r2: ewald_real_scalar(r2, beta),
-                lambda r2: ewald_real_energy_scalar(r2, beta),
-                cutoff=config.cutoff,
-                n_s=config.table_ns,
-                n_b=config.table_nb,
-            )
-            self._charges32 = self.system.charges.astype(np.float32)
-        # Static geometry (partition-independent: the cell grid and the
-        # half-shell pair plan never change, only cell *ownership* does).
-        n_cells = self.grid.n_cells
-        self._cell_coords = self.grid.cell_coords(np.arange(n_cells, dtype=np.int64))
-        plan = plan_for_grid(self.grid)
-        self._plan = plan
-        self._neighbor_cids = plan.neighbor_ids
         # Partition-derived structures (rebuilt on every elastic rescale).
         self._apply_partition(config)
-        #: Force backend (see :mod:`repro.md.backends`), inherited by
-        #: every node's evaluation: the fused gather/displacement
-        #: kernel feeds the unchanged
-        #: :meth:`~repro.core.datapath.PairFilter.admit_r2`, so per-node
-        #: admissions, forces, statistics and traffic are bitwise
-        #: identical across backends.  ``None`` = process-wide default.
-        self.force_impl: Optional[str] = None
         #: Node-structure rebuilds / reuse hits of the node cache (see
         #: :meth:`_build_nodes`).
         self.state_builds = 0
         self.state_reused_steps = 0
         self._nodes_cache: Optional[Dict[int, _Node]] = None
+        #: node id -> (view CellState, scratch arena): caches of the
+        #: evaluator that last ran the node (see :meth:`_node_state`).
+        self._node_states: Dict[int, Tuple[CellState, _StepArena]] = {}
         self._build_cids: Optional[np.ndarray] = None
         self._flow_static: Optional[Dict[Tuple[int, int], Optional[dict]]] = None
         self._last_frac: Optional[np.ndarray] = None
         self._last_cids: Optional[np.ndarray] = None
         self._executor = None
         self._executor_kind = None
-        #: Per-phase wall-clock counters (build/exchange/force/integrate);
-        #: off by default — see :class:`~repro.core.timing.StepTimings`.
-        self.timings = StepTimings()
+        # ``timings`` phases: build/exchange/force/integrate.
         # -- zero-copy process parallelism (multiprocessing.shared_memory) --
         # Created lazily at the first injector-free "process" force pass,
         # *before* the pool forks so workers inherit the mappings; the
@@ -283,14 +247,10 @@ class DistributedMachine:
         self._shm_ok: Optional[bool] = None
         self._shm_segs: List = []
         self._shm_frac: Optional[np.ndarray] = None
-        self._shm_banks: Optional[np.ndarray] = None
         self._shm_counts: Optional[np.ndarray] = None
         self._shm_pids: Optional[np.ndarray] = None
         self._shm_meta_cids: Optional[np.ndarray] = None
         self._shm_tasks: Optional[List[Tuple[int, int, int]]] = None
-        self.history: List[EnergyRecord] = []
-        self._primed = False
-        self._last_potential = 0.0
         self.total_position_packets = 0
         self.total_force_packets = 0
         # -- resilience state (inert without an injector) -------------------
@@ -369,6 +329,11 @@ class DistributedMachine:
         home_nodes = self._cell_node[plan.home]
         nbr_nodes = self._cell_node[plan.nbr]
         remote = ~plan.is_self & (home_nodes != nbr_nodes)
+        #: Node -> plan rows whose neighbor cell another node owns: the
+        #: rows whose reaction forces leave the node as records.
+        self._remote_rows = {
+            k: ~plan.is_self & (nbr_nodes != k) for k in range(config.n_fpgas)
+        }
         self._send_targets: Dict[int, List[int]] = {
             c: [] for c in range(n_cells)
         }
@@ -399,13 +364,15 @@ class DistributedMachine:
             k: np.flatnonzero(self._cell_node == k)
             for k in range(config.n_fpgas)
         }
+        for k, cells in self._local_cells_static.items():
+            self._verify_id_conversion(cells, self._node_coords[k])
 
     def _invalidate_partition_caches(self) -> None:
         """Drop every structure keyed by the *old* partition.
 
-        The node cache and packing skeletons, stale-halo snapshots,
-        buddy-shadow bookkeeping, the evaluation pool, and the
-        shared-memory segments are all shaped or keyed by node
+        The node cache and packing skeletons, node view states,
+        stale-halo snapshots, buddy-shadow bookkeeping, the evaluation
+        pool, and the shared-memory segments are all shaped or keyed by node
         ids/counts; after a partition change each is rebuilt lazily, so
         dropping them is always bitwise-safe.
         """
@@ -413,6 +380,7 @@ class DistributedMachine:
         self._build_cids = None
         self._flow_static = None
         self._stale_halo.clear()
+        self._node_states.clear()
         self._shadow_iteration = None
         self._shadow_records = {}
         self._shutdown_pool()
@@ -1133,34 +1101,6 @@ class DistributedMachine:
 
     # -- force evaluation -------------------------------------------------------
 
-    def _cell_view(self, node: _Node, cid: int) -> Optional[_CellData]:
-        if cid in node.cells:
-            return node.cells[cid]
-        return node.halo.get(cid)
-
-    def _pipelines(
-        self,
-        dr: np.ndarray,
-        r2: np.ndarray,
-        species_i: np.ndarray,
-        species_j: np.ndarray,
-        gi: np.ndarray,
-        gj: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """LJ pipeline plus (optionally) the Ewald pipeline.
-
-        Species come from the local/halo cell data (the position record
-        payload); charges index the global table by particle id, which
-        a hardware node would likewise carry in its position payload.
-        """
-        f, e = self.pipeline.compute(dr, r2, species_i, species_j)
-        if self.coulomb_pipeline is not None:
-            qq = self._charges32[gi] * self._charges32[gj]
-            fc, ec = self.coulomb_pipeline.compute(dr, r2, qq)
-            f = f + fc
-            e = e + ec
-        return f, e
-
     def _verify_id_conversion(
         self, local_cells, node_coords: np.ndarray
     ) -> None:
@@ -1168,8 +1108,9 @@ class DistributedMachine:
 
         For every (home cell, half-shell neighbor) pair of the node, the
         offset recovered through the homogeneous local ID space must
-        equal the geometric half-shell offset — this is the check the
-        per-cell loop performed inline before displacement evaluation.
+        equal the geometric half-shell offset.  It depends on the
+        partition alone, so it runs for every node whenever a partition
+        is applied (construction and each rescale).
         """
         if not len(local_cells):
             return
@@ -1192,142 +1133,94 @@ class DistributedMachine:
         )):
             raise ValidationError("RCID conversion mismatch")
 
-    def _evaluate_node(
-        self, node: _Node
-    ) -> Tuple[np.ndarray, float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Evaluate one node's home cells against local + halo data.
-
-        Returns the node's private force bank (global-sized, float32),
-        its partial potential, and the neighbor-force records destined
-        for other nodes as per-owner ``(particle_ids, forces)`` array
-        segments — no shared state is touched (only static machine
-        attributes are read), so nodes evaluate concurrently in threads
-        or forked processes.
-
-        This is the pickled-``_Node`` entry point; the shared-memory
-        path reaches the same :meth:`_eval_core` through
-        :meth:`_evaluate_node_shm` with identical inputs, so both are
-        bitwise-identical by construction.
-        """
-        bank = np.zeros((self.system.n, 3), dtype=np.float32)
-        self._verify_id_conversion(node.local_cells, node.node_coords)
-
-        # Concatenate visible cells (ascending cid) into bucket arrays.
-        visible = sorted(
-            list(node.cells.items()) + list(node.halo.items())
-        )
+    def _node_view(self, node: _Node) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node's view: its local cells plus its received halo cells
+        in ascending cid, as per-cell counts and the particle id and
+        quantized fraction of every slot."""
+        visible = sorted(list(node.cells.items()) + list(node.halo.items()))
         counts = np.zeros(self.grid.n_cells, dtype=np.int64)
         for cid, data in visible:
             counts[cid] = len(data.particle_ids)
-        start = np.concatenate([[0], np.cumsum(counts)])
-        if start[-1] == 0:
-            return bank, 0.0, {}
-        frac_cat = np.concatenate(
-            [d.fractions.reshape(-1, 3) for _, d in visible]
+        ids = np.concatenate([d.particle_ids for _, d in visible])
+        frac = np.concatenate([d.fractions.reshape(-1, 3) for _, d in visible])
+        return counts, ids, frac
+
+    def _evaluate_node(self, node: _Node) -> _NodeResult:
+        """Evaluate one node over its view (the pickled-``_Node`` entry
+        point; :meth:`_evaluate_node_shm` rebuilds the same view)."""
+        return self._eval_view(node.node_id, *self._node_view(node))
+
+    def _eval_view(
+        self, nid: int, counts: np.ndarray, ids: np.ndarray, frac: np.ndarray
+    ) -> _NodeResult:
+        """Node ``nid``'s home rows through the shared datapath into
+        banks over the view's slots, rows whose neighbor cell another
+        node owns returning records.  Only static machine state and the
+        node's cached state are touched, so nodes evaluate concurrently
+        in threads or forked processes."""
+        n_slots = len(ids)
+        if n_slots == 0:
+            return _NodeResult(ids, np.zeros((0, 3), dtype=np.float32), 0.0, {}, 0)
+        state, arena = self._node_state(nid)
+        state.ensure_view(
+            counts, ids, frac, self._local_cells_static[nid],
+            resolve_backend(self.force_impl).band_pairs,
         )
-        pid_cat = np.concatenate([d.particle_ids for _, d in visible])
-        spc_cat = np.concatenate([d.species for _, d in visible])
-        potential, returns = self._eval_core(
-            node.node_id, sorted(node.local_cells), counts, start,
-            frac_cat, pid_cat, spc_cat, bank,
+        self._prepare(state)
+        out = _Pass(
+            np.zeros((n_slots, 3), dtype=np.float32),
+            np.zeros((n_slots, 3), dtype=np.float32),
+            self._plan, arena, self._remote_rows[nid],
         )
-        return bank, potential, returns
+        potential = self._evaluate(state, frac, out)
+        # Adder-tree combination of the banks on the node's own slots.
+        own = self._cell_node[state.clist.sorted_cids] == nid
+        return _NodeResult(
+            state.ids[own],
+            out.home_bank[own] + out.nbr_bank[own],
+            float(potential),
+            self._returns(out.records, state.ids),
+            int(out.accepted.sum()),
+        )
 
-    def _eval_core(
-        self,
-        node_id: int,
-        local_cells,
-        counts: np.ndarray,
-        start: np.ndarray,
-        frac_cat: np.ndarray,
-        pid_cat: np.ndarray,
-        spc_cat: np.ndarray,
-        bank: np.ndarray,
-    ) -> Tuple[float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Shared evaluation core for one node's flattened inputs.
+    def _returns(
+        self, records: list, ids: np.ndarray
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """A node's records grouped by the owner of their neighbor cell:
+        ``(particle ids, float32 forces)`` in evaluation order."""
+        if not records:
+            return {}
+        rows, slots, forces = (np.concatenate(x) for x in zip(*records))
+        owners = self._cell_node[self._plan.nbr[rows]]
+        by_owner = np.argsort(owners, kind="stable")
+        bounds = np.flatnonzero(np.diff(owners[by_owner])) + 1
+        return {
+            int(owners[seg[0]]): (ids[slots[seg]], forces[seg])
+            for seg in np.split(by_owner, bounds)
+        }
 
-        The node's visible cells (local + halo), already concatenated in
-        ascending-cid order into flat position-cache arrays, flow as all
-        candidate pairs of the node's plan rows through the filter and
-        pipelines in batches, like the global machine's hot path.
-        Accumulates into ``bank`` (a private array or this node's
-        shared-memory slice) and returns the partial potential plus the
-        per-owner neighbor-force segments.
-        """
-        plan = self._plan
-        potential = np.float32(0.0)
-        returns: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        owner_is_local = self._cell_node == node_id
-
-        rows = (
-            np.asarray(local_cells, dtype=np.int64)[:, None]
-            * ROWS_PER_CELL
-            + np.arange(ROWS_PER_CELL, dtype=np.int64)[None, :]
-        ).reshape(-1)
-        n_slots = np.int64(start[-1])
-
-        backend = resolve_backend(self.force_impl)
-        for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
-            dr, r2 = backend.screen_dr(
-                frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
-            )
-            res = self.filter.admit_r2(r2)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = chunk.ii[m]
-            jj = chunk.jj[m]
-            row = chunk.row[m]
-            f, e = self._pipelines(
-                dr[m], res.r2,
-                spc_cat[ii], spc_cat[jj],
-                pid_cat[ii], pid_cat[jj],
-            )
-            scatter_add(bank, pid_cat[ii], f)
-            potential += e.sum(dtype=np.float32)
-            # Reaction forces: straight into the bank when the neighbor
-            # particle lives on this node, else per-(block, particle)
-            # records returned to the owner.
-            keep = plan.is_self[row] | owner_is_local[plan.nbr[row]]
-            if keep.any():
-                scatter_add(bank, pid_cat[jj[keep]], -f[keep])
-            rem = ~keep
-            if rem.any():
-                # One record per (plan row, neighbor particle), forces
-                # coalesced — chunks carry whole rows, so per-chunk
-                # grouping is per-block exact; ascending keys preserve
-                # the (home cell, offset, slot) record order of the
-                # hardware's return stream.
-                keys, inv = np.unique(
-                    row[rem] * n_slots + jj[rem], return_inverse=True
-                )
-                fr = np.zeros((len(keys), 3), dtype=np.float32)
-                scatter_add(fr, inv, -f[rem])
-                urow = keys // n_slots
-                uslot = keys % n_slots
-                owners = self._cell_node[plan.nbr[urow]]
-                upid = pid_cat[uslot]
-                # Segment the ascending-key records by owning node:
-                # stable sort keeps the hardware's return-stream order
-                # within each owner's segment.
-                osort = np.argsort(owners, kind="stable")
-                so = owners[osort]
-                bounds = np.flatnonzero(np.diff(so)) + 1
-                for seg in np.split(osort, bounds):
-                    returns.setdefault(int(owners[seg[0]]), []).append(
-                        (upid[seg], fr[seg])
-                    )
-        return float(potential), returns
+    def _node_state(self, nid: int) -> Tuple[CellState, _StepArena]:
+        """Node ``nid``'s view state and scratch in this evaluator — a
+        cache (reuse is decided from the view alone and is bitwise a
+        fresh build).  A forked worker runs whichever node the pool
+        hands it and holds one node's state at a time."""
+        entry = self._node_states.get(nid)
+        if entry is None:
+            if os.getpid() != self._owner_pid:
+                self._node_states.clear()
+            entry = (self._new_cell_state(view=True), _StepArena())
+            self._node_states[nid] = entry
+        return entry
 
     # -- zero-copy shared-memory evaluation -------------------------------------
 
     def _ensure_shm(self) -> bool:
-        """Create the shared position/bank/metadata segments (once).
+        """Create the shared position/metadata segments (once).
 
         Segment sizes are static for the machine's life: fractions
-        ``(N, 3)`` float64, per-node force banks ``(n_fpgas, N, 3)``
-        float32, per-node visible-cell counts ``(n_fpgas, n_cells)``
-        int64, and a particle-id catalog sized by the provable bound
+        ``(N, 3)`` float64, per-node visible-cell counts
+        ``(n_fpgas, n_cells)`` int64, and a particle-id catalog sized by
+        the provable bound
         ``N * (1 + max destinations per cell)`` (each cell's particles
         appear once locally plus at most once per destination node of
         its send flows).  Creation shuts any existing pool down so the
@@ -1357,9 +1250,6 @@ class DistributedMachine:
             self._shm_frac = np.ndarray(
                 (n, 3), dtype=np.float64, buffer=seg(n * 3 * 8).buf
             )
-            self._shm_banks = np.ndarray(
-                (nf, n, 3), dtype=np.float32, buffer=seg(nf * n * 3 * 4).buf
-            )
             self._shm_counts = np.ndarray(
                 (nf, nc), dtype=np.int64, buffer=seg(nf * nc * 8).buf
             )
@@ -1378,7 +1268,6 @@ class DistributedMachine:
     def _release_shm(self) -> None:
         """Drop the numpy views, then close and unlink every segment."""
         self._shm_frac = None
-        self._shm_banks = None
         self._shm_counts = None
         self._shm_pids = None
         self._shm_meta_cids = None
@@ -1396,11 +1285,10 @@ class DistributedMachine:
         """Refresh the shared segments for this force pass.
 
         The fraction segment is copied in place every step; the
-        partition metadata (per-node visible-cell counts + concatenated
-        particle ids, ascending cid — exactly the flattening
-        :meth:`_evaluate_node` performs) is rewritten only when the cell
-        assignment changed since the last pack.  Returns the tiny
-        per-node ``(node_id, pid_offset, pid_len)`` task tuples.
+        partition metadata (each node's view counts and slot ids) is
+        rewritten only when the cell assignment changed since the last
+        pack.  Returns the tiny per-node ``(node_id, pid_offset,
+        pid_len)`` task tuples.
         """
         np.copyto(self._shm_frac, self._last_frac)
         if self._shm_tasks is not None and np.array_equal(
@@ -1410,52 +1298,28 @@ class DistributedMachine:
         tasks: List[Tuple[int, int, int]] = []
         off = 0
         for nid in sorted(nodes):
-            node = nodes[nid]
-            visible = sorted(
-                list(node.cells.items()) + list(node.halo.items())
-            )
-            cnt_row = self._shm_counts[nid]
-            cnt_row.fill(0)
-            lo = off
-            for cid, data in visible:
-                k = len(data.particle_ids)
-                cnt_row[cid] = k
-                self._shm_pids[off:off + k] = data.particle_ids
-                off += k
-            tasks.append((nid, lo, off - lo))
+            counts, ids, _ = self._node_view(nodes[nid])
+            self._shm_counts[nid] = counts
+            self._shm_pids[off:off + len(ids)] = ids
+            tasks.append((nid, off, len(ids)))
+            off += len(ids)
         self._shm_meta_cids = self._last_cids.copy()
         self._shm_tasks = tasks
         return tasks
 
-    def _evaluate_node_shm(
-        self, task: Tuple[int, int, int]
-    ) -> Tuple[int, float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]]]:
+    def _evaluate_node_shm(self, task: Tuple[int, int, int]) -> _NodeResult:
         """Worker-side evaluation against the shared segments.
 
-        Reconstructs exactly the flattened inputs of
-        :meth:`_evaluate_node` — without an injector every halo fraction
-        equals ``frac[pid]`` of the sender and every halo species equals
-        ``system.species[pid]``, so the global gathers reproduce the
-        per-cell concatenation bit for bit — and accumulates into this
-        node's shared bank slice instead of returning a pickled array.
+        Reconstructs exactly the view of :meth:`_evaluate_node` —
+        without an injector every halo fraction equals ``frac[pid]`` of
+        the sender, so the global gather reproduces the per-cell
+        concatenation bit for bit.
         """
         nid, off, ln = task
-        counts = self._shm_counts[nid]
-        bank = self._shm_banks[nid]
-        bank.fill(0)
-        local_cells = self._local_cells_static[nid]
-        self._verify_id_conversion(local_cells, self._node_coords[nid])
-        if ln == 0:
-            return nid, 0.0, {}
-        start = np.concatenate([[0], np.cumsum(counts)])
-        pid_cat = self._shm_pids[off:off + ln]
-        frac_cat = self._shm_frac[pid_cat]
-        spc_cat = self.system.species[pid_cat]
-        potential, returns = self._eval_core(
-            nid, local_cells, counts, start,
-            frac_cat, pid_cat, spc_cat, bank,
+        ids = self._shm_pids[off:off + ln]
+        return self._eval_view(
+            nid, self._shm_counts[nid], ids, self._shm_frac[ids]
         )
-        return nid, potential, returns
 
     def _get_executor(self):
         """Build (once) and return the evaluation pool for this machine.
@@ -1463,9 +1327,10 @@ class DistributedMachine:
         ``"thread"``/``True`` gets a thread pool; ``"process"`` a forked
         process pool.  Forked workers inherit the machine by reference
         at fork time; :meth:`_evaluate_node` reads only *static* machine
-        state (geometry, plan, filter, pipelines) — all per-step state
-        travels inside the pickled ``_Node`` — so the workers stay valid
-        for the machine's whole life and the pool is reused across steps.
+        state (geometry, plan, filter, pipelines) plus the worker's own
+        node-state caches — all per-step state travels inside the
+        pickled ``_Node`` — so the workers stay valid for the machine's
+        whole life and the pool is reused across steps.
         """
         kind = "process" if self.parallel == "process" else "thread"
         if self._executor is not None and self._executor_kind == kind:
@@ -1539,12 +1404,11 @@ class DistributedMachine:
         """Evaluate every node serially or on the configured pool.
 
         ``parallel="process"`` without a fault injector takes the
-        zero-copy route: only ``(node_id, offset, length)`` tuples cross
-        the pipe; fractions travel through the shared position segment
-        and each node's bank comes back through its shared slice.  With
-        an injector the halo can degrade to stale snapshots (which the
-        shared gather cannot reproduce), so the pickled-``_Node`` oracle
-        path runs instead.
+        zero-copy route: only task tuples go out, fractions travel
+        through the shared position segment, and the node-sized results
+        come back.  With an injector the halo can degrade to stale
+        snapshots (which the shared gather cannot reproduce), so the
+        pickled-``_Node`` path runs instead.
         """
         if not self.parallel:
             return [self._evaluate_node(node) for node in node_list]
@@ -1557,30 +1421,26 @@ class DistributedMachine:
         if self._executor_kind != "process":
             return list(pool.map(self._evaluate_node, node_list))
         if use_shm:
-            tasks = self._pack_shm(nodes)
-            return [
-                (self._shm_banks[nid], pot, rets)
-                for nid, pot, rets in pool.map(_fork_eval_node_shm, tasks)
-            ]
+            return list(pool.map(_fork_eval_node_shm, self._pack_shm(nodes)))
         return list(pool.map(_fork_eval_node, node_list))
 
     def _merge_results(self, node_list: List[_Node], results) -> float:
         # Deterministic merge in node-id order (independent of worker
-        # scheduling): sum banks, apply returned neighbor forces.
+        # scheduling): each node's own rows, then the returned neighbor
+        # forces.
         home_bank = np.zeros((self.system.n, 3), dtype=np.float32)
         potential = np.float32(0.0)
         return_records: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
             n.node_id: [] for n in node_list
         }
-        for bank, pot, returns in results:
-            home_bank += bank
-            potential += np.float32(pot)
-            for owner, segments in returns.items():
-                return_records[owner].extend(segments)
+        for res in results:
+            home_bank[res.ids] += res.forces
+            potential += np.float32(res.potential)
+            for owner, segment in res.returns.items():
+                return_records[owner].append(segment)
         # Force return: apply each arriving segment in order and account
-        # its packets.  Segments from one evaluating node never repeat a
-        # (block, particle) key, so within a segment the scatter is
-        # collision-ordered exactly like the per-record loop was.
+        # its packets.  A segment holds one record per (block, particle)
+        # key of one evaluating node.
         for node in node_list:
             n_records = 0
             for pids, fvecs in return_records[node.node_id]:
@@ -1593,64 +1453,5 @@ class DistributedMachine:
         self._forces32 = home_bank
         return float(potential)
 
-    # -- integration ------------------------------------------------------------
-
-    @property
-    def forces(self) -> np.ndarray:
-        return self._forces32
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self._velocities32
-
-    def kinetic_energy(self) -> float:
-        v = self._velocities32.astype(np.float64)
-        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
-        return ke / KCAL_MOL_TO_INTERNAL
-
-    def _accel32(self, forces: np.ndarray) -> np.ndarray:
-        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
-        return forces * factor[:, None]
-
-    def step(self) -> float:
-        """One distributed timestep (identical integrator to the machine)."""
-        if not self._primed:
-            self.compute_forces()
-            self._primed = True
-        dt = np.float32(self.config.dt_fs)
-        with self.timings.phase("integrate"):
-            accel = self._accel32(self._forces32)
-            delta = (
-                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
-            ).astype(np.float64)
-            self.system.positions += delta
-            self.system.wrap()
-        self.compute_forces()
-        with self.timings.phase("integrate"):
-            accel_new = self._accel32(self._forces32)
-            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
-            self.system.velocities[:] = self._velocities32
-            self.system.forces[:] = self._forces32
-        return self._last_potential
-
-    def run(self, n_steps: int, record_every: int = 1) -> List[EnergyRecord]:
-        """Run steps with energy recording (same schema as the machine)."""
-        if n_steps < 0:
-            raise ValidationError("n_steps must be >= 0")
-        appended: List[EnergyRecord] = []
-        if not self._primed:
-            self.compute_forces()
-            self._primed = True
-            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
-            self.history.append(rec)
-            appended.append(rec)
-        start = self.history[-1].step if self.history else 0
-        for i in range(1, n_steps + 1):
-            self.step()
-            if record_every and i % record_every == 0:
-                rec = EnergyRecord(
-                    start + i, self.kinetic_energy(), self._last_potential
-                )
-                self.history.append(rec)
-                appended.append(rec)
-        return appended
+    def _force_pass(self) -> float:
+        return self.compute_forces()

@@ -21,6 +21,10 @@ The machine produces both *physics* (trajectories, energies — compared
 against the float64 reference in Fig. 19) and *workload statistics*
 (candidates, acceptance, traffic, ring loads — the inputs to the cycle
 model behind Figs. 16-18).
+
+It and :class:`~repro.core.distributed.DistributedMachine` evaluate
+through :class:`MachineCore`, the one datapath force core (with the
+physics set-up and integrator) that every FASDA node runs.
 """
 
 from __future__ import annotations
@@ -183,17 +187,36 @@ class _StepArena:
         return buf[:n]
 
 
+class _Pass:
+    """One datapath pass: banks indexed like the binning's bank rows
+    (``clist.order``), admitted pairs per cell, unique neighbor-force
+    records per plan row, scratch, and — given a ``remote`` plan-row
+    mask (a node view) — the ``records`` list those rows' reactions are
+    appended to as ``(rows, bank rows, float32 forces)``, one coalesced
+    record per (row, neighbor).  The halo bank rows they also touch are
+    the caller's to ignore."""
+
+    def __init__(self, home_bank, nbr_bank, plan, arena, remote=None):
+        self.home_bank = home_bank
+        self.nbr_bank = nbr_bank
+        self.accepted = np.zeros(plan.n_cells, dtype=np.int64)
+        self.uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
+        self.arena = arena
+        self.remote = remote
+        self.records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+
 class _MachineArtifacts:
     """Per-build reuse artifacts over one CellState's band lists.
 
     Everything here is a pure function of the band pair list, the bucket
     order and the (fixed) species/charges — valid until the next
-    rebuild.  Pre-gathering the global particle ids, per-pair LJ
-    coefficients and Coulomb charge products turns the per-step work
-    into sequential passes over flat arrays; the preallocated scratch
-    buffers make the displacement/r2 phase allocation-free.  Built in
-    the ``build`` phase right after each rebuild, so phase timings
-    charge every per-rebuild cost to ``build``.
+    rebuild.  Pre-gathering the bank rows, per-pair LJ coefficients and
+    Coulomb charge products turns the per-step work into sequential
+    passes over flat arrays; the preallocated scratch buffers make the
+    displacement/r2 phase allocation-free.  Built in the ``build`` phase
+    right after each rebuild, so phase timings charge every per-rebuild
+    cost to ``build``.
     """
 
     __slots__ = (
@@ -214,7 +237,7 @@ class _MachineArtifacts:
         "present",
     )
 
-    def __init__(self, machine: "FasdaMachine", state: CellState):
+    def __init__(self, machine: "MachineCore", state: CellState):
         pairs = state.pairs
         order = state.clist.order
         self.segs = pairs.segs
@@ -224,6 +247,11 @@ class _MachineArtifacts:
         self.CJ = pairs.c * state.cap + pairs.js
         self.II = order[pairs.a]
         self.JJ = order[pairs.b]
+        # Particle ids of each pair: the bank rows themselves on a
+        # whole-box binning, the slot ids on a node view.
+        pi, pj = self.II, self.JJ
+        if state.ids is not None:
+            pi, pj = state.ids[pairs.a], state.ids[pairs.b]
         pipe = machine.pipeline
         # Single-species boxes (the paper's workload) have constant
         # coefficient ROMs: multiplying by the float32 scalar is
@@ -237,15 +265,15 @@ class _MachineArtifacts:
             self.c6p = pipe._c6.reshape(())[()]
         else:
             spc = machine.system.species
-            si = spc[self.II]
-            sj = spc[self.JJ]
+            si = spc[pi]
+            sj = spc[pj]
             self.c14p = pipe._c14[si, sj]
             self.c8p = pipe._c8[si, sj]
             self.c12p = pipe._c12[si, sj]
             self.c6p = pipe._c6[si, sj]
         self.qqp = None
         if machine.coulomb_pipeline is not None:
-            self.qqp = machine._charges32[self.II] * machine._charges32[self.JJ]
+            self.qqp = machine._charges32[pi] * machine._charges32[pj]
         L = pairs.n_pairs
         # The backends' shared admit_flat scratch, (idx, r2, dx, dy,
         # dz), and the bucket-slot presence bits of the unique-record
@@ -254,12 +282,13 @@ class _MachineArtifacts:
             np.empty(L, dtype=np.float32) for _ in range(4)
         )
         self.present = np.zeros(
-            machine._plan.n_cells * state.cap, dtype=bool
+            ROWS_PER_CELL * machine._plan.n_cells * state.cap, dtype=bool
         )
 
 
-class FasdaMachine:
-    """Functional + statistical simulator of a FASDA deployment.
+class MachineCore:
+    """Physics set-up, datapath force core and integrator shared by the
+    single machine and every distributed node.
 
     Parameters
     ----------
@@ -323,30 +352,11 @@ class FasdaMachine:
                 n_b=config.table_nb,
             )
             self._charges32 = self.system.charges.astype(np.float32)
-        # Static geometry: cell -> owning node.
+        # Static geometry: cell coordinates and the shared half-shell
+        # pair plan.
         self._cell_coords = self.grid.cell_coords(
             np.arange(self.grid.n_cells, dtype=np.int64)
         )
-        node_coords = node_of_cell(self._cell_coords, config.local_cells)
-        fg = config.fpga_grid
-        self._cell_node = (
-            node_coords[:, 0] * fg[1] * fg[2]
-            + node_coords[:, 1] * fg[2]
-            + node_coords[:, 2]
-        )
-        # Local ring slot per cell (EX node occupies the last slot).
-        order = cbb_ring_order(config.local_cells)
-        local_index = {c: i for i, c in enumerate(order)}
-        local_coords = self._cell_coords - node_coords * np.asarray(
-            config.local_cells
-        )
-        self._cell_ring_slot = np.array(
-            [local_index[tuple(c)] for c in local_coords], dtype=np.int64
-        )
-        self._ring_slots = config.cells_per_fpga + 1  # + EX
-        self._ex_slot = config.cells_per_fpga
-        # Static half-shell topology: the shared (cached) pair plan
-        # carries every (home, neighbor, shift) triple as flat arrays.
         self._plan = plan_for_grid(self.grid)
         self._neighbor_cids = self._plan.neighbor_ids
         #: Force backend (see :mod:`repro.md.backends`): ``None`` uses
@@ -358,29 +368,16 @@ class FasdaMachine:
         #: backend, so admissions, statistics, traffic and the
         #: potential are **bitwise identical** across backends.
         self.force_impl: Optional[str] = None
-        #: Skin margin (angstrom) for the persistent state's band lists.
+        #: Skin margin (angstrom) for the persistent states' band lists.
         self.reuse_skin = 0.15 * config.cutoff
-        self._cell_state = None
         self._rom32_cache = None
-        #: Per-phase wall-clock counters (build/force/traffic/ring/
-        #: integrate), off by default; enable with
-        #: ``machine.timings.enabled = True``.  ``ring`` time is charged
-        #: inside the ``traffic`` phase.
+        #: Per-phase wall-clock counters; ``timings.enabled = True``.
         self.timings = StepTimings()
-        # Persistent per-step force banks and the named scratch arena:
-        # a reuse-path step performs no large allocations (see
-        # DESIGN.md §13).
-        self._home_bank: Optional[np.ndarray] = None
-        self._nbr_bank: Optional[np.ndarray] = None
-        self._arena = _StepArena()
         self.history: List[EnergyRecord] = []
         self._primed = False
         self._last_potential = 0.0
-        self.last_stats: Optional[StepStats] = None
-        #: Migration accounting from the most recent step (MU-ring load).
-        self.last_migrations = None
 
-    # -- force evaluation ------------------------------------------------------
+    # -- the datapath force core -----------------------------------------------
 
     def _pipelines(
         self,
@@ -405,145 +402,34 @@ class FasdaMachine:
             e = e + ec
         return f, e
 
-    def compute_forces(self, collect_traffic: bool = True) -> StepStats:
-        """One full force-evaluation pass through the modeled datapath.
-
-        Updates the internal float32 force banks and returns workload
-        statistics.  Does not advance time.
-
-        Every pass goes through the persistent skin-banded
-        :class:`~repro.md.cellstate.CellState`, rebuilt on the skin/2
-        displacement criterion or any cell reassignment.  Dense boxes
-        (the paper's 64-per-cell workload) evaluate over its band lists
-        (:meth:`_eval_reuse`); sparse or skewed occupancies, where the
-        padded candidate search does not pay, keep no band lists and
-        take the chunked enumeration (:meth:`_eval_chunked`) over a
-        fresh binning.  The choice depends only on the input, and both
-        admit the same pair set through the real
-        :class:`~repro.core.datapath.PairFilter`.  Traffic accounting
-        runs as vectorized group-by passes.
-        """
-        cfg = self.config
-        plan = self._plan
-        pos = self.system.positions
-        n = self.system.n
-        n_cells = self.grid.n_cells
-        with self.timings.phase("build"):
-            state = self.ensure_cell_state()
-            state.ensure(pos, resolve_backend(self.force_impl).band_pairs)
-            clist = state.clist
-            frac = quantize_cell_fractions(pos, state.coords, cfg.cutoff, self.fmt)
-            # Per-rebuild gathers belong to the build, not the force pass.
-            if state.pairs is not None and "machine" not in state.artifacts:
-                state.artifacts["machine"] = _MachineArtifacts(self, state)
-
-        # Persistent force banks (zeroed in place each pass) — the two
-        # largest per-step arrays; their adder-tree sum below still
-        # produces a fresh array so returned force snapshots stay valid.
-        if self._home_bank is None or len(self._home_bank) != n:
-            self._home_bank = np.zeros((n, 3), dtype=np.float32)
-            self._nbr_bank = np.zeros((n, 3), dtype=np.float32)
-        else:
-            self._home_bank.fill(0)
-            self._nbr_bank.fill(0)
-        home_bank = self._home_bank
-        nbr_bank = self._nbr_bank
-        candidates = candidates_per_cell(plan, clist.counts)
-        accepted = np.zeros(n_cells, dtype=np.int64)
-        # Unique neighbor particles touched per plan row — the per-block
-        # force-return record counts of the hardware (zero forces and
-        # duplicate touches within a block are coalesced).
-        uniq_per_row = np.zeros(plan.n_rows, dtype=np.int64)
-
-        with self.timings.phase("force"):
-            potential = self._evaluate(
-                state, frac, home_bank, nbr_bank, accepted, uniq_per_row
-            )
-
-        nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
-        scatter_add(nbr_frc_records, plan.home, uniq_per_row)
-
-        occupancy = clist.occupancies()
-        if collect_traffic:
-            with self.timings.phase("traffic"):
-                position_records, force_records, pr_models, fr_models = (
-                    self._account_traffic(clist.counts, occupancy, uniq_per_row)
-                )
-        else:
-            position_records = {}
-            force_records = {}
-            pr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, +1))
-                for n_ in range(cfg.n_fpgas)
-            }
-            fr_models = {
-                n_: RingLoadModel(RingPath(self._ring_slots, -1))
-                for n_ in range(cfg.n_fpgas)
-            }
-
-        # Adder-tree combination of the FC banks (Sec. 4.5).
-        self._forces32 = home_bank + nbr_bank
-
-        stats = StepStats(
-            candidates_per_cell=candidates,
-            accepted_per_cell=accepted,
-            occupancy_per_cell=occupancy.copy(),
-            potential_energy=float(potential),
-            position_records=position_records,
-            force_records=force_records,
-            pr_load={n: RingLoadSummary.from_model(m) for n, m in pr_models.items()},
-            fr_load={n: RingLoadSummary.from_model(m) for n, m in fr_models.items()},
-            neighbor_force_records_per_cell=nbr_frc_records,
-            state_builds=state.builds,
-            state_reused=not state.last_rebuilt,
-            timings=self.timings.snapshot(),
+    def _new_cell_state(self, view: bool = False) -> CellState:
+        """A persistent :class:`CellState` (band lists only where
+        :func:`~repro.md.reference._padded_viable`); ``view=True`` makes
+        a node view state: slot fractions in, skin in cutoff units."""
+        cutoff = self.config.cutoff
+        return CellState(
+            self.grid,
+            self._plan,
+            self.reuse_skin / cutoff if view else self.reuse_skin,
+            machine_pack_fn(
+                self.fmt, cutoff, self.reuse_skin, None if view else self.grid
+            ),
+            viable=_padded_viable,
         )
-        self.last_stats = stats
-        return stats
 
-    def _evaluate(
-        self,
-        state: CellState,
-        frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> np.float32:
-        """The datapath pass, chosen from the input alone: band lists
-        when the state holds them (dense boxes), chunked enumeration
-        otherwise."""
+    def _prepare(self, state: CellState) -> None:
+        """Attach the per-build artifacts the band-list pass reads."""
+        if state.pairs is not None and "machine" not in state.artifacts:
+            state.artifacts["machine"] = _MachineArtifacts(self, state)
+
+    def _evaluate(self, state: CellState, frac: np.ndarray, out: _Pass) -> np.float32:
+        """One datapath pass over ``state``'s binning into ``out``: band
+        lists when the state holds them, chunked enumeration otherwise.
+        ``frac`` is indexed like ``state.clist.order`` (particles for a
+        whole box, slots for a node view)."""
         if state.pairs is not None:
-            return self._eval_reuse(
-                state, frac, home_bank, nbr_bank, accepted, uniq_per_row
-            )
-        return self._eval_chunked(
-            state.clist, frac, home_bank, nbr_bank, accepted, uniq_per_row
-        )
-
-    # -- step-persistent state -------------------------------------------------
-
-    def ensure_cell_state(self) -> CellState:
-        """Create (once) and return the persistent :class:`CellState`.
-
-        Creation alone does not build the band lists (the next force
-        pass does); checkpoint restore uses this to reattach the reuse
-        counters without paying an immediate build.  Band lists are
-        built only where the padded candidate search is viable
-        (:func:`~repro.md.reference._padded_viable`); other binnings
-        are rebuilt on every pass.
-        """
-        if self._cell_state is None:
-            self._cell_state = CellState(
-                self.grid,
-                self._plan,
-                self.reuse_skin,
-                machine_pack_fn(
-                    self.fmt, self.config.cutoff, self.reuse_skin, self.grid
-                ),
-                viable=_padded_viable,
-            )
-        return self._cell_state
+            return self._eval_reuse(state, frac, out)
+        return self._eval_chunked(state.clist, frac, out, state.ids, state.home)
 
     def _rom32(self) -> Dict[object, Tuple[np.ndarray, np.ndarray]]:
         """Flattened float32 coefficient ROM images, built once.
@@ -568,15 +454,7 @@ class FasdaMachine:
             self._rom32_cache = roms
         return self._rom32_cache
 
-    def _eval_reuse(
-        self,
-        state: CellState,
-        frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-    ) -> np.float32:
+    def _eval_reuse(self, state: CellState, frac: np.ndarray, out: _Pass) -> np.float32:
         """Datapath pass over the persistent skin-banded pair lists.
 
         Bitwise-identical to a fresh padded-broadcast pass on the same
@@ -598,8 +476,8 @@ class FasdaMachine:
         :func:`~repro.md.kernels.scatter_add`'s own definition.
         """
         art = state.artifacts["machine"]
-        n = self.system.n
         order = state.clist.order
+        n = len(order)
         segs = art.segs
 
         # Bucket-sorted fractions in float32 — exact: fractions are
@@ -608,7 +486,7 @@ class FasdaMachine:
         # bit-equal to casting the fresh path's float64 dr.  Gathered
         # through the arena: take into a float64 column, cast in place
         # (the same per-element f64 -> f32 rounding as astype).
-        ar = self._arena
+        ar = out.arena
         t64col = ar.get("fs_t64", n, np.float64)
         fsx = ar.get("fsx", n, np.float32)
         fsy = ar.get("fsy", n, np.float32)
@@ -619,7 +497,6 @@ class FasdaMachine:
         fsy[:] = t64col
         np.take(frac[:, 2], order, out=t64col)
         fsz[:] = t64col
-        potential = np.float32(0.0)
         backend = resolve_backend(self.force_impl)
         # Band-list admission (see repro.md.backends.admit_flat_numpy):
         # admitted indices over the whole band in stored order, which is
@@ -634,7 +511,7 @@ class FasdaMachine:
             scratch=art.admit_scratch, copy=False,
         )
         if idx.size == 0:
-            return potential
+            return np.float32(0.0)
         bounds = np.searchsorted(idx, segs)
         r2_min32 = np.float32(self.filter.r2_min)
         if np.any(r2a < r2_min32):
@@ -675,9 +552,7 @@ class FasdaMachine:
                 coul, fxa, fya, fza, e,
             )
             return self._eval_reduce(
-                state, art, idx, e, fxa, fya, fza, bounds,
-                home_bank, nbr_bank, accepted, uniq_per_row, potential,
-                backend,
+                state, art, idx, e, fxa, fya, fza, bounds, out, backend
             )
         # Section/bin decode straight from the float32 bit fields:
         # s = biased_exponent - (127 - n_s), b = top log2(n_b) mantissa
@@ -782,9 +657,7 @@ class FasdaMachine:
             inve *= qq
             e += inve
         return self._eval_reduce(
-            state, art, idx, e, fxa, fya, fza, bounds,
-            home_bank, nbr_bank, accepted, uniq_per_row, potential,
-            backend,
+            state, art, idx, e, fxa, fya, fza, bounds, out, backend
         )
 
     def _eval_reduce(
@@ -797,22 +670,20 @@ class FasdaMachine:
         fya: np.ndarray,
         fza: np.ndarray,
         bounds: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
-        potential: np.float32,
+        out: _Pass,
         backend,
     ) -> np.float32:
         """Order-sensitive reductions over the evaluated pair stream:
         per-offset bank scatters, acceptance counts, unique-record
-        statistics and the per-offset float32 energy sums.  Shared by
-        the numpy pipeline and the fused ``rom_eval`` kernel — both
-        hand over bitwise-identical ``e``/``f`` streams, so everything
-        here is invariant to which produced them."""
-        ar = self._arena
-        n = self.system.n
+        statistics, remote-row records and the per-offset float32 energy
+        sums.  Shared by the numpy pipeline and the fused ``rom_eval``
+        kernel — both hand over bitwise-identical ``e``/``f`` streams,
+        so everything here is invariant to which produced them."""
+        ar = out.arena
+        home_bank, nbr_bank = out.home_bank, out.nbr_bank
+        n = len(home_bank)
         cap = state.cap
+        potential = np.float32(0.0)
         m = idx.size
         II = ar.get("II", m, art.II.dtype)
         JJ = ar.get("JJ", m, art.JJ.dtype)
@@ -836,49 +707,80 @@ class FasdaMachine:
 
         else:
             scat_cols = _scatter_cols
-        present = art.present
+        scatter_add(out.accepted, CC)
         for k in range(ROWS_PER_CELL):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             if lo == hi:
                 continue
             sl = slice(lo, hi)
-            scatter_add(accepted, CC[sl])
             scat_cols(home_bank, II[sl], fxa[sl], fya[sl], fza[sl], n)
             np.negative(fxa[sl], out=fxa[sl])
             np.negative(fya[sl], out=fya[sl])
             np.negative(fza[sl], out=fza[sl])
-            if k == 0:
-                scat_cols(home_bank, JJ[sl], fxa[sl], fya[sl], fza[sl], n)
-            else:
-                scat_cols(nbr_bank, JJ[sl], fxa[sl], fya[sl], fza[sl], n)
-                present[:] = False
-                present[art.CJ.take(idx[sl])] = True
-                touched = np.flatnonzero(present)
-                scatter_add(uniq_per_row, (touched // cap) * ROWS_PER_CELL + k)
+            bank = home_bank if k == 0 else nbr_bank
+            scat_cols(bank, JJ[sl], fxa[sl], fya[sl], fza[sl], n)
             potential += e[sl].sum(dtype=np.float32)
+        # Unique (row, neighbor slot) records of the neighbor offsets:
+        # presence bits over (offset, cell, slot) keys, each offset
+        # owning its rows outright.
+        lo = int(bounds[1])
+        if lo == m:
+            return potential
+        ccap = self._plan.n_cells * cap
+        keys = art.CJ.take(idx[lo:])
+        keys += np.repeat(np.arange(1, ROWS_PER_CELL) * ccap, np.diff(bounds[1:]))
+        present = art.present
+        present[:] = False
+        present[keys] = True
+        touched = np.flatnonzero(present)
+        k_of, cj = np.divmod(touched, ccap)
+        rows = (cj // cap) * ROWS_PER_CELL + k_of
+        scatter_add(out.uniq_per_row, rows)
+        rem = None if out.remote is None else out.remote[rows]
+        if rem is not None and rem.any():
+            # The presence bits are the record keys: one record per
+            # (row, neighbor slot), its (already negated) reaction
+            # forces coalesced per key.
+            touched, rows = touched[rem], rows[rem]
+            fr = np.empty((len(touched), 3), dtype=np.float32)
+            for d, w in enumerate((fxa, fya, fza)):
+                fr[:, d] = np.bincount(
+                    keys, weights=w[lo:], minlength=present.size
+                )[touched]
+            clist = state.clist
+            slots = clist.start[self._plan.nbr[rows]] + cj[rem] % cap
+            out.records.append((rows, clist.order[slots], fr))
         return potential
 
     def _eval_chunked(
         self,
         clist: CellList,
         frac: np.ndarray,
-        home_bank: np.ndarray,
-        nbr_bank: np.ndarray,
-        accepted: np.ndarray,
-        uniq_per_row: np.ndarray,
+        out: _Pass,
+        ids: Optional[np.ndarray] = None,
+        home: Optional[np.ndarray] = None,
     ) -> np.float32:
         """Gather-enumerated datapath pass (the original hot loop).
 
-        All candidate pairs flow through the filter and the force
-        pipelines in step-wide batches from the shared pair plan — the
-        path for sparse or skewed boxes, where the padded candidate
-        search does not pay.
+        All candidate pairs of the ``home`` cells' rows (every row when
+        None) flow through the filter and the force pipelines in
+        step-wide batches from the shared pair plan — the path for
+        sparse or skewed boxes, where the padded candidate search does
+        not pay.  ``ids`` maps bank rows to particle ids (None: they
+        coincide).
         """
         plan = self._plan
-        n = np.int64(self.system.n)
+        n = np.int64(len(out.home_bank))
         potential = np.float32(0.0)
         backend = resolve_backend(self.force_impl)
-        for chunk in iter_pair_chunks(plan, clist.counts, clist.start, clist.order):
+        rows = None
+        if home is not None:
+            rows = (
+                home[:, None] * ROWS_PER_CELL + np.arange(ROWS_PER_CELL)
+            ).reshape(-1)
+        for chunk in iter_pair_chunks(
+            plan, clist.counts, clist.start, clist.order, rows=rows
+        ):
             # Displacement home - neighbor = frac_h - offset - frac_n
             # (offset zero on home-home rows), exact in float64 for
             # quantized fractions, and its exact r2 for the filter.
@@ -892,21 +794,264 @@ class FasdaMachine:
             ii = chunk.ii[m]
             jj = chunk.jj[m]
             row = chunk.row[m]
-            scatter_add(accepted, plan.home[row])
-            f, e = self._pipelines(dr[m], res.r2, ii, jj)
+            scatter_add(out.accepted, plan.home[row])
+            gi, gj = (ii, jj) if ids is None else (ids[ii], ids[jj])
+            f, e = self._pipelines(dr[m], res.r2, gi, gj)
             sel = plan.is_self[row]
-            scatter_add(home_bank, ii, f)
+            scatter_add(out.home_bank, ii, f)
             if sel.any():
-                scatter_add(home_bank, jj[sel], -f[sel])
+                scatter_add(out.home_bank, jj[sel], -f[sel])
             nsel = ~sel
             if nsel.any():
-                scatter_add(nbr_bank, jj[nsel], -f[nsel])
+                fn = -f[nsel]
+                scatter_add(out.nbr_bank, jj[nsel], fn)
                 # Unique (row, neighbor particle) keys; chunks carry
                 # whole rows, so per-chunk uniqueness is per-block exact.
-                keys = np.unique(row[nsel] * n + jj[nsel])
-                scatter_add(uniq_per_row, keys // n)
+                keys, inv = np.unique(row[nsel] * n + jj[nsel], return_inverse=True)
+                krow = keys // n
+                scatter_add(out.uniq_per_row, krow)
+                rem = None if out.remote is None else out.remote[krow]
+                if rem is not None and rem.any():
+                    fr = np.zeros((len(keys), 3), dtype=np.float32)
+                    scatter_add(fr, inv, fn)
+                    out.records.append((krow[rem], keys[rem] % n, fr[rem]))
             potential += e.sum(dtype=np.float32)
         return potential
+
+    # -- time integration (motion-update units) --------------------------------
+
+    @property
+    def forces(self) -> np.ndarray:
+        """Current float32 forces (kcal/mol/A)."""
+        return self._forces32
+
+    @property
+    def velocities(self) -> np.ndarray:
+        """Current float32 velocities (A/fs)."""
+        return self._velocities32
+
+    def kinetic_energy(self) -> float:
+        """Kinetic energy (kcal/mol) from the float32 velocity cache."""
+        v = self._velocities32.astype(np.float64)
+        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
+        return ke / KCAL_MOL_TO_INTERNAL
+
+    def _accel32(self, forces: np.ndarray) -> np.ndarray:
+        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
+        return forces * factor[:, None]
+
+    def _force_pass(self, *pass_args, **pass_kw) -> float:
+        """One force pass; returns the potential energy."""
+        raise NotImplementedError
+
+    def _drift(self, delta: np.ndarray) -> None:
+        """Move every particle by ``delta`` and wrap into the box."""
+        self.system.positions += delta
+        self.system.wrap()
+
+    def step(self, *pass_args, **pass_kw) -> float:
+        """Advance one timestep; returns the new potential energy.
+
+        The motion-update unit integrates in float32; positions are held
+        as fixed-point cell offsets, re-quantized when the position
+        caches are rebuilt at the start of the next force phase.
+        Further arguments go to the force pass
+        (:class:`FasdaMachine`: ``collect_traffic``).
+        """
+        if not self._primed:
+            self._last_potential = self._force_pass(*pass_args, **pass_kw)
+            self._primed = True
+        with self.timings.phase("integrate"):
+            dt = np.float32(self.config.dt_fs)
+            accel = self._accel32(self._forces32)
+            delta = (
+                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
+            ).astype(np.float64)
+            self._drift(delta)
+        self._last_potential = self._force_pass(*pass_args, **pass_kw)
+        with self.timings.phase("integrate"):
+            accel_new = self._accel32(self._forces32)
+            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
+            # Keep the public system state consistent with the VC/FC
+            # caches so analysis code sees the machine's actual
+            # trajectory.
+            self.system.velocities[:] = self._velocities32
+            self.system.forces[:] = self._forces32
+        return self._last_potential
+
+    def run(
+        self, n_steps: int, record_every: int = 1, *pass_args, **pass_kw
+    ) -> List[EnergyRecord]:
+        """Run ``n_steps`` timesteps, recording energies like the reference
+        engine so the two histories compare directly (Fig. 19)."""
+        if n_steps < 0:
+            raise ValidationError("n_steps must be >= 0")
+        appended: List[EnergyRecord] = []
+        if not self._primed:
+            self._last_potential = self._force_pass(*pass_args, **pass_kw)
+            self._primed = True
+            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
+            self.history.append(rec)
+            appended.append(rec)
+        start = self.history[-1].step if self.history else 0
+        for i in range(1, n_steps + 1):
+            self.step(*pass_args, **pass_kw)
+            if record_every and i % record_every == 0:
+                rec = EnergyRecord(
+                    start + i, self.kinetic_energy(), self._last_potential
+                )
+                self.history.append(rec)
+                appended.append(rec)
+        return appended
+
+
+class FasdaMachine(MachineCore):
+    """Functional + statistical simulator of a FASDA deployment: the
+    whole box through the datapath, with the traffic of its partition
+    accounted.  Parameters as for :class:`MachineCore`."""
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        system: Optional[ParticleSystem] = None,
+        seed: int = 2023,
+    ):
+        super().__init__(config, system, seed)
+        # Static geometry: cell -> owning node.
+        node_coords = node_of_cell(self._cell_coords, config.local_cells)
+        fg = config.fpga_grid
+        self._cell_node = (
+            node_coords[:, 0] * fg[1] * fg[2]
+            + node_coords[:, 1] * fg[2]
+            + node_coords[:, 2]
+        )
+        # Local ring slot per cell (EX node occupies the last slot).
+        order = cbb_ring_order(config.local_cells)
+        local_index = {c: i for i, c in enumerate(order)}
+        local_coords = self._cell_coords - node_coords * np.asarray(
+            config.local_cells
+        )
+        self._cell_ring_slot = np.array(
+            [local_index[tuple(c)] for c in local_coords], dtype=np.int64
+        )
+        self._ring_slots = config.cells_per_fpga + 1  # + EX
+        self._ex_slot = config.cells_per_fpga
+        self._cell_state = None
+        # ``timings`` phases: build/force/traffic/ring/integrate, with
+        # ``ring`` time charged inside the ``traffic`` phase.
+        # Persistent per-step force banks and the named scratch arena:
+        # a reuse-path step performs no large allocations (see
+        # DESIGN.md §13).
+        self._home_bank: Optional[np.ndarray] = None
+        self._nbr_bank: Optional[np.ndarray] = None
+        self._arena = _StepArena()
+        self.last_stats: Optional[StepStats] = None
+        #: Migration accounting from the most recent step (MU-ring load).
+        self.last_migrations = None
+
+    # -- force evaluation ------------------------------------------------------
+
+    def compute_forces(self, collect_traffic: bool = True) -> StepStats:
+        """One full force-evaluation pass through the modeled datapath.
+
+        Updates the internal float32 force banks and returns workload
+        statistics.  Does not advance time.
+
+        Every pass goes through the persistent skin-banded
+        :class:`~repro.md.cellstate.CellState`, rebuilt on the skin/2
+        displacement criterion or any cell reassignment.  Dense boxes
+        (the paper's 64-per-cell workload) evaluate over its band lists
+        (:meth:`_eval_reuse`); sparse or skewed occupancies, where the
+        padded candidate search does not pay, keep no band lists and
+        take the chunked enumeration (:meth:`_eval_chunked`) over a
+        fresh binning.  The choice depends only on the input, and both
+        admit the same pair set through the real
+        :class:`~repro.core.datapath.PairFilter`.  Traffic accounting
+        runs as vectorized group-by passes.
+        """
+        cfg = self.config
+        plan = self._plan
+        pos = self.system.positions
+        n = self.system.n
+        n_cells = self.grid.n_cells
+        with self.timings.phase("build"):
+            state = self.ensure_cell_state()
+            state.ensure(pos, resolve_backend(self.force_impl).band_pairs)
+            clist = state.clist
+            frac = quantize_cell_fractions(pos, state.coords, cfg.cutoff, self.fmt)
+            # Per-rebuild gathers belong to the build, not the force pass.
+            self._prepare(state)
+
+        # Persistent force banks (zeroed in place each pass) — the two
+        # largest per-step arrays; their adder-tree sum below still
+        # produces a fresh array so returned force snapshots stay valid.
+        if self._home_bank is None or len(self._home_bank) != n:
+            self._home_bank = np.zeros((n, 3), dtype=np.float32)
+            self._nbr_bank = np.zeros((n, 3), dtype=np.float32)
+        else:
+            self._home_bank.fill(0)
+            self._nbr_bank.fill(0)
+        candidates = candidates_per_cell(plan, clist.counts)
+        # ``uniq_per_row``: unique neighbor particles touched per plan
+        # row — the per-block force-return record counts of the hardware
+        # (zero forces and duplicate touches within a block coalesced).
+        out = _Pass(self._home_bank, self._nbr_bank, plan, self._arena)
+        with self.timings.phase("force"):
+            potential = self._evaluate(state, frac, out)
+
+        nbr_frc_records = np.zeros(n_cells, dtype=np.int64)
+        scatter_add(nbr_frc_records, plan.home, out.uniq_per_row)
+
+        occupancy = clist.occupancies()
+        if collect_traffic:
+            with self.timings.phase("traffic"):
+                position_records, force_records, pr_models, fr_models = (
+                    self._account_traffic(clist.counts, occupancy, out.uniq_per_row)
+                )
+        else:
+            position_records = {}
+            force_records = {}
+            pr_models = {
+                n_: RingLoadModel(RingPath(self._ring_slots, +1))
+                for n_ in range(cfg.n_fpgas)
+            }
+            fr_models = {
+                n_: RingLoadModel(RingPath(self._ring_slots, -1))
+                for n_ in range(cfg.n_fpgas)
+            }
+
+        # Adder-tree combination of the FC banks (Sec. 4.5).
+        self._forces32 = out.home_bank + out.nbr_bank
+
+        stats = StepStats(
+            candidates_per_cell=candidates,
+            accepted_per_cell=out.accepted,
+            occupancy_per_cell=occupancy.copy(),
+            potential_energy=float(potential),
+            position_records=position_records,
+            force_records=force_records,
+            pr_load={n: RingLoadSummary.from_model(m) for n, m in pr_models.items()},
+            fr_load={n: RingLoadSummary.from_model(m) for n, m in fr_models.items()},
+            neighbor_force_records_per_cell=nbr_frc_records,
+            state_builds=state.builds,
+            state_reused=not state.last_rebuilt,
+            timings=self.timings.snapshot(),
+        )
+        self.last_stats = stats
+        return stats
+
+    # -- step-persistent state -------------------------------------------------
+
+    def ensure_cell_state(self) -> CellState:
+        """Create (once) and return the persistent :class:`CellState`.
+
+        Creation alone does not build the band lists (the next force
+        pass does); checkpoint restore uses this to reattach the reuse
+        counters without paying an immediate build.
+        """
+        if self._cell_state is None:
+            self._cell_state = self._new_cell_state()
+        return self._cell_state
 
     # -- traffic accounting ----------------------------------------------------
 
@@ -1054,89 +1199,19 @@ class FasdaMachine:
 
         return position_records, force_records, pr_models, fr_models
 
-    # -- time integration (motion-update units) --------------------------------
 
-    @property
-    def forces(self) -> np.ndarray:
-        """Current float32 forces (kcal/mol/A)."""
-        return self._forces32
+    def _force_pass(self, collect_traffic: bool = False) -> float:
+        return self.compute_forces(collect_traffic).potential_energy
 
-    @property
-    def velocities(self) -> np.ndarray:
-        """Current float32 velocities (A/fs)."""
-        return self._velocities32
+    def _drift(self, delta: np.ndarray) -> None:
+        before = self.system.positions.copy()
+        super()._drift(delta)
+        # MU-ring workload: particles that changed home cell (Sec. 3.2).
+        from repro.core.migration import count_migrations
 
-    def kinetic_energy(self) -> float:
-        """Kinetic energy (kcal/mol) from the float32 velocity cache."""
-        v = self._velocities32.astype(np.float64)
-        ke = 0.5 * float(np.sum(self.system.masses * np.sum(v * v, axis=1)))
-        return ke / KCAL_MOL_TO_INTERNAL
-
-    def _accel32(self, forces: np.ndarray) -> np.ndarray:
-        factor = (KCAL_MOL_TO_INTERNAL / self.system.masses).astype(np.float32)
-        return forces * factor[:, None]
-
-    def step(self, collect_traffic: bool = False) -> float:
-        """Advance one timestep; returns the new potential energy.
-
-        The motion-update unit integrates in float32; positions are held
-        as fixed-point cell offsets, re-quantized when the position
-        caches are rebuilt at the start of the next force phase.
-        """
-        if not self._primed:
-            self._last_potential = self.compute_forces(collect_traffic).potential_energy
-            self._primed = True
-        with self.timings.phase("integrate"):
-            dt = np.float32(self.config.dt_fs)
-            accel = self._accel32(self._forces32)
-            delta = (
-                self._velocities32 * dt + np.float32(0.5) * accel * dt * dt
-            ).astype(np.float64)
-            before = self.system.positions.copy()
-            self.system.positions += delta
-            self.system.wrap()
-            # MU-ring workload: particles that changed home cell (Sec. 3.2).
-            from repro.core.migration import count_migrations
-
-            self.last_migrations = count_migrations(
-                self.grid, before, self.system.positions, self._cell_node
-            )
-        stats = self.compute_forces(collect_traffic)
-        with self.timings.phase("integrate"):
-            accel_new = self._accel32(self._forces32)
-            self._velocities32 += np.float32(0.5) * (accel + accel_new) * dt
-            # Keep the public system state consistent with the VC/FC
-            # caches so analysis code sees the machine's actual
-            # trajectory.
-            self.system.velocities[:] = self._velocities32
-            self.system.forces[:] = self._forces32
-        self._last_potential = stats.potential_energy
-        return self._last_potential
-
-    def run(
-        self, n_steps: int, record_every: int = 1, collect_traffic: bool = False
-    ) -> List[EnergyRecord]:
-        """Run ``n_steps`` timesteps, recording energies like the reference
-        engine so the two histories compare directly (Fig. 19)."""
-        if n_steps < 0:
-            raise ValidationError("n_steps must be >= 0")
-        appended: List[EnergyRecord] = []
-        if not self._primed:
-            self._last_potential = self.compute_forces(collect_traffic).potential_energy
-            self._primed = True
-            rec = EnergyRecord(0, self.kinetic_energy(), self._last_potential)
-            self.history.append(rec)
-            appended.append(rec)
-        start = self.history[-1].step if self.history else 0
-        for i in range(1, n_steps + 1):
-            self.step(collect_traffic)
-            if record_every and i % record_every == 0:
-                rec = EnergyRecord(
-                    start + i, self.kinetic_energy(), self._last_potential
-                )
-                self.history.append(rec)
-                appended.append(rec)
-        return appended
+        self.last_migrations = count_migrations(
+            self.grid, before, self.system.positions, self._cell_node
+        )
 
     def measure_workload(self) -> StepStats:
         """One force pass with traffic collection, without advancing time.

@@ -72,8 +72,9 @@ Kernel contracts (see DESIGN.md §10)
   adds, order-free, bitwise by construction.
 * ``band_pairs`` (build phase, float32): the skin-band candidate search
   of a :class:`~repro.md.cellstate.CellState` rebuild, ``(plan, clist,
-  packed, offsets, band, hint) -> (a, b, c, js, segs)``.  It walks the
-  pair plan per offset, home cell, home slot and neighbour slot and
+  packed, offsets, band, hint, home) -> (a, b, c, js, segs)``.  It walks
+  the pair plan per offset, home cell (every cell, or the ascending
+  ``home`` list of a node view), home slot and neighbour slot and
   tests a float32 direct-difference ``r2`` against the widened band.
   The contract is **order plus superset, not bitwise band equality**:
   every pair the exact admission can pass is listed, in
@@ -642,7 +643,8 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
                       int64_t m, int64_t n, double *acc);
 int64_t band_pairs_f32(const float *ps, const int64_t *start,
                        const int64_t *counts, const int64_t *nbr,
-                       int64_t n_cells, int64_t n_rows, const float *offs,
+                       const int64_t *home, int64_t n_home,
+                       int64_t n_rows, const float *offs,
                        float band, int64_t cap_out,
                        int64_t *a_out, int64_t *b_out, int64_t *c_out,
                        int64_t *j_out, int64_t *segs,
@@ -980,8 +982,10 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
 }
 
 /* Skin-band candidate search of a CellState rebuild (build phase).
- * Walks the half-shell plan directly: per offset k, per home cell c,
- * per home slot i, per neighbour slot j (i < j on the home row k = 0),
+ * Walks the half-shell plan directly: per offset k, per home cell c of
+ * the ascending list home[0..n_home) (every cell for a whole box, a
+ * node's own cells for a node view), per home slot i, per neighbour
+ * slot j (i < j on the home row k = 0),
  * testing the float32 direct-difference r2 of the bucket-sorted packed
  * vectors against the widened band.  Hits are emitted in ascending
  * flat (c, i, j) order within each offset segment -- the enumeration
@@ -992,7 +996,8 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
  * and hit are caller scratch of max(counts) entries each (any cap). */
 int64_t band_pairs_f32(const float *ps, const int64_t *start,
                        const int64_t *counts, const int64_t *nbr,
-                       int64_t n_cells, int64_t n_rows, const float *offs,
+                       const int64_t *home, int64_t n_home,
+                       int64_t n_rows, const float *offs,
                        float band, int64_t cap_out,
                        int64_t *a_out, int64_t *b_out, int64_t *c_out,
                        int64_t *j_out, int64_t *segs,
@@ -1002,7 +1007,8 @@ int64_t band_pairs_f32(const float *ps, const int64_t *start,
     segs[0] = 0;
     for (int64_t k = 0; k < n_rows; k++) {
         float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
-        for (int64_t c = 0; c < n_cells; c++) {
+        for (int64_t h = 0; h < n_home; h++) {
+            int64_t c = home[h];
             int64_t ni = counts[c];
             int64_t nc = nbr[c * n_rows + k];
             int64_t nj = counts[nc];
@@ -1116,7 +1122,8 @@ def _make_cext_backend() -> ForceBackend:
         )
 
     def ptr(ctype, arr):
-        return ffi.cast(ctype, arr.ctypes.data)
+        # A fifth of ``arr.ctypes.data``'s cost; C-contiguous only.
+        return ffi.cast(ctype, ffi.from_buffer(arr))
 
     def lj_flat(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
                 shift_e, fx, fy, fz):
@@ -1304,10 +1311,13 @@ def _make_cext_backend() -> ForceBackend:
             m, int(n), ptr("double *", acc),
         )
 
-    def band_pairs(plan, clist, packed, offsets, band, hint=0):
+    def band_pairs(plan, clist, packed, offsets, band, hint=0, home=None):
         counts = np.ascontiguousarray(clist.counts, dtype=np.int64)
         start = np.ascontiguousarray(clist.start, dtype=np.int64)
         nbr = np.ascontiguousarray(plan.nbr, dtype=np.int64)
+        home = np.ascontiguousarray(
+            np.arange(plan.n_cells) if home is None else home, dtype=np.int64
+        )
         ps = np.ascontiguousarray(packed[clist.order], dtype=np.float32)
         offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
         n_rows = len(offs32)
@@ -1315,6 +1325,8 @@ def _make_cext_backend() -> ForceBackend:
             raise ValidationError(
                 f"band_pairs: {n_rows} offsets do not match the plan rows"
             )
+        if home.size and not (0 <= home.min() and home.max() < plan.n_cells):
+            raise ValidationError("band_pairs: home cell id out of range")
         cap = max(int(counts.max(initial=0)), 1)
         qx, qy, qz = np.empty((3, cap), dtype=np.float32)
         hit = np.empty(cap, dtype=np.int64)
@@ -1328,7 +1340,8 @@ def _make_cext_backend() -> ForceBackend:
             m = int(lib.band_pairs_f32(
                 ptr("float *", ps), ptr("int64_t *", start),
                 ptr("int64_t *", counts), ptr("int64_t *", nbr),
-                int(plan.n_cells), n_rows, ptr("float *", offs32),
+                ptr("int64_t *", home), len(home), n_rows,
+                ptr("float *", offs32),
                 np.float32(band), size,
                 *(ptr("int64_t *", o) for o in outs),
                 ptr("int64_t *", segs),

@@ -142,6 +142,19 @@ class CellList:
         self.counts = counts
         self.start = np.concatenate([[0], np.cumsum(counts)])
 
+    @classmethod
+    def from_counts(cls, grid: CellGrid, counts: np.ndarray) -> "CellList":
+        """A binning of already bucket-sorted entries (``order`` is the
+        identity; cell ``c`` owns ``counts[c]`` slots from ``start[c]``),
+        such as a distributed node's concatenated local and halo cells."""
+        self = cls.__new__(cls)
+        self.grid = grid
+        self.counts = np.array(counts, dtype=np.int64)
+        self.start = np.concatenate([[0], np.cumsum(self.counts)])
+        self.order = np.arange(self.start[-1], dtype=np.int64)
+        self.sorted_cids = np.repeat(np.arange(grid.n_cells), self.counts)
+        return self
+
     def particles_in_cell(self, cid: int) -> np.ndarray:
         """Particle indices (a view into the bucket order) for cell ``cid``."""
         return self.order[self.start[cid] : self.start[cid + 1]]

@@ -108,6 +108,7 @@ def band_slot_pairs(
     packed: np.ndarray,
     offsets: np.ndarray,
     band: float,
+    home: Optional[np.ndarray] = None,
 ) -> BandPairs:
     """Run the padded-broadcast candidate search once with a widened band.
 
@@ -119,7 +120,10 @@ def band_slot_pairs(
     conservative float32 margin.  The returned lists enumerate, per
     offset, every flat (cell, slot_i, slot_j) whose float32 banded
     ``r2`` passes — a superset of anything the fresh path can admit
-    while no particle has moved more than skin/2.
+    while no particle has moved more than skin/2.  ``home`` (ascending
+    cell ids) limits the home side to those cells, so the searches of
+    a partition's nodes add up to one search of the whole box; ``None``
+    searches every cell.
 
     This is the numpy band search and the oracle of the compiled
     ``band_pairs`` kernels (``tests/test_band_kernel.py``).
@@ -138,13 +142,20 @@ def band_slot_pairs(
 
     nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
     band32 = np.float32(band)
+    # Decoded rows index the home cells searched: all cells, or ``home``.
     cell_of, i_of, j_of = plan.padded_decode(cap)
-    a_of = start[cell_of] + i_of
+    Ph, Sh, home_start = P, S, start
+    if home is not None:
+        size = len(home) * cap * cap
+        cell_of, i_of, j_of = cell_of[:size], i_of[:size], j_of[:size]
+        Ph, Sh, nbr_mat = P[home], S[home], nbr_mat[home]
+        home_start = start[home]
+    a_of = home_start[cell_of] + i_of
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
-    mask = np.empty((C, cap, cap), dtype=bool)
-    G = np.empty((C, cap, cap), dtype=np.float32)
-    H = np.empty((C, cap, cap), dtype=np.float32)
+    mask = np.empty((len(Ph), cap, cap), dtype=bool)
+    G = np.empty((len(Ph), cap, cap), dtype=np.float32)
+    H = np.empty((len(Ph), cap, cap), dtype=np.float32)
 
     aa: List[np.ndarray] = []
     bb: List[np.ndarray] = []
@@ -156,9 +167,9 @@ def band_slot_pairs(
         Q = P[nb] + offsets[k].astype(np.float32)
         Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
         Sq[padm[nb]] = np.inf
-        np.matmul(P, Q.transpose(0, 2, 1), out=G)
+        np.matmul(Ph, Q.transpose(0, 2, 1), out=G)
         np.add(
-            ((S - band32) * np.float32(0.5))[:, :, None],
+            ((Sh - band32) * np.float32(0.5))[:, :, None],
             (Sq * np.float32(0.5))[:, None, :],
             out=H,
         )
@@ -166,11 +177,11 @@ def band_slot_pairs(
         if k == 0:
             mask &= tri
         flat = np.flatnonzero(mask.reshape(-1))
-        c = cell_of[flat].astype(np.int64)
+        h = cell_of[flat].astype(np.int64)
         js = j_of[flat].astype(np.int64)
         aa.append(a_of[flat])
-        bb.append(start[nb][c] + js)
-        cc.append(c)
+        bb.append(start[nb][h] + js)
+        cc.append(h if home is None else home[h])
         jj.append(js)
         segs[k + 1] = segs[k] + len(flat)
     return BandPairs(
@@ -200,10 +211,20 @@ class CellState:
         ``(cutoff + skin)^2`` *in packed units* plus the conservative
         float32 margin.
     viable:
-        Optional ``(plan, clist) -> bool`` gate on the band search.  A
-        binning it rejects is kept without band lists (:attr:`pairs` is
-        None), so the consumer takes its own non-padded path and every
-        later :meth:`ensure` rebuilds the binning.
+        Optional ``(plan, clist, home) -> bool`` gate on the band search
+        (``home`` as in :meth:`ensure_view`, ``None`` for position
+        builds).  A binning it rejects is kept without band lists
+        (:attr:`pairs` is None), so the consumer takes its own
+        non-padded path and every later :meth:`ensure` rebuilds the
+        binning.
+
+    A state is built from positions (:meth:`ensure`) or from a given
+    slot binning (:meth:`ensure_view`): a distributed node's local plus
+    halo cells in ascending cid.  A view is slot-indexed — a stale halo
+    snapshot may repeat a particle id — so its :attr:`clist` has the
+    identity ``order`` and :attr:`ids` maps slots to particle ids; its
+    ``pack_fn`` receives the slot vectors and ``skin`` is in packed
+    units.
     """
 
     def __init__(
@@ -231,6 +252,11 @@ class CellState:
         self.cap = 0
         self.pairs: Optional[BandPairs] = None
         self.build_positions: Optional[np.ndarray] = None
+        #: View builds: slot -> particle id (None on position builds,
+        #: where ``clist.order`` is that map), home cells, slot vectors.
+        self.ids: Optional[np.ndarray] = None
+        self.home: Optional[np.ndarray] = None
+        self.build_packed: Optional[np.ndarray] = None
         #: Consumer-attached per-build artifacts; cleared on rebuild.
         self.artifacts: Dict[str, object] = {}
 
@@ -297,13 +323,16 @@ class CellState:
 
         ``band_fn`` is passed on to :meth:`build`.
         """
-        if self.needs_rebuild(positions):
+        rebuild = self.needs_rebuild(positions)
+        if rebuild:
             self.build(positions, band_fn)
-            self.last_rebuilt = True
-            return True
-        self.reuse_steps += 1
-        self.last_rebuilt = False
-        return False
+        return self._settle(rebuild)
+
+    def _settle(self, rebuilt: bool) -> bool:
+        if not rebuilt:
+            self.reuse_steps += 1
+        self.last_rebuilt = rebuilt
+        return rebuilt
 
     def build(
         self, positions: np.ndarray, band_fn: Optional[Callable] = None
@@ -323,22 +352,74 @@ class CellState:
         """
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
+        self._build(clist, positions, band_fn)
+        self.coords = coords
+        self.cids = self.grid.cell_id(coords)
+        self.build_positions = positions.copy()
+
+    # -- node views ------------------------------------------------------------
+
+    def ensure_view(
+        self,
+        counts: np.ndarray,
+        ids: np.ndarray,
+        packed: np.ndarray,
+        home: np.ndarray,
+        band_fn: Optional[Callable] = None,
+    ) -> bool:
+        """:meth:`ensure` for a given slot binning: ``counts`` per cell
+        (slots ascending by cid), ``ids`` the particle id and ``packed``
+        the vector of every slot, ``home`` the ascending cells whose
+        plan rows are searched.
+
+        The view form of :meth:`needs_rebuild` rebuilds on any change of
+        the binning (counts, slot ids, home cells) or when a slot vector
+        moved more than ``skin / 2`` since the build; stale halo slots do
+        not move, so the skin argument covers them too.  It reads only
+        the arguments, so any evaluator holding the state may apply it.
+        """
+        rebuild = (
+            self.pairs is None
+            or self.build_packed is None
+            or not np.array_equal(counts, self.clist.counts)
+            or not np.array_equal(ids, self.ids)
+            or not np.array_equal(home, self.home)
+        )
+        if not rebuild:
+            d = packed - self.build_packed
+            disp2 = np.einsum("ij,ij->i", d, d).max(initial=0.0)
+            rebuild = float(disp2) > (0.5 * self.skin) ** 2
+        if rebuild:
+            self._build(
+                CellList.from_counts(self.grid, counts), packed, band_fn, home
+            )
+            self.ids = np.array(ids, dtype=np.int64)
+            self.home = home
+            self.build_packed = np.array(packed)
+        return self._settle(rebuild)
+
+    def _build(
+        self,
+        clist: CellList,
+        pack_input: np.ndarray,
+        band_fn: Optional[Callable],
+        home: Optional[np.ndarray] = None,
+    ) -> None:
         pairs = None
-        if self._viable is None or self._viable(self.plan, clist):
-            packed, offsets, band = self._pack_fn(positions)
+        if self._viable is None or self._viable(self.plan, clist, home):
+            packed, offsets, band = self._pack_fn(pack_input)
             if band_fn is None:
-                pairs = band_slot_pairs(self.plan, clist, packed, offsets, band)
+                pairs = band_slot_pairs(
+                    self.plan, clist, packed, offsets, band, home
+                )
             else:
                 hint = self.pairs.n_pairs if self.pairs is not None else 0
                 pairs = BandPairs(
-                    *band_fn(self.plan, clist, packed, offsets, band, hint)
+                    *band_fn(self.plan, clist, packed, offsets, band, hint, home)
                 )
         self.clist = clist
-        self.coords = coords
-        self.cids = self.grid.cell_id(coords)
         self.cap = int(clist.counts.max()) if clist.counts.size else 0
         self.pairs = pairs
-        self.build_positions = positions.copy()
         self.version += 1
         self.builds += 1
         self.artifacts.clear()
@@ -375,7 +456,7 @@ def engine_pack_fn(
 
 
 def machine_pack_fn(
-    fmt, cutoff: float, skin: float, grid: CellGrid
+    fmt, cutoff: float, skin: float, grid: Optional[CellGrid] = None
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]]:
     """``pack_fn`` for the fixed-point machine path (cell fractions).
 
@@ -384,6 +465,8 @@ def machine_pack_fn(
     in-cell fractions (normalized units, cutoff = 1), offsets are the
     integer half-shell offsets, and the band is ``(1 + skin')^2`` with
     the fresh path's 1e-3 float32 margin, ``skin' = skin / cutoff``.
+    With ``grid=None`` the input already is the quantized slot
+    fractions of a node view and passes through.
     """
     from repro.core.datapath import quantize_cell_fractions
 
@@ -394,6 +477,8 @@ def machine_pack_fn(
     band = (1.0 + skin_n) ** 2 * (1.0 + 1e-3)
 
     def pack(positions: np.ndarray):
+        if grid is None:
+            return positions, offs, band
         coords = grid.coords_of_positions(positions)
         frac = quantize_cell_fractions(positions, coords, cutoff, fmt)
         return frac, offs, band

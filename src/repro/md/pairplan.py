@@ -124,8 +124,7 @@ class CellPairPlan:
         self.has_shift = np.any(self.shift != 0.0, axis=1)
         # One-entry decode-table cache (see :meth:`padded_decode`): the
         # bucket cap changes rarely between steps of one box.
-        self._decode_cap = -1
-        self._decode_tables: Optional[Tuple[np.ndarray, ...]] = None
+        self._decode: Tuple[int, Optional[Tuple[np.ndarray, ...]]] = (-1, None)
 
     def padded_decode(
         self, cap: int
@@ -141,16 +140,19 @@ class CellPairPlan:
         the compiled backends all share one copy per geometry.
         """
         cap = int(cap)
-        if cap != self._decode_cap:
+        # One (cap, tables) attribute, read and replaced whole: threads
+        # evaluating nodes of different occupancy share the plan.
+        decode = self._decode
+        if decode[0] != cap:
             cap2 = cap * cap
             f = np.arange(self.n_cells * cap2, dtype=np.int64)
-            self._decode_tables = (
+            decode = (cap, (
                 (f // cap2).astype(np.int32),
                 ((f // cap) % cap).astype(np.int32),
                 (f % cap).astype(np.int32),
-            )
-            self._decode_cap = cap
-        return self._decode_tables
+            ))
+            self._decode = decode
+        return decode[1]
 
     @property
     def neighbor_ids(self) -> np.ndarray:

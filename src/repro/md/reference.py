@@ -118,23 +118,29 @@ def _decode_tables(n_cells: int, cap: int):
     return cell_of, i_of, j_of
 
 
-def _padded_viable(plan: CellPairPlan, clist: CellList) -> bool:
+def _padded_viable(
+    plan: CellPairPlan, clist: CellList, home: Optional[np.ndarray] = None
+) -> bool:
     """Whether the dense padded broadcast beats chunked gather-enumeration.
 
     The padded path does ``ROWS_PER_CELL * C * cap^2`` distance work no
     matter how full the buckets are; it wins exactly when occupancy is
     dense and even (the paper's 64-per-cell workload), and loses to the
-    chunked enumerator on sparse or skewed boxes.
+    chunked enumerator on sparse or skewed boxes.  ``home`` restricts
+    both sides to those home cells (a distributed node's own cells);
+    ``None`` weighs the whole box.
     """
     if clist.counts.size == 0:
         return False
     cap = int(clist.counts.max())
     if cap < 2:
         return False
-    vol = plan.n_cells * cap * cap
+    n_home = plan.n_cells if home is None else len(home)
+    vol = n_home * cap * cap
     if vol > _PADDED_MAX_ELEMS:
         return False
-    cand = int(candidates_per_cell(plan, clist.counts).sum())
+    cand = candidates_per_cell(plan, clist.counts)
+    cand = int(cand.sum() if home is None else cand[home].sum())
     if cand == 0:
         return False
     return ROWS_PER_CELL * vol <= _PADDED_MAX_WASTE * 2 * cand

@@ -14,6 +14,9 @@ production path against an independent restatement:
 * :func:`exchange_positions_loop` — the per-particle
   :class:`~repro.core.packets.P2REncapsulatorChain` exchange the
   batched ``RecordBatch`` flows replaced.
+* :func:`eval_node_chunked` — the distributed node's original private
+  force core (chunk loop, own pipelines, ``np.unique`` records), which
+  the nodes' pass through the shared machine datapath replaced.
 
 :func:`fresh_path`, :func:`loop_traffic`,
 :func:`rebuild_nodes_every_step` and :func:`rebuild_state_every_step`
@@ -54,7 +57,7 @@ from repro.md.batch import solo_oracle_impl
 from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
 from repro.md.engine import ReferenceEngine
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
-from repro.md.pairplan import ROWS_PER_CELL
+from repro.md.pairplan import ROWS_PER_CELL, iter_pair_chunks
 from repro.md.params import LJTable
 from repro.md.reference import _cutoff_shift, _padded_viable
 from repro.md.system import ParticleSystem
@@ -176,14 +179,17 @@ def fresh_path(machine: FasdaMachine, pair_path: str = "auto") -> FasdaMachine:
     if pair_path not in PAIR_PATHS:
         raise ValueError(f"pair_path must be one of {PAIR_PATHS}")
 
-    def evaluate(state, frac, *acc):
+    def evaluate(state, frac, out):
         clist = CellList(machine.grid, machine.system.positions)
         padded = pair_path == "padded" or (
             pair_path == "auto" and _padded_viable(machine._plan, clist)
         )
         if padded:
-            return eval_padded(machine, clist, frac, *acc)
-        return machine._eval_chunked(clist, frac, *acc)
+            return eval_padded(
+                machine, clist, frac, out.home_bank, out.nbr_bank,
+                out.accepted, out.uniq_per_row,
+            )
+        return machine._eval_chunked(clist, frac, out)
 
     machine._evaluate = evaluate
     return machine
@@ -347,16 +353,169 @@ def loop_exchange(machine: DistributedMachine) -> DistributedMachine:
     return machine
 
 
+def _node_pipelines(
+    machine: DistributedMachine,
+    dr: np.ndarray,
+    r2: np.ndarray,
+    species_i: np.ndarray,
+    species_j: np.ndarray,
+    gi: np.ndarray,
+    gj: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """LJ pipeline plus (optionally) the Ewald pipeline.
+
+    Species come from the local/halo cell data (the position record
+    payload); charges index the global table by particle id, which
+    a hardware node would likewise carry in its position payload.
+    """
+    f, e = machine.pipeline.compute(dr, r2, species_i, species_j)
+    if machine.coulomb_pipeline is not None:
+        qq = machine._charges32[gi] * machine._charges32[gj]
+        fc, ec = machine.coulomb_pipeline.compute(dr, r2, qq)
+        f = f + fc
+        e = e + ec
+    return f, e
+
+
+def _eval_node_core(
+    machine: DistributedMachine,
+    node_id: int,
+    local_cells,
+    counts: np.ndarray,
+    start: np.ndarray,
+    frac_cat: np.ndarray,
+    pid_cat: np.ndarray,
+    spc_cat: np.ndarray,
+    bank: np.ndarray,
+) -> Tuple[float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]], int, float]:
+    """Shared evaluation core for one node's flattened inputs.
+
+    The node's visible cells (local + halo), already concatenated in
+    ascending-cid order into flat position-cache arrays, flow as all
+    candidate pairs of the node's plan rows through the filter and
+    pipelines in batches, like the global machine's hot path.
+    Accumulates into ``bank`` and returns the partial potential, the
+    per-owner neighbor-force segments, the admitted-pair count and the
+    float64 sum of the pair energies' magnitudes.
+    """
+    plan = machine._plan
+    potential = np.float32(0.0)
+    admitted = 0
+    energy_abs = 0.0
+    returns: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+    owner_is_local = machine._cell_node == node_id
+
+    rows = (
+        np.asarray(local_cells, dtype=np.int64)[:, None]
+        * ROWS_PER_CELL
+        + np.arange(ROWS_PER_CELL, dtype=np.int64)[None, :]
+    ).reshape(-1)
+    n_slots = np.int64(start[-1])
+
+    backend = resolve_backend(machine.force_impl)
+    for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
+        dr, r2 = backend.screen_dr(
+            frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
+        )
+        res = machine.filter.admit_r2(r2)
+        if not res.n_accepted:
+            continue
+        admitted += int(res.n_accepted)
+        m = res.mask
+        ii = chunk.ii[m]
+        jj = chunk.jj[m]
+        row = chunk.row[m]
+        f, e = _node_pipelines(
+            machine, dr[m], res.r2,
+            spc_cat[ii], spc_cat[jj],
+            pid_cat[ii], pid_cat[jj],
+        )
+        scatter_add(bank, pid_cat[ii], f)
+        potential += e.sum(dtype=np.float32)
+        energy_abs += float(np.abs(e.astype(np.float64)).sum())
+        # Reaction forces: straight into the bank when the neighbor
+        # particle lives on this node, else per-(block, particle)
+        # records returned to the owner.
+        keep = plan.is_self[row] | owner_is_local[plan.nbr[row]]
+        if keep.any():
+            scatter_add(bank, pid_cat[jj[keep]], -f[keep])
+        rem = ~keep
+        if rem.any():
+            # One record per (plan row, neighbor particle), forces
+            # coalesced — chunks carry whole rows, so per-chunk
+            # grouping is per-block exact; ascending keys preserve
+            # the (home cell, offset, slot) record order of the
+            # hardware's return stream.
+            keys, inv = np.unique(
+                row[rem] * n_slots + jj[rem], return_inverse=True
+            )
+            fr = np.zeros((len(keys), 3), dtype=np.float32)
+            scatter_add(fr, inv, -f[rem])
+            urow = keys // n_slots
+            uslot = keys % n_slots
+            owners = machine._cell_node[plan.nbr[urow]]
+            upid = pid_cat[uslot]
+            # Segment the ascending-key records by owning node:
+            # stable sort keeps the hardware's return-stream order
+            # within each owner's segment.
+            osort = np.argsort(owners, kind="stable")
+            so = owners[osort]
+            bounds = np.flatnonzero(np.diff(so)) + 1
+            for seg in np.split(osort, bounds):
+                returns.setdefault(int(owners[seg[0]]), []).append(
+                    (upid[seg], fr[seg])
+                )
+    return float(potential), returns, admitted, energy_abs
+
+
+def eval_node_chunked(
+    machine: DistributedMachine, node: _Node
+) -> Tuple[
+    np.ndarray, float, Dict[int, List[Tuple[np.ndarray, np.ndarray]]], int, float
+]:
+    """One node's force pass through the distributed layer's original
+    private core: a chunked enumeration over the node's visible cells
+    with its own pipelines, ``np.unique`` record coalescing and a
+    global ``(N, 3)`` bank.
+
+    Returns ``(bank, potential, returns, admitted, energy_abs)``: the
+    node's float32 bank (reaction forces of remote rows excluded), its
+    partial potential, the per-owner ``(particle_ids, forces)`` record
+    segments, the number of admitted pairs and the float64 sum of
+    ``|pair energy|`` (the scale of the potential's float32 rounding).
+    """
+    bank = np.zeros((machine.system.n, 3), dtype=np.float32)
+    visible = sorted(list(node.cells.items()) + list(node.halo.items()))
+    counts = np.zeros(machine.grid.n_cells, dtype=np.int64)
+    for cid, data in visible:
+        counts[cid] = len(data.particle_ids)
+    start = np.concatenate([[0], np.cumsum(counts)])
+    if start[-1] == 0:
+        return bank, 0.0, {}, 0, 0.0
+    frac_cat = np.concatenate([d.fractions.reshape(-1, 3) for _, d in visible])
+    pid_cat = np.concatenate([d.particle_ids for _, d in visible])
+    spc_cat = np.concatenate([d.species for _, d in visible])
+    potential, returns, admitted, energy_abs = _eval_node_core(
+        machine, node.node_id, sorted(node.local_cells), counts, start,
+        frac_cat, pid_cat, spc_cat, bank,
+    )
+    return bank, potential, returns, admitted, energy_abs
+
+
 def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
-    """Clear ``machine``'s node cache before every force pass.
+    """Clear ``machine``'s node cache and node view states before every
+    force pass.
 
     The rebuild-every-step oracle of the distributed layer: every pass
-    re-partitions the particles and re-packs every flow from scratch.
+    re-partitions the particles, re-packs every flow and rebuilds every
+    node's :class:`~repro.md.cellstate.CellState` from scratch (in the
+    evaluating process; forked workers keep their own caches).
     """
     build = machine._build_nodes
 
     def rebuild():
         machine._nodes_cache = None
+        machine._node_states.clear()
         return build()
 
     machine._build_nodes = rebuild

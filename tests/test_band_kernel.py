@@ -208,3 +208,60 @@ class TestBandKernelProperties:
             resolve_backend("cext").band_pairs(
                 plan, CellList(grid, pos), packed, offs[:-1], band
             )
+
+    def test_home_cells_must_be_in_range(self):
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        packed, offs, band, _ = _pack("engine", grid, plan, pos)
+        for home in ([0, 27], [-1, 3]):
+            with pytest.raises(ValidationError, match="home"):
+                resolve_backend("cext").band_pairs(
+                    plan, CellList(grid, pos), packed, offs, band, 0,
+                    np.array(home),
+                )
+
+
+class TestHomeCellSubsets:
+    """A node's band search covers only its own home cells: per offset,
+    exactly the whole-box rows of those cells, in the same order — on
+    the compiled kernel and on the numpy search alike — so the searches
+    of a partition's nodes add up to one search of the box."""
+
+    @pytest.mark.parametrize("search", ["cext", "numpy"])
+    @pytest.mark.parametrize("parts", [(2, 2, 2), (4, 1, 1), (1, 2, 4)])
+    def test_nodes_add_up_to_the_box(self, search, parts):
+        grid = CellGrid((4, 4, 4), EDGE)
+        plan = plan_for_grid(grid)
+        rng = np.random.default_rng(5)
+        positions = rng.uniform(0.0, 1.0, size=(1200, 3)) * grid.box
+        clist = CellList(grid, positions)
+        packed, offs, band, _ = _pack("machine", grid, plan, positions)
+        if search == "cext":
+            kern = resolve_backend("cext").band_pairs
+
+            def run(home):
+                return kern(plan, clist, packed, offs, band, 0, home)
+        else:
+
+            def run(home):
+                p = band_slot_pairs(plan, clist, packed, offs, band, home)
+                return p.a, p.b, p.c, p.js, p.segs
+
+        a, b, c, js, segs = run(None)
+        node = grid.cell_coords(np.arange(grid.n_cells)) // (
+            np.asarray(grid.dims) // np.asarray(parts)
+        )
+        node_id = (node[:, 0] * parts[1] + node[:, 1]) * parts[2] + node[:, 2]
+        total = 0
+        for n in range(int(np.prod(parts))):
+            home = np.flatnonzero(node_id == n)
+            got = run(home)
+            total += got[4][-1]
+            for k in range(ROWS_PER_CELL):
+                lo, hi = segs[k], segs[k + 1]
+                sel = np.isin(c[lo:hi], home)
+                glo, ghi = got[4][k], got[4][k + 1]
+                for full, part in zip((a, b, c, js), got[:4]):
+                    assert np.array_equal(full[lo:hi][sel], part[glo:ghi])
+        assert total == segs[-1]

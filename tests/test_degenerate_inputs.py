@@ -7,13 +7,17 @@ fractions of exactly 0, the fixed-point wrap edge).  On each, the
 float64 :class:`~repro.md.engine.ReferenceEngine` must reproduce the
 O(N^2) brute-force forces, and :class:`~repro.core.machine.FasdaMachine`
 must stay finite with a net force (the momentum rate) at float32 noise,
-on every available backend.
+on every available backend.  The same holds for
+:class:`~repro.core.distributed.DistributedMachine`, serial and on a
+process pool, which must also agree with ``FasdaMachine``, also where
+a node owns no particle.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md.backends import available_backends
 from repro.md.cells import CellGrid
@@ -128,3 +132,46 @@ def test_machine_finite_and_momentum_conserving(case, name):
         # is float32 accumulation noise on the force banks.
         scale = max(float(np.abs(forces).sum()), 1.0)
         assert np.abs(forces.sum(axis=0)).max() <= 1e-6 * scale, case
+
+
+#: Partitions for the distributed runs.  Two of them leave nodes that
+#: own no particle: the empty-cells box fills only the x = 0 slab (node
+#: 1 owns x = 2..3), and the single particle sits on node 1 of 3.
+FPGA_GRIDS = {
+    "empty_cells": (2, 1, 1),
+    "single_particle": (3, 1, 1),
+    "on_faces": (3, 1, 1),
+}
+
+
+@pytest.mark.parametrize("parallel", [False, "process"])
+@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_distributed_matches_machine(case, name, parallel):
+    _require(name)
+    system, grid = CASES[case]()
+    machine = FasdaMachine(MachineConfig(grid.dims), system=system.copy())
+    dist = DistributedMachine(
+        MachineConfig(grid.dims, FPGA_GRIDS[case]), system=system,
+        parallel=parallel,
+    )
+    machine.force_impl = dist.force_impl = name
+    try:
+        for _ in range(3):
+            machine.step()
+            dist.step()
+            forces = dist.forces.astype(np.float64)
+            assert np.all(np.isfinite(forces))
+            assert np.all(np.isfinite(dist.system.positions))
+            scale = max(float(np.abs(forces).sum()), 1.0)
+            assert np.abs(forces.sum(axis=0)).max() <= 1e-6 * scale, case
+            ref = machine.forces.astype(np.float64)
+            tol = 1e-5 * float(np.abs(ref).max())
+            assert np.abs(forces - ref).max() <= tol, case
+        owned = [
+            sum(len(c.particle_ids) for c in node.cells.values())
+            for node in dist._nodes_cache.values()
+        ]
+        assert (0 in owned) == (case != "on_faces")
+    finally:
+        dist.close()
