@@ -422,7 +422,7 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
         MachineConfig(dims, fpga_grid), system=system.copy(), parallel=False
     )
     pooled = DistributedMachine(
-        MachineConfig(dims, fpga_grid), system=system.copy(), parallel="thread"
+        MachineConfig(dims, fpga_grid), system=system.copy(), parallel=True
     )
     try:
         serial.compute_forces()

@@ -26,7 +26,7 @@ real cluster.
 
 from __future__ import annotations
 
-import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -106,29 +106,6 @@ class _NodeResult(NamedTuple):
     admitted: int
 
 
-#: Machine inherited by forked evaluation workers (set just before the
-#: fork; the machine's tables/pipelines hold lambdas and cannot be
-#: pickled, but a forked child shares them by copy-on-write).
-_FORK_MACHINE: Optional["DistributedMachine"] = None
-
-
-def _fork_eval_node(node: "_Node"):
-    """Process-pool entry point: evaluate one node in a forked worker."""
-    return _FORK_MACHINE._evaluate_node(node)
-
-
-def _fork_eval_node_shm(task: Tuple[int, int, int]):
-    """Zero-copy process-pool entry point.
-
-    ``task`` is only ``(node_id, pid_offset, pid_len)``; the bulky
-    inputs — current fractions and the per-node particle-id catalog —
-    live in :mod:`multiprocessing.shared_memory` segments the forked
-    worker inherited by mapping.  Only the node's result, sized to the
-    node, is pickled back.
-    """
-    return _FORK_MACHINE._evaluate_node_shm(task)
-
-
 class DistributedMachine(MachineCore):
     """Executes a FASDA deployment node by node with explicit exchange.
 
@@ -143,8 +120,7 @@ class DistributedMachine(MachineCore):
         config: MachineConfig,
         system: Optional[ParticleSystem] = None,
         seed: int = 2023,
-        parallel=False,
-        max_workers: Optional[int] = None,
+        parallel: bool = False,
         injector: Optional[FaultInjector] = None,
         transport: Optional[TransportConfig] = None,
         degradation: str = "stale",
@@ -157,17 +133,13 @@ class DistributedMachine(MachineCore):
         Parameters
         ----------
         parallel:
-            Evaluate nodes concurrently.  ``False`` runs serially;
-            ``True`` or ``"thread"`` uses a thread pool (NumPy kernels
-            release the GIL); ``"process"`` uses a forked process pool
-            (node evaluation reads static machine state plus node
-            states that are caches, so forked workers stay valid across
-            steps).  Each node accumulates into private force banks and
-            results are merged in node-id order regardless of worker
-            scheduling, so every mode produces the bitwise-identical
+            ``True`` evaluates the nodes of each force pass on a thread
+            pool with one worker per node (the NumPy and ``cext``
+            kernels release the GIL); ``False`` evaluates them serially.
+            Each node accumulates into private force banks and results
+            are merged in node-id order regardless of worker
+            scheduling, so both settings produce the bitwise-identical
             trajectory.
-        max_workers:
-            Pool size (defaults to the node count).
         injector:
             Fault injection for the position exchange.  A plan with all
             rates zero leaves the trajectory bitwise identical to a run
@@ -205,6 +177,11 @@ class DistributedMachine(MachineCore):
         """
         if not config.is_distributed:
             raise ConfigError("DistributedMachine needs more than one node")
+        if not isinstance(parallel, bool):
+            raise ConfigError(
+                f"parallel must be a bool, got {parallel!r}; the process "
+                "pool was retired, use parallel=True for the thread pool"
+            )
         if degradation not in ("stale", "raise"):
             raise ConfigError(
                 f"degradation must be 'stale' or 'raise', got {degradation!r}"
@@ -217,7 +194,6 @@ class DistributedMachine(MachineCore):
             raise ConfigError("watchdog_timeout_cycles must be >= 0")
         super().__init__(config, system, seed)
         self.parallel = parallel
-        self.max_workers = max_workers
         self.injector = injector
         self.transport = transport
         self.degradation = degradation
@@ -228,29 +204,14 @@ class DistributedMachine(MachineCore):
         self.state_builds = 0
         self.state_reused_steps = 0
         self._nodes_cache: Optional[Dict[int, _Node]] = None
-        #: node id -> (view CellState, scratch arena): caches of the
-        #: evaluator that last ran the node (see :meth:`_node_state`).
+        #: node id -> (view CellState, scratch arena), see
+        #: :meth:`_node_state`.
         self._node_states: Dict[int, Tuple[CellState, _StepArena]] = {}
         self._build_cids: Optional[np.ndarray] = None
         self._flow_static: Optional[Dict[Tuple[int, int], Optional[dict]]] = None
         self._last_frac: Optional[np.ndarray] = None
-        self._last_cids: Optional[np.ndarray] = None
-        self._executor = None
-        self._executor_kind = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         # ``timings`` phases: build/exchange/force/integrate.
-        # -- zero-copy process parallelism (multiprocessing.shared_memory) --
-        # Created lazily at the first injector-free "process" force pass,
-        # *before* the pool forks so workers inherit the mappings; the
-        # parent refreshes the fraction segment in place each step and
-        # rewrites the partition metadata only when the binning changes.
-        self._owner_pid = os.getpid()
-        self._shm_ok: Optional[bool] = None
-        self._shm_segs: List = []
-        self._shm_frac: Optional[np.ndarray] = None
-        self._shm_counts: Optional[np.ndarray] = None
-        self._shm_pids: Optional[np.ndarray] = None
-        self._shm_meta_cids: Optional[np.ndarray] = None
-        self._shm_tasks: Optional[List[Tuple[int, int, int]]] = None
         self.total_position_packets = 0
         self.total_force_packets = 0
         # -- resilience state (inert without an injector) -------------------
@@ -358,8 +319,7 @@ class DistributedMachine(MachineCore):
                 self._node_flows[
                     (int(key) // config.n_fpgas, int(key) % config.n_fpgas)
                 ] = np.sort(flows[sel, 0])
-        #: Node -> owned global cell ids (ascending), shared by the
-        #: pickled and shared-memory evaluation paths.
+        #: Node -> owned global cell ids (ascending).
         self._local_cells_static = {
             k: np.flatnonzero(self._cell_node == k)
             for k in range(config.n_fpgas)
@@ -371,10 +331,10 @@ class DistributedMachine(MachineCore):
         """Drop every structure keyed by the *old* partition.
 
         The node cache and packing skeletons, node view states,
-        stale-halo snapshots, buddy-shadow bookkeeping, the evaluation
-        pool, and the shared-memory segments are all shaped or keyed by node
-        ids/counts; after a partition change each is rebuilt lazily, so
-        dropping them is always bitwise-safe.
+        stale-halo snapshots, buddy-shadow bookkeeping and the thread
+        pool are all shaped or keyed by node ids/counts; after a
+        partition change each is rebuilt lazily, so dropping them is
+        always bitwise-safe.
         """
         self._nodes_cache = None
         self._build_cids = None
@@ -383,8 +343,7 @@ class DistributedMachine(MachineCore):
         self._node_states.clear()
         self._shadow_iteration = None
         self._shadow_records = {}
-        self._shutdown_pool()
-        self._release_shm()
+        self.close()
 
     # -- node construction per step --------------------------------------------
 
@@ -409,7 +368,6 @@ class DistributedMachine(MachineCore):
         )
         self._last_frac = frac
         cids = self.grid.cell_id(coords)
-        self._last_cids = cids
         if self._nodes_cache is not None and np.array_equal(
             cids, self._build_cids
         ):
@@ -1146,18 +1104,13 @@ class DistributedMachine(MachineCore):
         return counts, ids, frac
 
     def _evaluate_node(self, node: _Node) -> _NodeResult:
-        """Evaluate one node over its view (the pickled-``_Node`` entry
-        point; :meth:`_evaluate_node_shm` rebuilds the same view)."""
-        return self._eval_view(node.node_id, *self._node_view(node))
-
-    def _eval_view(
-        self, nid: int, counts: np.ndarray, ids: np.ndarray, frac: np.ndarray
-    ) -> _NodeResult:
-        """Node ``nid``'s home rows through the shared datapath into
-        banks over the view's slots, rows whose neighbor cell another
-        node owns returning records.  Only static machine state and the
-        node's cached state are touched, so nodes evaluate concurrently
-        in threads or forked processes."""
+        """The node's home rows through the shared datapath into banks
+        over its view's slots, rows whose neighbor cell another node
+        owns returning records.  Only static machine state and the
+        node's own cached state are written, so nodes evaluate
+        concurrently on the thread pool."""
+        nid = node.node_id
+        counts, ids, frac = self._node_view(node)
         n_slots = len(ids)
         if n_slots == 0:
             return _NodeResult(ids, np.zeros((0, 3), dtype=np.float32), 0.0, {}, 0)
@@ -1200,182 +1153,30 @@ class DistributedMachine(MachineCore):
         }
 
     def _node_state(self, nid: int) -> Tuple[CellState, _StepArena]:
-        """Node ``nid``'s view state and scratch in this evaluator — a
-        cache (reuse is decided from the view alone and is bitwise a
-        fresh build).  A forked worker runs whichever node the pool
-        hands it and holds one node's state at a time."""
+        """Node ``nid``'s view state and scratch — a cache (reuse is
+        decided from the view alone and is bitwise a fresh build)."""
         entry = self._node_states.get(nid)
         if entry is None:
-            if os.getpid() != self._owner_pid:
-                self._node_states.clear()
             entry = (self._new_cell_state(view=True), _StepArena())
             self._node_states[nid] = entry
         return entry
 
-    # -- zero-copy shared-memory evaluation -------------------------------------
-
-    def _ensure_shm(self) -> bool:
-        """Create the shared position/metadata segments (once).
-
-        Segment sizes are static for the machine's life: fractions
-        ``(N, 3)`` float64, per-node visible-cell counts
-        ``(n_fpgas, n_cells)`` int64, and a particle-id catalog sized by
-        the provable bound
-        ``N * (1 + max destinations per cell)`` (each cell's particles
-        appear once locally plus at most once per destination node of
-        its send flows).  Creation shuts any existing pool down so the
-        next fork inherits the mappings; failure (no POSIX shared
-        memory) degrades permanently to the pickled-``_Node`` path.
-        """
-        if self._shm_ok is not None:
-            return self._shm_ok
-        try:
-            from multiprocessing import shared_memory
-
-            n = self.system.n
-            nf = self.config.n_fpgas
-            nc = self.grid.n_cells
-            max_targets = max(
-                (len(v) for v in self._send_targets.values()), default=0
-            )
-            cap = max(1, n * (1 + max_targets))
-
-            def seg(nbytes: int):
-                s = shared_memory.SharedMemory(
-                    create=True, size=max(1, nbytes)
-                )
-                self._shm_segs.append(s)
-                return s
-
-            self._shm_frac = np.ndarray(
-                (n, 3), dtype=np.float64, buffer=seg(n * 3 * 8).buf
-            )
-            self._shm_counts = np.ndarray(
-                (nf, nc), dtype=np.int64, buffer=seg(nf * nc * 8).buf
-            )
-            self._shm_pids = np.ndarray(
-                cap, dtype=np.int64, buffer=seg(cap * 8).buf
-            )
-            self._shm_meta_cids = None
-            self._shm_tasks = None
-            self._shutdown_pool()
-            self._shm_ok = True
-        except Exception:
-            self._release_shm()
-            self._shm_ok = False
-        return self._shm_ok
-
-    def _release_shm(self) -> None:
-        """Drop the numpy views, then close and unlink every segment."""
-        self._shm_frac = None
-        self._shm_counts = None
-        self._shm_pids = None
-        self._shm_meta_cids = None
-        self._shm_tasks = None
-        segs, self._shm_segs = self._shm_segs, []
-        for s in segs:
-            try:
-                s.close()
-                s.unlink()
-            except Exception:
-                pass
-        self._shm_ok = None
-
-    def _pack_shm(self, nodes: Dict[int, _Node]) -> List[Tuple[int, int, int]]:
-        """Refresh the shared segments for this force pass.
-
-        The fraction segment is copied in place every step; the
-        partition metadata (each node's view counts and slot ids) is
-        rewritten only when the cell assignment changed since the last
-        pack.  Returns the tiny per-node ``(node_id, pid_offset,
-        pid_len)`` task tuples.
-        """
-        np.copyto(self._shm_frac, self._last_frac)
-        if self._shm_tasks is not None and np.array_equal(
-            self._last_cids, self._shm_meta_cids
-        ):
-            return self._shm_tasks
-        tasks: List[Tuple[int, int, int]] = []
-        off = 0
-        for nid in sorted(nodes):
-            counts, ids, _ = self._node_view(nodes[nid])
-            self._shm_counts[nid] = counts
-            self._shm_pids[off:off + len(ids)] = ids
-            tasks.append((nid, off, len(ids)))
-            off += len(ids)
-        self._shm_meta_cids = self._last_cids.copy()
-        self._shm_tasks = tasks
-        return tasks
-
-    def _evaluate_node_shm(self, task: Tuple[int, int, int]) -> _NodeResult:
-        """Worker-side evaluation against the shared segments.
-
-        Reconstructs exactly the view of :meth:`_evaluate_node` —
-        without an injector every halo fraction equals ``frac[pid]`` of
-        the sender, so the global gather reproduces the per-cell
-        concatenation bit for bit.
-        """
-        nid, off, ln = task
-        ids = self._shm_pids[off:off + ln]
-        return self._eval_view(
-            nid, self._shm_counts[nid], ids, self._shm_frac[ids]
-        )
-
     def _get_executor(self):
-        """Build (once) and return the evaluation pool for this machine.
-
-        ``"thread"``/``True`` gets a thread pool; ``"process"`` a forked
-        process pool.  Forked workers inherit the machine by reference
-        at fork time; :meth:`_evaluate_node` reads only *static* machine
-        state (geometry, plan, filter, pipelines) plus the worker's own
-        node-state caches — all per-step state travels inside the
-        pickled ``_Node`` — so the workers stay valid for the machine's
-        whole life and the pool is reused across steps.
-        """
-        kind = "process" if self.parallel == "process" else "thread"
-        if self._executor is not None and self._executor_kind == kind:
-            return self._executor
-        self._shutdown_pool()
-        workers = self.max_workers or self.config.n_fpgas
-        if kind == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            global _FORK_MACHINE
-            _FORK_MACHINE = self
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                # No fork on this platform: threads are the honest
-                # fallback (the machine holds unpicklable table lambdas).
-                kind = "thread"
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=ctx
-                )
-        if kind == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max_workers=workers)
-        self._executor_kind = kind
+        """Build (once per partition) and return the thread pool, one
+        worker per node.  :meth:`_evaluate_node` reads only static
+        machine state (geometry, plan, filter, pipelines) plus the
+        node's own view state, so the pool is reused across steps."""
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.n_fpgas
+            )
         return self._executor
 
-    def _shutdown_pool(self) -> None:
+    def close(self) -> None:
+        """Shut the thread pool down (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
-            self._executor_kind = None
-
-    def close(self) -> None:
-        """Shut down the pool and release shared segments (idempotent).
-
-        A no-op in forked workers: their interpreter teardown must not
-        shut down the parent's pool or unlink segments it still maps.
-        """
-        if getattr(self, "_owner_pid", None) != os.getpid():
-            return
-        self._shutdown_pool()
-        self._release_shm()
 
     def __del__(self):
         try:
@@ -1395,34 +1196,16 @@ class DistributedMachine(MachineCore):
         self._iteration += 1
         node_list = [nodes[n] for n in sorted(nodes)]
         with self.timings.phase("force"):
-            results = self._evaluate_all(nodes, node_list)
+            results = self._evaluate_all(node_list)
             potential = self._merge_results(node_list, results)
         self._last_potential = potential
         return self._last_potential
 
-    def _evaluate_all(self, nodes: Dict[int, _Node], node_list: List[_Node]):
-        """Evaluate every node serially or on the configured pool.
-
-        ``parallel="process"`` without a fault injector takes the
-        zero-copy route: only task tuples go out, fractions travel
-        through the shared position segment, and the node-sized results
-        come back.  With an injector the halo can degrade to stale
-        snapshots (which the shared gather cannot reproduce), so the
-        pickled-``_Node`` path runs instead.
-        """
+    def _evaluate_all(self, node_list: List[_Node]) -> List[_NodeResult]:
+        """Evaluate every node serially or on the thread pool."""
         if not self.parallel:
             return [self._evaluate_node(node) for node in node_list]
-        use_shm = (
-            self.parallel == "process"
-            and self.injector is None
-            and self._ensure_shm()
-        )
-        pool = self._get_executor()
-        if self._executor_kind != "process":
-            return list(pool.map(self._evaluate_node, node_list))
-        if use_shm:
-            return list(pool.map(_fork_eval_node_shm, self._pack_shm(nodes)))
-        return list(pool.map(_fork_eval_node, node_list))
+        return list(self._get_executor().map(self._evaluate_node, node_list))
 
     def _merge_results(self, node_list: List[_Node], results) -> float:
         # Deterministic merge in node-id order (independent of worker

@@ -15,7 +15,7 @@ leg:
   against the numpy sequence (float32 force bank and full
   :class:`StepStats`), the accounting kernels (``traffic_flat`` /
   ``ring_charge``) head-to-head against their numpy references, and the
-  shared-memory process pool against the serial distributed run.  The
+  thread-pooled distributed run against the serial one.  The
   retired loop/chunked oracles are asserted by the tier-1 tests
   (``tests/oracles.py``), not here.
 * **Rate metrics for the regression gate** — every throughput lands in
@@ -229,7 +229,7 @@ def profile_machine(
 
 
 # ---------------------------------------------------------------------------
-# Distributed: exchange + shared-memory pool checks and rates
+# Distributed: thread-pool check and rates
 # ---------------------------------------------------------------------------
 
 
@@ -238,13 +238,12 @@ def profile_distributed(
     reps: int,
     traj_steps: int = 4,
 ) -> Dict[str, object]:
-    """Serial vs shared-memory process pool.
+    """Serial vs thread-pooled node evaluation.
 
-    Asserts, bitwise, a short ``parallel="process"`` trajectory —
-    evaluated through the shared-memory segments when available —
-    against the serial run (positions, velocities, float32 forces).  The >=1.3x process
-    speedup claim only applies on multi-core hosts; ``cpu_count`` is
-    recorded so gates can condition on it.
+    Asserts, bitwise, a short ``parallel=True`` trajectory against the
+    serial run (positions, velocities, float32 forces) before timing.
+    ``cpu_count`` is recorded because the pool's speedup depends on
+    it.
     """
     fpga_grid = _fpga_grid_for(dims)
     system, _ = build_dataset(dims, seed=2023)
@@ -255,28 +254,27 @@ def profile_distributed(
     serial.compute_forces()
     t_serial = _median_time(serial.compute_forces, reps)
 
-    # Short trajectories: serial vs process pool over shared memory.
+    # Short trajectories: serial vs the thread pool.
     s_traj = DistributedMachine(
         MachineConfig(dims, fpga_grid), system=system.copy(), parallel=False
     )
     p_traj = DistributedMachine(
-        MachineConfig(dims, fpga_grid), system=system.copy(), parallel="process"
+        MachineConfig(dims, fpga_grid), system=system.copy(), parallel=True
     )
     try:
         for _ in range(traj_steps):
             s_traj.step()
             p_traj.step()
-        shm_active = bool(p_traj._shm_ok)
         assert np.array_equal(
             s_traj.system.positions, p_traj.system.positions
-        ), "process-parallel positions diverged from serial"
+        ), "thread-pooled positions diverged from serial"
         assert np.array_equal(s_traj.velocities, p_traj.velocities), (
-            "process-parallel velocities diverged from serial"
+            "thread-pooled velocities diverged from serial"
         )
         assert np.array_equal(s_traj.forces, p_traj.forces), (
-            "process-parallel float32 forces diverged from serial"
+            "thread-pooled float32 forces diverged from serial"
         )
-        t_process = _median_time(p_traj.compute_forces, reps)
+        t_thread = _median_time(p_traj.compute_forces, reps)
     finally:
         p_traj.close()
 
@@ -298,13 +296,12 @@ def profile_distributed(
         "n_particles": int(system.n),
         "reps": reps,
         "cpu_count": os.cpu_count() or 1,
-        "shm_active": shm_active,
-        "process_trajectory_bitwise": True,
+        "thread_trajectory_bitwise": True,
         "distributed_step_s": t_serial,
-        "distributed_step_process_s": t_process,
+        "distributed_step_thread_s": t_thread,
         "distributed_serial_per_s": 1.0 / t_serial,
-        "distributed_process_per_s": 1.0 / t_process,
-        "process_speedup": t_serial / t_process,
+        "distributed_thread_per_s": 1.0 / t_thread,
+        "thread_speedup": t_serial / t_thread,
         "phases_s": phases,
     }
 
@@ -384,10 +381,9 @@ def format_profile(doc: Dict[str, object]) -> str:
     lines.append(
         f"distributed step ({d['n_particles']} particles, "
         f"{int(np.prod(d['fpga_grid']))} nodes): serial "
-        f"{d['distributed_step_s'] * 1e3:.1f} ms, process pool "
-        f"{d['distributed_step_process_s'] * 1e3:.1f} ms "
-        f"({d['process_speedup']:.2f}x, shm={d['shm_active']}, "
-        f"{d['cpu_count']} cpu), bitwise ok"
+        f"{d['distributed_step_s'] * 1e3:.1f} ms, thread pool "
+        f"{d['distributed_step_thread_s'] * 1e3:.1f} ms "
+        f"({d['thread_speedup']:.2f}x, {d['cpu_count']} cpu), bitwise ok"
     )
     for name in DISTRIBUTED_PHASES:
         sec = d["phases_s"].get(name, 0.0)

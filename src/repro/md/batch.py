@@ -389,13 +389,14 @@ class BatchedEngine:
             return
         self._sync_segment_stats()
         self._pack_particles()
-        fresh = []
         for seg in self._segments:
             if seg.art is None:
                 self._build_segment(seg)
-                fresh.append(seg)
         self._pack_stream()
         self._pack_dirty = False
+        # Every unprimed segment, not only those built here: a build
+        # refused mid-pack leaves the segments built before it unprimed.
+        fresh = [seg for seg in self._segments if not seg.primed]
         if fresh:
             self._prime_segments(fresh)
 

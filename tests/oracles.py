@@ -508,8 +508,7 @@ def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
 
     The rebuild-every-step oracle of the distributed layer: every pass
     re-partitions the particles, re-packs every flow and rebuilds every
-    node's :class:`~repro.md.cellstate.CellState` from scratch (in the
-    evaluating process; forked workers keep their own caches).
+    node's :class:`~repro.md.cellstate.CellState` from scratch.
     """
     build = machine._build_nodes
 

@@ -94,7 +94,7 @@ PASSES = (0, 10, 50)
 
 class TestDistributedGate:
     """Every default case through the distributed machine, serial and on
-    a process pool, gated against the float64 reference at force passes
+    the thread pool, gated against the float64 reference at force passes
     0, 10 and 50 of one trajectory on its persistent node states.
 
     Forces use :data:`FORCE_REL_TOLERANCE` exactly as ``run_case``.  The
@@ -105,7 +105,7 @@ class TestDistributedGate:
     machine misses :data:`ENERGY_REL_TOLERANCE` there.
     """
 
-    @pytest.mark.parametrize("parallel", [False, "process"])
+    @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
     def test_trajectory_within_budgets(self, case, parallel):
         system, grid = build_dataset(

@@ -8,9 +8,11 @@ float64 :class:`~repro.md.engine.ReferenceEngine` must reproduce the
 O(N^2) brute-force forces, and :class:`~repro.core.machine.FasdaMachine`
 must stay finite with a net force (the momentum rate) at float32 noise,
 on every available backend.  The same holds for
-:class:`~repro.core.distributed.DistributedMachine`, serial and on a
-process pool, which must also agree with ``FasdaMachine``, also where
-a node owns no particle.
+:class:`~repro.core.distributed.DistributedMachine`, serial and on the
+thread pool, which must also agree with ``FasdaMachine``, also where
+a node owns no particle.  Co-batched with a dense system in a
+:class:`~repro.md.batch.BatchedEngine`, each box must step bitwise as it
+does alone (the solo-oracle contract of ``tests/test_batch.py``).
 """
 
 import numpy as np
@@ -20,12 +22,15 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md.backends import available_backends
+from repro.md.batch import BatchedEngine
 from repro.md.cells import CellGrid
 from repro.md.dataset import PAPER_CUTOFF_A, build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.params import LJTable
 from repro.md.reference import compute_forces_bruteforce
 from repro.md.system import ParticleSystem
+from repro.util.errors import ValidationError
+from tests.test_batch import assert_states_equal, solo_run
 
 BACKENDS = ["numpy", "cext"]
 
@@ -144,7 +149,7 @@ FPGA_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("parallel", [False, "process"])
+@pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("name", BACKENDS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_distributed_matches_machine(case, name, parallel):
@@ -175,3 +180,44 @@ def test_distributed_matches_machine(case, name, parallel):
         assert (0 in owned) == (case != "on_faces")
     finally:
         dist.close()
+
+
+def _dense():
+    return build_dataset((3, 3, 3), particles_per_cell=8, seed=22)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("case", ["empty_cells", "on_faces"])
+def test_batched_segment_matches_solo(case, name):
+    """One dense box and the degenerate one share a fused force pass:
+    each segment's trajectory equals its solo run bitwise, and its
+    forces stay finite."""
+    _require(name)
+    segments = [_dense(), CASES[case]()]
+    engine = BatchedEngine(force_impl=name)
+    handles = [engine.add(system.copy(), grid) for system, grid in segments]
+    engine.step(5)
+    for h, (system, grid) in zip(handles, segments):
+        got = engine.extract(h)
+        assert np.all(np.isfinite(got.forces)), (case, h)
+        want = solo_run(system, grid, name, 5)
+        assert_states_equal(got, want, f"{case}/{h}")
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_batched_single_particle_refused(name):
+    """A lone particle is not padded-viable, so the batch refuses it at
+    the first step instead of diverging from its solo run; once it is
+    removed, the dense segment steps bitwise as it does alone."""
+    _require(name)
+    dense = _dense()
+    engine = BatchedEngine(force_impl=name)
+    h = engine.add(dense[0].copy(), dense[1])
+    single = engine.add(*_single_particle())
+    with pytest.raises(ValidationError, match="padded-viable"):
+        engine.step(5)
+    engine.remove(single)
+    engine.step(5)
+    got = engine.extract(h)
+    assert np.all(np.isfinite(got.forces))
+    assert_states_equal(got, solo_run(*dense, name, 5), "dense")

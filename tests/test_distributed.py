@@ -118,23 +118,20 @@ class TestParallelExecution:
         cfg = MachineConfig((4, 4, 4), (2, 2, 2))
         system, _ = build_dataset((4, 4, 4), particles_per_cell=8, seed=10)
         serial = DistributedMachine(cfg, system=system.copy())
-        threaded = DistributedMachine(
-            cfg, system=system.copy(), parallel=True, max_workers=3
-        )
+        threaded = DistributedMachine(cfg, system=system.copy(), parallel=True)
         serial.run(5, record_every=0)
         threaded.run(5, record_every=0)
         np.testing.assert_array_equal(
             serial.system.positions, threaded.system.positions
         )
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_parallel_trajectory_bitwise_20_steps(self, mode):
-        """Serial vs pooled trajectories stay bitwise-identical over a
+    def test_parallel_trajectory_bitwise_20_steps(self):
+        """Serial vs thread-pooled trajectories stay bitwise-identical over a
         long run — positions, velocities, forces and energy history."""
         cfg = MachineConfig((4, 4, 4), (2, 2, 1))
         system, _ = build_dataset((4, 4, 4), particles_per_cell=12, seed=12)
         serial = DistributedMachine(cfg, system=system.copy(), parallel=False)
-        pooled = DistributedMachine(cfg, system=system.copy(), parallel=mode)
+        pooled = DistributedMachine(cfg, system=system.copy(), parallel=True)
         try:
             serial.run(20, record_every=1)
             pooled.run(20, record_every=1)
@@ -156,15 +153,27 @@ class TestParallelExecution:
     def test_executor_reused_across_steps(self):
         cfg = MachineConfig((4, 4, 4), (2, 2, 2))
         system, _ = build_dataset((4, 4, 4), particles_per_cell=8, seed=10)
-        d = DistributedMachine(cfg, system=system, parallel="thread")
+        d = DistributedMachine(cfg, system=system, parallel=True)
         try:
             d.compute_forces()
             first = d._executor
             d.compute_forces()
             assert d._executor is first
+            assert first._max_workers == cfg.n_fpgas
         finally:
             d.close()
         assert d._executor is None
+
+    @pytest.mark.parametrize("value", ["process", "thread"])
+    def test_retired_pool_settings_rejected(self, value):
+        """``parallel`` is a bool: the retired string settings fail at
+        the constructor, naming the replacement, and the pool size is
+        not a parameter."""
+        cfg = MachineConfig((4, 4, 4), (2, 2, 2))
+        with pytest.raises(ConfigError, match=r"retired.*parallel=True"):
+            DistributedMachine(cfg, parallel=value)
+        with pytest.raises(TypeError, match="max_workers"):
+            DistributedMachine(cfg, parallel=True, max_workers=2)
 
 
 class TestProtocolProperties:

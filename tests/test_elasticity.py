@@ -343,3 +343,66 @@ class TestCheckpointMidPolicy:
         m2.run(2)
         assert np.array_equal(m.system.positions, m2.system.positions)
         assert np.array_equal(m._velocities32, m2._velocities32)
+
+
+class TestThreadPoolAcrossPartitionChanges:
+    """Serial and ``parallel=True`` side by side through stale-halo
+    degradation, scripted crashes and two committed rescales: the pool
+    is rebuilt for every partition and the trajectories stay bitwise
+    equal, record for record."""
+
+    #: (rescale target before the window or None, steps in the window).
+    SCHEDULE = ((None, 5), (6, 5), (3, 5))
+
+    def _run(self, parallel):
+        # Lossy position exchange on bare UDP: lost records degrade onto
+        # stale snapshots.  Seed 2 never loses a cell that has no
+        # snapshot yet, i.e. right after a rescale cleared them.
+        injector = ChannelInjector(
+            FaultPlan(seed=2, drop_rate=0.03, onset_iteration=1), "position"
+        )
+        faults = NodeFaultPlan(
+            events=(
+                NodeFaultEvent(node=1, iteration=3),
+                NodeFaultEvent(node=2, iteration=12),
+            )
+        )
+        m = _machine(
+            4, parallel=parallel, injector=injector, node_faults=faults
+        )
+        pools = []
+        try:
+            m.run(0)
+            for n_new, steps in self.SCHEDULE:
+                if n_new is not None:
+                    assert m.rescale(n_new)
+                for _ in range(steps):
+                    m.step()
+                pools.append((m.config.n_fpgas, m._executor))
+        finally:
+            m.close()
+        return m, pools
+
+    def test_matches_serial_through_loss_crashes_and_rescales(self):
+        serial, serial_pools = self._run(False)
+        pooled, pools = self._run(True)
+        assert all(pool is None for _, pool in serial_pools)
+        # One pool per partition, sized one worker per node.
+        assert [n for n, _ in pools] == [4, 6, 3]
+        assert len({id(pool) for _, pool in pools}) == 3
+        assert [pool._max_workers for _, pool in pools] == [4, 6, 3]
+        assert np.array_equal(serial.system.positions, pooled.system.positions)
+        assert np.array_equal(serial.forces, pooled.forces)
+        assert np.array_equal(serial.velocities, pooled.velocities)
+        assert serial.degradation_log == pooled.degradation_log
+        assert serial.recovery_log == pooled.recovery_log
+        assert serial.rescale_log == pooled.rescale_log
+        assert serial.rescale_aborted_log == pooled.rescale_aborted_log == []
+        assert serial.transport_stats == pooled.transport_stats
+        assert (serial.total_position_packets, serial.total_force_packets) == (
+            pooled.total_position_packets, pooled.total_force_packets
+        )
+        # The scenario exercises every partition-changing path.
+        assert len(serial.degradation_log) > 0
+        assert len(serial.recovery_log) == 2
+        assert len(serial.rescale_log) == 2

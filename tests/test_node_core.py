@@ -243,9 +243,9 @@ class TestStaleHaloMembership:
         assert max(s.reuse_steps for s, _ in reuse._node_states.values()) > 0
         assert all(s.reuse_steps == 0 for s, _ in oracle._node_states.values())
 
-    def test_process_pool_matches_serial(self):
+    def test_thread_pool_matches_serial(self):
         serial, _, _ = _stale_membership_machine()
-        pooled, _, _ = _stale_membership_machine(parallel="process")
+        pooled, _, _ = _stale_membership_machine(parallel=True)
         try:
             self._run(serial)
             self._run(pooled)
@@ -276,9 +276,7 @@ def test_thread_pool_matches_serial_under_contention():
     )
     cfg = MachineConfig(DIMS, (2, 2, 2))
     serial = DistributedMachine(cfg, system=system.copy())
-    pooled = DistributedMachine(
-        cfg, system=system.copy(), parallel="thread", max_workers=8
-    )
+    pooled = DistributedMachine(cfg, system=system.copy(), parallel=True)
     serial.force_impl = pooled.force_impl = "numpy"
     # Every pass rebuilds every node's band lists, concurrently.
     rebuild_nodes_every_step(pooled)

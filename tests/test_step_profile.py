@@ -386,7 +386,7 @@ class TestRunProfileDocument:
 
     def test_bitwise_asserts_ran_green(self, doc):
         assert doc["machine"]["forces_match_numpy_sequence"] is True
-        assert doc["distributed"]["process_trajectory_bitwise"] is True
+        assert doc["distributed"]["thread_trajectory_bitwise"] is True
         assert doc["kernel_checks"]["traffic_flat"] is True
 
     def test_phase_tables_cover_every_phase(self, doc):
