@@ -1,22 +1,25 @@
 """Crash-consistent checkpoint / restore for every simulation layer.
 
 Long-timescale campaigns (the drug-discovery workloads of the paper's
-introduction run for days) need restartable state.  Two formats live
-here in one format:
+introduction run for days) need restartable state.  One format lives
+here:
 
 ``fasda-checkpoint-v2``
     A versioned container covering :class:`FasdaMachine`,
-    :class:`~repro.md.engine.ReferenceEngine` and
-    :class:`~repro.core.distributed.DistributedMachine` — including
-    CellState reuse metadata, transport retry counters, stale-halo
-    snapshots, fault plans and the recovery log.  The dynamic state is
-    an inner ``.npz`` byte blob carried inside an outer ``.npz``
-    alongside its CRC-32, so corruption anywhere in the payload is
-    detected at load time before any object is constructed.  The
-    loader validates format, digest and config round-trip *before*
-    constructing anything, raising
-    :class:`~repro.util.errors.CheckpointError` on truncated /
-    bit-flipped / wrong-format files instead of leaking
+    :class:`~repro.md.engine.ReferenceEngine`,
+    :class:`~repro.core.distributed.DistributedMachine`,
+    :class:`~repro.md.batch.BatchedEngine` and a bare
+    :class:`~repro.md.system.ParticleSystem` — including CellState
+    reuse metadata, transport retry counters, stale-halo snapshots,
+    fault plans and the recovery log.  The dynamic state is an inner
+    ``.npz`` byte blob carried inside an outer ``.npz`` alongside its
+    CRC-32, so corruption anywhere in the payload is detected at load
+    time before any object is constructed.  Both archives store their
+    members uncompressed; files whose members are deflated (the layout
+    written before) load through the same reader.  The loader validates
+    format, digest and config round-trip *before* constructing
+    anything, raising :class:`~repro.util.errors.CheckpointError` on
+    truncated / bit-flipped / wrong-format files instead of leaking
     ``zipfile``/``KeyError`` internals.
 
 The writer is crash-consistent: bytes go to a same-directory temp
@@ -111,8 +114,14 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def _npz_bytes(**arrays: Any) -> bytes:
+    """An ``.npz`` archive of ``arrays`` with stored (not deflated) members.
+
+    Deflate cost more than the rest of a save put together; the CRC-32
+    over the payload covers the raw bytes either way, and ``np.load``
+    reads stored and deflated members alike.
+    """
     buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
+    np.savez(buf, **arrays)
     return buf.getvalue()
 
 
@@ -523,35 +532,90 @@ def _restore_distributed(meta, inner):
     return m, int(meta["step"])
 
 
-def _batch_payload(be) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    from repro.md.thermostat import thermostat_meta
+def _batch_payload(batch) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Packed layout: one array per field over all segments, in order.
 
-    be._ensure_ready()
-    be._sync_segment_stats()
-    seg_meta = []
-    arrays: Dict[str, np.ndarray] = {}
-    for i, seg in enumerate(be._segments):
-        seg_meta.append({
-            "handle": int(seg.handle),
-            "grid_dims": list(seg.grid.dims),
-            "steps": int(be.segment_steps(seg.handle)),
-            "last_potential": float(seg.last_potential),
-            "thermostat": thermostat_meta(seg.thermostat),
-            "aux": seg.aux,
-            "cellstate": seg.state.meta(),
-        })
-        for key, value in _system_arrays(be.extract(seg.handle)).items():
-            arrays[f"seg{i}_{key}"] = value
-    meta = {
-        "dt_fs": float(be.dt_fs),
-        "shift": bool(be.shift),
-        "force_impl": be.force_impl,
-        "reuse_skin": None if be.reuse_skin is None else float(be.reuse_skin),
-        "cell_edge": be._cell_edge,
-        "step_count": int(be.step_count),
-        "segments": seg_meta,
+    ``seg_n`` holds each segment's row count; its per-segment metadata
+    (handle, steps, thermostat, aux, cell-state counters) is in the JSON
+    meta.  Takes an engine or a :class:`~repro.md.batch.BatchSnapshot`
+    already taken at this boundary.
+    """
+    from repro.md.batch import BatchSnapshot
+
+    snap = batch if isinstance(batch, BatchSnapshot) else batch.snapshot()
+    meta = dict(snap.settings, segments=snap.segments)
+    arrays = {
+        "species_names": np.array(
+            snap.lj_table.species if snap.lj_table is not None else (), dtype=str
+        ),
+        "positions": snap.positions,
+        "velocities": snap.velocities,
+        "forces": snap.forces,
+        "species": snap.species,
+        "box": snap.boxes,
+        "seg_n": np.diff(snap.bases),
     }
     return meta, arrays
+
+
+def _batch_segment_arrays(meta, inner) -> List[Dict[str, Any]]:
+    """Per-segment ``_system_from_arrays`` inputs of a batch payload.
+
+    Slices the packed arrays by the ``seg_n`` offsets after checking
+    them against the segment list and the row count.  Payloads without
+    ``seg_n`` carry the earlier layout, one ``seg{i}_*`` member per
+    field and segment.
+    """
+    n_segs = len(meta["segments"])
+    if "seg_n" not in inner:
+        return [
+            {
+                key[len(prefix):]: value
+                for key, value in inner.items()
+                if key.startswith(prefix)
+            }
+            for prefix in (f"seg{i}_" for i in range(n_segs))
+        ]
+    seg_n = np.asarray(inner["seg_n"])
+    rows = len(inner["positions"])
+    if seg_n.shape != (n_segs,) or seg_n.dtype.kind not in "iu":
+        raise CheckpointError(
+            f"checkpoint field 'seg_n' has shape {seg_n.shape}, dtype "
+            f"{seg_n.dtype}; the payload lists {n_segs} segment(s)"
+        )
+    if (seg_n < 0).any():
+        raise CheckpointError(
+            f"checkpoint field 'seg_n' holds a negative row count: {seg_n.tolist()}"
+        )
+    if int(seg_n.sum()) != rows:
+        raise CheckpointError(
+            f"checkpoint field 'seg_n' sums to {int(seg_n.sum())} rows; "
+            f"the packed arrays hold {rows}"
+        )
+    for name in ("velocities", "forces", "species"):
+        if len(inner[name]) != rows:
+            raise CheckpointError(
+                f"checkpoint field {name!r} holds {len(inner[name])} rows; "
+                f"'positions' holds {rows}"
+            )
+    if inner["box"].shape != (n_segs, 3):
+        raise CheckpointError(
+            f"checkpoint field 'box' has shape {inner['box'].shape}; the "
+            f"payload lists {n_segs} segment(s)"
+        )
+    bases = np.concatenate(([0], np.cumsum(seg_n)))
+    return [
+        {
+            "positions": inner["positions"][lo:hi],
+            "velocities": inner["velocities"][lo:hi],
+            "forces": inner["forces"][lo:hi],
+            "species": inner["species"][lo:hi],
+            "species_names": inner["species_names"],
+            "box": inner["box"][k],
+            "charges": None,
+        }
+        for k, (lo, hi) in enumerate(zip(bases[:-1], bases[1:]))
+    ]
 
 
 def _restore_batch(meta, inner):
@@ -567,6 +631,7 @@ def _restore_batch(meta, inner):
     from repro.md.cells import CellGrid
     from repro.md.thermostat import thermostat_from_meta
 
+    segment_arrays = _batch_segment_arrays(meta, inner)
     be = BatchedEngine(
         dt_fs=float(meta["dt_fs"]),
         shift=bool(meta["shift"]),
@@ -575,12 +640,7 @@ def _restore_batch(meta, inner):
     )
     be.step_count = int(meta["step_count"])
     edge = meta["cell_edge"]
-    for i, sm in enumerate(meta["segments"]):
-        seg_inner = {
-            key[len(f"seg{i}_"):]: value
-            for key, value in inner.items()
-            if key.startswith(f"seg{i}_")
-        }
+    for sm, seg_inner in zip(meta["segments"], segment_arrays):
         system = _system_from_arrays(
             seg_inner, context=f"<batch segment handle={sm['handle']}>"
         )
@@ -624,7 +684,7 @@ _KIND_DISPATCH = {
 
 def _kind_of(obj) -> str:
     from repro.core.distributed import DistributedMachine
-    from repro.md.batch import BatchedEngine
+    from repro.md.batch import BatchedEngine, BatchSnapshot
     from repro.md.engine import ReferenceEngine
 
     if isinstance(obj, DistributedMachine):
@@ -633,14 +693,14 @@ def _kind_of(obj) -> str:
         return "machine"
     if isinstance(obj, ReferenceEngine):
         return "engine"
-    if isinstance(obj, BatchedEngine):
+    if isinstance(obj, (BatchedEngine, BatchSnapshot)):
         return "batch"
     if isinstance(obj, ParticleSystem):
         return "system"
     raise ValidationError(
         f"cannot checkpoint a {type(obj).__name__}; supported: "
-        "FasdaMachine, ReferenceEngine, DistributedMachine, BatchedEngine, "
-        "ParticleSystem"
+        "FasdaMachine, ReferenceEngine, DistributedMachine, BatchedEngine "
+        "(or a BatchSnapshot of one), ParticleSystem"
     )
 
 
@@ -670,10 +730,12 @@ def load_checkpoint_v2(path: str):
     """Restore a v2 checkpoint.
 
     Returns ``(obj, step)`` where ``obj`` is the restored machine /
-    engine / distributed machine.  Raises
+    engine / distributed machine / batched engine / system.  Raises
     :class:`~repro.util.errors.CheckpointError` on any unreadable,
     wrong-format, or digest-mismatching file — before any simulation
-    object is constructed.
+    object is constructed — and on a digest-valid payload that does not
+    restore (a field tampered with before the digest was taken).  No
+    other exception escapes.
     """
     try:
         with np.load(path, allow_pickle=False) as outer:
@@ -713,14 +775,22 @@ def load_checkpoint_v2(path: str):
             f"corrupt or unreadable checkpoint {path!r}: "
             f"{type(exc).__name__}: {exc}"
         )
-    if kind in ("machine", "distributed", "engine"):
-        for key in _RETIRED_META_KEYS:
-            meta.pop(key, None)
-    # Payloads saved on a retired backend restore onto its successor.
-    if meta.get("force_impl") in RETIRED_BACKENDS:
-        meta["force_impl"] = RETIRED_BACKENDS[meta["force_impl"]]
     _, restore = _KIND_DISPATCH[kind]
-    return restore(meta, inner)
+    try:
+        if kind in ("machine", "distributed", "engine"):
+            for key in _RETIRED_META_KEYS:
+                meta.pop(key, None)
+        # Payloads saved on a retired backend restore onto its successor.
+        if meta.get("force_impl") in RETIRED_BACKENDS:
+            meta["force_impl"] = RETIRED_BACKENDS[meta["force_impl"]]
+        return restore(meta, inner)
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path!r}: {exc}") from exc
+    except Exception as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} does not restore: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

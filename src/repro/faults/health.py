@@ -44,6 +44,10 @@ REASON_DISPLACEMENT = "max_displacement"
 REASON_FORCE = "nonfinite_force"
 REASON_ENERGY = "nonfinite_energy"
 REASON_DRIFT = "energy_drift"
+#: Not a guard trip: the batch refused the system when packing it (its
+#: cell occupancy is not padded-viable).  The record's ``value`` is the
+#: system's particle count.
+REASON_NOT_BATCHABLE = "not-batchable"
 
 #: Keyed-RNG domain separation salt for chaos poison decisions
 #: (ASCII "POIS", mirroring the transport injector's salts).
@@ -228,5 +232,6 @@ __all__ = [
     "REASON_ENERGY",
     "REASON_FORCE",
     "REASON_INPUT",
+    "REASON_NOT_BATCHABLE",
     "check_system_finite",
 ]

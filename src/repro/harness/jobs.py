@@ -41,14 +41,21 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.health import GuardConfig, REASON_INPUT
+from repro.faults.health import (
+    GuardConfig,
+    PoisonRecord,
+    REASON_INPUT,
+    REASON_NOT_BATCHABLE,
+)
 from repro.md.batch import BatchedEngine
 from repro.md.cells import CellGrid
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
     JobPoisonedError,
+    NotBatchableError,
     UnknownJobError,
     ValidationError,
 )
@@ -386,9 +393,12 @@ class _JobService:
         self.manager = None
         self.chunk_index = 0
         self._poison_seen = 0
-        # Last healthy (chunk-boundary) snapshot per job key, for
-        # retry re-admission: (system copy, steps_done at snapshot).
-        self._healthy: Dict[str, Tuple[ParticleSystem, int]] = {}
+        # Last healthy (chunk-boundary) state per job key, for retry
+        # re-admission: (a call returning that state as a fresh
+        # ParticleSystem, steps_done there).  At a boundary the call
+        # reads the boundary's BatchSnapshot, so a system is built only
+        # for a job that is actually retried.
+        self._healthy: Dict[str, Tuple[Callable[[], ParticleSystem], int]] = {}
         # Counters for the summary.
         self.total_steps = 0
         self.swaps = 0
@@ -571,8 +581,9 @@ class _JobService:
                         "in the engine"
                     )
                 self.active[job.handle] = job
-                if job.key is not None:
-                    self._stash_healthy(job)
+                if self._keeps_basis:
+                    state = self.engine.extract(job.handle)
+                    self._stash_healthy(job, state.copy)
         while True:
             fresh = False
             if self.engine is None:
@@ -691,7 +702,7 @@ class _JobService:
             job.steps_done = steps_base
             job.admitted_clock = self.now_fn()
             self.active[handle] = job
-            self._stash_healthy(job)
+            self._stash_healthy(job, system.copy)
             admitted += 1
             if solo:
                 break
@@ -710,7 +721,13 @@ class _JobService:
                 self.chunk_steps,
                 min(j.steps - j.steps_done for j in self.active.values()),
             )
-            self.engine.step(chunk)
+            try:
+                self.engine.step(chunk)
+            except NotBatchableError as exc:
+                # Raised while packing the admitted segments, before
+                # any segment moved: drop the refused one and go on.
+                self._refuse(exc.handle)
+                continue
             self.total_steps += chunk * len(self.active)
             self.chunk_index += 1
             self._handle_poisoned()
@@ -719,6 +736,24 @@ class _JobService:
             self._boundary_persist()
             if self.on_chunk is not None:
                 self.on_chunk(self.chunk_index, self.engine)
+
+    def _refuse(self, handle: int) -> None:
+        """Quarantine a job whose segment the batch refused to pack.
+
+        Its occupancy cannot be stepped bitwise in the batch (see
+        :class:`~repro.util.errors.NotBatchableError`): the segment is
+        swapped out and the job quarantined as terminal, never retried.
+        The other segments are untouched.
+        """
+        job = self.active.pop(handle)
+        system = self.engine.remove(handle)
+        record = PoisonRecord(
+            handle=handle, step=self.engine.step_count,
+            reason=REASON_NOT_BATCHABLE, value=float(system.n),
+            threshold=0.0,
+        ).asdict()
+        record["job_id"] = job.job_id
+        self._quarantine_terminal(job, record)
 
     def _handle_poisoned(self) -> None:
         records = self.engine.poison_log[self._poison_seen:]
@@ -745,7 +780,8 @@ class _JobService:
         """Re-queue from the last healthy snapshot at reduced dt."""
         basis = self._healthy.get(job.key)
         if basis is not None:
-            job.retry_system, job.retry_steps_done = basis
+            state, job.retry_steps_done = basis
+            job.retry_system = state()
         else:
             job.retry_system = None
             job.retry_steps_done = 0
@@ -869,26 +905,40 @@ class _JobService:
                 job.retry_steps_done = job.steps_done
 
     def _boundary_persist(self) -> None:
-        """Engine checkpoint + healthy-snapshot refresh at the boundary.
+        """Engine checkpoint + healthy-state refresh at the boundary.
+
+        Both read one :meth:`~repro.md.batch.BatchedEngine.snapshot` of
+        the engine, taken once per boundary.
 
         Write order matters: result/quarantine/preempt events above are
         already durable, so an engine checkpoint can only ever be
         *behind* the journal — a resume then replays forward
         deterministically, never invents state.
         """
-        if self.manager is not None and self.active:
-            if self.chunk_index % self.checkpoint_every == 0:
-                self.manager.save(self.engine, self.chunk_index)
-        if self.guard is not None and self.retry_attempts > 0:
-            for job in self.active.values():
-                self._stash_healthy(job)
-
-    def _stash_healthy(self, job: Job) -> None:
-        if self.guard is None or self.retry_attempts == 0:
+        if not self.active:
             return
-        self._healthy[job.key] = (
-            self.engine.extract(job.handle), job.steps_done
+        save = (
+            self.manager is not None
+            and self.chunk_index % self.checkpoint_every == 0
         )
+        if not (save or self._keeps_basis):
+            return
+        snap = self.engine.snapshot()
+        if save:
+            self.manager.save(snap, self.chunk_index)
+        for job in self.active.values():
+            self._stash_healthy(job, partial(snap.system, job.handle))
+
+    @property
+    def _keeps_basis(self) -> bool:
+        """Whether retries are on, so healthy states must be kept."""
+        return self.guard is not None and self.retry_attempts > 0
+
+    def _stash_healthy(
+        self, job: Job, state: Callable[[], ParticleSystem]
+    ) -> None:
+        if self._keeps_basis:
+            self._healthy[job.key] = (state, job.steps_done)
 
 
 def run_jobs(

@@ -65,6 +65,7 @@ batched engine raises instead of silently diverging.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -85,7 +86,7 @@ from repro.md.pairplan import CellPairPlan, plan_for_grid
 from repro.md.backends import ForceBackend, resolve_backend
 from repro.md.reference import _cutoff_shift, _padded_viable, _FlatArtifacts
 from repro.md.system import ParticleSystem
-from repro.util.errors import ValidationError
+from repro.util.errors import NotBatchableError, ValidationError
 from repro.util.units import KCAL_MOL_TO_INTERNAL
 
 #: Capacity slack of a segment's pair-stream region: a rebuild whose
@@ -148,6 +149,49 @@ class _Segment:
         self.steps_base = 0     # steps carried over a checkpoint restore
         self.start_step = 0     # engine step_count at priming
         self.e_ref = None       # energy-drift watchdog reference (kcal/mol)
+
+
+@dataclass(eq=False)
+class BatchSnapshot:
+    """Copies of a batch's packed rows and segment table at one boundary.
+
+    Rows are in segment order: segment ``k`` (handle ``handles[k]``)
+    owns rows ``bases[k]:bases[k + 1]`` of ``positions``, ``velocities``,
+    ``forces`` and ``species``, inside box ``boxes[k]``.  ``settings``
+    and ``segments`` are the engine's and each segment's restart
+    metadata (timestep, backend, thermostat, aux payload, cell-state
+    counters, steps done), captured at the same instant.  A snapshot is
+    a ``batch`` checkpoint kind of its own: saving one writes the file
+    saving the engine at that boundary would have written.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    forces: np.ndarray
+    species: np.ndarray
+    lj_table: object
+    handles: List[int]
+    bases: np.ndarray
+    boxes: np.ndarray
+    settings: dict
+    segments: List[dict]
+
+    def system(self, handle: int) -> ParticleSystem:
+        """One segment's state as a fresh :class:`ParticleSystem`.
+
+        Bitwise equal to :meth:`BatchedEngine.extract` at the boundary
+        the snapshot was taken.
+        """
+        k = self.handles.index(handle)
+        lo, hi = self.bases[k], self.bases[k + 1]
+        return ParticleSystem(
+            positions=self.positions[lo:hi].copy(),
+            velocities=self.velocities[lo:hi].copy(),
+            species=self.species[lo:hi].copy(),
+            lj_table=self.lj_table,
+            box=self.boxes[k].copy(),
+            forces=self.forces[lo:hi].copy(),
+        )
 
 
 class BatchedEngine:
@@ -318,6 +362,56 @@ class BatchedEngine:
             lj_table=self._lj,
             box=seg.grid.box,
             forces=self._frc[lo:hi].copy(),
+        )
+
+    def snapshot(self) -> BatchSnapshot:
+        """Copies of every segment's rows and the segment table, at once.
+
+        Packs and primes pending segments first (the repack the next
+        :meth:`step` would otherwise do), then copies each packed array
+        whole: one copy per field instead of one :meth:`extract` per
+        segment.  The engine is unchanged apart from that repack.
+        """
+        from repro.md.thermostat import thermostat_meta
+
+        self._ensure_ready()
+        self._sync_segment_stats()
+        segs = self._segments
+        if self._n:
+            pos, vel = self._pos.copy(), self._vel.copy()
+            frc, spc = self._frc.copy(), self._spc.copy()
+        else:
+            pos, vel, frc = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))
+            spc = np.zeros(0, dtype=np.int32)
+        bases = np.zeros(len(segs) + 1, dtype=np.int64)
+        np.cumsum([s.n for s in segs], out=bases[1:])
+        settings = {
+            "dt_fs": self.dt_fs,
+            "shift": self.shift,
+            "force_impl": self.force_impl,
+            "reuse_skin": None if self.reuse_skin is None else float(self.reuse_skin),
+            "cell_edge": self._cell_edge,
+            "step_count": int(self.step_count),
+        }
+        segments = [
+            {
+                "handle": int(s.handle),
+                "grid_dims": list(s.grid.dims),
+                "steps": int(self.segment_steps(s.handle)),
+                "last_potential": float(s.last_potential),
+                "thermostat": thermostat_meta(s.thermostat),
+                "aux": dict(s.aux),
+                "cellstate": s.state.meta(),
+            }
+            for s in segs
+        ]
+        return BatchSnapshot(
+            pos, vel, frc, spc, self._lj,
+            handles=[s.handle for s in segs],
+            bases=bases,
+            boxes=np.array([s.grid.box for s in segs]).reshape(-1, 3),
+            settings=settings,
+            segments=segments,
         )
 
     def remove(self, handle: int) -> ParticleSystem:
@@ -519,11 +613,17 @@ class BatchedEngine:
         st.build(positions, self._backend.band_pairs)
         st.last_rebuilt = True
         if not _padded_viable(seg.plan, st.clist):
-            raise ValidationError(
+            message = (
                 f"segment {seg.handle} occupancy is not padded-viable; "
                 "batched stepping requires the dense band path (a solo run "
                 "would take the chunked fresh path with a different stream)"
             )
+            if seg.primed:
+                # A rebuild mid-step: the batch has already drifted.
+                raise ValidationError(message)
+            # Refused while packing, before any segment moved: removing
+            # the segment leaves a usable engine.
+            raise NotBatchableError(message, handle=seg.handle)
         seg.art = _FlatArtifacts(
             st.pairs, seg.plan, self._spc[lo:hi], st.clist.order
         )

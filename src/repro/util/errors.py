@@ -18,6 +18,20 @@ class ValidationError(FasdaError):
     """An argument failed validation (bad shape, dtype, or range)."""
 
 
+class NotBatchableError(ValidationError):
+    """A batched segment the fused force pass cannot step bitwise.
+
+    Raised by :class:`~repro.md.batch.BatchedEngine` when a segment's
+    occupancy is not padded-viable.  Carries the refused segment's
+    ``handle``, so a scheduler can swap that segment out and keep the
+    rest of the batch.
+    """
+
+    def __init__(self, message: str, handle: int):
+        super().__init__(message)
+        self.handle = handle
+
+
 class SimulationError(FasdaError):
     """The simulation reached a physically or logically invalid state.
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.checkpoint import (
     CheckpointManager,
+    _npz_bytes as npz_bytes,
     load_checkpoint_v2,
     save_checkpoint_v2,
 )
@@ -37,9 +38,9 @@ def _flip_middle_byte(path):
 def _tamper(path, mutate):
     """Rewrite a v2 container with ``mutate(meta, arrays)`` applied.
 
-    Re-serializes the inner payload and recomputes the CRC, so the
-    corruption detector stays green and only the loader's semantic
-    checks see the change.
+    Re-serializes the inner payload through the writer's own archive
+    function and recomputes the CRC, so the corruption detector stays
+    green and only the loader's semantic checks see the change.
     """
     import io
     import json
@@ -52,11 +53,6 @@ def _tamper(path, mutate):
         meta = json.loads(str(inner["meta"]))
         arrays = {k: inner[k] for k in inner.files if k != "meta"}
     mutate(meta, arrays)
-
-    def npz_bytes(**kw):
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **kw)
-        return buf.getvalue()
 
     new_payload = npz_bytes(meta=np.array(json.dumps(meta)), **arrays)
     container = npz_bytes(
@@ -555,3 +551,142 @@ class TestRetiredBackendMeta:
         e.run(3, start_step=step)
         np.testing.assert_array_equal(e.system.positions, e2.system.positions)
         assert e2.state_builds >= 1
+
+
+def _three_segment_batch():
+    from repro.md.batch import BatchedEngine
+
+    be = BatchedEngine(force_impl="numpy")
+    handles = [
+        be.add(*build_dataset((3, 3, 3), particles_per_cell=ppc, seed=s))
+        for s, ppc in ((91, 2), (92, 3), (93, 2))
+    ]
+    be.step(3)
+    return be, handles
+
+
+def _assert_segments_equal(be_a, be_b, handles):
+    for h in handles:
+        a, b = be_a.extract(h), be_b.extract(h)
+        for field in ("positions", "velocities", "forces", "species", "box"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestBatchPackedLayout:
+    """A batch payload is one array per field over all segments plus a
+    ``seg_n`` row-count array, with stored (not deflated) members."""
+
+    def test_members_stored_and_packed(self, tmp_path):
+        import io
+        import zipfile
+
+        be, _ = _three_segment_batch()
+        path = save_checkpoint_v2(be, str(tmp_path / "b.npz"))
+        with zipfile.ZipFile(path) as outer:
+            assert {i.compress_type for i in outer.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+            with np.load(path) as npz:
+                payload = npz["payload"].tobytes()
+        with zipfile.ZipFile(io.BytesIO(payload)) as inner:
+            assert {i.compress_type for i in inner.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+            names = sorted(n[:-4] for n in inner.namelist())
+        assert names == sorted([
+            "meta", "species_names", "positions", "velocities", "forces",
+            "species", "box", "seg_n",
+        ])
+        with np.load(io.BytesIO(payload)) as npz:
+            assert npz["seg_n"].tolist() == [54, 81, 54]
+            assert npz["positions"].shape == (189, 3)
+            assert npz["box"].shape == (3, 3)
+
+    def test_snapshot_saves_what_the_engine_saves(self, tmp_path):
+        be, handles = _three_segment_batch()
+        snap = be.snapshot()
+        for h in handles:
+            a, b = be.extract(h), snap.system(h)
+            for field in ("positions", "velocities", "forces", "species",
+                          "box", "charges"):
+                np.testing.assert_array_equal(
+                    getattr(a, field), getattr(b, field)
+                )
+        from_snap, step = load_checkpoint_v2(
+            save_checkpoint_v2(snap, str(tmp_path / "snap.npz"))
+        )
+        from_engine, _ = load_checkpoint_v2(
+            save_checkpoint_v2(be, str(tmp_path / "engine.npz"))
+        )
+        assert step == be.step_count
+        _assert_segments_equal(from_snap, from_engine, handles)
+        for restored in (from_snap, from_engine):
+            restored.step(5)
+        be.step(5)
+        _assert_segments_equal(be, from_snap, handles)
+        _assert_segments_equal(be, from_engine, handles)
+
+    def test_snapshot_is_a_copy(self):
+        be, handles = _three_segment_batch()
+        snap = be.snapshot()
+        before = snap.positions.copy()
+        be.step(2)
+        np.testing.assert_array_equal(snap.positions, before)
+
+    def test_snapshot_after_remove_and_add(self):
+        """The boundary shapes of the job service: a segment swapped out
+        and a fresh one admitted, neither packed yet."""
+        be, handles = _three_segment_batch()
+        be.remove(handles[1])
+        new = be.add(*build_dataset((3, 3, 3), particles_per_cell=2, seed=94))
+        expected = {h: be.extract(h) for h in (handles[0], handles[2])}
+        snap = be.snapshot()
+        assert snap.handles == [handles[0], handles[2], new]
+        for h, a in expected.items():
+            np.testing.assert_array_equal(a.positions, snap.system(h).positions)
+            np.testing.assert_array_equal(a.velocities, snap.system(h).velocities)
+
+    @pytest.mark.parametrize(
+        "seg_n, match",
+        [
+            ([54, 135], "the payload lists 3 segment"),
+            ([54, -27, 162], "negative row count"),
+            ([54, 81, 53], "sums to 188 rows"),
+        ],
+        ids=["wrong-length", "negative", "wrong-sum"],
+    )
+    def test_bad_seg_n_rejected(self, tmp_path, seg_n, match):
+        be, _ = _three_segment_batch()
+        path = save_checkpoint_v2(be, str(tmp_path / "b.npz"))
+
+        def mutate(meta, arrays):
+            arrays["seg_n"] = np.array(seg_n, dtype=np.int64)
+
+        _tamper(path, mutate)
+        with pytest.raises(CheckpointError, match="seg_n") as info:
+            load_checkpoint_v2(path)
+        assert match in str(info.value)
+        assert path in str(info.value)
+
+    def test_row_count_mismatch_rejected(self, tmp_path):
+        be, _ = _three_segment_batch()
+        path = save_checkpoint_v2(be, str(tmp_path / "b.npz"))
+
+        def mutate(meta, arrays):
+            arrays["forces"] = arrays["forces"][:-1]
+
+        _tamper(path, mutate)
+        with pytest.raises(CheckpointError, match="'forces' holds 188 rows"):
+            load_checkpoint_v2(path)
+
+    def test_field_that_does_not_restore_is_a_checkpoint_error(self, tmp_path):
+        be, _ = _three_segment_batch()
+        path = save_checkpoint_v2(be, str(tmp_path / "b.npz"))
+
+        def mutate(meta, arrays):
+            meta["segments"][1]["handle"] = meta["segments"][0]["handle"]
+
+        _tamper(path, mutate)
+        with pytest.raises(CheckpointError, match="does not restore") as info:
+            load_checkpoint_v2(path)
+        assert path in str(info.value)

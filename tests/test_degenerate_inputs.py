@@ -29,7 +29,7 @@ from repro.md.engine import ReferenceEngine
 from repro.md.params import LJTable
 from repro.md.reference import compute_forces_bruteforce
 from repro.md.system import ParticleSystem
-from repro.util.errors import ValidationError
+from repro.util.errors import NotBatchableError
 from tests.test_batch import assert_states_equal, solo_run
 
 BACKENDS = ["numpy", "cext"]
@@ -207,15 +207,17 @@ def test_batched_segment_matches_solo(case, name):
 @pytest.mark.parametrize("name", BACKENDS)
 def test_batched_single_particle_refused(name):
     """A lone particle is not padded-viable, so the batch refuses it at
-    the first step instead of diverging from its solo run; once it is
-    removed, the dense segment steps bitwise as it does alone."""
+    the first step instead of diverging from its solo run, naming its
+    handle; once it is removed, the dense segment steps bitwise as it
+    does alone."""
     _require(name)
     dense = _dense()
     engine = BatchedEngine(force_impl=name)
     h = engine.add(dense[0].copy(), dense[1])
     single = engine.add(*_single_particle())
-    with pytest.raises(ValidationError, match="padded-viable"):
+    with pytest.raises(NotBatchableError, match="padded-viable") as info:
         engine.step(5)
+    assert info.value.handle == single
     engine.remove(single)
     engine.step(5)
     got = engine.extract(h)

@@ -25,6 +25,7 @@ from repro.harness.jobs import (
 )
 from repro.md.backends import available_backends
 from repro.md.dataset import build_dataset
+from repro.md.system import ParticleSystem
 from repro.util.errors import (
     JobPoisonedError,
     UnknownJobError,
@@ -174,6 +175,54 @@ class TestQuarantineFlow:
                     "chunks", "poison_records", "journal"):
             assert key in summary
         assert summary["journal"] is None
+
+
+class TestNotBatchable:
+    """A system the batch refuses to pack is quarantined at admission;
+    the drain goes on and the jobs batched with it are untouched."""
+
+    @staticmethod
+    def lone_particle(like):
+        s, g = like
+        return ParticleSystem(
+            positions=[[1.0, 2.0, 3.0]], velocities=[[0.0, 0.0, 0.0]],
+            species=[0], lj_table=s.lj_table, box=s.box,
+        ), g
+
+    def test_refused_job_quarantined_and_healthy_jobs_bitwise(self, tmp_path):
+        for name in BACKENDS:
+            healthy = [small_case(95), small_case(96, ppc=3)]
+            q = JobQueue()
+            first = q.submit(healthy[0][0].copy(), healthy[0][1], steps=10)
+            lone = q.submit(*self.lone_particle(healthy[0]), steps=10)
+            last = q.submit(healthy[1][0].copy(), healthy[1][1], steps=7)
+            summary = run_jobs(
+                q, force_impl=name, chunk_steps=4, guard=GuardConfig(),
+                retry_attempts=2, workdir=str(tmp_path / name),
+            )
+            assert q.status(lone) == QUARANTINED
+            assert summary["quarantined"] == 1
+            assert summary["retries"] == 0
+            assert q._job(lone).attempts == 0
+            with pytest.raises(JobPoisonedError, match="not-batchable"):
+                q.result(lone)
+            events = load_jobs_journal(
+                os.path.join(str(tmp_path / name), "jobs.jsonl")
+            )
+            (ev,) = [e for e in events if e["event"] == "quarantined"]
+            assert ev["record"]["reason"] == "not-batchable"
+            assert ev["record"]["value"] == 1.0
+            assert ev["retry"] is False
+            for jid, (s, g), steps in zip(
+                (first, last), healthy, (10, 7)
+            ):
+                solo = JobQueue()
+                ref = solo.submit(s.copy(), g, steps=steps)
+                run_jobs(solo, force_impl=name, chunk_steps=4)
+                a, b = q.result(jid), solo.result(ref)
+                assert np.array_equal(a.positions, b.positions), name
+                assert np.array_equal(a.velocities, b.velocities), name
+                assert np.array_equal(a.forces, b.forces), name
 
 
 class TestPreemption:
