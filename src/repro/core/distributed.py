@@ -1117,7 +1117,7 @@ class DistributedMachine(MachineCore):
         state, arena = self._node_state(nid)
         state.ensure_view(
             counts, ids, frac, self._local_cells_static[nid],
-            resolve_backend(self.force_impl).band_pairs,
+            resolve_backend(self.force_impl),
         )
         self._prepare(state)
         out = _Pass(

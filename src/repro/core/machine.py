@@ -102,10 +102,12 @@ class StepStats:
     fr_load: Dict[int, RingLoadSummary] = field(default_factory=dict)
     #: Neighbor-force records produced per evaluating cell (nonzero only).
     neighbor_force_records_per_cell: Optional[np.ndarray] = None
-    #: Cumulative :class:`~repro.md.cellstate.CellState` builds at the end
-    #: of this pass, and whether this pass reused persistent state.
+    #: Cumulative :class:`~repro.md.cellstate.CellState` full builds and
+    #: in-place updates at the end of this pass, and whether this pass
+    #: reused persistent state (no full build).
     state_builds: Optional[int] = None
     state_reused: Optional[bool] = None
+    state_updates: Optional[int] = None
     #: Node-crash recoveries folded into this pass and their cycle cost
     #: (None when no node-fault plan is active; the distributed layer's
     #: :attr:`~repro.core.distributed.DistributedMachine.recovery_log`
@@ -207,51 +209,33 @@ class _Pass:
 
 
 class _MachineArtifacts:
-    """Per-build reuse artifacts over one CellState's band lists.
+    """Per-build reuse artifacts over one CellState's :class:`RowBands`.
 
-    Everything here is a pure function of the band pair list, the bucket
-    order and the (fixed) species/charges — valid until the next
-    rebuild.  Pre-gathering the bank rows, per-pair LJ coefficients and
-    Coulomb charge products turns the per-step work into sequential
-    passes over flat arrays; the preallocated scratch buffers make the
-    displacement/r2 phase allocation-free.  Built in the ``build`` phase
-    right after each rebuild, so phase timings charge every per-rebuild
-    cost to ``build``.
+    The entry arrays are views of the state's own: home/neighbour bank
+    rows (the scatter targets and, with the pad's sentinel vector, the
+    admission gathers) and presence keys, with the region starts.
+    Multi-species and Coulomb runs add per-entry LJ coefficients and
+    charge products.  After an in-place update of the state,
+    :meth:`refresh` takes the new layout length and gathers those
+    again.  Built in the ``build`` phase right after each rebuild, so
+    phase timings charge every per-rebuild cost to ``build``.
     """
 
     __slots__ = (
-        "segs",
+        "rstart",
         "A",
         "B",
-        "CC",
         "CJ",
-        "II",
-        "JJ",
         "scalar_coeffs",
         "c14p",
         "c8p",
         "c12p",
         "c6p",
         "qqp",
-        "admit_scratch",
-        "present",
+        "updates",
     )
 
     def __init__(self, machine: "MachineCore", state: CellState):
-        pairs = state.pairs
-        order = state.clist.order
-        self.segs = pairs.segs
-        self.A = pairs.a
-        self.B = pairs.b
-        self.CC = pairs.c
-        self.CJ = pairs.c * state.cap + pairs.js
-        self.II = order[pairs.a]
-        self.JJ = order[pairs.b]
-        # Particle ids of each pair: the bank rows themselves on a
-        # whole-box binning, the slot ids on a node view.
-        pi, pj = self.II, self.JJ
-        if state.ids is not None:
-            pi, pj = state.ids[pairs.a], state.ids[pairs.b]
         pipe = machine.pipeline
         # Single-species boxes (the paper's workload) have constant
         # coefficient ROMs: multiplying by the float32 scalar is
@@ -263,7 +247,27 @@ class _MachineArtifacts:
             self.c8p = pipe._c8.reshape(())[()]
             self.c12p = pipe._c12.reshape(())[()]
             self.c6p = pipe._c6.reshape(())[()]
-        else:
+        self.qqp = None
+        self.refresh(machine, state)
+
+    def refresh(self, machine: "MachineCore", state: CellState) -> None:
+        """Take the current layout and gather its per-entry coefficients
+        (pads clip onto the last bank row; they are never admitted)."""
+        rb = state.pairs
+        self.rstart = rb.rstart
+        self.A = rb.a[: rb.size]
+        self.B = rb.b[: rb.size]
+        self.CJ = rb.key[: rb.size]
+        self.updates = state.updates
+        if self.scalar_coeffs and machine.coulomb_pipeline is None:
+            return
+        # Particle ids of each entry: the bank rows themselves on a
+        # whole-box binning, the slot ids on a node view.
+        ids = np.arange(len(state.clist.order)) if state.ids is None else state.ids
+        pi = ids.take(self.A, mode="clip")
+        pj = ids.take(self.B, mode="clip")
+        if not self.scalar_coeffs:
+            pipe = machine.pipeline
             spc = machine.system.species
             si = spc[pi]
             sj = spc[pj]
@@ -271,19 +275,14 @@ class _MachineArtifacts:
             self.c8p = pipe._c8[si, sj]
             self.c12p = pipe._c12[si, sj]
             self.c6p = pipe._c6[si, sj]
-        self.qqp = None
         if machine.coulomb_pipeline is not None:
             self.qqp = machine._charges32[pi] * machine._charges32[pj]
-        L = pairs.n_pairs
-        # The backends' shared admit_flat scratch, (idx, r2, dx, dy,
-        # dz), and the bucket-slot presence bits of the unique-record
-        # statistics.
-        self.admit_scratch = (np.empty(L, dtype=np.int64),) + tuple(
-            np.empty(L, dtype=np.float32) for _ in range(4)
-        )
-        self.present = np.zeros(
-            ROWS_PER_CELL * machine._plan.n_cells * state.cap, dtype=bool
-        )
+
+
+#: Packed fraction given to a row layout's pad bank row: every pad
+#: entry's displacement is then about this large, so no admission (and
+#: no float32 overflow) can come of it.
+_PAD_FRAC = np.float32(1.0e6)
 
 
 class MachineCore:
@@ -403,9 +402,10 @@ class MachineCore:
         return f, e
 
     def _new_cell_state(self, view: bool = False) -> CellState:
-        """A persistent :class:`CellState` (band lists only where
-        :func:`~repro.md.reference._padded_viable`); ``view=True`` makes
-        a node view state: slot fractions in, skin in cutoff units."""
+        """A persistent row-layout :class:`CellState` (band lists only
+        where :func:`~repro.md.reference._padded_viable`); ``view=True``
+        makes a node view state: slot fractions in, skin in cutoff
+        units, full builds only."""
         cutoff = self.config.cutoff
         return CellState(
             self.grid,
@@ -415,12 +415,19 @@ class MachineCore:
                 self.fmt, cutoff, self.reuse_skin, None if view else self.grid
             ),
             viable=_padded_viable,
+            rows=True,
         )
 
     def _prepare(self, state: CellState) -> None:
-        """Attach the per-build artifacts the band-list pass reads."""
-        if state.pairs is not None and "machine" not in state.artifacts:
+        """Attach (or refresh after an update) the per-build artifacts
+        the band-list pass reads."""
+        if state.pairs is None:
+            return
+        art = state.artifacts.get("machine")
+        if art is None:
             state.artifacts["machine"] = _MachineArtifacts(self, state)
+        elif art.updates != state.updates:
+            art.refresh(self, state)
 
     def _evaluate(self, state: CellState, frac: np.ndarray, out: _Pass) -> np.float32:
         """One datapath pass over ``state``'s binning into ``out``: band
@@ -476,43 +483,51 @@ class MachineCore:
         :func:`~repro.md.kernels.scatter_add`'s own definition.
         """
         art = state.artifacts["machine"]
-        order = state.clist.order
-        n = len(order)
-        segs = art.segs
+        n = len(state.clist.order)
+        segs = art.rstart[:: self._plan.n_cells]
+        L = len(art.A)
 
-        # Bucket-sorted fractions in float32 — exact: fractions are
+        # Fractions by bank row in float32 — exact: fractions are
         # k * 2**-23 in [0, 1), so differences (and minus the integer
         # cell offsets) are exactly representable; float32 dr here is
-        # bit-equal to casting the fresh path's float64 dr.  Gathered
-        # through the arena: take into a float64 column, cast in place
-        # (the same per-element f64 -> f32 rounding as astype).
+        # bit-equal to casting the fresh path's float64 dr.  The
+        # assignment casts per element like astype.  Bank row ``n`` is
+        # the pads' sentinel.
         ar = out.arena
-        t64col = ar.get("fs_t64", n, np.float64)
-        fsx = ar.get("fsx", n, np.float32)
-        fsy = ar.get("fsy", n, np.float32)
-        fsz = ar.get("fsz", n, np.float32)
-        np.take(frac[:, 0], order, out=t64col)
-        fsx[:] = t64col
-        np.take(frac[:, 1], order, out=t64col)
-        fsy[:] = t64col
-        np.take(frac[:, 2], order, out=t64col)
-        fsz[:] = t64col
+        fsx = ar.get("fsx", n + 1, np.float32)
+        fsy = ar.get("fsy", n + 1, np.float32)
+        fsz = ar.get("fsz", n + 1, np.float32)
+        for d, fs in enumerate((fsx, fsy, fsz)):
+            fs[:n] = frac[:, d]
+            fs[n] = _PAD_FRAC
         backend = resolve_backend(self.force_impl)
         # Band-list admission (see repro.md.backends.admit_flat_numpy):
         # admitted indices over the whole band in stored order, which is
         # exactly per-offset ascending flat (cell, slot_i, slot_j), the
-        # fresh path's enumeration order.  All elementwise pipeline math
-        # then runs once over the admitted set; only the order-sensitive
-        # reductions (bank scatters, the per-offset float32 energy sums,
-        # the presence-bit statistics) walk the 14 offset groups, each a
-        # contiguous slice.
+        # fresh path's enumeration order, with pads never admitted.  All
+        # elementwise pipeline math then runs once over the admitted
+        # set; only the order-sensitive reductions (bank scatters, the
+        # per-offset float32 energy sums, the presence-bit statistics)
+        # walk the 14 offset groups, each a contiguous slice.  The
+        # shared admit_flat scratch, (idx, r2, dx, dy, dz), lives in
+        # the arena.
+        scratch = (ar.get("adm_idx", L, np.int64),) + tuple(
+            ar.get(name, L, np.float32)
+            for name in ("adm_r2", "adm_dx", "adm_dy", "adm_dz")
+        )
         idx, r2a, dxa, dya, dza = backend.admit_flat(
             fsx, fsy, fsz, art.A, art.B, segs, _OFFS14,
-            scratch=art.admit_scratch, copy=False,
+            scratch=scratch, copy=False,
         )
         if idx.size == 0:
             return np.float32(0.0)
-        bounds = np.searchsorted(idx, segs)
+        # Admitted entries per region; regions run k-major, so every
+        # n_cells-th bound is an offset bound.
+        bounds = np.searchsorted(idx, art.rstart)
+        out.accepted += (
+            np.diff(bounds).reshape(ROWS_PER_CELL, -1).sum(axis=0)
+        )
+        bounds = bounds[:: self._plan.n_cells]
         r2_min32 = np.float32(self.filter.r2_min)
         if np.any(r2a < r2_min32):
             # The real filter's small-r guard, verbatim.
@@ -682,15 +697,13 @@ class MachineCore:
         ar = out.arena
         home_bank, nbr_bank = out.home_bank, out.nbr_bank
         n = len(home_bank)
-        cap = state.cap
+        stride = state.pairs.stride
         potential = np.float32(0.0)
         m = idx.size
-        II = ar.get("II", m, art.II.dtype)
-        JJ = ar.get("JJ", m, art.JJ.dtype)
-        CC = ar.get("CC", m, art.CC.dtype)
-        np.take(art.II, idx, out=II)
-        np.take(art.JJ, idx, out=JJ)
-        np.take(art.CC, idx, out=CC)
+        II = ar.get("II", m, art.A.dtype)
+        JJ = ar.get("JJ", m, art.B.dtype)
+        np.take(art.A, idx, out=II)
+        np.take(art.B, idx, out=JJ)
         # Compiled column scatter: same f64-accumulate / f32-round /
         # full-length f32 add sequence as _scatter_cols, one pass.
         scat = backend.scatter_cols
@@ -707,7 +720,6 @@ class MachineCore:
 
         else:
             scat_cols = _scatter_cols
-        scatter_add(out.accepted, CC)
         for k in range(ROWS_PER_CELL):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             if lo == hi:
@@ -726,15 +738,15 @@ class MachineCore:
         lo = int(bounds[1])
         if lo == m:
             return potential
-        ccap = self._plan.n_cells * cap
+        ccap = self._plan.n_cells * stride
         keys = art.CJ.take(idx[lo:])
         keys += np.repeat(np.arange(1, ROWS_PER_CELL) * ccap, np.diff(bounds[1:]))
-        present = art.present
+        present = ar.get("present", ROWS_PER_CELL * ccap, bool)
         present[:] = False
         present[keys] = True
         touched = np.flatnonzero(present)
         k_of, cj = np.divmod(touched, ccap)
-        rows = (cj // cap) * ROWS_PER_CELL + k_of
+        rows = (cj // stride) * ROWS_PER_CELL + k_of
         scatter_add(out.uniq_per_row, rows)
         rem = None if out.remote is None else out.remote[rows]
         if rem is not None and rem.any():
@@ -748,7 +760,7 @@ class MachineCore:
                     keys, weights=w[lo:], minlength=present.size
                 )[touched]
             clist = state.clist
-            slots = clist.start[self._plan.nbr[rows]] + cj[rem] % cap
+            slots = clist.start[self._plan.nbr[rows]] + cj[rem] % stride
             out.records.append((rows, clist.order[slots], fr))
         return potential
 
@@ -959,7 +971,8 @@ class FasdaMachine(MachineCore):
 
         Every pass goes through the persistent skin-banded
         :class:`~repro.md.cellstate.CellState`, rebuilt on the skin/2
-        displacement criterion or any cell reassignment.  Dense boxes
+        displacement criterion and updated in place when particles only
+        changed cell.  Dense boxes
         (the paper's 64-per-cell workload) evaluate over its band lists
         (:meth:`_eval_reuse`); sparse or skewed occupancies, where the
         padded candidate search does not pay, keep no band lists and
@@ -976,7 +989,7 @@ class FasdaMachine(MachineCore):
         n_cells = self.grid.n_cells
         with self.timings.phase("build"):
             state = self.ensure_cell_state()
-            state.ensure(pos, resolve_backend(self.force_impl).band_pairs)
+            state.ensure(pos, resolve_backend(self.force_impl))
             clist = state.clist
             frac = quantize_cell_fractions(pos, state.coords, cfg.cutoff, self.fmt)
             # Per-rebuild gathers belong to the build, not the force pass.
@@ -1035,6 +1048,7 @@ class FasdaMachine(MachineCore):
             neighbor_force_records_per_cell=nbr_frc_records,
             state_builds=state.builds,
             state_reused=not state.last_rebuilt,
+            state_updates=state.updates,
             timings=self.timings.snapshot(),
         )
         self.last_stats = stats

@@ -544,9 +544,11 @@ def machine_rate(
 ) -> Dict[str, Any]:
     """FasdaMachine steps/s over its step-persistent cell state.
 
-    ``mode="run"`` integrates (migrations can force rebuilds — the
-    honest end-to-end number); ``mode="eval"`` re-evaluates forces on a
-    frozen configuration (the steady-state amortization ceiling).
+    ``mode="run"`` integrates (migrations update the cell state in
+    place and the skin/2 trigger rebuilds it — the honest end-to-end
+    number; ``rebuild_rate`` and ``update_rate`` are their shares of the
+    passes); ``mode="eval"`` re-evaluates forces on a frozen
+    configuration (the steady-state amortization ceiling).
     ``force_impl`` selects the force backend; machine results are
     bitwise identical across backends (the float64 recheck through
     ``PairFilter.admit_r2`` stays authoritative), so only the timing
@@ -583,6 +585,8 @@ def machine_rate(
         "backend": resolve_backend(force_impl).name,
         "state_builds": int(last.state_builds),
         "rebuild_rate": int(last.state_builds) / (steps + 1),
+        "state_updates": int(last.state_updates),
+        "update_rate": int(last.state_updates) / (steps + 1),
         "potential_energy": float(last.potential_energy),
         "timing": {"steps_per_s": steps / wall},
     }
@@ -903,6 +907,8 @@ def format_campaign(doc: Dict[str, Any]) -> str:
         extra = ""
         if "rebuild_rate" in res:
             extra = f"rebuilds {100 * res['rebuild_rate']:.0f}%"
+        if "update_rate" in res:
+            extra += f", updates {100 * res['update_rate']:.0f}%"
         rows.append([label, metric, value, extra])
     table = format_table(
         ["point", "metric", "value", "notes"],

@@ -341,6 +341,7 @@ def run_profile(
         "profile": "machine_phases",
         "smoke": smoke,
         "force_impl": impl,
+        "cpu_count": os.cpu_count() or 1,
         "backend_status": backend_status(),
         "kernel_checks": kernel_checks,
         "machine": machine,

@@ -84,6 +84,17 @@ Kernel contracts (see DESIGN.md §10)
   the band, far outside the cutoff, so the admitted sequences, and with
   them every consumer's results, are unchanged.  ``hint`` (the previous
   build's length) sizes the outputs; they are trimmed to the exact size.
+* ``band_rows`` (build phase, float32): the row-layout search of the
+  machine's whole-box :class:`~repro.md.cellstate.CellState`, ``(plan,
+  clist, packed, offsets, band, rows, lay, fresh) -> int``.  It searches
+  the listed regions (plan row of cell ``c`` at offset ``k`` is region
+  ``k * n_cells + c``) with the same float32 direct-difference test as
+  ``band_pairs``, keyed by bank row, into the
+  :class:`~repro.md.cellstate.RowBands` ``lay``: a full build lays all
+  regions out anew with slack, an in-place update re-searches the
+  listed ones where they lie.  **Bitwise** equal to
+  :func:`~repro.md.cellstate.band_rows_numpy`, its numpy statement and
+  oracle: same hits, same region starts, capacities and pads.
 
 The active default is ``numpy``; override per consumer via their
 ``force_impl`` knob, globally via :func:`set_force_backend`, or with the
@@ -130,7 +141,7 @@ class ForceBackend:
     ``admit_flat``, ``screen_dr``, ``lj_flat_seg``, ``traffic_flat``
     and ``ring_charge`` are present on every available backend, so
     consumers call them unconditionally.  For ``lj_flat``, ``rom_eval``,
-    ``scatter_cols`` and ``band_pairs``, ``None`` means "run the
+    ``scatter_cols``, ``band_pairs`` and ``band_rows``, ``None`` means "run the
     consumer's numpy code", which stays the oracle the compiled kernel
     mirrors.  ``available`` is probed once at registration; ``why``
     records the probe outcome for diagnostics.
@@ -182,6 +193,12 @@ class ForceBackend:
     #: docstring).  ``None`` = keep the numpy padded-broadcast search
     #: (which remains the oracle).
     band_pairs: Optional[Callable] = None
+    #: Row-layout band search of a machine :class:`~repro.md.cellstate.CellState`
+    #: (build phase, float32): searches listed plan rows into per-row
+    #: regions keyed by bank row, for a full build or an in-place update.
+    #: Bitwise identical to :func:`~repro.md.cellstate.band_rows_numpy`,
+    #: which ``None`` runs and which stays the oracle.
+    band_rows: Optional[Callable] = None
 
 
 _REGISTRY: Dict[str, ForceBackend] = {}
@@ -649,6 +666,17 @@ int64_t band_pairs_f32(const float *ps, const int64_t *start,
                        int64_t *a_out, int64_t *b_out, int64_t *c_out,
                        int64_t *j_out, int64_t *segs,
                        float *qx, float *qy, float *qz, int64_t *hit);
+int64_t band_rows_f32(const float *ps, const int64_t *order,
+                      const int64_t *start, const int64_t *counts,
+                      const int64_t *nbr, int64_t n_cells, int64_t n_rows,
+                      const float *offs, float band,
+                      const int64_t *rows, int64_t n_sel,
+                      int64_t *rstart, int64_t *rcap, int64_t *fill,
+                      int64_t stride, int64_t pad, int64_t shift,
+                      int64_t slack_min, int fresh, int64_t size,
+                      int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                      float *qx, float *qy, float *qz, int32_t *in,
+                      int64_t *hit);
 """
 
 _C_SOURCE = r"""
@@ -1048,6 +1076,215 @@ int64_t band_pairs_f32(const float *ps, const int64_t *start,
     }
     return m;
 }
+
+/* Band test of one home vector against n neighbour vectors: the
+ * float32 direct-difference r2 = (dx*dx + dy*dy) + dz*dz, rounded per
+ * operation as numpy rounds it, below `band`.  A separate loop so the
+ * compiler can vectorize it; that changes no element's rounding. */
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("tree-vectorize")))
+#endif
+static void row_hits(float px, float py, float pz, const float *restrict qx,
+                     const float *restrict qy, const float *restrict qz,
+                     float band, int32_t *restrict in, int64_t n)
+{
+    for (int64_t j = 0; j < n; j++) {
+        float dx = px - qx[j];
+        float dy = py - qy[j];
+        float dz = pz - qz[j];
+        in[j] = dx * dx + dy * dy + dz * dz < band;
+    }
+}
+
+/* One region (offset k, home cell c) of band_rows_f32: hits written
+ * from entry `base` while they fit in `cap`; returns the hit count. */
+static int64_t band_row(const float *ps, const int64_t *order,
+                        const int64_t *start, const int64_t *counts,
+                        const int64_t *nbr, int64_t n_rows,
+                        const float *offs, float band, int64_t k, int64_t c,
+                        int64_t stride, int64_t base, int64_t cap,
+                        int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                        float *qx, float *qy, float *qz, int32_t *in,
+                        int64_t *hit)
+{
+    int64_t ni = counts[c];
+    int64_t nc = nbr[c * n_rows + k];
+    int64_t nj = counts[nc];
+    if (ni == 0 || nj == 0)
+        return 0;
+    float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
+    const int64_t *oc = order + start[c];
+    const int64_t *on = order + start[nc];
+    for (int64_t j = 0; j < nj; j++) {
+        qx[j] = ps[3 * on[j]] + ox;
+        qy[j] = ps[3 * on[j] + 1] + oy;
+        qz[j] = ps[3 * on[j] + 2] + oz;
+    }
+    int64_t m = 0;
+    for (int64_t i = 0; i < ni; i++) {
+        const float *p = ps + 3 * oc[i];
+        int64_t j0 = k == 0 ? i + 1 : 0;
+        row_hits(p[0], p[1], p[2], qx + j0, qy + j0, qz + j0, band, in,
+                 nj - j0);
+        int64_t h = 0;
+        for (int64_t j = j0; j < nj; j++) {
+            hit[h] = j;
+            h += in[j - j0];
+        }
+        if (m + h <= cap) {
+            int64_t *a = a_out + base + m, *b = b_out + base + m;
+            int64_t *key = key_out + base + m;
+            for (int64_t t = 0; t < h; t++) {
+                a[t] = oc[i];
+                b[t] = on[hit[t]];
+                key[t] = c * stride + hit[t];
+            }
+        }
+        m += h;
+    }
+    return m;
+}
+
+static void pad_row(int64_t lo, int64_t hi, int64_t pad, int64_t *a_out,
+                    int64_t *b_out, int64_t *key_out)
+{
+    for (int64_t t = lo; t < hi; t++) {
+        a_out[t] = pad;
+        b_out[t] = 0;
+        key_out[t] = 0;
+    }
+}
+
+/* Lengthen region r by `need` entries: the regions after it shift
+ * right up to the first region t with `need` spare entries, which
+ * gives them up, or up to the layout end when none has, if the end
+ * stays within `size`.  Region contents move with them; pads carry no
+ * position.  Returns 0 when there is no room. */
+static int grow_region(int64_t r, int64_t need, int64_t n_reg,
+                       int64_t *rstart, int64_t *rcap, const int64_t *fill,
+                       int64_t size, int64_t *a_out, int64_t *b_out,
+                       int64_t *key_out)
+{
+    int64_t t = r + 1;
+    while (t < n_reg && rcap[t] - fill[t] < need)
+        t++;
+    int64_t lo = rstart[r + 1], hi;
+    if (t < n_reg) {
+        hi = rstart[t] + fill[t];
+        rcap[t] -= need;
+    } else {
+        if (rstart[n_reg] + need > size)
+            return 0;
+        hi = rstart[n_reg];
+        rstart[n_reg] += need;
+    }
+    if (hi > lo) {
+        int64_t nb = (hi - lo) * sizeof(int64_t);
+        memmove(a_out + lo + need, a_out + lo, nb);
+        memmove(b_out + lo + need, b_out + lo, nb);
+        memmove(key_out + lo + need, key_out + lo, nb);
+    }
+    for (int64_t s = r + 1; s <= t && s < n_reg; s++)
+        rstart[s] += need;
+    rcap[r] += need;
+    return 1;
+}
+
+/* Skin-band search of a CellState row layout (build phase).  Region
+ * r = k * n_cells + c holds the plan row of home cell c at offset k;
+ * each region listed ascending in rows[0..n_sel) is searched
+ * exactly as band_pairs_f32 searches its row (home slot i, neighbour
+ * slot j, i < j on k = 0, float32 direct-difference r2 < band), but
+ * keyed by bank row: ps holds one packed vector per bank row, and slot
+ * i of cell c is bank row order[start[c] + i].  A hit writes a = home
+ * bank row, b = neighbour bank row, key = c * stride + j.  Region r
+ * spans [rstart[r], rstart[r] + rcap[r]), the regions back to back;
+ * its entries past fill[r] are pads (a = pad, b = 0, key = 0), which
+ * the consumer makes inadmissible.  A region of f hits
+ * is given f + (f >> shift) + slack_min entries.
+ *
+ * fresh == 0, an in-place update: each listed region is re-searched in
+ * place and padded.  A region that outgrows its entries is lengthened
+ * to its new hits plus slack_min by grow_region and searched again.
+ * Returns
+ * 0, or 1 when a region found no room (the layout is then unspecified
+ * and the caller rebuilds).
+ * fresh != 0, a full build: the listed regions are searched compactly
+ * from entry 0 (writing only below `size`), every other region gets no
+ * entries, and the hits move backward into that layout and are
+ * padded.  Returns the layout length rstart[n_cells * n_rows]; when it
+ * exceeds `size` the outputs are unspecified and the caller retries
+ * with more room.
+ * qx/qy/qz, in and hit are caller scratch of max(counts) entries
+ * each. */
+int64_t band_rows_f32(const float *ps, const int64_t *order,
+                      const int64_t *start, const int64_t *counts,
+                      const int64_t *nbr, int64_t n_cells, int64_t n_rows,
+                      const float *offs, float band,
+                      const int64_t *rows, int64_t n_sel,
+                      int64_t *rstart, int64_t *rcap, int64_t *fill,
+                      int64_t stride, int64_t pad, int64_t shift,
+                      int64_t slack_min, int fresh, int64_t size,
+                      int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                      float *qx, float *qy, float *qz, int32_t *in,
+                      int64_t *hit)
+{
+    int64_t n_reg = n_cells * n_rows;
+    if (!fresh) {
+        for (int64_t s = 0; s < n_sel; s++) {
+            int64_t r = rows[s], k = r / n_cells, c = r % n_cells;
+            int64_t m = band_row(ps, order, start, counts, nbr, n_rows, offs,
+                                 band, k, c, stride, rstart[r], rcap[r],
+                                 a_out, b_out, key_out, qx, qy, qz, in, hit);
+            if (m > rcap[r]) {
+                int64_t need = m + slack_min - rcap[r];
+                if (!grow_region(r, need, n_reg, rstart, rcap, fill, size,
+                                 a_out, b_out, key_out))
+                    return 1;
+                band_row(ps, order, start, counts, nbr, n_rows, offs, band,
+                         k, c, stride, rstart[r], rcap[r],
+                         a_out, b_out, key_out, qx, qy, qz, in, hit);
+            }
+            fill[r] = m;
+            pad_row(rstart[r] + m, rstart[r] + rcap[r], pad,
+                    a_out, b_out, key_out);
+        }
+        return 0;
+    }
+    memset(fill, 0, n_reg * sizeof(int64_t));
+    int64_t m = 0;
+    for (int64_t s = 0; s < n_sel; s++) {
+        int64_t r = rows[s];
+        int64_t room = m < size ? size - m : 0;
+        fill[r] = band_row(ps, order, start, counts, nbr, n_rows, offs, band,
+                           r / n_cells, r % n_cells, stride, m, room,
+                           a_out, b_out, key_out, qx, qy, qz, in, hit);
+        m += fill[r];
+    }
+    int64_t total = 0;
+    for (int64_t r = 0, s = 0; r < n_reg; r++) {
+        int64_t listed = s < n_sel && rows[s] == r;
+        s += listed;
+        rstart[r] = total;
+        rcap[r] = listed ? fill[r] + (fill[r] >> shift) + slack_min : 0;
+        total += rcap[r];
+    }
+    rstart[n_reg] = total;
+    if (total > size)
+        return total;
+    int64_t src = m;
+    for (int64_t r = n_reg - 1; r >= 0; r--) {
+        int64_t f = fill[r], dst = rstart[r];
+        src -= f;
+        if (f && dst != src) {
+            memmove(a_out + dst, a_out + src, f * sizeof(int64_t));
+            memmove(b_out + dst, b_out + src, f * sizeof(int64_t));
+            memmove(key_out + dst, key_out + src, f * sizeof(int64_t));
+        }
+        pad_row(dst + f, dst + rcap[r], pad, a_out, b_out, key_out);
+    }
+    return total;
+}
 """
 
 #: No-FMA, no-fast-math: the float32 machine kernel must round exactly
@@ -1355,6 +1592,39 @@ def _make_cext_backend() -> ForceBackend:
             o.resize(m, refcheck=False)  # in-place shrink to exact size
         return (*outs, segs)
 
+    def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
+        offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
+        n_rows = len(offs32)
+        if offs32.shape != (n_rows, 3) or plan.nbr.size != plan.n_cells * n_rows:
+            raise ValidationError(
+                f"band_rows: {n_rows} offsets do not match the plan rows"
+            )
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.size and not (0 <= rows[0] and rows[-1] < plan.n_rows):
+            raise ValidationError("band_rows: region out of range")
+        ps = np.ascontiguousarray(packed, dtype=np.float32)
+        cap = max(int(clist.counts.max(initial=0)), 1)
+        qx, qy, qz = np.empty((3, cap), dtype=np.float32)
+        inb = np.empty(cap, dtype=np.int32)
+        hit = np.empty(cap, dtype=np.int64)
+        i64 = [
+            np.ascontiguousarray(x, dtype=np.int64)
+            for x in (clist.order, clist.start, clist.counts, plan.nbr)
+        ]
+        return int(lib.band_rows_f32(
+            ptr("float *", ps), *(ptr("int64_t *", x) for x in i64),
+            plan.n_cells, n_rows, ptr("float *", offs32), np.float32(band),
+            ptr("int64_t *", rows), len(rows),
+            ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.rcap),
+            ptr("int64_t *", lay.fill),
+            lay.stride, lay.pad, lay.shift, lay.slack_min,
+            int(bool(fresh)), len(lay.a),
+            ptr("int64_t *", lay.a), ptr("int64_t *", lay.b),
+            ptr("int64_t *", lay.key),
+            ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
+            ptr("int32_t *", inb), ptr("int64_t *", hit),
+        ))
+
     return ForceBackend(
         name="cext",
         available=True,
@@ -1368,6 +1638,7 @@ def _make_cext_backend() -> ForceBackend:
         rom_eval=rom_eval,
         scatter_cols=scatter_cols,
         band_pairs=band_pairs,
+        band_rows=band_rows,
     )
 
 

@@ -50,7 +50,8 @@ the tests register (``tests/oracles.py``), including across
 * a particle's force-accumulation subsequence is exactly its solo pair
   stream (its slot index never appears in another segment's pairs, and
   pad pairs are rejected by the cutoff or skipped by ``seg_lo/seg_hi``);
-* rebuild decisions restate :meth:`CellState.needs_rebuild` with exact
+* rebuild decisions restate the solo :class:`CellState`'s rebuild test
+  (skin/2 or any cell change, ``CellState._outcome``) with exact
   reductions (``max``, ``any``), so each segment rebuilds on exactly
   the steps its solo run would.
 
@@ -610,7 +611,7 @@ class BatchedEngine:
         st = seg.state
         if not hasattr(st, "builds_restore_base"):
             st.builds_restore_base = st.builds + st.reuse_steps
-        st.build(positions, self._backend.band_pairs)
+        st.build(positions, self._backend)
         st.last_rebuilt = True
         if not _padded_viable(seg.plan, st.clist):
             message = (
@@ -686,7 +687,7 @@ class BatchedEngine:
     # -- the hot path ------------------------------------------------------
 
     def _rebuild_mask(self) -> np.ndarray:
-        """Vectorized restatement of every segment's ``needs_rebuild``.
+        """Vectorized restatement of every segment's rebuild test.
 
         Elementwise displacement / cell-assignment arithmetic over the
         whole batch, segmented by exact ``reduceat`` reductions — the

@@ -28,11 +28,19 @@ results **bitwise identical** to the rebuild-every-step code:
   packing, the bucket order, and hence the accumulation grouping of the
   reuse path equal to a fresh build's.  Box/grid changes force a new
   state object altogether (the state is keyed to one grid).
+* The machine's whole-box state holds its band as :class:`RowBands`:
+  one region with slack per plan row, keyed by bank row.  When
+  particles only changed cell, it re-searches just the regions whose
+  home or neighbour cell changed membership, in place, at the build
+  positions under the current binning (:meth:`CellState._update`); the
+  result lists what a fresh build would, in the same order, so the
+  skin/2 trigger alone decides full builds.
 
 Consumers attach layer-specific artifacts (pre-gathered coefficient
 arrays, pre-cast float32 table ROMs, packed halo batches) via
 :attr:`CellState.artifacts`, keyed by :attr:`CellState.version` so a
-rebuild invalidates them automatically.
+rebuild invalidates them automatically (an in-place update bumps
+:attr:`CellState.updates` instead).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
-from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan
+from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, candidates_per_cell
 from repro.util.errors import ValidationError
 
 
@@ -193,6 +201,243 @@ def band_slot_pairs(
     )
 
 
+#: Region slack of an updatable row layout: a region of ``fill`` hits
+#: gets ``fill >> ROW_SLACK_SHIFT`` plus ``ROW_SLACK_MIN`` spare entries
+#: (a region that outgrows them borrows from the regions after it).
+ROW_SLACK_SHIFT = 4
+ROW_SLACK_MIN = 16
+
+
+def key_stride(cap: int) -> int:
+    """Presence-key stride of a binning whose fullest cell holds
+    ``cap``: room for a few more particles per cell before an update
+    has to fall back to a full build."""
+    return cap + (cap >> 3) + 1
+
+
+class RowBands:
+    """Band lists of a machine :class:`CellState`, keyed by bank row.
+
+    Region ``r = k * n_cells + c`` holds the plan row of home cell ``c``
+    at offset ``k``: its hits in ascending (home slot, neighbour slot)
+    order, which is ascending (home bank row, neighbour bank row) as a
+    binning sorts each bucket stably, at ``[rstart[r], rstart[r] +
+    fill[r])``, then pads up to ``rstart[r + 1]``.  Regions follow each
+    other in ``r`` order, so the entries of offset ``k`` span
+    ``[rstart[k * n_cells], rstart[(k + 1) * n_cells])`` in a fresh
+    build's flat ``(cell, slot_i, slot_j)`` order, pads aside.
+
+    Attributes
+    ----------
+    a / b:
+        int64 home / neighbour bank row (``clist.order[slot]``) per
+        entry; a pad holds ``(pad, 0)``, and the consumer gives bank row
+        ``pad`` a vector no admission passes.
+    key:
+        int64 presence key ``c * stride + j`` per hit, ``j`` the
+        neighbour slot within its bucket (0 on pads).
+    size:
+        Layout length; the buffers may be longer (they only grow).
+    rstart:
+        ``n_regions + 1`` region starts; ``rstart[-1] == size``.
+    rcap / fill:
+        Per-region capacity and hit count; ``None`` on a view's compact
+        lists, which never update.
+    """
+
+    __slots__ = (
+        "a", "b", "key", "size", "stride", "pad",
+        "shift", "slack_min", "rstart", "rcap", "fill",
+    )
+
+    def __init__(self, n_regions: int = 0):
+        self.a = self.b = self.key = np.empty(0, dtype=np.int64)
+        self.size = 0
+        self.stride = 1
+        self.pad = 0
+        self.shift = ROW_SLACK_SHIFT
+        self.slack_min = ROW_SLACK_MIN
+        self.rstart = np.zeros(n_regions + 1, dtype=np.int64)
+        self.rcap = np.zeros(n_regions, dtype=np.int64)
+        self.fill = np.zeros(n_regions, dtype=np.int64)
+
+    @classmethod
+    def from_slots(
+        cls, pairs: BandPairs, stride: int, n_cells: int
+    ) -> "RowBands":
+        """Compact row lists of a view's slot band (a view's slots are
+        its bank rows): regions without slack, never updated."""
+        self = cls.__new__(cls)
+        self.a, self.b = pairs.a, pairs.b
+        self.key = pairs.c * stride + pairs.js
+        self.size = pairs.n_pairs
+        self.stride = stride
+        self.pad = 0
+        self.shift = self.slack_min = 0
+        self.rstart = np.empty(ROWS_PER_CELL * n_cells + 1, dtype=np.int64)
+        cells = np.arange(n_cells)
+        for k in range(ROWS_PER_CELL):
+            lo, hi = pairs.segs[k], pairs.segs[k + 1]
+            self.rstart[k * n_cells:(k + 1) * n_cells] = lo + np.searchsorted(
+                pairs.c[lo:hi], cells
+            )
+        self.rstart[-1] = self.size
+        self.rcap = self.fill = None
+        return self
+
+    def reserve(self, n: int) -> None:
+        """Grow the three entry buffers to at least ``n`` entries.  The
+        pages a build writes stay mapped for the next build, and a
+        generous ``n`` costs address space only: untouched pages are
+        never faulted in."""
+        if len(self.a) < n:
+            self.a, self.b, self.key = np.empty((3, n), dtype=np.int64)
+
+
+def band_rows_numpy(
+    plan: CellPairPlan,
+    clist: CellList,
+    packed: np.ndarray,
+    offsets: np.ndarray,
+    band: float,
+    rows: np.ndarray,
+    lay: RowBands,
+    fresh: bool,
+) -> int:
+    """Search regions of a :class:`RowBands` layout in numpy.
+
+    ``packed`` holds one vector per bank row; ``rows`` lists regions
+    ``k * n_cells + c`` ascending.  Each listed region is searched with
+    the float32 direct-difference ``r2 = (dx*dx + dy*dy) + dz*dz``
+    against ``band`` (``i < j`` on the home row), as the compiled
+    ``band_pairs`` kernel searches a row.  ``fresh=False`` re-searches
+    the listed regions in place and pads them, lengthening a region
+    that outgrows its entries (:func:`_grow_regions`); it returns 0, or
+    1 when a region found no room (the layout is then unspecified).
+    ``fresh=True`` lays every listed region out anew with
+    ``fill + (fill >> lay.shift) + lay.slack_min`` entries (unlisted
+    regions get none) and returns the layout length, which, when it
+    exceeds the buffers, leaves them unspecified.
+
+    This is the numpy statement and the oracle of the compiled
+    ``band_rows`` kernel: both fill the layout bitwise identically.
+    """
+    C = plan.n_cells
+    order, start, counts = clist.order, clist.start, clist.counts
+    cap = max(int(counts.max(initial=0)), 1)
+    within = np.arange(len(order), dtype=np.int64) - start[clist.sorted_cids]
+    P = np.zeros((C, cap, 3), dtype=np.float32)
+    P[clist.sorted_cids, within] = packed[order].astype(np.float32)
+    bank = np.zeros((C, cap), dtype=np.int64)
+    bank[clist.sorted_cids, within] = order
+    valid = np.arange(cap)[None, :] < counts[:, None]
+    nbr = plan.nbr.reshape(C, ROWS_PER_CELL)
+    offs32 = np.asarray(offsets, dtype=np.float32)
+    band32 = np.float32(band)
+    iu = np.arange(cap)
+    tri = iu[:, None] < iu[None, :]
+    rows = np.asarray(rows, dtype=np.int64)
+    k_of, c_of = np.divmod(rows, C)
+    per = np.zeros(len(rows), dtype=np.int64)
+    hits: List[Tuple[np.ndarray, ...]] = []
+    bounds = np.searchsorted(k_of, np.arange(ROWS_PER_CELL + 1))
+    for k in range(ROWS_PER_CELL):
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if lo == hi:
+            continue
+        cs = c_of[lo:hi]
+        nb = nbr[cs, k]
+        Pi = P[cs]
+        Q = P[nb] + offs32[k]
+        d = Pi[:, :, None, 0] - Q[:, None, :, 0]
+        r2 = d * d
+        d = Pi[:, :, None, 1] - Q[:, None, :, 1]
+        r2 += d * d
+        d = Pi[:, :, None, 2] - Q[:, None, :, 2]
+        r2 += d * d
+        mask = r2 < band32
+        mask &= valid[cs][:, :, None]
+        mask &= valid[nb][:, None, :]
+        if k == 0:
+            mask &= tri
+        s, i, j = np.nonzero(mask)
+        per[lo:hi] = np.bincount(s, minlength=hi - lo)
+        hits.append((rows[lo:hi][s], bank[cs[s], i], bank[nb[s], j], cs[s], j))
+    if fresh:
+        lay.fill[:] = 0
+        lay.fill[rows] = per
+        lay.rcap[:] = 0
+        lay.rcap[rows] = per + (per >> lay.shift) + lay.slack_min
+        lay.rstart[0] = 0
+        np.cumsum(lay.rcap, out=lay.rstart[1:])
+        size = int(lay.rstart[-1])
+        if size > len(lay.a):
+            return size
+    elif not _grow_regions(lay, rows, per):
+        return 1
+    if hits:
+        reg, a, b, c, j = (np.concatenate(x) for x in zip(*hits))
+        first = np.cumsum(per) - per
+        dst = lay.rstart[reg] + np.arange(len(reg)) - np.repeat(first, per)
+        lay.a[dst] = a
+        lay.b[dst] = b
+        lay.key[dst] = c * lay.stride + j
+    spare = lay.rcap[rows] - per
+    first = np.cumsum(spare) - spare
+    pads = np.repeat(lay.rstart[rows] + per - first, spare) + np.arange(
+        int(spare.sum())
+    )
+    lay.a[pads] = lay.pad
+    lay.b[pads] = 0
+    lay.key[pads] = 0
+    return int(lay.rstart[-1]) if fresh else 0
+
+
+def _grow_regions(lay: RowBands, rows: np.ndarray, per: np.ndarray) -> bool:
+    """The layout side of an in-place update of ``rows`` to ``per``
+    hits each, as the compiled kernel's ``grow_region`` makes it: in
+    ascending order, a region that outgrows its entries is lengthened
+    to its hits plus ``slack_min``, the regions after it shifting right
+    up to the first that can give those entries up (or to the layout
+    end).  Regions that moved without being listed carry their hits
+    along and get their pads again.  False when a region finds no
+    room."""
+    n_reg = len(lay.rcap)
+    rstart0 = lay.rstart.copy()
+    rstart, rcap, fill = lay.rstart, lay.rcap, lay.fill
+    for r, m in zip(rows.tolist(), per.tolist()):
+        if m > rcap[r]:
+            need = m + lay.slack_min - int(rcap[r])
+            free = rcap[r + 1:] - fill[r + 1:]
+            t = r + 1 + int(np.argmax(free >= need)) if (free >= need).any() else n_reg
+            if t == n_reg:
+                if rstart[n_reg] + need > len(lay.a):
+                    return False
+                rstart[n_reg] += need
+            else:
+                rcap[t] -= need
+            rstart[r + 1:min(t, n_reg - 1) + 1] += need
+            rcap[r] += need
+        fill[r] = m
+    listed = np.zeros(n_reg, dtype=bool)
+    listed[rows] = True
+    moved = np.flatnonzero((rstart[:-1] != rstart0[:-1]) & ~listed)
+    for r in moved[::-1].tolist():
+        lo, hi, f = int(rstart0[r]), int(rstart[r]), int(fill[r])
+        for x in (lay.a, lay.b, lay.key):
+            x[hi:hi + f] = x[lo:lo + f]
+    end = rstart[moved] + rcap[moved]
+    spare = end - rstart[moved] - fill[moved]
+    first = np.cumsum(spare) - spare
+    pads = np.repeat(rstart[moved] + fill[moved] - first, spare) + np.arange(
+        int(spare.sum())
+    )
+    lay.a[pads] = lay.pad
+    lay.b[pads] = 0
+    lay.key[pads] = 0
+    return True
+
+
 class CellState:
     """Persistent binning + skin-banded candidate lists for one grid.
 
@@ -217,6 +462,11 @@ class CellState:
         (:attr:`pairs` is None), so the consumer takes its own
         non-padded path and every later :meth:`ensure` rebuilds the
         binning.
+    rows:
+        Hold the band as :class:`RowBands` (the machine's layout) rather
+        than :class:`BandPairs`.  A position-built row state updates in
+        place when particles only changed cell (:meth:`ensure`); its
+        packed units must be in-cell fractions, as the machine pack's.
 
     A state is built from positions (:meth:`ensure`) or from a given
     slot binning (:meth:`ensure_view`): a distributed node's local plus
@@ -225,6 +475,10 @@ class CellState:
     identity ``order`` and :attr:`ids` maps slots to particle ids; its
     ``pack_fn`` receives the slot vectors and ``skin`` is in packed
     units.
+
+    Counters: :attr:`builds` counts full builds, :attr:`updates`
+    in-place updates and :attr:`reuse_steps` passes that changed
+    nothing; :attr:`last_rebuilt` is True after a full build only.
     """
 
     def __init__(
@@ -233,7 +487,10 @@ class CellState:
         plan: CellPairPlan,
         skin: float,
         pack_fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]],
-        viable: Optional[Callable[[CellPairPlan, CellList], bool]] = None,
+        viable: Optional[
+            Callable[[CellPairPlan, CellList, Optional[np.ndarray]], bool]
+        ] = None,
+        rows: bool = False,
     ):
         if skin <= 0:
             raise ValidationError("CellState skin must be > 0")
@@ -242,21 +499,33 @@ class CellState:
         self.skin = float(skin)
         self._pack_fn = pack_fn
         self._viable = viable
+        self.rows = bool(rows)
         self.version = 0
         self.builds = 0
+        self.updates = 0
         self.reuse_steps = 0
         self.last_rebuilt = False
         self.clist: Optional[CellList] = None
         self.coords: Optional[np.ndarray] = None
         self.cids: Optional[np.ndarray] = None
         self.cap = 0
-        self.pairs: Optional[BandPairs] = None
+        self.pairs = None
         self.build_positions: Optional[np.ndarray] = None
         #: View builds: slot -> particle id (None on position builds,
         #: where ``clist.order`` is that map), home cells, slot vectors.
         self.ids: Optional[np.ndarray] = None
         self.home: Optional[np.ndarray] = None
         self.build_packed: Optional[np.ndarray] = None
+        #: A position-built row state's layout, kept across full builds
+        #: so they write into already-mapped buffers; the offsets and
+        #: band of its last build serve the in-place updates.
+        self._rb: Optional[RowBands] = None
+        self._offsets: Optional[np.ndarray] = None
+        self._band = 0.0
+        #: Length of the last slot band (sizes the next search's output)
+        #: and the coords and cids :meth:`_outcome` found changed.
+        self._hint = 0
+        self._next: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Consumer-attached per-build artifacts; cleared on rebuild.
         self.artifacts: Dict[str, object] = {}
 
@@ -273,6 +542,7 @@ class CellState:
         return {
             "skin": self.skin,
             "builds": self.builds,
+            "updates": self.updates,
             "reuse_steps": self.reuse_steps,
             "version": self.version,
         }
@@ -283,79 +553,124 @@ class CellState:
         Restoration costs one rebuild (``build_positions`` starts empty),
         so a restored run's ``builds`` may exceed an uninterrupted run's
         by the number of restarts — the documented, honest cost of a
-        restart.
+        restart.  Metadata written before in-place updates existed has
+        no ``updates`` and restores it as 0.
         """
         self.builds = int(meta["builds"])
+        self.updates = int(meta.get("updates", 0))
         self.reuse_steps = int(meta["reuse_steps"])
         self.version = int(meta["version"])
 
     # -- rebuild criterion -----------------------------------------------------
 
-    def needs_rebuild(self, positions: np.ndarray) -> bool:
-        """Whether reuse would no longer be bitwise-safe.
-
-        Two triggers, both cheap O(N) passes:
+    def _outcome(self, positions: np.ndarray) -> str:
+        """What a pass at ``positions`` needs, from two cheap O(N) tests:
 
         * the shared skin/2 displacement criterion (:func:`skin_exceeded`)
-          — coverage: an unlisted pair could now be inside the cutoff;
+          — coverage: an unlisted pair could now be inside the cutoff, so
+          ``"build"``;
         * any change of cell assignment — identity: the padded packing,
           bucket order and accumulation grouping of a fresh build would
           differ from the stored ones, so reuse would stop being
-          bit-identical even though it would still be *covering*.
+          bit-identical even though it would still be *covering*:
+          ``"update"`` (the new coords and cids are kept for
+          :meth:`_update`, which only a row state can take).
+
+        Otherwise ``"reuse"``.
         """
         if self.build_positions is None or self.pairs is None:
-            return True
+            return "build"
         if skin_exceeded(positions, self.build_positions, self.grid.box, self.skin):
-            return True
+            return "build"
         coords = self.grid.coords_of_positions(positions)
         cids = self.grid.cell_id(coords)
         if not np.array_equal(cids, self.cids):
-            return True
+            self._next = (coords, cids)
+            return "update"
         # Cache the (identical) coords so the consumer's quantization
         # pass does not recompute them.
         self.coords = coords
-        return False
+        return "reuse"
 
-    def ensure(
-        self, positions: np.ndarray, band_fn: Optional[Callable] = None
-    ) -> bool:
-        """Rebuild if required; returns True when a rebuild happened.
+    def ensure(self, positions: np.ndarray, backend=None) -> bool:
+        """Rebuild, update or reuse; returns True when a full build ran.
 
-        ``band_fn`` is passed on to :meth:`build`.
+        ``backend`` is the consumer's :class:`~repro.md.backends.ForceBackend`
+        (``None``: the numpy searches), whose band search the state
+        calls.  A position-built row state whose particles only changed
+        cell takes :meth:`_update` instead of a full build, falling back
+        to one when the update cannot hold the new binning.
         """
-        rebuild = self.needs_rebuild(positions)
-        if rebuild:
-            self.build(positions, band_fn)
-        return self._settle(rebuild)
+        outcome = self._outcome(positions)
+        if outcome == "update" and not (
+            self.rows and self._update(positions, backend)
+        ):
+            outcome = "build"
+        if outcome == "build":
+            self.build(positions, backend)
+        return self._settle(outcome)
 
-    def _settle(self, rebuilt: bool) -> bool:
-        if not rebuilt:
+    def _settle(self, outcome: str) -> bool:
+        if outcome == "reuse":
             self.reuse_steps += 1
-        self.last_rebuilt = rebuilt
-        return rebuilt
+        elif outcome == "update":
+            self.updates += 1
+        self.last_rebuilt = outcome == "build"
+        return self.last_rebuilt
 
-    def build(
-        self, positions: np.ndarray, band_fn: Optional[Callable] = None
-    ) -> None:
+    def build(self, positions: np.ndarray, backend=None) -> None:
         """(Re)build binning and band lists from the current positions.
 
-        ``band_fn`` is the consumer's backend band search
-        (:attr:`~repro.md.backends.ForceBackend.band_pairs`), resolved
-        by the caller at build time; ``None`` runs
-        :func:`band_slot_pairs`.  Either lists the same admissible pairs
-        in the same order (see DESIGN.md §10).
+        ``backend`` is as in :meth:`ensure`; a slot band runs its
+        ``band_pairs`` (or :func:`band_slot_pairs`), a row band its
+        ``band_rows`` (or :func:`band_rows_numpy`).  Either lists the
+        same admissible pairs in the same order (see DESIGN.md §10).
 
         Exception-safe: ``pack_fn`` may refuse pathological inputs (the
         reference pack raises ``FloatingPointError`` on non-box-local
         positions), in which case the previously built state is left
-        fully intact — the caller falls back to its fresh path.
+        fully intact — the caller falls back to its fresh path.  (A row
+        build writes its band in place, after the pack.)
         """
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
-        self._build(clist, positions, band_fn)
+        self._build(clist, positions, backend)
         self.coords = coords
         self.cids = self.grid.cell_id(coords)
         self.build_positions = positions.copy()
+
+    def _update(self, positions: np.ndarray, backend) -> bool:
+        """Re-band, in place, only the regions whose home or neighbour
+        cell changed membership; False (state unspecified, a full build
+        must follow) when the new binning outgrows the layout or leaves
+        the padded path.
+
+        The regions are searched at the *build* positions under the
+        *current* binning, so the single skin/2-since-build trigger
+        keeps covering every listed pair.  A particle's build position
+        is placed beside its current cell as its current position minus
+        its minimum-image displacement since the build, so one that
+        crossed a periodic face is searched next to its new neighbours
+        (and may sit just outside ``[0, 1)`` of its cell).
+        """
+        coords, cids = self._next
+        rb = self.pairs
+        clist = CellList(self.grid, positions)
+        if int(clist.counts.max()) > rb.stride:
+            return False
+        if self._viable is not None and not self._viable(self.plan, clist, None):
+            return False
+        regions = dirty_regions(self.plan, self.cids, cids)
+        packed = build_fractions(self.grid, positions, self.build_positions, coords)
+        kern = _row_search(backend)
+        if kern(self.plan, clist, packed, self._offsets, self._band, regions, rb, False):
+            return False
+        rb.size = int(rb.rstart[-1])
+        self.clist = clist
+        self.coords = coords
+        self.cids = cids
+        self.cap = int(clist.counts.max())
+        return True
 
     # -- node views ------------------------------------------------------------
 
@@ -365,14 +680,14 @@ class CellState:
         ids: np.ndarray,
         packed: np.ndarray,
         home: np.ndarray,
-        band_fn: Optional[Callable] = None,
+        backend=None,
     ) -> bool:
         """:meth:`ensure` for a given slot binning: ``counts`` per cell
         (slots ascending by cid), ``ids`` the particle id and ``packed``
         the vector of every slot, ``home`` the ascending cells whose
         plan rows are searched.
 
-        The view form of :meth:`needs_rebuild` rebuilds on any change of
+        The view form of :meth:`_outcome` rebuilds on any change of
         the binning (counts, slot ids, home cells) or when a slot vector
         moved more than ``skin / 2`` since the build; stale halo slots do
         not move, so the skin argument covers them too.  It reads only
@@ -391,38 +706,111 @@ class CellState:
             rebuild = float(disp2) > (0.5 * self.skin) ** 2
         if rebuild:
             self._build(
-                CellList.from_counts(self.grid, counts), packed, band_fn, home
+                CellList.from_counts(self.grid, counts), packed, backend, home
             )
             self.ids = np.array(ids, dtype=np.int64)
             self.home = home
             self.build_packed = np.array(packed)
-        return self._settle(rebuild)
+        return self._settle("build" if rebuild else "reuse")
 
     def _build(
         self,
         clist: CellList,
         pack_input: np.ndarray,
-        band_fn: Optional[Callable],
+        backend,
         home: Optional[np.ndarray] = None,
     ) -> None:
         pairs = None
+        cap = int(clist.counts.max()) if clist.counts.size else 0
         if self._viable is None or self._viable(self.plan, clist, home):
             packed, offsets, band = self._pack_fn(pack_input)
-            if band_fn is None:
-                pairs = band_slot_pairs(
-                    self.plan, clist, packed, offsets, band, home
-                )
+            stride = key_stride(cap)
+            if self.rows and home is None:
+                pairs = self._build_rows(clist, packed, offsets, band, stride, backend)
             else:
-                hint = self.pairs.n_pairs if self.pairs is not None else 0
-                pairs = BandPairs(
-                    *band_fn(self.plan, clist, packed, offsets, band, hint, home)
-                )
+                search = None if backend is None else backend.band_pairs
+                if search is None:
+                    pairs = band_slot_pairs(
+                        self.plan, clist, packed, offsets, band, home
+                    )
+                else:
+                    pairs = BandPairs(
+                        *search(
+                            self.plan, clist, packed, offsets, band,
+                            self._hint, home,
+                        )
+                    )
+                self._hint = pairs.n_pairs
+                if self.rows:
+                    pairs = RowBands.from_slots(pairs, stride, self.plan.n_cells)
         self.clist = clist
-        self.cap = int(clist.counts.max()) if clist.counts.size else 0
+        self.cap = cap
         self.pairs = pairs
         self.version += 1
         self.builds += 1
         self.artifacts.clear()
+
+    def _build_rows(self, clist, packed, offsets, band, stride, backend) -> RowBands:
+        """Lay every region out anew in the state's grow-only buffers,
+        sized up front by the candidate count (a hit bound), so the
+        search runs once."""
+        n_reg = self.plan.n_rows
+        rb = self._rb
+        if rb is None:
+            rb = self._rb = RowBands(n_reg)
+        rb.stride = stride
+        rb.pad = len(clist.order)
+        cand = int(candidates_per_cell(self.plan, clist.counts).sum())
+        rb.reserve(cand + (cand >> rb.shift) + n_reg * rb.slack_min)
+        self._offsets, self._band = offsets, band
+        kern = _row_search(backend)
+        everything = np.arange(n_reg, dtype=np.int64)
+        while True:
+            size = kern(self.plan, clist, packed, offsets, band, everything, rb, True)
+            if size <= len(rb.a):
+                break
+            rb.reserve(size)
+        rb.size = size
+        return rb
+
+
+def dirty_regions(
+    plan: CellPairPlan, before: np.ndarray, after: np.ndarray
+) -> np.ndarray:
+    """Ascending regions ``k * n_cells + c`` of the plan rows whose home
+    or neighbour cell changed membership between two per-particle cell
+    assignments: the cells every migrating particle left or entered."""
+    C = plan.n_cells
+    moved = np.flatnonzero(before != after)
+    dirty = np.zeros(C, dtype=bool)
+    dirty[before[moved]] = True
+    dirty[after[moved]] = True
+    nbr = plan.nbr.reshape(C, ROWS_PER_CELL)
+    return np.flatnonzero((dirty[:, None] | dirty[nbr]).T)
+
+
+def build_fractions(
+    grid: CellGrid,
+    positions: np.ndarray,
+    build_positions: np.ndarray,
+    coords: np.ndarray,
+) -> np.ndarray:
+    """Build positions as fractions of the cells at ``coords`` (the
+    current binning): each particle's current position minus its
+    minimum-image displacement since the build, so one that crossed a
+    periodic face sits beside its new cell (possibly just outside
+    ``[0, 1)``; nothing is clamped)."""
+    box = grid.box
+    d = positions - build_positions
+    d -= box * np.rint(d / box)
+    edge = grid.cell_edge
+    return (positions - d - coords * edge) / edge
+
+
+def _row_search(backend) -> Callable:
+    """The backend's compiled row search, else :func:`band_rows_numpy`."""
+    kern = None if backend is None else backend.band_rows
+    return band_rows_numpy if kern is None else kern
 
 
 def engine_pack_fn(

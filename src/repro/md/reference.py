@@ -586,7 +586,7 @@ def compute_forces_cells(
 
     if state is not None:
         try:
-            state.ensure(pos, backend.band_pairs)
+            state.ensure(pos, backend)
         except FloatingPointError:
             state = None  # non-box-local positions: fresh path below
     if state is not None and state.pairs is not None:

@@ -8,16 +8,26 @@ them again, run this script against a checkout of that commit::
 
     PYTHONPATH=<checkout>/src python tests/data/make_checkpoint_fixtures.py
 
+The machine fixture pins cell-state metadata written before states
+counted in-place updates (no ``updates`` key).  The committed file was
+written by commit cb81ee9, the last one without that counter; to write
+it again, run from the root of this checkout::
+
+    PYTHONPATH=<checkout of cb81ee9>/src python -c \
+        "from tests.data import make_checkpoint_fixtures as f; f.save_machine()"
+
 ``tests/test_checkpoint_fixtures.py`` rebuilds the same states with
-:func:`build_system` and :func:`build_batch` on the current code and
-checks that each fixture loads and continues bitwise against a fresh
-save of them.  Everything runs on the ``numpy`` backend, so the states
-do not depend on ``REPRO_FORCE_IMPL``.
+:func:`build_system`, :func:`build_batch` and :func:`build_machine` on
+the current code and checks that each fixture loads and continues
+bitwise against a fresh save of them.  Everything runs on the ``numpy``
+backend, so the states do not depend on ``REPRO_FORCE_IMPL``.
 """
 
 import os
 
 from repro.core.checkpoint import save_checkpoint_v2
+from repro.core.config import MachineConfig
+from repro.core.machine import FasdaMachine
 from repro.md.batch import BatchedEngine
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
@@ -26,6 +36,8 @@ from repro.md.thermostat import BerendsenThermostat
 HERE = os.path.dirname(os.path.abspath(__file__))
 SYSTEM_FILE = "ckpt-v2-deflated-system.npz"
 BATCH_FILE = "ckpt-v2-deflated-batch.npz"
+MACHINE_FILE = "ckpt-v2-machine-no-updates.npz"
+MACHINE_STEPS = 5
 FORCE_IMPL = "numpy"
 DIMS = (3, 3, 3)
 CUTOFF = 8.5
@@ -53,6 +65,24 @@ def build_batch():
         be.add(system, grid, thermostat=thermostat, aux={"seed": seed})
     be.step(4)
     return be
+
+
+def build_machine():
+    """A dense 432-particle machine after five steps, on a box the
+    engine first carried 60 steps past the lattice transient, so its
+    particles have started to change cell."""
+    system, grid = build_dataset(
+        DIMS, cutoff=CUTOFF, particles_per_cell=16, seed=75
+    )
+    ReferenceEngine(system, grid, force_impl=FORCE_IMPL).run(60, record_every=0)
+    m = FasdaMachine(MachineConfig(DIMS, cutoff=CUTOFF), system=system)
+    m.force_impl = FORCE_IMPL
+    m.run(MACHINE_STEPS)
+    return m
+
+
+def save_machine(out_dir: str = HERE) -> None:
+    save_checkpoint_v2(build_machine(), os.path.join(out_dir, MACHINE_FILE))
 
 
 def main(out_dir: str = HERE) -> None:

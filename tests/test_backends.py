@@ -452,6 +452,9 @@ class TestCampaignBackends:
                                force_impl=name)
             assert res["backend"] == name
             assert res["potential_energy"] == base["potential_energy"]
+            for key in ("state_builds", "state_updates", "update_rate"):
+                assert res[key] == base[key]
+            assert res["update_rate"] == res["state_updates"] / 3
 
     def test_default_campaign_has_backend_points(self):
         from repro.harness.campaign import build_default_campaign

@@ -1,4 +1,5 @@
-"""Property tests for the compiled skin-band search (``band_pairs``).
+"""Property tests for the compiled skin-band searches (``band_pairs``,
+``band_rows``).
 
 The contract (DESIGN.md §10): the cext band lists every pair the exact
 admission can pass, in :func:`~repro.md.cellstate.band_slot_pairs`'
@@ -23,11 +24,16 @@ from repro.arith.fixedpoint import FixedPointFormat
 from repro.md.backends import available_backends, resolve_backend
 from repro.md.cells import CellGrid, CellList
 from repro.md.cellstate import (
+    RowBands,
+    band_rows_numpy,
     band_slot_pairs,
+    build_fractions,
+    dirty_regions,
     engine_pack_fn,
+    key_stride,
     machine_pack_fn,
 )
-from repro.md.pairplan import ROWS_PER_CELL, plan_for_grid
+from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.util.errors import ValidationError
 
 pytestmark = pytest.mark.skipif(
@@ -265,3 +271,185 @@ class TestHomeCellSubsets:
                 for full, part in zip((a, b, c, js), got[:4]):
                     assert np.array_equal(full[lo:hi][sel], part[glo:ghi])
         assert total == segs[-1]
+
+
+def _row_layout(plan, clist, n, shift=None, slack_min=None, room=0):
+    """An empty :class:`RowBands` sized for a fresh build of ``clist``."""
+    lay = RowBands(plan.n_rows)
+    if shift is not None:
+        lay.shift, lay.slack_min = shift, slack_min
+    lay.stride = key_stride(int(clist.counts.max()))
+    lay.pad = n
+    cand = int(candidates_per_cell(plan, clist.counts).sum())
+    lay.reserve(cand + (cand >> lay.shift) + plan.n_rows * lay.slack_min + room)
+    return lay
+
+
+def _copy(lay):
+    out = RowBands(len(lay.rcap))
+    for f in ("stride", "pad", "shift", "slack_min", "size"):
+        setattr(out, f, getattr(lay, f))
+    for f in ("a", "b", "key", "rstart", "rcap", "fill"):
+        setattr(out, f, getattr(lay, f).copy())
+    return out
+
+
+def _same_layout(x, y):
+    assert np.array_equal(x.rstart, y.rstart)
+    assert np.array_equal(x.rcap, y.rcap)
+    assert np.array_equal(x.fill, y.fill)
+    n = int(x.rstart[-1])
+    for f in ("a", "b", "key"):
+        assert np.array_equal(getattr(x, f)[:n], getattr(y, f)[:n]), f
+
+
+def _hits(lay, r):
+    lo, f = lay.rstart[r], lay.fill[r]
+    return tuple(getattr(lay, x)[lo:lo + f] for x in ("a", "b", "key"))
+
+
+def _admitted_rows(lay, packed, offs, C):
+    """Exact float64 admission (machine units, cutoff 1) over a row
+    layout: ``(k, c, home bank row, neighbour bank row)`` in layout
+    order, pads skipped."""
+    out = []
+    for r in range(len(lay.fill)):
+        a, b, _ = _hits(lay, r)
+        k = r // C
+        d = packed[a] - packed[b] - offs[k]
+        keep = np.einsum("ij,ij->i", d, d) < 1.0
+        out.append(np.stack([np.full(keep.sum(), k), np.full(keep.sum(), r % C),
+                             a[keep], b[keep]]))
+    return np.concatenate(out, axis=1)
+
+
+def _migrate(grid, positions, rng, n_move, pile):
+    """Move ``n_move`` particles by under 0.6 A, some across cell and
+    periodic box faces; with ``pile`` they all head for one cell."""
+    moved = positions.copy()
+    ids = rng.choice(len(positions), size=min(n_move, len(positions)), replace=False)
+    target = grid.cell_coords(rng.integers(grid.n_cells)) * grid.cell_edge
+    for p in ids:
+        if pile:
+            d = target - moved[p]
+            d -= grid.box * np.rint(d / grid.box)
+            step = 0.55 * d / max(np.linalg.norm(d), 1e-9)
+        else:
+            step = rng.uniform(-0.55, 0.55, size=3) / np.sqrt(3)
+        moved[p] += step
+    return moved % grid.box
+
+
+class TestRowSearch:
+    """The row-layout search (``band_rows``): the compiled kernel and its
+    numpy statement fill the layout bitwise identically, for a full
+    build and for an in-place update of the regions migrating particles
+    touch — lengthening regions, borrowing from later ones, growing the
+    layout end — and the updated regions together with the kept ones
+    are exactly a fresh search of the new binning, whose admitted pairs
+    are those of the numpy padded-broadcast band search."""
+
+    @given(
+        dims=dims_st,
+        occ=st.integers(2, 14),
+        n_move=st.integers(1, 40),
+        pile=st.booleans(),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_update_matches_numpy_and_a_fresh_search(
+        self, dims, occ, n_move, pile, tight, seed
+    ):
+        grid = CellGrid(dims, EDGE)
+        plan = plan_for_grid(grid)
+        C = plan.n_cells
+        rng = np.random.default_rng(seed)
+        x0 = _positions(grid, np.full(C, occ), rng, faces=False)
+        n = len(x0)
+        _, offs, band, _ = _pack("machine", grid, plan, x0)
+        b0 = CellList(grid, x0)
+        c0 = grid.coords_of_positions(x0)
+        p0 = build_fractions(grid, x0, x0, c0)
+        # ``tight``: no slack at all, so any growth borrows or moves the
+        # layout end (with room for it in the buffers).
+        slack = dict(shift=63, slack_min=0, room=1 << 16) if tight else {}
+        cext = _row_layout(plan, b0, n, **slack)
+        size = resolve_backend("cext").band_rows(
+            plan, b0, p0, offs, band, np.arange(plan.n_rows), cext, True
+        )
+        assert size == cext.rstart[-1] <= len(cext.a)
+        ref = _copy(cext)
+        band_rows_numpy(plan, b0, p0, offs, band, np.arange(plan.n_rows), ref, True)
+        _same_layout(cext, ref)
+
+        x1 = _migrate(grid, x0, rng, n_move, pile)
+        b1 = CellList(grid, x1)
+        c1 = grid.coords_of_positions(x1)
+        p1 = build_fractions(grid, x1, x0, c1)
+        regions = dirty_regions(plan, grid.cell_id(c0), grid.cell_id(c1))
+        stride_ok = int(b1.counts.max()) <= cext.stride
+        got = resolve_backend("cext").band_rows(
+            plan, b1, p1, offs, band, regions, cext, False
+        )
+        want = band_rows_numpy(plan, b1, p1, offs, band, regions, ref, False)
+        assert got == want == 0
+        _same_layout(cext, ref)
+        if not stride_ok:
+            return  # the keys would collide; the state rebuilds here
+
+        fresh = _row_layout(plan, b1, n)
+        fresh.stride = cext.stride
+        band_rows_numpy(plan, b1, p1, offs, band, np.arange(plan.n_rows), fresh, True)
+        for r in range(plan.n_rows):
+            for x, y in zip(_hits(cext, r), _hits(fresh, r)):
+                assert np.array_equal(x, y)
+        ref_band = band_slot_pairs(plan, b1, p1, offs, band)
+        order = b1.order
+        k_of = np.repeat(np.arange(ROWS_PER_CELL), np.diff(ref_band.segs))
+        d = p1[order[ref_band.a]] - p1[order[ref_band.b]] - offs[k_of]
+        keep = np.einsum("ij,ij->i", d, d) < 1.0
+        slot_admitted = np.stack([
+            k_of[keep], ref_band.c[keep],
+            order[ref_band.a][keep], order[ref_band.b][keep],
+        ])
+        assert np.array_equal(_admitted_rows(cext, p1, offs, C), slot_admitted)
+
+    def test_no_room_fails_on_both(self):
+        """A region that must grow in a layout with neither slack nor
+        room past its end makes both searches report failure."""
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        rng = np.random.default_rng(4)
+        x0 = _positions(grid, np.full(plan.n_cells, 8), rng, faces=False)
+        _, offs, band, _ = _pack("machine", grid, plan, x0)
+        b0 = CellList(grid, x0)
+        c0 = grid.coords_of_positions(x0)
+        p0 = build_fractions(grid, x0, x0, c0)
+        results = []
+        for kern in (resolve_backend("cext").band_rows, band_rows_numpy):
+            lay = _row_layout(plan, b0, len(x0), shift=63, slack_min=0)
+            kern(plan, b0, p0, offs, band, np.arange(plan.n_rows), lay, True)
+            lay.a, lay.b, lay.key = (
+                x[: int(lay.rstart[-1])].copy() for x in (lay.a, lay.b, lay.key)
+            )
+            x1 = _migrate(grid, x0, np.random.default_rng(5), 20, pile=True)
+            b1 = CellList(grid, x1)
+            c1 = grid.coords_of_positions(x1)
+            regions = dirty_regions(plan, grid.cell_id(c0), grid.cell_id(c1))
+            p1 = build_fractions(grid, x1, x0, c1)
+            results.append(kern(plan, b1, p1, offs, band, regions, lay, False))
+        assert results == [1, 1]
+
+    def test_regions_must_be_in_range(self):
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        clist = CellList(grid, pos)
+        packed, offs, band, _ = _pack("machine", grid, plan, pos)
+        lay = _row_layout(plan, clist, 2)
+        kern = resolve_backend("cext").band_rows
+        with pytest.raises(ValidationError, match="region"):
+            kern(plan, clist, packed, offs, band, np.array([plan.n_rows]), lay, True)
+        with pytest.raises(ValidationError, match="offsets"):
+            kern(plan, clist, packed, offs[:-1], band, np.array([0]), lay, True)

@@ -8,8 +8,12 @@ approximation.  These tests run the production path and the oracle
 (``tests/oracles.py``) side by side for 50+ steps and compare
 positions, velocities, and forces exactly, including under a forced
 mid-run rebuild (a kicked particle) and under fault injection on the
-distributed machine.
+distributed machine.  At the paper density the machine's state updates
+in place on most steps; 200 such steps run against the fresh-build
+oracle on both backends.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -39,6 +43,64 @@ def _machine_pair(dims=(4, 4, 4), ppc=16, seed=11):
 
 
 class TestMachineReuseBitwise:
+    @pytest.mark.parametrize("name", ["numpy", "cext"])
+    def test_paper_density_200_steps_bitwise(self, paper_run, name):
+        """At the paper point particles migrate nearly every step, so
+        the state mostly updates in place; every step must still equal
+        a fresh build, bit for bit, with the skin/2 trigger's full
+        rebuilds in between."""
+        if name not in available_backends():
+            pytest.skip(f"{name} backend unavailable")
+        system, record = paper_run
+        m = FasdaMachine(MachineConfig(PAPER_DIMS, (2, 2, 2)), system=system.copy())
+        m.force_impl = name
+        for step, want in enumerate(record):
+            m.step(collect_traffic=True)
+            assert _pass_digests(m) == want, f"step {step + 1}"
+        state = m._cell_state
+        assert state.updates > PAPER_STEPS // 2
+        assert state.builds >= 2  # the first build and a skin/2 rebuild
+        assert m.last_stats.state_builds == state.builds
+        assert m.last_stats.state_updates == state.updates
+        assert state.builds + state.updates + state.reuse_steps == PAPER_STEPS + 1
+
+    @pytest.mark.parametrize("name", ["numpy", "cext"])
+    def test_periodic_face_crossing_keeps_moving(self, name):
+        """A particle pushed across the +x box face and on into the cell
+        at the far side, within skin/2 of its build position: it is
+        searched beside its new neighbours only if its build position
+        is placed next to its current cell (minimum image), not at the
+        wrapped build coordinates on the other side of the box."""
+        if name not in available_backends():
+            pytest.skip(f"{name} backend unavailable")
+        dims = (4, 4, 4)
+        system, _ = build_dataset(dims, particles_per_cell=16, seed=21)
+        oracle = fresh_path(FasdaMachine(MachineConfig(dims), system=system.copy()))
+        m = FasdaMachine(MachineConfig(dims), system=system.copy())
+        m.force_impl = name
+        box = m.grid.box
+        # The particle nearest the +x face, put 0.25 A inside it.
+        p = int(np.argmax(system.positions[:, 0]))
+        start = system.positions[p].copy()
+        start[0] = box[0] - 0.25
+        step = np.array([0.1, 0.0, 0.0])
+        for i in range(6):  # 0.5 A in all, under skin/2 = 0.64 A
+            for mach in (oracle, m):
+                mach.system.positions[p] = start + i * step
+                mach.system.wrap()
+            sa = oracle.compute_forces(collect_traffic=True)
+            sb = m.compute_forces(collect_traffic=True)
+            assert np.array_equal(oracle.forces, m.forces), f"pass {i}"
+            assert sa.potential_energy == sb.potential_energy
+            assert np.array_equal(sa.accepted_per_cell, sb.accepted_per_cell)
+            assert np.array_equal(
+                sa.neighbor_force_records_per_cell,
+                sb.neighbor_force_records_per_cell,
+            )
+        assert m.system.positions[p, 0] < 1.0  # across the face
+        state = m._cell_state
+        assert (state.builds, state.updates) == (1, 1)
+
     def test_50_step_trajectory_bitwise(self):
         oracle, reuse = _machine_pair()
         for _ in range(50):
@@ -85,6 +147,50 @@ class TestMachineReuseBitwise:
             )
             assert stats.position_records == sa.position_records
         assert sb2.state_reused is True
+
+
+#: The perfbench ``machine-paper`` input: 4x4x4 cells, 64 Na per cell,
+#: advanced 60 reference steps past the lattice transient, after which
+#: a few particles change cell on nearly every step.
+PAPER_DIMS = (4, 4, 4)
+PAPER_STEPS = 200
+
+
+def _digest(*arrays):
+    h = hashlib.sha1()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _pass_digests(machine):
+    """Everything one step leaves behind, hashed per step: positions,
+    velocities, forces, potential, per-cell acceptances and neighbour
+    force records, and the position and force records per node pair."""
+    st = machine.last_stats
+    return (
+        _digest(machine.system.positions, machine.velocities, machine.forces),
+        st.potential_energy,
+        _digest(st.accepted_per_cell, st.neighbor_force_records_per_cell),
+        sorted(st.position_records.items()),
+        sorted(st.force_records.items()),
+    )
+
+
+@pytest.fixture(scope="module")
+def paper_run():
+    """The paper input and the fresh-build oracle's 200-step record."""
+    system, grid = build_dataset(PAPER_DIMS, particles_per_cell=64, seed=1)
+    ReferenceEngine(system, grid, force_impl="numpy").run(60, record_every=0)
+    oracle = fresh_path(
+        FasdaMachine(MachineConfig(PAPER_DIMS, (2, 2, 2)), system=system.copy())
+    )
+    oracle.force_impl = "numpy"
+    record = []
+    for _ in range(PAPER_STEPS):
+        oracle.step(collect_traffic=True)
+        record.append(_pass_digests(oracle))
+    return system, record
 
 
 def _engine_vs_rebuild_every_step(force_impl, steps=50):

@@ -84,3 +84,27 @@ def test_batch_fixture_continues_bitwise(tmp_path):
     for h in be.handles():
         _assert_systems_equal(old.extract(h), fresh.extract(h))
     assert old.potentials() == fresh.potentials()
+
+
+def test_machine_fixture_without_update_counter(tmp_path):
+    """Cell-state metadata written before states counted in-place
+    updates restores with ``updates = 0`` and its other counters intact,
+    and the machine continues bitwise against a fresh save of the same
+    state — through in-place updates once particles start to migrate."""
+    old, step = load_checkpoint_v2(_fixture(fixtures.MACHINE_FILE))
+    assert step == fixtures.MACHINE_STEPS
+    state = old._cell_state
+    assert (state.builds, state.updates, state.reuse_steps) == (1, 0, 5)
+    m = fixtures.build_machine()
+    fresh, _ = load_checkpoint_v2(
+        save_checkpoint_v2(m, str(tmp_path / "machine.npz"))
+    )
+    _assert_systems_equal(old.system, fresh.system)
+    for a in (old, fresh):
+        a.run(40)
+    _assert_systems_equal(old.system, fresh.system)
+    np.testing.assert_array_equal(old.forces, fresh.forces)
+    np.testing.assert_array_equal(old.velocities, fresh.velocities)
+    assert state.builds >= 2  # restoring costs one full build
+    assert state.updates > 0
+    assert state.builds + state.updates + state.reuse_steps == 6 + 40
