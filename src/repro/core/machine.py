@@ -402,10 +402,10 @@ class MachineCore:
         return f, e
 
     def _new_cell_state(self, view: bool = False) -> CellState:
-        """A persistent row-layout :class:`CellState` (band lists only
-        where :func:`~repro.md.reference._padded_viable`); ``view=True``
-        makes a node view state: slot fractions in, skin in cutoff
-        units, full builds only."""
+        """A persistent :class:`CellState` (band lists only where
+        :func:`~repro.md.reference._padded_viable`), updatable in place;
+        ``view=True`` makes a node view state: slot fractions in, skin
+        in cutoff units, a compact layout and full builds only."""
         cutoff = self.config.cutoff
         return CellState(
             self.grid,
@@ -415,7 +415,7 @@ class MachineCore:
                 self.fmt, cutoff, self.reuse_skin, None if view else self.grid
             ),
             viable=_padded_viable,
-            rows=True,
+            updatable=not view,
         )
 
     def _prepare(self, state: CellState) -> None:

@@ -70,29 +70,19 @@ Kernel contracts (see DESIGN.md §10)
   ``src[k]`` — the hot loop of
   :meth:`~repro.core.rings.RingLoadModel._charge_spans`.  Pure integer
   adds, order-free, bitwise by construction.
-* ``band_pairs`` (build phase, float32): the skin-band candidate search
-  of a :class:`~repro.md.cellstate.CellState` rebuild, ``(plan, clist,
-  packed, offsets, band, hint, home) -> (a, b, c, js, segs)``.  It walks
-  the pair plan per offset, home cell (every cell, or the ascending
-  ``home`` list of a node view), home slot and neighbour slot and
-  tests a float32 direct-difference ``r2`` against the widened band.
-  The contract is **order plus superset, not bitwise band equality**:
-  every pair the exact admission can pass is listed, in
-  :func:`~repro.md.cellstate.band_slot_pairs`' ascending flat ``(cell,
-  slot_i, slot_j)`` order within each offset segment.  The band itself
-  may differ from the numpy matmul band for pairs with ``r2`` close to
-  the band, far outside the cutoff, so the admitted sequences, and with
-  them every consumer's results, are unchanged.  ``hint`` (the previous
-  build's length) sizes the outputs; they are trimmed to the exact size.
-* ``band_rows`` (build phase, float32): the row-layout search of the
-  machine's whole-box :class:`~repro.md.cellstate.CellState`, ``(plan,
-  clist, packed, offsets, band, rows, lay, fresh) -> int``.  It searches
-  the listed regions (plan row of cell ``c`` at offset ``k`` is region
-  ``k * n_cells + c``) with the same float32 direct-difference test as
-  ``band_pairs``, keyed by bank row, into the
-  :class:`~repro.md.cellstate.RowBands` ``lay``: a full build lays all
-  regions out anew with slack, an in-place update re-searches the
-  listed ones where they lie.  **Bitwise** equal to
+* ``band_rows`` (build phase, float32): the skin-band search of every
+  :class:`~repro.md.cellstate.CellState`, ``(plan, clist, packed,
+  offsets, band, rows, lay, fresh) -> int``.  It searches the listed
+  regions (plan row of cell ``c`` at offset ``k`` is region ``k *
+  n_cells + c``; ``rows`` strictly ascending) per home slot and
+  neighbour slot with a float32 direct-difference ``r2`` against the
+  widened band, keyed by bank row, into the
+  :class:`~repro.md.cellstate.RowBands` ``lay``: a full build lays the
+  listed regions out anew (compact, or with slack on the machine's
+  whole-box state), fitting the buffers to the layout when it outgrows
+  them, and returns its length; an in-place update re-searches the
+  listed ones where they lie and returns 0, or 1 when a region finds
+  no room.  **Bitwise** equal to
   :func:`~repro.md.cellstate.band_rows_numpy`, its numpy statement and
   oracle: same hits, same region starts, capacities and pads.
 
@@ -141,7 +131,7 @@ class ForceBackend:
     ``admit_flat``, ``screen_dr``, ``lj_flat_seg``, ``traffic_flat``
     and ``ring_charge`` are present on every available backend, so
     consumers call them unconditionally.  For ``lj_flat``, ``rom_eval``,
-    ``scatter_cols``, ``band_pairs`` and ``band_rows``, ``None`` means "run the
+    ``scatter_cols`` and ``band_rows``, ``None`` means "run the
     consumer's numpy code", which stays the oracle the compiled kernel
     mirrors.  ``available`` is probed once at registration; ``why``
     records the probe outcome for diagnostics.
@@ -184,16 +174,7 @@ class ForceBackend:
     #: rows).  Bitwise identical by construction.  ``None`` = keep the
     #: three-bincount numpy helper.
     scatter_cols: Optional[Callable] = None
-    #: Skin-band candidate search of a :class:`~repro.md.cellstate.CellState`
-    #: rebuild (build phase, float32): walks the pair plan per offset,
-    #: home cell, home slot and neighbour slot and returns the flat
-    #: ``(a, b, c, js, segs)`` band lists in exactly
-    #: :func:`~repro.md.cellstate.band_slot_pairs`' enumeration order.
-    #: Order plus superset, not bitwise band equality (see the module
-    #: docstring).  ``None`` = keep the numpy padded-broadcast search
-    #: (which remains the oracle).
-    band_pairs: Optional[Callable] = None
-    #: Row-layout band search of a machine :class:`~repro.md.cellstate.CellState`
+    #: Skin-band search of a :class:`~repro.md.cellstate.CellState`
     #: (build phase, float32): searches listed plan rows into per-row
     #: regions keyed by bank row, for a full build or an in-place update.
     #: Bitwise identical to :func:`~repro.md.cellstate.band_rows_numpy`,
@@ -604,6 +585,21 @@ def _traffic_flat_empty(
     )
 
 
+def checked_regions(rows, n_regions: int) -> np.ndarray:
+    """``rows`` as a contiguous int64 array, or :class:`ValidationError`
+    unless it is strictly ascending within ``[0, n_regions)``.  The
+    compiled ``band_rows`` indexes its per-region arrays by every entry,
+    so a list that fails this never reaches it."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.size and (
+        rows[0] < 0 or rows[-1] >= n_regions or np.any(rows[1:] <= rows[:-1])
+    ):
+        raise ValidationError(
+            "band_rows: regions must be strictly ascending and in range"
+        )
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # cext backend: the fused kernels as a tiny cffi-built C extension
 # ---------------------------------------------------------------------------
@@ -658,14 +654,6 @@ void rom_eval_f32(const float *r2, const float *dx, const float *dy,
 void scatter_cols_f32(float *bank, const int64_t *idx,
                       const float *wx, const float *wy, const float *wz,
                       int64_t m, int64_t n, double *acc);
-int64_t band_pairs_f32(const float *ps, const int64_t *start,
-                       const int64_t *counts, const int64_t *nbr,
-                       const int64_t *home, int64_t n_home,
-                       int64_t n_rows, const float *offs,
-                       float band, int64_t cap_out,
-                       int64_t *a_out, int64_t *b_out, int64_t *c_out,
-                       int64_t *j_out, int64_t *segs,
-                       float *qx, float *qy, float *qz, int64_t *hit);
 int64_t band_rows_f32(const float *ps, const int64_t *order,
                       const int64_t *start, const int64_t *counts,
                       const int64_t *nbr, int64_t n_cells, int64_t n_rows,
@@ -1009,74 +997,6 @@ void scatter_cols_f32(float *bank, const int64_t *idx,
         bank[i] = bank[i] + (float)acc[i];
 }
 
-/* Skin-band candidate search of a CellState rebuild (build phase).
- * Walks the half-shell plan directly: per offset k, per home cell c of
- * the ascending list home[0..n_home) (every cell for a whole box, a
- * node's own cells for a node view), per home slot i, per neighbour
- * slot j (i < j on the home row k = 0),
- * testing the float32 direct-difference r2 of the bucket-sorted packed
- * vectors against the widened band.  Hits are emitted in ascending
- * flat (c, i, j) order within each offset segment -- the enumeration
- * order of the numpy padded-broadcast search, whose band may differ
- * from this one only for pairs with r2 ~ band.  Only the first cap_out
- * hits are written; the return value is the total, so a caller whose
- * outputs were too small knows the exact size to retry with.  qx/qy/qz
- * and hit are caller scratch of max(counts) entries each (any cap). */
-int64_t band_pairs_f32(const float *ps, const int64_t *start,
-                       const int64_t *counts, const int64_t *nbr,
-                       const int64_t *home, int64_t n_home,
-                       int64_t n_rows, const float *offs,
-                       float band, int64_t cap_out,
-                       int64_t *a_out, int64_t *b_out, int64_t *c_out,
-                       int64_t *j_out, int64_t *segs,
-                       float *qx, float *qy, float *qz, int64_t *hit)
-{
-    int64_t m = 0;
-    segs[0] = 0;
-    for (int64_t k = 0; k < n_rows; k++) {
-        float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
-        for (int64_t h = 0; h < n_home; h++) {
-            int64_t c = home[h];
-            int64_t ni = counts[c];
-            int64_t nc = nbr[c * n_rows + k];
-            int64_t nj = counts[nc];
-            if (ni == 0 || nj == 0)
-                continue;
-            const float *pc = ps + 3 * start[c];
-            const float *pn = ps + 3 * start[nc];
-            for (int64_t j = 0; j < nj; j++) {
-                qx[j] = pn[3 * j] + ox;
-                qy[j] = pn[3 * j + 1] + oy;
-                qz[j] = pn[3 * j + 2] + oz;
-            }
-            for (int64_t i = 0; i < ni; i++) {
-                float px = pc[3 * i], py = pc[3 * i + 1], pz = pc[3 * i + 2];
-                int64_t h = 0;
-                for (int64_t j = (k == 0 ? i + 1 : 0); j < nj; j++) {
-                    float dx = px - qx[j];
-                    float dy = py - qy[j];
-                    float dz = pz - qz[j];
-                    float r2 = dx * dx + dy * dy + dz * dz;
-                    hit[h] = j;
-                    h += r2 < band;
-                }
-                if (m + h <= cap_out) {
-                    int64_t a = start[c] + i, b0 = start[nc];
-                    for (int64_t t = 0; t < h; t++) {
-                        a_out[m + t] = a;
-                        b_out[m + t] = b0 + hit[t];
-                        c_out[m + t] = c;
-                        j_out[m + t] = hit[t];
-                    }
-                }
-                m += h;
-            }
-        }
-        segs[k + 1] = m;
-    }
-    return m;
-}
-
 /* Band test of one home vector against n neighbour vectors: the
  * float32 direct-difference r2 = (dx*dx + dy*dy) + dz*dz, rounded per
  * operation as numpy rounds it, below `band`.  A separate loop so the
@@ -1192,12 +1112,12 @@ static int grow_region(int64_t r, int64_t need, int64_t n_reg,
 
 /* Skin-band search of a CellState row layout (build phase).  Region
  * r = k * n_cells + c holds the plan row of home cell c at offset k;
- * each region listed ascending in rows[0..n_sel) is searched
- * exactly as band_pairs_f32 searches its row (home slot i, neighbour
- * slot j, i < j on k = 0, float32 direct-difference r2 < band), but
- * keyed by bank row: ps holds one packed vector per bank row, and slot
- * i of cell c is bank row order[start[c] + i].  A hit writes a = home
- * bank row, b = neighbour bank row, key = c * stride + j.  Region r
+ * each region listed strictly ascending in rows[0..n_sel) is searched
+ * per home slot i and neighbour slot j (i < j on k = 0) with the
+ * float32 direct-difference r2 < band, keyed by bank row: ps holds one
+ * packed vector per bank row, and slot i of cell c is bank row
+ * order[start[c] + i].  A hit writes a = home bank row, b = neighbour
+ * bank row, key = c * stride + j.  Region r
  * spans [rstart[r], rstart[r] + rcap[r]), the regions back to back;
  * its entries past fill[r] are pads (a = pad, b = 0, key = 0), which
  * the consumer makes inadmissible.  A region of f hits
@@ -1548,50 +1468,6 @@ def _make_cext_backend() -> ForceBackend:
             m, int(n), ptr("double *", acc),
         )
 
-    def band_pairs(plan, clist, packed, offsets, band, hint=0, home=None):
-        counts = np.ascontiguousarray(clist.counts, dtype=np.int64)
-        start = np.ascontiguousarray(clist.start, dtype=np.int64)
-        nbr = np.ascontiguousarray(plan.nbr, dtype=np.int64)
-        home = np.ascontiguousarray(
-            np.arange(plan.n_cells) if home is None else home, dtype=np.int64
-        )
-        ps = np.ascontiguousarray(packed[clist.order], dtype=np.float32)
-        offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
-        n_rows = len(offs32)
-        if offs32.shape != (n_rows, 3) or nbr.size != plan.n_cells * n_rows:
-            raise ValidationError(
-                f"band_pairs: {n_rows} offsets do not match the plan rows"
-            )
-        if home.size and not (0 <= home.min() and home.max() < plan.n_cells):
-            raise ValidationError("band_pairs: home cell id out of range")
-        cap = max(int(counts.max(initial=0)), 1)
-        qx, qy, qz = np.empty((3, cap), dtype=np.float32)
-        hit = np.empty(cap, dtype=np.int64)
-        segs = np.zeros(n_rows + 1, dtype=np.int64)
-        # Fill pass sized from the previous build's length (plus slack);
-        # the kernel counts past a full output, so an overflow (or the
-        # first build, hint 0) costs one more pass at the exact size.
-        size = hint + (hint >> 4)
-        while True:
-            outs = [np.empty(size, dtype=np.int64) for _ in range(4)]
-            m = int(lib.band_pairs_f32(
-                ptr("float *", ps), ptr("int64_t *", start),
-                ptr("int64_t *", counts), ptr("int64_t *", nbr),
-                ptr("int64_t *", home), len(home), n_rows,
-                ptr("float *", offs32),
-                np.float32(band), size,
-                *(ptr("int64_t *", o) for o in outs),
-                ptr("int64_t *", segs),
-                ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
-                ptr("int64_t *", hit),
-            ))
-            if m <= size:
-                break
-            size = m
-        for o in outs:
-            o.resize(m, refcheck=False)  # in-place shrink to exact size
-        return (*outs, segs)
-
     def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
         offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
         n_rows = len(offs32)
@@ -1599,9 +1475,7 @@ def _make_cext_backend() -> ForceBackend:
             raise ValidationError(
                 f"band_rows: {n_rows} offsets do not match the plan rows"
             )
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.size and not (0 <= rows[0] and rows[-1] < plan.n_rows):
-            raise ValidationError("band_rows: region out of range")
+        rows = checked_regions(rows, plan.n_rows)
         ps = np.ascontiguousarray(packed, dtype=np.float32)
         cap = max(int(clist.counts.max(initial=0)), 1)
         qx, qy, qz = np.empty((3, cap), dtype=np.float32)
@@ -1611,19 +1485,30 @@ def _make_cext_backend() -> ForceBackend:
             np.ascontiguousarray(x, dtype=np.int64)
             for x in (clist.order, clist.start, clist.counts, plan.nbr)
         ]
-        return int(lib.band_rows_f32(
-            ptr("float *", ps), *(ptr("int64_t *", x) for x in i64),
-            plan.n_cells, n_rows, ptr("float *", offs32), np.float32(band),
-            ptr("int64_t *", rows), len(rows),
-            ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.rcap),
-            ptr("int64_t *", lay.fill),
-            lay.stride, lay.pad, lay.shift, lay.slack_min,
-            int(bool(fresh)), len(lay.a),
-            ptr("int64_t *", lay.a), ptr("int64_t *", lay.b),
-            ptr("int64_t *", lay.key),
-            ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
-            ptr("int32_t *", inb), ptr("int64_t *", hit),
-        ))
+
+        def search():
+            return int(lib.band_rows_f32(
+                ptr("float *", ps), *(ptr("int64_t *", x) for x in i64),
+                plan.n_cells, n_rows, ptr("float *", offs32), np.float32(band),
+                ptr("int64_t *", rows), len(rows),
+                ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.rcap),
+                ptr("int64_t *", lay.fill),
+                lay.stride, lay.pad, lay.shift, lay.slack_min,
+                int(bool(fresh)), len(lay.a),
+                ptr("int64_t *", lay.a), ptr("int64_t *", lay.b),
+                ptr("int64_t *", lay.key),
+                ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
+                ptr("int32_t *", inb), ptr("int64_t *", hit),
+            ))
+
+        # A fresh layout that outgrows the buffers (a compact state's
+        # first build, or a larger band) is counted, not written: fit
+        # the buffers to it and search again.
+        size = search()
+        if fresh and size > len(lay.a):
+            lay.fit(size)
+            size = search()
+        return size
 
     return ForceBackend(
         name="cext",
@@ -1637,7 +1522,6 @@ def _make_cext_backend() -> ForceBackend:
         ring_charge=ring_charge,
         rom_eval=rom_eval,
         scatter_cols=scatter_cols,
-        band_pairs=band_pairs,
         band_rows=band_rows,
     )
 

@@ -19,18 +19,16 @@ Packing layout (see DESIGN.md §11)
   Positions, velocities, forces, masses, species, per-row box edges and
   per-row cell-grid strides all live in this space, so velocity-Verlet,
   wrapping and the rebuild criterion run as single elementwise /
-  ``reduceat`` passes over the whole batch.
-* **Slot space** — each segment's bucket-sorted particle order
-  (``CellState.clist.order``), offset by its row base, concatenated into
-  one global ``order`` array.  Coordinate columns are gathered into
-  ``n_rows + 2`` SoA slots; the two trailing *ghost* slots are pinned
-  ``4 * cell_edge`` apart so any pair referencing them fails the exact
-  ``r2 < cutoff2`` test.
+  ``reduceat`` passes over the whole batch.  The force kernel reads
+  ``n_rows + 2`` SoA coordinate columns: the rows themselves plus two
+  trailing *ghost* rows pinned ``4 * cell_edge`` apart, so any pair
+  referencing them fails the exact ``r2 < cutoff2`` test.
 * **Pair-stream space** — each segment's flat ``(a, b, srow)`` stream
-  (the solo engine's :class:`~repro.md.reference._FlatArtifacts`,
-  re-offset into global slot/shift-row space) occupies a region with
-  ~25% capacity slack; rows past the live length are *pad pairs*
-  pointing at the ghost slots.  A skin rebuild that still fits splices
+  (the solo engine's :class:`~repro.md.reference._FlatArtifacts`: the
+  bank rows of its band layout, which are its particle rows, re-offset
+  by its row base and shift-table block) occupies a region with ~25%
+  capacity slack; entries past the live length are *pad pairs*
+  pointing at the ghost rows.  A skin rebuild that still fits splices
   in place; growth beyond capacity triggers one stream re-pack.
   ``seg_lo/seg_hi`` delimit the live ranges for the backend's
   ``lj_flat_seg`` kernel.
@@ -48,7 +46,7 @@ the tests register (``tests/oracles.py``), including across
 * every integrator / wrap / thermostat operation is elementwise (or a
   same-shape contiguous ``np.sum``) over the same operand values;
 * a particle's force-accumulation subsequence is exactly its solo pair
-  stream (its slot index never appears in another segment's pairs, and
+  stream (its row never appears in another segment's pairs, and
   pad pairs are rejected by the cutoff or skipped by ``seg_lo/seg_hi``);
 * rebuild decisions restate the solo :class:`CellState`'s rebuild test
   (skin/2 or any cell change, ``CellState._outcome``) with exact
@@ -533,7 +531,10 @@ class BatchedEngine:
         self._vel = np.concatenate(vel)
         self._frc = np.concatenate(frc)
         self._new_frc = np.empty_like(self._frc)
-        self._spc = np.ascontiguousarray(np.concatenate(spc), dtype=np.int32)
+        # Species per row plus the two ghost rows' (see below).
+        self._spc_g = np.zeros(n + 2, dtype=np.int32)
+        self._spc_g[:n] = np.concatenate(spc)
+        self._spc = self._spc_g[:n]
         self._box_rows = np.ascontiguousarray(np.concatenate(box_r))
         self._build_pos = np.concatenate(build_p)
         self._cids = np.concatenate(cids)
@@ -588,7 +589,7 @@ class BatchedEngine:
             self._guard_nve = np.array(
                 [s.thermostat is None for s in segs], dtype=bool
             )
-        # Slot space: coordinate columns + the two far-apart ghost slots.
+        # Coordinate columns of the rows plus two far-apart ghost rows.
         self._psx = np.empty(n + 2)
         self._psy = np.empty(n + 2)
         self._psz = np.empty(n + 2)
@@ -598,8 +599,6 @@ class BatchedEngine:
         self._fx = np.empty(n + 2)
         self._fy = np.empty(n + 2)
         self._fz = np.empty(n + 2)
-        self._g_order = np.empty(n, dtype=np.int64)
-        self._g_spc_slot = np.zeros(n + 2, dtype=np.int32)
 
     def _build_segment(self, seg: _Segment) -> None:
         """(Re)build one segment's band lists and flat artifacts."""
@@ -625,9 +624,7 @@ class BatchedEngine:
             # Refused while packing, before any segment moved: removing
             # the segment leaves a usable engine.
             raise NotBatchableError(message, handle=seg.handle)
-        seg.art = _FlatArtifacts(
-            st.pairs, seg.plan, self._spc[lo:hi], st.clist.order
-        )
+        seg.art = _FlatArtifacts(st.pairs, seg.plan)
         seg.live = len(seg.art.a)
         self._build_pos[lo:hi] = st.build_positions
         self._cids[lo:hi] = st.cids
@@ -656,7 +653,7 @@ class BatchedEngine:
             seg.lo = total
             seg.cap = max(int(seg.live * PAIR_SLACK) + 1, seg.live, _MIN_CAP)
             total += seg.cap
-        g0 = np.int64(self._n)      # ghost slot indices
+        g0 = np.int64(self._n)      # ghost row indices
         g1 = np.int64(self._n + 1)
         self._g_a = np.full(total, g0, dtype=np.int64)
         self._g_b = np.full(total, g1, dtype=np.int64)
@@ -680,9 +677,6 @@ class BatchedEngine:
         self._g_b[lo + live:lo + cap] = self._n + 1
         self._g_srow[lo + live:lo + cap] = -1
         self._seg_hi[k] = lo + live
-        base, n = seg.base, seg.n
-        self._g_order[base:base + n] = seg.state.clist.order + base
-        self._g_spc_slot[base:base + n] = art.spc32
 
     # -- the hot path ------------------------------------------------------
 
@@ -724,7 +718,7 @@ class BatchedEngine:
         if self._step_tripped:
             # A tripped segment keeps its stale stream for its final
             # step (its coordinates may no longer be safe to re-bin);
-            # any pair it still lists only references its own slots, and
+            # any pair it still lists only references its own rows, and
             # NaN/ghost distances fail the exact r2 < cutoff2 test, so
             # the survivors' accumulations are untouched either way.
             rebuild[list(self._step_tripped)] = False
@@ -741,21 +735,21 @@ class BatchedEngine:
             if overflow:
                 self._pack_stream()
         n = self._n
-        np.take(self._pos[:, 0], self._g_order, out=self._psx[:n])
-        np.take(self._pos[:, 1], self._g_order, out=self._psy[:n])
-        np.take(self._pos[:, 2], self._g_order, out=self._psz[:n])
+        self._psx[:n] = self._pos[:, 0]
+        self._psy[:n] = self._pos[:, 1]
+        self._psz[:n] = self._pos[:, 2]
         self._fx.fill(0.0)
         self._fy.fill(0.0)
         self._fz.fill(0.0)
         energies = self._backend.lj_flat_seg(
             self._psx, self._psy, self._psz,
             self._g_a, self._g_b, self._g_srow, self._g_stab,
-            self._g_spc_slot, self._lj, self._cutoff2, self._shift_e,
+            self._spc_g, self._lj, self._cutoff2, self._shift_e,
             self._fx, self._fy, self._fz, self._seg_lo, self._seg_hi,
         )
-        self._new_frc[self._g_order, 0] = self._fx[:n]
-        self._new_frc[self._g_order, 1] = self._fy[:n]
-        self._new_frc[self._g_order, 2] = self._fz[:n]
+        self._new_frc[:, 0] = self._fx[:n]
+        self._new_frc[:, 1] = self._fy[:n]
+        self._new_frc[:, 2] = self._fz[:n]
         return energies
 
     def _prime_segments(self, fresh: List[_Segment]) -> None:
@@ -767,9 +761,9 @@ class BatchedEngine:
         disturbs running trajectories.
         """
         n = self._n
-        np.take(self._pos[:, 0], self._g_order, out=self._psx[:n])
-        np.take(self._pos[:, 1], self._g_order, out=self._psy[:n])
-        np.take(self._pos[:, 2], self._g_order, out=self._psz[:n])
+        self._psx[:n] = self._pos[:, 0]
+        self._psy[:n] = self._pos[:, 1]
+        self._psz[:n] = self._pos[:, 2]
         self._fx.fill(0.0)
         self._fy.fill(0.0)
         self._fz.fill(0.0)
@@ -788,7 +782,7 @@ class BatchedEngine:
             energies = self._backend.lj_flat_seg(
                 self._psx, self._psy, self._psz,
                 self._g_a, self._g_b, self._g_srow, self._g_stab,
-                self._g_spc_slot, self._lj, self._cutoff2, self._shift_e,
+                self._spc_g, self._lj, self._cutoff2, self._shift_e,
                 self._fx, self._fy, self._fz,
                 self._seg_lo[grp], self._seg_hi[grp],
             )
@@ -796,10 +790,9 @@ class BatchedEngine:
         for e_k, k in pairs:
             seg = self._segments[k]
             lo, hi = seg.base, seg.base + seg.n
-            sl = self._g_order[lo:hi]
-            self._frc[sl, 0] = self._fx[lo:hi]
-            self._frc[sl, 1] = self._fy[lo:hi]
-            self._frc[sl, 2] = self._fz[lo:hi]
+            self._frc[lo:hi, 0] = self._fx[lo:hi]
+            self._frc[lo:hi, 1] = self._fy[lo:hi]
+            self._frc[lo:hi, 2] = self._fz[lo:hi]
             self._energies[k] = e_k
             seg.last_potential = float(e_k)
             seg.primed = True
@@ -852,12 +845,10 @@ class BatchedEngine:
     def _guard_forces(self, energies: np.ndarray) -> None:
         """Segment-wise finite checks on fresh forces and energies.
 
-        Healthy path: one O(N) screen (three slot-column sums plus an
+        Healthy path: one O(N) screen (three force-column sums plus an
         ``isfinite`` over the K energies).  Only a failing screen pays
-        the per-segment attribution pass.  Slot space is
-        segment-contiguous (``_g_order`` offsets each segment's bucket
-        order by its row base), so attribution is one ``reduceat`` over
-        the same ``bases``.
+        the per-segment attribution pass: one ``reduceat`` over the
+        rows' ``bases``.
         """
         n = self._n
         screen = (
@@ -952,7 +943,7 @@ class BatchedEngine:
         With :attr:`guard` set, the health checks run inside the step —
         read-only, so the healthy path stays bitwise identical — and
         any tripped segment finishes the step on its own rows (pairs of
-        a poisoned segment never reference foreign slots) before being
+        a poisoned segment never reference foreign rows) before being
         quarantined into :attr:`poison_log` at the step boundary.
         """
         if n_steps < 0:

@@ -8,13 +8,13 @@ CPU MD engines amortize it with a Verlet skin.  :class:`CellState`
 brings that amortization to the cell-list hot paths while keeping the
 results **bitwise identical** to the rebuild-every-step code:
 
-* At build time a band search runs once with the cutoff *widened by a
-  skin* — the padded-broadcast matmul search (:func:`band_slot_pairs`)
-  or the consumer backend's compiled ``band_pairs`` kernel — producing,
-  per half-shell offset, the flat (cell, slot_i, slot_j) candidate list
-  in exactly the order the fresh padded path would enumerate its own
-  survivors.
-* On reuse steps the candidate matmuls are skipped entirely; the exact
+* At build time one band search runs with the cutoff *widened by a
+  skin* — the consumer backend's compiled ``band_rows`` kernel or its
+  numpy statement :func:`band_rows_numpy` — producing, per plan row,
+  the (home, neighbour) bank-row candidates in exactly the order the
+  fresh padded path enumerates its own survivors.  Every consumer holds
+  the result in the one layout, :class:`RowBands`.
+* On reuse steps the candidate search is skipped entirely; the exact
   float64 recheck (or the fixed-point :class:`~repro.core.datapath.PairFilter`
   admission) runs over the persistent band list.  Because every pair the
   fresh path could admit is guaranteed to be in the band (the classic
@@ -28,13 +28,16 @@ results **bitwise identical** to the rebuild-every-step code:
   packing, the bucket order, and hence the accumulation grouping of the
   reuse path equal to a fresh build's.  Box/grid changes force a new
   state object altogether (the state is keyed to one grid).
-* The machine's whole-box state holds its band as :class:`RowBands`:
-  one region with slack per plan row, keyed by bank row.  When
-  particles only changed cell, it re-searches just the regions whose
-  home or neighbour cell changed membership, in place, at the build
-  positions under the current binning (:meth:`CellState._update`); the
-  result lists what a fresh build would, in the same order, so the
-  skin/2 trigger alone decides full builds.
+* States that only ever build afresh (``ReferenceEngine``,
+  ``BatchedEngine`` segments, distributed node views) lay their band
+  out compactly: one region per plan row, exactly as long as its hits.
+  The machine's whole-box state (``updatable=True``) gives each region
+  slack; when particles only changed cell, it re-searches just the
+  regions whose home or neighbour cell changed membership, in place, at
+  the build positions under the current binning
+  (:meth:`CellState._update`); the result lists what a fresh build
+  would, in the same order, so the skin/2 trigger alone decides full
+  builds.
 
 Consumers attach layer-specific artifacts (pre-gathered coefficient
 arrays, pre-cast float32 table ROMs, packed halo batches) via
@@ -45,7 +48,7 @@ rebuild invalidates them automatically (an in-place update bumps
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,136 +79,14 @@ def skin_exceeded(
     return max_disp2 > (0.5 * skin) ** 2
 
 
-class BandPairs:
-    """Per-offset flat candidate lists of one skin-banded build.
-
-    Attributes
-    ----------
-    a / b:
-        ``(L,)`` int64 global *slot* indices (into the bucket ``order``)
-        of the home-side / neighbor-side particle of each candidate.
-    c:
-        ``(L,)`` int64 evaluating (home) cell id per candidate.
-    js:
-        ``(L,)`` int64 neighbor-side slot-within-bucket per candidate
-        (the padded path's ``j_of`` decode, for presence-bit statistics).
-    segs:
-        ``ROWS_PER_CELL + 1`` prefix offsets: candidates of offset ``k``
-        occupy ``a[segs[k]:segs[k+1]]``, in ascending flat
-        ``(cell, slot_i, slot_j)`` order — the exact enumeration order
-        of the fresh padded path's ``flatnonzero`` survivors.
-    """
-
-    __slots__ = ("a", "b", "c", "js", "segs")
-
-    def __init__(self, a, b, c, js, segs):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.js = js
-        self.segs = segs
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.segs[-1])
-
-
-def band_slot_pairs(
-    plan: CellPairPlan,
-    clist: CellList,
-    packed: np.ndarray,
-    offsets: np.ndarray,
-    band: float,
-    home: Optional[np.ndarray] = None,
-) -> BandPairs:
-    """Run the padded-broadcast candidate search once with a widened band.
-
-    ``packed`` is the per-particle 3-vector the consumer's fresh path
-    feeds its matmuls (quantized cell fractions for the machine,
-    box-local coordinates for the float64 reference); ``offsets`` the
-    corresponding per-offset displacement (cell units or angstrom);
-    ``band`` the widened squared-distance bound *including* the
-    conservative float32 margin.  The returned lists enumerate, per
-    offset, every flat (cell, slot_i, slot_j) whose float32 banded
-    ``r2`` passes — a superset of anything the fresh path can admit
-    while no particle has moved more than skin/2.  ``home`` (ascending
-    cell ids) limits the home side to those cells, so the searches of
-    a partition's nodes add up to one search of the whole box; ``None``
-    searches every cell.
-
-    This is the numpy band search and the oracle of the compiled
-    ``band_pairs`` kernels (``tests/test_band_kernel.py``).
-    """
-    order, start, counts = clist.order, clist.start, clist.counts
-    C = plan.n_cells
-    cap = int(counts.max())
-    n = len(packed)
-    packed_s = packed[order]
-    within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
-    P = np.zeros((C, cap, 3), dtype=np.float32)
-    P[clist.sorted_cids, within] = packed_s.astype(np.float32)
-    padm = np.arange(cap)[None, :] >= counts[:, None]
-    S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
-    S[padm] = np.inf
-
-    nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
-    band32 = np.float32(band)
-    # Decoded rows index the home cells searched: all cells, or ``home``.
-    cell_of, i_of, j_of = plan.padded_decode(cap)
-    Ph, Sh, home_start = P, S, start
-    if home is not None:
-        size = len(home) * cap * cap
-        cell_of, i_of, j_of = cell_of[:size], i_of[:size], j_of[:size]
-        Ph, Sh, nbr_mat = P[home], S[home], nbr_mat[home]
-        home_start = start[home]
-    a_of = home_start[cell_of] + i_of
-    iu = np.arange(cap)
-    tri = iu[:, None] < iu[None, :]
-    mask = np.empty((len(Ph), cap, cap), dtype=bool)
-    G = np.empty((len(Ph), cap, cap), dtype=np.float32)
-    H = np.empty((len(Ph), cap, cap), dtype=np.float32)
-
-    aa: List[np.ndarray] = []
-    bb: List[np.ndarray] = []
-    cc: List[np.ndarray] = []
-    jj: List[np.ndarray] = []
-    segs = np.zeros(ROWS_PER_CELL + 1, dtype=np.int64)
-    for k in range(ROWS_PER_CELL):
-        nb = nbr_mat[:, k]
-        Q = P[nb] + offsets[k].astype(np.float32)
-        Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
-        Sq[padm[nb]] = np.inf
-        np.matmul(Ph, Q.transpose(0, 2, 1), out=G)
-        np.add(
-            ((Sh - band32) * np.float32(0.5))[:, :, None],
-            (Sq * np.float32(0.5))[:, None, :],
-            out=H,
-        )
-        np.greater(G, H, out=mask)
-        if k == 0:
-            mask &= tri
-        flat = np.flatnonzero(mask.reshape(-1))
-        h = cell_of[flat].astype(np.int64)
-        js = j_of[flat].astype(np.int64)
-        aa.append(a_of[flat])
-        bb.append(start[nb][h] + js)
-        cc.append(h if home is None else home[h])
-        jj.append(js)
-        segs[k + 1] = segs[k] + len(flat)
-    return BandPairs(
-        np.concatenate(aa),
-        np.concatenate(bb),
-        np.concatenate(cc),
-        np.concatenate(jj),
-        segs,
-    )
-
-
 #: Region slack of an updatable row layout: a region of ``fill`` hits
 #: gets ``fill >> ROW_SLACK_SHIFT`` plus ``ROW_SLACK_MIN`` spare entries
 #: (a region that outgrows them borrows from the regions after it).
 ROW_SLACK_SHIFT = 4
 ROW_SLACK_MIN = 16
+#: The slack shift of a compact layout: ``fill >> 63`` is 0 for every
+#: count, so with ``slack_min = 0`` each region is exactly its hits.
+COMPACT_SHIFT = 63
 
 
 def key_stride(cap: int) -> int:
@@ -216,7 +97,7 @@ def key_stride(cap: int) -> int:
 
 
 class RowBands:
-    """Band lists of a machine :class:`CellState`, keyed by bank row.
+    """Band lists of a :class:`CellState`, keyed by bank row.
 
     Region ``r = k * n_cells + c`` holds the plan row of home cell ``c``
     at offset ``k``: its hits in ascending (home slot, neighbour slot)
@@ -225,7 +106,11 @@ class RowBands:
     fill[r])``, then pads up to ``rstart[r + 1]``.  Regions follow each
     other in ``r`` order, so the entries of offset ``k`` span
     ``[rstart[k * n_cells], rstart[(k + 1) * n_cells])`` in a fresh
-    build's flat ``(cell, slot_i, slot_j)`` order, pads aside.
+    build's flat ``(cell, slot_i, slot_j)`` order, pads aside.  A region
+    of ``fill`` hits gets ``fill + (fill >> shift) + slack_min``
+    entries; a compact layout (``slack=False``) has no slack, so
+    ``rcap == fill`` and there are no pads.  Regions a build did not
+    search (the cells outside a node view's home) are empty.
 
     Attributes
     ----------
@@ -241,8 +126,7 @@ class RowBands:
     rstart:
         ``n_regions + 1`` region starts; ``rstart[-1] == size``.
     rcap / fill:
-        Per-region capacity and hit count; ``None`` on a view's compact
-        lists, which never update.
+        Per-region capacity and hit count.
     """
 
     __slots__ = (
@@ -250,48 +134,35 @@ class RowBands:
         "shift", "slack_min", "rstart", "rcap", "fill",
     )
 
-    def __init__(self, n_regions: int = 0):
+    def __init__(self, n_regions: int = 0, slack: bool = True):
         self.a = self.b = self.key = np.empty(0, dtype=np.int64)
         self.size = 0
         self.stride = 1
         self.pad = 0
-        self.shift = ROW_SLACK_SHIFT
-        self.slack_min = ROW_SLACK_MIN
+        self.shift = ROW_SLACK_SHIFT if slack else COMPACT_SHIFT
+        self.slack_min = ROW_SLACK_MIN if slack else 0
         self.rstart = np.zeros(n_regions + 1, dtype=np.int64)
         self.rcap = np.zeros(n_regions, dtype=np.int64)
         self.fill = np.zeros(n_regions, dtype=np.int64)
 
-    @classmethod
-    def from_slots(
-        cls, pairs: BandPairs, stride: int, n_cells: int
-    ) -> "RowBands":
-        """Compact row lists of a view's slot band (a view's slots are
-        its bank rows): regions without slack, never updated."""
-        self = cls.__new__(cls)
-        self.a, self.b = pairs.a, pairs.b
-        self.key = pairs.c * stride + pairs.js
-        self.size = pairs.n_pairs
-        self.stride = stride
-        self.pad = 0
-        self.shift = self.slack_min = 0
-        self.rstart = np.empty(ROWS_PER_CELL * n_cells + 1, dtype=np.int64)
-        cells = np.arange(n_cells)
-        for k in range(ROWS_PER_CELL):
-            lo, hi = pairs.segs[k], pairs.segs[k + 1]
-            self.rstart[k * n_cells:(k + 1) * n_cells] = lo + np.searchsorted(
-                pairs.c[lo:hi], cells
-            )
-        self.rstart[-1] = self.size
-        self.rcap = self.fill = None
-        return self
-
     def reserve(self, n: int) -> None:
         """Grow the three entry buffers to at least ``n`` entries.  The
-        pages a build writes stay mapped for the next build, and a
-        generous ``n`` costs address space only: untouched pages are
-        never faulted in."""
+        pages a build writes stay mapped for the next build."""
         if len(self.a) < n:
             self.a, self.b, self.key = np.empty((3, n), dtype=np.int64)
+
+    def fit(self, size: int) -> None:
+        """Make room for a fresh layout of ``size`` entries, with 1/16
+        headroom so the next builds, which list about as many, fit as
+        well (the band searches call this when a layout outgrows the
+        buffers)."""
+        if len(self.a) < size:
+            self.reserve(size + (size >> 4))
+
+
+#: Mask elements one pass of :func:`band_rows_numpy` evaluates at most
+#: (bounds its float32 scratch to 2 MB a buffer, about a cache's worth).
+_SEARCH_CHUNK = 1 << 19
 
 
 def band_rows_numpy(
@@ -309,15 +180,16 @@ def band_rows_numpy(
     ``packed`` holds one vector per bank row; ``rows`` lists regions
     ``k * n_cells + c`` ascending.  Each listed region is searched with
     the float32 direct-difference ``r2 = (dx*dx + dy*dy) + dz*dz``
-    against ``band`` (``i < j`` on the home row), as the compiled
-    ``band_pairs`` kernel searches a row.  ``fresh=False`` re-searches
-    the listed regions in place and pads them, lengthening a region
-    that outgrows its entries (:func:`_grow_regions`); it returns 0, or
-    1 when a region found no room (the layout is then unspecified).
-    ``fresh=True`` lays every listed region out anew with
-    ``fill + (fill >> lay.shift) + lay.slack_min`` entries (unlisted
-    regions get none) and returns the layout length, which, when it
-    exceeds the buffers, leaves them unspecified.
+    against ``band`` (``i < j`` on the home row), one padded ``(regions,
+    cap, cap)`` mask per chunk of listed regions, whose ``flatnonzero``
+    hits are already in layout order.  ``fresh=True`` lays every listed region out anew
+    with ``fill + (fill >> lay.shift) + lay.slack_min`` entries
+    (unlisted regions get none), growing the buffers with
+    :meth:`RowBands.fit` when the layout outgrows them, and returns the
+    layout length.  ``fresh=False`` re-searches the listed regions in
+    place and pads them, lengthening a region that outgrows its entries
+    (:func:`_grow_regions`); it returns 0, or 1 when a region found no
+    room (the layout is then unspecified).
 
     This is the numpy statement and the oracle of the compiled
     ``band_rows`` kernel: both fill the layout bitwise identically.
@@ -326,43 +198,52 @@ def band_rows_numpy(
     order, start, counts = clist.order, clist.start, clist.counts
     cap = max(int(counts.max(initial=0)), 1)
     within = np.arange(len(order), dtype=np.int64) - start[clist.sorted_cids]
-    P = np.zeros((C, cap, 3), dtype=np.float32)
-    P[clist.sorted_cids, within] = packed[order].astype(np.float32)
+    # Planar float32 vectors per (cell, slot); an empty slot holds NaN,
+    # so every r2 it enters is NaN and fails the band test.  The
+    # assignment casts per element like astype.
+    P = np.full((3, C, cap), np.nan, dtype=np.float32)
+    P[:, clist.sorted_cids, within] = packed[order].T
     bank = np.zeros((C, cap), dtype=np.int64)
     bank[clist.sorted_cids, within] = order
-    valid = np.arange(cap)[None, :] < counts[:, None]
-    nbr = plan.nbr.reshape(C, ROWS_PER_CELL)
     offs32 = np.asarray(offsets, dtype=np.float32)
     band32 = np.float32(band)
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
     rows = np.asarray(rows, dtype=np.int64)
     k_of, c_of = np.divmod(rows, C)
+    nb_of = plan.nbr[c_of * ROWS_PER_CELL + k_of]
+    n_home = int(np.searchsorted(k_of, 1))  # the offset-0 rows lead
+    step = max(1, _SEARCH_CHUNK // (cap * cap))
+    most = min(step, len(rows)) * cap * cap
+    r2_buf = np.empty(most, dtype=np.float32)
+    d_buf = np.empty(most, dtype=np.float32)
+    mask_buf = np.empty(most, dtype=bool)
     per = np.zeros(len(rows), dtype=np.int64)
-    hits: List[Tuple[np.ndarray, ...]] = []
-    bounds = np.searchsorted(k_of, np.arange(ROWS_PER_CELL + 1))
-    for k in range(ROWS_PER_CELL):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        if lo == hi:
-            continue
-        cs = c_of[lo:hi]
-        nb = nbr[cs, k]
-        Pi = P[cs]
-        Q = P[nb] + offs32[k]
-        d = Pi[:, :, None, 0] - Q[:, None, :, 0]
-        r2 = d * d
-        d = Pi[:, :, None, 1] - Q[:, None, :, 1]
-        r2 += d * d
-        d = Pi[:, :, None, 2] - Q[:, None, :, 2]
-        r2 += d * d
-        mask = r2 < band32
-        mask &= valid[cs][:, :, None]
-        mask &= valid[nb][:, None, :]
-        if k == 0:
-            mask &= tri
-        s, i, j = np.nonzero(mask)
-        per[lo:hi] = np.bincount(s, minlength=hi - lo)
-        hits.append((rows[lo:hi][s], bank[cs[s], i], bank[nb[s], j], cs[s], j))
+    found = []
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        shape = (hi - lo, cap, cap)
+        size = shape[0] * cap * cap
+        X = P[:, c_of[lo:hi], :, None]
+        Q = P[:, nb_of[lo:hi]] + offs32[k_of[lo:hi]].T[:, :, None]
+        Q = Q[:, :, None, :]
+        # r2 = (dx*dx + dy*dy) + dz*dz, rounded per operation.
+        r2 = r2_buf[:size].reshape(shape)
+        d = d_buf[:size].reshape(shape)
+        np.subtract(X[0], Q[0], out=r2)
+        np.multiply(r2, r2, out=r2)
+        for x in (1, 2):
+            np.subtract(X[x], Q[x], out=d)
+            np.multiply(d, d, out=d)
+            r2 += d
+        mask = np.less(r2, band32, out=mask_buf[:size].reshape(shape))
+        if lo < n_home:
+            mask[: n_home - lo] &= tri
+        # Flat hit f: region lo + f // cap^2, home slot (f // cap) % cap,
+        # neighbour slot f % cap.
+        f = np.flatnonzero(mask)
+        per[lo:hi] = np.bincount(f // (cap * cap), minlength=hi - lo)
+        found.append((lo, hi, f))
     if fresh:
         lay.fill[:] = 0
         lay.fill[rows] = per
@@ -370,18 +251,25 @@ def band_rows_numpy(
         lay.rcap[rows] = per + (per >> lay.shift) + lay.slack_min
         lay.rstart[0] = 0
         np.cumsum(lay.rcap, out=lay.rstart[1:])
-        size = int(lay.rstart[-1])
-        if size > len(lay.a):
-            return size
+        lay.fit(int(lay.rstart[-1]))
     elif not _grow_regions(lay, rows, per):
         return 1
-    if hits:
-        reg, a, b, c, j = (np.concatenate(x) for x in zip(*hits))
-        first = np.cumsum(per) - per
-        dst = lay.rstart[reg] + np.arange(len(reg)) - np.repeat(first, per)
-        lay.a[dst] = a
-        lay.b[dst] = b
-        lay.key[dst] = c * lay.stride + j
+    for lo, hi, f in found:
+        first = lay.rstart[rows[lo:hi]]
+        cnt = per[lo:hi]
+        if first[-1] + cnt[-1] - first[0] == len(f):
+            # The regions lie back to back (a compact layout): one block.
+            dst = slice(first[0], first[0] + len(f))
+        else:
+            dst = np.repeat(first - (np.cumsum(cnt) - cnt), cnt)
+            dst += np.arange(len(f))
+        h = f // cap
+        s = h // cap
+        j = f - h * cap
+        cs = c_of[lo:hi]
+        lay.a[dst] = bank[cs].reshape(-1)[h]
+        lay.b[dst] = bank[nb_of[lo:hi]].reshape(-1)[s * cap + j]
+        lay.key[dst] = cs[s] * lay.stride + j
     spare = lay.rcap[rows] - per
     first = np.cumsum(spare) - spare
     pads = np.repeat(lay.rstart[rows] + per - first, spare) + np.arange(
@@ -450,11 +338,13 @@ class CellState:
         ``cutoff + skin``; the state stays valid until some particle
         moves more than ``skin / 2`` (or changes cell).
     pack_fn:
-        ``positions -> (packed, offsets, band)``: what the consumer's
-        fresh padded path feeds its candidate matmuls (see
-        :func:`band_slot_pairs`), with ``band`` already widened to
-        ``(cutoff + skin)^2`` *in packed units* plus the conservative
-        float32 margin.
+        ``positions -> (packed, offsets, band)``: the per-particle
+        vectors the consumer's fresh padded path compares (quantized
+        cell fractions for the machine, box-local coordinates for the
+        float64 reference), the per-offset displacement in the same
+        units, and ``band``, the squared listing distance ``(cutoff +
+        skin)^2`` *in packed units* plus the conservative float32
+        margin.
     viable:
         Optional ``(plan, clist, home) -> bool`` gate on the band search
         (``home`` as in :meth:`ensure_view`, ``None`` for position
@@ -462,11 +352,12 @@ class CellState:
         (:attr:`pairs` is None), so the consumer takes its own
         non-padded path and every later :meth:`ensure` rebuilds the
         binning.
-    rows:
-        Hold the band as :class:`RowBands` (the machine's layout) rather
-        than :class:`BandPairs`.  A position-built row state updates in
-        place when particles only changed cell (:meth:`ensure`); its
-        packed units must be in-cell fractions, as the machine pack's.
+    updatable:
+        Give the :class:`RowBands` regions slack, so a position-built
+        state updates in place when particles only changed cell
+        (:meth:`ensure`); its packed units must be in-cell fractions, as
+        the machine pack's.  Otherwise the layout is compact and every
+        membership change rebuilds.
 
     A state is built from positions (:meth:`ensure`) or from a given
     slot binning (:meth:`ensure_view`): a distributed node's local plus
@@ -490,7 +381,7 @@ class CellState:
         viable: Optional[
             Callable[[CellPairPlan, CellList, Optional[np.ndarray]], bool]
         ] = None,
-        rows: bool = False,
+        updatable: bool = False,
     ):
         if skin <= 0:
             raise ValidationError("CellState skin must be > 0")
@@ -499,7 +390,7 @@ class CellState:
         self.skin = float(skin)
         self._pack_fn = pack_fn
         self._viable = viable
-        self.rows = bool(rows)
+        self.updatable = bool(updatable)
         self.version = 0
         self.builds = 0
         self.updates = 0
@@ -509,22 +400,20 @@ class CellState:
         self.coords: Optional[np.ndarray] = None
         self.cids: Optional[np.ndarray] = None
         self.cap = 0
-        self.pairs = None
+        self.pairs: Optional[RowBands] = None
         self.build_positions: Optional[np.ndarray] = None
         #: View builds: slot -> particle id (None on position builds,
         #: where ``clist.order`` is that map), home cells, slot vectors.
         self.ids: Optional[np.ndarray] = None
         self.home: Optional[np.ndarray] = None
         self.build_packed: Optional[np.ndarray] = None
-        #: A position-built row state's layout, kept across full builds
-        #: so they write into already-mapped buffers; the offsets and
-        #: band of its last build serve the in-place updates.
+        #: The layout, kept across full builds so they write into
+        #: already-mapped buffers; the offsets and band of the last build
+        #: serve the in-place updates.
         self._rb: Optional[RowBands] = None
         self._offsets: Optional[np.ndarray] = None
         self._band = 0.0
-        #: Length of the last slot band (sizes the next search's output)
-        #: and the coords and cids :meth:`_outcome` found changed.
-        self._hint = 0
+        #: The coords and cids :meth:`_outcome` found changed.
         self._next: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Consumer-attached per-build artifacts; cleared on rebuild.
         self.artifacts: Dict[str, object] = {}
@@ -574,7 +463,7 @@ class CellState:
           differ from the stored ones, so reuse would stop being
           bit-identical even though it would still be *covering*:
           ``"update"`` (the new coords and cids are kept for
-          :meth:`_update`, which only a row state can take).
+          :meth:`_update`, which only an updatable state can take).
 
         Otherwise ``"reuse"``.
         """
@@ -597,13 +486,13 @@ class CellState:
 
         ``backend`` is the consumer's :class:`~repro.md.backends.ForceBackend`
         (``None``: the numpy searches), whose band search the state
-        calls.  A position-built row state whose particles only changed
+        calls.  An updatable state whose particles only changed
         cell takes :meth:`_update` instead of a full build, falling back
         to one when the update cannot hold the new binning.
         """
         outcome = self._outcome(positions)
         if outcome == "update" and not (
-            self.rows and self._update(positions, backend)
+            self.updatable and self._update(positions, backend)
         ):
             outcome = "build"
         if outcome == "build":
@@ -621,16 +510,15 @@ class CellState:
     def build(self, positions: np.ndarray, backend=None) -> None:
         """(Re)build binning and band lists from the current positions.
 
-        ``backend`` is as in :meth:`ensure`; a slot band runs its
-        ``band_pairs`` (or :func:`band_slot_pairs`), a row band its
-        ``band_rows`` (or :func:`band_rows_numpy`).  Either lists the
-        same admissible pairs in the same order (see DESIGN.md §10).
+        ``backend`` is as in :meth:`ensure`: its ``band_rows`` (or
+        :func:`band_rows_numpy`) searches the band, and either fills the
+        layout bitwise identically (see DESIGN.md §10).
 
         Exception-safe: ``pack_fn`` may refuse pathological inputs (the
         reference pack raises ``FloatingPointError`` on non-box-local
         positions), in which case the previously built state is left
-        fully intact — the caller falls back to its fresh path.  (A row
-        build writes its band in place, after the pack.)
+        fully intact — the caller falls back to its fresh path.  (The
+        search writes the band in place, after the pack.)
         """
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
@@ -724,25 +612,7 @@ class CellState:
         cap = int(clist.counts.max()) if clist.counts.size else 0
         if self._viable is None or self._viable(self.plan, clist, home):
             packed, offsets, band = self._pack_fn(pack_input)
-            stride = key_stride(cap)
-            if self.rows and home is None:
-                pairs = self._build_rows(clist, packed, offsets, band, stride, backend)
-            else:
-                search = None if backend is None else backend.band_pairs
-                if search is None:
-                    pairs = band_slot_pairs(
-                        self.plan, clist, packed, offsets, band, home
-                    )
-                else:
-                    pairs = BandPairs(
-                        *search(
-                            self.plan, clist, packed, offsets, band,
-                            self._hint, home,
-                        )
-                    )
-                self._hint = pairs.n_pairs
-                if self.rows:
-                    pairs = RowBands.from_slots(pairs, stride, self.plan.n_cells)
+            pairs = self._search(clist, packed, offsets, band, cap, home, backend)
         self.clist = clist
         self.cap = cap
         self.pairs = pairs
@@ -750,27 +620,31 @@ class CellState:
         self.builds += 1
         self.artifacts.clear()
 
-    def _build_rows(self, clist, packed, offsets, band, stride, backend) -> RowBands:
-        """Lay every region out anew in the state's grow-only buffers,
-        sized up front by the candidate count (a hit bound), so the
-        search runs once."""
-        n_reg = self.plan.n_rows
+    def _search(self, clist, packed, offsets, band, cap, home, backend) -> RowBands:
+        """Lay the regions of the ``home`` cells (every cell for
+        ``None``) out anew in the state's grow-only buffers.  An
+        updatable state sizes them up front by the candidate count (a
+        hit bound) plus slack, room for its updates to grow regions
+        into; a compact one lets the search fit them to its hits."""
+        plan = self.plan
         rb = self._rb
         if rb is None:
-            rb = self._rb = RowBands(n_reg)
-        rb.stride = stride
+            rb = self._rb = RowBands(plan.n_rows, slack=self.updatable)
+        rb.stride = key_stride(cap)
         rb.pad = len(clist.order)
-        cand = int(candidates_per_cell(self.plan, clist.counts).sum())
-        rb.reserve(cand + (cand >> rb.shift) + n_reg * rb.slack_min)
+        if home is None:
+            rows = np.arange(plan.n_rows, dtype=np.int64)
+        else:
+            rows = (
+                np.arange(ROWS_PER_CELL)[:, None] * plan.n_cells + home
+            ).reshape(-1)
+        if self.updatable:
+            cand = candidates_per_cell(plan, clist.counts)
+            cand = int(cand.sum() if home is None else cand[home].sum())
+            rb.reserve(cand + (cand >> rb.shift) + len(rows) * rb.slack_min)
         self._offsets, self._band = offsets, band
         kern = _row_search(backend)
-        everything = np.arange(n_reg, dtype=np.int64)
-        while True:
-            size = kern(self.plan, clist, packed, offsets, band, everything, rb, True)
-            if size <= len(rb.a):
-                break
-            rb.reserve(size)
-        rb.size = size
+        rb.size = kern(plan, clist, packed, offsets, band, rows, rb, True)
         return rb
 
 

@@ -136,8 +136,8 @@ class CellPairPlan:
         ``j = f % cap``; precomputing the tables turns three per-survivor
         integer divisions per offset into three cheap int32 gathers.
         Hoisted onto the plan (historically each consumer re-derived it
-        per call) so the numpy padded paths, the band-list builder and
-        the compiled backends all share one copy per geometry.
+        per call) so the numpy padded path and its oracles share one
+        copy per geometry.
         """
         cap = int(cap)
         # One (cap, tables) attribute, read and replaced whole: threads

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.md.cellstate import CellState
+    from repro.md.cellstate import CellState, RowBands
 
 from repro.md.backends import ForceBackend, resolve_backend
 from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
@@ -44,10 +44,6 @@ from repro.md.pairplan import (
 )
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
-
-# Kept under its historical name: the shared kernel used to live here as
-# a private helper and external callers import it by this name.
-_pair_forces_energy = pair_forces_energy
 
 
 def _cutoff_shift(lj: LJTable, cutoff: float, shift: bool) -> float:
@@ -289,46 +285,48 @@ def _forces_cells_padded(
     return forces, energy
 
 
+def _shift_rows(rb: "RowBands", plan: CellPairPlan) -> np.ndarray:
+    """Per-entry image-shift row of a band layout: region ``k * n_cells
+    + c`` reads plan row ``c * ROWS_PER_CELL + k``, or -1 where that row
+    has no shift (the bulk)."""
+    C = plan.n_cells
+    row = (
+        np.arange(C)[None, :] * ROWS_PER_CELL
+        + np.arange(ROWS_PER_CELL)[:, None]
+    ).reshape(-1)
+    return np.repeat(np.where(plan.has_shift[row], row, -1), rb.rcap)
+
+
 class _EngineArtifacts:
     """Per-build static gathers for :func:`_forces_cells_reuse`.
 
     Everything here depends only on the band lists and the (frozen)
     binning, so it is computed once per rebuild and cached on the
-    :class:`~repro.md.cellstate.CellState`: per-offset ``(a, b)`` slot
-    slices, the shifted-survivor selections with their pre-gathered
+    :class:`~repro.md.cellstate.CellState`: per-offset ``(a, b)`` bank
+    row slices, the shifted-entry selections with their pre-gathered
     image shifts, and (multi-species only) the per-pair species codes.
     """
 
     __slots__ = ("ab", "shifts", "species")
 
-    def __init__(self, pairs, plan, spc, order, multi: bool):
-        segs = pairs.segs
-        shift_mat = plan.shift.reshape(plan.n_cells, ROWS_PER_CELL, 3)
-        sspc = spc[order] if multi else None
+    def __init__(self, rb: "RowBands", plan: CellPairPlan, spc, multi: bool):
+        bounds = rb.rstart[:: plan.n_cells]
+        srow = _shift_rows(rb, plan)
         self.ab = []
         self.shifts = []
         self.species = []
         for k in range(ROWS_PER_CELL):
-            lo, hi = int(segs[k]), int(segs[k + 1])
-            a = pairs.a[lo:hi]
-            b = pairs.b[lo:hi]
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            a = rb.a[lo:hi]
+            b = rb.b[lo:hi]
             self.ab.append((a, b))
+            sel = np.flatnonzero(srow[lo:hi] >= 0)
             ent = None
-            if k > 0 and lo != hi:
-                shifted_cells = np.any(shift_mat[:, k] != 0.0, axis=1)
-                if shifted_cells.any():
-                    c = pairs.c[lo:hi]
-                    sel = np.flatnonzero(shifted_cells[c])
-                    if sel.size:
-                        cs = c[sel]
-                        ent = (
-                            sel,
-                            shift_mat[:, k, 0][cs],
-                            shift_mat[:, k, 1][cs],
-                            shift_mat[:, k, 2][cs],
-                        )
+            if sel.size:
+                shift = plan.shift[srow[lo:hi][sel]]
+                ent = (sel, shift[:, 0], shift[:, 1], shift[:, 2])
             self.shifts.append(ent)
-            self.species.append((sspc[a], sspc[b]) if multi else None)
+            self.species.append((spc[a], spc[b]) if multi else None)
 
 
 def _forces_cells_reuse(
@@ -336,7 +334,6 @@ def _forces_cells_reuse(
     spc: np.ndarray,
     lj: LJTable,
     plan: CellPairPlan,
-    clist: CellList,
     cutoff2: float,
     shift_e: float,
     state: "CellState",
@@ -354,16 +351,15 @@ def _forces_cells_reuse(
     ``np.sum`` runs over a different-length array (numpy's pairwise
     tree changes shape), so the **energy agrees to float64 round-off**
     rather than bitwise; trajectories depend only on forces and stay
-    bit-identical.
+    bit-identical.  The band lists name bank rows, which are particle
+    indices, so coordinates are read and forces accumulated in place.
     """
-    order = clist.order
     n = len(pos)
-    ps = pos[order]
-    psx, psy, psz = ps[:, 0].copy(), ps[:, 1].copy(), ps[:, 2].copy()
+    psx, psy, psz = (np.ascontiguousarray(pos[:, d]) for d in range(3))
     multi = lj.n_species > 1
     art = state.artifacts.get("engine")
     if art is None:
-        art = _EngineArtifacts(state.pairs, plan, spc, order, multi)
+        art = _EngineArtifacts(state.pairs, plan, spc, multi)
         state.artifacts["engine"] = art
 
     fx = np.zeros(n)
@@ -409,41 +405,27 @@ def _forces_cells_reuse(
         np.multiply(scalar, dza, out=fxa)
         fz += np.bincount(a, weights=fxa, minlength=n)
         fz -= np.bincount(b, weights=fxa, minlength=n)
-
-    forces = np.empty_like(pos)
-    forces[order, 0] = fx
-    forces[order, 1] = fy
-    forces[order, 2] = fz
-    return forces, energy
+    return np.column_stack((fx, fy, fz)), energy
 
 
 class _FlatArtifacts:
     """Per-build flat pair stream for the backend kernels.
 
-    The SoA lowering of the band lists: the per-offset ``(a, b)`` slot
-    segments concatenated into one flat ``(i_idx, j_idx)`` stream, a
-    per-pair int32 shift-row index (``-1`` for the unshifted bulk) into
-    the plan's ``(n_rows, 3)`` shift table, and the bucket-sorted
-    species codes.  Everything depends only on the band lists and the
-    frozen binning, so it is computed once per rebuild and cached on
-    the :class:`~repro.md.cellstate.CellState` under ``"flat"``.
+    The SoA lowering of the band lists: the layout's bank-row ``(a,
+    b)`` entries as one flat ``(i_idx, j_idx)`` stream and a per-pair
+    int32 shift-row index (``-1`` for the unshifted bulk) into the
+    plan's ``(n_rows, 3)`` shift table.  Everything depends only on the
+    band lists, so it is computed once per rebuild and cached on the
+    :class:`~repro.md.cellstate.CellState` under ``"flat"``.
     """
 
-    __slots__ = ("a", "b", "srow", "stab", "spc32")
+    __slots__ = ("a", "b", "srow", "stab")
 
-    def __init__(self, pairs, plan, spc, order):
-        segs = np.asarray(pairs.segs, dtype=np.int64)
-        k_of = np.repeat(
-            np.arange(ROWS_PER_CELL, dtype=np.int64), np.diff(segs)
-        )
-        rows = pairs.c * ROWS_PER_CELL + k_of
-        self.srow = np.where(plan.has_shift[rows], rows, -1).astype(
-            np.int32
-        )
-        self.a = np.ascontiguousarray(pairs.a, dtype=np.int64)
-        self.b = np.ascontiguousarray(pairs.b, dtype=np.int64)
+    def __init__(self, rb: "RowBands", plan: CellPairPlan):
+        self.a = rb.a[: rb.size]
+        self.b = rb.b[: rb.size]
+        self.srow = _shift_rows(rb, plan).astype(np.int32)
         self.stab = np.ascontiguousarray(plan.shift, dtype=np.float64)
-        self.spc32 = np.ascontiguousarray(spc[order], dtype=np.int32)
 
 
 def _forces_cells_flat(
@@ -451,7 +433,6 @@ def _forces_cells_flat(
     spc: np.ndarray,
     lj: LJTable,
     plan: CellPairPlan,
-    clist: CellList,
     cutoff2: float,
     shift_e: float,
     state: "CellState",
@@ -468,26 +449,21 @@ def _forces_cells_flat(
     :data:`~repro.md.backends.ENERGY_RTOL`) because the accumulation
     order differs.
     """
-    order = clist.order
     n = len(pos)
-    ps = pos[order]
-    psx, psy, psz = ps[:, 0].copy(), ps[:, 1].copy(), ps[:, 2].copy()
+    psx, psy, psz = (np.ascontiguousarray(pos[:, d]) for d in range(3))
     art = state.artifacts.get("flat")
     if art is None:
-        art = _FlatArtifacts(state.pairs, plan, spc, order)
+        art = _FlatArtifacts(state.pairs, plan)
         state.artifacts["flat"] = art
     fx = np.zeros(n)
     fy = np.zeros(n)
     fz = np.zeros(n)
     energy = backend.lj_flat(
-        psx, psy, psz, art.a, art.b, art.srow, art.stab, art.spc32,
+        psx, psy, psz, art.a, art.b, art.srow, art.stab,
+        np.ascontiguousarray(spc, dtype=np.int32),
         lj, cutoff2, shift_e, fx, fy, fz,
     )
-    forces = np.empty_like(pos)
-    forces[order, 0] = fx
-    forces[order, 1] = fy
-    forces[order, 2] = fz
-    return forces, float(energy)
+    return np.column_stack((fx, fy, fz)), float(energy)
 
 
 def _forces_cells_flat_chunks(
@@ -592,11 +568,10 @@ def compute_forces_cells(
     if state is not None and state.pairs is not None:
         if backend.lj_flat is not None:
             return _forces_cells_flat(
-                pos, spc, lj, plan, state.clist, cutoff2,
-                shift_e, state, backend,
+                pos, spc, lj, plan, cutoff2, shift_e, state, backend
             )
         return _forces_cells_reuse(
-            pos, spc, lj, plan, state.clist, cutoff2, shift_e, state
+            pos, spc, lj, plan, cutoff2, shift_e, state
         )
 
     forces = np.zeros_like(pos)

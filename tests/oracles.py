@@ -32,12 +32,20 @@ The engine layer's float64 oracles:
 * :func:`lj_flat_numpy` — one flat pure-numpy LJ pass over a pair
   stream.  Registered as a solo backend by :func:`solo_oracle`, it is
   the engine a batched ``numpy`` run matches bitwise, system by system.
+
+The band search's oracle:
+
+* :func:`band_slot_pairs` — the padded-broadcast float32 *matmul* band
+  search ``CellState`` ran on the ``numpy`` backend before every state
+  took the ``band_rows`` layout.  Its band is the same distance test
+  written another way, so it may differ from ``band_rows``' only for
+  pairs with ``r2`` at the band edge: a superset and admission oracle.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +65,7 @@ from repro.md.batch import solo_oracle_impl
 from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
 from repro.md.engine import ReferenceEngine
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
-from repro.md.pairplan import ROWS_PER_CELL, iter_pair_chunks
+from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, iter_pair_chunks
 from repro.md.params import LJTable
 from repro.md.reference import _cutoff_shift, _padded_viable
 from repro.md.system import ParticleSystem
@@ -705,3 +713,103 @@ def solo_oracle(force_impl: Optional[str] = None) -> Iterator[str]:
         yield NUMPY_FLAT.name
     finally:
         del _REGISTRY[NUMPY_FLAT.name]
+
+
+class SlotBand(NamedTuple):
+    """Per-offset flat candidate lists of :func:`band_slot_pairs`.
+
+    ``a`` / ``b`` are global *slot* indices (into the bucket ``order``)
+    of the home / neighbour particle, ``c`` the home cell and ``js`` the
+    neighbour slot within its bucket, per candidate; candidates of
+    offset ``k`` occupy ``a[segs[k]:segs[k + 1]]`` in ascending flat
+    ``(cell, slot_i, slot_j)`` order.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    js: np.ndarray
+    segs: np.ndarray
+
+
+def band_slot_pairs(
+    plan: CellPairPlan,
+    clist: CellList,
+    packed: np.ndarray,
+    offsets: np.ndarray,
+    band: float,
+    home: Optional[np.ndarray] = None,
+) -> SlotBand:
+    """Run the padded-broadcast candidate search once with a widened band.
+
+    ``packed``, ``offsets`` and ``band`` are a ``CellState`` pack
+    function's output.  The returned lists enumerate, per offset, every
+    flat (cell, slot_i, slot_j) whose float32 matmul ``r2 = |p_i|^2 +
+    |q_j|^2 - 2 p_i.q_j`` passes ``band`` — a superset of anything the
+    fresh path can admit while no particle has moved more than skin/2.
+    ``home`` (ascending cell ids) limits the home side to those cells;
+    ``None`` searches every cell.
+    """
+    order, start, counts = clist.order, clist.start, clist.counts
+    C = plan.n_cells
+    cap = int(counts.max())
+    n = len(packed)
+    packed_s = packed[order]
+    within = np.arange(n, dtype=np.int64) - start[clist.sorted_cids]
+    P = np.zeros((C, cap, 3), dtype=np.float32)
+    P[clist.sorted_cids, within] = packed_s.astype(np.float32)
+    padm = np.arange(cap)[None, :] >= counts[:, None]
+    S = np.einsum("cix,cix->ci", P, P, dtype=np.float32)
+    S[padm] = np.inf
+
+    nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
+    band32 = np.float32(band)
+    # Decoded rows index the home cells searched: all cells, or ``home``.
+    cell_of, i_of, j_of = plan.padded_decode(cap)
+    Ph, Sh, home_start = P, S, start
+    if home is not None:
+        size = len(home) * cap * cap
+        cell_of, i_of, j_of = cell_of[:size], i_of[:size], j_of[:size]
+        Ph, Sh, nbr_mat = P[home], S[home], nbr_mat[home]
+        home_start = start[home]
+    a_of = home_start[cell_of] + i_of
+    iu = np.arange(cap)
+    tri = iu[:, None] < iu[None, :]
+    mask = np.empty((len(Ph), cap, cap), dtype=bool)
+    G = np.empty((len(Ph), cap, cap), dtype=np.float32)
+    H = np.empty((len(Ph), cap, cap), dtype=np.float32)
+
+    aa: List[np.ndarray] = []
+    bb: List[np.ndarray] = []
+    cc: List[np.ndarray] = []
+    jj: List[np.ndarray] = []
+    segs = np.zeros(ROWS_PER_CELL + 1, dtype=np.int64)
+    for k in range(ROWS_PER_CELL):
+        nb = nbr_mat[:, k]
+        Q = P[nb] + offsets[k].astype(np.float32)
+        Sq = np.einsum("cix,cix->ci", Q, Q, dtype=np.float32)
+        Sq[padm[nb]] = np.inf
+        np.matmul(Ph, Q.transpose(0, 2, 1), out=G)
+        np.add(
+            ((Sh - band32) * np.float32(0.5))[:, :, None],
+            (Sq * np.float32(0.5))[:, None, :],
+            out=H,
+        )
+        np.greater(G, H, out=mask)
+        if k == 0:
+            mask &= tri
+        flat = np.flatnonzero(mask.reshape(-1))
+        h = cell_of[flat].astype(np.int64)
+        js = j_of[flat].astype(np.int64)
+        aa.append(a_of[flat])
+        bb.append(start[nb][h] + js)
+        cc.append(h if home is None else home[h])
+        jj.append(js)
+        segs[k + 1] = segs[k] + len(flat)
+    return SlotBand(
+        np.concatenate(aa),
+        np.concatenate(bb),
+        np.concatenate(cc),
+        np.concatenate(jj),
+        segs,
+    )

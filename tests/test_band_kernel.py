@@ -1,13 +1,13 @@
-"""Property tests for the compiled skin-band searches (``band_pairs``,
-``band_rows``).
+"""Property tests for the skin-band search (``band_rows``).
 
-The contract (DESIGN.md §10): the cext band lists every pair the exact
-admission can pass, in :func:`~repro.md.cellstate.band_slot_pairs`'
-enumeration order — ascending flat ``(cell, slot_i, slot_j)`` within
-each offset segment — and may differ from the numpy band only for pairs
-with ``r2`` close to the band.  So after exact float64 admission both
-bands yield the same admitted sequence, which is what keeps every
-consumer bitwise identical across band searches.
+The contract (DESIGN.md §10): the compiled ``band_rows`` kernel and its
+numpy statement :func:`~repro.md.cellstate.band_rows_numpy` fill a
+:class:`~repro.md.cellstate.RowBands` layout bitwise identically.  A
+compact full build lists every pair the exact admission can pass,
+keyed by bank row, in ascending flat ``(offset, cell, slot_i, slot_j)``
+order, and admits exactly what the padded-broadcast matmul search
+:func:`~tests.oracles.band_slot_pairs` admits (their bands may differ
+only for pairs with ``r2`` at the band edge).
 
 Inputs cover empty cells, single particles, particles exactly on cell
 and box faces, 3-wide periodic grids (one neighbour cell reached under
@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith.fixedpoint import FixedPointFormat
-from repro.md.backends import available_backends, resolve_backend
+import repro.md.backends as backends_mod
+from repro.md.backends import available_backends, checked_regions, resolve_backend
 from repro.md.cells import CellGrid, CellList
 from repro.md.cellstate import (
     RowBands,
     band_rows_numpy,
-    band_slot_pairs,
     build_fractions,
     dirty_regions,
     engine_pack_fn,
@@ -35,6 +35,7 @@ from repro.md.cellstate import (
 )
 from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.util.errors import ValidationError
+from tests.oracles import band_slot_pairs
 
 pytestmark = pytest.mark.skipif(
     "cext" not in available_backends(), reason="cext backend unavailable"
@@ -71,7 +72,8 @@ def _exact_r2(packed_s, offs, start, counts, nbr, k, c):
 
 
 def _admitted(pairs, packed_s, offs, start, nbr, admit_r2):
-    """Exact float64 admission over a band: ``(k, c, i, j)`` rows kept."""
+    """Exact float64 admission over slot-form band lists ``(a, b, c,
+    js, segs)``: the ``(k, c, i, j)`` rows kept."""
     a, b, c, js, segs = pairs
     k = np.repeat(np.arange(ROWS_PER_CELL), np.diff(segs))
     q = packed_s[b] + offs[k]
@@ -82,63 +84,120 @@ def _admitted(pairs, packed_s, offs, start, nbr, admit_r2):
     return np.stack([k, c, i, js])[:, keep]
 
 
+def _compact(plan, clist, room=None):
+    """An empty compact :class:`RowBands` for ``clist`` with buffers of
+    ``room`` entries (default: the candidate count, a hit bound)."""
+    lay = RowBands(plan.n_rows, slack=False)
+    lay.stride = key_stride(int(clist.counts.max(initial=0)))
+    lay.pad = len(clist.order)
+    if room is None:
+        room = int(candidates_per_cell(plan, clist.counts).sum())
+    lay.reserve(room)
+    return lay
+
+
+def _home_rows(plan, home):
+    """The regions of the ``home`` cells' plan rows, ascending (every
+    region for ``None``)."""
+    if home is None:
+        return np.arange(plan.n_rows)
+    return (np.arange(ROWS_PER_CELL)[:, None] * plan.n_cells + home).reshape(-1)
+
+
+def _search(kern, plan, clist, packed, offs, band, home=None):
+    """A compact full build of the ``home`` cells' regions."""
+    lay = _compact(plan, clist)
+    size = kern(plan, clist, packed, offs, band, _home_rows(plan, home), lay, True)
+    assert size == lay.rstart[-1] <= len(lay.a)
+    lay.size = size
+    return lay
+
+
+def _lists(lay):
+    return tuple(getattr(lay, f)[: lay.size] for f in ("a", "b", "key"))
+
+
+def _same_lists(x, y):
+    assert np.array_equal(x.rstart, y.rstart)
+    assert np.array_equal(x.fill, y.fill)
+    assert np.array_equal(x.rcap, y.rcap)
+    assert all(np.array_equal(p, q) for p, q in zip(_lists(x), _lists(y)))
+
+
 def _check(grid, positions, kind):
     plan = plan_for_grid(grid)
+    C = plan.n_cells
     clist = CellList(grid, positions)
     packed, offs, band, admit_r2 = _pack(kind, grid, plan, positions)
-    start, counts = clist.start, clist.counts
-    nbr = plan.nbr.reshape(plan.n_cells, ROWS_PER_CELL)
-    packed_s = packed[clist.order]
+    order, start, counts = clist.order, clist.start, clist.counts
+    nbr = plan.nbr.reshape(C, ROWS_PER_CELL)
+    packed_s = packed[order]
     cap = max(int(counts.max()), 1)
+    rows = np.arange(plan.n_rows)
 
-    kern = resolve_backend("cext").band_pairs
-    a, b, c, js, segs = kern(plan, clist, packed, offs, band)
-    assert all(x.dtype == np.int64 for x in (a, b, c, js, segs))
-    assert len(segs) == ROWS_PER_CELL + 1 and segs[0] == 0
-    assert len(a) == len(b) == len(c) == len(js) == segs[-1]
-    # A fill pass sized from a stale length (overflowing or not) gives
-    # the same lists as the count-then-fill first build.
-    for hint in (1, len(a) // 2, len(a) + 100):
-        again = kern(plan, clist, packed, offs, band, hint)
-        assert all(
-            np.array_equal(x, y) for x, y in zip(again, (a, b, c, js, segs))
-        )
+    kern = resolve_backend("cext").band_rows
+    lay = _search(kern, plan, clist, packed, offs, band)
+    a, b, key = _lists(lay)
+    assert all(
+        x.dtype == np.int64
+        for x in (lay.a, lay.b, lay.key, lay.rstart, lay.rcap, lay.fill)
+    )
+    assert len(lay.rstart) == plan.n_rows + 1 and lay.rstart[0] == 0
+    assert np.array_equal(lay.rcap, lay.fill)  # compact: no slack, no pads
+    assert np.array_equal(np.diff(lay.rstart), lay.fill)
+    assert lay.size == lay.fill.sum()
+    # Buffers too small for the layout are fitted to it (a counting
+    # pass, then the fill); any starting room, and a repeat, give the
+    # same lists.
+    for room in (0, lay.size // 2, lay.size - 1, lay.size, lay.size + 100):
+        again = _compact(plan, clist, room=room)
+        assert kern(plan, clist, packed, offs, band, rows, again, True) == lay.size
+        assert len(again.a) >= lay.size
+        again.size = lay.size
+        _same_lists(again, lay)
 
-    i = a - start[c]
+    # Back to slot form: region r = k * C + c of every entry, home slot
+    # i, neighbour slot j (the key's low part).
+    reg = np.repeat(np.arange(plan.n_rows), lay.fill)
+    k, c = np.divmod(reg, C)
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    sa, sb = slot[a], slot[b]
+    assert np.array_equal(key // lay.stride, c)
+    js = key % lay.stride
+    i = sa - start[c]
+    nc = nbr[c, k]
     assert np.all((i >= 0) & (i < counts[c]))
-    for k in range(ROWS_PER_CELL):
-        lo, hi = segs[k], segs[k + 1]
-        nc = nbr[c[lo:hi], k]
-        assert np.array_equal(b[lo:hi], start[nc] + js[lo:hi])
-        assert np.all(js[lo:hi] < counts[nc])
-        # Strictly ascending flat (c, i, j) within the segment.
-        key = (c[lo:hi] * cap + i[lo:hi]) * cap + js[lo:hi]
-        assert np.all(np.diff(key) > 0)
+    assert np.all(js < counts[nc])
+    assert np.array_equal(sb, start[nc] + js)
+    # Strictly ascending flat (k, c, i, j) over the whole layout, which
+    # is ascending flat (c, i, j) within each offset.
+    listed = ((k * C + c) * cap + i) * cap + js
+    assert np.all(np.diff(listed) > 0)
 
-    # Superset: every pair with exact r2 below the unwidened band.  The
-    # flat keys put k first, so by the order check above ``listed`` is
-    # globally ascending and membership is a binary search.
-    def flat_key(k, cell, ii, jj):
-        return ((k * plan.n_cells + cell) * cap + ii) * cap + jj
-
-    k_of = np.repeat(np.arange(ROWS_PER_CELL), np.diff(segs))
-    listed = flat_key(k_of, c, i, js)
+    # Superset: every pair with exact r2 below the unwidened band.  By
+    # the order check above ``listed`` is ascending, so membership is a
+    # binary search.
     inner = band / (1.0 + MARGIN)
-    for k in range(ROWS_PER_CELL):
+    for kk in range(ROWS_PER_CELL):
         for cell in np.flatnonzero(counts):
-            r2 = _exact_r2(packed_s, offs, start, counts, nbr, k, cell)
-            want = flat_key(k, cell, *np.nonzero(r2 < inner))
+            r2 = _exact_r2(packed_s, offs, start, counts, nbr, kk, cell)
+            ii, jj = np.nonzero(r2 < inner)
+            want = ((kk * C + cell) * cap + ii) * cap + jj
             at = np.searchsorted(listed, want)
             assert np.all(at < len(listed))
             assert np.array_equal(listed[at], want)
 
-    got = _admitted((a, b, c, js, segs), packed_s, offs, start, nbr, admit_r2)
-    if plan.n_cells * cap * cap <= 2_000_000:
+    segs = lay.rstart[::C]
+    got = _admitted((sa, sb, c, js, segs), packed_s, offs, start, nbr, admit_r2)
+    if C * cap * cap <= 2_000_000:
+        _same_lists(_search(band_rows_numpy, plan, clist, packed, offs, band), lay)
+        fitted = _compact(plan, clist, room=0)
+        band_rows_numpy(plan, clist, packed, offs, band, rows, fitted, True)
+        fitted.size = lay.size
+        _same_lists(fitted, lay)
         ref = band_slot_pairs(plan, clist, packed, offs, band)
-        want = _admitted(
-            (ref.a, ref.b, ref.c, ref.js, ref.segs),
-            packed_s, offs, start, nbr, admit_r2,
-        )
+        want = _admitted(ref, packed_s, offs, start, nbr, admit_r2)
         assert np.array_equal(got, want)
     return got
 
@@ -209,30 +268,56 @@ class TestBandKernelProperties:
         grid = CellGrid((3, 3, 3), EDGE)
         plan = plan_for_grid(grid)
         pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        clist = CellList(grid, pos)
         packed, offs, band, _ = _pack("engine", grid, plan, pos)
         with pytest.raises(ValidationError, match="offsets"):
-            resolve_backend("cext").band_pairs(
-                plan, CellList(grid, pos), packed, offs[:-1], band
+            resolve_backend("cext").band_rows(
+                plan, clist, packed, offs[:-1], band,
+                np.arange(plan.n_rows), _compact(plan, clist), True,
             )
 
-    def test_home_cells_must_be_in_range(self):
+    def test_region_lists_must_ascend_within_range(self, monkeypatch):
+        """The compiled search indexes its per-region arrays by every
+        listed region, so the wrapper refuses, before the kernel runs,
+        any list that is not strictly ascending within the plan rows —
+        an out-of-range entry in the middle included.  The refusals are
+        checked on the validator itself, so no bad list ever reaches
+        the kernel here."""
+        n_rows = plan_for_grid(CellGrid((3, 3, 3), EDGE)).n_rows
+        for rows in ([0, 10**6, 1], [2, 1], [3, 3], [-1, 0], [n_rows], [0, -5, 9]):
+            with pytest.raises(ValidationError, match="ascending"):
+                checked_regions(np.array(rows), n_rows)
+        ok = checked_regions([0, 5, n_rows - 1], n_rows)
+        assert ok.dtype == np.int64 and ok.flags.c_contiguous
+        assert checked_regions(np.array([], dtype=np.int64), n_rows).size == 0
+
+        # The wrapper validates through it before entering the kernel.
+        seen = []
+
+        def refuse(rows, n):
+            seen.append((list(rows), n))
+            raise ValidationError("band_rows: refused")
+
+        monkeypatch.setattr(backends_mod, "checked_regions", refuse)
         grid = CellGrid((3, 3, 3), EDGE)
         plan = plan_for_grid(grid)
         pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        packed, offs, band, _ = _pack("engine", grid, plan, pos)
-        for home in ([0, 27], [-1, 3]):
-            with pytest.raises(ValidationError, match="home"):
-                resolve_backend("cext").band_pairs(
-                    plan, CellList(grid, pos), packed, offs, band, 0,
-                    np.array(home),
-                )
+        clist = CellList(grid, pos)
+        packed, offs, band, _ = _pack("machine", grid, plan, pos)
+        with pytest.raises(ValidationError, match="refused"):
+            resolve_backend("cext").band_rows(
+                plan, clist, packed, offs, band, np.array([0, 1]),
+                _compact(plan, clist), True,
+            )
+        assert seen == [([0, 1], n_rows)]
 
 
 class TestHomeCellSubsets:
-    """A node's band search covers only its own home cells: per offset,
-    exactly the whole-box rows of those cells, in the same order — on
-    the compiled kernel and on the numpy search alike — so the searches
-    of a partition's nodes add up to one search of the box."""
+    """A node's band search covers only its own home cells: each of
+    their regions holds exactly the whole-box region's hits, every
+    other region is empty — on the compiled kernel and on the numpy
+    search alike — so the searches of a partition's nodes add up to one
+    search of the box."""
 
     @pytest.mark.parametrize("search", ["cext", "numpy"])
     @pytest.mark.parametrize("parts", [(2, 2, 2), (4, 1, 1), (1, 2, 4)])
@@ -243,34 +328,28 @@ class TestHomeCellSubsets:
         positions = rng.uniform(0.0, 1.0, size=(1200, 3)) * grid.box
         clist = CellList(grid, positions)
         packed, offs, band, _ = _pack("machine", grid, plan, positions)
-        if search == "cext":
-            kern = resolve_backend("cext").band_pairs
+        kern = resolve_backend("cext").band_rows if search == "cext" else band_rows_numpy
 
-            def run(home):
-                return kern(plan, clist, packed, offs, band, 0, home)
-        else:
+        def run(home):
+            return _search(kern, plan, clist, packed, offs, band, home)
 
-            def run(home):
-                p = band_slot_pairs(plan, clist, packed, offs, band, home)
-                return p.a, p.b, p.c, p.js, p.segs
-
-        a, b, c, js, segs = run(None)
+        whole = run(None)
         node = grid.cell_coords(np.arange(grid.n_cells)) // (
             np.asarray(grid.dims) // np.asarray(parts)
         )
         node_id = (node[:, 0] * parts[1] + node[:, 1]) * parts[2] + node[:, 2]
+        cell_of_region = np.arange(plan.n_rows) % plan.n_cells
         total = 0
         for n in range(int(np.prod(parts))):
             home = np.flatnonzero(node_id == n)
-            got = run(home)
-            total += got[4][-1]
-            for k in range(ROWS_PER_CELL):
-                lo, hi = segs[k], segs[k + 1]
-                sel = np.isin(c[lo:hi], home)
-                glo, ghi = got[4][k], got[4][k + 1]
-                for full, part in zip((a, b, c, js), got[:4]):
-                    assert np.array_equal(full[lo:hi][sel], part[glo:ghi])
-        assert total == segs[-1]
+            part = run(home)
+            total += part.size
+            mine = np.isin(cell_of_region, home)
+            assert np.all(part.fill[~mine] == 0)
+            for r in np.flatnonzero(mine):
+                for x, y in zip(_hits(part, r), _hits(whole, r)):
+                    assert np.array_equal(x, y)
+        assert total == whole.size
 
 
 def _row_layout(plan, clist, n, shift=None, slack_min=None, room=0):

@@ -28,6 +28,7 @@ from repro.md.engine import ReferenceEngine
 from repro.md.pairplan import plan_for_grid
 from repro.md.reference import _padded_viable, compute_forces_cells
 from repro.md.backends import ENERGY_RTOL, available_backends
+from repro.md.batch import BatchedEngine
 from tests.oracles import (
     fresh_path,
     rebuild_nodes_every_step,
@@ -249,13 +250,13 @@ class TestEngineReuseBitwise:
         import repro.md.cellstate as cellstate_mod
 
         searches = []
-        real = cellstate_mod.band_slot_pairs
+        real = cellstate_mod.band_rows_numpy
 
         def counting(*args, **kwargs):
             searches.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cellstate_mod, "band_slot_pairs", counting)
+        monkeypatch.setattr(cellstate_mod, "band_rows_numpy", counting)
         system, grid = build_dataset((4, 4, 4), particles_per_cell=8, seed=5)
         dense = system.positions.copy()
         skewed = dense.copy()
@@ -348,3 +349,36 @@ class TestDistributedReuseBitwise:
         assert np.array_equal(oracle.forces, reuse.forces)
         assert len(oracle.degradation_log) == len(reuse.degradation_log)
         assert oracle.transport_stats == reuse.transport_stats
+
+
+@pytest.mark.parametrize("name", ["numpy", "cext"])
+def test_full_build_states_hold_compact_layouts(name):
+    """The states that only build afresh — the engine's, a batch
+    segment's and every distributed node view's — hold compact band
+    layouts: each region exactly its hits, no pad entry.  The machine's
+    whole-box state, which updates in place, keeps slack."""
+    if name not in available_backends():
+        pytest.skip(f"{name} backend unavailable")
+    dims = (4, 4, 4)
+    system, grid = build_dataset(dims, particles_per_cell=16, seed=3)
+    engine = ReferenceEngine(system.copy(), grid, force_impl=name)
+    engine.run(3)
+    batch = BatchedEngine(force_impl=name)
+    batch.add(system.copy(), grid)
+    batch.run(3)
+    dist = DistributedMachine(MachineConfig(dims, (2, 2, 2)), system=system.copy())
+    dist.force_impl = name
+    dist.run(3)
+    views = [state for state, _ in dist._node_states.values()]
+    assert len(views) == 8
+    for state in [engine._cell_state, batch._segments[0].state] + views:
+        rb = state.pairs
+        assert rb is not None
+        assert np.array_equal(rb.rcap, rb.fill)
+        assert rb.size == rb.rstart[-1] == rb.fill.sum() > 0
+        assert rb.a[: rb.size].max() < rb.pad == len(state.clist.order)
+    machine = FasdaMachine(MachineConfig(dims), system=system.copy())
+    machine.force_impl = name
+    machine.step()
+    rb = machine._cell_state.pairs
+    assert np.all(rb.rcap > rb.fill)
