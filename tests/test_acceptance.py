@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
+from repro.core.machine import FasdaMachine
 from repro.harness.acceptance import (
     ENERGY_REL_TOLERANCE,
     FORCE_REL_TOLERANCE,
@@ -88,8 +89,81 @@ class _PairEnergyMagnitude(PairKernel):
         return np.zeros_like(dr), mag
 
 
-#: Force passes of the distributed trajectory that are gated.
+#: Force passes of a reuse trajectory that are gated.
 PASSES = (0, 10, 50)
+
+
+def _case_system(case):
+    return build_dataset(
+        case.dims,
+        particles_per_cell=case.particles_per_cell,
+        species=case.species,
+        charged=case.charged,
+        min_distance=case.min_distance,
+        seed=case.seed,
+    )
+
+
+def _case_config(case, fpga_grid=(1, 1, 1)):
+    return MachineConfig(
+        case.dims,
+        fpga_grid,
+        frac_bits=case.frac_bits,
+        table_nb=case.table_nb,
+        force_model="lj+coulomb" if case.charged else "lj",
+    )
+
+
+def _gate_failures(machine, grid, case, step):
+    """``(pass, force error, energy error)`` of every gated force pass of
+    ``machine``'s trajectory that misses a budget; ``step`` advances it
+    one timestep.  Forces use :data:`FORCE_REL_TOLERANCE` exactly as
+    ``run_case``; the energy error is relative to the summed pair-energy
+    magnitudes (see :class:`TestDistributedGate`)."""
+    beta = machine.ewald_beta if case.charged else None
+    kernels = [LennardJonesKernel()] + (
+        [EwaldRealKernel(beta)] if case.charged else []
+    )
+    failing = []
+    machine.run(0)
+    for p in range(PASSES[-1] + 1):
+        if p:
+            step()
+        if p not in PASSES:
+            continue
+        f_ref, e_ref = compute_forces_kernel(
+            machine.system, grid, CompositeKernel(kernels)
+        )
+        _, e_mag = compute_forces_kernel(
+            machine.system, grid, _PairEnergyMagnitude(beta)
+        )
+        f_err = np.abs(machine.forces - f_ref).max() / np.abs(f_ref).max()
+        e_err = abs(machine._last_potential - e_ref) / e_mag
+        if f_err >= FORCE_REL_TOLERANCE or e_err >= ENERGY_REL_TOLERANCE:
+            failing.append((p, f_err, e_err))
+    return failing
+
+
+class TestMachineGate:
+    """Every default case through ``FasdaMachine``'s reuse trajectory —
+    the persistent whole-box band lists, updated in place when particles
+    only change cell — gated against the float64 reference at force
+    passes 0, 10 and 50, with :class:`TestDistributedGate`'s
+    normalisation.  Distributed == machine bitwise, so this gate and
+    that one see the same numbers; this one moves first when the
+    machine's force pass changes."""
+
+    @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+    def test_trajectory_within_budgets(self, case):
+        system, grid = _case_system(case)
+        machine = FasdaMachine(_case_config(case), system=system)
+        failing = _gate_failures(
+            machine, grid, case, lambda: machine.step(collect_traffic=False)
+        )
+        # The band-list pass is the one gated: no case falls back to
+        # the chunked enumeration.
+        assert machine.ensure_cell_state().pairs is not None, case.name
+        assert not failing, f"{case.name}: {failing}"
 
 
 class TestDistributedGate:
@@ -108,45 +182,12 @@ class TestDistributedGate:
     @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
     def test_trajectory_within_budgets(self, case, parallel):
-        system, grid = build_dataset(
-            case.dims,
-            particles_per_cell=case.particles_per_cell,
-            species=case.species,
-            charged=case.charged,
-            min_distance=case.min_distance,
-            seed=case.seed,
-        )
+        system, grid = _case_system(case)
         odd = any(d % 2 for d in case.dims)
-        config = MachineConfig(
-            case.dims,
-            (3, 1, 1) if odd else (2, 2, 2),
-            frac_bits=case.frac_bits,
-            table_nb=case.table_nb,
-            force_model="lj+coulomb" if case.charged else "lj",
-        )
+        config = _case_config(case, (3, 1, 1) if odd else (2, 2, 2))
         machine = DistributedMachine(config, system=system, parallel=parallel)
-        beta = machine.ewald_beta if case.charged else None
-        kernels = [LennardJonesKernel()] + (
-            [EwaldRealKernel(beta)] if case.charged else []
-        )
-        failing = []
         try:
-            machine.run(0)
-            for p in range(PASSES[-1] + 1):
-                if p:
-                    machine.step()
-                if p not in PASSES:
-                    continue
-                f_ref, e_ref = compute_forces_kernel(
-                    machine.system, grid, CompositeKernel(kernels)
-                )
-                _, e_mag = compute_forces_kernel(
-                    machine.system, grid, _PairEnergyMagnitude(beta)
-                )
-                f_err = np.abs(machine.forces - f_ref).max() / np.abs(f_ref).max()
-                e_err = abs(machine._last_potential - e_ref) / e_mag
-                if f_err >= FORCE_REL_TOLERANCE or e_err >= ENERGY_REL_TOLERANCE:
-                    failing.append((p, f_err, e_err))
+            failing = _gate_failures(machine, grid, case, machine.step)
         finally:
             machine.close()
         assert not failing, f"{case.name}: {failing}"
