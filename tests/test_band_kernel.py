@@ -13,6 +13,11 @@ Inputs cover empty cells, single particles, particles exactly on cell
 and box faces, 3-wide periodic grids (one neighbour cell reached under
 two offsets), both packings (machine quantized fractions, engine
 box-local angstrom) and one cell holding more than 1024 particles.
+
+Without the compiled backend the numpy search takes the compiled one's
+place in every property and update check, so a numpy-only install still
+tests the production search :func:`~repro.md.cellstate.band_rows_numpy`;
+only the tests of the compiled kernel's wrapper skip.
 """
 
 import numpy as np
@@ -37,9 +42,19 @@ from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.util.errors import ValidationError
 from tests.oracles import band_slot_pairs
 
-pytestmark = pytest.mark.skipif(
+#: Marks the tests that exercise the compiled kernel or its wrapper
+#: alone; everything else runs on a numpy-only install too, with the
+#: numpy search standing in for the compiled one.
+requires_cext = pytest.mark.skipif(
     "cext" not in available_backends(), reason="cext backend unavailable"
 )
+
+
+def _kernels():
+    """The searches to compare: the compiled one when it is available,
+    then its numpy statement."""
+    names = ["cext"] if "cext" in available_backends() else []
+    return [resolve_backend(n).band_rows for n in names] + [band_rows_numpy]
 
 EDGE = 8.5
 SKIN = 0.15 * EDGE
@@ -135,7 +150,7 @@ def _check(grid, positions, kind):
     cap = max(int(counts.max()), 1)
     rows = np.arange(plan.n_rows)
 
-    kern = resolve_backend("cext").band_rows
+    kern = _kernels()[0]
     lay = _search(kern, plan, clist, packed, offs, band)
     a, b, key = _lists(lay)
     assert all(
@@ -264,6 +279,7 @@ class TestBandKernelProperties:
         got = _check(grid, _positions(grid, occ, rng, faces=False), kind)
         assert got.shape[1] > 0
 
+    @requires_cext
     def test_offsets_must_match_plan_rows(self):
         grid = CellGrid((3, 3, 3), EDGE)
         plan = plan_for_grid(grid)
@@ -276,6 +292,7 @@ class TestBandKernelProperties:
                 np.arange(plan.n_rows), _compact(plan, clist), True,
             )
 
+    @requires_cext
     def test_region_lists_must_ascend_within_range(self, monkeypatch):
         """The compiled search indexes its per-region arrays by every
         listed region, so the wrapper refuses, before the kernel runs,
@@ -319,7 +336,9 @@ class TestHomeCellSubsets:
     search alike — so the searches of a partition's nodes add up to one
     search of the box."""
 
-    @pytest.mark.parametrize("search", ["cext", "numpy"])
+    @pytest.mark.parametrize(
+        "search", [pytest.param("cext", marks=requires_cext), "numpy"]
+    )
     @pytest.mark.parametrize("parts", [(2, 2, 2), (4, 1, 1), (1, 2, 4)])
     def test_nodes_add_up_to_the_box(self, search, parts):
         grid = CellGrid((4, 4, 4), EDGE)
@@ -453,35 +472,32 @@ class TestRowSearch:
         # ``tight``: no slack at all, so any growth borrows or moves the
         # layout end (with room for it in the buffers).
         slack = dict(shift=63, slack_min=0, room=1 << 16) if tight else {}
-        cext = _row_layout(plan, b0, n, **slack)
-        size = resolve_backend("cext").band_rows(
-            plan, b0, p0, offs, band, np.arange(plan.n_rows), cext, True
-        )
-        assert size == cext.rstart[-1] <= len(cext.a)
-        ref = _copy(cext)
+        kern = _kernels()[0]
+        lay = _row_layout(plan, b0, n, **slack)
+        size = kern(plan, b0, p0, offs, band, np.arange(plan.n_rows), lay, True)
+        assert size == lay.rstart[-1] <= len(lay.a)
+        ref = _copy(lay)
         band_rows_numpy(plan, b0, p0, offs, band, np.arange(plan.n_rows), ref, True)
-        _same_layout(cext, ref)
+        _same_layout(lay, ref)
 
         x1 = _migrate(grid, x0, rng, n_move, pile)
         b1 = CellList(grid, x1)
         c1 = grid.coords_of_positions(x1)
         p1 = build_fractions(grid, x1, x0, c1)
         regions = dirty_regions(plan, grid.cell_id(c0), grid.cell_id(c1))
-        stride_ok = int(b1.counts.max()) <= cext.stride
-        got = resolve_backend("cext").band_rows(
-            plan, b1, p1, offs, band, regions, cext, False
-        )
+        stride_ok = int(b1.counts.max()) <= lay.stride
+        got = kern(plan, b1, p1, offs, band, regions, lay, False)
         want = band_rows_numpy(plan, b1, p1, offs, band, regions, ref, False)
         assert got == want == 0
-        _same_layout(cext, ref)
+        _same_layout(lay, ref)
         if not stride_ok:
             return  # the keys would collide; the state rebuilds here
 
         fresh = _row_layout(plan, b1, n)
-        fresh.stride = cext.stride
+        fresh.stride = lay.stride
         band_rows_numpy(plan, b1, p1, offs, band, np.arange(plan.n_rows), fresh, True)
         for r in range(plan.n_rows):
-            for x, y in zip(_hits(cext, r), _hits(fresh, r)):
+            for x, y in zip(_hits(lay, r), _hits(fresh, r)):
                 assert np.array_equal(x, y)
         ref_band = band_slot_pairs(plan, b1, p1, offs, band)
         order = b1.order
@@ -492,7 +508,7 @@ class TestRowSearch:
             k_of[keep], ref_band.c[keep],
             order[ref_band.a][keep], order[ref_band.b][keep],
         ])
-        assert np.array_equal(_admitted_rows(cext, p1, offs, C), slot_admitted)
+        assert np.array_equal(_admitted_rows(lay, p1, offs, C), slot_admitted)
 
     def test_no_room_fails_on_both(self):
         """A region that must grow in a layout with neither slack nor
@@ -506,7 +522,7 @@ class TestRowSearch:
         c0 = grid.coords_of_positions(x0)
         p0 = build_fractions(grid, x0, x0, c0)
         results = []
-        for kern in (resolve_backend("cext").band_rows, band_rows_numpy):
+        for kern in _kernels():
             lay = _row_layout(plan, b0, len(x0), shift=63, slack_min=0)
             kern(plan, b0, p0, offs, band, np.arange(plan.n_rows), lay, True)
             lay.a, lay.b, lay.key = (
@@ -518,8 +534,9 @@ class TestRowSearch:
             regions = dirty_regions(plan, grid.cell_id(c0), grid.cell_id(c1))
             p1 = build_fractions(grid, x1, x0, c1)
             results.append(kern(plan, b1, p1, offs, band, regions, lay, False))
-        assert results == [1, 1]
+        assert results == [1] * len(_kernels())
 
+    @requires_cext
     def test_regions_must_be_in_range(self):
         grid = CellGrid((3, 3, 3), EDGE)
         plan = plan_for_grid(grid)
