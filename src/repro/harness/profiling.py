@@ -11,13 +11,13 @@ leg:
   seconds (build / force / traffic / ring / integrate) over full
   ``step()`` calls.
 * **Bitwise checks first, speed second** — before any timing, the
-  fused admission, ROM-eval and scatter kernels are asserted bitwise
-  against the numpy sequence (float32 force bank and full
-  :class:`StepStats`), the accounting kernels (``traffic_flat`` /
-  ``ring_charge``) head-to-head against their numpy references, and the
-  thread-pooled distributed run against the serial one.  The
-  retired loop/chunked oracles are asserted by the tier-1 tests
-  (``tests/oracles.py``), not here.
+  compiled ``datapath_pass`` (admission, ROM pipeline and accumulation
+  in one walk of the band) is asserted bitwise against its numpy
+  statement (float32 force bank and full :class:`StepStats`), the
+  accounting kernels (``traffic_flat`` / ``ring_charge``) head-to-head
+  against their numpy references, and the thread-pooled distributed
+  run against the serial one.  The retired loop/chunked oracles are
+  asserted by the tier-1 tests (``tests/oracles.py``), not here.
 * **Rate metrics for the regression gate** — every throughput lands in
   a ``*_per_s`` key inside a ``points`` map, the exact shape
   :func:`repro.harness.campaign.check_regression` consumes, so CI can
@@ -169,8 +169,8 @@ def profile_machine(
 ) -> Dict[str, object]:
     """Phase-timed machine step, bitwise-gated against the numpy sequence.
 
-    The machine runs the fused compiled admission + ROM-eval + scatter
-    kernels of ``force_impl`` (best available by default); its float32
+    The machine runs the ``datapath_pass`` kernel of ``force_impl``
+    (best available by default); its float32
     forces and full StepStats must match the same machine on the numpy
     backend bitwise before anything is timed.
     """
@@ -187,10 +187,10 @@ def profile_machine(
     s_opt = mach.compute_forces(collect_traffic=True)
     s_ref = ref.compute_forces(collect_traffic=True)
     assert _stats_signature(s_opt) == _stats_signature(s_ref), (
-        "fused-kernel StepStats diverged from the numpy sequence"
+        "datapath_pass StepStats diverged from the numpy sequence"
     )
     assert np.array_equal(mach.forces, ref.forces), (
-        "fused-kernel float32 forces diverged from the numpy sequence"
+        "datapath_pass float32 forces diverged from the numpy sequence"
     )
 
     t_opt = _median_time(

@@ -84,10 +84,14 @@ class TestRegistry:
         # One implementation per contract: the consumers call these
         # without a fallback, so the default backend must carry them.
         b = resolve_backend("numpy")
-        for kernel in ("admit_flat", "screen_dr", "lj_flat_seg",
+        for kernel in ("datapath_pass", "screen_dr", "lj_flat_seg",
                        "traffic_flat", "ring_charge"):
             assert getattr(b, kernel) is not None, kernel
         assert b.lj_flat is None  # the per-offset engine path is faster
+        # The machine pass is one kernel: no staged admission, pipeline
+        # or scatter entry points beside it.
+        for gone in ("admit_flat", "rom_eval", "scatter_cols"):
+            assert not hasattr(b, gone), gone
 
     def test_all_backends_registered(self):
         # Registered regardless of availability — status says why.
