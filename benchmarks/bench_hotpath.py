@@ -402,9 +402,9 @@ def bench_machine_phases(smoke: bool) -> dict:
     """Phase-timed, bitwise-gated machine step (repro.harness.profiling).
 
     Reports the per-phase breakdown of the machine step on the best
-    available backend (compiled admission/ROM-eval/scatter kernels +
-    group-by traffic), asserted bitwise against the numpy sequence
-    before timing.
+    available backend (the compiled datapath pass + group-by
+    traffic), asserted bitwise against the numpy sequence before
+    timing.
     """
     from repro.harness.profiling import format_profile, run_profile
 
