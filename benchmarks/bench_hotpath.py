@@ -41,7 +41,9 @@ on ``sys.path`` so the oracles in ``tests/`` import:
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--smoke]
 
 ``--smoke`` runs only the smallest size with one repetition — the CI
-sanity check that the script and the equivalence assertions still work.
+sanity check that the script and the equivalence assertions still work
+— and writes ``BENCH_hotpath_smoke.json``, leaving the committed record
+alone.  The machine phase breakdown is ``repro profile``'s.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -61,6 +62,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
+from repro.harness.profiling import median_time, split_grid, stats_signature
 from repro.md.backends import (
     ENERGY_RTOL,
     FORCE_ATOL,
@@ -81,15 +83,6 @@ SIZES = [
     ("10k", (5, 5, 6)),
     ("50k", (9, 9, 10)),
 ]
-
-
-def _median_time(fn, reps: int) -> float:
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
 
 
 def bench_size(label: str, dims, reps: int, check_brute: bool) -> dict:
@@ -132,12 +125,12 @@ def bench_size(label: str, dims, reps: int, check_brute: bool) -> dict:
         assert err_brute < 1e-10, f"batched vs brute forces differ: {err_brute}"
         assert abs(e_new - e_ref) <= 1e-10 * max(abs(e_ref), 1.0)
 
-    t_batched = _median_time(lambda: compute_forces_cells(system, grid), reps)
-    t_loop = _median_time(lambda: compute_forces_cells_loop(system, grid), reps)
+    t_batched = median_time(lambda: compute_forces_cells(system, grid), reps)
+    t_loop = median_time(lambda: compute_forces_cells_loop(system, grid), reps)
 
     machine = FasdaMachine(MachineConfig(dims), system=system.copy())
     machine.step()  # prime force banks + warm caches
-    t_step = _median_time(lambda: machine.step(), reps)
+    t_step = median_time(lambda: machine.step(), reps)
 
     result = {
         "label": label,
@@ -192,7 +185,7 @@ def bench_backends(label: str, dims, reps: int, steps: int) -> list:
         )
 
         machine0.force_impl = name
-        sig = _stats_signature(machine0.compute_forces(collect_traffic=True))
+        sig = stats_signature(machine0.compute_forces(collect_traffic=True))
         if sig_ref is None:
             sig_ref = sig
         assert sig == sig_ref, f"{name}: machine StepStats diverged from numpy"
@@ -203,7 +196,7 @@ def bench_backends(label: str, dims, reps: int, steps: int) -> list:
         eng.run(steps)
         engine_steps_per_s = steps / (time.perf_counter() - t0)
 
-        t_machine = _median_time(
+        t_machine = median_time(
             lambda: machine0.compute_forces(collect_traffic=True), reps
         )
 
@@ -346,39 +339,16 @@ def bench_batched(reps: int, smoke: bool) -> list:
     return out
 
 
-def _stats_signature(stats) -> dict:
-    from dataclasses import asdict
-
-    return {
-        "position_records": stats.position_records,
-        "force_records": stats.force_records,
-        "pr_load": {n: asdict(s) for n, s in stats.pr_load.items()},
-        "fr_load": {n: asdict(s) for n, s in stats.fr_load.items()},
-        "accepted": stats.accepted_per_cell.tolist(),
-        "nbr_frc": stats.neighbor_force_records_per_cell.tolist(),
-    }
-
-
-def _fpga_grid_for(dims) -> tuple:
-    """A >1-node partition that divides the box evenly."""
-    for axis in (2, 1, 0):
-        if dims[axis] % 2 == 0:
-            grid = [1, 1, 1]
-            grid[axis] = 2
-            return tuple(grid)
-    return (dims[0], 1, 1)
-
-
 def bench_machine_step(label: str, dims, reps: int) -> dict:
     """One compute_forces pass on the numpy backend, traffic on and off."""
-    fpga_grid = _fpga_grid_for(dims)
+    fpga_grid = split_grid(dims)
     machine = FasdaMachine(MachineConfig(dims, fpga_grid))
     machine.compute_forces()  # warm plan/table caches + band lists
 
-    t_traffic = _median_time(
+    t_traffic = median_time(
         lambda: machine.compute_forces(collect_traffic=True), reps
     )
-    t_no_traffic = _median_time(
+    t_no_traffic = median_time(
         lambda: machine.compute_forces(collect_traffic=False), reps
     )
 
@@ -398,24 +368,9 @@ def bench_machine_step(label: str, dims, reps: int) -> dict:
     return result
 
 
-def bench_machine_phases(smoke: bool) -> dict:
-    """Phase-timed, bitwise-gated machine step (repro.harness.profiling).
-
-    Reports the per-phase breakdown of the machine step on the best
-    available backend (the compiled datapath pass + group-by
-    traffic), asserted bitwise against the numpy sequence before
-    timing.
-    """
-    from repro.harness.profiling import format_profile, run_profile
-
-    doc = run_profile(smoke=smoke)
-    print(format_profile(doc))
-    return doc
-
-
 def bench_distributed_step(label: str, dims, reps: int) -> dict:
     """One distributed force pass: serial vs thread-pooled nodes."""
-    fpga_grid = _fpga_grid_for(dims)
+    fpga_grid = split_grid(dims)
     system, _ = build_dataset(dims, seed=2023)
 
     serial = DistributedMachine(
@@ -431,8 +386,8 @@ def bench_distributed_step(label: str, dims, reps: int) -> dict:
             "parallel node evaluation diverged from serial"
         )
 
-        t_serial = _median_time(serial.compute_forces, reps)
-        t_parallel = _median_time(pooled.compute_forces, reps)
+        t_serial = median_time(serial.compute_forces, reps)
+        t_parallel = median_time(pooled.compute_forces, reps)
     finally:
         pooled.close()
 
@@ -466,10 +421,17 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=5, help="repetitions (median)")
     parser.add_argument(
         "--out",
-        default=os.path.join(RESULTS_DIR, "BENCH_hotpath.json"),
-        help="output JSON path",
+        default=None,
+        help=(
+            "output JSON path (default: results/BENCH_hotpath.json, or "
+            "results/BENCH_hotpath_smoke.json with --smoke)"
+        ),
     )
     args = parser.parse_args()
+    out = args.out or os.path.join(
+        RESULTS_DIR,
+        "BENCH_hotpath_smoke.json" if args.smoke else "BENCH_hotpath.json",
+    )
 
     sizes = SIZES[:1] if args.smoke else SIZES
     reps = 1 if args.smoke else max(args.reps, 5)
@@ -497,7 +459,6 @@ def main() -> None:
         bench_distributed_step(label, dims, dist_reps)
         for label, dims in dist_sizes
     ]
-    machine_phases = bench_machine_phases(args.smoke)
 
     payload = {
         "benchmark": "hotpath",
@@ -507,13 +468,12 @@ def main() -> None:
         "backends": backend_results,
         "batched": batched_results,
         "machine_step": machine_results,
-        "machine_phases": machine_phases,
         "distributed_step": distributed_results,
     }
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

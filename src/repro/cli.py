@@ -14,6 +14,7 @@ Usage::
     python -m repro campaign --journal run.jsonl   # crash-resumable
     python -m repro campaign --resume run.jsonl    # finish a killed run
     python -m repro profile --json BENCH_machine.json  # phase breakdown
+    python -m repro bench --baseline benchmarks/results/BENCH_gate.json
     python -m repro info             # design-point summary table
 
 Each command prints the same text table the corresponding benchmark
@@ -23,6 +24,7 @@ saves under ``benchmarks/results/`` and exits 0 on success.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -129,11 +131,17 @@ def _cmd_faults(args) -> str:
     return format_fault_sweep(result)
 
 
-def _cmd_campaign(args):
+def _write_json(doc, path: str) -> None:
+    dirname = os.path.dirname(path)
+    if dirname:
+        os.makedirs(dirname, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _cmd_campaign(args) -> str:
     from repro.harness.campaign import (
-        check_regression,
         format_campaign,
-        load_campaign_json,
         run_default_campaign,
         write_campaign_json,
     )
@@ -144,11 +152,6 @@ def _cmd_campaign(args):
         # Process-wide default: every point without an explicit
         # force_impl param runs (and records) this backend.
         set_force_backend(args.force_impl)
-    # Load the baseline before --json can overwrite it (the two paths
-    # may legitimately be the same file for local baseline refreshes).
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_campaign_json(args.baseline)
     doc = run_default_campaign(
         seed=args.seed,
         steps=args.campaign_steps,
@@ -157,37 +160,12 @@ def _cmd_campaign(args):
     )
     if args.json:
         write_campaign_json(doc, args.json)
-    text = format_campaign(doc)
-    if args.baseline:
-        if baseline is not None:
-            failures = check_regression(
-                baseline, doc, threshold=args.threshold,
-            )
-            if failures:
-                text += "\nPERF REGRESSION vs " + args.baseline + ":\n"
-                text += "\n".join("  " + f for f in failures)
-                return text, 1
-            text += (
-                f"\nperf gate vs {args.baseline}: OK "
-                f"(threshold {100 * args.threshold:.0f}%)"
-            )
-        else:
-            text += (
-                f"\nperf gate: no baseline at {args.baseline}; skipped "
-                "(commit the fresh JSON to arm it)"
-            )
-    return text
+    return format_campaign(doc)
 
 
-def _cmd_batch(args):
-    from repro.harness.campaign import check_regression, load_campaign_json
+def _cmd_batch(args) -> str:
     from repro.harness.jobs import format_batch, run_batch_bench
 
-    # Load the baseline before --json can overwrite it (same file is
-    # fine for local baseline refreshes; mirrors `campaign`).
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_campaign_json(args.baseline)
     doc = run_batch_bench(
         force_impl=args.force_impl,
         k_systems=args.batch_k,
@@ -196,73 +174,48 @@ def _cmd_batch(args):
         smoke=args.smoke,
     )
     if args.json:
-        import json as json_mod
-
-        dirname = os.path.dirname(args.json)
-        if dirname:
-            os.makedirs(dirname, exist_ok=True)
-        with open(args.json, "w") as fh:
-            fh.write(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
-    text = format_batch(doc)
-    if args.baseline:
-        if baseline is not None:
-            failures = check_regression(
-                baseline, doc, threshold=args.threshold,
-            )
-            if failures:
-                text += "\nPERF REGRESSION vs " + args.baseline + ":\n"
-                text += "\n".join("  " + f for f in failures)
-                return text, 1
-            text += (
-                f"\nperf gate vs {args.baseline}: OK "
-                f"(threshold {100 * args.threshold:.0f}%)"
-            )
-        else:
-            text += (
-                f"\nperf gate: no baseline at {args.baseline}; skipped "
-                "(commit the fresh JSON to arm it)"
-            )
-    return text
+        _write_json(doc, args.json)
+    return format_batch(doc)
 
 
-def _cmd_profile(args):
-    from repro.harness.campaign import check_regression, load_campaign_json
+def _cmd_profile(args) -> str:
     from repro.harness.profiling import format_profile, run_profile
 
-    # Load the baseline before --json can overwrite it (same file is
-    # fine for local baseline refreshes; mirrors `campaign`/`batch`).
-    baseline = None
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = load_campaign_json(args.baseline)
     doc = run_profile(smoke=args.smoke, force_impl=args.force_impl)
     if args.json:
-        import json as json_mod
+        _write_json(doc, args.json)
+    return format_profile(doc)
 
-        dirname = os.path.dirname(args.json)
-        if dirname:
-            os.makedirs(dirname, exist_ok=True)
-        with open(args.json, "w") as fh:
-            fh.write(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
-    text = format_profile(doc)
+
+def _cmd_bench(args):
+    from repro.harness.bench import check_gate, format_bench, run_bench
+
+    # Read the baseline before measuring: a missing one fails at once,
+    # and --json may name the same file to refresh it.
+    baseline = None
     if args.baseline:
-        if baseline is not None:
-            failures = check_regression(
-                baseline, doc, threshold=args.threshold,
-            )
-            if failures:
-                text += "\nPERF REGRESSION vs " + args.baseline + ":\n"
-                text += "\n".join("  " + f for f in failures)
-                return text, 1
-            text += (
-                f"\nperf gate vs {args.baseline}: OK "
-                f"(threshold {100 * args.threshold:.0f}%)"
-            )
-        else:
-            text += (
-                f"\nperf gate: no baseline at {args.baseline}; skipped "
-                "(commit the fresh JSON to arm it)"
-            )
-    return text
+        if not os.path.exists(args.baseline):
+            return f"perf gate: no baseline at {args.baseline}", 1
+        with open(args.baseline) as fh:
+            baseline = json.load(fh)
+    doc = run_bench()
+    if args.json:
+        _write_json(doc, args.json)
+    text = format_bench(doc)
+    if baseline is None:
+        return text
+    failures = check_gate(baseline, doc)
+    hosts = (
+        f"baseline cpu_count={baseline.get('cpu_count')}, "
+        f"this host {doc['cpu_count']}"
+    )
+    if failures:
+        text += f"\nPERF GATE FAILED vs {args.baseline} ({hosts}):\n"
+        return text + "\n".join("  " + f for f in failures), 1
+    return text + (
+        f"\nperf gate vs {args.baseline}: OK, {len(doc['metrics'])} "
+        f"medians within {100 * doc['threshold']:.0f}% ({hosts})"
+    )
 
 
 def _cmd_recover(args):
@@ -277,15 +230,7 @@ def _cmd_recover(args):
                              seed=args.seed)
     soak = run_node_soak(n_steps=4, seeds=(args.seed, args.seed + 1))
     if args.json:
-        dirname = os.path.dirname(args.json)
-        if dirname:
-            os.makedirs(dirname, exist_ok=True)
-        import json as json_mod
-
-        with open(args.json, "w") as fh:
-            doc = json_mod.loads(soak.to_json())
-            doc["demo"] = demo
-            fh.write(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json({**json.loads(soak.to_json()), "demo": demo}, args.json)
     text = format_recovery_demo(demo) + "\n\n" + format_node_soak(soak)
     if not demo["bitwise_identical"] or soak.unrecovered:
         text += (
@@ -307,15 +252,7 @@ def _cmd_rescale(args):
     demo = run_rescale_demo(seed=args.seed)
     soak = run_rescale_soak(seeds=(args.seed, args.seed + 1, args.seed + 2))
     if args.json:
-        dirname = os.path.dirname(args.json)
-        if dirname:
-            os.makedirs(dirname, exist_ok=True)
-        import json as json_mod
-
-        with open(args.json, "w") as fh:
-            doc = json_mod.loads(soak.to_json())
-            doc["demo"] = demo
-            fh.write(json_mod.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json({**json.loads(soak.to_json()), "demo": demo}, args.json)
     text = format_rescale_demo(demo) + "\n\n" + format_rescale_soak(soak)
     failed = (
         not demo["all_bitwise"]
@@ -426,6 +363,7 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "batch": _cmd_batch,
     "profile": _cmd_profile,
+    "bench": _cmd_bench,
     "jobs": _cmd_jobs,
     "faults": _cmd_faults,
     "recover": _cmd_recover,
@@ -455,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         type=str,
         default=None,
-        help="for `faults`/`campaign`: also write the result as JSON here",
+        help="also write the result as JSON here (most commands)",
     )
     parser.add_argument(
         "--campaign-steps",
@@ -468,15 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help=(
-            "for `campaign`: BENCH_campaign.json to gate against; exits 1 "
-            "when a rate metric regresses beyond --threshold"
+            "for `bench`: a `bench --json` document to gate against; "
+            "exits 1 when a median drops more than 30%%, a metric is "
+            "missing or extra, its backend or config differs, or its "
+            "backend is unavailable"
         ),
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="for `campaign`: fractional rate regression that fails the gate",
     )
     parser.add_argument(
         "--journal",
@@ -513,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help=(
-            "for `batch`: CI-sized run (K=64, smallest system size only, "
-            "20 steps)"
+            "for `batch`: quick run (K=64, smallest system size only, "
+            "20 steps); for `profile`: the 1728-particle box"
         ),
     )
     parser.add_argument(
@@ -559,10 +493,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     Commands normally return the table text; a command may instead
-    return ``(text, exit_code)`` — the campaign perf gate uses this to
-    fail the process while still printing its findings.
+    return ``(text, exit_code)`` — the perf gate uses this to fail the
+    process while still printing its findings.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.baseline and args.command != "bench":
+        # Only `bench` gates; a baseline given elsewhere would gate nothing.
+        parser.error(f"--baseline is for `bench`, not `{args.command}`")
     out = _COMMANDS[args.command](args)
     text, code = out if isinstance(out, tuple) else (out, 0)
     print(text)

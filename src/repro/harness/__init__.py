@@ -14,11 +14,7 @@ fig19      Energy relative error vs. the float64 reference
 """
 
 from repro.harness.acceptance import run_acceptance
-from repro.harness.campaign import (
-    check_regression,
-    run_campaign,
-    run_default_campaign,
-)
+from repro.harness.campaign import run_campaign, run_default_campaign
 from repro.harness.experiments import (
     run_fig16,
     run_fig17,
@@ -43,7 +39,6 @@ __all__ = [
     "run_acceptance",
     "run_campaign",
     "run_default_campaign",
-    "check_regression",
     "run_fpga_scaling",
     "run_weak_scaling_extension",
     "run_imbalance_study",

@@ -37,10 +37,9 @@ Combined with per-point ``retries`` (which survive even SIGKILLed pool
 children), a campaign killed at any instant resumes to the same
 deterministic result with no point executed twice.
 
-:func:`check_regression` is the perf gate used by CI: it compares rate
-metrics (``*_per_s``, ``*_us_per_day``) between a committed baseline
-``BENCH_campaign.json`` and a fresh run and reports any that regressed
-beyond a threshold.
+The rate workers (:func:`engine_rate`, :func:`machine_rate`,
+:func:`batch_rate`) are also the timers behind ``repro bench``
+(:mod:`repro.harness.bench`), the perf gate.
 """
 
 from __future__ import annotations
@@ -393,9 +392,9 @@ def run_campaign(
                     jnl.append(keys[i], pairs[i][0], pairs[i][1])
 
     # Resolve the worker count before choosing a mode: spinning up a
-    # process pool for one worker only adds pickling overhead (the
-    # committed BENCH_campaign.json records parallel_speedup 0.956 on a
-    # 1-core host), so workers == 1 takes the serial path — journal
+    # process pool for one worker only adds pickling overhead (a
+    # campaign measured parallel_speedup 0.956 on a 1-core host), so
+    # workers == 1 takes the serial path — journal
     # appends and resume fingerprints are identical either way.
     n_workers = max_workers or os.cpu_count() or 1
     n_workers = max(1, min(n_workers, max(1, len(pending))))
@@ -429,61 +428,6 @@ def run_campaign(
         n_workers=n_workers,
         n_resumed=n_resumed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Perf-regression gate
-# ---------------------------------------------------------------------------
-
-#: Payload keys treated as higher-is-better rates by the gate.
-RATE_SUFFIXES: Tuple[str, ...] = ("_per_s", "_us_per_day")
-
-
-def _rate_metrics(result: Dict[str, Any]) -> Dict[str, float]:
-    out = {}
-    candidates = dict(result)
-    candidates.update(result.get("timing", {}))
-    for k, v in candidates.items():
-        if isinstance(v, (int, float)) and any(
-            k.endswith(suf) for suf in RATE_SUFFIXES
-        ):
-            out[k] = float(v)
-    return out
-
-
-def check_regression(
-    baseline: Dict[str, Any],
-    fresh: Dict[str, Any],
-    threshold: float = 0.30,
-) -> List[str]:
-    """Compare rate metrics between two BENCH_campaign payload maps.
-
-    Both arguments are ``merged()``-style maps (or full BENCH_campaign
-    documents with a ``"points"`` key holding one).  Returns a list of
-    human-readable failure strings — empty means the gate passes.  A
-    fresh rate below ``(1 - threshold) * baseline`` is a regression;
-    points or metrics present on only one side are ignored (sweep
-    membership may legitimately evolve).
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must be in (0, 1)")
-    base_pts = baseline.get("points", baseline)
-    fresh_pts = fresh.get("points", fresh)
-    failures = []
-    for label in sorted(set(base_pts) & set(fresh_pts)):
-        b = _rate_metrics(base_pts[label].get("result", {}))
-        f = _rate_metrics(fresh_pts[label].get("result", {}))
-        for metric in sorted(set(b) & set(f)):
-            if b[metric] <= 0:
-                continue
-            drop = 1.0 - f[metric] / b[metric]
-            if drop > threshold:
-                failures.append(
-                    f"{label}.{metric}: {f[metric]:.4g} is "
-                    f"{100 * drop:.1f}% below baseline {b[metric]:.4g} "
-                    f"(threshold {100 * threshold:.0f}%)"
-                )
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -754,20 +698,17 @@ def build_default_campaign(
     steps: int = 30,
     dims: Tuple[int, int, int] = (5, 5, 6),
 ) -> List[CampaignPoint]:
-    """The BENCH_campaign design points.
+    """The default campaign's design points.
 
     The reference engine's step rate over its persistent state and the
     simulated machine's step rates (end-to-end and steady-state), plus
     the FPGA-scaling sweep and a slice of the sensitivity study so the
     campaign exercises heterogeneous workers.
 
-    Force-backend points: the three rate points above always run on the
-    ``"numpy"`` backend (so the committed baseline stays comparable
-    across hosts), and one extra engine/machine reuse pair is added per
-    *available* backend beyond it (``cext`` when buildable).  The extra
-    labels are one-sided additions, which :func:`check_regression`
-    ignores against baselines that predate them; so are retired labels
-    such as ``engine/fresh``, whose path no longer exists.
+    Force-backend points: the three rate points above run on the
+    process-wide backend (``--force-impl``), and one extra
+    engine/machine reuse pair is added per *available* backend beyond
+    numpy (``cext`` when buildable).
     """
     from repro.md.backends import available_backends
 
@@ -790,8 +731,6 @@ def build_default_campaign(
             point("machine_rate", seed=seed, label=f"machine/reuse-{name}",
                   dims=dims, steps=steps, mode="run", force_impl=name)
         )
-    # Fused many-system stepping (one-sided addition: baselines that
-    # predate it are simply not gated on it).
     pts.append(
         point("batch_rate", seed=seed, label="batch/k8", steps=steps)
     )
@@ -817,7 +756,7 @@ def run_default_campaign(
     journal: Optional[str] = None,
     resume: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run the standard campaign and assemble the BENCH_campaign document.
+    """Run the standard campaign and assemble its JSON document.
 
     Runs the campaign in parallel and (optionally) serially, verifies
     the merged payloads agree exactly, and returns the JSON-able
@@ -877,7 +816,7 @@ def run_default_campaign(
 
 
 def write_campaign_json(doc: Dict[str, Any], path: str) -> str:
-    """Write a BENCH_campaign document; returns the path."""
+    """Write a campaign document; returns the path."""
     dirname = os.path.dirname(path)
     if dirname:
         os.makedirs(dirname, exist_ok=True)
@@ -888,22 +827,28 @@ def write_campaign_json(doc: Dict[str, Any], path: str) -> str:
 
 
 def load_campaign_json(path: str) -> Dict[str, Any]:
-    """Load a BENCH_campaign document."""
+    """Load a campaign document."""
     with open(path) as fh:
         return json.load(fh)
 
 
+#: The value each worker's row shows, by payload key.
+_HEADLINE = (
+    "steps_per_s", "aggregate_steps_per_s", "rate_us_per_day",
+    "rate_3x3x3_us_per_day",
+)
+
+
 def format_campaign(doc: Dict[str, Any]) -> str:
-    """Human-readable summary table of a BENCH_campaign document."""
+    """Human-readable summary table of a campaign document."""
     from repro.harness.report import format_table
 
     rows = []
     for label in sorted(doc["points"]):
         res = doc["points"][label]["result"]
-        rates = _rate_metrics(res)
-        metric, value = (
-            next(iter(sorted(rates.items()))) if rates else ("-", float("nan"))
-        )
+        values = {**res, **res.get("timing", {})}
+        metric = next((k for k in _HEADLINE if k in values), "-")
+        value = values.get(metric, float("nan"))
         extra = ""
         if "rebuild_rate" in res:
             extra = f"rebuilds {100 * res['rebuild_rate']:.0f}%"

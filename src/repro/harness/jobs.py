@@ -70,8 +70,8 @@ DONE = "done"
 JOB_STATES = (QUEUED, RUNNING, QUARANTINED, PREEMPTED, DONE)
 
 #: Default ``batch_max_n`` solo-routing threshold.  The committed
-#: BENCH_batch.json crossover: co-batching wins 4.3x at N=108 but drops
-#: to 0.6x by N=432, so systems past ~256 particles step faster alone.
+#: BENCH_batch.json crossover: co-batching wins 4.0x at N=108 but drops
+#: to 0.85x by N=432, so systems past ~256 particles step faster alone.
 BATCH_MAX_N_DEFAULT = 256
 
 
@@ -648,7 +648,7 @@ class _JobService:
 
         Systems above ``batch_max_n`` are routed solo: batching loses for
         them (the committed BENCH_batch.json crossover — N=432 runs at
-        0.6x co-batched), so a big job only enters an empty engine and
+        0.85x co-batched), so a big job only enters an empty engine and
         owns it until it drains.
         """
         admitted = 0
@@ -1070,6 +1070,7 @@ def _bench_point(
         serial_wall += time.perf_counter() - t0
     serial_rate = steps / (serial_wall / sample)
     return {
+        "label": f"k{k_systems}_ppc{ppc}",
         "k_systems": k_systems,
         "n_per_system": n_per,
         "particles_per_cell": ppc,
@@ -1080,13 +1081,9 @@ def _bench_point(
         "formation_wall_s": cold_wall,
         "plan_cache_cold": cold_cache,
         "plan_cache_warm": warm_cache,
-        # Speedup deliberately has no rate suffix: the regression gate
-        # watches the aggregate rates, not the machine-dependent ratio.
+        "aggregate_steps_per_s": batched_rate,
+        "serial_aggregate_steps_per_s": serial_rate,
         "speedup_vs_serial": batched_rate / serial_rate,
-        "timing": {
-            "aggregate_steps_per_s": batched_rate,
-            "serial_aggregate_steps_per_s": serial_rate,
-        },
     }
 
 
@@ -1102,57 +1099,49 @@ def run_batch_bench(
 ) -> dict:
     """Measure batched vs serial aggregate throughput; returns the doc.
 
-    ``smoke`` shrinks to the CI configuration: K=64, the smallest
-    system size only, fewer steps.  The result layout mirrors
-    ``BENCH_campaign.json`` (``points[...]["result"]["timing"]``) so
-    :func:`repro.harness.campaign.check_regression` gates it unchanged.
+    ``smoke`` shrinks to a quick configuration: K=64, the smallest
+    system size only, fewer steps.  One entry of ``sizes`` per system
+    size.  The perf gate (``repro bench``) times the fused aggregate
+    rate through :func:`repro.harness.campaign.batch_rate`, not here.
     """
     if smoke:
         k_systems = min(k_systems, 64)
         steps = min(steps, 20)
         ppc_list = ppc_list[:1]
-    points = {}
-    for ppc in ppc_list:
-        label = f"k{k_systems}_ppc{ppc}"
-        points[label] = {
-            "result": _bench_point(
-                force_impl, k_systems, ppc, steps, warm_steps,
-                serial_sample, seed,
-            )
-        }
-    best = max(p["result"]["speedup_vs_serial"] for p in points.values())
-    doc = {
+    sizes = [
+        _bench_point(
+            force_impl, k_systems, ppc, steps, warm_steps, serial_sample,
+            seed,
+        )
+        for ppc in ppc_list
+    ]
+    return {
         "bench": "batch",
         "smoke": bool(smoke),
         "seed": seed,
         "k_systems": k_systems,
         "steps": steps,
-        "points": points,
-        "summary": {
-            "backend": next(iter(points.values()))["result"]["backend"],
-            "best_speedup_vs_serial": best,
-        },
+        "backend": sizes[0]["backend"],
+        "sizes": sizes,
+        "best_speedup_vs_serial": max(
+            p["speedup_vs_serial"] for p in sizes
+        ),
     }
-    return doc
 
 
 def format_batch(doc: dict) -> str:
     lines = [
         "batched stepping bench "
         f"(K={doc['k_systems']}, {doc['steps']} steps, "
-        f"backend={doc['summary']['backend']}"
+        f"backend={doc['backend']}"
         + (", smoke)" if doc.get("smoke") else ")"),
     ]
-    for label, point in doc["points"].items():
-        r = point["result"]
-        t = r["timing"]
+    for r in doc["sizes"]:
         lines.append(
-            f"  {label:>12s}  N={r['n_per_system']:<5d} "
-            f"batched {t['aggregate_steps_per_s']:10.0f} steps/s   "
-            f"serial {t['serial_aggregate_steps_per_s']:8.0f} steps/s   "
+            f"  {r['label']:>12s}  N={r['n_per_system']:<5d} "
+            f"batched {r['aggregate_steps_per_s']:10.0f} steps/s   "
+            f"serial {r['serial_aggregate_steps_per_s']:8.0f} steps/s   "
             f"speedup {r['speedup_vs_serial']:5.2f}x"
         )
-    lines.append(
-        f"  best speedup {doc['summary']['best_speedup_vs_serial']:.2f}x"
-    )
+    lines.append(f"  best speedup {doc['best_speedup_vs_serial']:.2f}x")
     return "\n".join(lines)

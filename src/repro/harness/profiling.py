@@ -1,9 +1,7 @@
 """Phase-timed, bitwise-checked profiling of the machine/distributed step.
 
 One entry point, :func:`run_profile`, drives the whole "where does a
-step go" story used by ``repro profile``, the ``machine_phases``
-section of ``benchmarks/bench_hotpath.py`` and the CI ``perf-machine``
-leg:
+step go" story of ``repro profile``:
 
 * **Machine phase breakdown** — a :class:`~repro.core.machine.FasdaMachine`
   on the best available compiled backend with
@@ -18,10 +16,10 @@ leg:
   against their numpy references, and the thread-pooled distributed
   run against the serial one.  The retired loop/chunked oracles are
   asserted by the tier-1 tests (``tests/oracles.py``), not here.
-* **Rate metrics for the regression gate** — every throughput lands in
-  a ``*_per_s`` key inside a ``points`` map, the exact shape
-  :func:`repro.harness.campaign.check_regression` consumes, so CI can
-  gate on a committed baseline with the usual 30% rule.
+
+The step timers :func:`profile_machine` and :func:`profile_distributed`
+also serve ``repro bench`` (:mod:`repro.harness.bench`), which gates
+their ``machine_step_per_s`` and ``distributed_serial_per_s``.
 
 Everything here is measurement and assertion — no simulation state of
 its own — so it lives in the harness layer.
@@ -62,7 +60,9 @@ DISTRIBUTED_PHASES: Tuple[str, ...] = (
 )
 
 
-def _median_time(fn, reps: int) -> float:
+def median_time(fn, reps: int) -> float:
+    """Median wall seconds of ``reps`` calls of ``fn`` (at least one;
+    the upper middle sample of an even count)."""
     samples = []
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
@@ -71,7 +71,7 @@ def _median_time(fn, reps: int) -> float:
     return sorted(samples)[len(samples) // 2]
 
 
-def _fpga_grid_for(dims) -> tuple:
+def split_grid(dims) -> tuple:
     """A >1-node partition that divides the box evenly."""
     for axis in (2, 1, 0):
         if dims[axis] % 2 == 0:
@@ -81,7 +81,7 @@ def _fpga_grid_for(dims) -> tuple:
     return (dims[0], 1, 1)
 
 
-def _stats_signature(stats) -> dict:
+def stats_signature(stats) -> dict:
     """Everything a StepStats asserts bitwise (timings excluded — they
     are wall-clock, not physics)."""
     return {
@@ -175,7 +175,7 @@ def profile_machine(
     backend bitwise before anything is timed.
     """
     impl = force_impl or best_backend()
-    fpga_grid = _fpga_grid_for(dims)
+    fpga_grid = split_grid(dims)
 
     mach = FasdaMachine(MachineConfig(dims, fpga_grid))
     mach.force_impl = impl
@@ -186,14 +186,14 @@ def profile_machine(
     mach.compute_forces()
     s_opt = mach.compute_forces(collect_traffic=True)
     s_ref = ref.compute_forces(collect_traffic=True)
-    assert _stats_signature(s_opt) == _stats_signature(s_ref), (
+    assert stats_signature(s_opt) == stats_signature(s_ref), (
         "datapath_pass StepStats diverged from the numpy sequence"
     )
     assert np.array_equal(mach.forces, ref.forces), (
         "datapath_pass float32 forces diverged from the numpy sequence"
     )
 
-    t_opt = _median_time(
+    t_opt = median_time(
         lambda: mach.compute_forces(collect_traffic=True), reps
     )
 
@@ -237,30 +237,33 @@ def profile_distributed(
     dims: Tuple[int, int, int],
     reps: int,
     traj_steps: int = 4,
+    force_impl: Optional[str] = None,
 ) -> Dict[str, object]:
     """Serial vs thread-pooled node evaluation.
 
     Asserts, bitwise, a short ``parallel=True`` trajectory against the
     serial run (positions, velocities, float32 forces) before timing.
     ``cpu_count`` is recorded because the pool's speedup depends on
-    it.
+    it.  ``force_impl`` defaults to the process-wide backend.
     """
-    fpga_grid = _fpga_grid_for(dims)
+    fpga_grid = split_grid(dims)
     system, _ = build_dataset(dims, seed=2023)
 
-    serial = DistributedMachine(
-        MachineConfig(dims, fpga_grid), system=system.copy(), parallel=False
-    )
+    def machine(parallel: bool) -> DistributedMachine:
+        m = DistributedMachine(
+            MachineConfig(dims, fpga_grid), system=system.copy(),
+            parallel=parallel,
+        )
+        m.force_impl = force_impl
+        return m
+
+    serial = machine(False)
     serial.compute_forces()
-    t_serial = _median_time(serial.compute_forces, reps)
+    t_serial = median_time(serial.compute_forces, reps)
 
     # Short trajectories: serial vs the thread pool.
-    s_traj = DistributedMachine(
-        MachineConfig(dims, fpga_grid), system=system.copy(), parallel=False
-    )
-    p_traj = DistributedMachine(
-        MachineConfig(dims, fpga_grid), system=system.copy(), parallel=True
-    )
+    s_traj = machine(False)
+    p_traj = machine(True)
     try:
         for _ in range(traj_steps):
             s_traj.step()
@@ -274,7 +277,7 @@ def profile_distributed(
         assert np.array_equal(s_traj.forces, p_traj.forces), (
             "thread-pooled float32 forces diverged from serial"
         )
-        t_thread = _median_time(p_traj.compute_forces, reps)
+        t_thread = median_time(p_traj.compute_forces, reps)
     finally:
         p_traj.close()
 
@@ -294,6 +297,7 @@ def profile_distributed(
         "dims": list(dims),
         "fpga_grid": list(fpga_grid),
         "n_particles": int(system.n),
+        "force_impl": resolve_backend(force_impl).name,
         "reps": reps,
         "cpu_count": os.cpu_count() or 1,
         "thread_trajectory_bitwise": True,
@@ -317,12 +321,7 @@ def run_profile(
     force_impl: Optional[str] = None,
     dims: Optional[Tuple[int, int, int]] = None,
 ) -> Dict[str, object]:
-    """Assemble the full profile document (see the module docstring).
-
-    The ``points`` map is shaped for
-    :func:`repro.harness.campaign.check_regression`: each entry's
-    ``result`` carries the ``*_per_s`` rates the 30% gate compares.
-    """
+    """Assemble the full profile document (see the module docstring)."""
     dims = tuple(dims) if dims else (SMOKE_DIMS if smoke else DEFAULT_DIMS)
     reps = reps if reps is not None else (1 if smoke else 5)
     impl = force_impl or best_backend()
@@ -335,8 +334,6 @@ def run_profile(
         dims, max(1, reps if smoke else reps // 2),
         traj_steps=2 if smoke else 4,
     )
-
-    label = f"{machine['n_particles']}p"
     return {
         "profile": "machine_phases",
         "smoke": smoke,
@@ -346,20 +343,6 @@ def run_profile(
         "kernel_checks": kernel_checks,
         "machine": machine,
         "distributed": distributed,
-        "points": {
-            f"machine_{label}": {
-                "result": {
-                    "machine_step_per_s": machine["machine_step_per_s"],
-                }
-            },
-            f"distributed_{label}": {
-                "result": {
-                    "distributed_serial_per_s": distributed[
-                        "distributed_serial_per_s"
-                    ],
-                }
-            },
-        },
     }
 
 
@@ -381,7 +364,8 @@ def format_profile(doc: Dict[str, object]) -> str:
         lines.append(f"    {name:<10s} {sec * 1e3:8.2f} ms  {pct:5.1f}%")
     lines.append(
         f"distributed step ({d['n_particles']} particles, "
-        f"{int(np.prod(d['fpga_grid']))} nodes): serial "
+        f"{int(np.prod(d['fpga_grid']))} nodes, "
+        f"force_impl={d['force_impl']}): serial "
         f"{d['distributed_step_s'] * 1e3:.1f} ms, thread pool "
         f"{d['distributed_step_thread_s'] * 1e3:.1f} ms "
         f"({d['thread_speedup']:.2f}x, {d['cpu_count']} cpu), bitwise ok"

@@ -816,14 +816,6 @@ def checked_regions(rows, n_regions: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CDEF = r"""
-double lj_flat_f64(const double *px, const double *py, const double *pz,
-                   const int64_t *ia, const int64_t *ib,
-                   const int32_t *srow, const double *stab,
-                   const int32_t *spc, int64_t ns,
-                   const double *c14t, const double *c8t,
-                   const double *c12t, const double *c6t,
-                   int64_t n_pairs, double cutoff2, double shift_e,
-                   double *fx, double *fy, double *fz);
 void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
                      const int64_t *ia, const int64_t *ib,
                      const int32_t *srow, const double *stab,
@@ -875,56 +867,16 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Fused cutoff test + LJ + Newton-pair scatter over a flat pair
- * stream (engine layer, float64).  Sequential accumulation: admitted
- * pairs are exact, totals agree with the bincount-grouped reference to
- * float64 round-off. */
-double lj_flat_f64(const double *px, const double *py, const double *pz,
-                   const int64_t *ia, const int64_t *ib,
-                   const int32_t *srow, const double *stab,
-                   const int32_t *spc, int64_t ns,
-                   const double *c14t, const double *c8t,
-                   const double *c12t, const double *c6t,
-                   int64_t n_pairs, double cutoff2, double shift_e,
-                   double *fx, double *fy, double *fz)
-{
-    double energy = 0.0;
-    for (int64_t p = 0; p < n_pairs; p++) {
-        int64_t i = ia[p], j = ib[p];
-        double dx = px[i] - px[j];
-        double dy = py[i] - py[j];
-        double dz = pz[i] - pz[j];
-        int32_t r = srow[p];
-        if (r >= 0) {
-            dx -= stab[3 * r];
-            dy -= stab[3 * r + 1];
-            dz -= stab[3 * r + 2];
-        }
-        double r2 = dx * dx + dy * dy + dz * dz;
-        if (r2 >= cutoff2)
-            continue;
-        int64_t sij = (int64_t)spc[i] * ns + spc[j];
-        double inv_r2 = 1.0 / r2;
-        double inv_r4 = inv_r2 * inv_r2;
-        double inv_r6 = inv_r4 * inv_r2;
-        double inv_r8 = inv_r4 * inv_r4;
-        double scalar = (c14t[sij] * inv_r6 - c8t[sij]) * inv_r8;
-        energy += (c12t[sij] * inv_r6 - c6t[sij]) * inv_r6 - shift_e;
-        double fxx = scalar * dx, fyy = scalar * dy, fzz = scalar * dz;
-        fx[i] += fxx; fy[i] += fyy; fz[i] += fzz;
-        fx[j] -= fxx; fy[j] -= fyy; fz[j] -= fzz;
-    }
-    return energy;
-}
-
-/* Segmented variant of lj_flat_f64 for the batched engine: one call
- * walks K per-system pair ranges of one global stream, accumulating
- * into the shared force columns (particle indices are disjoint across
- * segments) with a per-segment energy accumulator.  Each segment sees
- * exactly the pair order, operands and accumulator start (0.0) of a
- * solo lj_flat_f64 call, so per-system forces AND energies are bitwise
- * the solo run's.  Pad rows between seg_hi[k] and seg_lo[k+1] are
- * never touched. */
+/* Fused cutoff test + LJ + Newton-pair scatter over K pair ranges of
+ * one flat stream (engine layer, float64), accumulating into the
+ * shared force columns with a per-segment energy accumulator started
+ * at 0.0.  Sequential accumulation: admitted pairs are exact, totals
+ * agree with the bincount-grouped reference to float64 round-off.  The
+ * solo engine is the one-segment call; a batched segment sees exactly
+ * the pair order, operands and accumulator start of that call, so
+ * per-system forces AND energies are bitwise the solo run's (particle
+ * indices are disjoint across segments).  Pad rows between seg_hi[k]
+ * and seg_lo[k+1] are never touched. */
 void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
                      const int64_t *ia, const int64_t *ib,
                      const int32_t *srow, const double *stab,
@@ -1529,20 +1481,6 @@ def _make_cext_backend() -> ForceBackend:
         # A fifth of ``arr.ctypes.data``'s cost; C-contiguous only.
         return ffi.cast(ctype, ffi.from_buffer(arr))
 
-    def lj_flat(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
-                shift_e, fx, fy, fz):
-        c14, c8, c12, c6 = _lj_tables(lj)
-        return lib.lj_flat_f64(
-            ptr("double *", psx), ptr("double *", psy), ptr("double *", psz),
-            ptr("int64_t *", ia), ptr("int64_t *", ib),
-            ptr("int32_t *", srow), ptr("double *", stab),
-            ptr("int32_t *", spc), int(lj.n_species),
-            ptr("double *", c14), ptr("double *", c8),
-            ptr("double *", c12), ptr("double *", c6),
-            int(len(ia)), float(cutoff2), float(shift_e),
-            ptr("double *", fx), ptr("double *", fy), ptr("double *", fz),
-        )
-
     def lj_flat_seg(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
                     shift_e, fx, fy, fz, seg_lo, seg_hi):
         c14, c8, c12, c6 = _lj_tables(lj)
@@ -1562,6 +1500,14 @@ def _make_cext_backend() -> ForceBackend:
             ptr("double *", energies),
         )
         return energies
+
+    def lj_flat(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
+                shift_e, fx, fy, fz):
+        # One segment spanning the whole stream.
+        return float(lj_flat_seg(
+            psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2, shift_e,
+            fx, fy, fz, [0], [len(ia)],
+        )[0])
 
     def datapath_pass(fs, lay, offs, tables, out):
         _check_pass_operands(fs, lay, offs, tables, out)

@@ -370,26 +370,20 @@ class TestBenchAndCampaign:
         assert result["backend"] in BACKENDS
         assert result["timing"]["aggregate_steps_per_s"] > 0
 
-    def test_bench_doc_gates_like_campaign(self):
-        from repro.harness.campaign import check_regression
-        from repro.harness.jobs import run_batch_bench
+    def test_bench_doc_reports_each_size(self):
+        from repro.harness.jobs import format_batch, run_batch_bench
 
         doc = run_batch_bench(
             k_systems=6, steps=5, warm_steps=2, serial_sample=2, smoke=True
         )
         assert doc["smoke"] is True
-        point = next(iter(doc["points"].values()))["result"]
+        (point,) = doc["sizes"]
+        assert point["label"] == "k6_ppc2"
         assert point["plan_cache_cold"]["misses"] >= 1
-        assert point["backend"] in BACKENDS
+        assert point["backend"] == doc["backend"] in BACKENDS
         assert point["serial_sampled"] == 2
-        # Same doc passes its own gate; a slowed clone fails it.
-        assert check_regression(doc, doc) == []
-        import copy
-
-        slow = copy.deepcopy(doc)
-        for p in slow["points"].values():
-            p["result"]["timing"]["aggregate_steps_per_s"] *= 0.5
-        assert check_regression(doc, slow) != []
+        assert point["aggregate_steps_per_s"] > 0
+        assert "k6_ppc2" in format_batch(doc)
 
     def test_default_campaign_includes_batch_point(self):
         from repro.harness.campaign import build_default_campaign

@@ -208,7 +208,7 @@ class TestParallelKillAndResume:
 
 class TestDefaultCampaignResume:
     def test_resumed_default_campaign_matches(self, tmp_path):
-        """BENCH_campaign kill-and-resume smoke at tiny scale."""
+        """Default-campaign kill-and-resume smoke at tiny scale."""
         journal = str(tmp_path / "bench.jsonl")
         kwargs = dict(
             seed=3, steps=2, dims=(3, 3, 3), compare_serial=False,
@@ -222,7 +222,7 @@ class TestDefaultCampaignResume:
         assert resumed["n_resumed"] == len(lines) // 2
 
         def strip(doc):
-            """The deterministic BENCH_campaign content, JSON-normalized.
+            """The deterministic campaign document content, JSON-normalized.
 
             Resumed payloads have been through the JSONL journal (tuples
             become lists), so the identity that matters — byte-identical
