@@ -45,18 +45,12 @@ from repro.core.datapath import (
 )
 from repro.core.rings import RingLoadModel, RingPath, cbb_ring_order
 from repro.core.timing import StepTimings
-from repro.md.cells import CellGrid, CellList, HALF_SHELL_OFFSETS
+from repro.md.cells import CellGrid, HALF_SHELL_OFFSETS
 from repro.md.dataset import build_dataset
 from repro.md.kernels import scatter_add
-from repro.md.pairplan import (
-    ROWS_PER_CELL,
-    candidates_per_cell,
-    iter_pair_chunks,
-    plan_for_grid,
-)
+from repro.md.pairplan import candidates_per_cell, plan_for_grid
 from repro.md.cellstate import CellState, machine_pack_fn
 from repro.md.backends import DatapathTables, resolve_backend
-from repro.md.reference import _padded_viable
 from repro.md.engine import EnergyRecord
 from repro.md.system import ParticleSystem
 from repro.network.fabric import Fabric
@@ -336,8 +330,7 @@ class MachineCore:
         return f, e
 
     def _new_cell_state(self, view: bool = False) -> CellState:
-        """A persistent :class:`CellState` (band lists only where
-        :func:`~repro.md.reference._padded_viable`), updatable in place;
+        """A persistent :class:`CellState`, updatable in place;
         ``view=True`` makes a node view state: slot fractions in, skin
         in cutoff units, a compact layout and full builds only."""
         cutoff = self.config.cutoff
@@ -348,15 +341,12 @@ class MachineCore:
             machine_pack_fn(
                 self.fmt, cutoff, self.reuse_skin, None if view else self.grid
             ),
-            viable=_padded_viable,
             updatable=not view,
         )
 
     def _prepare(self, state: CellState) -> None:
         """Attach (or refresh after an update) the per-build artifacts
         the band-list pass reads."""
-        if state.pairs is None:
-            return
         art = state.artifacts.get("machine")
         if art is None:
             state.artifacts["machine"] = _MachineArtifacts(self, state)
@@ -364,10 +354,10 @@ class MachineCore:
             art.refresh(self, state)
 
     def _evaluate(self, state: CellState, frac: np.ndarray, out: _Pass) -> np.float32:
-        """One datapath pass over ``state``'s binning into ``out``: band
-        lists when the state holds them, chunked enumeration otherwise.
-        ``frac`` is indexed like ``state.clist.order`` (particles for a
-        whole box, slots for a node view).
+        """One datapath pass over ``state``'s band lists into ``out``,
+        whatever the occupancy.  ``frac`` is indexed like
+        ``state.clist.order`` (particles for a whole box, slots for a
+        node view).
 
         The band-list pass is the backend's ``datapath_pass`` (see
         :func:`~repro.md.backends.datapath_pass_numpy`), bitwise equal
@@ -380,8 +370,6 @@ class MachineCore:
         input and the per-offset accumulation grouping all coincide
         with a fresh build's.
         """
-        if state.pairs is None:
-            return self._eval_chunked(state.clist, frac, out, state.ids, state.home)
         # Fractions by bank row in float32 — exact: fractions are
         # k * 2**-23 in [0, 1), so differences (and minus the integer
         # cell offsets) are exactly representable; float32 dr is
@@ -452,72 +440,6 @@ class MachineCore:
         return DatapathTables(
             ts.n_s, ts.n_b, ts.r2_min, self._rom32(), coef, qq
         )
-
-    def _eval_chunked(
-        self,
-        clist: CellList,
-        frac: np.ndarray,
-        out: _Pass,
-        ids: Optional[np.ndarray] = None,
-        home: Optional[np.ndarray] = None,
-    ) -> np.float32:
-        """Gather-enumerated datapath pass (the original hot loop).
-
-        All candidate pairs of the ``home`` cells' rows (every row when
-        None) flow through the filter and the force pipelines in
-        step-wide batches from the shared pair plan — the path for
-        sparse or skewed boxes, where the padded candidate search does
-        not pay.  ``ids`` maps bank rows to particle ids (None: they
-        coincide).
-        """
-        plan = self._plan
-        n = np.int64(len(out.home_bank))
-        potential = np.float32(0.0)
-        backend = resolve_backend(self.force_impl)
-        rows = None
-        if home is not None:
-            rows = (
-                home[:, None] * ROWS_PER_CELL + np.arange(ROWS_PER_CELL)
-            ).reshape(-1)
-        for chunk in iter_pair_chunks(
-            plan, clist.counts, clist.start, clist.order, rows=rows
-        ):
-            # Displacement home - neighbor = frac_h - offset - frac_n
-            # (offset zero on home-home rows), exact in float64 for
-            # quantized fractions, and its exact r2 for the filter.
-            dr, r2 = backend.screen_dr(
-                frac, chunk.ii, chunk.jj, plan.offset, chunk.row
-            )
-            res = self.filter.admit_r2(r2)
-            if not res.n_accepted:
-                continue
-            m = res.mask
-            ii = chunk.ii[m]
-            jj = chunk.jj[m]
-            row = chunk.row[m]
-            scatter_add(out.accepted, plan.home[row])
-            gi, gj = (ii, jj) if ids is None else (ids[ii], ids[jj])
-            f, e = self._pipelines(dr[m], res.r2, gi, gj)
-            sel = plan.is_self[row]
-            scatter_add(out.home_bank, ii, f)
-            if sel.any():
-                scatter_add(out.home_bank, jj[sel], -f[sel])
-            nsel = ~sel
-            if nsel.any():
-                fn = -f[nsel]
-                scatter_add(out.nbr_bank, jj[nsel], fn)
-                # Unique (row, neighbor particle) keys; chunks carry
-                # whole rows, so per-chunk uniqueness is per-block exact.
-                keys, inv = np.unique(row[nsel] * n + jj[nsel], return_inverse=True)
-                krow = keys // n
-                scatter_add(out.uniq_per_row, krow)
-                rem = None if out.remote is None else out.remote[krow]
-                if rem is not None and rem.any():
-                    fr = np.zeros((len(keys), 3), dtype=np.float32)
-                    scatter_add(fr, inv, fn)
-                    out.records.append((krow[rem], keys[rem] % n, fr[rem]))
-            potential += e.sum(dtype=np.float32)
-        return potential
 
     # -- time integration (motion-update units) --------------------------------
 
@@ -661,13 +583,9 @@ class FasdaMachine(MachineCore):
         Every pass goes through the persistent skin-banded
         :class:`~repro.md.cellstate.CellState`, rebuilt on the skin/2
         displacement criterion and updated in place when particles only
-        changed cell.  Dense boxes
-        (the paper's 64-per-cell workload) evaluate over its band lists
-        (the backend's ``datapath_pass``); sparse or skewed occupancies, where the
-        padded candidate search does not pay, keep no band lists and
-        take the chunked enumeration (:meth:`_eval_chunked`) over a
-        fresh binning.  The choice depends only on the input, and both
-        admit the same pair set through the real
+        changed cell, and evaluates over its band lists (the backend's
+        ``datapath_pass``) whatever the occupancy: dense, sparse or
+        skewed boxes take the one path, admitting pairs through the real
         :class:`~repro.core.datapath.PairFilter`.  Traffic accounting
         runs as vectorized group-by passes.
         """

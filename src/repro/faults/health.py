@@ -15,8 +15,8 @@ the same discipline as the rest of the fault layer:
   sums, one ``isfinite``) runs every step; only when it trips does the
   per-segment ``reduceat`` attribution run, exactly the shape
   :meth:`~repro.md.batch.BatchedEngine._rebuild_mask` already uses.
-  Healthy-path overhead stays in the low single percent (measured in
-  ``bench_hotpath`` — see DESIGN.md §12).
+  Healthy-path overhead stays in the low single percent (see
+  DESIGN.md §12).
 * **Chaos is keyed-RNG.**  :class:`JobChaosPlan` derives every
   poison decision from ``SeedSequence((seed, salt, job_index))`` like
   :class:`~repro.faults.plan.FaultInjector`, so a chaos soak replays
@@ -44,10 +44,6 @@ REASON_DISPLACEMENT = "max_displacement"
 REASON_FORCE = "nonfinite_force"
 REASON_ENERGY = "nonfinite_energy"
 REASON_DRIFT = "energy_drift"
-#: Not a guard trip: the batch refused the system when packing it (its
-#: cell occupancy is not padded-viable).  The record's ``value`` is the
-#: system's particle count.
-REASON_NOT_BATCHABLE = "not-batchable"
 
 #: Keyed-RNG domain separation salt for chaos poison decisions
 #: (ASCII "POIS", mirroring the transport injector's salts).
@@ -232,6 +228,5 @@ __all__ = [
     "REASON_ENERGY",
     "REASON_FORCE",
     "REASON_INPUT",
-    "REASON_NOT_BATCHABLE",
     "check_system_finite",
 ]

@@ -44,18 +44,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.health import (
-    GuardConfig,
-    PoisonRecord,
-    REASON_INPUT,
-    REASON_NOT_BATCHABLE,
-)
+from repro.faults.health import GuardConfig, REASON_INPUT
 from repro.md.batch import BatchedEngine
 from repro.md.cells import CellGrid
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
     JobPoisonedError,
-    NotBatchableError,
     UnknownJobError,
     ValidationError,
 )
@@ -721,13 +715,7 @@ class _JobService:
                 self.chunk_steps,
                 min(j.steps - j.steps_done for j in self.active.values()),
             )
-            try:
-                self.engine.step(chunk)
-            except NotBatchableError as exc:
-                # Raised while packing the admitted segments, before
-                # any segment moved: drop the refused one and go on.
-                self._refuse(exc.handle)
-                continue
+            self.engine.step(chunk)
             self.total_steps += chunk * len(self.active)
             self.chunk_index += 1
             self._handle_poisoned()
@@ -736,24 +724,6 @@ class _JobService:
             self._boundary_persist()
             if self.on_chunk is not None:
                 self.on_chunk(self.chunk_index, self.engine)
-
-    def _refuse(self, handle: int) -> None:
-        """Quarantine a job whose segment the batch refused to pack.
-
-        Its occupancy cannot be stepped bitwise in the batch (see
-        :class:`~repro.util.errors.NotBatchableError`): the segment is
-        swapped out and the job quarantined as terminal, never retried.
-        The other segments are untouched.
-        """
-        job = self.active.pop(handle)
-        system = self.engine.remove(handle)
-        record = PoisonRecord(
-            handle=handle, step=self.engine.step_count,
-            reason=REASON_NOT_BATCHABLE, value=float(system.n),
-            threshold=0.0,
-        ).asdict()
-        record["job_id"] = job.job_id
-        self._quarantine_terminal(job, record)
 
     def _handle_poisoned(self) -> None:
         records = self.engine.poison_log[self._poison_seen:]

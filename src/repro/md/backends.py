@@ -52,14 +52,6 @@ Kernel contracts (see DESIGN.md §10)
   so banks, counts, records and the potential are **bitwise
   identical** to :func:`datapath_pass_numpy`, its numpy statement and
   oracle, which is also the ``numpy`` backend's production path.
-* ``screen_dr`` (chunked/distributed layer, float64): fused gather +
-  displacement over one candidate chunk.  The kernel produces ``dr``
-  (bitwise identical to the numpy gather/subtract — elementwise, one
-  rounding per op); ``r2`` is then computed with the *same*
-  ``np.einsum`` as the reference for every backend (einsum's SIMD
-  accumulation order is not portably replicable in C), so the values
-  feeding :meth:`~repro.core.datapath.PairFilter.admit_r2` — and hence
-  every admission — are bitwise identical by construction.
 * ``traffic_flat`` (accounting layer, int64 keys): one stable
   group-reduce serving every group-by in
   ``FasdaMachine._account_traffic`` — sorted unique keys with per-key
@@ -118,7 +110,7 @@ from repro.util.errors import ValidationError
 #: compiled/SoA backends admit the exact same pairs but accumulate in a
 #: different order, so forces agree to FORCE_ATOL (absolute, kcal/mol/A)
 #: and energies to ENERGY_RTOL (relative).  Enforced by
-#: tests/test_backends.py and the in-bench asserts of bench_hotpath.
+#: tests/test_backends.py.
 FORCE_ATOL = 1e-8
 ENERGY_RTOL = 1e-9
 
@@ -131,8 +123,8 @@ class ForceBackend:
     """One registered force-kernel implementation.
 
     The kernel entry points are described in the module docstring.
-    ``datapath_pass``, ``screen_dr``, ``lj_flat_seg``, ``traffic_flat``
-    and ``ring_charge`` are present on every available backend, so
+    ``datapath_pass``, ``lj_flat_seg``, ``traffic_flat`` and
+    ``ring_charge`` are present on every available backend, so
     consumers call them unconditionally.  For ``lj_flat`` and
     ``band_rows``, ``None`` means "run the consumer's numpy code", which
     stays the oracle the compiled kernel mirrors.  ``available`` is
@@ -149,7 +141,6 @@ class ForceBackend:
     #: One machine force pass over a row layout: see
     #: :func:`datapath_pass_numpy` for the contract.
     datapath_pass: Optional[Callable] = None
-    screen_dr: Optional[Callable] = None
     #: Segmented variant of ``lj_flat`` for the batched engine: one call
     #: serves K independent systems packed into one global pair stream,
     #: returning a ``(K,)`` per-segment energy vector (see
@@ -663,37 +654,6 @@ def datapath_pass_numpy(
     return potential
 
 
-def screen_dr_numpy(
-    frac: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    offset: np.ndarray,
-    row: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunk displacement + squared distance in numpy.
-
-    ``dr = frac[ii] - frac[jj] - offset[row]`` (exact in float64 for
-    quantized fractions) and its einsum inner product, the inputs of
-    :meth:`~repro.core.datapath.PairFilter.admit_r2` on the chunked
-    machine and distributed paths.  The same arithmetic as
-    :meth:`~repro.core.datapath.PairFilter.check` on that ``dr``.
-    """
-    dr = frac[ii] - frac[jj] - offset[row]
-    return dr, _screen_r2(dr)
-
-
-def _screen_r2(dr: np.ndarray) -> np.ndarray:
-    """The reference r2 reduction — shared by *every* backend.
-
-    numpy's einsum accumulates with SIMD partial sums whose order is not
-    portably replicable in scalar C, so compiled ``screen_dr`` kernels
-    only fuse the gather/displacement (bitwise exact elementwise) and
-    delegate the reduction here.  One einsum over identical ``dr``
-    values gives identical ``r2`` values for all backends.
-    """
-    return np.einsum("ij,ij->i", dr, dr)
-
-
 def traffic_flat_numpy(
     keys: np.ndarray,
     weights: Optional[np.ndarray] = None,
@@ -839,9 +799,6 @@ int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
                           int64_t *rec_row, int64_t *rec_bank, float *rec_f,
                           int64_t *ap, float *ar2, float *adx, float *ady,
                           float *adz, float *e_out, int64_t *meta);
-void screen_dr_f64(const double *frac, const int64_t *ii, const int64_t *jj,
-                   const double *offs, const int64_t *row, int64_t n,
-                   double *dr_out);
 int64_t traffic_groupby_i64(int64_t *skey, int64_t n, int64_t div,
                             const double *w, const int64_t *aux,
                             int64_t *uniq_out, double *sum_out,
@@ -1106,25 +1063,6 @@ int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
     meta[n_off + 1] = n_rec;
     meta[n_off + 2] = below;
     return m;
-}
-
-/* Fused gather + displacement over one candidate chunk (chunked
- * machine path, distributed per-node path).  Matches numpy's
- * (frac[ii] - frac[jj]) - offset[row] bitwise — elementwise, one
- * rounding per subtraction.  The r2 reduction is left to the caller's
- * einsum so it is the reference reduction for every backend. */
-void screen_dr_f64(const double *frac, const int64_t *ii, const int64_t *jj,
-                   const double *offs, const int64_t *row, int64_t n,
-                   double *dr_out)
-{
-    for (int64_t p = 0; p < n; p++) {
-        const double *a = frac + 3 * ii[p];
-        const double *b = frac + 3 * jj[p];
-        const double *o = offs + 3 * row[p];
-        dr_out[3 * p] = a[0] - b[0] - o[0];
-        dr_out[3 * p + 1] = a[1] - b[1] - o[1];
-        dr_out[3 * p + 2] = a[2] - b[2] - o[2];
-    }
 }
 
 static int cmp_i64(const void *a, const void *b)
@@ -1579,23 +1517,6 @@ def _make_cext_backend() -> ForceBackend:
             ))
         return _offset_energy(e, meta[: n_off + 1])
 
-    def screen_dr(frac, ii, jj, offset, row):
-        n = len(ii)
-        frac = np.ascontiguousarray(frac, dtype=np.float64)
-        offset = np.ascontiguousarray(offset, dtype=np.float64)
-        ii = np.ascontiguousarray(ii, dtype=np.int64)
-        jj = np.ascontiguousarray(jj, dtype=np.int64)
-        row = np.ascontiguousarray(row, dtype=np.int64)
-        dr = np.empty((n, 3), dtype=np.float64)
-        lib.screen_dr_f64(
-            ptr("double *", frac),
-            ptr("int64_t *", ii), ptr("int64_t *", jj),
-            ptr("double *", offset), ptr("int64_t *", row),
-            int(n),
-            ptr("double *", dr),
-        )
-        return dr, _screen_r2(dr)
-
     def traffic_flat(keys, weights=None, aux=None):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = len(keys)
@@ -1697,7 +1618,6 @@ def _make_cext_backend() -> ForceBackend:
         why="compiled with cffi",
         lj_flat=lj_flat,
         datapath_pass=datapath_pass,
-        screen_dr=screen_dr,
         lj_flat_seg=lj_flat_seg,
         traffic_flat=traffic_flat,
         ring_charge=ring_charge,
@@ -1715,7 +1635,6 @@ register_backend(
         available=True,
         why="pure-numpy kernels",
         datapath_pass=datapath_pass_numpy,
-        screen_dr=screen_dr_numpy,
         lj_flat_seg=lj_flat_seg_numpy,
         traffic_flat=traffic_flat_numpy,
         ring_charge=ring_charge_numpy,

@@ -56,10 +56,9 @@ the tests register (``tests/oracles.py``), including across
 Per-segment *energies* from the pure-numpy kernel are reduced with a
 segmented bincount instead of one ``np.sum``, so potentials agree with
 solo to float64 round-off rather than bitwise (trajectories depend only
-on forces).  The contract requires each segment to stay *padded-viable*
-(:func:`~repro.md.reference._padded_viable`) — a solo run on a sparse
-box would take the chunked fresh path with a different stream; the
-batched engine raises instead of silently diverging.
+on forces).  The contract holds for any occupancy: a solo run lists
+its band on every build, sparse or skewed boxes included, so every
+segment batches.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ from repro.md.cellstate import CellState, engine_pack_fn
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import CellPairPlan, plan_for_grid
 from repro.md.backends import ForceBackend, resolve_backend
-from repro.md.reference import _cutoff_shift, _padded_viable, _FlatArtifacts
+from repro.md.reference import _cutoff_shift, _FlatArtifacts
 from repro.md.system import ParticleSystem
-from repro.util.errors import NotBatchableError, ValidationError
+from repro.util.errors import ValidationError
 from repro.util.units import KCAL_MOL_TO_INTERNAL
 
 #: Capacity slack of a segment's pair-stream region: a rebuild whose
@@ -199,7 +198,9 @@ class BatchedEngine:
     Systems may have different particle counts and grid dims, but must
     share the force-field family: one LJ table, one ``cell_edge``
     (= cutoff), one timestep and one ``shift`` setting — the fused
-    kernel runs with a single ``cutoff2``/``shift_e``.
+    kernel runs with a single ``cutoff2``/``shift_e``.  Any occupancy
+    batches, sparse boxes and single particles included: every segment
+    lists its band like its solo run does.
 
     Parameters
     ----------
@@ -487,8 +488,6 @@ class BatchedEngine:
                 self._build_segment(seg)
         self._pack_stream()
         self._pack_dirty = False
-        # Every unprimed segment, not only those built here: a build
-        # refused mid-pack leaves the segments built before it unprimed.
         fresh = [seg for seg in self._segments if not seg.primed]
         if fresh:
             self._prime_segments(fresh)
@@ -612,18 +611,6 @@ class BatchedEngine:
             st.builds_restore_base = st.builds + st.reuse_steps
         st.build(positions, self._backend)
         st.last_rebuilt = True
-        if not _padded_viable(seg.plan, st.clist):
-            message = (
-                f"segment {seg.handle} occupancy is not padded-viable; "
-                "batched stepping requires the dense band path (a solo run "
-                "would take the chunked fresh path with a different stream)"
-            )
-            if seg.primed:
-                # A rebuild mid-step: the batch has already drifted.
-                raise ValidationError(message)
-            # Refused while packing, before any segment moved: removing
-            # the segment leaves a usable engine.
-            raise NotBatchableError(message, handle=seg.handle)
         seg.art = _FlatArtifacts(st.pairs, seg.plan)
         seg.live = len(seg.art.a)
         self._build_pos[lo:hi] = st.build_positions

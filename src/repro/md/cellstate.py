@@ -29,7 +29,8 @@ results **bitwise identical** to the rebuild-every-step code:
   reuse path equal to a fresh build's.  Box/grid changes force a new
   state object altogether (the state is keyed to one grid).
 * States that only ever build afresh (``ReferenceEngine``,
-  ``BatchedEngine`` segments, distributed node views) lay their band
+  ``BatchedEngine`` segments, distributed node views, the throwaway
+  state of a stateless ``compute_forces_cells`` call) lay their band
   out compactly: one region per plan row, exactly as long as its hits.
   The machine's whole-box state (``updatable=True``) gives each region
   slack; when particles only changed cell, it re-searches just the
@@ -345,13 +346,6 @@ class CellState:
         units, and ``band``, the squared listing distance ``(cutoff +
         skin)^2`` *in packed units* plus the conservative float32
         margin.
-    viable:
-        Optional ``(plan, clist, home) -> bool`` gate on the band search
-        (``home`` as in :meth:`ensure_view`, ``None`` for position
-        builds).  A binning it rejects is kept without band lists
-        (:attr:`pairs` is None), so the consumer takes its own
-        non-padded path and every later :meth:`ensure` rebuilds the
-        binning.
     updatable:
         Give the :class:`RowBands` regions slack, so a position-built
         state updates in place when particles only changed cell
@@ -367,6 +361,9 @@ class CellState:
     ``pack_fn`` receives the slot vectors and ``skin`` is in packed
     units.
 
+    Every build lists the band of every searched region, whatever the
+    occupancy, so :attr:`pairs` is set from the first build on.
+
     Counters: :attr:`builds` counts full builds, :attr:`updates`
     in-place updates and :attr:`reuse_steps` passes that changed
     nothing; :attr:`last_rebuilt` is True after a full build only.
@@ -378,9 +375,6 @@ class CellState:
         plan: CellPairPlan,
         skin: float,
         pack_fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]],
-        viable: Optional[
-            Callable[[CellPairPlan, CellList, Optional[np.ndarray]], bool]
-        ] = None,
         updatable: bool = False,
     ):
         if skin <= 0:
@@ -389,7 +383,6 @@ class CellState:
         self.plan = plan
         self.skin = float(skin)
         self._pack_fn = pack_fn
-        self._viable = viable
         self.updatable = bool(updatable)
         self.version = 0
         self.builds = 0
@@ -467,7 +460,7 @@ class CellState:
 
         Otherwise ``"reuse"``.
         """
-        if self.build_positions is None or self.pairs is None:
+        if self.build_positions is None:
             return "build"
         if skin_exceeded(positions, self.build_positions, self.grid.box, self.skin):
             return "build"
@@ -512,13 +505,9 @@ class CellState:
 
         ``backend`` is as in :meth:`ensure`: its ``band_rows`` (or
         :func:`band_rows_numpy`) searches the band, and either fills the
-        layout bitwise identically (see DESIGN.md §10).
-
-        Exception-safe: ``pack_fn`` may refuse pathological inputs (the
-        reference pack raises ``FloatingPointError`` on non-box-local
-        positions), in which case the previously built state is left
-        fully intact — the caller falls back to its fresh path.  (The
-        search writes the band in place, after the pack.)
+        layout bitwise identically (see DESIGN.md §10).  Every build
+        lists the band, whatever the occupancy: :attr:`pairs` is never
+        None afterwards.
         """
         clist = CellList(self.grid, positions)
         coords = self.grid.coords_of_positions(positions)
@@ -530,8 +519,7 @@ class CellState:
     def _update(self, positions: np.ndarray, backend) -> bool:
         """Re-band, in place, only the regions whose home or neighbour
         cell changed membership; False (state unspecified, a full build
-        must follow) when the new binning outgrows the layout or leaves
-        the padded path.
+        must follow) when the new binning outgrows the layout.
 
         The regions are searched at the *build* positions under the
         *current* binning, so the single skin/2-since-build trigger
@@ -545,8 +533,6 @@ class CellState:
         rb = self.pairs
         clist = CellList(self.grid, positions)
         if int(clist.counts.max()) > rb.stride:
-            return False
-        if self._viable is not None and not self._viable(self.plan, clist, None):
             return False
         regions = dirty_regions(self.plan, self.cids, cids)
         packed = build_fractions(self.grid, positions, self.build_positions, coords)
@@ -582,8 +568,7 @@ class CellState:
         the arguments, so any evaluator holding the state may apply it.
         """
         rebuild = (
-            self.pairs is None
-            or self.build_packed is None
+            self.build_packed is None
             or not np.array_equal(counts, self.clist.counts)
             or not np.array_equal(ids, self.ids)
             or not np.array_equal(home, self.home)
@@ -608,14 +593,11 @@ class CellState:
         backend,
         home: Optional[np.ndarray] = None,
     ) -> None:
-        pairs = None
         cap = int(clist.counts.max()) if clist.counts.size else 0
-        if self._viable is None or self._viable(self.plan, clist, home):
-            packed, offsets, band = self._pack_fn(pack_input)
-            pairs = self._search(clist, packed, offsets, band, cap, home, backend)
+        packed, offsets, band = self._pack_fn(pack_input)
+        self.pairs = self._search(clist, packed, offsets, band, cap, home, backend)
         self.clist = clist
         self.cap = cap
-        self.pairs = pairs
         self.version += 1
         self.builds += 1
         self.artifacts.clear()
@@ -692,10 +674,12 @@ def engine_pack_fn(
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]]:
     """``pack_fn`` for the float64 reference path (box-local coordinates).
 
-    Mirrors ``_forces_cells_padded``: packed vectors are box-local
-    positions (angstrom), offsets are the half-shell offsets scaled by
-    the cell edges, and the band is ``(cutoff + skin)^2`` with the same
-    conservative 1e-3 float32 margin the fresh path uses at the cutoff.
+    Packed vectors are positions relative to their cell's corner
+    (angstrom), offsets are the half-shell offsets scaled by the cell
+    edges, and the band is ``(cutoff + skin)^2`` with a conservative
+    1e-3 float32 margin, far above the float32 error of cell-local
+    coordinates.  Positions must be in the box
+    (:func:`~repro.md.reference.compute_forces_cells` refuses others).
     """
     off_len = (
         np.concatenate(
@@ -710,8 +694,6 @@ def engine_pack_fn(
         cids = np.arange(plan.n_cells, dtype=np.int64)
         corner = plan.edges * plan.cell_coords_of(cids)
         local = positions - corner[grid.cell_id(grid.coords_of_positions(positions))]
-        if np.abs(local).max(initial=0.0) > 4.0 * plan.edges.max():
-            raise FloatingPointError("positions not box-local")
         return local, off_len, band
 
     return pack

@@ -20,7 +20,7 @@ from repro.md.cells import CellGrid
 from repro.md.cellstate import CellState, engine_pack_fn
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import plan_for_grid
-from repro.md.reference import _padded_viable, compute_forces_cells
+from repro.md.reference import compute_forces_cells
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 
@@ -107,9 +107,8 @@ class ReferenceEngine:
         Creation does not build the band lists — that happens on the
         next force pass.  Exposed so checkpoint restore can reattach the
         reuse counters before the engine runs again.  Like the
-        machine's, the state lists bands only for padded-viable
-        binnings (:func:`~repro.md.reference._padded_viable`); other
-        binnings take the fresh path and are rebuilt on every pass.
+        machine's, the state lists its band on every build, whatever the
+        occupancy.
         """
         if self._cell_state is None:
             skin = self.reuse_skin
@@ -117,8 +116,7 @@ class ReferenceEngine:
                 skin = 0.15 * float(self.grid.cell_edge)
             plan = plan_for_grid(self.grid)
             self._cell_state = CellState(
-                self.grid, plan, skin, engine_pack_fn(self.grid, plan, skin),
-                viable=_padded_viable,
+                self.grid, plan, skin, engine_pack_fn(self.grid, plan, skin)
             )
         return self._cell_state
 

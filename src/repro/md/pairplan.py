@@ -135,9 +135,8 @@ class CellPairPlan:
         mask decodes as ``cell = f // cap^2``, ``i = (f // cap) % cap``,
         ``j = f % cap``; precomputing the tables turns three per-survivor
         integer divisions per offset into three cheap int32 gathers.
-        Hoisted onto the plan (historically each consumer re-derived it
-        per call) so the numpy padded path and its oracles share one
-        copy per geometry.
+        Hoisted onto the plan so the padded-search oracles in
+        ``tests/oracles.py`` share one copy per geometry.
         """
         cap = int(cap)
         # One (cap, tables) attribute, read and replaced whole: threads

@@ -8,7 +8,11 @@ production path against an independent restatement:
 * :func:`eval_padded` — the fresh padded-broadcast pass
   ``FasdaMachine`` took on dense boxes before the persistent
   :class:`~repro.md.cellstate.CellState` became its only path.  The
-  reuse path must match it bitwise, step after step.
+  band-list pass must match it bitwise, step after step, on any
+  occupancy.
+* :func:`eval_chunked` — the chunked gather enumeration the machine
+  took on sparse or skewed boxes until every binning got band lists:
+  the same admitted pairs, summed in another float32 grouping.
 * :func:`account_traffic_loop` — the per-row traffic walk the
   vectorized group-by accounting replaced.
 * :func:`exchange_positions_loop` — the per-particle
@@ -17,6 +21,7 @@ production path against an independent restatement:
 * :func:`eval_node_chunked` — the distributed node's original private
   force core (chunk loop, own pipelines, ``np.unique`` records), which
   the nodes' pass through the shared machine datapath replaced.
+  Both chunked oracles screen candidates with :func:`screen_dr_numpy`.
 
 :func:`fresh_path`, :func:`loop_traffic`,
 :func:`rebuild_nodes_every_step` and :func:`rebuild_state_every_step`
@@ -28,7 +33,7 @@ The engine layer's float64 oracles:
 * :func:`compute_forces_cells_loop` — the original per-cell Python loop,
   an independently coded restatement of
   :func:`~repro.md.reference.compute_forces_cells` (to float64
-  round-off) and the baseline ``benchmarks/bench_hotpath.py`` times.
+  round-off).
 * :func:`lj_flat_numpy` — one flat pure-numpy LJ pass over a pair
   stream.  Registered as a solo backend by :func:`solo_oracle`, it is
   the engine a batched ``numpy`` run matches bitwise, system by system.
@@ -67,11 +72,11 @@ from repro.md.engine import ReferenceEngine
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
 from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, iter_pair_chunks
 from repro.md.params import LJTable
-from repro.md.reference import _cutoff_shift, _padded_viable
+from repro.md.reference import _cutoff_shift
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 
-PAIR_PATHS = ("auto", "padded", "chunked")
+PAIR_PATHS = ("padded", "chunked")
 
 
 def eval_padded(
@@ -176,28 +181,81 @@ def eval_padded(
     return potential
 
 
-def fresh_path(machine: FasdaMachine, pair_path: str = "auto") -> FasdaMachine:
-    """Make ``machine`` evaluate every pass over a fresh binning.
+def screen_dr_numpy(
+    frac: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    offset: np.ndarray,
+    row: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Chunk displacement + squared distance: ``dr = frac[ii] -
+    frac[jj] - offset[row]`` (exact in float64 for quantized fractions)
+    and its einsum inner product, the inputs of
+    :meth:`~repro.core.datapath.PairFilter.admit_r2` in the chunked
+    oracles — the same arithmetic as
+    :meth:`~repro.core.datapath.PairFilter.check` on that ``dr``."""
+    dr = frac[ii] - frac[jj] - offset[row]
+    return dr, np.einsum("ij,ij->i", dr, dr)
 
-    ``pair_path`` picks the evaluator the way the retired knob did:
-    ``"auto"`` takes :func:`eval_padded` on boxes where the padded search
-    is viable and the chunked enumeration elsewhere, ``"padded"`` and
-    ``"chunked"`` force one of them.  Returns the machine.
+
+def eval_chunked(
+    machine: FasdaMachine, clist: CellList, frac: np.ndarray, out
+) -> np.float32:
+    """Gather-enumerated datapath pass over a whole-box binning.
+
+    All candidate pairs flow through the filter and the force pipelines
+    in step-wide batches from the shared pair plan, row by row; ``out``
+    is the machine's per-pass ``_Pass`` (banks, acceptance and record
+    counts).  Admits exactly the pairs the band-list pass admits, so
+    every integer statistic matches it; forces and the potential differ
+    by the float32 accumulation grouping.
+    """
+    plan = machine._plan
+    n = np.int64(len(out.home_bank))
+    potential = np.float32(0.0)
+    for chunk in iter_pair_chunks(plan, clist.counts, clist.start, clist.order):
+        dr, r2 = screen_dr_numpy(frac, chunk.ii, chunk.jj, plan.offset, chunk.row)
+        res = machine.filter.admit_r2(r2)
+        if not res.n_accepted:
+            continue
+        m = res.mask
+        ii = chunk.ii[m]
+        jj = chunk.jj[m]
+        row = chunk.row[m]
+        scatter_add(out.accepted, plan.home[row])
+        f, e = machine._pipelines(dr[m], res.r2, ii, jj)
+        sel = plan.is_self[row]
+        scatter_add(out.home_bank, ii, f)
+        if sel.any():
+            scatter_add(out.home_bank, jj[sel], -f[sel])
+        nsel = ~sel
+        if nsel.any():
+            scatter_add(out.nbr_bank, jj[nsel], -f[nsel])
+            # Unique (row, neighbor particle) keys; chunks carry whole
+            # rows, so per-chunk uniqueness is per-block exact.
+            keys = np.unique(row[nsel] * n + jj[nsel])
+            scatter_add(out.uniq_per_row, keys // n)
+        potential += e.sum(dtype=np.float32)
+    return potential
+
+
+def fresh_path(machine: FasdaMachine, pair_path: str = "padded") -> FasdaMachine:
+    """Make ``machine`` evaluate every pass over a fresh binning, with
+    :func:`eval_padded` (``"padded"``, the band-list pass's bitwise
+    oracle on any occupancy) or :func:`eval_chunked` (``"chunked"``).
+    Returns the machine.
     """
     if pair_path not in PAIR_PATHS:
         raise ValueError(f"pair_path must be one of {PAIR_PATHS}")
 
     def evaluate(state, frac, out):
         clist = CellList(machine.grid, machine.system.positions)
-        padded = pair_path == "padded" or (
-            pair_path == "auto" and _padded_viable(machine._plan, clist)
-        )
-        if padded:
+        if pair_path == "padded":
             return eval_padded(
                 machine, clist, frac, out.home_bank, out.nbr_bank,
                 out.accepted, out.uniq_per_row,
             )
-        return machine._eval_chunked(clist, frac, out)
+        return eval_chunked(machine, clist, frac, out)
 
     machine._evaluate = evaluate
     return machine
@@ -420,9 +478,8 @@ def _eval_node_core(
     ).reshape(-1)
     n_slots = np.int64(start[-1])
 
-    backend = resolve_backend(machine.force_impl)
     for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
-        dr, r2 = backend.screen_dr(
+        dr, r2 = screen_dr_numpy(
             frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
         )
         res = machine.filter.admit_r2(r2)

@@ -11,11 +11,12 @@ The contract under test, per layer:
   loop oracle and the O(N^2) brute-force golden model within the
   documented ``FORCE_ATOL``/``ENERGY_RTOL`` bounds, on both the
   stateless and the cell-state paths, at small/medium/paper-density
-  sizes.
+  sizes and on sparse and skewed boxes; positions outside the box are
+  refused on every backend.
 * machine — admissions run through the exact float64 recheck on every
   backend, so ``StepStats`` and the float32 force banks are **bitwise
-  identical** across backends (band-list path on a dense box, chunked
-  path on a skewed one); same for :class:`DistributedMachine` per node.
+  identical** across backends (band lists on a dense box and on a
+  skewed one); same for :class:`DistributedMachine` per node.
 * persistence — checkpoint v2 round-trips the ``force_impl`` knob for
   engine, machine and distributed payloads, and pre-knob checkpoints
   (no ``force_impl`` key) still restore.
@@ -46,7 +47,8 @@ from repro.md.backends import (
     resolve_backend,
     set_force_backend,
 )
-from repro.md.dataset import build_dataset
+from repro.md.cells import CellGrid
+from repro.md.dataset import PAPER_CUTOFF_A, build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.system import ParticleSystem
 from repro.md.reference import compute_forces_bruteforce, compute_forces_cells
@@ -84,13 +86,13 @@ class TestRegistry:
         # One implementation per contract: the consumers call these
         # without a fallback, so the default backend must carry them.
         b = resolve_backend("numpy")
-        for kernel in ("datapath_pass", "screen_dr", "lj_flat_seg",
-                       "traffic_flat", "ring_charge"):
+        for kernel in ("datapath_pass", "lj_flat_seg", "traffic_flat",
+                       "ring_charge"):
             assert getattr(b, kernel) is not None, kernel
         assert b.lj_flat is None  # the per-offset engine path is faster
         # The machine pass is one kernel: no staged admission, pipeline
         # or scatter entry points beside it.
-        for gone in ("admit_flat", "rom_eval", "scatter_cols"):
+        for gone in ("admit_flat", "rom_eval", "scatter_cols", "screen_dr"):
             assert not hasattr(b, gone), gone
 
     def test_all_backends_registered(self):
@@ -284,6 +286,48 @@ class TestEngineEquivalence:
             f_def, _ = compute_forces_cells(system, grid, force_impl=None)
             np.testing.assert_array_equal(f_def, f_b)
 
+    @pytest.mark.parametrize("box", ["skewed", "half-in-one-cell", "sparse"])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_sparse_and_skewed_boxes_vs_loop_oracle(self, name, box):
+        """Boxes the retired padded-viability gate sent to the chunked
+        path: the stateless call and the engine's persistent state both
+        list bands and match the loop oracle.  The half-in-one-cell box
+        piles overlapping particles into one cell (forces ~1e18), where
+        one float64 ulp already exceeds ``FORCE_ATOL``: the bound there
+        is a few ulps of the largest force."""
+        system, grid = _GATED_BOXES[box]()
+        f_loop, e_loop = compute_forces_cells_loop(system, grid)
+        atol = max(FORCE_ATOL, 4 * float(np.spacing(np.abs(f_loop).max())))
+        engine = ReferenceEngine(system.copy(), grid, force_impl=name)
+        engine.potential_energy()
+        assert engine.ensure_cell_state().pairs is not None
+        for f_b, e_b in (
+            compute_forces_cells(system, grid, force_impl=name),
+            (engine.system.forces, engine.potential_energy()),
+        ):
+            assert np.abs(f_b - f_loop).max() <= atol
+            assert abs(e_b - e_loop) <= ENERGY_RTOL * max(abs(e_loop), 1.0)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_positions_outside_the_box_raise(self, name):
+        """A finite position outside ``[0, box]`` is refused, not binned
+        under the wrong image; the wrapped twin evaluates, and so does a
+        position exactly on the upper face (``np.mod`` can return it)."""
+        system, grid = build_dataset((5, 5, 5), particles_per_cell=8, seed=3)
+        f_wrapped, _ = compute_forces_cells(system, grid, force_impl=name)
+        for shift in (system.box, -system.box):
+            unwrapped = system.copy()
+            unwrapped.positions[0] += shift
+            with pytest.raises(ValidationError, match="outside the box"):
+                compute_forces_cells(unwrapped, grid, force_impl=name)
+            engine = ReferenceEngine(unwrapped, grid, force_impl=name)
+            with pytest.raises(ValidationError, match="outside the box"):
+                engine.potential_energy()
+        on_face = system.copy()
+        on_face.positions[0, 0] = system.box[0]
+        f_face, _ = compute_forces_cells(on_face, grid, force_impl=name)
+        assert np.isfinite(f_face).all()
+
 
 # ---------------------------------------------------------------------------
 # Machine layer: bitwise identity across backends
@@ -316,15 +360,42 @@ def _skewed_system(seed=11):
     )
 
 
+def _half_in_one_cell_box():
+    """The 4x4x4 box at 8 per cell with half its particles piled into
+    cell 0 (uniform, so some overlap)."""
+    system, grid = build_dataset((4, 4, 4), particles_per_cell=8, seed=5)
+    half = system.n // 2
+    system.positions[:half] = np.random.default_rng(1).uniform(
+        0.0, grid.cell_edge, size=(half, 3)
+    )
+    return system, grid
+
+
+def _sparse_box():
+    """``tests/test_machine.py::TestSparseSystems``' box: a 3x3x3 grid
+    with its few particles clustered in one octant."""
+    from tests.test_machine import TestSparseSystems
+
+    return TestSparseSystems()._sparse_system()
+
+
+_GATED_BOXES = {
+    "skewed": lambda: (_skewed_system(), CellGrid((4, 4, 4), PAPER_CUTOFF_A)),
+    "half-in-one-cell": _half_in_one_cell_box,
+    "sparse": _sparse_box,
+}
+
+
 class TestMachineBitwise:
     @pytest.mark.parametrize("pair_path", ["auto", "chunked"])
     @pytest.mark.parametrize("reuse", [False, True])
     def test_stats_and_forces_identical_across_backends(
         self, pair_path, reuse
     ):
-        # The path is chosen from the input: the dense paper box runs
-        # the band lists, a skewed box the chunked enumeration.  Without
-        # reuse the cell state is dropped, so the second pass rebuilds.
+        # ``auto`` is the dense paper box, ``chunked`` the skewed box
+        # the retired chunked enumeration used to take: both run the
+        # band lists now.  Without reuse the cell state is dropped, so
+        # the second pass rebuilds.
         ref_sig = ref_forces = None
         for name in BACKENDS:
             system = _skewed_system() if pair_path == "chunked" else None
@@ -334,10 +405,8 @@ class TestMachineBitwise:
             if not reuse:
                 machine._cell_state = None
             stats = machine.compute_forces(collect_traffic=True)
-            assert (machine._cell_state.pairs is None) == (
-                pair_path == "chunked"
-            )
-            assert stats.state_reused == (reuse and pair_path == "auto")
+            assert machine._cell_state.pairs is not None
+            assert stats.state_reused == reuse
             sig = _stats_signature(stats)
             forces = machine.forces.copy()
             if ref_sig is None:
@@ -470,37 +539,3 @@ class TestCampaignBackends:
             assert f"engine/reuse-{name}" in labels
             assert f"machine/reuse-{name}" in labels
 
-
-# ---------------------------------------------------------------------------
-# Kernel-level cross-checks (compiled vs numpy, when compiled available)
-# ---------------------------------------------------------------------------
-
-
-class TestKernelContracts:
-    @pytest.mark.parametrize("name", compiled_backends() or ["numpy"])
-    def test_screen_dr_bitwise_vs_numpy(self, name):
-        from repro.md.cells import CellList
-        from repro.md.pairplan import iter_pair_chunks, plan_for_grid
-
-        machine = FasdaMachine(MachineConfig((3, 3, 3)), seed=6)
-        pos = machine.system.positions
-        grid = machine.grid
-        from repro.core.datapath import quantize_cell_fractions
-
-        coords = grid.coords_of_positions(pos)
-        frac = quantize_cell_fractions(
-            pos, coords, machine.config.cutoff, machine.fmt
-        )
-        clist = CellList(grid, pos)
-        plan = plan_for_grid(grid)
-        b = resolve_backend(name)
-        ref = resolve_backend("numpy")
-        for chunk in iter_pair_chunks(
-            plan, clist.counts, clist.start, clist.order
-        ):
-            dr_b, r2_b = b.screen_dr(frac, chunk.ii, chunk.jj,
-                                     plan.offset, chunk.row)
-            dr_r, r2_r = ref.screen_dr(frac, chunk.ii, chunk.jj,
-                                       plan.offset, chunk.row)
-            np.testing.assert_array_equal(dr_b, dr_r)
-            np.testing.assert_array_equal(r2_b, r2_r)

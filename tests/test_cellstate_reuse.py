@@ -22,11 +22,9 @@ from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.faults import FaultInjector, FaultPlan, TransportConfig
-from repro.md.cells import CellList
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
-from repro.md.pairplan import plan_for_grid
-from repro.md.reference import _padded_viable, compute_forces_cells
+from repro.md.reference import compute_forces_cells
 from repro.md.backends import ENERGY_RTOL, available_backends
 from repro.md.batch import BatchedEngine
 from tests.oracles import (
@@ -241,12 +239,13 @@ class TestEngineReuseBitwise:
         for ra, rb in zip(oracle.history, reuse.history):
             assert rb.potential == pytest.approx(ra.potential, rel=1e-12)
 
-    def test_skewed_pass_skips_band_search_and_reuse_resumes(
+    def test_skewed_pass_runs_band_search_and_reuse_resumes(
         self, monkeypatch
     ):
-        """The engine's state gates its band search on padded viability
-        (like the machine's): a skewed binning runs no band search, and
-        the dense passes after it rebuild once and then reuse again."""
+        """The engine's state lists bands on every binning: a skewed
+        pass runs its own band search like a dense one, and the dense
+        passes after it rebuild once and then reuse again.  Every
+        stateless call runs one band search of its own."""
         import repro.md.cellstate as cellstate_mod
 
         searches = []
@@ -260,18 +259,16 @@ class TestEngineReuseBitwise:
         system, grid = build_dataset((4, 4, 4), particles_per_cell=8, seed=5)
         dense = system.positions.copy()
         skewed = dense.copy()
-        # Pile half the particles into cell 0: the padded search would
-        # spend almost all its work on empty slots of the other cells.
+        # Pile half the particles into cell 0: most slots of the padded
+        # search are empty there.
         half = len(skewed) // 2
         skewed[:half] = np.random.default_rng(1).uniform(
             0.0, grid.cell_edge, size=(half, 3)
         )
-        assert not _padded_viable(plan_for_grid(grid), CellList(grid, skewed))
-        assert _padded_viable(plan_for_grid(grid), CellList(grid, dense))
 
         engine = ReferenceEngine(system=system, grid=grid, force_impl="numpy")
         state = engine.ensure_cell_state()
-        expect = [(1, 0, 1), (2, 0, 1), (3, 0, 2), (3, 1, 2), (3, 2, 2)]
+        expect = [(1, 0, 2), (2, 0, 4), (3, 0, 6), (3, 1, 7), (3, 2, 8)]
         for pos, (builds, reused, n_search) in zip(
             [dense, skewed, dense, dense, dense], expect
         ):
@@ -283,6 +280,7 @@ class TestEngineReuseBitwise:
             assert np.array_equal(forces, stateless[0])
             assert (state.builds, state.reuse_steps) == (builds, reused)
             assert len(searches) == n_search
+            assert state.pairs is not None
 
     def test_run_primes_force_fn_once(self, monkeypatch):
         """Regression: priming used to evaluate the same configuration

@@ -29,7 +29,6 @@ from repro.md.engine import ReferenceEngine
 from repro.md.params import LJTable
 from repro.md.reference import compute_forces_bruteforce
 from repro.md.system import ParticleSystem
-from repro.util.errors import NotBatchableError
 from tests.test_batch import assert_states_equal, solo_run
 
 BACKENDS = ["numpy", "cext"]
@@ -187,11 +186,12 @@ def _dense():
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("case", ["empty_cells", "on_faces"])
+@pytest.mark.parametrize("case", ["empty_cells", "on_faces", "single_particle"])
 def test_batched_segment_matches_solo(case, name):
     """One dense box and the degenerate one share a fused force pass:
     each segment's trajectory equals its solo run bitwise, and its
-    forces stay finite."""
+    forces stay finite.  Every box batches — a lone particle too, as
+    its solo run lists bands like any other."""
     _require(name)
     segments = [_dense(), CASES[case]()]
     engine = BatchedEngine(force_impl=name)
@@ -202,24 +202,3 @@ def test_batched_segment_matches_solo(case, name):
         assert np.all(np.isfinite(got.forces)), (case, h)
         want = solo_run(system, grid, name, 5)
         assert_states_equal(got, want, f"{case}/{h}")
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-def test_batched_single_particle_refused(name):
-    """A lone particle is not padded-viable, so the batch refuses it at
-    the first step instead of diverging from its solo run, naming its
-    handle; once it is removed, the dense segment steps bitwise as it
-    does alone."""
-    _require(name)
-    dense = _dense()
-    engine = BatchedEngine(force_impl=name)
-    h = engine.add(dense[0].copy(), dense[1])
-    single = engine.add(*_single_particle())
-    with pytest.raises(NotBatchableError, match="padded-viable") as info:
-        engine.step(5)
-    assert info.value.handle == single
-    engine.remove(single)
-    engine.step(5)
-    got = engine.extract(h)
-    assert np.all(np.isfinite(got.forces))
-    assert_states_equal(got, solo_run(*dense, name, 5), "dense")

@@ -31,6 +31,7 @@ from repro.util.errors import (
     UnknownJobError,
     ValidationError,
 )
+from tests.test_batch import assert_states_equal, solo_run
 
 BACKENDS = available_backends()
 
@@ -177,42 +178,37 @@ class TestQuarantineFlow:
         assert summary["journal"] is None
 
 
-class TestNotBatchable:
-    """A system the batch refuses to pack is quarantined at admission;
-    the drain goes on and the jobs batched with it are untouched."""
+class TestSingleParticleJob:
+    """A single-particle system batches like any other: it completes,
+    bitwise equal to its solo ``ReferenceEngine`` run, and the jobs
+    batched with it are untouched."""
 
     @staticmethod
     def lone_particle(like):
         s, g = like
         return ParticleSystem(
-            positions=[[1.0, 2.0, 3.0]], velocities=[[0.0, 0.0, 0.0]],
+            positions=[[1.0, 2.0, 3.0]], velocities=[[0.1, -0.2, 0.05]],
             species=[0], lj_table=s.lj_table, box=s.box,
         ), g
 
-    def test_refused_job_quarantined_and_healthy_jobs_bitwise(self, tmp_path):
+    def test_single_particle_job_completes_bitwise_to_solo(self, tmp_path):
         for name in BACKENDS:
             healthy = [small_case(95), small_case(96, ppc=3)]
+            lone_case = self.lone_particle(healthy[0])
             q = JobQueue()
             first = q.submit(healthy[0][0].copy(), healthy[0][1], steps=10)
-            lone = q.submit(*self.lone_particle(healthy[0]), steps=10)
+            lone = q.submit(lone_case[0].copy(), lone_case[1], steps=10)
             last = q.submit(healthy[1][0].copy(), healthy[1][1], steps=7)
             summary = run_jobs(
                 q, force_impl=name, chunk_steps=4, guard=GuardConfig(),
                 retry_attempts=2, workdir=str(tmp_path / name),
             )
-            assert q.status(lone) == QUARANTINED
-            assert summary["quarantined"] == 1
+            assert summary["quarantined"] == 0
             assert summary["retries"] == 0
-            assert q._job(lone).attempts == 0
-            with pytest.raises(JobPoisonedError, match="not-batchable"):
-                q.result(lone)
-            events = load_jobs_journal(
-                os.path.join(str(tmp_path / name), "jobs.jsonl")
+            assert [q.status(j) for j in (first, lone, last)] == [DONE] * 3
+            assert_states_equal(
+                q.result(lone), solo_run(*lone_case, name, 10), name
             )
-            (ev,) = [e for e in events if e["event"] == "quarantined"]
-            assert ev["record"]["reason"] == "not-batchable"
-            assert ev["record"]["value"] == 1.0
-            assert ev["retry"] is False
             for jid, (s, g), steps in zip(
                 (first, last), healthy, (10, 7)
             ):

@@ -5,22 +5,24 @@ Three oracles from ``tests/oracles.py`` guard the production paths:
 * traffic accounting — the vectorized group-by passes vs the per-row
   loop walk, across 1/2/4/8-node configs and at the sizes the profiler
   and hot-path benchmark time;
-* pair enumeration — the fresh padded broadcast matmuls vs the chunked
-  gather enumeration (bitwise-identical admissions and integer
-  workload statistics);
+* pair enumeration — the fresh padded broadcast matmuls and the
+  band-list pass vs the chunked gather enumeration (bitwise-identical
+  admissions and integer workload statistics), on dense and skewed
+  boxes;
 * distributed exchange — array-packed ``RecordBatch`` flows vs the
   per-particle P2R chain walk (identical halos and packet counts).
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
-from repro.core.machine import FasdaMachine
+from repro.core.machine import FasdaMachine, StepStats
 from repro.md import build_dataset
+from repro.md.backends import available_backends
 from tests.oracles import (
     exchange_positions_loop,
     fresh_path,
@@ -31,9 +33,8 @@ from tests.oracles import (
 GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
 #: (dims, fpga_grid, particles_per_cell): the 4x4x4 lattice over every
-#: node count, plus the paper-density boxes ``repro profile`` and
-#: ``benchmarks/bench_hotpath.py`` time (N ~ 2k / 10k; the bench's 50k
-#: box would cost this suite ~2 GB for the same assert).
+#: node count, plus the paper-density boxes ``repro profile`` times
+#: (N ~ 2k / 10k).
 TRAFFIC_CASES = [((4, 4, 4), g, 16) for g in GRIDS] + [
     ((3, 3, 3), (3, 1, 1), 64),
     ((5, 5, 6), (1, 1, 2), 64),
@@ -106,13 +107,31 @@ class TestPairPathEquivalence:
             sc.potential_energy, rel=1e-4
         )
 
-    def test_auto_selects_padded_on_dense_box(self):
-        from repro.md.cells import CellList
-        from repro.md.reference import _padded_viable
+    @pytest.mark.parametrize("name", available_backends())
+    def test_skewed_box_matches_chunked_oracle(self, name):
+        """The skewed box the chunked enumeration used to take now runs
+        the band lists: every StepStats field equals the chunked
+        oracle's, the float32 potential (summed per offset here, per
+        chunk there) and the float32 banks to their rounding."""
+        from tests.test_backends import _skewed_system
 
-        m = _machine((1, 1, 1))
-        clist = CellList(m.grid, m.system.positions)
-        assert _padded_viable(m._plan, clist)
+        cfg = MachineConfig((4, 4, 4))
+        m = FasdaMachine(cfg, system=_skewed_system())
+        oracle = fresh_path(FasdaMachine(cfg, system=_skewed_system()), "chunked")
+        m.force_impl = oracle.force_impl = name
+        got = m.compute_forces(collect_traffic=True)
+        want = oracle.compute_forces(collect_traffic=True)
+        assert m._cell_state.pairs is not None
+        for f in fields(StepStats):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "potential_energy":
+                assert a == pytest.approx(b, rel=1e-6)
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+        scale = np.abs(oracle.forces).max()
+        assert np.abs(m.forces - oracle.forces).max() <= 1e-6 * scale
 
     def test_partition_invariance_holds_on_padded_path(self):
         banks = []

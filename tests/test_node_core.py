@@ -70,6 +70,9 @@ def _check_against_oracle(machine: DistributedMachine, records: dict):
 
     def checked(node):
         res = real(node)
+        # Every node view lists its band, however sparse its cells.
+        entry = machine._node_states.get(node.node_id)
+        assert entry is None or entry[0].pairs is not None
         bank, pot, rets, admitted, energy_abs = eval_node_chunked(machine, node)
         assert res.admitted == admitted
         want = {
@@ -103,8 +106,8 @@ def _check_against_oracle(machine: DistributedMachine, records: dict):
 
 @pytest.mark.parametrize("name", BACKENDS)
 @pytest.mark.parametrize(
-    # One particle per cell is too sparse for band lists: the node
-    # views take the chunked enumeration; the denser boxes band lists.
+    # Node views list bands at every density, one particle per cell
+    # (which the retired padded-viability gate refused) included.
     "model,ppc", [("lj", 16), ("lj", 8), ("lj", 1), ("lj+coulomb", 8)]
 )
 def test_nodes_match_chunked_oracle_20_steps(model, ppc, name):

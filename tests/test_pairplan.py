@@ -1,8 +1,8 @@
 """Tests for the pair-plan subsystem and the batched force hot path.
 
 The contract under test: the cached :class:`CellPairPlan` topology, the
-step-wide chunked enumerator, the padded-broadcast fast path, and the
-bincount scatter must all reproduce the original per-cell half-shell
+step-wide chunked enumerator, the band-list force pass on dense and
+sparse boxes, and the bincount scatter must all reproduce the original per-cell half-shell
 traversal *exactly* — same pair set, same workload statistics, and
 forces/energies within float64 round-off (<= 1e-10) of both the per-cell
 loop and the O(N^2) brute-force golden model.
@@ -23,12 +23,7 @@ from repro.md.pairplan import (
     plan_for_dims,
     plan_for_grid,
 )
-from repro.md.reference import (
-    _forces_cells_padded,
-    _padded_viable,
-    compute_forces_bruteforce,
-    compute_forces_cells,
-)
+from repro.md.reference import compute_forces_bruteforce, compute_forces_cells
 from repro.core.config import MachineConfig
 from repro.core.datapath import quantize_cell_fractions
 from repro.core.machine import FasdaMachine
@@ -246,30 +241,9 @@ class TestForceEquivalence:
         assert abs(e_new - e_old) <= 1e-10 * max(abs(e_old), 1.0)
         assert abs(e_new - e_ref) <= 1e-10 * max(abs(e_ref), 1.0)
 
-    def test_padded_and_chunked_agree(self):
-        # Dense enough that the padded gate turns on; compare the padded
-        # path directly against the chunked enumerator's result.
-        sys_, grid = random_system((3, 3, 3), per_cell=12, seed=7)
-        clist = CellList(grid, sys_.positions)
-        plan = plan_for_grid(grid)
-        assert _padded_viable(plan, clist)
-        f_pad, e_pad = _forces_cells_padded(
-            sys_.positions,
-            sys_.species,
-            sys_.lj_table,
-            plan,
-            clist,
-            grid.cell_edge ** 2,
-            0.0,
-        )
-        f_loop, e_loop = compute_forces_cells_loop(sys_, grid)
-        scale = max(np.abs(f_loop).max(), 1.0)
-        assert np.abs(f_pad - f_loop).max() <= 1e-10 * scale
-        assert abs(e_pad - e_loop) <= 1e-10 * max(abs(e_loop), 1.0)
-
-    def test_sparse_box_takes_chunked_path(self):
-        # One crowded cell in an otherwise empty box: padding waste makes
-        # the gate refuse, and the chunked fallback must still be exact.
+    def test_sparse_box_matches_bruteforce(self):
+        # One crowded cell in an otherwise empty box (the retired padded
+        # path's gate refused it): the band-list pass is still exact.
         grid = CellGrid((5, 5, 5), 4.0)
         rng = np.random.default_rng(9)
         pos = rng.uniform(0.5, 3.5, size=(40, 3))  # all inside cell (0,0,0)
@@ -289,8 +263,6 @@ class TestForceEquivalence:
             lj_table=lj,
             box=grid.box,
         )
-        clist = CellList(grid, pos)
-        assert not _padded_viable(plan_for_grid(grid), clist)
         f_new, e_new = compute_forces_cells(sys_, grid)
         f_ref, e_ref = compute_forces_bruteforce(sys_, grid.cell_edge)
         assert np.abs(f_new - f_ref).max() <= 1e-10 * max(np.abs(f_ref).max(), 1.0)

@@ -20,7 +20,8 @@ The contract under test, per layer:
 * satellites — the pairplan LRU evicts and counts; oversized jobs are
   routed solo by ``batch_max_n``; a 1-worker campaign takes the serial
   path; ``run_profile`` assembles its document with its in-run bitwise
-  asserts green.
+  asserts green, and ``format_profile`` prints a machine phase table
+  whose rows add up to the step wall it prints as their total.
 """
 
 import copy
@@ -38,6 +39,7 @@ from repro.harness.profiling import (
     DISTRIBUTED_PHASES,
     MACHINE_PHASES,
     check_accounting_kernels,
+    format_profile,
     run_profile,
 )
 from repro.md import CellGrid, LJTable, ParticleSystem
@@ -512,3 +514,55 @@ class TestRunProfileDocument:
             assert name in doc["machine"]["phases_s"]
         for name in DISTRIBUTED_PHASES:
             assert name in doc["distributed"]["phases_s"]
+
+
+class TestFormatProfile:
+    """The printed machine phase table adds up to its printed total."""
+
+    DOC = {
+        "machine": {
+            "n_particles": 1728,
+            "force_impl": "cext",
+            "machine_step_s": 0.0096,
+            "machine_step_per_s": 1 / 0.0096,
+            "phase_step_wall_s": 0.0140,
+            "phases_s": {
+                "build": 0.0010, "force": 0.0080, "traffic": 0.0020,
+                "ring": 0.0005, "integrate": 0.0010,
+            },
+        },
+        "distributed": {
+            "n_particles": 1728,
+            "fpga_grid": [2, 1, 1],
+            "force_impl": "numpy",
+            "distributed_step_s": 0.02,
+            "distributed_step_thread_s": 0.015,
+            "thread_speedup": 1.33,
+            "cpu_count": 2,
+            "phases_s": {name: 0.001 for name in DISTRIBUTED_PHASES},
+        },
+    }
+
+    def _rows(self, text):
+        rows = {}
+        for line in text.splitlines():
+            parts = line.split()
+            if len(parts) == 4 and parts[2] == "ms" and parts[3].endswith("%"):
+                rows[parts[0]] = (float(parts[1]), float(parts[3][:-1]))
+        return rows
+
+    def test_total_is_the_step_wall_and_rows_add_up(self):
+        text = format_profile(self.DOC)
+        assert "phase breakdown of one step(): 14.00 ms" in text
+        assert "9.6 ms (104.2/s)" in text  # the force-pass rate, unchanged
+        rows = self._rows(text)
+        assert set(rows) == set(MACHINE_PHASES) | {"unaccounted"}
+        assert rows["unaccounted"] == (2.0, pytest.approx(14.3, abs=0.05))
+        additive = [n for n in rows if n != "ring"]
+        assert sum(rows[n][0] for n in additive) == pytest.approx(14.0)
+        # Each printed share rounds by at most 0.05 points.
+        assert sum(rows[n][1] for n in additive) == pytest.approx(
+            100.0, abs=0.05 * len(additive)
+        )
+        # No phase exceeds the total it is a share of.
+        assert all(ms <= 14.0 for ms, _ in rows.values())
