@@ -54,7 +54,7 @@ from repro.faults import (
     RescaleRecord,
     TransportConfig,
     TransportStats,
-    send_flow,
+    send_flows,
 )
 from repro.network.netsim import Burst, OutputQueuedSwitch, SwitchStats
 from repro.faults.nodes import REPLAY_CYCLES_PER_RECORD
@@ -450,11 +450,27 @@ class DistributedMachine(MachineCore):
                     fracbuf=np.empty((int(occ.sum()), 3)),
                     cells=np.repeat(self._cell_coords[cids], occ, axis=0),
                 )
-        for (src, dst), cids in self._node_flows.items():
+        flows = [
+            (src, dst, cids, self._flow_static[(src, dst)])
+            for (src, dst), cids in self._node_flows.items()
+            if self._flow_static[(src, dst)] is not None
+        ]
+        n_pkts = [-(-len(ent["pids"]) // rpp) for *_, ent in flows]
+        # Fault exposure: resolve which packets of every flow survive
+        # the fabric (plus any retransmissions the transport pays for)
+        # in one transport call.  Without an injector every record
+        # arrives and the hot path below is byte-for-byte the lossless
+        # one.
+        sent = None
+        if self.injector is not None:
+            sent = send_flows(
+                self.injector, [f[0] for f in flows], [f[1] for f in flows],
+                "position", self._iteration, n_pkts, self.transport,
+                resolve_backend(self.force_impl),
+            )
+            self.transport_stats += sent.stats
+        for f, (src, dst, cids, ent) in enumerate(flows):
             node = nodes[src]
-            ent = self._flow_static[(src, dst)]
-            if ent is None:
-                continue
             payload = ent["payload"]
             np.take(self._last_frac, ent["pids"], axis=0, out=ent["fracbuf"])
             payload[:, :3] = ent["fracbuf"]
@@ -465,28 +481,19 @@ class DistributedMachine(MachineCore):
                 cells=ent["cells"],
                 payload=payload,
             )
-            n_pkts = batch.n_packets(rpp)
-            node.packets_out += n_pkts
-            self.total_position_packets += n_pkts
+            node.packets_out += n_pkts[f]
+            self.total_position_packets += n_pkts[f]
             dnode = nodes[int(dst)]
-            # Fault exposure: resolve which packets of this flow survive
-            # the fabric (plus any retransmissions the transport pays
-            # for).  Without an injector every record arrives and the
-            # hot path below is byte-for-byte the lossless one.
             rec_ok = None
-            if self.injector is not None:
-                ok_pkts, tstats = send_flow(
-                    self.injector, int(src), int(dst), "position",
-                    self._iteration, n_pkts, self.transport,
-                )
-                self.transport_stats += tstats
-                node.packets_out += tstats.retransmits
-                self.total_position_packets += tstats.retransmits
-                dnode.packets_in += tstats.delivered
-                if tstats.lost:
-                    rec_ok = np.repeat(ok_pkts, rpp)[: batch.n_records]
+            if sent is not None:
+                retransmits = int(sent.retransmits[f])
+                node.packets_out += retransmits
+                self.total_position_packets += retransmits
+                dnode.packets_in += int(sent.n_delivered[f])
+                if sent.n_delivered[f] < n_pkts[f]:
+                    rec_ok = np.repeat(sent.mask(f), rpp)[: batch.n_records]
             else:
-                dnode.packets_in += n_pkts
+                dnode.packets_in += n_pkts[f]
             # Arrival: whole-batch GCID -> LCID conversion (round-trip
             # asserted, as in the per-record path), then halo bucketing
             # by contiguous ascending-cid runs.
@@ -677,12 +684,12 @@ class DistributedMachine(MachineCore):
         # (2) Restarts whose down-window has elapsed rejoin.
         for node in [k for k, until in self._down_until.items() if until <= it]:
             del self._down_until[node]
-        # (3) Crashes: already-down boards cannot crash again.
-        crashed = [
-            k
-            for k in self.node_injector.crashes_at(it, n)
-            if k not in self._down_until
-        ]
+        # (3) Crashes: already-down boards cannot crash again.  One keyed
+        # draw decides every node's crash and slowdown.
+        crashes, factors = self.node_injector.faults_at(
+            it, n, resolve_backend(self.force_impl)
+        )
+        crashed = [k for k in crashes if k not in self._down_until]
         if crashed:
             if len(self._down_until) + len(crashed) >= n:
                 raise NodeFailureError(
@@ -696,10 +703,10 @@ class DistributedMachine(MachineCore):
                 self._recover_crashed_node(node, it, per_cell, per_node)
         # (4) Slowdowns (straggler accounting only; work is modelled, not
         # timed, so the trajectory is untouched).
-        for node in range(n):
-            factor = self.node_injector.work_multiplier(node, it)
-            if factor > 1.0:
-                self.node_slowdown_log.append((it, node, factor))
+        for node in np.flatnonzero(factors > 1.0):
+            self.node_slowdown_log.append(
+                (it, int(node), float(factors[node]))
+            )
 
     def _recover_crashed_node(
         self,
@@ -940,7 +947,9 @@ class DistributedMachine(MachineCore):
         if self.node_injector is not None:
             crashed = [
                 k
-                for k in self.node_injector.crashes_at(it, n_old)
+                for k in self.node_injector.crashes_at(
+                    it, n_old, resolve_backend(self.force_impl)
+                )
                 if k not in self._down_until
             ]
             if crashed:
@@ -955,31 +964,34 @@ class DistributedMachine(MachineCore):
                     flows_attempted=len(flows),
                     packets_lost=0,
                 )
-        packets_lost = 0
-        for (src, dst), flow in flows.items():
-            if not flow["packets"]:
-                continue
-            _, tstats = send_flow(
-                self.injector, src, dst, "rescale", it,
-                flow["packets"], self.transport,
+        # Every flow of the transfer is in flight at once: one transport
+        # call resolves them all, and any packet lost beyond the retry
+        # budget kills the transfer.
+        moving = [key for key, flow in flows.items() if flow["packets"]]
+        n_pkts = [flows[key]["packets"] for key in moving]
+        sent = send_flows(
+            self.injector, [src for src, _ in moving],
+            [dst for _, dst in moving], "rescale", it, n_pkts,
+            self.transport, resolve_backend(self.force_impl),
+        )
+        self.migration_transport_stats = (
+            self.migration_transport_stats + sent.stats
+        )
+        if sent.stats.lost:
+            k = int(np.flatnonzero(sent.n_delivered < n_pkts)[0])
+            src, dst = moving[k]
+            return self._abort_rescale(
+                shadow,
+                n_target,
+                reason=(
+                    f"migration flow node {src} -> node {dst} lost "
+                    f"{n_pkts[k] - int(sent.n_delivered[k])} packet(s) "
+                    "beyond the retry budget"
+                ),
+                phase="transfer",
+                flows_attempted=len(flows),
+                packets_lost=int(sent.stats.lost),
             )
-            self.migration_transport_stats = (
-                self.migration_transport_stats + tstats
-            )
-            if tstats.lost:
-                packets_lost += int(tstats.lost)
-                return self._abort_rescale(
-                    shadow,
-                    n_target,
-                    reason=(
-                        f"migration flow node {src} -> node {dst} lost "
-                        f"{int(tstats.lost)} packet(s) beyond the retry "
-                        "budget"
-                    ),
-                    phase="transfer",
-                    flows_attempted=len(flows),
-                    packets_lost=packets_lost,
-                )
         # Cooldown-paced trains through the switch model (loss was already
         # resolved at the transport layer above, so no injector here —
         # only incast/buffer behavior can still kill the transfer).

@@ -29,9 +29,11 @@ from repro.faults.plan import (
 )
 from repro.faults.transport import (
     ACK_SUFFIX,
+    FlowOutcome,
     TransportConfig,
     TransportStats,
     send_flow,
+    send_flows,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "FaultDecision",
     "FaultInjector",
     "FaultPlan",
+    "FlowOutcome",
     "GuardConfig",
     "JobChaosPlan",
     "PoisonRecord",
@@ -55,4 +58,5 @@ __all__ = [
     "TransportConfig",
     "TransportStats",
     "send_flow",
+    "send_flows",
 ]

@@ -18,7 +18,8 @@ the same discipline as the rest of the fault layer:
   Healthy-path overhead stays in the low single percent (see
   DESIGN.md §12).
 * **Chaos is keyed-RNG.**  :class:`JobChaosPlan` derives every
-  poison decision from ``SeedSequence((seed, salt, job_index))`` like
+  poison decision from the keyed stream of ``(seed, salt, job_index)``
+  (:func:`~repro.faults.keyed.keyed_rng`) like
   :class:`~repro.faults.plan.FaultInjector`, so a chaos soak replays
   bit-for-bit from its seed with no injector state to persist.
 
@@ -35,6 +36,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.faults.keyed import keyed_rng
 from repro.util.errors import JobPoisonedError, ValidationError
 
 #: Poison reasons a guard can record (stable strings — they go into
@@ -175,17 +177,9 @@ class JobChaosPlan:
             if m not in CHAOS_MODES:
                 raise ValidationError(f"unknown chaos mode {m!r}")
 
-    def _rng(self, job_index: int) -> np.random.Generator:
-        entropy = (
-            int(self.seed) & 0xFFFF_FFFF,
-            _SALT_POISON,
-            int(job_index) & 0xFFFF_FFFF_FFFF_FFFF,
-        )
-        return np.random.default_rng(np.random.SeedSequence(entropy))
-
     def decide(self, job_index: int) -> Optional[str]:
         """The poison mode for this job, or ``None`` (healthy)."""
-        rng = self._rng(job_index)
+        rng = keyed_rng(self.seed, _SALT_POISON, job_index)
         if rng.random() >= self.poison_rate:
             return None
         return self.modes[int(rng.integers(len(self.modes)))]
@@ -198,7 +192,7 @@ class JobChaosPlan:
         mode = self.decide(job_index)
         if mode is None:
             return system
-        rng = self._rng(job_index)
+        rng = keyed_rng(self.seed, _SALT_POISON, job_index)
         rng.random()            # burn the decision draws so the
         rng.integers(1)         # corruption site is independent
         out = system.copy()

@@ -7,9 +7,9 @@ A :class:`NodeFaultPlan` declares the crash/slowdown processes (random
 with a per-(node, iteration) hazard derived from an MTBF, or explicit
 scripted :class:`NodeFaultEvent`\\ s), and a :class:`NodeFaultInjector`
 turns the plan into bitwise-reproducible decisions with the same keyed
-``SeedSequence`` construction as :class:`~repro.faults.plan.FaultInjector`
-— decisions never depend on call order or on how many draws preceded
-them.
+streams (:mod:`repro.faults.keyed`) as
+:class:`~repro.faults.plan.FaultInjector` — decisions never depend on
+call order or on how many draws preceded them.
 
 The recovery protocol itself lives in
 :class:`~repro.core.distributed.DistributedMachine`; each completed
@@ -28,6 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.faults.keyed import keyed_draws
 from repro.util.errors import ValidationError
 
 #: Domain-separation salts for the node-level fault streams (disjoint
@@ -157,17 +158,18 @@ class NodeFaultInjector:
     def __init__(self, plan: NodeFaultPlan):
         self.plan = plan
 
-    def _rng(self, salt: int, *key: int) -> np.random.Generator:
-        entropy = (int(self.plan.seed) & 0xFFFF_FFFF, salt) + tuple(
-            int(k) & 0xFFFF_FFFF_FFFF_FFFF for k in key
-        )
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+    def faults_at(
+        self, iteration: int, n_nodes: int, backend=None
+    ) -> Tuple[List[int], np.ndarray]:
+        """Crashed nodes and per-node work multipliers at ``iteration``.
 
-    def crashes_at(self, iteration: int, n_nodes: int) -> List[int]:
-        """Node ids that crash at this iteration (sorted, deduplicated).
-
-        Scripted crash events and the random hazard combine; events
-        naming nodes outside ``[0, n_nodes)`` are ignored.
+        Returns the node ids that crash (sorted, deduplicated) and each
+        node's slowdown factor (>= 1).  Scripted events and the random
+        processes combine; events naming nodes outside ``[0, n_nodes)``
+        are ignored.  Every node's crash and slowdown decisions are the
+        first uniforms of their keys ``(salt, node, iteration)``, drawn
+        for all nodes in one keyed draw (``backend``'s
+        ``keyed_uniforms``; ``None`` runs the numpy statement).
         """
         plan = self.plan
         crashed = {
@@ -177,29 +179,50 @@ class NodeFaultInjector:
             and e.iteration == iteration
             and 0 <= e.node < n_nodes
         }
-        if plan.crash_rate > 0 and iteration >= plan.onset_iteration:
-            for node in range(n_nodes):
-                rng = self._rng(_SALT_CRASH, node, iteration)
-                if rng.random() < plan.crash_rate:
-                    crashed.add(node)
-        return sorted(crashed)
-
-    def work_multiplier(self, node: int, iteration: int) -> float:
-        """Slowdown factor for a node's work this iteration (>= 1)."""
-        plan = self.plan
-        factor = 1.0
+        factors = np.ones(n_nodes)
         for e in plan.events:
             if (
                 e.kind == "slowdown"
-                and e.node == node
                 and e.iteration == iteration
+                and 0 <= e.node < n_nodes
             ):
-                factor = max(factor, e.factor)
-        if plan.slowdown_rate > 0 and iteration >= plan.onset_iteration:
-            rng = self._rng(_SALT_SLOW, node, iteration)
-            if rng.random() < plan.slowdown_rate:
-                factor = max(factor, plan.slowdown_factor)
-        return factor
+                factors[e.node] = max(factors[e.node], e.factor)
+        drawn = [
+            (salt, rate)
+            for salt, rate in (
+                (_SALT_CRASH, plan.crash_rate),
+                (_SALT_SLOW, plan.slowdown_rate),
+            )
+            if rate > 0 and iteration >= plan.onset_iteration
+        ]
+        if drawn and n_nodes > 0:
+            keys = [
+                (salt, node, iteration)
+                for salt, _ in drawn
+                for node in range(n_nodes)
+            ]
+            u = keyed_draws(
+                plan.seed, keys, np.ones(len(keys), dtype=np.int64), backend
+            ).reshape(len(drawn), n_nodes)
+            for (salt, rate), row in zip(drawn, u):
+                hit = np.flatnonzero(row < rate)
+                if salt == _SALT_CRASH:
+                    crashed.update(hit.tolist())
+                else:
+                    factors[hit] = np.maximum(
+                        factors[hit], plan.slowdown_factor
+                    )
+        return sorted(crashed), factors
+
+    def crashes_at(
+        self, iteration: int, n_nodes: int, backend=None
+    ) -> List[int]:
+        """Node ids that crash at this iteration (see :meth:`faults_at`)."""
+        return self.faults_at(iteration, n_nodes, backend)[0]
+
+    def work_multiplier(self, node: int, iteration: int) -> float:
+        """Slowdown factor for a node's work this iteration (>= 1)."""
+        return float(self.faults_at(iteration, node + 1)[1][node])
 
 
 @dataclass(frozen=True)

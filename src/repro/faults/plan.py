@@ -6,10 +6,11 @@ assumption breaks.  A :class:`FaultPlan` declares the fault processes —
 packet drop, duplication, reordering delay, payload bit-flip corruption,
 and node stall/straggler faults — and a :class:`FaultInjector` turns the
 plan into *bitwise reproducible* decisions: every decision is drawn from
-a fresh ``numpy.random.default_rng`` seeded from the plan seed plus the
+the keyed stream (:mod:`repro.faults.keyed`) of the plan seed plus the
 event key ``(src, dst, channel, iteration, unit, attempt)``, so a run
 never depends on call order, thread scheduling, or how many other
-decisions were drawn before it.
+decisions were drawn before it.  The masks of many flows come out of
+one batched keyed draw (:meth:`FaultInjector.drop_corrupt_flows`).
 
 ``channel`` is a string ("position", "force", "last_position", ...) and
 is folded into the seed via CRC-32, which is stable across processes —
@@ -24,6 +25,7 @@ from typing import Any, Tuple
 
 import numpy as np
 
+from repro.faults.keyed import keyed_draws, keyed_rng
 from repro.util.errors import ValidationError
 
 #: Domain-separation salts so the message, stall, and corruption streams
@@ -150,13 +152,9 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
 
-    # -- keyed RNG ----------------------------------------------------------
-
-    def _rng(self, salt: int, *key: int) -> np.random.Generator:
-        entropy = (int(self.plan.seed) & 0xFFFF_FFFF, salt) + tuple(
-            int(k) & 0xFFFF_FFFF_FFFF_FFFF for k in key
-        )
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+    def _covers(self, channel: str) -> bool:
+        """Whether the plan's message faults reach ``channel`` (all do)."""
+        return True
 
     # -- per-message decisions ---------------------------------------------
 
@@ -177,10 +175,15 @@ class FaultInjector:
         re-exposed to an independent loss draw.
         """
         plan = self.plan
-        if not plan.has_message_faults or iteration < plan.onset_iteration:
+        if (
+            not plan.has_message_faults
+            or iteration < plan.onset_iteration
+            or not self._covers(channel)
+        ):
             return CLEAN
-        rng = self._rng(
-            _SALT_MESSAGE, src, dst, _channel_id(channel), iteration, unit, attempt
+        rng = keyed_rng(
+            plan.seed, _SALT_MESSAGE, src, dst, _channel_id(channel),
+            iteration, unit, attempt,
         )
         u = rng.random(4)
         drop = bool(u[0] < plan.drop_rate)
@@ -220,19 +223,74 @@ class FaultInjector:
         and the packet switch use this so fault decisions stay O(1) RNG
         setups per flow instead of per packet.
         """
-        plan = self.plan
-        if (
-            n <= 0
-            or not (plan.drop_rate > 0 or plan.corrupt_rate > 0)
-            or iteration < plan.onset_iteration
-        ):
+        if not self._drops_or_corrupts(channel, iteration) or n <= 0:
             z = np.zeros(max(n, 0), dtype=bool)
             return z, z.copy()
-        rng = self._rng(
-            _SALT_MESSAGE, src, dst, _channel_id(channel), iteration, attempt
+        plan = self.plan
+        rng = keyed_rng(
+            plan.seed, _SALT_MESSAGE, src, dst, _channel_id(channel),
+            iteration, attempt,
         )
         u = rng.random((n, 2))
         return u[:, 0] < plan.drop_rate, u[:, 1] < plan.corrupt_rate
+
+    def drop_corrupt_flows(
+        self,
+        srcs,
+        dsts,
+        channel: str,
+        iteration: int,
+        counts,
+        attempt: int = 0,
+        backend=None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`drop_corrupt_arrays` of many flows of one channel and
+        attempt, concatenated in flow order.
+
+        Flow ``k`` is ``(srcs[k], dsts[k])`` with ``counts[k]`` packets.
+        Every flow's masks come out of one keyed draw (``backend``'s
+        ``keyed_uniforms``; ``None`` runs the numpy statement), equal to
+        its own :meth:`drop_corrupt_arrays` bit for bit.  A subclass
+        that overrides :meth:`drop_corrupt_arrays` keeps deciding its
+        packets: it is asked flow by flow.
+        """
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        own = FaultInjector.drop_corrupt_arrays
+        if type(self).drop_corrupt_arrays is not own:
+            pairs = [(np.zeros(0, dtype=bool),) * 2] + [
+                self.drop_corrupt_arrays(
+                    int(s), int(d), channel, iteration, int(n), attempt
+                )
+                for s, d, n in zip(srcs, dsts, counts)
+            ]
+            return (
+                np.concatenate([p[0] for p in pairs]),
+                np.concatenate([p[1] for p in pairs]),
+            )
+        total = int(counts.sum())
+        if not self._drops_or_corrupts(channel, iteration) or total == 0:
+            z = np.zeros(total, dtype=bool)
+            return z, z.copy()
+        plan = self.plan
+        keys = np.empty((len(counts), 6), dtype=np.int64)
+        keys[:, 0] = _SALT_MESSAGE
+        keys[:, 1] = srcs
+        keys[:, 2] = dsts
+        keys[:, 3] = _channel_id(channel)
+        keys[:, 4] = iteration
+        keys[:, 5] = attempt
+        # Each key's draws are (drop, corrupt) pairs, as in
+        # drop_corrupt_arrays' ``random((n, 2))``.
+        u = keyed_draws(plan.seed, keys, 2 * counts, backend)
+        return u[0::2] < plan.drop_rate, u[1::2] < plan.corrupt_rate
+
+    def _drops_or_corrupts(self, channel: str, iteration: int) -> bool:
+        plan = self.plan
+        return (
+            (plan.drop_rate > 0 or plan.corrupt_rate > 0)
+            and iteration >= plan.onset_iteration
+            and self._covers(channel)
+        )
 
     # -- payload corruption -------------------------------------------------
 
@@ -246,8 +304,9 @@ class FaultInjector:
         receiver either mis-interprets it or its validation trips, both
         of which are realistic outcomes of an undetected flip.
         """
-        rng = self._rng(
-            _SALT_CORRUPT, src, dst, _channel_id(channel), iteration
+        rng = keyed_rng(
+            self.plan.seed, _SALT_CORRUPT, src, dst, _channel_id(channel),
+            iteration,
         )
         if isinstance(payload, (int, np.integer)):
             return int(payload) ^ (1 << int(rng.integers(0, 16)))
@@ -260,7 +319,7 @@ class FaultInjector:
         plan = self.plan
         if not plan.has_stall_faults or iteration < plan.onset_iteration:
             return 1.0
-        rng = self._rng(_SALT_STALL, node, iteration)
+        rng = keyed_rng(plan.seed, _SALT_STALL, node, iteration)
         return plan.stall_factor if rng.random() < plan.stall_rate else 1.0
 
 
@@ -282,33 +341,4 @@ class ChannelInjector(FaultInjector):
     def _covers(self, channel: str) -> bool:
         return channel == self.channel or channel.startswith(
             self.channel + "/"
-        )
-
-    def decide(
-        self,
-        src: int,
-        dst: int,
-        channel: str,
-        iteration: int,
-        unit: int = 0,
-        attempt: int = 0,
-    ) -> FaultDecision:
-        if not self._covers(channel):
-            return CLEAN
-        return super().decide(src, dst, channel, iteration, unit, attempt)
-
-    def drop_corrupt_arrays(
-        self,
-        src: int,
-        dst: int,
-        channel: str,
-        iteration: int,
-        n: int,
-        attempt: int = 0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if not self._covers(channel):
-            z = np.zeros(max(n, 0), dtype=bool)
-            return z, z.copy()
-        return super().drop_corrupt_arrays(
-            src, dst, channel, iteration, n, attempt
         )

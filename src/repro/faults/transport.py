@@ -7,21 +7,23 @@ retransmit timers with exponential backoff and a bounded retry budget —
 together with *cycle accounting*, so the harness can report what
 reliability costs relative to the bare-UDP operating point.
 
-The model is flow-level, not event-level: :func:`send_flow` resolves the
-fate of every packet of one (src, dst, channel, iteration) flow in
-rounds.  Round 0 is the original transmission; each later round
-retransmits exactly the unacknowledged packets after a timeout that
-doubles per round.  Packet loss, corruption (detected by the packet
-checksum and treated as loss), and ACK loss (which causes a spurious
-retransmission of an already-delivered packet) all come from the shared
+The model is flow-level, not event-level: :func:`send_flows` resolves
+the fate of every packet of the (src, dst) flows of one (channel,
+iteration) exchange in rounds (:func:`send_flow` is its one-flow call).
+Round 0 is the original transmission; each later round retransmits
+exactly the unacknowledged packets after a timeout that doubles per
+round.  Packet loss, corruption (detected by the packet checksum and
+treated as loss), and ACK loss (which causes a spurious retransmission
+of an already-delivered packet) all come from the shared
 :class:`~repro.faults.plan.FaultInjector`, keyed by attempt number, so
-the whole exchange is bitwise reproducible.
+the whole exchange is bitwise reproducible.  Each round draws every
+flow still sending in one batched keyed draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +127,134 @@ class TransportStats:
         return self.overhead_cycles / original if original else 0.0
 
 
+class FlowOutcome(NamedTuple):
+    """What :func:`send_flows` resolved, flow by flow.
+
+    ``delivered`` is one boolean mask over every flow's packets, flow
+    ``k``'s at ``offsets[k]:offsets[k + 1]`` (see :meth:`mask`);
+    ``retransmits`` and ``n_delivered`` are per-flow counts; ``stats``
+    is the sum of the flows' accounting, ``TransportStats() + flow 0 +
+    flow 1 + ...`` in flow order.
+    """
+
+    delivered: np.ndarray
+    offsets: np.ndarray
+    retransmits: np.ndarray
+    n_delivered: np.ndarray
+    stats: TransportStats
+
+    def mask(self, k: int) -> np.ndarray:
+        """Flow ``k``'s delivered mask over its packet indices."""
+        return self.delivered[self.offsets[k]:self.offsets[k + 1]]
+
+
+def send_flows(
+    injector: Optional[FaultInjector],
+    srcs,
+    dsts,
+    channel: str,
+    iteration: int,
+    n_packets,
+    config: Optional[TransportConfig] = None,
+    backend=None,
+) -> FlowOutcome:
+    """Resolve the packets of many flows of one channel and iteration.
+
+    Flow ``k`` runs from ``srcs[k]`` to ``dsts[k]`` with
+    ``n_packets[k]`` packets.  Each round draws the data masks (and,
+    when ACKs are modelled, the ACK masks) of every flow still holding
+    unacknowledged packets in one
+    :meth:`~repro.faults.plan.FaultInjector.drop_corrupt_flows` call,
+    whose keyed draw runs on ``backend`` (``None``: the numpy
+    statement).  Every flow's mask and accounting equal those of its
+    own round loop (kept as the oracle in ``tests/oracles.py``).
+
+    Parameters
+    ----------
+    injector:
+        Fault source; ``None`` means a lossless fabric.
+    config:
+        Reliability layer; ``None`` models the paper's bare UDP — one
+        transmission, no ACKs, no retries.  Corruption is caught by the
+        packet checksum at the NIC and discarded, so it manifests as
+        loss either way.
+    """
+    counts = np.asarray(n_packets, dtype=np.int64).reshape(-1)
+    if np.any(counts < 0):
+        raise ValidationError("n_packets must be >= 0")
+    srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
+    dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+    n_flows = len(counts)
+    offsets = np.zeros(n_flows + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    stats = TransportStats()
+    if injector is None or total == 0:
+        stats.packets_sent = stats.delivered = total
+        if config is not None and config.model_acks:
+            stats.acks_sent = total
+        return FlowOutcome(
+            np.ones(total, dtype=bool), offsets,
+            np.zeros(n_flows, dtype=np.int64), counts.copy(), stats,
+        )
+
+    flow_of = np.repeat(np.arange(n_flows), counts)
+    budget = 0 if config is None else config.retry_budget
+    delivered = np.zeros(total, dtype=bool)
+    unacked = np.ones(total, dtype=bool)
+    sent = np.zeros(n_flows, dtype=np.int64)
+    overhead = np.zeros(n_flows)
+    for attempt in range(budget + 1):
+        n_send = np.bincount(flow_of[unacked], minlength=n_flows)
+        live = n_send > 0
+        if not live.any():
+            break
+        stats.rounds = attempt + 1
+        sent += n_send
+        if attempt > 0:
+            # Per flow, in round order: the oracle's float accumulation.
+            overhead[live] += (
+                config.timeout_cycles * config.backoff ** (attempt - 1)
+                + n_send[live] * config.packet_cycles
+            )
+        on_wire = live[flow_of]
+        drop = np.zeros(total, dtype=bool)
+        corrupt = np.zeros(total, dtype=bool)
+        drop[on_wire], corrupt[on_wire] = injector.drop_corrupt_flows(
+            srcs[live], dsts[live], channel, iteration, counts[live],
+            attempt=attempt, backend=backend,
+        )
+        fail = (drop | corrupt) & unacked
+        stats.corrupt_detected += int(
+            np.count_nonzero(corrupt & ~drop & unacked)
+        )
+        arrived = unacked & ~fail
+        stats.duplicates += int(np.count_nonzero(arrived & delivered))
+        delivered |= arrived
+        if config is None:
+            break  # bare UDP: no ACKs, no retries
+        stats.acks_sent += int(np.count_nonzero(arrived))
+        unacked = fail
+        if config.model_acks:
+            ack_drop = np.zeros(total, dtype=bool)
+            ack_drop[on_wire] = injector.drop_corrupt_flows(
+                srcs[live], dsts[live], channel + ACK_SUFFIX, iteration,
+                counts[live], attempt=attempt, backend=backend,
+            )[0]
+            ack_lost = arrived & ack_drop
+            stats.ack_drops += int(np.count_nonzero(ack_lost))
+            unacked = unacked | ack_lost
+    n_delivered = np.bincount(flow_of[delivered], minlength=n_flows)
+    retransmits = sent - counts
+    stats.packets_sent = int(sent.sum())
+    stats.retransmits = int(retransmits.sum())
+    stats.delivered = int(n_delivered.sum())
+    stats.lost = total - stats.delivered
+    # Summed left to right, as adding the flows' stats one by one does.
+    stats.overhead_cycles = float(np.cumsum(overhead)[-1])
+    return FlowOutcome(delivered, offsets, retransmits, n_delivered, stats)
+
+
 def send_flow(
     injector: Optional[FaultInjector],
     src: int,
@@ -133,84 +263,16 @@ def send_flow(
     iteration: int,
     n_packets: int,
     config: Optional[TransportConfig] = None,
+    backend=None,
 ) -> Tuple[np.ndarray, TransportStats]:
-    """Resolve one flow's packets through the (possibly lossy) fabric.
+    """Resolve one flow's packets: :func:`send_flows` of that one flow.
 
-    Parameters
-    ----------
-    injector:
-        Fault source; ``None`` means a lossless fabric.
-    config:
-        Reliability layer; ``None`` models the paper's bare UDP — one
-        transmission, no ACKs, no retries.
-
-    Returns
-    -------
-    (delivered, stats):
-        ``delivered`` is a boolean mask over the flow's packet indices;
-        ``stats`` the accounting for this flow (overhead is zero when
-        nothing went wrong).
+    Returns ``(delivered, stats)``: a boolean mask over the flow's
+    packet indices and the flow's accounting (overhead is zero when
+    nothing went wrong).
     """
-    if n_packets < 0:
-        raise ValidationError("n_packets must be >= 0")
-    stats = TransportStats()
-    delivered = np.ones(n_packets, dtype=bool)
-    if n_packets == 0:
-        return delivered, stats
-    if injector is None:
-        stats.packets_sent = n_packets
-        stats.delivered = n_packets
-        if config is not None and config.model_acks:
-            stats.acks_sent = n_packets
-        return delivered, stats
-
-    if config is None:
-        # Bare UDP: one shot; corruption is caught by the packet checksum
-        # at the NIC and discarded, so it manifests as loss.
-        drop, corrupt = injector.drop_corrupt_arrays(
-            src, dst, channel, iteration, n_packets, attempt=0
-        )
-        delivered = ~(drop | corrupt)
-        stats.packets_sent = n_packets
-        stats.corrupt_detected = int(np.count_nonzero(corrupt & ~drop))
-        stats.delivered = int(np.count_nonzero(delivered))
-        stats.lost = n_packets - stats.delivered
-        stats.rounds = 1
-        return delivered, stats
-
-    delivered = np.zeros(n_packets, dtype=bool)
-    unacked = np.ones(n_packets, dtype=bool)
-    for attempt in range(config.retry_budget + 1):
-        n_send = int(np.count_nonzero(unacked))
-        if n_send == 0:
-            break
-        stats.rounds = attempt + 1
-        stats.packets_sent += n_send
-        if attempt > 0:
-            stats.retransmits += n_send
-            stats.overhead_cycles += (
-                config.timeout_cycles * config.backoff ** (attempt - 1)
-                + n_send * config.packet_cycles
-            )
-        drop, corrupt = injector.drop_corrupt_arrays(
-            src, dst, channel, iteration, n_packets, attempt=attempt
-        )
-        fail = (drop | corrupt) & unacked
-        stats.corrupt_detected += int(np.count_nonzero(corrupt & ~drop & unacked))
-        arrived = unacked & ~fail
-        stats.duplicates += int(np.count_nonzero(arrived & delivered))
-        delivered |= arrived
-        stats.acks_sent += int(np.count_nonzero(arrived))
-        if config.model_acks:
-            ack_drop, _ = injector.drop_corrupt_arrays(
-                src, dst, channel + ACK_SUFFIX, iteration, n_packets,
-                attempt=attempt,
-            )
-            ack_lost = arrived & ack_drop
-            stats.ack_drops += int(np.count_nonzero(ack_lost))
-        else:
-            ack_lost = np.zeros(n_packets, dtype=bool)
-        unacked = fail | ack_lost
-    stats.delivered = int(np.count_nonzero(delivered))
-    stats.lost = n_packets - stats.delivered
-    return delivered, stats
+    out = send_flows(
+        injector, [src], [dst], channel, iteration, [n_packets], config,
+        backend,
+    )
+    return out.delivered, out.stats

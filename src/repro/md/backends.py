@@ -65,6 +65,15 @@ Kernel contracts (see DESIGN.md §10)
   ``src[k]`` — the hot loop of
   :meth:`~repro.core.rings.RingLoadModel._charge_spans`.  Pure integer
   adds, order-free, bitwise by construction.
+* ``keyed_uniforms`` (fault layer, uint32 entropy -> float64): the
+  keyed draws of many keys in one call, ``(words, word_offsets,
+  out_offsets) -> out``.  Per key it runs numpy's ``SeedSequence``
+  mixing (pool of four words) over the key's entropy words, seeds a
+  ``PCG64`` with the generated state and emits ``(next64 >> 11) *
+  2**-53``: integer hashing and one exact conversion per draw, so the
+  stream is **bitwise** ``default_rng(SeedSequence(words)).random(n)``,
+  which :func:`keyed_uniforms_numpy` calls key by key as its statement
+  and oracle.
 * ``band_rows`` (build phase, float32): the skin-band search of every
   :class:`~repro.md.cellstate.CellState`, ``(plan, clist, packed,
   offsets, band, rows, lay, fresh) -> int``.  It searches the listed
@@ -123,13 +132,13 @@ class ForceBackend:
     """One registered force-kernel implementation.
 
     The kernel entry points are described in the module docstring.
-    ``datapath_pass``, ``lj_flat_seg``, ``traffic_flat`` and
-    ``ring_charge`` are present on every available backend, so
-    consumers call them unconditionally.  For ``lj_flat`` and
-    ``band_rows``, ``None`` means "run the consumer's numpy code", which
-    stays the oracle the compiled kernel mirrors.  ``available`` is
-    probed once at registration; ``why`` records the probe outcome for
-    diagnostics.
+    ``datapath_pass``, ``lj_flat_seg``, ``traffic_flat``,
+    ``ring_charge`` and ``keyed_uniforms`` are present on every
+    available backend, so consumers call them unconditionally.  For
+    ``lj_flat`` and ``band_rows``, ``None`` means "run the consumer's
+    numpy code", which stays the oracle the compiled kernel mirrors.
+    ``available`` is probed once at registration; ``why`` records the
+    probe outcome for diagnostics.
     """
 
     name: str
@@ -153,6 +162,9 @@ class ForceBackend:
     #: In-place ring link range-add (accounting layer): see
     #: :func:`ring_charge_numpy`.
     ring_charge: Optional[Callable] = None
+    #: Keyed uniform draws of many keys (fault layer): see
+    #: :func:`keyed_uniforms_numpy`.
+    keyed_uniforms: Optional[Callable] = None
     #: Skin-band search of a :class:`~repro.md.cellstate.CellState`
     #: (build phase, float32): searches listed plan rows into per-row
     #: regions keyed by bank row, for a full build or an in-place update.
@@ -710,6 +722,46 @@ def ring_charge_numpy(
     link_load += np.cumsum(diff[:n]).astype(np.int64)
 
 
+def keyed_operands(
+    words, word_offsets, out_offsets
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``keyed_uniforms`` operands as contiguous uint32 / int64
+    arrays, or :class:`ValidationError` unless both offset arrays have
+    one entry per key plus one, start at 0, never decrease, and
+    ``word_offsets`` ends at ``len(words)``."""
+    words = np.ascontiguousarray(words, dtype=np.uint32)
+    wo = np.ascontiguousarray(word_offsets, dtype=np.int64)
+    oo = np.ascontiguousarray(out_offsets, dtype=np.int64)
+    if not (
+        wo.ndim == oo.ndim == 1 and len(wo) == len(oo) >= 1
+        and wo[0] == 0 and oo[0] == 0 and wo[-1] == len(words)
+        and (wo[1:] >= wo[:-1]).all() and (oo[1:] >= oo[:-1]).all()
+    ):
+        raise ValidationError("keyed_uniforms: malformed key offsets")
+    return words, wo, oo
+
+
+def keyed_uniforms_numpy(
+    words: np.ndarray, word_offsets: np.ndarray, out_offsets: np.ndarray
+) -> np.ndarray:
+    """Uniform doubles of many keyed streams (the keyed-draw oracle).
+
+    Key ``k``'s ``SeedSequence`` entropy is ``words[word_offsets[k]:
+    word_offsets[k + 1]]`` and its draws fill ``out[out_offsets[k]:
+    out_offsets[k + 1]]`` with the first doubles of
+    ``default_rng(SeedSequence(entropy)).random`` — one generator per
+    key, built and drawn here key by key.
+    """
+    words, wo, oo = keyed_operands(words, word_offsets, out_offsets)
+    out = np.empty(int(oo[-1]), dtype=np.float64)
+    for k in range(len(wo) - 1):
+        lo, hi = int(oo[k]), int(oo[k + 1])
+        if hi > lo:
+            seq = np.random.SeedSequence(words[wo[k]:wo[k + 1]])
+            out[lo:hi] = np.random.default_rng(seq).random(hi - lo)
+    return out
+
+
 def _traffic_flat_empty(
     weights: Optional[np.ndarray], aux: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
@@ -806,6 +858,8 @@ int64_t traffic_groupby_i64(int64_t *skey, int64_t n, int64_t div,
 void ring_charge_i64(int64_t *link_load, int64_t n, int64_t direction,
                      const int64_t *src, const int64_t *hops,
                      const int64_t *counts, int64_t k);
+void keyed_uniforms_f64(const uint32_t *words, const int64_t *word_off,
+                        const int64_t *out_off, int64_t n_keys, double *out);
 int64_t band_rows_f32(const float *ps, const int64_t *order,
                       const int64_t *start, const int64_t *counts,
                       const int64_t *nbr, int64_t n_cells, int64_t n_rows,
@@ -1130,6 +1184,75 @@ void ring_charge_i64(int64_t *link_load, int64_t n, int64_t direction,
             s++;
             if (s == n)
                 s = 0;
+        }
+    }
+}
+
+/* Keyed uniform draws: for each key, numpy's SeedSequence (pool of four
+ * words, no spawn key) over its entropy words seeds a PCG64 whose first
+ * doubles, (next64 >> 11) * 2^-53, fill the key's output range -- the
+ * stream of default_rng(SeedSequence(words)).random(n), bit for bit. */
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    value ^= value >> 16;
+    return value;
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    r ^= r >> 16;
+    return r;
+}
+
+void keyed_uniforms_f64(const uint32_t *words, const int64_t *word_off,
+                        const int64_t *out_off, int64_t n_keys, double *out)
+{
+    const unsigned __int128 mult =
+        ((unsigned __int128)0x2360ed051fc65da4ULL << 64)
+        | 0x4385df649fccf645ULL;
+    for (int64_t k = 0; k < n_keys; k++) {
+        int64_t lo = out_off[k], hi = out_off[k + 1];
+        if (hi <= lo)
+            continue;
+        const uint32_t *e = words + word_off[k];
+        int64_t ne = word_off[k + 1] - word_off[k];
+        uint32_t pool[4], hc = 0x43b0d7e5u;
+        for (int i = 0; i < 4; i++)
+            pool[i] = ss_hashmix(i < ne ? e[i] : 0u, &hc);
+        for (int s = 0; s < 4; s++)
+            for (int d = 0; d < 4; d++)
+                if (s != d)
+                    pool[d] = ss_mix(pool[d], ss_hashmix(pool[s], &hc));
+        for (int64_t s = 4; s < ne; s++)
+            for (int d = 0; d < 4; d++)
+                pool[d] = ss_mix(pool[d], ss_hashmix(e[s], &hc));
+        /* generate_state(4, uint64): eight words, little-endian pairs. */
+        uint32_t st[8], hb = 0x8b51f9ddu;
+        for (int i = 0; i < 8; i++) {
+            uint32_t v = pool[i & 3] ^ hb;
+            hb *= 0x58f38dedu;
+            v *= hb;
+            v ^= v >> 16;
+            st[i] = v;
+        }
+        uint64_t w[4];
+        for (int i = 0; i < 4; i++)
+            w[i] = (uint64_t)st[2 * i] | ((uint64_t)st[2 * i + 1] << 32);
+        unsigned __int128 init = ((unsigned __int128)w[0] << 64) | w[1];
+        unsigned __int128 inc =
+            ((((unsigned __int128)w[2] << 64) | w[3]) << 1) | 1u;
+        unsigned __int128 state = inc;              /* 0 * mult + inc */
+        state = (state + init) * mult + inc;
+        for (int64_t j = lo; j < hi; j++) {
+            state = state * mult + inc;
+            uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+            unsigned rot = (unsigned)(state >> 122);
+            x = (x >> rot) | (x << ((64u - rot) & 63u));
+            out[j] = (double)(x >> 11) * (1.0 / 9007199254740992.0);
         }
     }
 }
@@ -1570,6 +1693,15 @@ def _make_cext_backend() -> ForceBackend:
             ptr("int64_t *", counts), int(k),
         )
 
+    def keyed_uniforms(words, word_offsets, out_offsets):
+        words, wo, oo = keyed_operands(words, word_offsets, out_offsets)
+        out = np.empty(int(oo[-1]), dtype=np.float64)
+        lib.keyed_uniforms_f64(
+            ptr("uint32_t *", words), ptr("int64_t *", wo),
+            ptr("int64_t *", oo), len(wo) - 1, ptr("double *", out),
+        )
+        return out
+
     def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
         offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
         n_rows = len(offs32)
@@ -1621,6 +1753,7 @@ def _make_cext_backend() -> ForceBackend:
         lj_flat_seg=lj_flat_seg,
         traffic_flat=traffic_flat,
         ring_charge=ring_charge,
+        keyed_uniforms=keyed_uniforms,
         band_rows=band_rows,
     )
 
@@ -1638,6 +1771,7 @@ register_backend(
         lj_flat_seg=lj_flat_seg_numpy,
         traffic_flat=traffic_flat_numpy,
         ring_charge=ring_charge_numpy,
+        keyed_uniforms=keyed_uniforms_numpy,
     )
 )
 register_backend(_make_cext_backend())

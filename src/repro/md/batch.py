@@ -78,7 +78,7 @@ from repro.faults.health import (
     check_system_finite,
 )
 from repro.md.cells import CellGrid
-from repro.md.cellstate import CellState, engine_pack_fn
+from repro.md.cellstate import CellState, engine_pack_fn, engine_skin
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import CellPairPlan, plan_for_grid
 from repro.md.backends import ForceBackend, resolve_backend
@@ -213,7 +213,7 @@ class BatchedEngine:
     reuse_skin:
         Skin margin for the per-segment persistent
         :class:`~repro.md.cellstate.CellState`; defaults to
-        ``0.15 * cell_edge`` exactly like the solo engine.
+        :func:`~repro.md.cellstate.engine_skin` like the solo engine.
     guard:
         Optional :class:`~repro.faults.health.GuardConfig` enabling the
         per-segment numerical health guards (DESIGN.md §12).  Guards
@@ -314,7 +314,7 @@ class BatchedEngine:
             self._shift_e = _cutoff_shift(self._lj, edge, self.shift)
             skin = self.reuse_skin
             if skin is None:
-                skin = 0.15 * edge
+                skin = engine_skin(edge)
             self._skin = float(skin)
         else:
             if edge != self._cell_edge:

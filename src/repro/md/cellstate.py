@@ -669,6 +669,16 @@ def _row_search(backend) -> Callable:
     return band_rows_numpy if kern is None else kern
 
 
+def engine_skin(cell_edge: float) -> float:
+    """Default skin (angstrom) of the engine-layer states: 0.15 cell
+    edges, the edge being the cutoff.  Shared by
+    :class:`~repro.md.engine.ReferenceEngine`,
+    :class:`~repro.md.batch.BatchedEngine` segments and the throwaway
+    state of a stateless
+    :func:`~repro.md.reference.compute_forces_cells` call."""
+    return 0.15 * float(cell_edge)
+
+
 def engine_pack_fn(
     grid: CellGrid, plan: CellPairPlan, skin: float
 ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, float]]:

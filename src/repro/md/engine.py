@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.md.cells import CellGrid
-from repro.md.cellstate import CellState, engine_pack_fn
+from repro.md.cellstate import CellState, engine_pack_fn, engine_skin
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import plan_for_grid
 from repro.md.reference import compute_forces_cells
@@ -68,7 +68,7 @@ class ReferenceEngine:
         accepted and selects nothing; ``False`` raises.
     reuse_skin:
         Skin margin in angstrom of the cell state's band lists; defaults
-        to ``0.15 * cutoff``.
+        to :func:`~repro.md.cellstate.engine_skin` (``0.15 * cutoff``).
     force_impl:
         Force backend (see :mod:`repro.md.backends`): ``None`` uses the
         process-wide default, ``"numpy"`` the per-offset numpy path,
@@ -113,7 +113,7 @@ class ReferenceEngine:
         if self._cell_state is None:
             skin = self.reuse_skin
             if skin is None:
-                skin = 0.15 * float(self.grid.cell_edge)
+                skin = engine_skin(self.grid.cell_edge)
             plan = plan_for_grid(self.grid)
             self._cell_state = CellState(
                 self.grid, plan, skin, engine_pack_fn(self.grid, plan, skin)

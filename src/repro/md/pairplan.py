@@ -122,37 +122,6 @@ class CellPairPlan:
             np.arange(ROWS_PER_CELL) == 0, n_cells
         )
         self.has_shift = np.any(self.shift != 0.0, axis=1)
-        # One-entry decode-table cache (see :meth:`padded_decode`): the
-        # bucket cap changes rarely between steps of one box.
-        self._decode: Tuple[int, Optional[Tuple[np.ndarray, ...]]] = (-1, None)
-
-    def padded_decode(
-        self, cap: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached flat-index -> (cell, home slot, neighbor slot) decode tables.
-
-        A flat survivor index into the padded ``(C, cap, cap)`` candidate
-        mask decodes as ``cell = f // cap^2``, ``i = (f // cap) % cap``,
-        ``j = f % cap``; precomputing the tables turns three per-survivor
-        integer divisions per offset into three cheap int32 gathers.
-        Hoisted onto the plan so the padded-search oracles in
-        ``tests/oracles.py`` share one copy per geometry.
-        """
-        cap = int(cap)
-        # One (cap, tables) attribute, read and replaced whole: threads
-        # evaluating nodes of different occupancy share the plan.
-        decode = self._decode
-        if decode[0] != cap:
-            cap2 = cap * cap
-            f = np.arange(self.n_cells * cap2, dtype=np.int64)
-            decode = (cap, (
-                (f // cap2).astype(np.int32),
-                ((f // cap) % cap).astype(np.int32),
-                (f % cap).astype(np.int32),
-            ))
-            self._decode = decode
-        return decode[1]
-
     @property
     def neighbor_ids(self) -> np.ndarray:
         """``(n_cells, 13)`` half-shell neighbor cell ids per home cell."""
@@ -317,7 +286,6 @@ def iter_pair_chunks(
     counts: np.ndarray,
     start: np.ndarray,
     order: Optional[np.ndarray] = None,
-    rows: Optional[np.ndarray] = None,
     target_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> Iterator[PairChunk]:
     """Enumerate every half-shell candidate pair as large batches.
@@ -334,9 +302,6 @@ def iter_pair_chunks(
         Bucket permutation mapping bucket slots to particle indices
         (``CellList.order``).  ``None`` when the caller's arrays are
         already bucket-sorted (slot index == particle index).
-    rows:
-        Optional subset of plan rows to enumerate (e.g. only the rows
-        whose home cell is local to one node).  ``None`` = all rows.
     target_pairs:
         Approximate candidates per yielded chunk; whole plan rows are
         never split across chunks, so per-row segment statistics (e.g.
@@ -367,20 +332,7 @@ def iter_pair_chunks(
                 ),
             ]
         )
-    if rows is None:
-        # All-rows fast path: the plan's own flat arrays *are* the row
-        # gathers, so the three n_rows-sized fancy-index passes below
-        # are skipped entirely (they are pure per-call overhead that the
-        # plan already holds hoisted).
-        base = np.arange(plan.n_rows, dtype=np.int64)
-        home = plan.home
-        nbr = plan.nbr
-        is_self = plan.is_self
-    else:
-        base = np.asarray(rows, dtype=np.int64)
-        home = plan.home[base]
-        nbr = plan.nbr[base]
-        is_self = plan.is_self[base]
+    home, nbr, is_self = plan.home, plan.nbr, plan.is_self
     na = counts[home]
     nb = counts[nbr]
     sizes = np.where(is_self, na * (na - 1) // 2, na * nb)
@@ -418,7 +370,7 @@ def iter_pair_chunks(
         if order is not None:
             ii = order[ii]
             jj = order[jj]
-        yield PairChunk(row=base[grp][block], ii=ii, jj=jj)
+        yield PairChunk(row=grp[block], ii=ii, jj=jj)
 
 
 def candidates_per_cell(plan: CellPairPlan, counts: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.md.backends import ForceBackend, resolve_backend
 from repro.md.cells import CellGrid
-from repro.md.cellstate import CellState, RowBands, engine_pack_fn
+from repro.md.cellstate import CellState, RowBands, engine_pack_fn, engine_skin
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
 from repro.md.params import LJTable
 from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, plan_for_grid
@@ -318,7 +318,7 @@ def compute_forces_cells(
     plan = plan_for_grid(grid)
     backend = resolve_backend(force_impl)
     if state is None:
-        skin = 0.15 * float(grid.cell_edge)
+        skin = engine_skin(grid.cell_edge)
         state = CellState(grid, plan, skin, engine_pack_fn(grid, plan, skin))
     state.ensure(pos, backend)
     if backend.lj_flat is not None:

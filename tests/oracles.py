@@ -45,10 +45,22 @@ The band search's oracle:
   took the ``band_rows`` layout.  Its band is the same distance test
   written another way, so it may differ from ``band_rows``' only for
   pairs with ``r2`` at the band edge: a superset and admission oracle.
+  It decodes its survivors with the cached :func:`padded_decode`
+  tables, as :func:`eval_padded` does.
+
+The transport and pair-plan oracles:
+
+* :func:`send_flow_rounds` — one flow's retry-round loop, drawing with
+  ``drop_corrupt_arrays``: the statement every flow of a batched
+  :func:`~repro.faults.transport.send_flows` call must equal.
+* :func:`iter_pair_chunks_rows` — the plan-row subset enumeration the
+  chunked node oracle walks (the ``rows=`` path ``iter_pair_chunks``
+  had), restated as a filter of the all-row enumeration.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -59,6 +71,7 @@ from repro.core.distributed import DistributedMachine, _CellData, _Node
 from repro.core.machine import _OFFS14, FasdaMachine
 from repro.core.packets import P2REncapsulatorChain, Packet, Record
 from repro.core.rings import RingLoadModel
+from repro.faults import ACK_SUFFIX, FaultInjector, TransportConfig, TransportStats
 from repro.md.backends import (
     _REGISTRY,
     ForceBackend,
@@ -70,7 +83,12 @@ from repro.md.batch import solo_oracle_impl
 from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
 from repro.md.engine import ReferenceEngine
 from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
-from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, iter_pair_chunks
+from repro.md.pairplan import (
+    ROWS_PER_CELL,
+    CellPairPlan,
+    PairChunk,
+    iter_pair_chunks,
+)
 from repro.md.params import LJTable
 from repro.md.reference import _cutoff_shift
 from repro.md.system import ParticleSystem
@@ -121,7 +139,7 @@ def eval_padded(
     # Cutoff in normalized units is 1; the band only ever admits
     # *extra* candidates to the exact filter recheck.
     band = np.float32(1.0 + 1e-3)
-    cell_of, i_of, j_of = plan.padded_decode(cap)
+    cell_of, i_of, j_of = padded_decode(plan, cap)
     a_of = start[cell_of] + i_of
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
@@ -478,7 +496,7 @@ def _eval_node_core(
     ).reshape(-1)
     n_slots = np.int64(start[-1])
 
-    for chunk in iter_pair_chunks(plan, counts, start, rows=rows):
+    for chunk in iter_pair_chunks_rows(plan, counts, start, rows):
         dr, r2 = screen_dr_numpy(
             frac_cat, chunk.ii, chunk.jj, plan.offset, chunk.row
         )
@@ -822,7 +840,7 @@ def band_slot_pairs(
     nbr_mat = plan.nbr.reshape(C, ROWS_PER_CELL)
     band32 = np.float32(band)
     # Decoded rows index the home cells searched: all cells, or ``home``.
-    cell_of, i_of, j_of = plan.padded_decode(cap)
+    cell_of, i_of, j_of = padded_decode(plan, cap)
     Ph, Sh, home_start = P, S, start
     if home is not None:
         size = len(home) * cap * cap
@@ -870,3 +888,142 @@ def band_slot_pairs(
         np.concatenate(jj),
         segs,
     )
+
+
+# ---------------------------------------------------------------------------
+# Transport: the per-flow round loop
+# ---------------------------------------------------------------------------
+
+
+def send_flow_rounds(
+    injector: Optional[FaultInjector],
+    src: int,
+    dst: int,
+    channel: str,
+    iteration: int,
+    n_packets: int,
+    config: Optional[TransportConfig] = None,
+) -> Tuple[np.ndarray, TransportStats]:
+    """One flow's retry rounds, drawing its masks with
+    :meth:`~repro.faults.plan.FaultInjector.drop_corrupt_arrays`.
+
+    The per-flow loop :func:`~repro.faults.transport.send_flows`
+    replaced: each flow of a batched call must come out with this mask
+    and these stats, and the call's ``stats`` with their sum in flow
+    order.
+    """
+    if n_packets < 0:
+        raise ValidationError("n_packets must be >= 0")
+    stats = TransportStats()
+    delivered = np.ones(n_packets, dtype=bool)
+    if n_packets == 0:
+        return delivered, stats
+    if injector is None:
+        stats.packets_sent = n_packets
+        stats.delivered = n_packets
+        if config is not None and config.model_acks:
+            stats.acks_sent = n_packets
+        return delivered, stats
+
+    if config is None:
+        drop, corrupt = injector.drop_corrupt_arrays(
+            src, dst, channel, iteration, n_packets, attempt=0
+        )
+        delivered = ~(drop | corrupt)
+        stats.packets_sent = n_packets
+        stats.corrupt_detected = int(np.count_nonzero(corrupt & ~drop))
+        stats.delivered = int(np.count_nonzero(delivered))
+        stats.lost = n_packets - stats.delivered
+        stats.rounds = 1
+        return delivered, stats
+
+    delivered = np.zeros(n_packets, dtype=bool)
+    unacked = np.ones(n_packets, dtype=bool)
+    for attempt in range(config.retry_budget + 1):
+        n_send = int(np.count_nonzero(unacked))
+        if n_send == 0:
+            break
+        stats.rounds = attempt + 1
+        stats.packets_sent += n_send
+        if attempt > 0:
+            stats.retransmits += n_send
+            stats.overhead_cycles += (
+                config.timeout_cycles * config.backoff ** (attempt - 1)
+                + n_send * config.packet_cycles
+            )
+        drop, corrupt = injector.drop_corrupt_arrays(
+            src, dst, channel, iteration, n_packets, attempt=attempt
+        )
+        fail = (drop | corrupt) & unacked
+        stats.corrupt_detected += int(np.count_nonzero(corrupt & ~drop & unacked))
+        arrived = unacked & ~fail
+        stats.duplicates += int(np.count_nonzero(arrived & delivered))
+        delivered |= arrived
+        stats.acks_sent += int(np.count_nonzero(arrived))
+        if config.model_acks:
+            ack_drop, _ = injector.drop_corrupt_arrays(
+                src, dst, channel + ACK_SUFFIX, iteration, n_packets,
+                attempt=attempt,
+            )
+            ack_lost = arrived & ack_drop
+            stats.ack_drops += int(np.count_nonzero(ack_lost))
+        else:
+            ack_lost = np.zeros(n_packets, dtype=bool)
+        unacked = fail | ack_lost
+    stats.delivered = int(np.count_nonzero(delivered))
+    stats.lost = n_packets - stats.delivered
+    return delivered, stats
+
+
+# ---------------------------------------------------------------------------
+# Pair plans: padded decode tables and row-subset enumeration
+# ---------------------------------------------------------------------------
+
+#: One-entry decode-table cache per plan, ``plan -> (cap, tables)``,
+#: dropped with the plan.
+_DECODE: "weakref.WeakKeyDictionary[CellPairPlan, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def padded_decode(
+    plan: CellPairPlan, cap: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached flat-index -> (cell, home slot, neighbor slot) decode tables.
+
+    A flat survivor index into the padded ``(C, cap, cap)`` candidate
+    mask decodes as ``cell = f // cap^2``, ``i = (f // cap) % cap``,
+    ``j = f % cap``; precomputing the tables turns three per-survivor
+    integer divisions per offset into three cheap int32 gathers.  One
+    entry per plan: a cap change evicts it.
+    """
+    cap = int(cap)
+    entry = _DECODE.get(plan)
+    if entry is None or entry[0] != cap:
+        cap2 = cap * cap
+        f = np.arange(plan.n_cells * cap2, dtype=np.int64)
+        entry = (cap, (
+            (f // cap2).astype(np.int32),
+            ((f // cap) % cap).astype(np.int32),
+            (f % cap).astype(np.int32),
+        ))
+        _DECODE[plan] = entry
+    return entry[1]
+
+
+def iter_pair_chunks_rows(
+    plan: CellPairPlan,
+    counts: np.ndarray,
+    start: np.ndarray,
+    rows: np.ndarray,
+    order: Optional[np.ndarray] = None,
+) -> Iterator[PairChunk]:
+    """:func:`~repro.md.pairplan.iter_pair_chunks` restricted to the
+    plan rows ``rows`` (e.g. the rows whose home cell is local to one
+    node): the same pairs, in ascending row order."""
+    keep = np.zeros(plan.n_rows, dtype=bool)
+    keep[np.asarray(rows, dtype=np.int64)] = True
+    for chunk in iter_pair_chunks(plan, counts, start, order):
+        m = keep[chunk.row]
+        if m.any():
+            yield PairChunk(row=chunk.row[m], ii=chunk.ii[m], jj=chunk.jj[m])

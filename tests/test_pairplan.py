@@ -28,7 +28,11 @@ from repro.core.config import MachineConfig
 from repro.core.datapath import quantize_cell_fractions
 from repro.core.machine import FasdaMachine
 from repro.util.errors import ValidationError
-from tests.oracles import compute_forces_cells_loop
+from tests.oracles import (
+    compute_forces_cells_loop,
+    iter_pair_chunks_rows,
+    padded_decode,
+)
 
 
 def random_system(dims, cell_edge=4.0, per_cell=6, seed=0, species=("Na",)):
@@ -190,8 +194,8 @@ class TestEnumerator:
         plan = plan_for_grid(grid)
         rows = np.arange(ROWS_PER_CELL)  # cell 0 only
         got = set()
-        for chunk in iter_pair_chunks(
-            plan, clist.counts, clist.start, clist.order, rows=rows
+        for chunk in iter_pair_chunks_rows(
+            plan, clist.counts, clist.start, rows, clist.order
         ):
             got.update(zip(chunk.row, chunk.ii, chunk.jj))
         want = {
@@ -375,12 +379,12 @@ class TestPlanCacheKeying:
 
 
 class TestPaddedDecode:
-    """The flat-index decode tables are hoisted onto the cached plan."""
+    """The padded oracles' flat-index decode tables, cached per plan."""
 
     def test_tables_match_divmod(self):
         plan = plan_for_dims((3, 3, 3), (4.0, 4.0, 4.0))
         cap = 5
-        cell_of, i_of, j_of = plan.padded_decode(cap)
+        cell_of, i_of, j_of = padded_decode(plan, cap)
         f = np.arange(plan.n_cells * cap * cap, dtype=np.int64)
         np.testing.assert_array_equal(cell_of, f // (cap * cap))
         np.testing.assert_array_equal(i_of, (f // cap) % cap)
@@ -390,8 +394,8 @@ class TestPaddedDecode:
 
     def test_one_entry_cache(self):
         plan = plan_for_dims((3, 3, 4), (4.0, 4.0, 4.0))
-        t1 = plan.padded_decode(6)
-        assert plan.padded_decode(6) is t1  # warm: same tuple back
-        t2 = plan.padded_decode(7)  # cap change evicts
+        t1 = padded_decode(plan, 6)
+        assert padded_decode(plan, 6) is t1  # warm: same tuple back
+        t2 = padded_decode(plan, 7)  # cap change evicts
         assert t2 is not t1
         assert len(t2[0]) == plan.n_cells * 49
