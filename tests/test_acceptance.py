@@ -114,22 +114,22 @@ def _case_config(case, fpga_grid=(1, 1, 1)):
     )
 
 
-def _gate_failures(machine, grid, case, step):
-    """``(pass, force error, energy error)`` of every gated force pass of
-    ``machine``'s trajectory that misses a budget; ``step`` advances it
-    one timestep.  Forces use :data:`FORCE_REL_TOLERANCE` exactly as
-    ``run_case``; the energy error is relative to the summed pair-energy
-    magnitudes (see :class:`TestDistributedGate`)."""
+def _gate_failures(machine, grid, case, step, passes=PASSES):
+    """``(pass, force error, energy error)`` of every force pass in
+    ``passes`` of ``machine``'s trajectory that misses a budget; ``step``
+    advances it one timestep.  Forces use :data:`FORCE_REL_TOLERANCE`
+    exactly as ``run_case``; the energy error is relative to the summed
+    pair-energy magnitudes (see :class:`TestDistributedGate`)."""
     beta = machine.ewald_beta if case.charged else None
     kernels = [LennardJonesKernel()] + (
         [EwaldRealKernel(beta)] if case.charged else []
     )
     failing = []
     machine.run(0)
-    for p in range(PASSES[-1] + 1):
+    for p in range(passes[-1] + 1):
         if p:
             step()
-        if p not in PASSES:
+        if p not in passes:
             continue
         f_ref, e_ref = compute_forces_kernel(
             machine.system, grid, CompositeKernel(kernels)
@@ -191,3 +191,37 @@ class TestDistributedGate:
         finally:
             machine.close()
         assert not failing, f"{case.name}: {failing}"
+
+    #: Force pass after which the mid-run rescale moves to each grid.
+    RESCALES = {10: (2, 1, 1), 30: (2, 2, 2)}
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_mid_run_rescale_within_budgets(self, parallel):
+        """The ``larger-space`` trajectory rescaled (2,2,2) -> (2,1,1)
+        after pass 10 and back after pass 30, gated at the first pass on
+        each new partition and at pass 50."""
+        case = next(c for c in default_cases() if c.name == "larger-space")
+        system, grid = _case_system(case)
+        machine = DistributedMachine(
+            _case_config(case, (2, 2, 2)), system=system, parallel=parallel
+        )
+        done = []
+
+        def step():
+            machine.step()
+            done.append(tuple(machine.config.fpga_grid))
+            target = self.RESCALES.get(len(done))
+            if target is not None:
+                assert machine.rescale(fpga_grid=target)
+
+        try:
+            failing = _gate_failures(
+                machine, grid, case, step, passes=(11, 31, 50)
+            )
+        finally:
+            machine.close()
+        assert not failing, f"{case.name}: {failing}"
+        assert [r.grid_new for r in machine.rescale_log] == list(
+            self.RESCALES.values()
+        )
+        assert done[10] == (2, 1, 1) and done[30] == (2, 2, 2)

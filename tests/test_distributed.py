@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import distributed
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import FasdaMachine
 from repro.md import build_dataset
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +205,56 @@ class TestProtocolProperties:
         _, _, dist_m = pair
         with pytest.raises(Exception):
             dist_m.run(-1)
+
+
+class TestIdConversionCheck:
+    """The GCID -> LCID conversion of every halo record is round-trip
+    checked: a conversion that shifts one coordinate is refused with a
+    :class:`ValidationError` before any force pass completes."""
+
+    @staticmethod
+    def _shift_x(monkeypatch):
+        real = distributed.gcid_to_lcid
+
+        def shifted(cell_coords, node_coords, local_dims, global_dims):
+            lcid = real(cell_coords, node_coords, local_dims, global_dims)
+            lcid[..., 0] += 1
+            return lcid
+
+        monkeypatch.setattr(distributed, "gcid_to_lcid", shifted)
+
+    @staticmethod
+    def _count_merges(monkeypatch):
+        merged = []
+        merge = DistributedMachine._merge_results
+
+        def counted(self, node_list, results):
+            merged.append(self._iteration)
+            return merge(self, node_list, results)
+
+        monkeypatch.setattr(DistributedMachine, "_merge_results", counted)
+        return merged
+
+    def test_corrupted_conversion_refused_before_first_pass(self, monkeypatch):
+        cfg = MachineConfig((4, 4, 4), (2, 2, 2))
+        system, _ = build_dataset((4, 4, 4), particles_per_cell=4, seed=2)
+        merged = self._count_merges(monkeypatch)
+        self._shift_x(monkeypatch)
+        with pytest.raises(ValidationError, match="LCID conversion corrupted"):
+            d = DistributedMachine(cfg, system=system)
+            d.run(1)
+        assert merged == []
+
+    def test_corrupted_conversion_refused_across_a_rescale(self, monkeypatch):
+        """A partition applied by a rescale goes through the same check
+        before the first force pass on it completes."""
+        cfg = MachineConfig((4, 4, 4), (2, 2, 2))
+        system, _ = build_dataset((4, 4, 4), particles_per_cell=4, seed=2)
+        d = DistributedMachine(cfg, system=system)
+        d.run(1)
+        merged = self._count_merges(monkeypatch)
+        self._shift_x(monkeypatch)
+        with pytest.raises(ValidationError, match="LCID conversion corrupted"):
+            d.rescale(fpga_grid=(2, 1, 1))
+            d.run(1)
+        assert merged == []
