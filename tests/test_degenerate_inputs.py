@@ -173,8 +173,7 @@ def test_distributed_matches_machine(case, name, parallel):
             tol = 1e-5 * float(np.abs(ref).max())
             assert np.abs(forces - ref).max() <= tol, case
         owned = [
-            sum(len(c.particle_ids) for c in node.cells.values())
-            for node in dist._nodes_cache.values()
+            len(node.layout.local) for node in dist._nodes_cache.values()
         ]
         assert (0 in owned) == (case != "on_faces")
     finally:
