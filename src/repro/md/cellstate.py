@@ -182,8 +182,9 @@ def band_rows_numpy(
     ``k * n_cells + c`` ascending.  Each listed region is searched with
     the float32 direct-difference ``r2 = (dx*dx + dy*dy) + dz*dz``
     against ``band`` (``i < j`` on the home row), one padded ``(regions,
-    cap, cap)`` mask per chunk of listed regions, whose ``flatnonzero``
-    hits are already in layout order.  ``fresh=True`` lays every listed region out anew
+    w, w)`` mask per chunk of listed regions of one occupancy bucket
+    ``w``, whose ``flatnonzero`` hits are already in each region's
+    layout order.  ``fresh=True`` lays every listed region out anew
     with ``fill + (fill >> lay.shift) + lay.slack_min`` entries
     (unlisted regions get none), growing the buffers with
     :meth:`RowBands.fit` when the layout outgrows them, and returns the
@@ -214,19 +215,30 @@ def band_rows_numpy(
     k_of, c_of = np.divmod(rows, C)
     nb_of = plan.nbr[c_of * ROWS_PER_CELL + k_of]
     n_home = int(np.searchsorted(k_of, 1))  # the offset-0 rows lead
-    step = max(1, _SEARCH_CHUNK // (cap * cap))
-    most = min(step, len(rows)) * cap * cap
+    # Each region is searched padded to its own occupancy bucket, the
+    # power of two (at most ``cap``) covering both of its cells, so one
+    # crowded cell pads only the regions it takes part in.  Slots past
+    # a cell's count are NaN, and a region's hits come out in the same
+    # (home slot, neighbour slot) order at any padding.
+    occ = np.maximum(np.maximum(counts[c_of], counts[nb_of]), 1)
+    pad = np.minimum(1 << np.ceil(np.log2(occ)).astype(np.int64), cap)
+    groups = []
+    for w in np.unique(pad).tolist():
+        idx = np.flatnonzero(pad == w)
+        step = max(1, _SEARCH_CHUNK // (w * w))
+        groups += [(w, idx[lo:lo + step]) for lo in range(0, len(idx), step)]
+    most = max((len(idx) * w * w for w, idx in groups), default=0)
     r2_buf = np.empty(most, dtype=np.float32)
     d_buf = np.empty(most, dtype=np.float32)
     mask_buf = np.empty(most, dtype=bool)
     per = np.zeros(len(rows), dtype=np.int64)
     found = []
-    for lo in range(0, len(rows), step):
-        hi = min(lo + step, len(rows))
-        shape = (hi - lo, cap, cap)
-        size = shape[0] * cap * cap
-        X = P[:, c_of[lo:hi], :, None]
-        Q = P[:, nb_of[lo:hi]] + offs32[k_of[lo:hi]].T[:, :, None]
+    for w, idx in groups:
+        shape = (len(idx), w, w)
+        size = len(idx) * w * w
+        cs, ns, ks = c_of[idx], nb_of[idx], k_of[idx]
+        X = P[:, cs, :w, None]
+        Q = P[:, ns, :w] + offs32[ks].T[:, :, None]
         Q = Q[:, :, None, :]
         # r2 = (dx*dx + dy*dy) + dz*dz, rounded per operation.
         r2 = r2_buf[:size].reshape(shape)
@@ -238,13 +250,13 @@ def band_rows_numpy(
             np.multiply(d, d, out=d)
             r2 += d
         mask = np.less(r2, band32, out=mask_buf[:size].reshape(shape))
-        if lo < n_home:
-            mask[: n_home - lo] &= tri
-        # Flat hit f: region lo + f // cap^2, home slot (f // cap) % cap,
-        # neighbour slot f % cap.
+        # The offset-0 (home) regions lead ``rows``, so they lead ``idx``.
+        mask[: int(np.searchsorted(idx, n_home))] &= tri[:w, :w]
+        # Flat hit f: region idx[f // w^2], home slot (f // w) % w,
+        # neighbour slot f % w.
         f = np.flatnonzero(mask)
-        per[lo:hi] = np.bincount(f // (cap * cap), minlength=hi - lo)
-        found.append((lo, hi, f))
+        per[idx] = np.bincount(f // (w * w), minlength=len(idx))
+        found.append((w, idx, f))
     if fresh:
         lay.fill[:] = 0
         lay.fill[rows] = per
@@ -255,21 +267,21 @@ def band_rows_numpy(
         lay.fit(int(lay.rstart[-1]))
     elif not _grow_regions(lay, rows, per):
         return 1
-    for lo, hi, f in found:
-        first = lay.rstart[rows[lo:hi]]
-        cnt = per[lo:hi]
+    for w, idx, f in found:
+        first = lay.rstart[rows[idx]]
+        cnt = per[idx]
         if first[-1] + cnt[-1] - first[0] == len(f):
             # The regions lie back to back (a compact layout): one block.
             dst = slice(first[0], first[0] + len(f))
         else:
             dst = np.repeat(first - (np.cumsum(cnt) - cnt), cnt)
             dst += np.arange(len(f))
-        h = f // cap
-        s = h // cap
-        j = f - h * cap
-        cs = c_of[lo:hi]
-        lay.a[dst] = bank[cs].reshape(-1)[h]
-        lay.b[dst] = bank[nb_of[lo:hi]].reshape(-1)[s * cap + j]
+        h = f // w
+        s = h // w
+        j = f - h * w
+        cs = c_of[idx]
+        lay.a[dst] = bank[cs, :w].reshape(-1)[h]
+        lay.b[dst] = bank[nb_of[idx], :w].reshape(-1)[s * w + j]
         lay.key[dst] = cs[s] * lay.stride + j
     spare = lay.rcap[rows] - per
     first = np.cumsum(spare) - spare

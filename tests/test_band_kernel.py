@@ -41,6 +41,8 @@ from repro.md.cellstate import (
 from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.util.errors import ValidationError
 from tests.oracles import band_slot_pairs
+from tests.test_backends import _half_in_one_cell_box
+from tests.test_degenerate_inputs import CASES as DEGENERATE_CASES
 
 #: Marks the tests that exercise the compiled kernel or its wrapper
 #: alone; everything else runs on a numpy-only install too, with the
@@ -205,12 +207,14 @@ def _check(grid, positions, kind):
 
     segs = lay.rstart[::C]
     got = _admitted((sa, sb, c, js, segs), packed_s, offs, start, nbr, admit_r2)
+    # The numpy search pads each region to its own occupancy bucket, so
+    # it runs on skewed binnings too.
+    _same_lists(_search(band_rows_numpy, plan, clist, packed, offs, band), lay)
+    fitted = _compact(plan, clist, room=0)
+    band_rows_numpy(plan, clist, packed, offs, band, rows, fitted, True)
+    fitted.size = lay.size
+    _same_lists(fitted, lay)
     if C * cap * cap <= 2_000_000:
-        _same_lists(_search(band_rows_numpy, plan, clist, packed, offs, band), lay)
-        fitted = _compact(plan, clist, room=0)
-        band_rows_numpy(plan, clist, packed, offs, band, rows, fitted, True)
-        fitted.size = lay.size
-        _same_lists(fitted, lay)
         ref = band_slot_pairs(plan, clist, packed, offs, band)
         want = _admitted(ref, packed_s, offs, start, nbr, admit_r2)
         assert np.array_equal(got, want)
@@ -549,3 +553,19 @@ class TestRowSearch:
             kern(plan, clist, packed, offs, band, np.array([plan.n_rows]), lay, True)
         with pytest.raises(ValidationError, match="offsets"):
             kern(plan, clist, packed, offs[:-1], band, np.array([0]), lay, True)
+
+
+class TestSkewedFixtures:
+    """The degenerate boxes of ``tests/test_degenerate_inputs.py`` and
+    the half-in-one-cell box of ``tests/test_backends.py`` (256 of 512
+    particles in cell 0): the numpy search, padding each region to its
+    own occupancy bucket, lays them out exactly as the compiled one
+    (:func:`_check`)."""
+
+    @pytest.mark.parametrize("kind", ["machine", "engine"])
+    @pytest.mark.parametrize("case", [*DEGENERATE_CASES, "half_in_one_cell"])
+    def test_numpy_layout_matches_compiled(self, case, kind):
+        build = DEGENERATE_CASES.get(case, _half_in_one_cell_box)
+        system, grid = build()
+        assert grid.cell_edge == EDGE
+        _check(grid, system.positions, kind)
