@@ -70,29 +70,3 @@ def test_sensitivity_of_calibrated_constants(benchmark, save_artifact):
     assert max(gains) - min(gains) < 0.5
     assert all(4.5 < g < 6.0 for g in gains)
 
-
-def test_campaign_fanout_matches_serial(benchmark, save_artifact):
-    """The scaling sweep through the campaign runner: process-pool
-    fan-out must merge to the exact serial result (and the campaign
-    document view must carry every node count)."""
-    from repro.harness.campaign import point, run_campaign
-
-    pts = [
-        point("fpga_scaling", label=f"{n}-fpga", n_fpgas=n)
-        for n in (1, 2, 4, 8)
-    ]
-    serial = run_campaign(pts, parallel=False)
-    par = benchmark.pedantic(
-        lambda: run_campaign(pts, parallel=True), rounds=1, iterations=1
-    )
-    assert par.deterministic() == serial.deterministic()
-    assert [p["result"]["n_fpgas"] for p in par.results] == [1, 2, 4, 8]
-
-    parallel_sweep = run_fpga_scaling(parallel=True)
-    save_artifact("scaling_fpga_count", format_fpga_scaling(parallel_sweep))
-    serial_sweep = run_fpga_scaling()
-    assert [
-        (r.n_fpgas, r.rate_us_per_day, r.speedup) for r in parallel_sweep.rows
-    ] == [
-        (r.n_fpgas, r.rate_us_per_day, r.speedup) for r in serial_sweep.rows
-    ]

@@ -7,12 +7,15 @@ Usage::
     python -m repro fig18            # communication intensity
     python -m repro fig19 --steps 200
     python -m repro table1           # resource utilization
-    python -m repro ablations        # all five ablation studies
+    python -m repro ablations        # all eight ablation studies
+    python -m repro scaling          # rate vs. FPGA count
+    python -m repro sensitivity      # calibrated-constant sensitivity
+    python -m repro acceptance       # machine-vs-reference matrix
     python -m repro faults --json benchmarks/results/FAULTS_sweep.json
     python -m repro recover --json benchmarks/results/FAULTS_nodes.json
     python -m repro rescale --json benchmarks/results/FAULTS_rescale.json
-    python -m repro campaign --journal run.jsonl   # crash-resumable
-    python -m repro campaign --resume run.jsonl    # finish a killed run
+    python -m repro jobs --chaos     # job-service containment soak
+    python -m repro batch --smoke    # fused K-system batch rates
     python -m repro profile --json BENCH_machine.json  # phase breakdown
     python -m repro bench --baseline benchmarks/results/BENCH_gate.json
     python -m repro info             # design-point summary table
@@ -137,30 +140,6 @@ def _write_json(doc, path: str) -> None:
         os.makedirs(dirname, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_campaign(args) -> str:
-    from repro.harness.campaign import (
-        format_campaign,
-        run_default_campaign,
-        write_campaign_json,
-    )
-
-    if args.force_impl:
-        from repro.md.backends import set_force_backend
-
-        # Process-wide default: every point without an explicit
-        # force_impl param runs (and records) this backend.
-        set_force_backend(args.force_impl)
-    doc = run_default_campaign(
-        seed=args.seed,
-        steps=args.campaign_steps,
-        journal=args.journal,
-        resume=args.resume,
-    )
-    if args.json:
-        write_campaign_json(doc, args.json)
-    return format_campaign(doc)
 
 
 def _cmd_batch(args) -> str:
@@ -360,7 +339,6 @@ _COMMANDS = {
     "fig19": _cmd_fig19,
     "table1": _cmd_table1,
     "ablations": _cmd_ablations,
-    "campaign": _cmd_campaign,
     "batch": _cmd_batch,
     "profile": _cmd_profile,
     "bench": _cmd_bench,
@@ -396,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the result as JSON here (most commands)",
     )
     parser.add_argument(
-        "--campaign-steps",
-        type=int,
-        default=30,
-        help="for `campaign`: MD steps per rate measurement point",
-    )
-    parser.add_argument(
         "--baseline",
         type=str,
         default=None,
@@ -413,34 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--journal",
-        type=str,
-        default=None,
-        help=(
-            "for `campaign`: append each completed point to this JSONL "
-            "journal the moment it finishes (fsynced), so a killed run "
-            "can be resumed with --resume"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        help=(
-            "for `campaign`: adopt completed points from this journal (a "
-            "--journal file left by a killed run) instead of re-executing "
-            "them; the resumed result is identical to an uninterrupted run"
-        ),
-    )
-    parser.add_argument(
         "--force-impl",
         type=str,
         default=None,
         help=(
-            "for `campaign`: force backend for all points "
+            "for `batch`, `profile` and `jobs`: force backend "
             "(numpy/cext; default numpy; an unavailable "
-            "optional backend falls back to numpy). Per-backend extra "
-            "points run regardless and record their own backend."
+            "optional backend falls back to numpy)"
         ),
     )
     parser.add_argument(

@@ -14,7 +14,6 @@ fig19      Energy relative error vs. the float64 reference
 """
 
 from repro.harness.acceptance import run_acceptance
-from repro.harness.campaign import run_campaign, run_default_campaign
 from repro.harness.experiments import (
     run_fig16,
     run_fig17,
@@ -37,8 +36,6 @@ __all__ = [
     "run_fig19",
     "run_table1",
     "run_acceptance",
-    "run_campaign",
-    "run_default_campaign",
     "run_fpga_scaling",
     "run_weak_scaling_extension",
     "run_imbalance_study",

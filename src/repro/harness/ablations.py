@@ -142,32 +142,26 @@ class FilterSweepResult:
 def run_filter_sweep(
     filter_counts: Tuple[int, ...] = (2, 4, 6, 8, 12, 16),
     seed: int = 2023,
-    parallel: bool = False,
 ) -> FilterSweepResult:
     """Sweep filters/pipeline on the 3x3x3 design point.
 
     The workload statistics do not depend on the filter count, so one
-    machine measurement serves the whole sweep (cached per process).
-    Dispatches through the campaign runner; ``parallel=True`` fans the
-    filter counts out over processes with identical merged results.
+    machine measurement serves the whole sweep.
     """
-    from repro.harness.campaign import point, run_campaign
-
-    pts = [
-        point("filter_ablation", seed=seed, label=f"{f}-filters", filters=f)
-        for f in filter_counts
-    ]
-    campaign = run_campaign(pts, parallel=parallel)
-    rows = [
-        FilterSweepRow(
-            r["filters"],
-            r["rate_us_per_day"],
-            r["filter_hw_utilization"],
-            r["pe_hw_utilization"],
-            r["bound"],
+    stats = FasdaMachine(MachineConfig((3, 3, 3)), seed=seed).measure_workload()
+    rows = []
+    for f in filter_counts:
+        cfg = MachineConfig((3, 3, 3), filters_per_pipeline=f)
+        perf = estimate_performance(cfg, stats)
+        rows.append(
+            FilterSweepRow(
+                f,
+                perf.rate_us_per_day,
+                perf.utilization["filter"].hardware,
+                perf.utilization["pe"].hardware,
+                perf.bound,
+            )
         )
-        for r in (p["result"] for p in campaign.results)
-    ]
     return FilterSweepResult(rows)
 
 

@@ -6,7 +6,8 @@ metric once, serially and in list order, so slow phases of a noisy
 host land on every metric alike instead of on whichever ran then.
 Each metric is a higher-is-better rate with a name, a force backend
 and a fixed workload config; one sample is one call of an existing
-timer (the campaign workers and the profiling step timers).
+timer: the rate timers below (:func:`engine_rate`, :func:`machine_rate`,
+:func:`batch_rate`) or the profiling step timers.
 
 The document written by ``--json`` keeps every sample, the median,
 the interquartile range, the config and backend of each metric, and
@@ -23,15 +24,21 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.harness.campaign import batch_rate, engine_rate, machine_rate
+from repro.core.config import MachineConfig
+from repro.core.machine import FasdaMachine
 from repro.harness.profiling import profile_distributed, profile_machine
 from repro.harness.report import format_table
-from repro.md.backends import backend_status
+from repro.md.backends import backend_status, resolve_backend
+from repro.md.batch import BatchedEngine
+from repro.md.dataset import build_dataset
+from repro.md.engine import ReferenceEngine
+from repro.util.errors import ValidationError
 
 #: Timed rounds after the warm-up round.
 REPEATS = 7
@@ -48,6 +55,107 @@ class Metric:
     backend: str
     config: Dict[str, Any]
     run: Callable[..., float]
+
+
+def engine_rate(
+    seed: int,
+    dims: Tuple[int, int, int] = (5, 5, 6),
+    steps: int = 30,
+    force_impl: Optional[str] = None,
+) -> Dict[str, Any]:
+    """ReferenceEngine steps/s over its persistent CellState.
+
+    ``force_impl`` selects the force backend (see
+    :mod:`repro.md.backends`); the payload records which backend
+    actually produced the number under ``"backend"`` (an unavailable
+    optional backend falls back to ``"numpy"``).
+    """
+    system, grid = build_dataset(dims, particles_per_cell=64, seed=seed)
+    eng = ReferenceEngine(system=system, grid=grid, force_impl=force_impl)
+    eng.run(1)  # prime forces and warm the plan/state caches
+    t0 = time.perf_counter()
+    eng.run(steps)
+    wall = time.perf_counter() - t0
+    return {
+        "backend": resolve_backend(force_impl).name,
+        "state_builds": eng.state_builds,
+        "final_potential": float(eng.history[-1].potential),
+        "timing": {"steps_per_s": steps / wall},
+    }
+
+
+def machine_rate(
+    seed: int,
+    dims: Tuple[int, int, int] = (5, 5, 6),
+    steps: int = 30,
+    mode: str = "run",
+    force_impl: Optional[str] = None,
+) -> Dict[str, Any]:
+    """FasdaMachine steps/s over its step-persistent cell state.
+
+    ``mode="run"`` integrates (migrations update the cell state in
+    place and the skin/2 trigger rebuilds it — the honest end-to-end
+    number; ``update_rate`` is the share of passes that updated in
+    place); ``mode="eval"`` re-evaluates forces on a frozen
+    configuration (the steady-state amortization ceiling).
+    ``force_impl`` selects the force backend; machine results are
+    bitwise identical across backends (the float64 recheck through
+    ``PairFilter.admit_r2`` stays authoritative), so only the timing
+    and the recorded ``"backend"`` differ.
+    """
+    if mode not in ("run", "eval"):
+        raise ValidationError(f"machine_rate mode must be run/eval, got {mode!r}")
+    system, _ = build_dataset(dims, particles_per_cell=64, seed=seed)
+    machine = FasdaMachine(MachineConfig(dims), system=system)
+    machine.force_impl = force_impl
+    last = machine.compute_forces(collect_traffic=True)  # warm-up
+    t0 = time.perf_counter()
+    if mode == "eval":
+        for _ in range(steps):
+            last = machine.compute_forces(collect_traffic=True)
+    else:
+        for _ in range(steps):
+            machine.step(collect_traffic=True)
+        last = machine.last_stats
+    wall = time.perf_counter() - t0
+    return {
+        "backend": resolve_backend(force_impl).name,
+        "state_builds": int(last.state_builds),
+        "state_updates": int(last.state_updates),
+        "update_rate": int(last.state_updates) / (steps + 1),
+        "potential_energy": float(last.potential_energy),
+        "timing": {"steps_per_s": steps / wall},
+    }
+
+
+def batch_rate(
+    seed: int,
+    k_systems: int = 8,
+    particles_per_cell: int = 4,
+    steps: int = 30,
+    force_impl: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Aggregate steps/s of the fused K-system BatchedEngine.
+
+    ``repro batch`` runs the full K=256 sweep with its serial baseline
+    (see :func:`repro.harness.jobs.run_batch_bench`).
+    """
+    engine = BatchedEngine(force_impl=force_impl)
+    for i in range(k_systems):
+        sysv, grid = build_dataset(
+            (3, 3, 3), particles_per_cell=particles_per_cell, seed=seed + i
+        )
+        engine.add(sysv, grid)
+    engine.prime()
+    engine.step(2)  # warm past formation
+    t0 = time.perf_counter()
+    engine.step(steps)
+    wall = time.perf_counter() - t0
+    return {
+        "k_systems": k_systems,
+        "backend": engine.backend_name,
+        "timing": {"aggregate_steps_per_s": k_systems * steps / wall},
+    }
 
 
 def _engine_rate(backend: str, **config) -> float:
@@ -76,8 +184,8 @@ _BOX = {"seed": 2023, "dims": (5, 5, 6), "steps": 10}
 _BATCH = {"seed": 2023, "k_systems": 64, "particles_per_cell": 2, "steps": 100}
 _SMALL_BOX = {"dims": (3, 3, 3), "reps": 5}
 
-#: The gated metrics.  The 9600-particle box is the campaign's rate
-#: box; the 1728-particle box is ``repro profile --smoke``'s.
+#: The gated metrics.  The 9600-particle box is the rate timers'
+#: default box; the 1728-particle box is ``repro profile --smoke``'s.
 METRICS: Sequence[Metric] = (
     Metric("engine/reuse", "numpy", _BOX, _engine_rate),
     Metric("engine/reuse-cext", "cext", _BOX, _engine_rate),

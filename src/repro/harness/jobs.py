@@ -278,9 +278,9 @@ class JobQueue:
 class _JobJournal:
     """Append-only JSONL of job-state transitions, durable per line.
 
-    Same discipline as the campaign journal: every appended event is
-    flushed and fsynced before the scheduler proceeds, so any event the
-    journal reports happened is durable even against SIGKILL.
+    Every appended event is flushed and fsynced before the scheduler
+    proceeds, so any event the journal reports happened is durable even
+    against SIGKILL.
     """
 
     def __init__(self, path: str):
@@ -1072,7 +1072,7 @@ def run_batch_bench(
     ``smoke`` shrinks to a quick configuration: K=64, the smallest
     system size only, fewer steps.  One entry of ``sizes`` per system
     size.  The perf gate (``repro bench``) times the fused aggregate
-    rate through :func:`repro.harness.campaign.batch_rate`, not here.
+    rate through :func:`repro.harness.bench.batch_rate`, not here.
     """
     if smoke:
         k_systems = min(k_systems, 64)

@@ -19,8 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.config import MachineConfig
-from repro.core.cycles import estimate_performance
+from repro.core.config import MachineConfig, strong_scaling_configs
+from repro.core.cycles import (
+    PE_BUSY_FRACTION,
+    PE_FILTER_EFFICIENCY,
+    estimate_performance,
+)
 from repro.core.machine import FasdaMachine
 from repro.core.resources import estimate_resources
 from repro.harness.report import format_table
@@ -94,41 +98,17 @@ def run_fpga_scaling(
     node_counts: Tuple[int, ...] = (1, 2, 4, 8),
     margin: float = 0.9,
     seed: int = 2023,
-    parallel: bool = False,
 ) -> ScalingResult:
-    """Rate vs. FPGA count with resource-constrained auto-organization.
-
-    Each node count is an independent, seeded design point, so the
-    sweep dispatches through the campaign runner; ``parallel=True``
-    fans the points out over a process pool with results identical to
-    the serial order (see :mod:`repro.harness.campaign`).
-    """
-    from repro.harness.campaign import point, run_campaign
-
-    pts = [
-        point(
-            "fpga_scaling",
-            seed=seed,
-            label=f"{n}-fpga",
-            global_cells=tuple(global_cells),
-            n_fpgas=n,
-            margin=margin,
-        )
-        for n in node_counts
-    ]
-    campaign = run_campaign(pts, parallel=parallel)
+    """Rate vs. FPGA count with resource-constrained auto-organization."""
     rows: List[ScalingRow] = []
     base_rate = None
     base_nodes = None
-    for payload in campaign.results:
-        r = payload["result"]
-        if not r["fits"]:
+    for n in node_counts:
+        cfg = best_fitting_config(tuple(global_cells), n, margin=margin)
+        if cfg is None:
             continue
-        n = r["n_fpgas"]
-        # The config is cheap and deterministic to recover here; the
-        # worker payload stays JSON-able scalars.
-        cfg = best_fitting_config(global_cells, n, margin=margin)
-        rate = r["rate_us_per_day"]
+        stats = FasdaMachine(cfg, seed=seed).measure_workload()
+        rate = estimate_performance(cfg, stats).rate_us_per_day
         if base_rate is None:
             base_rate, base_nodes = rate, n
         speedup = rate / base_rate
@@ -333,40 +313,35 @@ class SensitivityResult:
 def run_sensitivity(
     perturbations: Tuple[float, ...] = (0.9, 1.0, 1.1),
     seed: int = 2023,
-    parallel: bool = False,
 ) -> SensitivityResult:
     """Perturb the two calibrated efficiency constants by +-10%.
 
     Absolute rates scale ~linearly with both constants; the *ratios*
     (weak-scaling flatness, the C-over-A gain) barely move, which is why
     the reproduction's comparative claims are robust to the calibration.
-    Each (pf, pb) pair runs as one campaign point; the workload stats
-    they share are cached per process, so the serial path still
-    measures the machine once for the whole grid.
+    The workload stats do not depend on the constants, so the machines
+    are measured once for the whole grid.
     """
-    from repro.harness.campaign import point, run_campaign
-
-    pts = [
-        point(
-            "sensitivity",
-            seed=seed,
-            label=f"pf={pf}/pb={pb}",
-            pf=pf,
-            pb=pb,
-        )
-        for pf in perturbations
-        for pb in perturbations
-    ]
-    campaign = run_campaign(pts, parallel=parallel)
-    rows = [
-        SensitivityRow(
-            r["filter_efficiency"],
-            r["busy_fraction"],
-            r["rate_3x3x3_us_per_day"],
-            r["strong_gain_c_over_a"],
-        )
-        for r in (p["result"] for p in campaign.results)
-    ]
+    cfg_small = MachineConfig((3, 3, 3))
+    stats_small = FasdaMachine(cfg_small, seed=seed).measure_workload()
+    strong = strong_scaling_configs()
+    stats_strong = FasdaMachine(strong["4x4x4-A"], seed=seed).measure_workload()
+    rows = []
+    for pf in perturbations:
+        for pb in perturbations:
+            fe = min(1.0, PE_FILTER_EFFICIENCY * pf)
+            bf = min(1.0, PE_BUSY_FRACTION * pb)
+            rate_small, rate_a, rate_c = (
+                estimate_performance(
+                    cfg, stats, filter_efficiency=fe, busy_fraction=bf
+                ).rate_us_per_day
+                for cfg, stats in (
+                    (cfg_small, stats_small),
+                    (strong["4x4x4-A"], stats_strong),
+                    (strong["4x4x4-C"], stats_strong),
+                )
+            )
+            rows.append(SensitivityRow(fe, bf, rate_small, rate_c / rate_a))
     return SensitivityResult(rows)
 
 

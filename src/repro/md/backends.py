@@ -1494,7 +1494,7 @@ def _build_cext():
 
     The built extension is keyed by a hash of source + flags in a
     directory under the system temp dir, so repeated processes (test
-    runs, campaign pool children) reuse one compilation.  A cache miss
+    runs, forked soak children) reuse one compilation.  A cache miss
     compiles in a child interpreter (:data:`_COMPILE_SCRIPT`) into a
     per-pid scratch dir and installs with an atomic rename, so
     concurrent builders never see a partial module and this process

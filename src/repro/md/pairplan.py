@@ -210,7 +210,7 @@ def plan_cache_info() -> PlanCacheInfo:
 
     A perturbed-box sweep that thrashes this cache shows up as one miss
     per design point *per step* instead of one per design point; the
-    campaign benchmarks record these counters to catch that regression.
+    ``repro batch`` records these counters to catch that regression.
     A long-running edge sweep shows up in ``evictions`` instead of in
     unbounded memory growth.
     """

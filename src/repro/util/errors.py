@@ -91,11 +91,3 @@ class NodeFailureError(SimulationError):
     shadow checkpoint there is nothing to replay from, so the run is
     unrecoverable in-band (restore from an interval checkpoint instead).
     """
-
-
-class CampaignError(SimulationError):
-    """A campaign point kept failing after its retry budget.
-
-    Carries the first failing point's label and the underlying worker
-    exception; points journaled before the failure remain resumable.
-    """

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.harness.ablations import format_filter_sweep, run_filter_sweep
 from repro.harness.experiments import (
     format_fig16,
     format_fig17,
@@ -40,6 +41,7 @@ REGENERATE = {
     "fig18_communication": lambda: format_fig18(run_fig18()),
     "scaling_fpga_count": lambda: format_fpga_scaling(run_fpga_scaling()),
     "sensitivity": lambda: format_sensitivity(run_sensitivity()),
+    "ablation_filters": lambda: format_filter_sweep(run_filter_sweep()),
 }
 
 

@@ -20,8 +20,8 @@ The contract under test, per layer:
 * persistence — checkpoint v2 round-trips the ``force_impl`` knob for
   engine, machine and distributed payloads, and pre-knob checkpoints
   (no ``force_impl`` key) still restore.
-* campaign — the rate workers record which backend produced each
-  number, and per-backend design points ride the default campaign.
+* rate timers — the perf gate's timers record which backend produced
+  each number.
 """
 
 import numpy as np
@@ -497,13 +497,13 @@ class TestCheckpointKnob:
 
 
 # ---------------------------------------------------------------------------
-# Campaign integration
+# The perf gate's rate timers
 # ---------------------------------------------------------------------------
 
 
 class TestCampaignBackends:
     def test_engine_rate_records_backend(self):
-        from repro.harness.campaign import engine_rate
+        from repro.harness.bench import engine_rate
 
         res = engine_rate(seed=2023, dims=(3, 3, 3), steps=2,
                           force_impl="cext")
@@ -517,7 +517,7 @@ class TestCampaignBackends:
         ) <= 1e-7 * abs(res_default["final_potential"])
 
     def test_machine_rate_identical_across_backends(self):
-        from repro.harness.campaign import machine_rate
+        from repro.harness.bench import machine_rate
 
         base = machine_rate(seed=2023, dims=(3, 3, 3), steps=2)
         for name in BACKENDS:
@@ -528,14 +528,4 @@ class TestCampaignBackends:
             for key in ("state_builds", "state_updates", "update_rate"):
                 assert res[key] == base[key]
             assert res["update_rate"] == res["state_updates"] / 3
-
-    def test_default_campaign_has_backend_points(self):
-        from repro.harness.campaign import build_default_campaign
-
-        labels = {p.label for p in build_default_campaign()}
-        for name in BACKENDS:
-            if name == "numpy":
-                continue
-            assert f"engine/reuse-{name}" in labels
-            assert f"machine/reuse-{name}" in labels
 

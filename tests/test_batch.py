@@ -363,9 +363,9 @@ class TestJobQueue:
 
 class TestBenchAndCampaign:
     def test_batch_rate_worker(self):
-        from repro.harness.campaign import _WORKERS
+        from repro.harness.bench import batch_rate
 
-        result = _WORKERS["batch_rate"](seed=2023, k_systems=4, steps=5)
+        result = batch_rate(seed=2023, k_systems=4, steps=5)
         assert result["k_systems"] == 4
         assert result["backend"] in BACKENDS
         assert result["timing"]["aggregate_steps_per_s"] > 0
@@ -384,13 +384,6 @@ class TestBenchAndCampaign:
         assert point["serial_sampled"] == 2
         assert point["aggregate_steps_per_s"] > 0
         assert "k6_ppc2" in format_batch(doc)
-
-    def test_default_campaign_includes_batch_point(self):
-        from repro.harness.campaign import build_default_campaign
-
-        labels = [p.label for p in build_default_campaign()]
-        assert "batch/k8" in labels
-
 
 class TestPairChunkEmptyCells:
     """Regression: the rows=None fast path with short/empty bincounts."""

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -24,8 +26,6 @@ class TestParser:
         assert args.seed == 2023
         assert args.steps == 200
         assert args.output is None
-        assert args.journal is None
-        assert args.resume is None
         assert args.node == 1
         assert args.iteration == 3
 
@@ -37,19 +37,34 @@ class TestParser:
         assert args.node == 3
         assert args.iteration == 2
 
-    def test_campaign_resume_flags_parse(self):
-        args = build_parser().parse_args(
-            ["campaign", "--journal", "run.jsonl", "--resume", "run.jsonl"]
-        )
-        assert args.journal == "run.jsonl"
-        assert args.resume == "run.jsonl"
-
-    def test_resume_documented_in_help(self, capsys):
+    def test_help_renders(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
-        assert "--resume" in out and "--journal" in out
+        assert "--baseline" in out and "--force-impl" in out
         assert "recover" in out
+
+    def test_scoped_help_names_known_commands(self):
+        """An option documented "for `X`" names only real commands.
+
+        Every ``;``-separated clause of a help text that starts with
+        ``for `` scopes the option to the backticked commands before its
+        colon; each must be a subcommand, so retiring a command cannot
+        leave its options' help pointing at it.
+        """
+        scoped = {}
+        for action in build_parser()._actions:
+            for clause in (action.help or "").split(";"):
+                clause = clause.strip()
+                if clause.startswith("for `"):
+                    head = clause.split(":", 1)[0]
+                    scoped.setdefault(action.dest, []).extend(
+                        re.findall(r"`([^`]+)`", head)
+                    )
+        assert {"baseline", "force_impl", "smoke", "chaos"} <= set(scoped)
+        for dest, names in scoped.items():
+            unknown = sorted(set(names) - set(_COMMANDS))
+            assert not unknown, f"--{dest} help names {unknown}"
 
 
 class TestCommands:

@@ -18,10 +18,10 @@ The contract under test, per layer:
 * phase timings — ``StepTimings`` counts every machine phase and every
   distributed phase once armed, and ``StepStats.timings`` carries them.
 * satellites — the pairplan LRU evicts and counts; oversized jobs are
-  routed solo by ``batch_max_n``; a 1-worker campaign takes the serial
-  path; ``run_profile`` assembles its document with its in-run bitwise
-  asserts green, and ``format_profile`` prints a machine phase table
-  whose rows add up to the step wall it prints as their total.
+  routed solo by ``batch_max_n``; ``run_profile`` assembles its
+  document with its in-run bitwise asserts green, and
+  ``format_profile`` prints a machine phase table whose rows add up to
+  the step wall it prints as their total.
 """
 
 import copy
@@ -33,7 +33,6 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import _OFFS14, FasdaMachine, _Pass, _StepArena
-from repro.harness.campaign import point, run_campaign
 from repro.harness.jobs import JobQueue, run_jobs
 from repro.harness.profiling import (
     DISTRIBUTED_PHASES,
@@ -484,17 +483,6 @@ class TestJobsSoloRouting:
         summary = run_jobs(self._queue(), chunk_steps=2, batch_max_n=None)
         assert summary["jobs_done"] == 4
         assert summary["batches_formed"] == 1
-
-
-class TestCampaignSerialFallback:
-    def test_one_worker_takes_serial_path(self):
-        pts = [
-            point("fpga_scaling", label="scaling/1", n_fpgas=1),
-            point("sensitivity", label="sens/lo", pf=0.9, pb=1.0),
-        ]
-        res = run_campaign(pts, parallel=True, max_workers=1)
-        assert res.mode == "serial"
-        assert res.n_workers == 1
 
 
 class TestRunProfileDocument:
