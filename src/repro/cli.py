@@ -142,13 +142,18 @@ def _write_json(doc, path: str) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _or(value, default):
+    """An option's value, or its subcommand's default when unset."""
+    return default if value is None else value
+
+
 def _cmd_batch(args) -> str:
     from repro.harness.jobs import format_batch, run_batch_bench
 
     doc = run_batch_bench(
         force_impl=args.force_impl,
-        k_systems=args.batch_k,
-        steps=args.batch_steps,
+        k_systems=_or(args.batch_k, 256),
+        steps=_or(args.batch_steps, 30),
         seed=args.seed,
         smoke=args.smoke,
     )
@@ -255,8 +260,8 @@ def _cmd_jobs(args):
 
     if args.chaos:
         soak = run_job_soak(
-            k_jobs=args.batch_k if args.batch_k != 256 else 64,
-            steps=args.batch_steps if args.batch_steps != 30 else 12,
+            k_jobs=_or(args.batch_k, 64),
+            steps=_or(args.batch_steps, 12),
             seed=args.seed,
             force_impl=args.force_impl,
         )
@@ -281,12 +286,12 @@ def _cmd_jobs(args):
     from repro.md.dataset import build_dataset
 
     queue = JobQueue()
-    k = min(args.batch_k, 16)
+    k = min(_or(args.batch_k, 16), 16)
     for i in range(k):
         system, grid = build_dataset(
             (3, 3, 3), cutoff=8.5, particles_per_cell=2, seed=args.seed + i
         )
-        queue.submit(system, grid, steps=args.batch_steps)
+        queue.submit(system, grid, steps=_or(args.batch_steps, 30))
     summary = run_jobs(
         queue, force_impl=args.force_impl, max_systems=8,
         guard=GuardConfig(), chunk_steps=10,
@@ -405,14 +410,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-k",
         type=int,
-        default=256,
-        help="for `batch`: systems per batch (smoke caps this at 64)",
+        default=None,
+        help=(
+            "for `batch`: systems per batch (default 256, smoke caps "
+            "this at 64); for `jobs`: jobs (default 64 with --chaos, "
+            "else 16, at most 16)"
+        ),
     )
     parser.add_argument(
         "--batch-steps",
         type=int,
-        default=30,
-        help="for `batch`: timed MD steps per measurement point",
+        default=None,
+        help=(
+            "for `batch`: timed MD steps per measurement point (default "
+            "30); for `jobs`: steps per job (default 12 with --chaos, "
+            "else 30)"
+        ),
     )
     parser.add_argument(
         "--chaos",

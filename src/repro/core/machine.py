@@ -329,19 +329,18 @@ class MachineCore:
             e = e + ec
         return f, e
 
-    def _new_cell_state(self, view: bool = False) -> CellState:
-        """A persistent :class:`CellState`, updatable in place;
-        ``view=True`` makes a node view state: slot fractions in, skin
-        in cutoff units, a compact layout and full builds only."""
+    def _new_cell_state(self, home: Optional[np.ndarray] = None) -> CellState:
+        """A persistent :class:`CellState`, updatable in place, over the
+        plan rows of the ``home`` cells (every cell for ``None``; a node
+        view's state searches its own)."""
         cutoff = self.config.cutoff
         return CellState(
             self.grid,
             self._plan,
-            self.reuse_skin / cutoff if view else self.reuse_skin,
-            machine_pack_fn(
-                self.fmt, cutoff, self.reuse_skin, None if view else self.grid
-            ),
-            updatable=not view,
+            self.reuse_skin,
+            machine_pack_fn(self.fmt, cutoff, self.reuse_skin, self.grid),
+            updatable=True,
+            home=home,
         )
 
     def _prepare(self, state: CellState) -> None:
@@ -355,9 +354,9 @@ class MachineCore:
 
     def _evaluate(self, state: CellState, frac: np.ndarray, out: _Pass) -> np.float32:
         """One datapath pass over ``state``'s band lists into ``out``,
-        whatever the occupancy.  ``frac`` is indexed like
-        ``state.clist.order`` (particles for a whole box, slots for a
-        node view).
+        whatever the occupancy.  ``frac`` holds the fraction of every
+        bank row (particle ids; a node view's arena may add rows past
+        them).
 
         The band-list pass is the backend's ``datapath_pass`` (see
         :func:`~repro.md.backends.datapath_pass_numpy`), bitwise equal
@@ -376,7 +375,7 @@ class MachineCore:
         # bit-equal to casting the fresh path's float64 dr.  The
         # assignment casts per element like astype.  Bank row ``n`` is
         # the pads' sentinel.
-        n = len(state.clist.order)
+        n = len(frac)
         fs = out.arena.get("fs", 3 * (n + 1), np.float32).reshape(3, n + 1)
         fs[:, :n] = frac.T
         fs[:, n] = _PAD_FRAC
@@ -425,17 +424,20 @@ class MachineCore:
             coef = np.array([c.reshape(()) for c in coefs], dtype=np.float32)
         if not scalar or self.coulomb_pipeline is not None:
             rb = state.pairs
-            # Particle ids of each entry: the bank rows themselves on a
-            # whole-box binning, the slot ids on a node view.
-            ids = np.arange(len(state.clist.order)) if state.ids is None else state.ids
-            pi = ids.take(rb.a[: rb.size], mode="clip")
-            pj = ids.take(rb.b[: rb.size], mode="clip")
+            # Particle ids of each entry: the bank rows themselves, or
+            # through the state's row map on a node view that has rows
+            # past them; ``take`` clips them (and the pad row) below.
+            pi, pj = rb.a[: rb.size], rb.b[: rb.size]
+            if state.ids is not None:
+                pi = state.ids.take(pi, mode="clip")
+                pj = state.ids.take(pj, mode="clip")
             if not scalar:
                 spc = self.system.species
-                si, sj = spc[pi], spc[pj]
+                si, sj = spc.take(pi, mode="clip"), spc.take(pj, mode="clip")
                 coef = np.stack([c[si, sj] for c in coefs])
             if self.coulomb_pipeline is not None:
-                qq = self._charges32[pi] * self._charges32[pj]
+                q = self._charges32
+                qq = q.take(pi, mode="clip") * q.take(pj, mode="clip")
         ts = self.tables
         return DatapathTables(
             ts.n_s, ts.n_b, ts.r2_min, self._rom32(), coef, qq

@@ -143,15 +143,17 @@ class CellList:
         self.start = np.concatenate([[0], np.cumsum(counts)])
 
     @classmethod
-    def from_counts(cls, grid: CellGrid, counts: np.ndarray) -> "CellList":
-        """A binning of already bucket-sorted entries (``order`` is the
-        identity; cell ``c`` owns ``counts[c]`` slots from ``start[c]``),
-        such as a distributed node's concatenated local and halo cells."""
+    def from_rows(
+        cls, grid: CellGrid, counts: np.ndarray, rows: np.ndarray
+    ) -> "CellList":
+        """A binning given in bucket order: cell ``c`` holds the
+        ``counts[c]`` entries of ``rows`` from ``start[c]``, such as a
+        distributed node's local and halo cells over its arena rows."""
         self = cls.__new__(cls)
         self.grid = grid
-        self.counts = np.array(counts, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
         self.start = np.concatenate([[0], np.cumsum(self.counts)])
-        self.order = np.arange(self.start[-1], dtype=np.int64)
+        self.order = np.asarray(rows, dtype=np.int64)
         self.sorted_cids = np.repeat(np.arange(grid.n_cells), self.counts)
         return self
 

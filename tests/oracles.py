@@ -23,8 +23,11 @@ production path against an independent restatement:
   force core (chunk loop, own pipelines, ``np.unique`` records), which
   the nodes' pass through the shared machine datapath replaced.
   Both chunked oracles screen candidates with :func:`screen_dr_numpy`.
+* :func:`merge_segments` — the distributed merge that applied the
+  force returns one (owner, evaluating node) segment at a time, which
+  the one-pass fold replaced.
 
-:func:`fresh_path`, :func:`loop_traffic`,
+:func:`fresh_path`, :func:`loop_traffic`, :func:`segment_merge`,
 :func:`rebuild_nodes_every_step` and :func:`rebuild_state_every_step`
 install them on one machine or engine instance, giving the
 rebuild-every-step oracles a whole trajectory can run on.
@@ -443,17 +446,19 @@ def exchange_positions_loop(
             lo, hi = layout.start[gcid_int], layout.start[gcid_int + 1]
             if not np.array_equal(layout.ids[lo:hi], data.particle_ids):
                 raise ValidationError(f"halo cell {gcid_int} misses its layout")
-            node.frac[lo:hi] = data.fractions
+            node.frac[data.particle_ids] = data.fractions
     machine.total_position_packets += sum(n.packets_out for n in nodes.values())
     return halos
 
 
 def view_cell(node: _Node, cid: int) -> _CellData:
-    """Cell ``cid`` as ``node``'s view holds it this step (views into
-    the view's arrays, not copies)."""
-    layout, frac = node.view
+    """Cell ``cid`` as ``node``'s view holds it this step (its
+    fractions gathered from the arena rows)."""
+    layout, frac = node.view[:2]
     lo, hi = layout.start[cid], layout.start[cid + 1]
-    return _CellData(layout.ids[lo:hi], frac[lo:hi], layout.species[lo:hi])
+    return _CellData(
+        layout.ids[lo:hi], frac[layout.clist.order[lo:hi]], layout.species[lo:hi]
+    )
 
 
 def loop_exchange(machine: DistributedMachine) -> DistributedMachine:
@@ -595,15 +600,55 @@ def eval_node_chunked(
     ``|pair energy|`` (the scale of the potential's float32 rounding).
     """
     bank = np.zeros((machine.system.n, 3), dtype=np.float32)
-    layout, frac_cat = node.view
+    layout, frac = node.view[:2]
     start = layout.start
     if start[-1] == 0:
         return bank, 0.0, {}, 0, 0.0
     potential, returns, admitted, energy_abs = _eval_node_core(
         machine, node.node_id, machine._local_cells_static[node.node_id],
-        layout.counts, start, frac_cat, layout.ids, layout.species, bank,
+        layout.counts, start, frac[layout.clist.order], layout.ids,
+        layout.species, bank,
     )
     return bank, potential, returns, admitted, energy_abs
+
+
+def merge_segments(machine: DistributedMachine, node_list, results) -> float:
+    """The per-segment merge the folded
+    :meth:`~repro.core.distributed.DistributedMachine._merge_results`
+    replaced: each node's own rows, then per owner node (in node-id
+    order) each evaluating node's returned segment (in node-id order),
+    applied by one :func:`~repro.md.kernels.scatter_add` — float64 sums
+    per particle, rounded to float32 and added onto the whole bank —
+    and its packets accounted per owner."""
+    home_bank = np.zeros((machine.system.n, 3), dtype=np.float32)
+    potential = np.float32(0.0)
+    return_records: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
+        n.node_id: [] for n in node_list
+    }
+    for res in results:
+        home_bank[res.ids] += res.forces
+        potential += np.float32(res.potential)
+        for owner, segment in res.returns.items():
+            return_records[owner].append(segment)
+    for node in node_list:
+        n_records = 0
+        for pids, fvecs in return_records[node.node_id]:
+            scatter_add(home_bank, pids, fvecs)
+            n_records += len(pids)
+        if n_records:
+            machine.total_force_packets += int(
+                np.ceil(n_records / machine.config.records_per_packet)
+            )
+    machine._forces32 = home_bank
+    return float(potential)
+
+
+def segment_merge(machine: DistributedMachine) -> DistributedMachine:
+    """Make ``machine`` merge its node passes with :func:`merge_segments`."""
+    machine._merge_results = lambda node_list, results: merge_segments(
+        machine, node_list, results
+    )
+    return machine
 
 
 def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:

@@ -351,10 +351,12 @@ class TestDistributedReuseBitwise:
 
 @pytest.mark.parametrize("name", ["numpy", "cext"])
 def test_full_build_states_hold_compact_layouts(name):
-    """The states that only build afresh — the engine's, a batch
-    segment's and every distributed node view's — hold compact band
-    layouts: each region exactly its hits, no pad entry.  The machine's
-    whole-box state, which updates in place, keeps slack."""
+    """The states that only build afresh — the engine's and a batch
+    segment's — hold compact band layouts: each region exactly its
+    hits, no pad entry.  The updatable states keep slack: the machine's
+    whole box in every region, and every distributed node view in the
+    regions of its own cells, its bank rows being particle ids (pad row
+    N)."""
     if name not in available_backends():
         pytest.skip(f"{name} backend unavailable")
     dims = (4, 4, 4)
@@ -364,17 +366,30 @@ def test_full_build_states_hold_compact_layouts(name):
     batch = BatchedEngine(force_impl=name)
     batch.add(system.copy(), grid)
     batch.run(3)
-    dist = DistributedMachine(MachineConfig(dims, (2, 2, 2)), system=system.copy())
-    dist.force_impl = name
-    dist.run(3)
-    views = [state for state, _ in dist._node_states.values()]
-    assert len(views) == 8
-    for state in [engine._cell_state, batch._segments[0].state] + views:
+    for state in [engine._cell_state, batch._segments[0].state]:
         rb = state.pairs
         assert rb is not None
         assert np.array_equal(rb.rcap, rb.fill)
         assert rb.size == rb.rstart[-1] == rb.fill.sum() > 0
         assert rb.a[: rb.size].max() < rb.pad == len(state.clist.order)
+    dist = DistributedMachine(MachineConfig(dims, (2, 2, 2)), system=system.copy())
+    dist.force_impl = name
+    dist.run(3)
+    views = [state for state, _ in dist._node_states.values()]
+    assert len(views) == 8
+    n_cells = grid.n_cells
+    for state in views:
+        rb = state.pairs
+        home = np.zeros(n_cells, dtype=bool)
+        home[state.home] = True
+        searched = np.tile(home, len(rb.fill) // n_cells)
+        assert np.all(rb.rcap[searched] > rb.fill[searched])
+        assert not rb.rcap[~searched].any()
+        assert rb.pad == system.n
+        filled = np.concatenate(
+            [np.arange(lo, lo + f) for lo, f in zip(rb.rstart, rb.fill)]
+        )
+        assert rb.a[filled].max() < system.n
     machine = FasdaMachine(MachineConfig(dims), system=system.copy())
     machine.force_impl = name
     machine.step()

@@ -100,6 +100,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "C/A gain" in out
 
+    @pytest.mark.parametrize(
+        "argv,sizes",
+        [
+            ([], (64, 12)),
+            # An option set to another subcommand's default is still set.
+            (["--batch-k", "256"], (256, 12)),
+            (["--batch-steps", "30"], (64, 30)),
+            (["--batch-k", "8", "--batch-steps", "5"], (8, 5)),
+        ],
+    )
+    def test_jobs_chaos_sizes(self, argv, sizes, monkeypatch):
+        import repro.harness.faultsweep as fs
+
+        seen = []
+
+        def stub_soak(k_jobs, steps, **kwargs):
+            seen.append((k_jobs, steps))
+            raise RuntimeError("stub")
+
+        monkeypatch.setattr(fs, "run_job_soak", stub_soak)
+        with pytest.raises(RuntimeError, match="stub"):
+            main(["jobs", "--chaos"] + argv)
+        assert seen == [sizes]
+
     def test_recover_smoke(self, tmp_path, capsys, monkeypatch):
         import repro.cli as cli_mod
         import repro.harness.faultsweep as fs

@@ -371,6 +371,28 @@ class TestFusedKernelBitwise:
         assert len(messages) == 1
 
 
+    def test_compiled_potential_sum_is_numpys(self):
+        # The compiled pass sums each offset's energy stream as numpy's
+        # float32 reduction does (pairwise, in blocks of 8 up to 128),
+        # on streams long enough to split several times.
+        self._compiled()
+        from repro.md.backends import _build_cext, _offset_energy
+
+        ffi, lib = _build_cext()
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(0, 3000))
+            e = (rng.standard_normal(n) * 10 ** rng.uniform(-4, 4, n)).astype(
+                np.float32
+            )
+            bounds = np.sort(rng.integers(0, n + 1, 15)).astype(np.int64)
+            bounds[0], bounds[-1] = 0, n
+            got = lib.offset_energy_f32(
+                ffi.from_buffer("float[]", e),
+                ffi.from_buffer("int64_t[]", bounds), 14,
+            )
+            assert _bits(np.float32(got)) == _bits(_offset_energy(e, bounds))
+
     def test_compiled_pass_refuses_mismatched_operands(self):
         # The compiled pass indexes by these shapes; a mismatch must be
         # refused before the kernel runs.
