@@ -112,6 +112,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.md.cellstate import INDEX_DTYPE
 from repro.md.params import LJTable
 from repro.util.errors import ValidationError
 
@@ -308,10 +309,12 @@ def lj_flat_seg_numpy(
     over the *global* pair stream of a
     :class:`~repro.md.batch.BatchedEngine`, with per-segment energies:
     ``seg_lo[k]:seg_hi[k]`` delimits system ``k``'s live pairs in the
-    stream.  The numpy path slices whole contiguous spans — pad rows
-    between segments reference the two ghost slots (placed farther than
-    the cutoff apart) so the exact float64 cutoff test rejects them for
-    free; no pad ever reaches the LJ evaluation or the scatters.
+    int32 ``ia``/``ib`` stream (the compiled kernel refuses any other
+    dtype; here any integer dtype indexes alike).  The numpy path
+    slices whole contiguous spans — pad rows between segments reference
+    the two ghost slots (placed farther than the cutoff apart) so the
+    exact float64 cutoff test rejects them for free; no pad ever
+    reaches the LJ evaluation or the scatters.
 
     Per-particle forces are bitwise identical to evaluating each
     segment alone with the same flat arithmetic (the solo oracle
@@ -341,8 +344,10 @@ def lj_flat_seg_numpy(
             s = s_next
             continue
         span = slice(lo, hi)
-        ia_c = ia[span]
-        ib_c = ib[span]
+        # Widened once per span: numpy's gathers and bincounts cast
+        # int32 indices to intp on every call.
+        ia_c = ia[span].astype(np.intp)
+        ib_c = ib[span].astype(np.intp)
         srow_c = srow[span]
         dx = psx.take(ia_c)
         dx -= psx.take(ib_c)
@@ -504,14 +509,11 @@ def datapath_pass_numpy(
         ent += np.arange(L)
         A, B = lay.a.take(ent), lay.b.take(ent)
     fsx, fsy, fsz = fs
-    # Admission in arena scratch; the first half of the int64 buffer's
-    # bytes is the float32 temporary.
-    idx_buf = ar.get("adm_idx", L, np.int64)
-    r2s, dx, dy, dz = (
+    # Admission in arena scratch.
+    r2s, dx, dy, dz, tf = (
         ar.get(name, L, np.float32)
-        for name in ("adm_r2", "adm_dx", "adm_dy", "adm_dz")
+        for name in ("adm_r2", "adm_dx", "adm_dy", "adm_dz", "adm_tmp")
     )
-    tf = idx_buf.view(np.float32)[:L]
     for f, d in ((fsx, dx), (fsy, dy), (fsz, dz)):
         np.take(f, A, out=d)
         np.take(f, B, out=tf)
@@ -631,8 +633,8 @@ def datapath_pass_numpy(
 
     home_bank, nbr_bank = out.home_bank, out.nbr_bank
     n = len(home_bank)
-    II = ar.get("II", m, np.int64)
-    JJ = ar.get("JJ", m, np.int64)
+    II = ar.get("II", m, A.dtype)
+    JJ = ar.get("JJ", m, B.dtype)
     np.take(A, idx, out=II)
     np.take(B, idx, out=JJ)
     for k in range(n_off):
@@ -654,8 +656,9 @@ def datapath_pass_numpy(
         return potential
     stride = lay.stride
     ccap = n_cells * stride
-    keys = lay.key.take(lidx[lo:])
-    keys += np.repeat(np.arange(1, n_off) * ccap, np.diff(bounds[1:]))
+    keys = np.arange(1, n_off, dtype=np.int64) * ccap
+    keys = np.repeat(keys, np.diff(bounds[1:]))
+    keys += lay.key.take(lidx[lo:])
     present = ar.get("present", n_off * ccap, bool)
     present[:] = False
     present[keys] = True
@@ -786,27 +789,48 @@ def _traffic_flat_empty(
     )
 
 
+def _is_array(x, dtype, shape=None, min_len=0) -> bool:
+    """``x`` is a C-contiguous ``dtype`` array of at least ``min_len``
+    rows (and of ``shape``, when given): what a compiled kernel may read
+    through ``ffi.from_buffer``, which reinterprets any other dtype's
+    bytes without a word."""
+    return (
+        isinstance(x, np.ndarray) and x.dtype == dtype
+        and x.flags.c_contiguous and len(x) >= min_len
+        and (shape is None or x.shape == shape)
+    )
+
+
+def _check_layout_streams(lay, what: str) -> None:
+    """:class:`ValidationError` unless ``lay.a/b/key`` are C-contiguous
+    :data:`~repro.md.cellstate.INDEX_DTYPE` buffers of one length, at
+    least ``lay.size`` entries, and the region arrays are int64."""
+    n_reg = len(lay.rcap)
+    if not (
+        all(_is_array(x, INDEX_DTYPE, min_len=lay.size)
+            for x in (lay.a, lay.b, lay.key))
+        and len(lay.a) == len(lay.b) == len(lay.key)
+        and _is_array(lay.rstart, np.int64, (n_reg + 1,))
+        and all(_is_array(x, np.int64, (n_reg,)) for x in (lay.rcap, lay.fill))
+    ):
+        raise ValidationError(
+            f"{what}: layout a/b/key must be C-contiguous "
+            f"{np.dtype(INDEX_DTYPE).name}, regions int64"
+        )
+
+
 def _check_pass_operands(fs, lay, offs, tables, out) -> None:
     """:class:`ValidationError` unless the operands of the compiled
     ``datapath_pass`` have the shapes, dtypes and contiguity it indexes
     them by (see :func:`datapath_pass_numpy` for what each holds)."""
+    _check_layout_streams(lay, "datapath_pass")
     n_off, n_reg, n = len(offs), len(lay.fill), len(out.home_bank)
-
-    def arr(x, dtype, shape=None, min_len=0):
-        return (
-            isinstance(x, np.ndarray) and x.dtype == dtype
-            and x.flags.c_contiguous and len(x) >= min_len
-            and (shape is None or x.shape == shape)
-        )
-
+    arr = _is_array
     coef = tables.coef
     ok = (
         n_off > 0 and n_reg % n_off == 0
         and np.shape(fs) == (3, n + 1)
         and all(arr(b, np.float32, (n, 3)) for b in (out.home_bank, out.nbr_bank))
-        and all(arr(x, np.int64, min_len=lay.size) for x in (lay.a, lay.b, lay.key))
-        and arr(lay.rstart, np.int64, (n_reg + 1,))
-        and arr(lay.fill, np.int64, (n_reg,))
         and arr(out.accepted, np.int64, (n_reg // n_off,))
         and arr(out.uniq_per_row, np.int64, (n_reg,))
         and (out.remote is None or arr(out.remote, np.bool_, (n_reg,)))
@@ -842,7 +866,7 @@ def checked_regions(rows, n_regions: int) -> np.ndarray:
 
 _CDEF = r"""
 void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
-                     const int64_t *ia, const int64_t *ib,
+                     const int32_t *ia, const int32_t *ib,
                      const int32_t *srow, const double *stab,
                      const int32_t *spc, int64_t ns,
                      const double *c14t, const double *c8t,
@@ -850,8 +874,8 @@ void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
                      const int64_t *seg_lo, const int64_t *seg_hi,
                      int64_t n_seg, double cutoff2, double shift_e,
                      double *fx, double *fy, double *fz, double *energies);
-int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
-                          const int64_t *ib, const int64_t *key,
+int64_t datapath_pass_f32(const float *fs, const int32_t *ia,
+                          const int32_t *ib, const int32_t *key,
                           const int64_t *rstart, const int64_t *fill,
                           int64_t n_cells, int64_t n_off, int64_t stride,
                           const double *offs, float pre, float r2_min,
@@ -884,7 +908,7 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
                       int64_t *rstart, int64_t *rcap, int64_t *fill,
                       int64_t stride, int64_t pad, int64_t shift,
                       int64_t slack_min, int fresh, int64_t size,
-                      int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                      int32_t *a_out, int32_t *b_out, int32_t *key_out,
                       float *qx, float *qy, float *qz, int32_t *in,
                       int64_t *hit);
 """
@@ -903,9 +927,11 @@ _C_SOURCE = r"""
  * the pair order, operands and accumulator start of that call, so
  * per-system forces AND energies are bitwise the solo run's (particle
  * indices are disjoint across segments).  Pad rows between seg_hi[k]
- * and seg_lo[k+1] are never touched. */
+ * and seg_lo[k+1] are never touched.  ia/ib are the int32 pair
+ * stream (12 bytes a pair with srow); p and the particle indices are
+ * widened to int64 before any address arithmetic. */
 void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
-                     const int64_t *ia, const int64_t *ib,
+                     const int32_t *ia, const int32_t *ib,
                      const int32_t *srow, const double *stab,
                      const int32_t *spc, int64_t ns,
                      const double *c14t, const double *c8t,
@@ -949,8 +975,11 @@ void lj_flat_seg_f64(const double *px, const double *py, const double *pz,
  * float32): datapath_pass_numpy restated as one walk of the regions r =
  * k * n_cells + c over their filled entries [rstart[r], rstart[r] +
  * fill[r]) only, so pads are never read.  fs holds one (x, y, z, -)
- * float32 vector per bank row.  Compiled with -ffp-contract=off, every
- * op rounds exactly once like the numpy ufunc sequence.
+ * float32 vector per bank row.  The layout streams ia/ib/key are int32
+ * (bank rows and keys below 2^31, held at build time), widened to
+ * int64 before they scale an address; rstart/fill and all scratch are
+ * int64.  Compiled with -ffp-contract=off, every op rounds exactly
+ * once like the numpy ufunc sequence.
  *
  * Admission, per entry and branch-free: the f32 displacement and
  * offset subtraction, the f32 prescreen r2s < pre, the exact f64 r2 of
@@ -1003,8 +1032,8 @@ static void flush_rows(float *bank, double *acc, const int64_t *rows,
     }
 }
 
-int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
-                          const int64_t *ib, const int64_t *key,
+int64_t datapath_pass_f32(const float *fs, const int32_t *ia,
+                          const int32_t *ib, const int32_t *key,
                           const int64_t *rstart, const int64_t *fill,
                           int64_t n_cells, int64_t n_off, int64_t stride,
                           const double *offs, float pre, float r2_min,
@@ -1047,7 +1076,8 @@ int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
             int rem = k > 0 && remote && remote[row];
             for (int64_t p = rstart[r], hi = rstart[r] + fill[r]; p < hi;
                  p++) {
-                const float *pa = fs + 4 * ia[p], *pb = fs + 4 * ib[p];
+                const float *pa = fs + 4 * (int64_t)ia[p];
+                const float *pb = fs + 4 * (int64_t)ib[p];
                 float dx = pa[0] - pb[0];
                 float dy = pa[1] - pb[1];
                 float dz = pa[2] - pb[2];
@@ -1110,7 +1140,7 @@ int64_t datapath_pass_f32(const float *fs, const int64_t *ia,
                     e = e + inve;
                 }
                 e_out[m++] = e;
-                int64_t a = 3 * ia[p], b = 3 * ib[p];
+                int64_t a = 3 * (int64_t)ia[p], b = 3 * (int64_t)ib[p];
                 if (track) {
                     /* A row is listed when its x sum is still 0. */
                     if (acc_h[a] == 0.0) {
@@ -1388,7 +1418,7 @@ static int64_t band_row(const float *ps, const int64_t *order,
                         const int64_t *nbr, int64_t n_rows,
                         const float *offs, float band, int64_t k, int64_t c,
                         int64_t stride, int64_t base, int64_t cap,
-                        int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                        int32_t *a_out, int32_t *b_out, int32_t *key_out,
                         float *qx, float *qy, float *qz, int32_t *in,
                         int64_t *hit)
 {
@@ -1417,12 +1447,12 @@ static int64_t band_row(const float *ps, const int64_t *order,
             h += in[j - j0];
         }
         if (m + h <= cap) {
-            int64_t *a = a_out + base + m, *b = b_out + base + m;
-            int64_t *key = key_out + base + m;
+            int32_t *a = a_out + base + m, *b = b_out + base + m;
+            int32_t *key = key_out + base + m;
             for (int64_t t = 0; t < h; t++) {
-                a[t] = oc[i];
-                b[t] = on[hit[t]];
-                key[t] = c * stride + hit[t];
+                a[t] = (int32_t)oc[i];
+                b[t] = (int32_t)on[hit[t]];
+                key[t] = (int32_t)(c * stride + hit[t]);
             }
         }
         m += h;
@@ -1430,11 +1460,11 @@ static int64_t band_row(const float *ps, const int64_t *order,
     return m;
 }
 
-static void pad_row(int64_t lo, int64_t hi, int64_t pad, int64_t *a_out,
-                    int64_t *b_out, int64_t *key_out)
+static void pad_row(int64_t lo, int64_t hi, int64_t pad, int32_t *a_out,
+                    int32_t *b_out, int32_t *key_out)
 {
     for (int64_t t = lo; t < hi; t++) {
-        a_out[t] = pad;
+        a_out[t] = (int32_t)pad;
         b_out[t] = 0;
         key_out[t] = 0;
     }
@@ -1447,8 +1477,8 @@ static void pad_row(int64_t lo, int64_t hi, int64_t pad, int64_t *a_out,
  * position.  Returns 0 when there is no room. */
 static int grow_region(int64_t r, int64_t need, int64_t n_reg,
                        int64_t *rstart, int64_t *rcap, const int64_t *fill,
-                       int64_t size, int64_t *a_out, int64_t *b_out,
-                       int64_t *key_out)
+                       int64_t size, int32_t *a_out, int32_t *b_out,
+                       int32_t *key_out)
 {
     int64_t t = r + 1;
     while (t < n_reg && rcap[t] - fill[t] < need)
@@ -1464,7 +1494,7 @@ static int grow_region(int64_t r, int64_t need, int64_t n_reg,
         rstart[n_reg] += need;
     }
     if (hi > lo) {
-        int64_t nb = (hi - lo) * sizeof(int64_t);
+        int64_t nb = (hi - lo) * sizeof(int32_t);
         memmove(a_out + lo + need, a_out + lo, nb);
         memmove(b_out + lo + need, b_out + lo, nb);
         memmove(key_out + lo + need, key_out + lo, nb);
@@ -1482,7 +1512,8 @@ static int grow_region(int64_t r, int64_t need, int64_t n_reg,
  * float32 direct-difference r2 < band, keyed by bank row: ps holds one
  * packed vector per bank row, and slot i of cell c is bank row
  * order[start[c] + i].  A hit writes a = home bank row, b = neighbour
- * bank row, key = c * stride + j.  Region r
+ * bank row, key = c * stride + j, each int32 (the caller holds bank
+ * rows and keys below 2^31); rstart/rcap/fill stay int64.  Region r
  * spans [rstart[r], rstart[r] + rcap[r]), the regions back to back;
  * its entries past fill[r] are pads (a = pad, b = 0, key = 0), which
  * the consumer makes inadmissible.  A region of f hits
@@ -1510,7 +1541,7 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
                       int64_t *rstart, int64_t *rcap, int64_t *fill,
                       int64_t stride, int64_t pad, int64_t shift,
                       int64_t slack_min, int fresh, int64_t size,
-                      int64_t *a_out, int64_t *b_out, int64_t *key_out,
+                      int32_t *a_out, int32_t *b_out, int32_t *key_out,
                       float *qx, float *qy, float *qz, int32_t *in,
                       int64_t *hit)
 {
@@ -1562,9 +1593,9 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
         int64_t f = fill[r], dst = rstart[r];
         src -= f;
         if (f && dst != src) {
-            memmove(a_out + dst, a_out + src, f * sizeof(int64_t));
-            memmove(b_out + dst, b_out + src, f * sizeof(int64_t));
-            memmove(key_out + dst, key_out + src, f * sizeof(int64_t));
+            memmove(a_out + dst, a_out + src, f * sizeof(int32_t));
+            memmove(b_out + dst, b_out + src, f * sizeof(int32_t));
+            memmove(key_out + dst, key_out + src, f * sizeof(int32_t));
         }
         pad_row(dst + f, dst + rcap[r], pad, a_out, b_out, key_out);
     }
@@ -1655,13 +1686,22 @@ def _make_cext_backend() -> ForceBackend:
 
     def lj_flat_seg(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
                     shift_e, fx, fy, fz, seg_lo, seg_hi):
-        c14, c8, c12, c6 = _lj_tables(lj)
         lo64 = np.ascontiguousarray(seg_lo, dtype=np.int64)
         hi64 = np.ascontiguousarray(seg_hi, dtype=np.int64)
+        n_pairs = int(hi64.max(initial=0))
+        if not (
+            all(_is_array(x, INDEX_DTYPE, min_len=n_pairs) for x in (ia, ib))
+            and _is_array(srow, np.int32, min_len=n_pairs)
+        ):
+            raise ValidationError(
+                "lj_flat_seg: ia/ib/srow must be C-contiguous int32 streams "
+                "covering every segment"
+            )
+        c14, c8, c12, c6 = _lj_tables(lj)
         energies = np.zeros(len(lo64), dtype=np.float64)
         lib.lj_flat_seg_f64(
             ptr("double *", psx), ptr("double *", psy), ptr("double *", psz),
-            ptr("int64_t *", ia), ptr("int64_t *", ib),
+            ptr("int32_t *", ia), ptr("int32_t *", ib),
             ptr("int32_t *", srow), ptr("double *", stab),
             ptr("int32_t *", spc), int(lj.n_species),
             ptr("double *", c14), ptr("double *", c8),
@@ -1723,8 +1763,8 @@ def _make_cext_backend() -> ForceBackend:
         ]
         lib.datapath_pass_f32(
             ptr("float *", fs4),
-            ptr("int64_t *", lay.a), ptr("int64_t *", lay.b),
-            ptr("int64_t *", lay.key),
+            ptr("int32_t *", lay.a), ptr("int32_t *", lay.b),
+            ptr("int32_t *", lay.key),
             ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.fill),
             n_cells, n_off, stride, ptr("double *", offs64),
             np.float32(1.0 + 1e-5), np.float32(tables.r2_min),
@@ -1826,6 +1866,9 @@ def _make_cext_backend() -> ForceBackend:
                 f"band_rows: {n_rows} offsets do not match the plan rows"
             )
         rows = checked_regions(rows, plan.n_rows)
+        _check_layout_streams(lay, "band_rows")
+        if len(lay.rcap) != plan.n_rows:
+            raise ValidationError("band_rows: layout regions do not match the plan")
         ps = np.ascontiguousarray(packed, dtype=np.float32)
         cap = max(int(clist.counts.max(initial=0)), 1)
         qx, qy, qz = np.empty((3, cap), dtype=np.float32)
@@ -1845,8 +1888,8 @@ def _make_cext_backend() -> ForceBackend:
                 ptr("int64_t *", lay.fill),
                 lay.stride, lay.pad, lay.shift, lay.slack_min,
                 int(bool(fresh)), len(lay.a),
-                ptr("int64_t *", lay.a), ptr("int64_t *", lay.b),
-                ptr("int64_t *", lay.key),
+                ptr("int32_t *", lay.a), ptr("int32_t *", lay.b),
+                ptr("int32_t *", lay.key),
                 ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
                 ptr("int32_t *", inb), ptr("int64_t *", hit),
             ))

@@ -23,10 +23,11 @@ Packing layout (see DESIGN.md §11)
   ``n_rows + 2`` SoA coordinate columns: the rows themselves plus two
   trailing *ghost* rows pinned ``4 * cell_edge`` apart, so any pair
   referencing them fails the exact ``r2 < cutoff2`` test.
-* **Pair-stream space** — each segment's flat ``(a, b, srow)`` stream
-  (the solo engine's :class:`~repro.md.reference._FlatArtifacts`: the
-  bank rows of its band layout, which are its particle rows, re-offset
-  by its row base and shift-table block) occupies a region with ~25%
+* **Pair-stream space** — each segment's flat int32 ``(a, b, srow)``
+  stream, 12 bytes a pair (the solo engine's
+  :class:`~repro.md.reference._FlatArtifacts`: the bank rows of its
+  band layout, which are its particle rows, re-offset by its row base
+  and shift-table block) occupies a region with ~25%
   capacity slack; entries past the live length are *pad pairs*
   pointing at the ghost rows.  A skin rebuild that still fits splices
   in place; growth beyond capacity triggers one stream re-pack.
@@ -78,7 +79,13 @@ from repro.faults.health import (
     check_system_finite,
 )
 from repro.md.cells import CellGrid
-from repro.md.cellstate import CellState, engine_pack_fn, engine_skin
+from repro.md.cellstate import (
+    INDEX_DTYPE,
+    CellState,
+    check_index_range,
+    engine_pack_fn,
+    engine_skin,
+)
 from repro.md.integrator import VelocityVerlet
 from repro.md.pairplan import CellPairPlan, plan_for_grid
 from repro.md.backends import ForceBackend, resolve_backend
@@ -640,10 +647,10 @@ class BatchedEngine:
             seg.lo = total
             seg.cap = max(int(seg.live * PAIR_SLACK) + 1, seg.live, _MIN_CAP)
             total += seg.cap
-        g0 = np.int64(self._n)      # ghost row indices
-        g1 = np.int64(self._n + 1)
-        self._g_a = np.full(total, g0, dtype=np.int64)
-        self._g_b = np.full(total, g1, dtype=np.int64)
+        # Rows 0..n-1 are particles, n and n + 1 the two ghosts.
+        check_index_range(self._n + 2, what="batch pair stream")
+        self._g_a = np.full(total, self._n, dtype=INDEX_DTYPE)
+        self._g_b = np.full(total, self._n + 1, dtype=INDEX_DTYPE)
         self._g_srow = np.full(total, -1, dtype=np.int32)
         self._seg_lo = np.zeros(len(segs), dtype=np.int64)
         self._seg_hi = np.zeros(len(segs), dtype=np.int64)

@@ -130,6 +130,28 @@ ROW_SLACK_MIN = 16
 COMPACT_SHIFT = 63
 
 
+#: Dtype of the per-entry streams of every layout (:class:`RowBands`
+#: ``a``/``b``/``key``) and of the batch pair stream: 12 bytes an entry,
+#: half of int64's.  Region bookkeeping and per-pass scratch stay int64.
+INDEX_DTYPE = np.int32
+#: Bank rows and keys must stay below this to fit :data:`INDEX_DTYPE`.
+INDEX_LIMIT = int(np.iinfo(INDEX_DTYPE).max) + 1
+
+
+def check_index_range(
+    bank_rows: int, n_keys: int = 0, what: str = "layout"
+) -> None:
+    """:class:`ValidationError` unless ``bank_rows`` bank rows (pad,
+    ghost and stale-snapshot rows included) and keys below ``n_keys``
+    (``n_cells * stride``) all fit :data:`INDEX_DTYPE`.  Called when a
+    layout or batch stream is built, before anything is written."""
+    if max(int(bank_rows), int(n_keys)) > INDEX_LIMIT:
+        raise ValidationError(
+            f"{what}: {int(bank_rows)} bank rows / {int(n_keys)} keys do not "
+            f"fit {np.dtype(INDEX_DTYPE).name} indices (limit {INDEX_LIMIT})"
+        )
+
+
 def key_stride(cap: int) -> int:
     """Presence-key stride of a binning whose fullest cell holds
     ``cap``: room for a few more particles per cell before an update
@@ -156,18 +178,21 @@ class RowBands:
     Attributes
     ----------
     a / b:
-        int64 home / neighbour bank row (``clist.order[slot]``) per
+        int32 home / neighbour bank row (``clist.order[slot]``) per
         entry; a pad holds ``(pad, 0)``, and the consumer gives bank row
         ``pad`` a vector no admission passes.
     key:
-        int64 presence key ``c * stride + j`` per hit, ``j`` the
+        int32 presence key ``c * stride + j`` per hit, ``j`` the
         neighbour slot within its bucket (0 on pads).
     size:
         Layout length; the buffers may be longer (they only grow).
     rstart:
-        ``n_regions + 1`` region starts; ``rstart[-1] == size``.
+        int64 ``n_regions + 1`` region starts; ``rstart[-1] == size``.
     rcap / fill:
-        Per-region capacity and hit count.
+        int64 per-region capacity and hit count.
+
+    An entry is 12 bytes (:data:`INDEX_DTYPE`), so bank rows and keys
+    must stay below 2**31 (:func:`check_index_range`).
     """
 
     __slots__ = (
@@ -176,7 +201,7 @@ class RowBands:
     )
 
     def __init__(self, n_regions: int = 0, slack: bool = True):
-        self.a = self.b = self.key = np.empty(0, dtype=np.int64)
+        self.a = self.b = self.key = np.empty(0, dtype=INDEX_DTYPE)
         self.size = 0
         self.stride = 1
         self.pad = 0
@@ -190,7 +215,7 @@ class RowBands:
         """Grow the three entry buffers to at least ``n`` entries.  The
         pages a build writes stay mapped for the next build."""
         if len(self.a) < n:
-            self.a, self.b, self.key = np.empty((3, n), dtype=np.int64)
+            self.a, self.b, self.key = np.empty((3, n), dtype=INDEX_DTYPE)
 
     def fit(self, size: int) -> None:
         """Make room for a fresh layout of ``size`` entries, with 1/16
@@ -245,7 +270,7 @@ def band_rows_numpy(
     # assignment casts per element like astype.
     P = np.full((3, C, cap), np.nan, dtype=np.float32)
     P[:, clist.sorted_cids, within] = packed[order].T
-    bank = np.zeros((C, cap), dtype=np.int64)
+    bank = np.zeros((C, cap), dtype=lay.a.dtype)
     bank[clist.sorted_cids, within] = order
     offs32 = np.asarray(offsets, dtype=np.float32)
     band32 = np.float32(band)
@@ -677,6 +702,7 @@ class CellState:
             rb = self._rb = RowBands(plan.n_rows, slack=self.updatable)
         rb.stride = key_stride(cap)
         rb.pad = len(packed)
+        check_index_range(rb.pad + 1, plan.n_cells * rb.stride)
         if home is None:
             rows = np.arange(plan.n_rows, dtype=np.int64)
         else:

