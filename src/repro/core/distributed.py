@@ -77,7 +77,7 @@ from repro.network.netsim import Burst, OutputQueuedSwitch, SwitchStats
 from repro.faults.nodes import REPLAY_CYCLES_PER_RECORD
 from repro.md.backends import resolve_backend
 from repro.md.cells import CellList, HALF_SHELL_OFFSETS
-from repro.md.cellstate import CellState
+from repro.md.cellstate import BinningChange, CellState
 from repro.md.system import ParticleSystem
 from repro.util.errors import (
     ConfigError,
@@ -118,6 +118,9 @@ class _ViewLayout(NamedTuple):
     clist: CellList
     #: Arena row -> particle id when rows past N hold repeated ids.
     row_ids: Optional[np.ndarray] = None
+    #: What changed since the node's previous layout (its binning keys
+    #: and moved rows), when the relayout worked it out.
+    change: Optional[BinningChange] = None
 
 
 class _Flow(NamedTuple):
@@ -391,12 +394,18 @@ class DistributedMachine(MachineCore):
         #: :meth:`_node_state`.
         self._node_states: Dict[int, Tuple[CellState, _StepArena]] = {}
         self._build_cids: Optional[np.ndarray] = None
+        self._build_keys: Optional[np.ndarray] = None
         #: The current binning's nonempty position flows, in flow order,
         #: and their (source node, destination node, packets) rows.
         self._flows: List[_Flow] = []
         self._flow_table = np.zeros((0, 3), dtype=np.int64)
+        #: Every flow of the partition in ``_node_flows`` order, laid out
+        #: for the current binning (empty ones included).
+        self._flow_list: List[Optional[_Flow]] = []
         self._last_frac: Optional[np.ndarray] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: Scratch of the fold (:meth:`_merge_results`).
+        self._fold_arena = _StepArena()
         # ``timings`` phases: build/exchange/force/integrate.
         self.total_position_packets = 0
         self.total_force_packets = 0
@@ -518,22 +527,28 @@ class DistributedMachine(MachineCore):
         self._node_flows = node_flows
         #: Node -> owned global cell ids (ascending).
         self._local_cells_static = local_cells
-        #: Node -> cells its view holds (its own and every halo cell
-        #: shipped to it).
-        self._visible = {k: cell_node == k for k in range(n_nodes)}
-        #: Node -> the source nodes of its flows (ascending), their cells
-        #: concatenated and each flow's segment of them.
-        self._inflows: Dict[int, Tuple[List[int], np.ndarray, np.ndarray]] = {}
-        for k in range(n_nodes):
-            keys = [key for key in node_flows if key[1] == k]
-            for key in keys:
-                self._visible[k][node_flows[key]] = True
-            cells = [node_flows[key] for key in keys]
-            self._inflows[k] = (
-                [src for src, _ in keys],
-                np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64),
-                np.cumsum([0] + [len(c) for c in cells]),
-            )
+        #: Plan row -> the node owning its neighbor cell.
+        self._row_owner = nbr_nodes
+        # What every relayout reads (see :meth:`_lay_out_nodes`).
+        #: Node x cell: the cells its view holds (its own and every halo
+        #: cell shipped to it).
+        view = cell_node[None, :] == np.arange(n_nodes)[:, None]
+        for (_, dst), cids in node_flows.items():
+            view[dst, cids] = True
+        self._view_cells = view
+        #: The (node, cell) pairs of the views, by node then cell, and
+        #: their order by node, then cell owner, then cell.
+        vk, vc = np.nonzero(view)
+        self._view_pairs = (vk, vc)
+        self._owner_order = np.lexsort((vc, cell_node[vc], vk))
+        #: The flows in ``node_flows`` order: source and destination
+        #: nodes, their cells back to back and each flow's run of them.
+        self._flow_nodes = np.array(list(node_flows), dtype=np.int64).reshape(-1, 2)
+        cells = list(node_flows.values())
+        self._flow_cells = (
+            np.concatenate(cells) if cells else np.zeros(0, dtype=np.int64)
+        )
+        self._flow_seg = np.cumsum([0] + [len(c) for c in cells])
 
     def _invalidate_partition_caches(self) -> None:
         """Drop every structure keyed by the *old* partition.
@@ -554,28 +569,40 @@ class DistributedMachine(MachineCore):
 
     # -- node construction per step --------------------------------------------
 
-    def _build_nodes(self) -> Dict[int, _Node]:
-        """Partition the current particle state across nodes.
+    def _binning(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The cell coordinates and cell id of every particle: the
+        binning a force pass computes once, for its fault preamble and
+        its node views."""
+        coords = self.grid.coords_of_positions(self.system.positions)
+        return coords, self.grid.cell_id(coords)
+
+    def _build_nodes(
+        self,
+        coords: Optional[np.ndarray] = None,
+        cids: Optional[np.ndarray] = None,
+    ) -> Dict[int, _Node]:
+        """Partition the current particle state across nodes, binned
+        at ``coords`` (cell ids ``cids``; ``None``: :meth:`_binning`).
 
         The partition (which particles live in which cell on which node)
         is cached across steps while no particle changes cell.  Reused
         steps only refill each node's own arena rows (one gather per
         node, exactly the values a fresh split would produce) and clear
-        the per-step packet state.  Any cell-assignment change lays
-        every node view and flow out anew (:meth:`_lay_out_nodes`).
+        the per-step packet state.  Any cell-assignment change lays the
+        node views and flows of the changed cells out anew
+        (:meth:`_lay_out_nodes`).
         """
+        if coords is None:
+            coords, cids = self._binning()
         cfg = self.config
-        coords = self.grid.coords_of_positions(self.system.positions)
         frac = quantize_cell_fractions(
             self.system.positions, coords, cfg.cutoff, self.fmt
         )
         self._last_frac = frac
-        cids = self.grid.cell_id(coords)
         if self._nodes_cache is None or not np.array_equal(
             cids, self._build_cids
         ):
-            self._build_cids = cids
-            self._nodes_cache = self._lay_out_nodes()
+            self._lay_out_nodes(cids)
         nodes = self._nodes_cache
         # One read-only snapshot for every node state of the pass.
         positions = self.system.positions.copy()
@@ -588,47 +615,196 @@ class DistributedMachine(MachineCore):
             node.view = _View(node.layout, node.frac, positions, coords)
         return nodes
 
-    def _lay_out_nodes(self) -> Dict[int, _Node]:
-        """Every node's view layout and the position flows of the
-        current binning, from one :class:`~repro.md.cells.CellList`."""
-        clist = CellList(self.grid, self.system.positions)
-        species = self.system.species.astype(np.int32, copy=False)
-        rpp = self.config.records_per_packet
+    def _lay_out_nodes(self, cids: np.ndarray) -> None:
+        """Lay out the node views and position flows of the binning
+        ``cids``, in array passes over all nodes and flows at once.
+
+        A view holds whole cells and a flow ships whole cells, each in
+        bucket order, so both are runs of one bucket pass over the box.
+        Views and flows none of whose cells changed membership since the
+        last binning are kept, by identity (a flow's snapshots and a
+        node state's band lists key on it).  Every view that replaces
+        another carries its binning keys, which are the box's on the
+        rows it holds, and the rows whose key changed
+        (:class:`~repro.md.cellstate.BinningChange`), so its node state
+        works out neither.  ``tests/oracles.py::lay_out_nodes`` lays the
+        same views and flows out node by node from scratch.
+        """
+        C = self.grid.n_cells
         n = self.system.n
-        nodes = {}
-        flows = {}
-        for k in range(len(self._node_coords)):
-            sel = self._visible[k][clist.sorted_cids]
-            ids = clist.order[sel]
-            layout = self._lay_out(k, clist.sorted_cids[sel], ids, species[ids])
-            frac = np.zeros((n, 3))
-            nodes[k] = _Node(k, self._node_coords[k], layout, frac, None)
-            # The flows into k: each source's group of slots holds its
-            # records, and the runs of its cells follow the counts.
-            srcs, cids, seg = self._inflows[k]
-            if not srcs:
-                continue
-            pids = ids[layout.by_owner]
-            spc = layout.species[layout.by_owner]
-            runs = layout.counts[cids]
-            cum = np.concatenate([[0], np.cumsum(runs)])
-            carried = runs > 0
-            full = np.minimum.reduceat(carried, seg[:-1]).tolist()
-            for j, src in enumerate(srcs):
-                lo, hi = layout.owner_start[src], layout.owner_start[src + 1]
-                if lo == hi:
-                    continue  # nothing to ship this binning
-                a, b = seg[j], seg[j + 1]
-                flows[(src, k)] = _Flow(
-                    src, k, pids[lo:hi], spc[lo:hi], cids[a:b],
-                    cum[a:b + 1] - cum[a], carried[a:b], full[j],
-                    -(-(hi - lo) // rpp),
-                )
-        self._flows = [flows[key] for key in self._node_flows if key in flows]
-        self._flow_table = np.array(
-            [(f.src, f.dst, f.n_packets) for f in self._flows], dtype=np.int64
-        ).reshape(-1, 3)
-        return nodes
+        n_nodes = len(self._node_coords)
+        order = np.argsort(cids, kind="stable")
+        sorted_cids = cids[order]
+        counts = np.bincount(cids, minlength=C)
+        start = np.zeros(C + 1, dtype=np.int64)
+        np.cumsum(counts, out=start[1:])
+        # The binning keys of the box; a view's are these on its rows.
+        keys = np.empty(n, dtype=np.int64)
+        keys[order] = sorted_cids * n + (np.arange(n) - start[sorted_cids])
+        prev = self._build_cids
+        if self._nodes_cache is None:
+            dirty = np.ones(C, dtype=bool)
+            stale = np.ones(n_nodes, dtype=bool)
+            changed = None
+            self._nodes_cache = {
+                k: _Node(k, self._node_coords[k], None, np.zeros((n, 3)), None)
+                for k in range(n_nodes)
+            }
+            self._flow_list = [None] * len(self._flow_nodes)
+        else:
+            moved = np.flatnonzero(cids != prev)
+            dirty = np.zeros(C, dtype=bool)
+            dirty[prev[moved]] = True
+            dirty[cids[moved]] = True
+            stale = (self._view_cells & dirty).any(axis=1)
+            # The rows whose key changed: a view's rows whose key
+            # changed are those of them it holds now or held before.
+            changed = np.flatnonzero(keys != self._build_keys)
+        self._build_cids, self._build_keys = cids, keys
+        species = self.system.species.astype(np.int32, copy=False)
+        if stale.any():
+            self._lay_out_views(
+                np.flatnonzero(stale), cids, prev, changed, order, counts,
+                start, keys, species,
+            )
+        self._lay_out_flows(dirty, order, counts, start, species)
+
+    def _lay_out_views(
+        self, stale, cids, prev, changed, order, counts, start, keys, species
+    ) -> None:
+        """New layouts for the views of the ``stale`` nodes at the
+        binning ``cids`` (keys ``keys``), and what changed since the
+        binning ``prev``, whose keys differ on the rows ``changed``
+        (``None``: no views to compare with; see :meth:`_lay_out_nodes`)."""
+        C = self.grid.n_cells
+        n = len(keys)
+        n_nodes = len(self._node_coords)
+        vk, vc = self._view_pairs
+        in_stale = np.zeros(n_nodes, dtype=bool)
+        in_stale[stale] = True
+        sel = in_stale[vk]
+        # Slots, node by node: each held cell's bucket, ascending cid.
+        pk, pc = vk[sel], vc[sel]
+        cnt = counts[pc]
+        first = np.cumsum(cnt) - cnt
+        total = int(first[-1] + cnt[-1]) if len(cnt) else 0
+        ids = order[np.repeat(start[pc] - first, cnt) + np.arange(total)]
+        slot_cids = np.repeat(pc, cnt)
+        spc = species[ids]
+        lo = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pk, weights=cnt, minlength=n_nodes).astype(np.int64),
+                  out=lo[1:])
+        # The same slots grouped by the owner of their cell: the held
+        # cells by node, owner and cell, each its run of its node's slots.
+        pair_first = np.zeros(len(vk), dtype=np.int64)
+        pair_first[sel] = first
+        bo = self._owner_order[sel[self._owner_order]]
+        bk, bcnt = vk[bo], counts[vc[bo]]
+        bfirst = np.cumsum(bcnt) - bcnt
+        by_owner = np.repeat(pair_first[bo] - lo[bk] - bfirst, bcnt)
+        by_owner += np.arange(total)
+        owned = np.bincount(
+            pk * n_nodes + self._cell_node[pc], weights=cnt,
+            minlength=n_nodes * n_nodes,
+        ).astype(np.int64).reshape(n_nodes, n_nodes)
+        owner_start = np.zeros((n_nodes, n_nodes + 1), dtype=np.int64)
+        np.cumsum(owned, axis=1, out=owner_start[:, 1:])
+        view = self._view_cells[stale]
+        view_counts = np.where(view, counts, 0)
+        view_start = np.zeros((len(stale), C + 1), dtype=np.int64)
+        np.cumsum(view_counts, axis=1, out=view_start[:, 1:])
+        if changed is not None:
+            view_keys = np.where(view[:, cids], keys, C * n)
+            held = view[:, cids[changed]] | view[:, prev[changed]]
+        for i, k in enumerate(stale.tolist()):
+            node = self._nodes_cache[k]
+            a, b = int(lo[k]), int(lo[k + 1])
+            node_ids = ids[a:b]
+            node_by_owner = by_owner[a:b]
+            starts = owner_start[k].tolist()
+            local = node_by_owner[starts[k]:starts[k + 1]]
+            row_counts, row_start = view_counts[i], view_start[i]
+            old = node.layout
+            change = None
+            if old is not None:
+                change = BinningChange(old.clist, view_keys[i], changed[held[i]])
+            node.layout = _ViewLayout(
+                counts=row_counts,
+                start=row_start,
+                ids=node_ids,
+                species=spc[a:b],
+                by_owner=node_by_owner,
+                owner_start=starts,
+                local=local,
+                local_ids=node_ids[local],
+                clist=CellList.from_rows(
+                    self.grid, row_counts, node_ids, row_start, slot_cids[a:b]
+                ),
+                change=change,
+            )
+
+    def _lay_out_flows(self, dirty, order, counts, start, species) -> None:
+        """New flows for those with a cell in ``dirty``, and the
+        nonempty flows and flow table of the binning (see
+        :meth:`_lay_out_nodes`)."""
+        cells, seg = self._flow_cells, self._flow_seg
+        flows = self._flow_list
+        if not flows:
+            self._flows = []
+            self._flow_table = np.zeros((0, 3), dtype=np.int64)
+            self._flow_pids = np.zeros(0, dtype=np.int64)
+            self._flow_runs, self._dst_runs = [], []
+            return
+        runs = counts[cells]
+        cum = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum(runs, out=cum[1:])
+        n_rec = cum[seg[1:]] - cum[seg[:-1]]
+        n_pkts = -(-n_rec // self.config.records_per_packet)
+        carried = runs > 0
+        full = np.minimum.reduceat(carried, seg[:-1])
+        changed = np.logical_or.reduceat(dirty[cells], seg[:-1])
+        # The records of the changed flows: their cells' buckets.
+        take = np.repeat(changed, np.diff(seg))
+        rc, rn = cells[take], runs[take]
+        rfirst = np.cumsum(rn) - rn
+        total = int(rfirst[-1] + rn[-1]) if len(rn) else 0
+        pids = order[np.repeat(start[rc] - rfirst, rn) + np.arange(total)]
+        spc = species[pids]
+        lo = 0
+        for f in np.flatnonzero(changed).tolist():
+            a, b = seg[f], seg[f + 1]
+            hi = lo + int(n_rec[f])
+            src, dst = self._flow_nodes[f].tolist()
+            flows[f] = _Flow(
+                src, dst, pids[lo:hi], spc[lo:hi], cells[a:b],
+                cum[a:b + 1] - cum[a], carried[a:b], bool(full[f]),
+                int(n_pkts[f]),
+            )
+            lo = hi
+        ships = n_rec > 0
+        self._flows = [flows[f] for f in np.flatnonzero(ships).tolist()]
+        self._flow_table = np.concatenate(
+            [self._flow_nodes, n_pkts[:, None]], axis=1
+        )[ships]
+        # Every record of the binning, flows by destination: one gather
+        # packs them all and one scatter per destination lands them.
+        by_dst = np.lexsort(self._flow_table[:, :2].T)
+        rec = n_rec[ships]
+        run_lo = np.zeros(len(rec) + 1, dtype=np.int64)
+        np.cumsum(rec[by_dst], out=run_lo[1:])
+        self._flow_pids = np.concatenate(
+            [self._flows[f].pids for f in by_dst.tolist()]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        flow_lo = np.empty_like(rec)
+        flow_lo[by_dst] = run_lo[:-1]
+        self._flow_runs = list(zip(flow_lo.tolist(), (flow_lo + rec).tolist()))
+        dst = self._flow_table[by_dst, 1]
+        cut = [0, *(np.flatnonzero(np.diff(dst)) + 1).tolist(), len(dst)]
+        self._dst_runs = [
+            (int(dst[a]), int(run_lo[a]), int(run_lo[b]))
+            for a, b in zip(cut[:-1], cut[1:]) if a < b
+        ]
 
     def _lay_out(
         self,
@@ -671,8 +847,9 @@ class DistributedMachine(MachineCore):
         """Pack, send, and unpack boundary-cell positions.
 
         Ships one record run per (source node, destination node) flow:
-        one gather of the current fractions packs it and one scatter
-        lands it in the destination's arena rows.  Gate-chain
+        one gather of the current fractions packs every flow's run, and
+        one scatter per destination node lands its runs in its arena
+        rows.  Gate-chain
         equivalence: the per-particle
         :class:`~repro.core.packets.P2REncapsulatorChain` walk (the
         protocol oracle in ``tests/oracles.py``) gives each destination
@@ -710,12 +887,15 @@ class DistributedMachine(MachineCore):
         for k, node in nodes.items():
             node.packets_out += int(out[k])
             node.packets_in += int(arrived[k])
+        payloads = np.take(self._last_frac, self._flow_pids, axis=0)
+        for d, lo, hi in self._dst_runs:
+            nodes[d].frac[self._flow_pids[lo:hi]] = payloads[lo:hi]
+        if complete is None:
+            return
         degraded: Dict[int, Dict[int, _CellData]] = {}
         for f, flow in enumerate(flows):
-            payload = np.take(self._last_frac, flow.pids, axis=0)
-            nodes[flow.dst].frac[flow.pids] = payload
-            if complete is None:
-                continue
+            lo, hi = self._flow_runs[f]
+            payload = payloads[lo:hi]
             if complete[f]:
                 # Snapshot for graceful degradation: the receiver's last
                 # complete view of the flow's cells.  The payload is
@@ -918,20 +1098,22 @@ class DistributedMachine(MachineCore):
 
     # -- node-failure recovery --------------------------------------------------
 
-    def _per_node_records(self) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Per-cell occupancy and per-node record counts, current binning."""
-        cids = self.grid.cell_id(
-            self.grid.coords_of_positions(self.system.positions)
-        )
+    def _per_node_records(
+        self, cids: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Dict[int, int]]:
+        """Per-cell occupancy and per-node record counts of the binning
+        ``cids`` (``None``: the current positions')."""
+        if cids is None:
+            cids = self._binning()[1]
         per_cell = np.bincount(cids, minlength=self.grid.n_cells)
-        per_node = {
-            k: int(per_cell[self._cell_node == k].sum())
-            for k in range(self.config.n_fpgas)
-        }
-        return per_cell, per_node
+        per_node = np.bincount(
+            self._cell_node, weights=per_cell, minlength=self.config.n_fpgas
+        )
+        return per_cell, {k: int(r) for k, r in enumerate(per_node.tolist())}
 
-    def _node_fault_preamble(self) -> None:
-        """Advance the node-failure model one force pass.
+    def _node_fault_preamble(self, cids: np.ndarray) -> None:
+        """Advance the node-failure model one force pass, binned at
+        ``cids``.
 
         Runs *before* node construction, in a fixed order that keeps the
         model deterministic: (1) capture the periodic buddy shadow,
@@ -949,7 +1131,7 @@ class DistributedMachine(MachineCore):
         """
         it = self._iteration
         n = self.config.n_fpgas
-        per_cell, per_node = self._per_node_records()
+        per_cell, per_node = self._per_node_records(cids)
         # (1) Periodic buddy shadow capture (iteration 0 always captures,
         # so a replay source exists for any crash).
         if (
@@ -1408,7 +1590,8 @@ class DistributedMachine(MachineCore):
             state.invalidate()
             state.ids = layout.row_ids
         rebuilt = state.ensure(
-            positions, resolve_backend(self.force_impl), layout.clist, coords
+            positions, resolve_backend(self.force_impl), layout.clist, coords,
+            layout.change,
         )
         self._prepare(state)
         return rebuilt
@@ -1426,14 +1609,8 @@ class DistributedMachine(MachineCore):
             return _NodeResult(
                 own, np.zeros((0, 3), dtype=np.float32), 0.0, _NO_RETURNS, 0
             )
-        state, arena = self._node_states[nid]
-        n = len(frac)
-        out = _Pass(
-            np.zeros((n, 3), dtype=np.float32),
-            np.zeros((n, 3), dtype=np.float32),
-            self._plan, arena, self._remote_rows[nid],
-        )
-        potential = self._evaluate(state, frac, out)
+        out = self._node_pass(nid, len(frac))
+        potential = self._evaluate(self._node_states[nid][0], frac, out)
         # Adder-tree combination of the banks on the node's own rows.
         return _NodeResult(
             own,
@@ -1442,6 +1619,25 @@ class DistributedMachine(MachineCore):
             self._returns(out.records, layout.row_ids),
             int(out.accepted.sum()),
         )
+
+    def _node_pass(self, nid: int, n: int) -> _Pass:
+        """Node ``nid``'s :class:`~repro.core.machine._Pass` over ``n``
+        arena rows, reset: its banks and counters are buffers of the
+        node's scratch arena, and the object is kept with the state's
+        artifacts while ``n`` stays, so the state's pass plan checks
+        and binds it once."""
+        state, arena = self._node_states[nid]
+        art = state.artifacts["machine"]
+        out = art.out
+        if out is None or len(out.home_bank) != n:
+            banks = arena.get("banks", 6 * n, np.float32).reshape(2, n, 3)
+            out = art.out = _Pass(
+                banks[0], banks[1], self._plan, arena, self._remote_rows[nid]
+            )
+            out.accepted = arena.get("accepted", len(out.accepted), np.int64)
+            out.uniq_per_row = arena.get("uniq", len(out.uniq_per_row), np.int64)
+        out.reset()
+        return out
 
     def _returns(
         self, records: list, row_ids: Optional[np.ndarray]
@@ -1454,7 +1650,7 @@ class DistributedMachine(MachineCore):
             rows, bank_rows, forces = records[0]
         else:
             rows, bank_rows, forces = (np.concatenate(x) for x in zip(*records))
-        owners = self._cell_node[self._plan.nbr[rows]]
+        owners = self._row_owner[rows]
         pids = bank_rows if row_ids is None else row_ids[bank_rows]
         return _Returns(owners, pids, forces)
 
@@ -1496,10 +1692,12 @@ class DistributedMachine(MachineCore):
     def compute_forces(self) -> float:
         """One distributed force pass; returns the potential energy."""
         self.last_degraded_records = 0
-        if self.node_injector is not None:
-            self._node_fault_preamble()
         with self.timings.phase("build"):
-            nodes = self._build_nodes()
+            coords, cids = self._binning()
+        if self.node_injector is not None:
+            self._node_fault_preamble(cids)
+        with self.timings.phase("build"):
+            nodes = self._build_nodes(coords, cids)
         with self.timings.phase("exchange"):
             self._exchange_positions(nodes)
         self._iteration += 1
@@ -1535,14 +1733,20 @@ class DistributedMachine(MachineCore):
         in ascending order — each particle's segments in the old order.
         That is bitwise the old merge: a bank row is never -0.0, so the
         +0.0 its per-segment adds put on untouched rows changed nothing.
+        The keys are grouped without a sort: they are below ``n_nodes^2
+        * N``, so a presence mark per key, read back in order, lists the
+        distinct ones ascending, and a slot table over the same range
+        maps each record to its key.
         """
         n = self.system.n
         home_bank = np.zeros((n, 3), dtype=np.float32)
         potential = np.float32(0.0)
         for res in results:
             potential += np.float32(res.potential)
-        # Every particle is one node's own: the rows are disjoint.
-        home_bank[np.concatenate([r.ids for r in results])] += np.concatenate(
+        # Every particle is one node's own: the rows are disjoint, and
+        # writing each onto its +0.0 row is adding it (a bank sum is
+        # never -0.0).
+        home_bank[np.concatenate([r.ids for r in results])] = np.concatenate(
             [r.forces for r in results]
         )
         rets = [res.returns for res in results]
@@ -1555,16 +1759,22 @@ class DistributedMachine(MachineCore):
             per_owner = per_owner[per_owner > 0]
             rpp = self.config.records_per_packet
             self.total_force_packets += int((-(-per_owner // rpp)).sum())
-            rank = owners * len(node_list) + np.repeat(
-                np.arange(len(rets)), counts
-            )
+            n_nodes = len(node_list)
+            rank = owners * n_nodes + np.repeat(np.arange(len(rets)), counts)
             keys = rank * n + np.concatenate([r.pids for r in rets])
             forces = np.concatenate([r.forces for r in rets])
-            uniq, inv = np.unique(keys, return_inverse=True)
+            ar = self._fold_arena
+            present = ar.get("present", n_nodes * n_nodes * n, np.bool_)
+            present[:] = False
+            present[keys] = True
+            uniq = np.flatnonzero(present)
+            slot = ar.get("slot", len(present), np.int32)
+            slot[uniq] = np.arange(len(uniq))
+            inv = slot[keys]
+            # float64 sums in record order, one float32 rounding each,
+            # added onto the bank in ascending key order.
             rows = uniq % n
             for d in range(3):
-                # float64 sums in record order, one float32 rounding
-                # each, added onto the bank in ascending key order.
                 sums = np.bincount(inv, weights=forces[:, d], minlength=len(uniq))
                 np.add.at(home_bank[:, d], rows, sums.astype(np.float32))
         self._forces32 = home_bank

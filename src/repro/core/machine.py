@@ -186,31 +186,36 @@ class _Pass:
         self.remote = remote
         self.records: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
+    def reset(self) -> None:
+        """Zero the banks and counters and empty the records, for the
+        next pass into the same buffers."""
+        for x in (self.home_bank, self.nbr_bank, self.accepted, self.uniq_per_row):
+            x.fill(0)
+        self.records = []
+
 
 class _MachineArtifacts:
     """Per-build operands of the band-list pass over one CellState's
     :class:`RowBands`: the :class:`~repro.md.backends.DatapathTables`
     whose multi-species coefficients and Coulomb charge products are
-    gathered per layout entry.  After an in-place update of the state,
-    :meth:`refresh` gathers them again for the new layout.  Built in the
-    ``build`` phase right after each rebuild, so phase timings charge
-    every per-rebuild cost to ``build``.
+    gathered per layout entry, the :class:`~repro.md.backends.PassPlan`
+    of the state's passes and, on a node view, the :class:`_Pass` they
+    run into.  After an in-place update of the state,
+    :meth:`refresh` gathers the tables again for the new layout.  Built
+    in the ``build`` phase right after each rebuild, so phase timings
+    charge every per-rebuild cost to ``build``.
     """
 
-    __slots__ = ("tables", "updates")
+    __slots__ = ("tables", "updates", "plan", "out")
 
     def __init__(self, machine: "MachineCore", state: CellState):
+        self.plan = None
+        self.out: Optional[_Pass] = None
         self.refresh(machine, state)
 
     def refresh(self, machine: "MachineCore", state: CellState) -> None:
         self.updates = state.updates
         self.tables = machine._datapath_tables(state)
-
-
-#: Packed fraction given to a row layout's pad bank row: every pad
-#: entry's displacement is then about this large, so no admission (and
-#: no float32 overflow) can come of it.
-_PAD_FRAC = np.float32(1.0e6)
 
 
 class MachineCore:
@@ -298,6 +303,7 @@ class MachineCore:
         #: Skin margin (angstrom) for the persistent states' band lists.
         self.reuse_skin = 0.15 * config.cutoff
         self._rom32_cache = None
+        self._shared_tables: Optional[DatapathTables] = None
         #: Per-phase wall-clock counters; ``timings.enabled = True``.
         self.timings = StepTimings()
         self.history: List[EnergyRecord] = []
@@ -368,20 +374,20 @@ class MachineCore:
         admission — so the admitted pair sequences, every pipeline
         input and the per-offset accumulation grouping all coincide
         with a fresh build's.
+
+        The pass runs through the state's
+        :class:`~repro.md.backends.PassPlan`, which writes the fractions
+        by bank row in float32 — exact: fractions are k * 2**-23 in
+        [0, 1), so differences (and minus the integer cell offsets) are
+        exactly representable; float32 dr is bit-equal to casting the
+        fresh path's float64 dr — and checks the operands once per
+        layout version.
         """
-        # Fractions by bank row in float32 — exact: fractions are
-        # k * 2**-23 in [0, 1), so differences (and minus the integer
-        # cell offsets) are exactly representable; float32 dr is
-        # bit-equal to casting the fresh path's float64 dr.  The
-        # assignment casts per element like astype.  Bank row ``n`` is
-        # the pads' sentinel.
-        n = len(frac)
-        fs = out.arena.get("fs", 3 * (n + 1), np.float32).reshape(3, n + 1)
-        fs[:, :n] = frac.T
-        fs[:, n] = _PAD_FRAC
-        return resolve_backend(self.force_impl).datapath_pass(
-            fs, state.pairs, _OFFS14, state.artifacts["machine"].tables, out
-        )
+        art = state.artifacts["machine"]
+        backend = resolve_backend(self.force_impl)
+        if art.plan is None or art.plan.backend is not backend:
+            art.plan = backend.plan_passes()
+        return art.plan(frac, state.pairs, _OFFS14, art.tables, out)
 
     def _rom32(self) -> np.ndarray:
         """The float32 coefficient ROM images, interleaved per
@@ -419,10 +425,14 @@ class MachineCore:
         pipe = self.pipeline
         coefs = (pipe._c14, pipe._c8, pipe._c12, pipe._c6)
         scalar = pipe._c14.size == 1
+        # Nothing per entry: every layout shares one set of tables.
+        shared = scalar and self.coulomb_pipeline is None
+        if shared and self._shared_tables is not None:
+            return self._shared_tables
         coef = qq = None
         if scalar:
             coef = np.array([c.reshape(()) for c in coefs], dtype=np.float32)
-        if not scalar or self.coulomb_pipeline is not None:
+        if not shared:
             rb = state.pairs
             # Particle ids of each entry: the bank rows themselves, or
             # through the state's row map on a node view that has rows
@@ -439,9 +449,12 @@ class MachineCore:
                 q = self._charges32
                 qq = q.take(pi, mode="clip") * q.take(pj, mode="clip")
         ts = self.tables
-        return DatapathTables(
+        tables = DatapathTables(
             ts.n_s, ts.n_b, ts.r2_min, self._rom32(), coef, qq
         )
+        if shared:
+            self._shared_tables = tables
+        return tables
 
     # -- time integration (motion-update units) --------------------------------
 

@@ -200,6 +200,8 @@ METRICS: Sequence[Metric] = (
            _machine_step),
     Metric("distributed_1728p", "numpy", {**_SMALL_BOX, "traj_steps": 1},
            _distributed_step),
+    Metric("distributed_1728p-cext", "cext", {**_SMALL_BOX, "traj_steps": 1},
+           _distributed_step),
 )
 
 

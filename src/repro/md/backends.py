@@ -172,6 +172,14 @@ class ForceBackend:
     #: Bitwise identical to :func:`~repro.md.cellstate.band_rows_numpy`,
     #: which ``None`` runs and which stays the oracle.
     band_rows: Optional[Callable] = None
+    #: ``() -> PassPlan``: the backend's own plan for consumers that run
+    #: many ``datapath_pass`` calls.  ``None`` = the generic
+    #: :class:`PassPlan` over ``datapath_pass``.
+    pass_plan: Optional[Callable] = None
+
+    def plan_passes(self) -> "PassPlan":
+        """A new :class:`PassPlan` for one consumer's passes."""
+        return PassPlan(self) if self.pass_plan is None else self.pass_plan()
 
 
 _REGISTRY: Dict[str, ForceBackend] = {}
@@ -819,30 +827,126 @@ def _check_layout_streams(lay, what: str) -> None:
         )
 
 
-def _check_pass_operands(fs, lay, offs, tables, out) -> None:
-    """:class:`ValidationError` unless the operands of the compiled
-    ``datapath_pass`` have the shapes, dtypes and contiguity it indexes
-    them by (see :func:`datapath_pass_numpy` for what each holds)."""
+def _pass_mismatch() -> ValidationError:
+    return ValidationError("datapath_pass: operands do not match the layout")
+
+
+def _check_pass_layout(lay, offs, tables) -> None:
+    """The layout half of :func:`_check_pass_operands`: the layout
+    streams, the offsets and the tables."""
     _check_layout_streams(lay, "datapath_pass")
-    n_off, n_reg, n = len(offs), len(lay.fill), len(out.home_bank)
-    arr = _is_array
+    n_off, n_reg = len(offs), len(lay.fill)
     coef = tables.coef
-    ok = (
+    if not (
         n_off > 0 and n_reg % n_off == 0
-        and np.shape(fs) == (3, n + 1)
-        and all(arr(b, np.float32, (n, 3)) for b in (out.home_bank, out.nbr_bank))
-        and arr(out.accepted, np.int64, (n_reg // n_off,))
-        and arr(out.uniq_per_row, np.int64, (n_reg,))
-        and (out.remote is None or arr(out.remote, np.bool_, (n_reg,)))
         and np.shape(tables.rom) == (
             tables.n_s * tables.n_b, 8 if tables.qq is None else 12
         )
         and (coef.shape == (4,) or (coef.ndim == 2 and coef.shape[0] == 4
                                     and coef.shape[1] >= lay.size))
-        and (tables.qq is None or arr(tables.qq, np.float32, min_len=lay.size))
-    )
-    if not ok:
-        raise ValidationError("datapath_pass: operands do not match the layout")
+        and (tables.qq is None
+             or _is_array(tables.qq, np.float32, min_len=lay.size))
+    ):
+        raise _pass_mismatch()
+
+
+def _check_pass_out(fs_shape, lay, offs, out) -> None:
+    """The per-pass half of :func:`_check_pass_operands`: the fraction
+    rows' shape, the banks and the counters of ``out``."""
+    n_off, n_reg, n = len(offs), len(lay.fill), len(out.home_bank)
+    arr = _is_array
+    if not (
+        fs_shape == (3, n + 1)
+        and all(arr(b, np.float32, (n, 3)) for b in (out.home_bank, out.nbr_bank))
+        and arr(out.accepted, np.int64, (n_reg // n_off,))
+        and arr(out.uniq_per_row, np.int64, (n_reg,))
+        and (out.remote is None or arr(out.remote, np.bool_, (n_reg,)))
+    ):
+        raise _pass_mismatch()
+
+
+def _check_pass_operands(fs, lay, offs, tables, out) -> None:
+    """:class:`ValidationError` unless the operands of the compiled
+    ``datapath_pass`` have the shapes, dtypes and contiguity it indexes
+    them by (see :func:`datapath_pass_numpy` for what each holds)."""
+    _check_pass_layout(lay, offs, tables)
+    _check_pass_out(np.shape(fs), lay, offs, out)
+
+
+#: Packed fraction a :class:`PassPlan` gives a row layout's pad bank
+#: row: every pad entry's displacement is then about this large, so no
+#: admission (and no float32 overflow) can come of it.
+PAD_FRAC = np.float32(1.0e6)
+
+
+def _all_is(xs, ys) -> bool:
+    return ys is not None and all(x is y for x, y in zip(xs, ys))
+
+
+class PassPlan:
+    """The datapath passes of one consumer (a
+    :class:`~repro.md.cellstate.CellState` and its scratch arena) on one
+    backend, with what does not change from pass to pass worked out
+    once.
+
+    ``plan(frac, lay, offs, tables, out)`` is one ``datapath_pass``
+    over the ``(n, 3)`` fractions ``frac`` of the bank rows: it writes
+    them once, in the layout the backend reads, bank row ``n`` (the
+    pads') holding :data:`PAD_FRAC`.  The operand checks of
+    :func:`_check_pass_operands` run on what is new to the plan, found
+    by identity, so any operand swapped since is checked before a
+    kernel reads it: the layout half whenever the layout, one of its
+    streams, the offsets or the tables are new, and once per
+    :attr:`~repro.md.cellstate.RowBands.version` and size (an update
+    writes the layout in place); the ``out`` half whenever ``out``, its
+    arena, banks, counters or ``remote`` mask, or ``n`` are new.  A
+    consumer that keeps its ``out`` (a distributed node draws it from
+    its arena) is checked once per layout version.
+
+    This generic plan writes the planar ``(3, n + 1)`` float32 rows and
+    calls the backend's ``datapath_pass``; a backend may give its own
+    (:attr:`ForceBackend.pass_plan`).
+    """
+
+    def __init__(self, backend: "ForceBackend"):
+        self.backend = backend
+        self._ids: Optional[tuple] = None
+        self._version: Optional[Tuple[int, int]] = None
+        self._out_ids: Optional[tuple] = None
+        self._n = -1
+
+    def __call__(self, frac, lay, offs, tables, out) -> np.float32:
+        ids = (lay, lay.a, lay.b, lay.key, lay.rstart, lay.rcap, lay.fill,
+               offs, tables)
+        fresh = not _all_is(ids, self._ids)
+        if fresh or (lay.version, lay.size) != self._version:
+            self._ids = None
+            _check_pass_layout(lay, offs, tables)
+            self._ids, self._version = ids, (lay.version, lay.size)
+            self._new_layout(lay, offs, tables, fresh)
+        n = len(frac)
+        out_ids = (out, out.arena, out.home_bank, out.nbr_bank, out.accepted,
+                   out.uniq_per_row, out.remote)
+        if fresh or n != self._n or not _all_is(out_ids, self._out_ids):
+            self._out_ids = None
+            _check_pass_out((3, n + 1), lay, offs, out)
+            self._out_ids, self._n = out_ids, n
+            self._new_out(lay, out)
+        return self._run(frac, lay, offs, tables, out)
+
+    def _new_layout(self, lay, offs, tables, fresh: bool) -> None:
+        """A layout version passed the checks (``fresh``: new arrays)."""
+
+    def _new_out(self, lay, out) -> None:
+        """An ``out`` passed the checks."""
+
+    def _run(self, frac, lay, offs, tables, out) -> np.float32:
+        n = len(frac)
+        fs = out.arena.get("fs", 3 * (n + 1), np.float32).reshape(3, n + 1)
+        # The assignment casts per element like astype.
+        fs[:, :n] = frac.T
+        fs[:, n] = PAD_FRAC
+        return self.backend.datapath_pass(fs, lay, offs, tables, out)
 
 
 def checked_regions(rows, n_regions: int) -> np.ndarray:
@@ -1721,80 +1825,138 @@ def _make_cext_backend() -> ForceBackend:
             fx, fy, fz, [0], [len(ia)],
         )[0])
 
+    class CextPassPlan(PassPlan):
+        """The compiled pass's plan: the kernel's arguments (pointers
+        to the layout, the tables, the banks and counters of ``out``
+        and the scratch drawn from its arena) are bound once and kept
+        while they hold, so a pass writes the fractions into the 16-byte
+        rows the kernel reads and calls it.  The scratch is bound whole
+        (the arena grows a buffer with a quarter of headroom), so the
+        layout versions of in-place updates mostly fit it; one whose
+        hits or longest region do not is bound again, as is a new
+        ``out``.  The records of a pass are views of the scratch, valid
+        until the plan's next pass."""
+
+        def __init__(self, backend):
+            super().__init__(backend)
+            self._args = None
+            self._room = (0, 0, 0)
+            self._stride = self._n_rem = -1
+
+        def _new_layout(self, lay, offs, tables, fresh):
+            self._hits = int(lay.fill.sum())
+            self._mf = max(int(lay.fill.max(initial=0)), 1)
+            room_h, room_rec, room_m = self._room
+            if (fresh or lay.stride != self._stride or self._hits > room_h
+                    or min(self._n_rem * lay.stride, self._hits) > room_rec
+                    or self._mf > room_m):
+                self._args = None
+
+        def _new_out(self, lay, out):
+            self._args = None
+
+        def _bind(self, lay, offs, tables, out, n):
+            ar = out.arena
+            n_off = len(offs)
+            n_cells = len(lay.fill) // n_off
+            stride = lay.stride
+
+            def whole(name, size, dtype):
+                # The arena's buffer behind ``get``'s view: all of it.
+                view = ar.get(name, max(size, 1), dtype)
+                return view if view.base is None else view.base
+
+            # One 16-byte vector per bank row: a pair's operands are two
+            # cache lines, not six.
+            fs4 = ar.get("fs4", 4 * (n + 1), np.float32).reshape(-1, 4)
+            fs4[:, 3] = 0.0
+            offs64 = np.ascontiguousarray(offs, dtype=np.float64)
+            rom = np.ascontiguousarray(tables.rom, dtype=np.float32)
+            coef = np.ascontiguousarray(tables.coef, dtype=np.float32)
+            coef_n = 0 if coef.ndim == 1 else coef.shape[1]
+            # Energies and records: at most one per hit (pads never pass).
+            e = whole("ener", self._hits, np.float32)
+            acc = ar.get("acc", max(6 * n, 1), np.float64)
+            touched = ar.get("touched", max(2 * n, 1), np.int64)
+            seen = ar.get("seen", stride, np.int64)
+            meta = ar.get("meta", n_off + 3, np.int64)
+            remote = out.remote
+            n_rem = 0 if remote is None else int(np.count_nonzero(remote))
+            # Records: also at most one per distinct slot of each remote row.
+            cap = min(n_rem * stride, self._hits)
+            racc = ar.get("racc", 3 * stride, np.float64)
+            rbank = ar.get("rbank", stride, np.int64)
+            rec = (whole("rec_row", cap, np.int64),
+                   whole("rec_bank", cap, np.int64),
+                   whole("rec_f", 3 * cap, np.float32))
+            # A region's admitted entries, compacted before evaluation.
+            adm = [
+                whole(x, self._mf, t) for x, t in (
+                    ("adm_p", np.int64), ("adm_r2", np.float32),
+                    ("adm_dx", np.float32), ("adm_dy", np.float32),
+                    ("adm_dz", np.float32),
+                )
+            ]
+            self._args = (
+                ptr("float *", fs4),
+                ptr("int32_t *", lay.a), ptr("int32_t *", lay.b),
+                ptr("int32_t *", lay.key),
+                ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.fill),
+                n_cells, n_off, stride, ptr("double *", offs64),
+                np.float32(1.0 + 1e-5), np.float32(tables.r2_min),
+                int(tables.n_s), int(tables.n_b), ptr("float *", rom),
+                rom.shape[1],
+                ptr("float *", coef), coef_n,
+                ffi.NULL if tables.qq is None else ptr("float *", tables.qq),
+                ptr("float *", out.home_bank), ptr("float *", out.nbr_bank), n,
+                ptr("double *", acc),
+                ptr("int64_t *", out.accepted), ptr("int64_t *", out.uniq_per_row),
+                ffi.NULL if not n_rem else ptr("uint8_t *", remote.view(np.uint8)),
+                ptr("int64_t *", seen), ptr("double *", racc),
+                ptr("int64_t *", rbank), ptr("int64_t *", rec[0]),
+                ptr("int64_t *", rec[1]), ptr("float *", rec[2]),
+                ptr("int64_t *", adm[0]), *(ptr("float *", x) for x in adm[1:]),
+                ptr("float *", e), ptr("int64_t *", meta),
+                ptr("int64_t *", touched),
+            )
+            self._energy = (ptr("float *", e), ptr("int64_t *", meta), n_off)
+            self._fs4, self._meta, self._rec = fs4, meta, rec
+            self._room = (
+                len(e), min(len(rec[0]), len(rec[1]), len(rec[2]) // 3),
+                min(len(x) for x in adm),
+            )
+            self._stride, self._n_rem = stride, n_rem
+
+        def _call(self, tables, out, copy: bool) -> np.float32:
+            lib.datapath_pass_f32(*self._args)
+            meta = self._meta
+            below = int(meta[-1])
+            if below:
+                raise _small_r_error(below, tables.r2_min)
+            n_rec = int(meta[-2])
+            if n_rec:
+                rec_row, rec_bank, rec_f = self._rec
+                rec = (rec_row[:n_rec], rec_bank[:n_rec],
+                       rec_f[: 3 * n_rec].reshape(n_rec, 3))
+                out.records.append(tuple(x.copy() for x in rec) if copy else rec)
+            return np.float32(lib.offset_energy_f32(*self._energy))
+
+        def _run(self, frac, lay, offs, tables, out):
+            n = self._n
+            if self._args is None:
+                self._bind(lay, offs, tables, out, n)
+            fs4 = self._fs4
+            fs4[:n, :3] = frac
+            fs4[n, :3] = PAD_FRAC
+            return self._call(tables, out, copy=False)
+
     def datapath_pass(fs, lay, offs, tables, out):
         _check_pass_operands(fs, lay, offs, tables, out)
-        home, nbr = out.home_bank, out.nbr_bank
-        n = len(home)
-        n_off = len(offs)
-        n_cells = len(lay.fill) // n_off
-        stride = lay.stride
-        ar = out.arena
-        # One 16-byte vector per bank row: a pair's operands are two
-        # cache lines, not six.
-        fs4 = ar.get("fs4", 4 * fs.shape[1], np.float32).reshape(-1, 4)
-        fs4[:, :3] = fs.T
-        fs4[:, 3] = 0.0
-        offs64 = np.ascontiguousarray(offs, dtype=np.float64)
-        rom = np.ascontiguousarray(tables.rom, dtype=np.float32)
-        coef = np.ascontiguousarray(tables.coef, dtype=np.float32)
-        coef_n = 0 if coef.ndim == 1 else coef.shape[1]
-        # Energies and records: at most one per hit (pads never pass).
-        hits = int(lay.fill.sum())
-        e = ar.get("ener", max(hits, 1), np.float32)
-        acc = ar.get("acc", max(6 * n, 1), np.float64)
-        touched = ar.get("touched", max(2 * n, 1), np.int64)
-        seen = ar.get("seen", stride, np.int64)
-        meta = np.zeros(n_off + 3, dtype=np.int64)
-        remote = out.remote
-        n_rem = 0 if remote is None else int(np.count_nonzero(remote))
-        # Records: also at most one per distinct slot of each remote row.
-        cap = max(min(n_rem * stride, hits), 1)
-        racc = ar.get("racc", 3 * stride, np.float64)
-        rbank = ar.get("rbank", stride, np.int64)
-        rec_row = ar.get("rec_row", cap, np.int64)
-        rec_bank = ar.get("rec_bank", cap, np.int64)
-        rec_f = ar.get("rec_f", 3 * cap, np.float32)
-        # A region's admitted entries, compacted before evaluation.
-        mf = max(int(lay.fill.max(initial=0)), 1)
-        ap = ar.get("adm_p", mf, np.int64)
-        adm = [
-            ar.get(x, mf, np.float32)
-            for x in ("adm_r2", "adm_dx", "adm_dy", "adm_dz")
-        ]
-        lib.datapath_pass_f32(
-            ptr("float *", fs4),
-            ptr("int32_t *", lay.a), ptr("int32_t *", lay.b),
-            ptr("int32_t *", lay.key),
-            ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.fill),
-            n_cells, n_off, stride, ptr("double *", offs64),
-            np.float32(1.0 + 1e-5), np.float32(tables.r2_min),
-            int(tables.n_s), int(tables.n_b), ptr("float *", rom),
-            rom.shape[1],
-            ptr("float *", coef), coef_n,
-            ffi.NULL if tables.qq is None else ptr("float *", tables.qq),
-            ptr("float *", home), ptr("float *", nbr), n,
-            ptr("double *", acc),
-            ptr("int64_t *", out.accepted), ptr("int64_t *", out.uniq_per_row),
-            ffi.NULL if not n_rem else ptr("uint8_t *", remote.view(np.uint8)),
-            ptr("int64_t *", seen), ptr("double *", racc),
-            ptr("int64_t *", rbank), ptr("int64_t *", rec_row),
-            ptr("int64_t *", rec_bank), ptr("float *", rec_f),
-            ptr("int64_t *", ap), *(ptr("float *", x) for x in adm),
-            ptr("float *", e), ptr("int64_t *", meta),
-            ptr("int64_t *", touched),
-        )
-        below = int(meta[n_off + 2])
-        if below:
-            raise _small_r_error(below, tables.r2_min)
-        n_rec = int(meta[n_off + 1])
-        if n_rec:
-            out.records.append((
-                rec_row[:n_rec].copy(), rec_bank[:n_rec].copy(),
-                rec_f[: 3 * n_rec].reshape(n_rec, 3).copy(),
-            ))
-        return np.float32(
-            lib.offset_energy_f32(ptr("float *", e), ptr("int64_t *", meta), n_off)
-        )
+        plan = CextPassPlan(backend)
+        plan._new_layout(lay, offs, tables, True)
+        plan._bind(lay, offs, tables, out, len(out.home_bank))
+        plan._fs4[:, :3] = fs.T
+        return plan._call(tables, out, copy=True)
 
     def traffic_flat(keys, weights=None, aux=None):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
@@ -1859,6 +2021,7 @@ def _make_cext_backend() -> ForceBackend:
         return out
 
     def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
+        lay.version += 1
         offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
         n_rows = len(offs32)
         if offs32.shape != (n_rows, 3) or plan.nbr.size != plan.n_cells * n_rows:
@@ -1903,7 +2066,7 @@ def _make_cext_backend() -> ForceBackend:
             size = search()
         return size
 
-    return ForceBackend(
+    backend = ForceBackend(
         name="cext",
         available=True,
         why="compiled with cffi",
@@ -1914,7 +2077,9 @@ def _make_cext_backend() -> ForceBackend:
         ring_charge=ring_charge,
         keyed_uniforms=keyed_uniforms,
         band_rows=band_rows,
+        pass_plan=lambda: CextPassPlan(backend),
     )
+    return backend
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ their particles to it (paper Fig. 2(c)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -144,17 +144,28 @@ class CellList:
 
     @classmethod
     def from_rows(
-        cls, grid: CellGrid, counts: np.ndarray, rows: np.ndarray
+        cls,
+        grid: CellGrid,
+        counts: np.ndarray,
+        rows: np.ndarray,
+        start: Optional[np.ndarray] = None,
+        sorted_cids: Optional[np.ndarray] = None,
     ) -> "CellList":
         """A binning given in bucket order: cell ``c`` holds the
         ``counts[c]`` entries of ``rows`` from ``start[c]``, such as a
-        distributed node's local and halo cells over its arena rows."""
+        distributed node's local and halo cells over its arena rows.
+        ``start`` and ``sorted_cids`` (each entry's cell), when the
+        caller has them, are taken as they are."""
         self = cls.__new__(cls)
         self.grid = grid
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.start = np.concatenate([[0], np.cumsum(self.counts)])
+        if start is None:
+            start = np.concatenate([[0], np.cumsum(self.counts)])
+        self.start = start
         self.order = np.asarray(rows, dtype=np.int64)
-        self.sorted_cids = np.repeat(np.arange(grid.n_cells), self.counts)
+        if sorted_cids is None:
+            sorted_cids = np.repeat(np.arange(grid.n_cells), self.counts)
+        self.sorted_cids = sorted_cids
         return self
 
     def particles_in_cell(self, cid: int) -> np.ndarray:

@@ -54,7 +54,7 @@ rebuild invalidates them automatically (an in-place update bumps
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -190,6 +190,8 @@ class RowBands:
         int64 ``n_regions + 1`` region starts; ``rstart[-1] == size``.
     rcap / fill:
         int64 per-region capacity and hit count.
+    version:
+        Count of the searches that wrote the layout (fresh or in place).
 
     An entry is 12 bytes (:data:`INDEX_DTYPE`), so bank rows and keys
     must stay below 2**31 (:func:`check_index_range`).
@@ -197,12 +199,15 @@ class RowBands:
 
     __slots__ = (
         "a", "b", "key", "size", "stride", "pad",
-        "shift", "slack_min", "rstart", "rcap", "fill",
+        "shift", "slack_min", "rstart", "rcap", "fill", "version",
     )
 
     def __init__(self, n_regions: int = 0, slack: bool = True):
         self.a = self.b = self.key = np.empty(0, dtype=INDEX_DTYPE)
         self.size = 0
+        #: Bumped by every search that writes the layout, so what a
+        #: consumer derives from its contents can be kept per version.
+        self.version = 0
         self.stride = 1
         self.pad = 0
         self.shift = ROW_SLACK_SHIFT if slack else COMPACT_SHIFT
@@ -259,8 +264,10 @@ def band_rows_numpy(
     room (the layout is then unspecified).
 
     This is the numpy statement and the oracle of the compiled
-    ``band_rows`` kernel: both fill the layout bitwise identically.
+    ``band_rows`` kernel: both fill the layout bitwise identically, and
+    both bump its :attr:`RowBands.version`.
     """
+    lay.version += 1
     C = plan.n_cells
     order, start, counts = clist.order, clist.start, clist.counts
     cap = max(int(counts.max(initial=0)), 1)
@@ -404,6 +411,18 @@ def _grow_regions(lay: RowBands, rows: np.ndarray, per: np.ndarray) -> bool:
     return True
 
 
+class BinningChange(NamedTuple):
+    """What changed from binning ``prev`` to the one it is handed with:
+    the new binning's :func:`binning_keys` and the rows whose key
+    changed, ascending.  A consumer that bins all of its views in one
+    pass hands these over, so a state whose stored binning is ``prev``
+    neither recomputes the keys nor compares them row by row."""
+
+    prev: CellList
+    keys: np.ndarray
+    moved: np.ndarray
+
+
 class CellState:
     """Persistent binning + skin-banded candidate lists for one grid.
 
@@ -490,7 +509,8 @@ class CellState:
         self._rb: Optional[RowBands] = None
         self._offsets: Optional[np.ndarray] = None
         self._band = 0.0
-        #: The coords, cids and binning :meth:`_outcome` found changed.
+        #: The coords, cids, binning and moved rows (``None``: not
+        #: known) :meth:`_outcome` found changed.
         self._next: Optional[tuple] = None
         #: Consumer-attached per-build artifacts; cleared on rebuild.
         self.artifacts: Dict[str, object] = {}
@@ -533,7 +553,12 @@ class CellState:
         """Make the next pass a full build."""
         self.build_positions = None
 
-    def _outcome(self, positions: np.ndarray, binning: Optional[CellList]) -> str:
+    def _outcome(
+        self,
+        positions: np.ndarray,
+        binning: Optional[CellList],
+        change: Optional[BinningChange] = None,
+    ) -> str:
         """What a pass at ``positions`` needs, from two cheap O(N) tests:
 
         * the shared skin/2 displacement criterion (:func:`skin_exceeded`)
@@ -546,7 +571,9 @@ class CellState:
           bit-identical even though it would still be *covering*:
           ``"update"`` (what changed is kept for :meth:`_update`, which
           only an updatable state can take).  A given ``binning`` that
-          is the stored one changed nothing, by identity.
+          is the stored one changed nothing, by identity; one handed
+          with a ``change`` from the stored one changed the rows it
+          names.
 
         Otherwise ``"reuse"``.
         """
@@ -555,15 +582,26 @@ class CellState:
             return "build"
         if _skin_exceeded(positions, bp, self.grid, self.skin):
             return "build"
+        moved = None
         if binning is not None:
             if binning is self.clist:
                 return "reuse"
-            coords, cids = None, binning_keys(binning, len(positions))
+            if change is None:
+                cids = binning_keys(binning, len(positions))
+            else:
+                cids = change.keys
+                if change.prev is self.clist:
+                    moved = change.moved
+            coords = None
         else:
             coords = self.grid.coords_of_positions(positions)
             cids = self.grid.cell_id(coords)
-        if not np.array_equal(cids, self.cids):
-            self._next = (coords, cids, binning)
+        if moved is not None:
+            changed = len(moved) > 0
+        else:
+            changed = not np.array_equal(cids, self.cids)
+        if changed:
+            self._next = (coords, cids, binning, moved)
             return "update"
         if binning is not None:
             self.clist = binning
@@ -579,6 +617,7 @@ class CellState:
         backend=None,
         binning: Optional[CellList] = None,
         coords: Optional[np.ndarray] = None,
+        change: Optional[BinningChange] = None,
     ) -> bool:
         """Rebuild, update or reuse; returns True when a full build ran.
 
@@ -586,12 +625,14 @@ class CellState:
         (``None``: the numpy searches), whose band search the state
         calls.  ``binning`` is a node view's own binning of the rows,
         given with ``coords``, the cell coordinates of every row it holds
-        (see the class docstring).  An updatable state whose rows only changed
+        (see the class docstring), and optionally with ``change``, what
+        changed since the binning it replaced (:class:`BinningChange`).
+        An updatable state whose rows only changed
         cell takes :meth:`_update` instead of a full build, falling back
         to one when the update cannot hold the new binning.  Read-only
         ``positions`` are kept as the build positions by reference.
         """
-        outcome = self._outcome(positions, binning)
+        outcome = self._outcome(positions, binning, change)
         if outcome == "update" and not (
             self.updatable and self._update(positions, backend, coords)
         ):
@@ -659,7 +700,7 @@ class CellState:
         crossed a periodic face is searched next to its new neighbours
         (and may sit just outside ``[0, 1)`` of its cell).
         """
-        found_coords, cids, binning = self._next
+        found_coords, cids, binning, moved = self._next
         rb = self.pairs
         n = len(positions)
         if binning is None:
@@ -669,11 +710,7 @@ class CellState:
             clist, scale = binning, n
         if int(clist.counts.max()) > rb.stride:
             return False
-        regions = dirty_regions(self.plan, self.cids, cids, scale)
-        if self.home is not None:
-            searched = np.zeros(self.plan.n_cells, dtype=bool)
-            searched[self.home] = True
-            regions = regions[searched[regions % self.plan.n_cells]]
+        regions = dirty_regions(self.plan, self.cids, cids, scale, moved, self.home)
         packed = _build_fractions(self.grid, positions, self.build_positions, coords)
         kern = _row_search(backend)
         if kern(self.plan, clist, packed, self._offsets, self._band, regions, rb, False):
@@ -731,21 +768,31 @@ def binning_keys(binning: CellList, n: int) -> np.ndarray:
 
 
 def dirty_regions(
-    plan: CellPairPlan, before: np.ndarray, after: np.ndarray, scale: int = 1
+    plan: CellPairPlan,
+    before: np.ndarray,
+    after: np.ndarray,
+    scale: int = 1,
+    moved: Optional[np.ndarray] = None,
+    home: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Ascending regions ``k * n_cells + c`` of the plan rows whose home
     or neighbour cell changed membership between two per-row cell
     assignments: the cells every changed row left or entered.  An entry
     is ``cell * scale + rank`` (:func:`binning_keys` with ``scale = n``),
-    cell ``n_cells`` being no cell."""
+    cell ``n_cells`` being no cell.  ``moved``, when known, lists the
+    rows whose entry changed; ``home`` (ascending) keeps the regions of
+    those home cells only."""
     C = plan.n_cells
-    moved = np.flatnonzero(before != after)
+    if moved is None:
+        moved = np.flatnonzero(before != after)
     dirty = np.zeros(C + 1, dtype=bool)
     dirty[before[moved] // scale] = True
     dirty[after[moved] // scale] = True
-    dirty = dirty[:C]
     nbr = plan.nbr.reshape(C, ROWS_PER_CELL)
-    return np.flatnonzero((dirty[:, None] | dirty[nbr]).T)
+    if home is None:
+        return np.flatnonzero((dirty[:C, None] | dirty[nbr]).T)
+    k, i = np.nonzero((dirty[home, None] | dirty[nbr[home]]).T)
+    return k * C + home[i]
 
 
 def build_fractions(

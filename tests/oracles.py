@@ -26,6 +26,9 @@ production path against an independent restatement:
 * :func:`merge_segments` — the distributed merge that applied the
   force returns one (owner, evaluating node) segment at a time, which
   the one-pass fold replaced.
+* :func:`lay_out_nodes` — the node-by-node, from-scratch relayout of
+  the distributed node views and flows, which the relayout over the
+  whole binning replaced.
 
 :func:`fresh_path`, :func:`loop_traffic`, :func:`segment_merge`,
 :func:`rebuild_nodes_every_step` and :func:`rebuild_state_every_step`
@@ -71,7 +74,13 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.cellids import gcid_to_lcid
-from repro.core.distributed import DistributedMachine, _CellData, _Node
+from repro.core.distributed import (
+    DistributedMachine,
+    _CellData,
+    _Flow,
+    _Node,
+    _ViewLayout,
+)
 from repro.core.machine import _OFFS14, FasdaMachine
 from repro.core.packets import P2REncapsulatorChain, Packet, Record
 from repro.core.rings import RingLoadModel
@@ -451,6 +460,52 @@ def exchange_positions_loop(
     return halos
 
 
+def lay_out_nodes(
+    machine: DistributedMachine,
+) -> Tuple[Dict[int, _ViewLayout], List[_Flow]]:
+    """Every node's view layout and the nonempty position flows of the
+    machine's current binning, laid out node by node from scratch: the
+    relayout :meth:`~repro.core.distributed.DistributedMachine._lay_out_nodes`
+    ran before it laid out all nodes and flows in array passes and kept
+    the unchanged ones.  A node's view is its visible cells' slots of
+    one :class:`~repro.md.cells.CellList`; the flows into it are its
+    slots of each source node, in ascending (cell, slot) order."""
+    clist = CellList(machine.grid, machine.system.positions)
+    species = machine.system.species.astype(np.int32, copy=False)
+    rpp = machine.config.records_per_packet
+    layouts: Dict[int, _ViewLayout] = {}
+    flows: Dict[Tuple[int, int], _Flow] = {}
+    for k in range(len(machine._node_coords)):
+        sel = machine._view_cells[k][clist.sorted_cids]
+        ids = clist.order[sel]
+        layout = layouts[k] = machine._lay_out(
+            k, clist.sorted_cids[sel], ids, species[ids]
+        )
+        srcs = [src for src, dst in machine._node_flows if dst == k]
+        if not srcs:
+            continue
+        cells = [machine._node_flows[(src, k)] for src in srcs]
+        cids = np.concatenate(cells)
+        seg = np.cumsum([0] + [len(c) for c in cells])
+        pids = ids[layout.by_owner]
+        spc = layout.species[layout.by_owner]
+        runs = layout.counts[cids]
+        cum = np.concatenate([[0], np.cumsum(runs)])
+        carried = runs > 0
+        full = np.minimum.reduceat(carried, seg[:-1]).tolist()
+        for j, src in enumerate(srcs):
+            lo, hi = layout.owner_start[src], layout.owner_start[src + 1]
+            if lo == hi:
+                continue  # nothing to ship this binning
+            a, b = seg[j], seg[j + 1]
+            flows[(src, k)] = _Flow(
+                src, k, pids[lo:hi], spc[lo:hi], cids[a:b],
+                cum[a:b + 1] - cum[a], carried[a:b], full[j],
+                -(-(hi - lo) // rpp),
+            )
+    return layouts, [flows[key] for key in machine._node_flows if key in flows]
+
+
 def view_cell(node: _Node, cid: int) -> _CellData:
     """Cell ``cid`` as ``node``'s view holds it this step (its
     fractions gathered from the arena rows)."""
@@ -661,10 +716,10 @@ def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
     """
     build = machine._build_nodes
 
-    def rebuild():
+    def rebuild(*args):
         machine._nodes_cache = None
         machine._node_states.clear()
-        return build()
+        return build(*args)
 
     machine._build_nodes = rebuild
     return machine

@@ -172,6 +172,7 @@ class TestMetricSet:
             "batch/k64_ppc2-cext": "cext",
             "machine_1728p": "cext",
             "distributed_1728p": "numpy",
+            "distributed_1728p-cext": "cext",
         }
         for m in METRICS:
             json.dumps(m.config)
