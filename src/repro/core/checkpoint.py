@@ -261,6 +261,10 @@ def _restore_machine(meta, inner) -> Tuple[FasdaMachine, int]:
 
 
 def _engine_payload(e) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    seg = e._segment()
+    primed = seg is not None and seg.primed
+    if seg is not None:
+        e._batch._sync_segment_stats()
     meta = {
         "grid_dims": list(e.grid.dims),
         "cell_edge": float(e.grid.cell_edge),
@@ -269,10 +273,10 @@ def _engine_payload(e) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         "reuse_skin": None if e.reuse_skin is None else float(e.reuse_skin),
         "force_impl": e.force_impl,
         "step": e.history[-1].step if e.history else 0,
-        "primed": bool(e._primed),
+        "primed": bool(primed),
         "prime_recorded": bool(e._prime_recorded),
-        "last_potential": float(e._last_potential),
-        "cellstate": e._cell_state.meta() if e._cell_state is not None else None,
+        "last_potential": e._potential() if primed else 0.0,
+        "cellstate": seg.state.meta() if seg is not None else None,
     }
     arrays = _system_arrays(e.system)
     arrays.update(_history_arrays(e.history))
@@ -280,6 +284,14 @@ def _engine_payload(e) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
 
 
 def _restore_engine(meta, inner):
+    """Rebuild a :class:`~repro.md.engine.ReferenceEngine` from its payload.
+
+    The system is admitted to the engine's batch with the saved
+    cell-state counters; the first call primes it afresh (one build,
+    as a restored batch segment pays), which reproduces the saved
+    forces bitwise.  ``primed`` and ``last_potential`` are kept in the
+    payload for readers of the format and need no restoring.
+    """
     from repro.md.cells import CellGrid
     from repro.md.engine import ReferenceEngine
 
@@ -291,12 +303,10 @@ def _restore_engine(meta, inner):
         reuse_skin=meta["reuse_skin"],
         force_impl=meta.get("force_impl"),
     )
-    engine._primed = bool(meta["primed"])
     engine._prime_recorded = bool(meta["prime_recorded"])
-    engine._last_potential = float(meta["last_potential"])
     engine.history = _history_from_arrays(inner)
     if meta.get("cellstate") is not None:
-        engine.ensure_cell_state().restore_meta(meta["cellstate"])
+        engine._load().state.restore_meta(meta["cellstate"])
     return engine, int(meta["step"])
 
 

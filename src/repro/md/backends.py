@@ -16,9 +16,7 @@ Backends
     The pure-numpy kernels below — bitwise-stable, dependency-free, the
     default and the CI-green path.  Every contract that has a numpy
     implementation has exactly one, here; consumers call it without
-    branching.  ``lj_flat`` is the exception: the engine's per-offset
-    numpy path (:mod:`repro.md.reference`) is faster than a flat numpy
-    pass, so ``numpy`` registers none and the engine keeps that path.
+    branching.
 ``cext``
     The fused loops as a tiny C extension built on demand with cffi and
     the system compiler (both optional; never required).  Compiled with
@@ -31,15 +29,23 @@ The ``soa`` backend (pure-numpy flat kernels) was retired into
 
 Kernel contracts (see DESIGN.md §10)
 ------------------------------------
-* ``lj_flat`` (engine layer, float64): fused cutoff test + LJ +
-  Newton-pair scatter over a flat pair stream.  Admissions are exact
-  (the same float64 ``r2 < cutoff2`` test as the reference), but the
-  *accumulation order* differs from the bincount-grouped reference, so
-  forces and energy agree to the documented round-off bound
-  (:data:`FORCE_ATOL` / :data:`ENERGY_RTOL`) rather than bitwise.
+* ``lj_flat_seg`` (engine layer, float64): the one float64 force
+  pass, of :class:`~repro.md.batch.BatchedEngine` and so of the solo
+  :class:`~repro.md.engine.ReferenceEngine` (a one-segment batch):
+  fused cutoff test + LJ + Newton-pair scatter over K segments of one
+  flat pair stream, ``(..., seg_lo, seg_hi, pieces) -> (K,) energies``.
+  Admissions are exact (float64 ``r2 < cutoff2``) and each segment's
+  forces and energy depend only on its own pairs, so a segment is
+  bitwise its solo run and a stale band list gives a fresh one's
+  result, on each backend.  The compiled kernel accumulates pair by
+  pair; :func:`lj_flat_seg_numpy` by bincount over the pieces of
+  :class:`SegPieces`.  The two orders differ, so backends agree to the
+  documented round-off bound (:data:`FORCE_ATOL` / :data:`ENERGY_RTOL`)
+  rather than bitwise.
 * ``datapath_pass`` (machine layer, float32): one force pass of the
   machine datapath over a :class:`~repro.md.cellstate.RowBands`
-  layout, ``(fs, lay, offs, tables, out) -> potential`` — per region
+  layout, entered through :meth:`ForceBackend.plan_passes`,
+  ``plan(frac, lay, offs, tables, out) -> potential`` — per region
   admit (float32 prescreen, exact float64 recheck, ``r2 < 1``),
   decode, evaluate the LJ (+ Ewald) ROM pipeline and accumulate into
   the float32 banks, with the acceptance counts, the distinct-record
@@ -133,11 +139,14 @@ class ForceBackend:
     """One registered force-kernel implementation.
 
     The kernel entry points are described in the module docstring.
-    ``datapath_pass``, ``lj_flat_seg``, ``traffic_flat``,
-    ``ring_charge`` and ``keyed_uniforms`` are present on every
-    available backend, so consumers call them unconditionally.  For
-    ``lj_flat`` and ``band_rows``, ``None`` means "run the consumer's
-    numpy code", which stays the oracle the compiled kernel mirrors.
+    ``lj_flat_seg``, ``traffic_flat``, ``ring_charge`` and
+    ``keyed_uniforms`` are present on every available backend, so
+    consumers call them unconditionally.  The machine datapath pass is
+    entered through :meth:`plan_passes` alone: a backend gives either
+    ``datapath_pass``, which the generic :class:`PassPlan` runs, or its
+    own ``pass_plan``.  For ``band_rows``, ``None`` means "run the
+    consumer's numpy code", which stays the oracle the compiled kernel
+    mirrors.
     ``available`` is probed once at registration; ``why`` records the
     probe outcome for diagnostics.
     """
@@ -145,17 +154,14 @@ class ForceBackend:
     name: str
     available: bool
     why: str = ""
-    #: Fused flat LJ pass (engine layer).  ``None`` = the engine's
-    #: per-offset numpy path in :mod:`repro.md.reference`.
-    lj_flat: Optional[Callable] = None
-    #: One machine force pass over a row layout: see
-    #: :func:`datapath_pass_numpy` for the contract.
+    #: One machine force pass over a row layout, run by the generic
+    #: :class:`PassPlan`: see :func:`datapath_pass_numpy` for the
+    #: contract.  ``None`` on a backend with its own ``pass_plan``.
     datapath_pass: Optional[Callable] = None
-    #: Segmented variant of ``lj_flat`` for the batched engine: one call
-    #: serves K independent systems packed into one global pair stream,
-    #: returning a ``(K,)`` per-segment energy vector (see
-    #: :mod:`repro.md.batch`).  ``numpy`` carries the pure-numpy
-    #: segmented kernel: batching has no per-offset shape.
+    #: The float64 force pass (engine layer): one call serves K
+    #: independent systems packed into one pair stream, a solo engine
+    #: being K = 1, and returns a ``(K,)`` per-segment energy vector
+    #: (see :func:`lj_flat_seg_numpy` and :mod:`repro.md.batch`).
     lj_flat_seg: Optional[Callable] = None
     #: Stable group-reduce over int64 keys (accounting layer): see
     #: :func:`traffic_flat_numpy` for the contract.
@@ -172,8 +178,8 @@ class ForceBackend:
     #: Bitwise identical to :func:`~repro.md.cellstate.band_rows_numpy`,
     #: which ``None`` runs and which stays the oracle.
     band_rows: Optional[Callable] = None
-    #: ``() -> PassPlan``: the backend's own plan for consumers that run
-    #: many ``datapath_pass`` calls.  ``None`` = the generic
+    #: ``() -> PassPlan``: the backend's own plan for the datapath
+    #: passes of one consumer.  ``None`` = the generic
     #: :class:`PassPlan` over ``datapath_pass``.
     pass_plan: Optional[Callable] = None
 
@@ -282,13 +288,28 @@ def _lj_tables(lj: LJTable) -> Tuple[np.ndarray, ...]:
     )
 
 
-#: Super-chunk budget of the pure-numpy segmented kernel: segments are
-#: grouped into spans of at most this many stream rows so the scratch
-#: arrays stay ~250 MB even when the whole batch holds 100M+ pairs.
-#: Segments are never split across spans, so each particle's bincount
-#: accumulation subsequence — and hence its force — is bitwise the same
-#: as a single-pass (or solo) evaluation.
-DEFAULT_SEG_CHUNK_PAIRS = 4_000_000
+#: Stream rows one pass of :func:`lj_flat_seg_numpy` covers: pieces are
+#: grouped by the block of this many rows they start in, so a pass
+#: spans about this many rows plus its last piece (a longer piece is a
+#: pass of its own).  Bounds the scratch arrays and amortises numpy's
+#: per-call cost over the pieces of small segments.
+SPAN_PAIRS = 1 << 17
+
+
+class SegPieces(NamedTuple):
+    """How the pure-numpy segmented kernel cuts a packed pair stream.
+
+    ``cuts`` is ``(K, S + 1)`` int64: piece ``j`` of segment ``k`` is
+    stream rows ``cuts[k, j]:cuts[k, j + 1]`` (``cuts[k, 0]`` and
+    ``cuts[k, S]`` are the segment's ``seg_lo``/``seg_hi``).  An engine
+    segment's pieces are its half-shell offsets (``S = 14``): the blocks
+    of ``n_cells`` regions of its band layout.  ``bases`` is ``(K + 1,)``
+    int64: segment ``k`` owns particle rows ``bases[k]:bases[k + 1]``.
+    The compiled kernel walks pairs one at a time and ignores both.
+    """
+
+    cuts: np.ndarray
+    bases: np.ndarray
 
 
 def lj_flat_seg_numpy(
@@ -308,64 +329,75 @@ def lj_flat_seg_numpy(
     fz: np.ndarray,
     seg_lo: np.ndarray,
     seg_hi: np.ndarray,
-    target_pairs: int = DEFAULT_SEG_CHUNK_PAIRS,
+    pieces: SegPieces,
 ) -> np.ndarray:
-    """Segmented flat LJ pass in pure numpy (batched ``numpy``).
+    """Segmented flat LJ pass in pure numpy (the ``numpy`` ``lj_flat_seg``).
 
-    One exact float64 cutoff test over the flat pair stream, a
-    compaction to the admitted pairs, then LJ and six bincount scatters
-    over the *global* pair stream of a
-    :class:`~repro.md.batch.BatchedEngine`, with per-segment energies:
-    ``seg_lo[k]:seg_hi[k]`` delimits system ``k``'s live pairs in the
-    int32 ``ia``/``ib`` stream (the compiled kernel refuses any other
-    dtype; here any integer dtype indexes alike).  The numpy path
-    slices whole contiguous spans — pad rows between segments reference
-    the two ghost slots (placed farther than the cutoff apart) so the
-    exact float64 cutoff test rejects them for free; no pad ever
-    reaches the LJ evaluation or the scatters.
+    Evaluates the packed pair stream of a
+    :class:`~repro.md.batch.BatchedEngine` (``seg_lo[k]:seg_hi[k]`` are
+    system ``k``'s live pairs in the int32 ``ia``/``ib`` stream; the
+    compiled kernel refuses any other dtype, here any integer dtype
+    indexes alike) and returns the ``(K,)`` energy vector.
 
-    Per-particle forces are bitwise identical to evaluating each
-    segment alone with the same flat arithmetic (the solo oracle
-    ``lj_flat_numpy`` in ``tests/oracles.py``): every elementwise op sees
-    the same operands, and a particle's bincount accumulation
-    subsequence is exactly its solo stream (its index never appears in
-    another segment's pairs).  Per-segment *energies* are reduced with a
-    segmented bincount rather than one ``np.sum``, so they agree with
-    the solo energy to float64 round-off (:data:`ENERGY_RTOL`), not
-    bitwise — the engine-layer bound that already applies across
-    backends.  Returns the ``(K,)`` energy vector.
+    Each segment is cut into the pieces of ``pieces.cuts``.  A numpy
+    pass runs the exact float64 cutoff test over a run of pieces,
+    compacts to the admitted pairs (pad pairs between segments
+    reference two ghost rows farther apart than the cutoff, so none is
+    admitted), and evaluates LJ and the bincount scatters over the
+    particle rows ``pieces.bases`` gives its segments.  A particle's
+    force is the fold, piece by piece in stream order, of ``+=`` its
+    ``a``-side bincount sum and ``-=`` its ``b``-side one; the
+    bincounts are keyed by (piece slot, particle row), so pieces
+    sharing a pass keep their own sums.  A piece's energy is
+    ``np.add.reduceat`` over its admitted pairs minus ``shift_e`` per
+    pair, folded into its segment's in stream order.  Hence, bitwise,
+    in forces and energies:
+
+    * a segment's result depends only on its own pieces, not on which
+      other segments are packed with it (the solo contract);
+    * a band list many steps old gives the result of a fresh one: its
+      extra pairs are rejected, leaving the same admitted pairs in the
+      same order, as long as the cuts fall between the same pairs —
+      which is why cuts come from the segment's fixed shape (its
+      half-shell offsets), never from its band length;
+    * cut per half-shell offset, the forces are those of the
+      per-offset pass the engine took before it ran through this
+      kernel (its energies summed with ``np.sum``: round-off apart).
     """
     from repro.md.kernels import lj_scalar_energy
 
-    n = len(psx)
-    n_seg = len(seg_lo)
-    energies = np.zeros(n_seg, dtype=np.float64)
-    s = 0
-    while s < n_seg:
-        e = s + 1
-        lo = int(seg_lo[s])
-        while e < n_seg and int(seg_hi[e]) - lo <= target_pairs:
-            e += 1
-        hi = int(seg_hi[e - 1])
-        s_next = e
-        if hi == lo:
-            s = s_next
-            continue
-        span = slice(lo, hi)
-        # Widened once per span: numpy's gathers and bincounts cast
+    energies = np.zeros(len(seg_lo), dtype=np.float64)
+    cuts, bases = pieces
+    n_slots = cuts.shape[1] - 1
+    lo_p = cuts[:, :-1].ravel()
+    hi_p = cuts[:, 1:].ravel()
+    live = np.flatnonzero(hi_p > lo_p)
+    if not live.size:
+        return energies
+    lo_p, hi_p = lo_p[live], hi_p[live]
+    seg_p, slot_p = np.divmod(live, n_slots)
+    multi = lj.n_species > 1
+    # One pass per run of pieces starting in one SPAN_PAIRS block.
+    edges = np.flatnonzero(np.diff(lo_p // SPAN_PAIRS)) + 1
+    bounds = np.concatenate(([0], edges, [len(lo_p)])).tolist()
+    for grp in map(slice, bounds[:-1], bounds[1:]):
+        lo, hi = int(lo_p[grp.start]), int(hi_p[grp.stop - 1])
+        k0, k1 = int(seg_p[grp.start]), int(seg_p[grp.stop - 1]) + 1
+        row_lo, m = int(bases[k0]), int(bases[k1] - bases[k0])
+        # Widened once per pass: numpy's gathers and bincounts cast
         # int32 indices to intp on every call.
-        ia_c = ia[span].astype(np.intp)
-        ib_c = ib[span].astype(np.intp)
-        srow_c = srow[span]
-        dx = psx.take(ia_c)
-        dx -= psx.take(ib_c)
-        dy = psy.take(ia_c)
-        dy -= psy.take(ib_c)
-        dz = psz.take(ia_c)
-        dz -= psz.take(ib_c)
-        shifted = np.flatnonzero(srow_c >= 0)
+        a = ia[lo:hi].astype(np.intp)
+        b = ib[lo:hi].astype(np.intp)
+        dx = psx.take(a)
+        dx -= psx.take(b)
+        dy = psy.take(a)
+        dy -= psy.take(b)
+        dz = psz.take(a)
+        dz -= psz.take(b)
+        sr = srow[lo:hi]
+        shifted = np.flatnonzero(sr >= 0)
         if shifted.size:
-            rows = srow_c.take(shifted)
+            rows = sr.take(shifted)
             dx[shifted] -= stab[rows, 0]
             dy[shifted] -= stab[rows, 1]
             dz[shifted] -= stab[rows, 2]
@@ -374,34 +406,48 @@ def lj_flat_seg_numpy(
         r2 += tmp
         np.multiply(dz, dz, out=tmp)
         r2 += tmp
-        keep = np.flatnonzero(r2 < cutoff2)
-        s = s_next
-        if keep.size == 0:
+        # Not ``r2 < cutoff2``: a NaN distance is kept, as the compiled
+        # kernel keeps it, so a poisoned segment's forces show it.
+        keep = np.flatnonzero(~(r2 >= cutoff2))
+        if not keep.size:
             continue
-        a = ia_c.take(keep)
-        b = ib_c.take(keep)
-        dx = dx.take(keep)
-        dy = dy.take(keep)
-        dz = dz.take(keep)
-        r2 = r2.take(keep)
-        if lj.n_species == 1:
-            si = sj = None
+        if keep.size != r2.size:
+            a, b, r2 = a.take(keep), b.take(keep), r2.take(keep)
+            dx, dy, dz = dx.take(keep), dy.take(keep), dz.take(keep)
+        # The admitted pairs of each piece, and their bincount keys:
+        # (slot - j0) * m + row - row_lo.
+        starts = np.searchsorted(keep, lo_p[grp] - lo)
+        counts = np.diff(starts, append=keep.size)
+        j0 = int(slot_p[grp].min())
+        n_j = int(slot_p[grp].max()) - j0 + 1
+        key = (slot_p[grp] - j0) * m - row_lo
+        if (key != key[0]).any():
+            off = np.repeat(key, counts)
+            a_key, b_key = a + off, b + off
+        elif row_lo:
+            a_key, b_key = a - row_lo, b - row_lo
         else:
-            si = spc.take(a)
-            sj = spc.take(b)
-        scalar, evec = lj_scalar_energy(r2, si, sj, lj)
-        seg_ids = np.searchsorted(seg_hi, lo + keep, side="right")
-        energies += np.bincount(seg_ids, weights=evec, minlength=n_seg)
-        energies -= shift_e * np.bincount(seg_ids, minlength=n_seg)
+            a_key, b_key = a, b
+        if multi:
+            scalar, evec = lj_scalar_energy(r2, spc.take(a), spc.take(b), lj)
+        else:
+            scalar, evec = lj_scalar_energy(r2, None, None, lj)
+        size = n_j * m
+        rows_f = slice(row_lo, row_lo + m)
         w = scalar * dx
-        fx += np.bincount(a, weights=w, minlength=n)
-        fx -= np.bincount(b, weights=w, minlength=n)
-        np.multiply(scalar, dy, out=w)
-        fy += np.bincount(a, weights=w, minlength=n)
-        fy -= np.bincount(b, weights=w, minlength=n)
-        np.multiply(scalar, dz, out=w)
-        fz += np.bincount(a, weights=w, minlength=n)
-        fz -= np.bincount(b, weights=w, minlength=n)
+        for f, d in ((fx, dx), (fy, dy), (fz, dz)):
+            if d is not dx:
+                np.multiply(scalar, d, out=w)
+            plus = np.bincount(a_key, weights=w, minlength=size).reshape(n_j, m)
+            minus = np.bincount(b_key, weights=w, minlength=size).reshape(n_j, m)
+            fr = f[rows_f]
+            for j in range(n_j):
+                fr += plus[j]
+                fr -= minus[j]
+        full = counts > 0
+        e_piece = np.add.reduceat(evec, starts[full])
+        e_piece -= shift_e * counts[full]
+        np.add.at(energies, seg_p[grp][full], e_piece)
     return energies
 
 
@@ -832,8 +878,8 @@ def _pass_mismatch() -> ValidationError:
 
 
 def _check_pass_layout(lay, offs, tables) -> None:
-    """The layout half of :func:`_check_pass_operands`: the layout
-    streams, the offsets and the tables."""
+    """The layout half of a :class:`PassPlan`'s operand checks: the
+    layout streams, the offsets and the tables."""
     _check_layout_streams(lay, "datapath_pass")
     n_off, n_reg = len(offs), len(lay.fill)
     coef = tables.coef
@@ -851,8 +897,8 @@ def _check_pass_layout(lay, offs, tables) -> None:
 
 
 def _check_pass_out(fs_shape, lay, offs, out) -> None:
-    """The per-pass half of :func:`_check_pass_operands`: the fraction
-    rows' shape, the banks and the counters of ``out``."""
+    """The per-pass half of a :class:`PassPlan`'s operand checks: the
+    fraction rows' shape, the banks and the counters of ``out``."""
     n_off, n_reg, n = len(offs), len(lay.fill), len(out.home_bank)
     arr = _is_array
     if not (
@@ -863,14 +909,6 @@ def _check_pass_out(fs_shape, lay, offs, out) -> None:
         and (out.remote is None or arr(out.remote, np.bool_, (n_reg,)))
     ):
         raise _pass_mismatch()
-
-
-def _check_pass_operands(fs, lay, offs, tables, out) -> None:
-    """:class:`ValidationError` unless the operands of the compiled
-    ``datapath_pass`` have the shapes, dtypes and contiguity it indexes
-    them by (see :func:`datapath_pass_numpy` for what each holds)."""
-    _check_pass_layout(lay, offs, tables)
-    _check_pass_out(np.shape(fs), lay, offs, out)
 
 
 #: Packed fraction a :class:`PassPlan` gives a row layout's pad bank
@@ -892,13 +930,15 @@ class PassPlan:
     ``plan(frac, lay, offs, tables, out)`` is one ``datapath_pass``
     over the ``(n, 3)`` fractions ``frac`` of the bank rows: it writes
     them once, in the layout the backend reads, bank row ``n`` (the
-    pads') holding :data:`PAD_FRAC`.  The operand checks of
-    :func:`_check_pass_operands` run on what is new to the plan, found
-    by identity, so any operand swapped since is checked before a
-    kernel reads it: the layout half whenever the layout, one of its
-    streams, the offsets or the tables are new, and once per
-    :attr:`~repro.md.cellstate.RowBands.version` and size (an update
-    writes the layout in place); the ``out`` half whenever ``out``, its
+    pads') holding :data:`PAD_FRAC`.  The operand checks (the shapes,
+    dtypes and contiguity the compiled kernel indexes by; see
+    :func:`datapath_pass_numpy` for what each operand holds) run on
+    what is new to the plan, found by identity, so any operand swapped
+    since is checked before a kernel reads it: the layout half
+    whenever the layout, one of its streams, the offsets or the tables
+    are new, and once per :attr:`~repro.md.cellstate.RowBands.version`
+    and size (an update writes the layout in place); the ``out`` half
+    whenever ``out``, its
     arena, banks, counters or ``remote`` mask, or ``n`` are new.  A
     consumer that keeps its ``out`` (a distributed node draws it from
     its arena) is checked once per layout version.
@@ -1789,7 +1829,8 @@ def _make_cext_backend() -> ForceBackend:
         return ffi.from_buffer(atype, arr)
 
     def lj_flat_seg(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
-                    shift_e, fx, fy, fz, seg_lo, seg_hi):
+                    shift_e, fx, fy, fz, seg_lo, seg_hi, pieces):
+        # ``pieces`` cuts the numpy pass; the loop walks pairs singly.
         lo64 = np.ascontiguousarray(seg_lo, dtype=np.int64)
         hi64 = np.ascontiguousarray(seg_hi, dtype=np.int64)
         n_pairs = int(hi64.max(initial=0))
@@ -1816,14 +1857,6 @@ def _make_cext_backend() -> ForceBackend:
             ptr("double *", energies),
         )
         return energies
-
-    def lj_flat(psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2,
-                shift_e, fx, fy, fz):
-        # One segment spanning the whole stream.
-        return float(lj_flat_seg(
-            psx, psy, psz, ia, ib, srow, stab, spc, lj, cutoff2, shift_e,
-            fx, fy, fz, [0], [len(ia)],
-        )[0])
 
     class CextPassPlan(PassPlan):
         """The compiled pass's plan: the kernel's arguments (pointers
@@ -1927,7 +1960,13 @@ def _make_cext_backend() -> ForceBackend:
             )
             self._stride, self._n_rem = stride, n_rem
 
-        def _call(self, tables, out, copy: bool) -> np.float32:
+        def _run(self, frac, lay, offs, tables, out):
+            n = self._n
+            if self._args is None:
+                self._bind(lay, offs, tables, out, n)
+            fs4 = self._fs4
+            fs4[:n, :3] = frac
+            fs4[n, :3] = PAD_FRAC
             lib.datapath_pass_f32(*self._args)
             meta = self._meta
             below = int(meta[-1])
@@ -1938,25 +1977,8 @@ def _make_cext_backend() -> ForceBackend:
                 rec_row, rec_bank, rec_f = self._rec
                 rec = (rec_row[:n_rec], rec_bank[:n_rec],
                        rec_f[: 3 * n_rec].reshape(n_rec, 3))
-                out.records.append(tuple(x.copy() for x in rec) if copy else rec)
+                out.records.append(rec)
             return np.float32(lib.offset_energy_f32(*self._energy))
-
-        def _run(self, frac, lay, offs, tables, out):
-            n = self._n
-            if self._args is None:
-                self._bind(lay, offs, tables, out, n)
-            fs4 = self._fs4
-            fs4[:n, :3] = frac
-            fs4[n, :3] = PAD_FRAC
-            return self._call(tables, out, copy=False)
-
-    def datapath_pass(fs, lay, offs, tables, out):
-        _check_pass_operands(fs, lay, offs, tables, out)
-        plan = CextPassPlan(backend)
-        plan._new_layout(lay, offs, tables, True)
-        plan._bind(lay, offs, tables, out, len(out.home_bank))
-        plan._fs4[:, :3] = fs.T
-        return plan._call(tables, out, copy=True)
 
     def traffic_flat(keys, weights=None, aux=None):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
@@ -2070,8 +2092,6 @@ def _make_cext_backend() -> ForceBackend:
         name="cext",
         available=True,
         why="compiled with cffi",
-        lj_flat=lj_flat,
-        datapath_pass=datapath_pass,
         lj_flat_seg=lj_flat_seg,
         traffic_flat=traffic_flat,
         ring_charge=ring_charge,

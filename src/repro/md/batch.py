@@ -24,42 +24,41 @@ Packing layout (see DESIGN.md §11)
   trailing *ghost* rows pinned ``4 * cell_edge`` apart, so any pair
   referencing them fails the exact ``r2 < cutoff2`` test.
 * **Pair-stream space** — each segment's flat int32 ``(a, b, srow)``
-  stream, 12 bytes a pair (the solo engine's
-  :class:`~repro.md.reference._FlatArtifacts`: the bank rows of its
-  band layout, which are its particle rows, re-offset by its row base
-  and shift-table block) occupies a region with ~25%
-  capacity slack; entries past the live length are *pad pairs*
-  pointing at the ghost rows.  A skin rebuild that still fits splices
-  in place; growth beyond capacity triggers one stream re-pack.
-  ``seg_lo/seg_hi`` delimit the live ranges for the backend's
-  ``lj_flat_seg`` kernel.
+  stream, 12 bytes a pair (:class:`_FlatArtifacts`: the bank rows of
+  its band layout, which are its particle rows, re-offset by its row
+  base and shift-table block) occupies a region with ~25% capacity
+  slack; entries past the live length are *pad pairs* pointing at the
+  ghost rows.  A skin rebuild that still fits splices in place; growth
+  beyond capacity triggers one stream re-pack.  ``seg_lo/seg_hi``
+  delimit the live ranges for the backend's ``lj_flat_seg`` kernel, and
+  ``cuts`` each segment's pieces for the numpy one (its half-shell
+  offsets at :data:`CUT_OCCUPANCY` particles a cell or more, else the
+  whole segment).
+
+A solo :class:`~repro.md.engine.ReferenceEngine` is a one-segment
+batch: this is the one float64 stepping path.
 
 Bitwise contract
 ----------------
-Each packed system's trajectory (positions, velocities, forces) is
-**bitwise identical** to running it alone in a
-``ReferenceEngine(force_impl=solo_oracle_impl(impl))`` on ``cext``, and
-on ``numpy`` to a solo engine on the flat pure-numpy kernel that only
-the tests register (``tests/oracles.py``), including across
-:meth:`BatchedEngine.add` / :meth:`BatchedEngine.remove` swaps of
-*other* segments:
+Each packed system's trajectory (positions, velocities, forces) and
+potential is **bitwise identical** to running it alone in a
+``ReferenceEngine(force_impl=solo_oracle_impl(impl))``, on every
+backend, including across :meth:`BatchedEngine.add` /
+:meth:`BatchedEngine.remove` swaps of *other* segments:
 
 * every integrator / wrap / thermostat operation is elementwise (or a
   same-shape contiguous ``np.sum``) over the same operand values;
-* a particle's force-accumulation subsequence is exactly its solo pair
-  stream (its row never appears in another segment's pairs, and
-  pad pairs are rejected by the cutoff or skipped by ``seg_lo/seg_hi``);
-* rebuild decisions restate the solo :class:`CellState`'s rebuild test
-  (skin/2 or any cell change, ``CellState._outcome``) with exact
-  reductions (``max``, ``any``), so each segment rebuilds on exactly
-  the steps its solo run would.
+* the kernel's result for a segment depends only on that segment's
+  pairs and pieces (its rows never appear in another segment's pairs,
+  pad pairs are rejected by the cutoff or skipped by ``seg_lo/seg_hi``,
+  and the cuts read only the segment's own shape);
+* rebuild decisions apply the :class:`CellState` rebuild test (skin/2
+  or any cell change, ``CellState._outcome``) to each segment's own
+  rows with exact reductions (``max``, ``any``), so each segment
+  rebuilds on exactly the steps its solo run would.
 
-Per-segment *energies* from the pure-numpy kernel are reduced with a
-segmented bincount instead of one ``np.sum``, so potentials agree with
-solo to float64 round-off rather than bitwise (trajectories depend only
-on forces).  The contract holds for any occupancy: a solo run lists
-its band on every build, sparse or skewed boxes included, so every
-segment batches.
+The contract holds for any occupancy: every build lists its band,
+sparse or skewed boxes included, so every segment batches.
 """
 
 from __future__ import annotations
@@ -82,14 +81,15 @@ from repro.md.cells import CellGrid
 from repro.md.cellstate import (
     INDEX_DTYPE,
     CellState,
+    RowBands,
     check_index_range,
     engine_pack_fn,
     engine_skin,
 )
 from repro.md.integrator import VelocityVerlet
-from repro.md.pairplan import CellPairPlan, plan_for_grid
-from repro.md.backends import ForceBackend, resolve_backend
-from repro.md.reference import _cutoff_shift, _FlatArtifacts
+from repro.md.pairplan import ROWS_PER_CELL, CellPairPlan, plan_for_grid
+from repro.md.backends import ForceBackend, SegPieces, resolve_backend
+from repro.md.reference import _cutoff_shift
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
 from repro.util.units import KCAL_MOL_TO_INTERNAL
@@ -98,6 +98,15 @@ from repro.util.units import KCAL_MOL_TO_INTERNAL
 #: band list grew less than this factor splices in place instead of
 #: re-packing the whole stream.
 PAIR_SLACK = 1.25
+
+#: Mean cell occupancy from which a segment's stream is cut into its
+#: half-shell offsets for the numpy kernel (see
+#: :class:`~repro.md.backends.SegPieces`); a sparser segment is one
+#: piece.  A cut segment's forces are the per-offset fold, whose slot
+#: bookkeeping costs ~14 bins per particle a pass: worth it where each
+#: offset holds tens of pairs per particle and its scratch arrays stay
+#: in cache, not in a sparse segment of a few pairs per particle.
+CUT_OCCUPANCY = 8
 
 #: Floor on a segment's pair-stream capacity (tiny systems still get a
 #: few spare rows so the first skin fluctuation does not force a
@@ -108,21 +117,46 @@ _MIN_CAP = 16
 def solo_oracle_impl(force_impl: Optional[str] = None) -> str:
     """The solo ``force_impl`` whose trajectory a batched run matches bitwise.
 
-    The backend itself when it has a solo flat kernel (``cext``): its
-    segmented kernel walks each segment exactly like a solo ``lj_flat``
-    pass.  ``numpy`` has none — a solo numpy engine takes the
-    per-offset path, which matches batched ``numpy`` only to round-off
-    — so no production backend is its bitwise solo oracle and this
-    raises :class:`~repro.util.errors.ValidationError`; the flat
-    pure-numpy oracle lives in ``tests/oracles.py``.
+    The resolved backend itself, on every backend: a solo
+    :class:`~repro.md.engine.ReferenceEngine` is a one-segment batch, and
+    the segmented kernel evaluates a segment alike whatever is packed
+    beside it.
     """
-    backend = resolve_backend(force_impl)
-    if backend.lj_flat is None:
-        raise ValidationError(
-            f"no production backend runs batched {backend.name!r} "
-            "bitwise solo: its solo engine path is per-offset, not flat"
-        )
-    return backend.name
+    return resolve_backend(force_impl).name
+
+
+def _shift_rows(rb: RowBands, plan: CellPairPlan) -> np.ndarray:
+    """Per-entry image-shift row of a band layout: region ``k * n_cells
+    + c`` reads plan row ``c * ROWS_PER_CELL + k``, or -1 where that row
+    has no shift (the bulk)."""
+    C = plan.n_cells
+    row = (
+        np.arange(C)[None, :] * ROWS_PER_CELL
+        + np.arange(ROWS_PER_CELL)[:, None]
+    ).reshape(-1)
+    return np.repeat(
+        np.where(plan.has_shift[row], row, -1).astype(np.int32), rb.rcap
+    )
+
+
+class _FlatArtifacts:
+    """One segment's flat pair stream, per build of its band layout.
+
+    The layout's int32 bank-row ``(a, b)`` entries (views, not copies;
+    bank rows are the segment's particle rows), a per-pair int32
+    shift-row index (``-1`` for the unshifted bulk) into the plan's
+    ``(n_rows, 3)`` shift table, and the stream offsets where the
+    half-shell offsets' blocks of regions start (``ROWS_PER_CELL + 1``,
+    the last the length).
+    """
+
+    __slots__ = ("a", "b", "srow", "offsets")
+
+    def __init__(self, rb: RowBands, plan: CellPairPlan):
+        self.a = rb.a[: rb.size]
+        self.b = rb.b[: rb.size]
+        self.srow = _shift_rows(rb, plan)
+        self.offsets = rb.rstart[:: plan.n_cells]
 
 
 class _Segment:
@@ -130,8 +164,9 @@ class _Segment:
 
     __slots__ = (
         "handle", "grid", "plan", "state", "thermostat", "aux", "n",
-        "pending", "primed", "art", "live", "cap", "lo", "stab_base",
-        "base", "last_potential", "steps_base", "start_step", "e_ref",
+        "pending", "primed", "art", "cut", "live", "cap", "lo", "stab_base",
+        "base", "last_potential", "steps_base", "start_step", "start_pass",
+        "e_ref",
     )
 
     def __init__(self, handle, grid, plan, state, thermostat, aux, pending):
@@ -145,14 +180,19 @@ class _Segment:
         self.pending: Optional[ParticleSystem] = pending
         self.primed = False
         self.art: Optional[_FlatArtifacts] = None
+        # Cut into half-shell offsets for the numpy kernel, or one
+        # piece: read from the shape alone, so a stale band list is cut
+        # where a fresh one would be.
+        self.cut = self.n >= CUT_OCCUPANCY * plan.n_cells
         self.live = 0       # live pairs in the stream region
-        self.cap = 0        # stream region capacity
+        self.cap = 0        # stream region capacity (-1: its own layout)
         self.lo = 0         # stream region offset
         self.stab_base = 0  # shift-table row offset of this segment's plan
         self.base = 0       # particle-row base
         self.last_potential = 0.0
         self.steps_base = 0     # steps carried over a checkpoint restore
         self.start_step = 0     # engine step_count at priming
+        self.start_pass = 0     # engine force passes at priming
         self.e_ref = None       # energy-drift watchdog reference (kcal/mol)
 
 
@@ -258,6 +298,7 @@ class BatchedEngine:
         self.backend_name = backend.name
         self._integrator = VelocityVerlet(self.dt_fs)
         self.step_count = 0
+        self._passes = 0  # full force passes: one per step or evaluate()
         self._segments: List[_Segment] = []
         self._by_handle: Dict[int, _Segment] = {}
         self._next_handle = 0
@@ -464,9 +505,10 @@ class BatchedEngine:
 
         Called at inspection/repack boundaries, not per step, so the hot
         path stays loop-free; ``reuse_steps`` is derived from the pass
-        arithmetic (every primed segment gets exactly one force pass per
-        engine step plus one at priming; each pass is either a build or
-        a reuse, matching the solo ``CellState.ensure`` accounting).
+        arithmetic (every primed segment gets one force pass at priming
+        and one per full pass since: each step and each
+        :meth:`evaluate`; each pass is either a build or a reuse,
+        matching the ``CellState.ensure`` accounting).
         """
         # The packed energy vector indexes the segment list it was
         # produced for; after a remove (and before the repack) the two
@@ -478,7 +520,7 @@ class BatchedEngine:
                 continue
             if aligned:
                 seg.last_potential = float(self._energies[k])
-            passes = (self.step_count - seg.start_step) + 1
+            passes = (self._passes - seg.start_pass) + 1
             st = seg.state
             st.reuse_steps = st.builds_restore_base + passes - st.builds
 
@@ -642,18 +684,31 @@ class BatchedEngine:
             np.ascontiguousarray(np.concatenate(blocks))
             if blocks else np.zeros((0, 3))
         )
+        # Rows 0..n-1 are particles, n and n + 1 the two ghosts.
+        check_index_range(self._n + 2, what="batch pair stream")
+        self._seg_lo = np.zeros(len(segs), dtype=np.int64)
+        self._seg_hi = np.zeros(len(segs), dtype=np.int64)
+        self._cuts = np.zeros((len(segs), ROWS_PER_CELL + 1), dtype=np.int64)
+        if len(segs) == 1:
+            # A lone segment (the solo engine's) is its own stream: its
+            # layout's entries are its rows and its plan's shift rows,
+            # so the kernel reads them in place, and every rebuild
+            # re-packs (cap -1) to read the new layout.
+            seg = segs[0]
+            seg.lo, seg.cap = 0, -1
+            art = seg.art
+            self._g_a, self._g_b, self._g_srow = art.a, art.b, art.srow
+            self._seg_hi[0] = seg.live
+            self._write_cuts(0, seg)
+            return
         total = 0
         for seg in segs:
             seg.lo = total
             seg.cap = max(int(seg.live * PAIR_SLACK) + 1, seg.live, _MIN_CAP)
             total += seg.cap
-        # Rows 0..n-1 are particles, n and n + 1 the two ghosts.
-        check_index_range(self._n + 2, what="batch pair stream")
         self._g_a = np.full(total, self._n, dtype=INDEX_DTYPE)
         self._g_b = np.full(total, self._n + 1, dtype=INDEX_DTYPE)
         self._g_srow = np.full(total, -1, dtype=np.int32)
-        self._seg_lo = np.zeros(len(segs), dtype=np.int64)
-        self._seg_hi = np.zeros(len(segs), dtype=np.int64)
         for k, seg in enumerate(segs):
             self._seg_lo[k] = seg.lo
             self._write_segment_stream(k, seg)
@@ -662,15 +717,26 @@ class BatchedEngine:
         """Splice one segment's live pairs (and pad tail) into the stream."""
         art = seg.art
         lo, live, cap = seg.lo, seg.live, seg.cap
-        self._g_a[lo:lo + live] = art.a + seg.base
-        self._g_b[lo:lo + live] = art.b + seg.base
-        srow = art.srow.astype(np.int64)
-        np.add(srow, seg.stab_base, where=srow >= 0, out=srow)
-        self._g_srow[lo:lo + live] = srow.astype(np.int32)
+        np.add(art.a, seg.base, out=self._g_a[lo:lo + live])
+        np.add(art.b, seg.base, out=self._g_b[lo:lo + live])
+        srow = self._g_srow[lo:lo + live]
+        srow[:] = art.srow
+        if seg.stab_base:
+            np.add(srow, seg.stab_base, where=srow >= 0, out=srow)
         self._g_a[lo + live:lo + cap] = self._n
         self._g_b[lo + live:lo + cap] = self._n + 1
         self._g_srow[lo + live:lo + cap] = -1
         self._seg_hi[k] = lo + live
+        self._write_cuts(k, seg)
+
+    def _write_cuts(self, k: int, seg: _Segment) -> None:
+        """Segment ``k``'s pieces for the numpy kernel (``SegPieces``)."""
+        cuts = self._cuts[k]
+        if seg.cut:
+            np.add(seg.art.offsets, seg.lo, out=cuts)
+        else:
+            cuts[0] = seg.lo
+            cuts[1:] = seg.lo + seg.live
 
     # -- the hot path ------------------------------------------------------
 
@@ -740,7 +806,9 @@ class BatchedEngine:
             self._g_a, self._g_b, self._g_srow, self._g_stab,
             self._spc_g, self._lj, self._cutoff2, self._shift_e,
             self._fx, self._fy, self._fz, self._seg_lo, self._seg_hi,
+            SegPieces(self._cuts, self._bases),
         )
+        self._passes += 1
         self._new_frc[:, 0] = self._fx[:n]
         self._new_frc[:, 1] = self._fy[:n]
         self._new_frc[:, 2] = self._fz[:n]
@@ -763,10 +831,11 @@ class BatchedEngine:
         self._fz.fill(0.0)
         index_of = {id(s): k for k, s in enumerate(self._segments)}
         ks = np.array(sorted(index_of[id(s)] for s in fresh), dtype=np.int64)
-        # The pure-numpy kernel groups *adjacent* stream regions into one
-        # span, so a restricted call must not skip over live foreign
-        # segments.  Fresh segments are appended, hence normally a
-        # contiguous suffix — fall back to one call per segment if not.
+        # The pure-numpy kernel reads the particle rows of the segments
+        # it is given as one range, so a restricted call covers a run of
+        # adjacent segments.  Fresh segments are appended, hence
+        # normally a contiguous suffix — fall back to one call per
+        # segment if not.
         if int(ks[-1] - ks[0]) + 1 == len(ks):
             groups = [ks]
         else:
@@ -779,6 +848,7 @@ class BatchedEngine:
                 self._spc_g, self._lj, self._cutoff2, self._shift_e,
                 self._fx, self._fy, self._fz,
                 self._seg_lo[grp], self._seg_hi[grp],
+                SegPieces(self._cuts[grp], self._bases[grp[0]:grp[-1] + 2]),
             )
             pairs.extend(zip(energies, grp))
         for e_k, k in pairs:
@@ -791,6 +861,7 @@ class BatchedEngine:
             seg.last_potential = float(e_k)
             seg.primed = True
             seg.start_step = self.step_count
+            seg.start_pass = self._passes
 
     # -- health guards (DESIGN.md §12) -------------------------------------
 
@@ -980,6 +1051,20 @@ class BatchedEngine:
     def run(self, n_steps: int, record_every: int = 0) -> None:
         """Alias of :meth:`step` (harness compatibility)."""
         self.step(n_steps)
+
+    def evaluate(self) -> np.ndarray:
+        """Per-segment potentials of the current positions, one fresh pass.
+
+        Packs and primes pending segments first.  The pass rebuilds the
+        band lists that need it, like a step's, but leaves the stored
+        forces, :meth:`potentials` and the step count as they were: it
+        serves a caller that moved particles between steps and wants
+        their energy without advancing.
+        """
+        self._ensure_ready()
+        if self._n == 0:
+            return np.zeros(0)
+        return self._force_pass()
 
     def prime(self) -> None:
         """Pack and prime without stepping (exposed for benchmarks)."""

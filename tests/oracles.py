@@ -41,9 +41,6 @@ The engine layer's float64 oracles:
   an independently coded restatement of
   :func:`~repro.md.reference.compute_forces_cells` (to float64
   round-off).
-* :func:`lj_flat_numpy` — one flat pure-numpy LJ pass over a pair
-  stream.  Registered as a solo backend by :func:`solo_oracle`, it is
-  the engine a batched ``numpy`` run matches bitwise, system by system.
 
 The band search's oracle:
 
@@ -68,7 +65,6 @@ The transport and pair-plan oracles:
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -85,24 +81,15 @@ from repro.core.machine import _OFFS14, FasdaMachine
 from repro.core.packets import P2REncapsulatorChain, Packet, Record
 from repro.core.rings import RingLoadModel
 from repro.faults import ACK_SUFFIX, FaultInjector, TransportConfig, TransportStats
-from repro.md.backends import (
-    _REGISTRY,
-    ForceBackend,
-    lj_flat_seg_numpy,
-    register_backend,
-    resolve_backend,
-)
-from repro.md.batch import solo_oracle_impl
 from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
 from repro.md.engine import ReferenceEngine
-from repro.md.kernels import lj_scalar_energy, pair_forces_energy, scatter_add
+from repro.md.kernels import pair_forces_energy, scatter_add
 from repro.md.pairplan import (
     ROWS_PER_CELL,
     CellPairPlan,
     PairChunk,
     iter_pair_chunks,
 )
-from repro.md.params import LJTable
 from repro.md.reference import _cutoff_shift
 from repro.md.system import ParticleSystem
 from repro.util.errors import ValidationError
@@ -726,19 +713,20 @@ def rebuild_nodes_every_step(machine: DistributedMachine) -> DistributedMachine:
 
 
 def rebuild_state_every_step(engine: ReferenceEngine) -> ReferenceEngine:
-    """Drop ``engine``'s cell state before every force pass.
+    """Rebuild ``engine``'s cell state before every force pass.
 
     The rebuild-every-step oracle of the engine layer: every pass bins
     the particles and searches the skin band from scratch, so no band
-    list ever outlives the step that built it.
+    list ever outlives the step that built it.  The engine's batch
+    rebuilds its one segment whatever the rebuild test says.
     """
-    force_fn = engine._force_fn
+    batch = engine._batch
+    mask = batch._rebuild_mask
 
-    def rebuild(system):
-        engine._cell_state = None
-        return force_fn(system)
+    def rebuild():
+        return np.ones_like(mask())
 
-    engine._force_fn = rebuild
+    batch._rebuild_mask = rebuild
     return engine
 
 
@@ -806,109 +794,6 @@ def compute_forces_cells_loop(
             np.add.at(forces, nbr_idx[nj], -f)
             energy += e
     return forces, energy
-
-
-def lj_flat_numpy(
-    psx: np.ndarray,
-    psy: np.ndarray,
-    psz: np.ndarray,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    srow: np.ndarray,
-    stab: np.ndarray,
-    spc: np.ndarray,
-    lj: LJTable,
-    cutoff2: float,
-    shift_e: float,
-    fx: np.ndarray,
-    fy: np.ndarray,
-    fz: np.ndarray,
-) -> float:
-    """Flat LJ pass in pure numpy, in the backend ``lj_flat`` contract.
-
-    ``psx/psy/psz`` are contiguous float64 coordinate columns, ``ia/ib``
-    the flat pair stream, ``srow`` a per-pair int32 row into the
-    ``(n_rows, 3)`` image-shift table ``stab`` (-1 = no shift).  One
-    exact float64 cutoff test over the whole stream, a compaction to the
-    admitted pairs, then LJ and six bincount scatters — per segment,
-    exactly the arithmetic of
-    :func:`~repro.md.backends.lj_flat_seg_numpy`.  Accumulates into
-    ``fx/fy/fz`` and returns the energy.
-    """
-    n = len(psx)
-    dx = psx.take(ia)
-    dx -= psx.take(ib)
-    dy = psy.take(ia)
-    dy -= psy.take(ib)
-    dz = psz.take(ia)
-    dz -= psz.take(ib)
-    shifted = np.flatnonzero(srow >= 0)
-    if shifted.size:
-        rows = srow.take(shifted)
-        dx[shifted] -= stab[rows, 0]
-        dy[shifted] -= stab[rows, 1]
-        dz[shifted] -= stab[rows, 2]
-    r2 = dx * dx
-    tmp = dy * dy
-    r2 += tmp
-    np.multiply(dz, dz, out=tmp)
-    r2 += tmp
-    keep = np.flatnonzero(r2 < cutoff2)
-    if keep.size == 0:
-        return 0.0
-    a = ia.take(keep)
-    b = ib.take(keep)
-    dx = dx.take(keep)
-    dy = dy.take(keep)
-    dz = dz.take(keep)
-    r2 = r2.take(keep)
-    if lj.n_species == 1:
-        si = sj = None
-    else:
-        si = spc.take(a)
-        sj = spc.take(b)
-    scalar, evec = lj_scalar_energy(r2, si, sj, lj)
-    energy = float(np.sum(evec)) - shift_e * len(r2)
-    w = scalar * dx
-    fx += np.bincount(a, weights=w, minlength=n)
-    fx -= np.bincount(b, weights=w, minlength=n)
-    np.multiply(scalar, dy, out=w)
-    fy += np.bincount(a, weights=w, minlength=n)
-    fy -= np.bincount(b, weights=w, minlength=n)
-    np.multiply(scalar, dz, out=w)
-    fz += np.bincount(a, weights=w, minlength=n)
-    fz -= np.bincount(b, weights=w, minlength=n)
-    return energy
-
-
-#: The solo engine backend whose flat pass batched ``numpy`` matches
-#: bitwise.  Registered only inside :func:`solo_oracle`.
-NUMPY_FLAT = ForceBackend(
-    name="numpy-flat-oracle",
-    available=True,
-    why="test oracle",
-    lj_flat=lj_flat_numpy,
-    lj_flat_seg=lj_flat_seg_numpy,
-)
-
-
-@contextmanager
-def solo_oracle(force_impl: Optional[str] = None) -> Iterator[str]:
-    """Yield the solo ``force_impl`` a batched run on ``force_impl``
-    matches bitwise.
-
-    :func:`~repro.md.batch.solo_oracle_impl` for backends with a solo
-    flat kernel; for ``numpy`` the :data:`NUMPY_FLAT` oracle, registered
-    for the duration of the block.
-    """
-    if resolve_backend(force_impl).lj_flat is not None:
-        yield solo_oracle_impl(force_impl)
-        return
-    register_backend(NUMPY_FLAT)
-    try:
-        yield NUMPY_FLAT.name
-    finally:
-        del _REGISTRY[NUMPY_FLAT.name]
 
 
 class SlotBand(NamedTuple):

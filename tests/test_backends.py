@@ -89,10 +89,11 @@ class TestRegistry:
         for kernel in ("datapath_pass", "lj_flat_seg", "traffic_flat",
                        "ring_charge"):
             assert getattr(b, kernel) is not None, kernel
-        assert b.lj_flat is None  # the per-offset engine path is faster
         # The machine pass is one kernel: no staged admission, pipeline
-        # or scatter entry points beside it.
-        for gone in ("admit_flat", "rom_eval", "scatter_cols", "screen_dr"):
+        # or scatter entry points beside it; the float64 pass is one
+        # segmented kernel, with no solo entry beside it.
+        for gone in ("admit_flat", "rom_eval", "scatter_cols", "screen_dr",
+                     "lj_flat"):
             assert not hasattr(b, gone), gone
 
     def test_all_backends_registered(self):
@@ -300,7 +301,7 @@ class TestEngineEquivalence:
         atol = max(FORCE_ATOL, 4 * float(np.spacing(np.abs(f_loop).max())))
         engine = ReferenceEngine(system.copy(), grid, force_impl=name)
         engine.potential_energy()
-        assert engine.ensure_cell_state().pairs is not None
+        assert engine._segment().state.pairs is not None
         for f_b, e_b in (
             compute_forces_cells(system, grid, force_impl=name),
             (engine.system.forces, engine.potential_energy()),

@@ -6,10 +6,9 @@ The contract under test, per layer:
   per-segment energies and scatters per-slot forces equal to
   evaluating each segment alone.
 * engine — each packed system's trajectory is **bitwise identical** to
-  a solo ``ReferenceEngine`` run on the batched run's oracle backend
-  (``tests.oracles.solo_oracle``: ``cext`` itself, the flat numpy
-  oracle for ``numpy``), on every available backend, including across
-  mid-run swap-out/swap-in of *other* segments and with per-segment
+  a solo ``ReferenceEngine`` run (a one-segment batch) on the same
+  backend, on every available backend, including across mid-run
+  swap-out/swap-in of *other* segments and with per-segment
   thermostats.
 * persistence — checkpoint v2 round-trips a ``BatchedEngine`` (handles,
   thermostats, aux payloads, cell-state counters), and the continued
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_checkpoint_v2, save_checkpoint_v2
-from repro.md.backends import available_backends, backend_names, resolve_backend
+from repro.md.backends import available_backends, resolve_backend
 from repro.md.batch import BatchedEngine, solo_oracle_impl
 from repro.md.cells import CellGrid, CellList
 from repro.md.dataset import build_dataset
@@ -39,7 +38,6 @@ from repro.md.thermostat import (
     thermostat_meta,
 )
 from repro.util.errors import ValidationError
-from tests.oracles import solo_oracle
 
 BACKENDS = available_backends()
 
@@ -50,16 +48,16 @@ def small_case(seed, ppc=4, dims=(3, 3, 3)):
 
 def solo_run(system, grid, name, steps, thermostat=None):
     """``system`` stepped alone on the solo oracle of batched ``name``."""
-    with solo_oracle(name) as impl:
-        eng = ReferenceEngine(
-            system.copy(), grid, dt_fs=2.0, shift=False, force_impl=impl,
-        )
-        if thermostat is None:
-            eng.run(steps, record_every=0)
-        else:
-            for _ in range(steps):
-                eng.run(1, record_every=0)
-                thermostat.apply(eng.system)
+    eng = ReferenceEngine(
+        system.copy(), grid, dt_fs=2.0, shift=False,
+        force_impl=solo_oracle_impl(name),
+    )
+    if thermostat is None:
+        eng.run(steps, record_every=0)
+    else:
+        for _ in range(steps):
+            eng.run(1, record_every=0)
+            thermostat.apply(eng.system)
     return eng.system
 
 
@@ -70,30 +68,16 @@ def assert_states_equal(got, want, label=""):
 
 
 class TestSoloOracle:
-    def test_numpy_has_no_production_solo_oracle(self):
-        # The solo numpy engine is per-offset; the flat oracle that
-        # batched numpy matches bitwise is registered by the tests only.
-        with pytest.raises(ValidationError, match="per-offset"):
-            solo_oracle_impl("numpy")
-
-    def test_numpy_oracle_registered_only_in_block(self):
-        with solo_oracle("numpy") as impl:
-            assert impl in backend_names()
-            assert resolve_backend(impl).lj_flat is not None
-        assert impl not in backend_names()
+    def test_numpy_is_its_own_solo_oracle(self):
+        # The solo engine is a one-segment batch on every backend.
+        assert solo_oracle_impl("numpy") == "numpy"
 
     def test_compiled_backends_map_to_themselves(self):
         for name in BACKENDS:
-            if name != "numpy":
-                assert solo_oracle_impl(name) == name
+            assert solo_oracle_impl(name) == name
 
     def test_default_resolves(self):
-        default = resolve_backend(None)
-        if default.lj_flat is None:
-            with pytest.raises(ValidationError):
-                solo_oracle_impl(None)
-        else:
-            assert solo_oracle_impl(None) == default.name
+        assert solo_oracle_impl(None) == resolve_backend(None).name
 
 
 class TestSegKernel:
@@ -106,13 +90,11 @@ class TestSegKernel:
         be.prime()
         pots = be.potentials()
         for h, (s, g) in zip(handles, cases):
-            with solo_oracle(name) as impl:
-                solo = ReferenceEngine(s.copy(), g, force_impl=impl)
-                solo.run(0, record_every=0)  # prime only
+            solo = ReferenceEngine(s.copy(), g, force_impl=name)
+            solo.run(0, record_every=0)  # prime only
             got = be.extract(h)
             assert np.array_equal(got.forces, solo.system.forces), name
-            ref_pot = solo.history[-1].potential
-            assert pots[h] == pytest.approx(ref_pot, rel=1e-9)
+            assert pots[h] == solo.history[-1].potential, name
 
 
 class TestBitwiseTrajectories:
@@ -189,13 +171,13 @@ class TestBitwiseTrajectories:
         be = BatchedEngine(force_impl=name)
         h = be.add(s.copy(), g)
         be.step(25)
-        with solo_oracle(name) as impl:
-            solo = ReferenceEngine(s.copy(), g, force_impl=impl)
-            solo.run(25, record_every=0)
-        be._sync_segment_stats()
-        seg = be._by_handle[h]
-        assert seg.state.builds == solo._cell_state.builds
-        assert seg.state.reuse_steps == solo._cell_state.reuse_steps
+        solo = ReferenceEngine(s.copy(), g, force_impl=name)
+        solo.run(25, record_every=0)
+        for engine in (be, solo._batch):
+            engine._sync_segment_stats()
+        seg, solo_state = be._by_handle[h], solo._segment().state
+        assert seg.state.builds == solo_state.builds
+        assert seg.state.reuse_steps == solo_state.reuse_steps
 
 
 class TestAdmission:

@@ -25,7 +25,7 @@ from repro.faults import FaultInjector, FaultPlan, TransportConfig
 from repro.md.dataset import build_dataset
 from repro.md.engine import ReferenceEngine
 from repro.md.reference import compute_forces_cells
-from repro.md.backends import ENERGY_RTOL, available_backends
+from repro.md.backends import available_backends, resolve_backend
 from repro.md.batch import BatchedEngine
 from tests.oracles import (
     fresh_path,
@@ -208,7 +208,7 @@ def _engine_vs_rebuild_every_step(force_impl, steps=50):
     assert np.array_equal(oracle.system.positions, reuse.system.positions)
     assert np.array_equal(oracle.system.velocities, reuse.system.velocities)
     assert np.array_equal(oracle.system.forces, reuse.system.forces)
-    assert oracle.state_builds == 1
+    assert oracle.state_builds == steps + 1
     assert 1 <= reuse.state_builds < steps
     return oracle, reuse
 
@@ -218,20 +218,15 @@ class TestEngineReuseBitwise:
     def test_reuse_matches_rebuild_every_step(self, name):
         """The engine contract on each backend: stepping through one
         persistent cell state equals rebuilding it before every pass,
-        bit for bit in positions, velocities and forces.  Energies are
-        bitwise on cext (its sequential sums skip rejected band pairs);
-        numpy's per-offset ``np.sum`` runs over band lists of different
-        length, so they agree to round-off."""
+        bit for bit in positions, velocities, forces and energies (both
+        kernels sum only admitted pairs, which a stale band list gives
+        in the same order as a fresh one)."""
         if name not in available_backends():
             pytest.skip(f"{name} backend unavailable")
         oracle, reuse = _engine_vs_rebuild_every_step(name)
-        for ra, rb in zip(oracle.history, reuse.history):
-            if name == "cext":
-                assert ra.potential == rb.potential
-            else:
-                assert abs(ra.potential - rb.potential) <= ENERGY_RTOL * abs(
-                    ra.potential
-                )
+        assert [r.potential for r in oracle.history] == [
+            r.potential for r in reuse.history
+        ]
 
     def test_50_step_trajectory_bitwise(self):
         # The same contract on the process default backend.
@@ -245,7 +240,9 @@ class TestEngineReuseBitwise:
         """The engine's state lists bands on every binning: a skewed
         pass runs its own band search like a dense one, and the dense
         passes after it rebuild once and then reuse again.  Every
-        stateless call runs one band search of its own."""
+        stateless call runs one band search of its own, and its energy
+        is the engine's bit for bit, whichever build the engine's band
+        lists came from."""
         import repro.md.cellstate as cellstate_mod
 
         searches = []
@@ -267,17 +264,15 @@ class TestEngineReuseBitwise:
         )
 
         engine = ReferenceEngine(system=system, grid=grid, force_impl="numpy")
-        state = engine.ensure_cell_state()
         expect = [(1, 0, 2), (2, 0, 4), (3, 0, 6), (3, 1, 7), (3, 2, 8)]
         for pos, (builds, reused, n_search) in zip(
             [dense, skewed, dense, dense, dense], expect
         ):
             system.positions[:] = pos
-            stateless = compute_forces_cells(system, grid, force_impl="numpy")
-            forces, _ = compute_forces_cells(
-                system, grid, state=state, force_impl="numpy"
-            )
-            assert np.array_equal(forces, stateless[0])
+            _, stateless = compute_forces_cells(system, grid, force_impl="numpy")
+            assert engine.potential_energy() == stateless
+            engine._batch._sync_segment_stats()
+            state = engine._segment().state
             assert (state.builds, state.reuse_steps) == (builds, reused)
             assert len(searches) == n_search
             assert state.pairs is not None
@@ -285,16 +280,15 @@ class TestEngineReuseBitwise:
     def test_run_primes_force_fn_once(self, monkeypatch):
         """Regression: priming used to evaluate the same configuration
         twice (potential_energy() then run()'s own prime)."""
-        import repro.md.engine as engine_mod
-
+        backend = resolve_backend(None)
         calls = {"n": 0}
-        real = engine_mod.compute_forces_cells
+        real = backend.lj_flat_seg
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "compute_forces_cells", counting)
+        monkeypatch.setattr(backend, "lj_flat_seg", counting)
         system, grid = build_dataset((3, 3, 3), particles_per_cell=8, seed=3)
         eng = ReferenceEngine(system=system, grid=grid)
         eng.potential_energy()
@@ -366,7 +360,7 @@ def test_full_build_states_hold_compact_layouts(name):
     batch = BatchedEngine(force_impl=name)
     batch.add(system.copy(), grid)
     batch.run(3)
-    for state in [engine._cell_state, batch._segments[0].state]:
+    for state in [engine._segment().state, batch._segments[0].state]:
         rb = state.pairs
         assert rb is not None
         assert np.array_equal(rb.rcap, rb.fill)

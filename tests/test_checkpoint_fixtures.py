@@ -15,6 +15,7 @@ import zipfile
 import numpy as np
 
 from repro.core.checkpoint import load_checkpoint_v2, save_checkpoint_v2
+from repro.md.backends import ENERGY_RTOL
 from repro.md.engine import ReferenceEngine
 from tests.data import make_checkpoint_fixtures as fixtures
 
@@ -108,3 +109,35 @@ def test_machine_fixture_without_update_counter(tmp_path):
     assert state.builds >= 2  # restoring costs one full build
     assert state.updates > 0
     assert state.builds + state.updates + state.reuse_steps == 6 + 40
+
+
+def test_engine_fixture_continues_bitwise(tmp_path):
+    """An ``engine`` payload written while the engine stepped through
+    its own per-offset pass loads into the one-segment-batch engine.
+    Its state, history steps, kinetic energies and cell-state counters
+    are those of the same recipe on the current code (the potentials
+    agree to round-off: that pass summed each offset's energies with
+    ``np.sum``), and the two continue bitwise."""
+    old, step = load_checkpoint_v2(_fixture(fixtures.ENGINE_FILE))
+    assert step == fixtures.ENGINE_STEPS
+    e = fixtures.build_engine()
+    fresh, _ = load_checkpoint_v2(
+        save_checkpoint_v2(e, str(tmp_path / "engine.npz"))
+    )
+    _assert_systems_equal(old.system, fresh.system)
+    assert [(r.step, r.kinetic) for r in old.history] == [
+        (r.step, r.kinetic) for r in fresh.history
+    ]
+    for a, b in zip(old.history, fresh.history):
+        assert abs(a.potential - b.potential) <= ENERGY_RTOL * abs(b.potential)
+    states = [x._segment().state for x in (old, fresh)]
+    assert states[0].meta() == states[1].meta()
+    assert (states[0].builds, states[0].reuse_steps) == (2, 23)
+    for x in (old, fresh):
+        x.run(30, record_every=5, start_step=step)
+    _assert_systems_equal(old.system, fresh.system)
+    n_old = len(e.history)
+    assert [(r.step, r.kinetic, r.potential) for r in old.history[n_old:]] == [
+        (r.step, r.kinetic, r.potential) for r in fresh.history[n_old:]
+    ]
+    assert old.state_builds == fresh.state_builds > e.state_builds

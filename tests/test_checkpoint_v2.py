@@ -456,10 +456,11 @@ class TestRetiredBackendMeta:
 
     ``soa``'s machine-layer kernels were the numpy kernels the machines
     now call, and its batched kernel is numpy's segmented one, so those
-    runs continue bitwise.  Its engine ran a flat pass whose
-    accumulation order differs from numpy's per-offset path, so an
-    engine continues within the documented round-off bounds.  Engine
-    payloads also carry the retired ``reuse_state`` key.
+    runs continue bitwise.  Its engine ran one flat pass over the whole
+    stream, whose accumulation order differs from numpy's, which cuts a
+    dense box per half-shell offset, so an engine continues within the
+    documented round-off bounds.  Engine payloads also carry the
+    retired ``reuse_state`` key.
     """
 
     @staticmethod
@@ -510,15 +511,18 @@ class TestRetiredBackendMeta:
             np.testing.assert_array_equal(a.velocities, b.velocities)
             np.testing.assert_array_equal(a.forces, b.forces)
 
-    def test_engine_payload_continues_within_bounds(self, tmp_path):
+    def test_engine_payload_continues_within_bounds(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.md.batch as batch_mod
         from repro.md.backends import ENERGY_RTOL, FORCE_ATOL
-        from tests.oracles import solo_oracle
 
         system, grid = build_dataset((4, 4, 4), particles_per_cell=16, seed=9)
-        # The saving run steps on the flat pure-numpy pass ``soa`` ran.
-        with solo_oracle("numpy") as flat:
+        # The saving run steps on the flat one-piece pass ``soa`` ran.
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_mod, "CUT_OCCUPANCY", np.inf)
             e = ReferenceEngine(system=system.copy(), grid=grid,
-                                force_impl=flat)
+                                force_impl="numpy")
             e.run(3)
             path = save_checkpoint_v2(e, str(tmp_path / "soa.npz"))
             e.run(4, start_step=3)

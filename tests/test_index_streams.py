@@ -16,7 +16,7 @@ import repro.md.cellstate as cellstate_mod
 from repro.core.config import MachineConfig
 from repro.core.distributed import DistributedMachine
 from repro.core.machine import _OFFS14, FasdaMachine, _Pass, _StepArena
-from repro.md.backends import available_backends, resolve_backend
+from repro.md.backends import SegPieces, available_backends, resolve_backend
 from repro.md.batch import BatchedEngine
 from repro.md.cells import CellList
 from repro.md.cellstate import (
@@ -85,6 +85,7 @@ class TestCompiledWrappersRefuse:
             cutoff2=float(grid.cell_edge) ** 2, shift_e=0.0,
             fx=np.zeros(n), fy=np.zeros(n), fz=np.zeros(n),
             seg_lo=[0], seg_hi=[len(ia)],
+            pieces=SegPieces(np.array([[0, len(ia)]]), np.array([0, n])),
         )
         kern = resolve_backend("cext").lj_flat_seg
         energies = kern(**args)
@@ -101,17 +102,17 @@ class TestCompiledWrappersRefuse:
         state = m.ensure_cell_state()
         lay, tables = state.pairs, state.artifacts["machine"].tables
         n = system.n
-        fs = np.tile(np.arange(n + 1, dtype=np.float32) * 10, (3, 1))
+        frac = np.tile(np.arange(n, dtype=np.float32)[:, None] * 10, (1, 3))
 
         def out():
             z = np.zeros((n, 3), dtype=np.float32)
             return _Pass(z, z.copy(), m._plan, _StepArena())
 
-        kern = resolve_backend("cext").datapath_pass
-        kern(fs, lay, _OFFS14, tables, out())
+        plan = resolve_backend("cext").plan_passes()
+        plan(frac, lay, _OFFS14, tables, out())
         setattr(lay, field, _wrong(getattr(lay, field), "int64"))
         with pytest.raises(ValidationError, match="int32"):
-            kern(fs, lay, _OFFS14, tables, out())
+            plan(frac, lay, _OFFS14, tables, out())
 
     @pytest.mark.parametrize("field", ["a", "b", "key"])
     def test_band_rows(self, field):

@@ -213,9 +213,11 @@ def _bits(x):
 
 
 class TestFusedKernelBitwise:
-    """The compiled ``datapath_pass`` against its numpy statement, pass
-    for pass: banks, acceptance and record counts, remote records and
-    the potential, bit for bit."""
+    """The compiled datapath pass against its numpy statement, pass for
+    pass: banks, acceptance and record counts, remote records and the
+    potential, bit for bit.  Every pass runs through the backend's
+    :meth:`~repro.md.backends.ForceBackend.plan_passes`, the one entry
+    into the compiled kernel."""
 
     def _compiled(self):
         names = compiled_backends()
@@ -246,10 +248,11 @@ class TestFusedKernelBitwise:
         """Run ``run()`` on the numpy backend with every datapath pass
         repeated on each compiled backend over copies of its outputs;
         returns the numpy passes' outputs."""
-        compiled = [resolve_backend(n).datapath_pass for n in self._compiled()]
+        compiled = [resolve_backend(n) for n in self._compiled()]
         seen = []
 
         def both(fs, lay, offs, tables, out):
+            frac = fs[:, :-1].T
             twins = []
             for _ in compiled:
                 twin = copy.copy(out)
@@ -259,8 +262,8 @@ class TestFusedKernelBitwise:
                 twin.arena = _StepArena()
                 twins.append(twin)
             pot = datapath_pass_numpy(fs, lay, offs, tables, out)
-            for kern, twin in zip(compiled, twins):
-                got = kern(fs, lay, offs, tables, twin)
+            for backend, twin in zip(compiled, twins):
+                got = backend.plan_passes()(frac, lay, offs, tables, twin)
                 assert _bits(np.float32(got)) == _bits(np.float32(pot))
                 for f in ("home_bank", "nbr_bank", "accepted", "uniq_per_row"):
                     assert np.array_equal(
@@ -347,9 +350,9 @@ class TestFusedKernelBitwise:
         # Every bank row ten cell edges from the next: the band lists
         # hold pairs, the filter admits none.
         lay, tables, n, out = self._pass_inputs()
-        fs = np.tile(np.arange(n + 1, dtype=np.float32) * 10, (3, 1))
+        frac = np.tile(np.arange(n, dtype=np.float32)[:, None] * 10, (1, 3))
         o = out()
-        pot = resolve_backend(name).datapath_pass(fs, lay, _OFFS14, tables, o)
+        pot = resolve_backend(name).plan_passes()(frac, lay, _OFFS14, tables, o)
         assert _bits(np.float32(pot)) == _bits(np.float32(0.0))
         assert not o.home_bank.any() and not o.nbr_bank.any()
         assert not o.accepted.any() and not o.uniq_per_row.any()
@@ -359,13 +362,12 @@ class TestFusedKernelBitwise:
         # Every particle on one point: all home-row pairs are admitted
         # at r2 = 0, below the tables' r2_min, and no pass decodes them.
         lay, tables, n, out = self._pass_inputs()
-        fs = np.full((3, n + 1), 0.5, dtype=np.float32)
-        fs[:, n] = 1.0e6
+        frac = np.full((n, 3), 0.5, dtype=np.float32)
         messages = set()
         for name in available_backends():
             with pytest.raises(ValidationError, match="excluded small-r") as exc:
-                resolve_backend(name).datapath_pass(
-                    fs, lay, _OFFS14, tables, out()
+                resolve_backend(name).plan_passes()(
+                    frac, lay, _OFFS14, tables, out()
                 )
             messages.add(str(exc.value))
         assert len(messages) == 1
@@ -397,20 +399,20 @@ class TestFusedKernelBitwise:
         # The compiled pass indexes by these shapes; a mismatch must be
         # refused before the kernel runs.
         lay, tables, n, out = self._pass_inputs()
-        fs = np.zeros((3, n + 1), dtype=np.float32)
+        frac = np.zeros((n, 3), dtype=np.float32)
         for name in self._compiled():
-            kern = resolve_backend(name).datapath_pass
             strided = out()
             strided.home_bank = np.zeros((n, 6), dtype=np.float32)[:, ::2]
             bad = [
-                (fs, tables, strided),
-                (fs[:, :-1], tables, out()),
-                (fs, tables._replace(qq=np.ones(lay.size, np.float32)), out()),
-                (fs, tables._replace(coef=tables.coef[:3]), out()),
+                (frac, tables, strided),
+                (frac[:-1], tables, out()),
+                (frac, tables._replace(qq=np.ones(lay.size, np.float32)), out()),
+                (frac, tables._replace(coef=tables.coef[:3]), out()),
             ]
             for f, t, o in bad:
+                plan = resolve_backend(name).plan_passes()
                 with pytest.raises(ValidationError, match="operands"):
-                    kern(f, lay, _OFFS14, t, o)
+                    plan(f, lay, _OFFS14, t, o)
 
 
 class TestStepTimings:
