@@ -2,12 +2,14 @@
 
 Runs the same system two ways: the global FasdaMachine (computes
 globally, accounts traffic) and the DistributedMachine (each node owns
-only its cells; boundary positions travel as real 512-bit packets
-through P2R encapsulator chains; the Sec. 4.2 GCID->LCID->RCID
-conversions run on every arriving record).  Their trajectories must
-agree to float32 accumulation noise — the correctness guarantee the
-homogeneous-ID design gives the real cluster — and the real packet
-stream must match the analytic traffic accounting exactly.
+only its cells; boundary positions travel as one packed record run
+per node-to-node flow, counted as the 512-bit packets a P2R
+encapsulator chain would emit; the Sec. 4.2 GCID->LCID->RCID
+conversions run, round-trip checked, whenever a partition is applied).
+Their trajectories must agree to float32 accumulation noise — the
+correctness guarantee the homogeneous-ID design gives the real cluster
+— and the per-flow packet counts must match the analytic traffic
+accounting exactly.
 
 Run:  python examples/distributed_execution.py
 """
@@ -43,7 +45,7 @@ def main() -> None:
         for r in stats.position_records.values()
     )
     print(f"force agreement:   {err:.2e} (float32 accumulation order)")
-    print(f"position packets:  {dist_m.total_position_packets} real "
+    print(f"position packets:  {dist_m.total_position_packets} sent "
           f"(accounting predicts {expected_packets})")
     print(f"force packets:     {dist_m.total_force_packets} "
           "(zero neighbor forces discarded)")
@@ -59,8 +61,9 @@ def main() -> None:
         print(f"{g.step:4d}   {g.total:14.4f}   {d.total:14.4f}   {rel:.2e}")
 
     print(
-        "\nEvery arriving record passed GCID->LCID->RCID conversion with the"
-        "\nround-trip asserted — the homogeneity machinery of Sec. 4.2 at work."
+        "\nEvery flow's cells passed GCID->LCID->RCID conversion with the"
+        "\nround-trip checked when the partition was applied — the"
+        "\nhomogeneity machinery of Sec. 4.2 at work."
     )
 
 

@@ -28,8 +28,8 @@ id; each step only moves the position payload: one gather of the
 node's own fractions, and per flow one gather to pack and one scatter
 into the destination's arena.  The node's band lists follow the view
 the way the machine's follow the box: reused while nothing changed
-cell, re-searched in place over the regions whose cells changed
-membership, and rebuilt only on the skin/2 criterion.  The force
+cell, updated in place by merging the rows that changed cell into the
+regions they touch, and rebuilt only on the skin/2 criterion.  The force
 returns of a pass come back as flat ``(owner, particle id, force)``
 arrays and are folded onto the force bank in one pass
 (:meth:`DistributedMachine._merge_results`), with the float32 rounding

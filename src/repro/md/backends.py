@@ -88,11 +88,12 @@ Kernel contracts (see DESIGN.md §10)
   neighbour slot with a float32 direct-difference ``r2`` against the
   widened band, keyed by bank row, into the
   :class:`~repro.md.cellstate.RowBands` ``lay``: a full build lays the
-  listed regions out anew (compact, or with slack on the machine's
-  whole-box state), fitting the buffers to the layout when it outgrows
-  them, and returns its length; an in-place update re-searches the
-  listed ones where they lie and returns 0, or 1 when a region finds
-  no room.  **Bitwise** equal to
+  listed regions out anew (compact, or with slack on an updatable
+  state), fitting the buffers to the layout when it outgrows them, and
+  returns its length; an in-place update merges the rows that changed
+  cell since the binning the layout lists into the listed regions
+  (searching only the pairs a moved row takes part in) and returns 0,
+  or 1 when a region finds no room.  **Bitwise** equal to
   :func:`~repro.md.cellstate.band_rows_numpy`, its numpy statement and
   oracle: same hits, same region starts, capacities and pads.
 
@@ -118,7 +119,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.md.cellstate import INDEX_DTYPE
+from repro.md.cellstate import INDEX_DTYPE, check_mergeable
 from repro.md.params import LJTable
 from repro.util.errors import ValidationError
 
@@ -1051,10 +1052,24 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
                       const int64_t *rows, int64_t n_sel,
                       int64_t *rstart, int64_t *rcap, int64_t *fill,
                       int64_t stride, int64_t pad, int64_t shift,
-                      int64_t slack_min, int fresh, int64_t size,
+                      int64_t slack_min, int64_t size,
                       int32_t *a_out, int32_t *b_out, int32_t *key_out,
                       float *qx, float *qy, float *qz, int32_t *in,
                       int64_t *hit);
+int64_t band_merge_f32(const float *ps, const int64_t *order,
+                       const int64_t *start, const int64_t *counts,
+                       const int64_t *old_order, const int64_t *old_start,
+                       const int64_t *old_counts,
+                       const int64_t *nbr, int64_t n_cells, int64_t n_rows,
+                       const float *offs, float band,
+                       const int64_t *rows, int64_t n_sel,
+                       int64_t *rstart, int64_t *rcap, int64_t *fill,
+                       int64_t stride, int64_t pad, int64_t slack_min,
+                       int64_t size, int32_t *a_out, int32_t *b_out,
+                       int32_t *key_out, int32_t *slot, int32_t *moved,
+                       int32_t *mslot, int64_t *mstart, int32_t *lost,
+                       float *qx, float *qy, float *qz, int32_t *in,
+                       int64_t *hit, int32_t *hcnt);
 """
 
 _C_SOURCE = r"""
@@ -1649,32 +1664,25 @@ static int grow_region(int64_t r, int64_t need, int64_t n_reg,
     return 1;
 }
 
-/* Skin-band search of a CellState row layout (build phase).  Region
- * r = k * n_cells + c holds the plan row of home cell c at offset k;
- * each region listed strictly ascending in rows[0..n_sel) is searched
- * per home slot i and neighbour slot j (i < j on k = 0) with the
- * float32 direct-difference r2 < band, keyed by bank row: ps holds one
- * packed vector per bank row, and slot i of cell c is bank row
- * order[start[c] + i].  A hit writes a = home bank row, b = neighbour
- * bank row, key = c * stride + j, each int32 (the caller holds bank
- * rows and keys below 2^31); rstart/rcap/fill stay int64.  Region r
- * spans [rstart[r], rstart[r] + rcap[r]), the regions back to back;
- * its entries past fill[r] are pads (a = pad, b = 0, key = 0), which
- * the consumer makes inadmissible.  A region of f hits
- * is given f + (f >> shift) + slack_min entries.
+/* Skin-band search of a CellState row layout (build phase), a full
+ * build.  Region r = k * n_cells + c holds the plan row of home cell c
+ * at offset k; each region listed strictly ascending in rows[0..n_sel)
+ * is searched per home slot i and neighbour slot j (i < j on k = 0)
+ * with the float32 direct-difference r2 < band, keyed by bank row: ps
+ * holds one packed vector per bank row, and slot i of cell c is bank
+ * row order[start[c] + i].  A hit writes a = home bank row, b =
+ * neighbour bank row, key = c * stride + j, each int32 (the caller
+ * holds bank rows and keys below 2^31); rstart/rcap/fill stay int64.
+ * Region r spans [rstart[r], rstart[r] + rcap[r]), the regions back to
+ * back; its entries past fill[r] are pads (a = pad, b = 0, key = 0),
+ * which the consumer makes inadmissible.  A region of f hits is given
+ * f + (f >> shift) + slack_min entries.
  *
- * fresh == 0, an in-place update: each listed region is re-searched in
- * place and padded.  A region that outgrows its entries is lengthened
- * to its new hits plus slack_min by grow_region and searched again.
- * Returns
- * 0, or 1 when a region found no room (the layout is then unspecified
- * and the caller rebuilds).
- * fresh != 0, a full build: the listed regions are searched compactly
- * from entry 0 (writing only below `size`), every other region gets no
- * entries, and the hits move backward into that layout and are
- * padded.  Returns the layout length rstart[n_cells * n_rows]; when it
- * exceeds `size` the outputs are unspecified and the caller retries
- * with more room.
+ * The listed regions are searched compactly from entry 0 (writing only
+ * below `size`), every other region gets no entries, and the hits move
+ * backward into that layout and are padded.  Returns the layout length
+ * rstart[n_cells * n_rows]; when it exceeds `size` the outputs are
+ * unspecified and the caller retries with more room.
  * qx/qy/qz, in and hit are caller scratch of max(counts) entries
  * each. */
 int64_t band_rows_f32(const float *ps, const int64_t *order,
@@ -1684,33 +1692,12 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
                       const int64_t *rows, int64_t n_sel,
                       int64_t *rstart, int64_t *rcap, int64_t *fill,
                       int64_t stride, int64_t pad, int64_t shift,
-                      int64_t slack_min, int fresh, int64_t size,
+                      int64_t slack_min, int64_t size,
                       int32_t *a_out, int32_t *b_out, int32_t *key_out,
                       float *qx, float *qy, float *qz, int32_t *in,
                       int64_t *hit)
 {
     int64_t n_reg = n_cells * n_rows;
-    if (!fresh) {
-        for (int64_t s = 0; s < n_sel; s++) {
-            int64_t r = rows[s], k = r / n_cells, c = r % n_cells;
-            int64_t m = band_row(ps, order, start, counts, nbr, n_rows, offs,
-                                 band, k, c, stride, rstart[r], rcap[r],
-                                 a_out, b_out, key_out, qx, qy, qz, in, hit);
-            if (m > rcap[r]) {
-                int64_t need = m + slack_min - rcap[r];
-                if (!grow_region(r, need, n_reg, rstart, rcap, fill, size,
-                                 a_out, b_out, key_out))
-                    return 1;
-                band_row(ps, order, start, counts, nbr, n_rows, offs, band,
-                         k, c, stride, rstart[r], rcap[r],
-                         a_out, b_out, key_out, qx, qy, qz, in, hit);
-            }
-            fill[r] = m;
-            pad_row(rstart[r] + m, rstart[r] + rcap[r], pad,
-                    a_out, b_out, key_out);
-        }
-        return 0;
-    }
     memset(fill, 0, n_reg * sizeof(int64_t));
     int64_t m = 0;
     for (int64_t s = 0; s < n_sel; s++) {
@@ -1744,6 +1731,246 @@ int64_t band_rows_f32(const float *ps, const int64_t *order,
         pad_row(dst + f, dst + rcap[r], pad, a_out, b_out, key_out);
     }
     return total;
+}
+
+/* Cell (n_cells: none) of each of the n bank rows under a binning,
+ * and with `slot` their bucket slots. */
+static void bin_rows(const int64_t *order, const int64_t *start,
+                     const int64_t *counts, int64_t n_cells, int64_t n,
+                     int32_t *cell, int32_t *slot)
+{
+    for (int64_t r = 0; r < n; r++)
+        cell[r] = (int32_t)n_cells;
+    for (int64_t c = 0; c < n_cells; c++)
+        for (int64_t s = 0; s < counts[c]; s++) {
+            int64_t r = order[start[c] + s];
+            cell[r] = (int32_t)c;
+            if (slot)
+                slot[r] = (int32_t)s;
+        }
+}
+
+/* The neighbour slots j (ascending, j > s on k = 0) that home slot s,
+ * bank row ra, hits in a merged region, into hit: every slot when ra
+ * moved, else the moved slots msl[0..nm).  q holds the neighbour
+ * vectors plus the offset, per slot. */
+static int64_t moved_hits(const float *ps, int64_t ra, int moved, int64_t s,
+                          int64_t k, int64_t nj, const float *qx,
+                          const float *qy, const float *qz,
+                          const int32_t *msl, int64_t nm, float band,
+                          int32_t *in, int64_t *hit)
+{
+    const float *p = ps + 3 * ra;
+    int64_t j0 = k == 0 ? s + 1 : 0, h = 0;
+    if (moved) {
+        if (j0 >= nj)
+            return 0;
+        row_hits(p[0], p[1], p[2], qx + j0, qy + j0, qz + j0, band, in,
+                 nj - j0);
+        for (int64_t j = j0; j < nj; j++) {
+            hit[h] = j;
+            h += in[j - j0];
+        }
+        return h;
+    }
+    for (int64_t t = 0; t < nm; t++) {
+        int64_t j = msl[t];
+        float dx = p[0] - qx[j];
+        float dy = p[1] - qy[j];
+        float dz = p[2] - qz[j];
+        if (j >= j0 && dx * dx + dy * dy + dz * dz < band)
+            hit[h++] = j;
+    }
+    return h;
+}
+
+static void move_entries(int64_t dst, int64_t src, int64_t n,
+                         int32_t *a_out, int32_t *b_out, int32_t *key_out)
+{
+    if (n > 0 && dst != src) {
+        memmove(a_out + dst, a_out + src, n * sizeof(int32_t));
+        memmove(b_out + dst, b_out + src, n * sizeof(int32_t));
+        memmove(key_out + dst, key_out + src, n * sizeof(int32_t));
+    }
+}
+
+/* Drop the entries of [lo, end) whose home row moved (runs of one home
+ * row), moving the blocks between them left whole; returns the new
+ * end. */
+static int64_t drop_home_runs(int64_t lo, int64_t end, const int32_t *moved,
+                              int32_t *a_out, int32_t *b_out, int32_t *key_out)
+{
+    int64_t w = lo, e = lo;
+    while (e < end) {
+        int64_t f = e;
+        while (f < end && !moved[a_out[f]])
+            f++;
+        move_entries(w, e, f - e, a_out, b_out, key_out);
+        w += f - e;
+        while (f < end && moved[a_out[f]])
+            f++;
+        e = f;
+    }
+    return w;
+}
+
+/* Drop the entries of [lo, end) with a moved row and re-key the others
+ * by their neighbour's slot, in place; returns the new end. */
+static int64_t drop_rekey(int64_t lo, int64_t end, int64_t base,
+                          const int32_t *moved, const int32_t *slot,
+                          int32_t *a_out, int32_t *b_out, int32_t *key_out)
+{
+    int64_t w = lo;
+    for (int64_t e = lo; e < end; e++) {
+        int32_t a = a_out[e], b = b_out[e];
+        if (moved[a] | moved[b])
+            continue;
+        a_out[w] = a;
+        b_out[w] = b;
+        key_out[w] = (int32_t)(base + slot[b]);
+        w++;
+    }
+    return w;
+}
+
+/* In-place update of a CellState row layout from the binning old_* it
+ * lists to the binning order/start/counts (layout as in band_rows_f32).
+ * A bank row moved when its cell changed (in or out of no cell too).
+ * Each listed region r (strictly ascending; they must include every
+ * region whose home or neighbour cell gained or lost a row) drops the
+ * entries of moved rows, keeps the others' bank rows and re-keys them
+ * by their neighbour's new slot, then merges in, in (home slot,
+ * neighbour slot) order, the hits of each pair of its cells with a
+ * moved row: a moved home row against every neighbour slot, any other
+ * against the moved neighbour slots.  Kept entries keep their order,
+ * as every binning keeps the bucket order of the rows that stay.  A
+ * region that outgrows its entries is lengthened to its hits plus
+ * slack_min by grow_region first; the hits merge backward from the
+ * region's end, the kept runs between them moving whole, so the only
+ * scratch is one home slot's hits.  Returns 0, or 1 when a region
+ * found no room (the layout is then unspecified and the caller
+ * rebuilds).
+ * slot, moved and mslot are scratch of `pad` entries (the bank rows),
+ * mstart of n_cells + 1 and lost of n_cells; qx/qy/qz, in, hit and
+ * hcnt of max(counts) entries. */
+int64_t band_merge_f32(const float *ps, const int64_t *order,
+                       const int64_t *start, const int64_t *counts,
+                       const int64_t *old_order, const int64_t *old_start,
+                       const int64_t *old_counts,
+                       const int64_t *nbr, int64_t n_cells, int64_t n_rows,
+                       const float *offs, float band,
+                       const int64_t *rows, int64_t n_sel,
+                       int64_t *rstart, int64_t *rcap, int64_t *fill,
+                       int64_t stride, int64_t pad, int64_t slack_min,
+                       int64_t size, int32_t *a_out, int32_t *b_out,
+                       int32_t *key_out, int32_t *slot, int32_t *moved,
+                       int32_t *mslot, int64_t *mstart, int32_t *lost,
+                       float *qx, float *qy, float *qz, int32_t *in,
+                       int64_t *hit, int32_t *hcnt)
+{
+    int64_t n_reg = n_cells * n_rows;
+    /* moved holds the old cells, mslot the new ones, until compared. */
+    bin_rows(old_order, old_start, old_counts, n_cells, pad, moved, NULL);
+    bin_rows(order, start, counts, n_cells, pad, mslot, slot);
+    memset(lost, 0, n_cells * sizeof(int32_t));
+    for (int64_t r = 0; r < pad; r++) {
+        int32_t was = moved[r];
+        moved[r] = was != mslot[r];
+        if (moved[r] && was < n_cells)
+            lost[was] = 1;
+    }
+    int64_t nm = 0;
+    for (int64_t c = 0; c < n_cells; c++) {
+        mstart[c] = nm;
+        for (int64_t s = 0; s < counts[c]; s++)
+            if (moved[order[start[c] + s]])
+                mslot[nm++] = (int32_t)s;
+    }
+    mstart[n_cells] = nm;
+    for (int64_t sel = 0; sel < n_sel; sel++) {
+        int64_t r = rows[sel], k = r / n_cells, c = r % n_cells;
+        int64_t nc = nbr[c * n_rows + k];
+        int64_t ni = counts[c], nj = counts[nc];
+        const int64_t *oc = order + start[c], *on = order + start[nc];
+        const int32_t *msl = mslot + mstart[nc], *mhl = mslot + mstart[c];
+        int64_t n_msl = mstart[nc + 1] - mstart[nc];
+        int64_t n_mh = mstart[c + 1] - mstart[c];
+        int64_t lo = rstart[r], end = lo + fill[r], base = c * stride;
+        /* Entries drop only when a row left one of the two cells; keys
+         * move only when the neighbour cell's slots do. */
+        int drop = lost[c] || lost[nc], rekey = lost[nc] || n_msl > 0;
+        int64_t w = end;
+        if (drop && !rekey)
+            w = drop_home_runs(lo, end, moved, a_out, b_out, key_out);
+        else if (drop)
+            w = drop_rekey(lo, end, base, moved, slot, a_out, b_out, key_out);
+        else if (rekey)
+            for (int64_t e = lo; e < end; e++)
+                key_out[e] = (int32_t)(base + slot[b_out[e]]);
+        /* Hits of the pairs with a moved row, counted per home slot. */
+        int64_t m = w - lo;
+        if (n_msl + n_mh) {
+            float ox = offs[3 * k], oy = offs[3 * k + 1], oz = offs[3 * k + 2];
+            for (int64_t j = 0; j < nj; j++) {
+                qx[j] = ps[3 * on[j]] + ox;
+                qy[j] = ps[3 * on[j] + 1] + oy;
+                qz[j] = ps[3 * on[j] + 2] + oz;
+            }
+            memset(hcnt, 0, ni * sizeof(int32_t));
+            for (int64_t t = 0; t < (n_msl ? ni : n_mh); t++) {
+                int64_t s = n_msl ? t : mhl[t];
+                hcnt[s] = (int32_t)moved_hits(ps, oc[s], moved[oc[s]], s, k,
+                                              nj, qx, qy, qz, msl, n_msl,
+                                              band, in, hit);
+                m += hcnt[s];
+            }
+        }
+        int64_t f0 = fill[r], c0 = rcap[r];
+        if (m > c0 && !grow_region(r, m + slack_min - c0, n_reg, rstart, rcap,
+                                   fill, size, a_out, b_out, key_out))
+            return 1;
+        /* Backward merge, home slot s down: the kept entries of the
+         * later home slots move whole (found by bisection), then s's
+         * hits merge by key with its kept entries. */
+        int64_t i = w - 1, o = lo + m;
+        for (int64_t s = ni - 1; s >= 0 && o > i + 1; s--) {
+            if (!hcnt[s])
+                continue;
+            int64_t p = lo, q = i + 1;
+            while (p < q) {
+                int64_t mid = p + (q - p) / 2;
+                if (slot[a_out[mid]] > s)
+                    q = mid;
+                else
+                    p = mid + 1;
+            }
+            o -= i + 1 - p;
+            move_entries(o, p, i + 1 - p, a_out, b_out, key_out);
+            i = p - 1;
+            int64_t t = moved_hits(ps, oc[s], moved[oc[s]], s, k, nj, qx, qy,
+                                   qz, msl, n_msl, band, in, hit) - 1;
+            for (; t >= 0; o--) {
+                if (i >= lo && a_out[i] == oc[s]
+                    && key_out[i] > base + hit[t]) {
+                    a_out[o - 1] = a_out[i];
+                    b_out[o - 1] = b_out[i];
+                    key_out[o - 1] = key_out[i];
+                    i--;
+                } else {
+                    a_out[o - 1] = (int32_t)oc[s];
+                    b_out[o - 1] = (int32_t)on[hit[t]];
+                    key_out[o - 1] = (int32_t)(base + hit[t]);
+                    t--;
+                }
+            }
+        }
+        /* Past the hits, the entries that held hits and the room
+         * grow_region added become pads; the others were pads. */
+        fill[r] = m;
+        pad_row(lo + m, lo + (m > c0 ? rcap[r] : f0 > m ? f0 : m), pad, a_out,
+                b_out, key_out);
+    }
+    return 0;
 }
 """
 
@@ -2042,50 +2269,131 @@ def _make_cext_backend() -> ForceBackend:
         )
         return out
 
-    def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
-        lay.version += 1
-        offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
-        n_rows = len(offs32)
-        if offs32.shape != (n_rows, 3) or plan.nbr.size != plan.n_cells * n_rows:
-            raise ValidationError(
-                f"band_rows: {n_rows} offsets do not match the plan rows"
-            )
-        rows = checked_regions(rows, plan.n_rows)
-        _check_layout_streams(lay, "band_rows")
-        if len(lay.rcap) != plan.n_rows:
-            raise ValidationError("band_rows: layout regions do not match the plan")
-        ps = np.ascontiguousarray(packed, dtype=np.float32)
-        cap = max(int(clist.counts.max(initial=0)), 1)
-        qx, qy, qz = np.empty((3, cap), dtype=np.float32)
-        inb = np.empty(cap, dtype=np.int32)
-        hit = np.empty(cap, dtype=np.int64)
-        i64 = [
-            np.ascontiguousarray(x, dtype=np.int64)
-            for x in (clist.order, clist.start, clist.counts, plan.nbr)
+    def layout_ptrs(lay):
+        """The layout's region and entry pointers, checked and made
+        again only when one of its arrays is new."""
+        arrays = (lay.rstart, lay.rcap, lay.fill, lay.a, lay.b, lay.key)
+        held = lay.work.get("layout")
+        if held is None or not _all_is(arrays, held[0]):
+            _check_layout_streams(lay, "band_rows")
+            held = lay.work["layout"] = (arrays, [
+                ptr("int64_t *" if x.dtype == np.int64 else "int32_t *", x)
+                for x in arrays
+            ])
+        return held[1]
+
+    def scratch_ptrs(lay, name, size, make):
+        """Grow-only kernel scratch kept with the layout (node states
+        prepare on pool threads, each with its own): ``make(size)``'s
+        pointers, made again when ``size`` (a tuple) outgrows them."""
+        held = lay.work.get(name)
+        if held is None or any(x > y for x, y in zip(size, held[0])):
+            if held is not None:
+                size = tuple(max(x, y) for x, y in zip(size, held[0]))
+            held = lay.work[name] = (size, make(*size))
+        return held[1]
+
+    def search_scratch(cap):
+        """The per-slot (q, in, hit) of the band test."""
+        return [ptr("float *", q) for q in np.empty((3, cap), dtype=np.float32)] + [
+            ptr("int32_t *", np.empty(cap, dtype=np.int32)),
+            ptr("int64_t *", np.empty(cap, dtype=np.int64)),
         ]
 
-        def search():
+    def merge_scratch(n, n_cells, cap):
+        """The merge's per-row (slot, moved, mslot), per-cell (mstart,
+        lost) and per-slot (hcnt) scratch."""
+        return [ptr("int32_t *", x) for x in np.empty((3, n), dtype=np.int32)] + [
+            ptr("int64_t *", np.empty(n_cells + 1, dtype=np.int64)),
+            ptr("int32_t *", np.empty(n_cells, dtype=np.int32)),
+            ptr("int32_t *", np.empty(cap, dtype=np.int32)),
+        ]
+
+    def binning_ptrs(lay, clist):
+        """``clist``'s order, start and counts pointers, or
+        :class:`ValidationError` when it bins a row outside the layout's
+        bank rows (the kernels index per-row scratch by them); the last
+        two binnings' are kept, so an update's old binning (the previous
+        call's new one) costs none."""
+        held = lay.work.get("binnings", ())
+        for known, lo, top, ptrs in held:
+            if known is clist:
+                break
+        else:
+            order, start, counts = (
+                np.ascontiguousarray(x, dtype=np.int64)
+                for x in (clist.order, clist.start, clist.counts)
+            )
+            lo, top = int(order.min(initial=0)), int(order.max(initial=-1)) + 1
+            ptrs = [ptr("int64_t *", x) for x in (order, start, counts)]
+            lay.work["binnings"] = held[-1:] + ((clist, lo, top, ptrs),)
+        if lo < 0 or top > lay.pad:
+            raise ValidationError("band_rows: the binning holds rows past the bank")
+        return ptrs
+
+    def plan_ptrs(lay, plan, offsets):
+        """The plan's neighbour table and the float32 offsets, checked
+        and made again only when either is new."""
+        held = lay.work.get("plan")
+        if held is None or held[0] is not plan or held[1] is not offsets:
+            offs32 = np.ascontiguousarray(offsets, dtype=np.float32)
+            n_rows = len(offs32)
+            if (offs32.shape != (n_rows, 3)
+                    or plan.nbr.size != plan.n_cells * n_rows):
+                raise ValidationError(
+                    f"band_rows: {n_rows} offsets do not match the plan rows"
+                )
+            held = lay.work["plan"] = (plan, offsets, n_rows, [
+                ptr("int64_t *", np.ascontiguousarray(plan.nbr, dtype=np.int64)),
+                plan.n_cells, n_rows, ptr("float *", offs32),
+            ])
+        return held[3]
+
+    def band_rows(plan, clist, packed, offsets, band, rows, lay, fresh):
+        lay.version += 1
+        geometry = plan_ptrs(lay, plan, offsets)
+        rows = checked_regions(rows, plan.n_rows)
+        if len(lay.rcap) != plan.n_rows:
+            raise ValidationError("band_rows: layout regions do not match the plan")
+        if not fresh:
+            check_mergeable(lay)
+        ps = np.ascontiguousarray(packed, dtype=np.float32)
+        if ps.ndim != 2 or ps.shape[1] != 3 or len(ps) < lay.pad:
+            raise ValidationError("band_rows: need a packed vector per bank row")
+        cap = max(int(clist.counts.max(initial=0)), 1)
+        search = scratch_ptrs(lay, "search", (cap,), search_scratch)
+        regions = layout_ptrs(lay)
+        head = [ptr("float *", ps), *binning_ptrs(lay, clist)]
+        bands = [*geometry, np.float32(band), ptr("int64_t *", rows), len(rows)]
+        if not fresh:
+            merge = scratch_ptrs(
+                lay, "merge", (lay.pad, plan.n_cells, cap), merge_scratch
+            )
+            failed = lib.band_merge_f32(
+                *head, *binning_ptrs(lay, lay.binning), *bands, *regions[:3],
+                lay.stride, lay.pad, lay.slack_min, len(lay.a), *regions[3:],
+                *merge[:5], *search, merge[5],
+            )
+            if not failed:
+                lay.binning = clist
+            return int(failed)
+
+        def search_all():
             return int(lib.band_rows_f32(
-                ptr("float *", ps), *(ptr("int64_t *", x) for x in i64),
-                plan.n_cells, n_rows, ptr("float *", offs32), np.float32(band),
-                ptr("int64_t *", rows), len(rows),
-                ptr("int64_t *", lay.rstart), ptr("int64_t *", lay.rcap),
-                ptr("int64_t *", lay.fill),
-                lay.stride, lay.pad, lay.shift, lay.slack_min,
-                int(bool(fresh)), len(lay.a),
-                ptr("int32_t *", lay.a), ptr("int32_t *", lay.b),
-                ptr("int32_t *", lay.key),
-                ptr("float *", qx), ptr("float *", qy), ptr("float *", qz),
-                ptr("int32_t *", inb), ptr("int64_t *", hit),
+                *head, *bands, *regions[:3],
+                lay.stride, lay.pad, lay.shift, lay.slack_min, len(lay.a),
+                *regions[3:], *search,
             ))
 
         # A fresh layout that outgrows the buffers (a compact state's
         # first build, or a larger band) is counted, not written: fit
         # the buffers to it and search again.
-        size = search()
-        if fresh and size > len(lay.a):
+        size = search_all()
+        if size > len(lay.a):
             lay.fit(size)
-            size = search()
+            regions = layout_ptrs(lay)
+            size = search_all()
+        lay.binning = clist
         return size
 
     backend = ForceBackend(

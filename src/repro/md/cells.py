@@ -98,8 +98,11 @@ class CellGrid:
         """Integer cell coordinates containing each (wrapped) position."""
         coords = np.floor(positions / self.cell_edge).astype(np.int64)
         # Guard against positions exactly at the upper box face after a
-        # floating-point wrap landing on box length.
-        return np.minimum(coords, np.asarray(self.dims) - 1)
+        # floating-point wrap landing on box length (a column at a time:
+        # numpy's 3-wide broadcast is its slow path).
+        for x, d in enumerate(self.dims):
+            np.minimum(coords[..., x], d - 1, out=coords[..., x])
+        return coords
 
     def wrap_coords(self, coords: np.ndarray) -> np.ndarray:
         """Wrap possibly-out-of-range integer coordinates periodically."""
@@ -131,10 +134,21 @@ class CellList:
     """
 
     def __init__(self, grid: CellGrid, positions: np.ndarray):
+        self._bucket(grid, grid.cell_id(grid.coords_of_positions(positions)))
+
+    @classmethod
+    def from_cids(cls, grid: CellGrid, cids: np.ndarray) -> "CellList":
+        """The binning of particles whose cell ids are ``cids``, for a
+        caller that has them already."""
+        self = cls.__new__(cls)
+        self._bucket(grid, cids)
+        return self
+
+    def _bucket(self, grid: CellGrid, cids: np.ndarray) -> None:
         self.grid = grid
-        coords = grid.coords_of_positions(positions)
-        cids = grid.cell_id(coords)
-        order = np.argsort(cids, kind="stable")
+        # The same stable order; on 16-bit keys numpy sorts by radix.
+        keys = cids.astype(np.uint16) if grid.n_cells <= 1 << 16 else cids
+        order = np.argsort(keys, kind="stable")
         self.order = order
         self.sorted_cids = cids[order]
         # start[c] .. start[c+1] indexes `order` for cell c.

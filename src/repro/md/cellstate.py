@@ -34,11 +34,13 @@ results **bitwise identical** to the rebuild-every-step code:
   region per plan row, exactly as long as its hits.  The updatable
   states (``updatable=True``: the machine's whole box and every
   distributed node view) give each region slack; when particles only
-  changed cell, they re-search just the regions whose home or neighbour
-  cell changed membership, in place, at the build positions under the
-  current binning (:meth:`CellState._update`); the result lists what a
-  fresh build would, in the same order, so the skin/2 trigger alone
-  decides full builds.
+  changed cell, they merge the rows that moved into the regions whose
+  home or neighbour cell gained or lost a row, in place: the entries of
+  departed rows drop out, the kept ones are re-keyed, and only the
+  pairs a moved row takes part in are searched, at the build positions
+  under the current binning (:meth:`CellState._update`).  The result
+  admits what a fresh build would, in the same order, so the skin/2
+  trigger alone decides full builds.
 * A node view's state is binned by its consumer (:meth:`CellState.ensure`
   with ``binning``): bank rows are global particle ids, the view lists
   the rows it holds, in its own bucket order, and only the regions of
@@ -79,10 +81,22 @@ def skin_exceeded(
     """
     if build_positions is None:
         return True
-    delta = positions - build_positions
-    delta -= box * np.rint(delta / box)
-    max_disp2 = float(np.max(np.sum(delta * delta, axis=1)))
+    delta = min_image(positions - build_positions, box)
+    delta *= delta
+    # Row sums in ``np.sum(delta, axis=1)``'s order, (x + y) + z, a
+    # column at a time.
+    max_disp2 = float(((delta[:, 0] + delta[:, 1]) + delta[:, 2]).max())
     return max_disp2 > (0.5 * skin) ** 2
+
+
+def min_image(delta: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """``delta -= box * rint(delta / box)`` in place, a column at a
+    time: the same rounding per element, without numpy's slow path for
+    a 3-wide broadcast.  Returns ``delta``."""
+    for x in range(delta.shape[1]):
+        d = delta[:, x]
+        d -= box[x] * np.rint(d / box[x])
+    return delta
 
 
 class _FrozenCache:
@@ -152,6 +166,13 @@ def check_index_range(
         )
 
 
+def check_mergeable(lay: "RowBands") -> None:
+    """:class:`ValidationError` unless a search wrote ``lay`` before, so
+    an update has the binning it lists to merge from."""
+    if lay.binning is None:
+        raise ValidationError("band_rows: an update needs a searched layout")
+
+
 def key_stride(cap: int) -> int:
     """Presence-key stride of a binning whose fullest cell holds
     ``cap``: room for a few more particles per cell before an update
@@ -192,14 +213,20 @@ class RowBands:
         int64 per-region capacity and hit count.
     version:
         Count of the searches that wrote the layout (fresh or in place).
+    binning:
+        The :class:`~repro.md.cells.CellList` the layout lists (``None``
+        before the first search): an update merges the rows that changed
+        cell since it.
+    work:
+        Grow-only scratch of the compiled search, by name.
 
     An entry is 12 bytes (:data:`INDEX_DTYPE`), so bank rows and keys
     must stay below 2**31 (:func:`check_index_range`).
     """
 
     __slots__ = (
-        "a", "b", "key", "size", "stride", "pad",
-        "shift", "slack_min", "rstart", "rcap", "fill", "version",
+        "a", "b", "key", "size", "stride", "pad", "shift", "slack_min",
+        "rstart", "rcap", "fill", "version", "binning", "work",
     )
 
     def __init__(self, n_regions: int = 0, slack: bool = True):
@@ -215,6 +242,8 @@ class RowBands:
         self.rstart = np.zeros(n_regions + 1, dtype=np.int64)
         self.rcap = np.zeros(n_regions, dtype=np.int64)
         self.fill = np.zeros(n_regions, dtype=np.int64)
+        self.binning: Optional[CellList] = None
+        self.work: Dict[str, np.ndarray] = {}
 
     def reserve(self, n: int) -> None:
         """Grow the three entry buffers to at least ``n`` entries.  The
@@ -246,28 +275,69 @@ def band_rows_numpy(
     lay: RowBands,
     fresh: bool,
 ) -> int:
-    """Search regions of a :class:`RowBands` layout in numpy.
+    """Search regions of a :class:`RowBands` layout in numpy, afresh or
+    by merging the rows that changed cell.
 
     ``packed`` holds one vector per bank row; ``rows`` lists regions
-    ``k * n_cells + c`` ascending.  Each listed region is searched with
-    the float32 direct-difference ``r2 = (dx*dx + dy*dy) + dz*dz``
-    against ``band`` (``i < j`` on the home row), one padded ``(regions,
-    w, w)`` mask per chunk of listed regions of one occupancy bucket
-    ``w``, whose ``flatnonzero`` hits are already in each region's
-    layout order.  ``fresh=True`` lays every listed region out anew
+    ``k * n_cells + c`` ascending.  A pair is a hit when its float32
+    direct-difference ``r2 = (dx*dx + dy*dy) + dz*dz`` is below ``band``
+    (``i < j`` on the home row).
+
+    ``fresh=True`` searches every listed region whole, one padded
+    ``(regions, w, w)`` mask per chunk of listed regions of one
+    occupancy bucket ``w``, whose ``flatnonzero`` hits are already in
+    each region's layout order.  It lays every listed region out anew
     with ``fill + (fill >> lay.shift) + lay.slack_min`` entries
     (unlisted regions get none), growing the buffers with
     :meth:`RowBands.fit` when the layout outgrows them, and returns the
-    layout length.  ``fresh=False`` re-searches the listed regions in
-    place and pads them, lengthening a region that outgrows its entries
-    (:func:`_grow_regions`); it returns 0, or 1 when a region found no
-    room (the layout is then unspecified).
+    layout length.
+
+    ``fresh=False`` updates the layout in place from the binning it
+    lists (:attr:`RowBands.binning`) to ``clist`` (:func:`_merge_rows`):
+    the listed regions must include every region whose home or
+    neighbour cell gained or lost a row (:func:`dirty_regions`).  It
+    returns 0, or 1 when a region found no room (the layout is then
+    unspecified).
 
     This is the numpy statement and the oracle of the compiled
     ``band_rows`` kernel: both fill the layout bitwise identically, and
-    both bump its :attr:`RowBands.version`.
+    both bump its :attr:`RowBands.version` and set its
+    :attr:`RowBands.binning` to ``clist``.
     """
     lay.version += 1
+    rows = np.asarray(rows, dtype=np.int64)
+    if not fresh:
+        check_mergeable(lay)
+        return _merge_rows(plan, clist, packed, offsets, band, rows, lay)
+    per, hits = _search_regions(plan, clist, packed, offsets, band, rows, lay)
+    lay.fill[:] = 0
+    lay.fill[rows] = per
+    lay.rcap[:] = 0
+    lay.rcap[rows] = per + (per >> lay.shift) + lay.slack_min
+    lay.rstart[0] = 0
+    np.cumsum(lay.rcap, out=lay.rstart[1:])
+    lay.fit(int(lay.rstart[-1]))
+    for idx, a, b, key in hits:
+        first = lay.rstart[rows[idx]]
+        cnt = per[idx]
+        if first[-1] + cnt[-1] - first[0] == len(a):
+            # The regions lie back to back (a compact layout): one block.
+            dst = slice(first[0], first[0] + len(a))
+        else:
+            dst = np.repeat(first - (np.cumsum(cnt) - cnt), cnt)
+            dst += np.arange(len(a))
+        lay.a[dst] = a
+        lay.b[dst] = b
+        lay.key[dst] = key
+    _pad_regions(lay, rows, per)
+    lay.binning = clist
+    return int(lay.rstart[-1])
+
+
+def _search_regions(plan, clist, packed, offsets, band, rows, lay):
+    """The whole-region search of :func:`band_rows_numpy`: per listed
+    region its hit count, and per chunk ``(idx, a, b, key)``, the hits
+    of the listed regions ``idx`` in layout order."""
     C = plan.n_cells
     order, start, counts = clist.order, clist.start, clist.counts
     cap = max(int(counts.max(initial=0)), 1)
@@ -283,7 +353,6 @@ def band_rows_numpy(
     band32 = np.float32(band)
     iu = np.arange(cap)
     tri = iu[:, None] < iu[None, :]
-    rows = np.asarray(rows, dtype=np.int64)
     k_of, c_of = np.divmod(rows, C)
     nb_of = plan.nbr[c_of * ROWS_PER_CELL + k_of]
     n_home = int(np.searchsorted(k_of, 1))  # the offset-0 rows lead
@@ -304,7 +373,7 @@ def band_rows_numpy(
     d_buf = np.empty(most, dtype=np.float32)
     mask_buf = np.empty(most, dtype=bool)
     per = np.zeros(len(rows), dtype=np.int64)
-    found = []
+    hits = []
     for w, idx in groups:
         shape = (len(idx), w, w)
         size = len(idx) * w * w
@@ -328,42 +397,116 @@ def band_rows_numpy(
         # neighbour slot f % w.
         f = np.flatnonzero(mask)
         per[idx] = np.bincount(f // (w * w), minlength=len(idx))
-        found.append((w, idx, f))
-    if fresh:
-        lay.fill[:] = 0
-        lay.fill[rows] = per
-        lay.rcap[:] = 0
-        lay.rcap[rows] = per + (per >> lay.shift) + lay.slack_min
-        lay.rstart[0] = 0
-        np.cumsum(lay.rcap, out=lay.rstart[1:])
-        lay.fit(int(lay.rstart[-1]))
-    elif not _grow_regions(lay, rows, per):
-        return 1
-    for w, idx, f in found:
-        first = lay.rstart[rows[idx]]
-        cnt = per[idx]
-        if first[-1] + cnt[-1] - first[0] == len(f):
-            # The regions lie back to back (a compact layout): one block.
-            dst = slice(first[0], first[0] + len(f))
-        else:
-            dst = np.repeat(first - (np.cumsum(cnt) - cnt), cnt)
-            dst += np.arange(len(f))
         h = f // w
         s = h // w
         j = f - h * w
-        cs = c_of[idx]
-        lay.a[dst] = bank[cs, :w].reshape(-1)[h]
-        lay.b[dst] = bank[nb_of[idx], :w].reshape(-1)[s * w + j]
-        lay.key[dst] = cs[s] * lay.stride + j
-    spare = lay.rcap[rows] - per
-    first = np.cumsum(spare) - spare
-    pads = np.repeat(lay.rstart[rows] + per - first, spare) + np.arange(
-        int(spare.sum())
+        a = bank[cs, :w].reshape(-1)[h]
+        b = bank[ns, :w].reshape(-1)[s * w + j]
+        hits.append((idx, a, b, cs[s] * lay.stride + j))
+    return per, hits
+
+
+def _ranges(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(group, index)`` of ``index in range(n[group])`` over every
+    group, in that order."""
+    total = int(n.sum())
+    group = np.repeat(np.arange(len(n)), n)
+    return group, np.arange(total) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _row_cells(clist: CellList, n_cells: int, n: int):
+    """Cell (``n_cells``: none) and bucket slot of each of ``n`` bank
+    rows under ``clist``."""
+    cell = np.full(n, n_cells, dtype=np.int64)
+    slot = np.zeros(n, dtype=np.int64)
+    cell[clist.order] = clist.sorted_cids
+    slot[clist.order] = (
+        np.arange(len(clist.order), dtype=np.int64) - clist.start[clist.sorted_cids]
     )
+    return cell, slot
+
+
+def _merge_rows(plan, clist, packed, offsets, band, rows, lay) -> int:
+    """The in-place update of :func:`band_rows_numpy`.
+
+    A row *moved* when its cell under ``clist`` is not its cell under
+    :attr:`RowBands.binning` (entering or leaving a node view
+    included).  Each listed region ``(k, c)`` then drops the entries of
+    moved rows, re-keys the kept ones by their neighbour's slot in
+    ``clist`` (bank rows stay as they are), searches each pair of the
+    region's cells with a moved row in it — a moved home row against
+    every neighbour slot, any other home row against the moved
+    neighbour slots — and merges those hits in (home slot, neighbour
+    slot) order: the order of a fresh search of ``clist``, whose hits
+    on pairs of kept rows are the kept entries when ``packed`` keeps
+    their vectors.  Region growth is :func:`_grow_regions`'s."""
+    C = plan.n_cells
+    cell, slot = _row_cells(clist, C, lay.pad)
+    moved = cell != _row_cells(lay.binning, C, lay.pad)[0]
+    k_of, c_of = np.divmod(rows, C)
+    nb_of = plan.nbr[c_of * ROWS_PER_CELL + k_of]
+    # The kept entries of the listed regions, in layout order.
+    reg, t = _ranges(lay.fill[rows])
+    e = lay.rstart[rows][reg] + t
+    a, b = lay.a[e], lay.b[e]
+    keep = ~(moved[a] | moved[b])
+    kept = (reg[keep], a[keep], b[keep])
+    # The moved rows by cell, in bucket order.
+    is_moved = moved[clist.order]
+    mrows = clist.order[is_moved]
+    mcount = np.bincount(clist.sorted_cids[is_moved], minlength=C)
+    mstart = np.cumsum(mcount) - mcount
+    order, start, counts = clist.order, clist.start, clist.counts
+    # Moved home rows against every neighbour slot ...
+    g, t = _ranges(mcount[c_of])
+    home = mrows[mstart[c_of[g]] + t]
+    g2, j = _ranges(counts[nb_of[g]])
+    r1, a1 = g[g2], home[g2]
+    b1 = order[start[nb_of[r1]] + j]
+    ok1 = (k_of[r1] > 0) | (j > slot[a1])
+    # ... and kept home rows against the moved neighbour slots.
+    g, t = _ranges(mcount[nb_of])
+    nbr = mrows[mstart[nb_of[g]] + t]
+    g2, s = _ranges(counts[c_of[g]])
+    r2, b2 = g[g2], nbr[g2]
+    a2 = order[start[c_of[r2]] + s]
+    ok2 = ~moved[a2] & ((k_of[r2] > 0) | (s < slot[b2]))
+    rn = np.concatenate([r1[ok1], r2[ok2]])
+    an = np.concatenate([a1[ok1], a2[ok2]])
+    bn = np.concatenate([b1[ok1], b2[ok2]])
+    # The band test of a fresh search, rounded per operation alike.
+    ps = np.asarray(packed, dtype=np.float32)
+    q = ps[bn] + np.asarray(offsets, dtype=np.float32)[k_of[rn]]
+    d = ps[an] - q
+    d *= d
+    hit = (d[:, 0] + d[:, 1]) + d[:, 2] < np.float32(band)
+    reg = np.concatenate([kept[0], rn[hit]])
+    a = np.concatenate([kept[1], an[hit]])
+    b = np.concatenate([kept[2], bn[hit]])
+    merged = np.lexsort((slot[b], slot[a], reg))
+    reg, a, b = reg[merged], a[merged], b[merged]
+    per = np.bincount(reg, minlength=len(rows))
+    if not _grow_regions(lay, rows, per):
+        return 1
+    dst = np.repeat(lay.rstart[rows] - (np.cumsum(per) - per), per)
+    dst += np.arange(len(reg))
+    lay.a[dst] = a
+    lay.b[dst] = b
+    lay.key[dst] = c_of[reg] * lay.stride + slot[b]
+    _pad_regions(lay, rows, per)
+    lay.binning = clist
+    return 0
+
+
+def _pad_regions(lay: RowBands, regions: np.ndarray, fill: np.ndarray) -> None:
+    """Pad each of ``regions`` from its ``fill`` hits to its capacity."""
+    spare = lay.rcap[regions] - fill
+    first = np.cumsum(spare) - spare
+    pads = np.repeat(lay.rstart[regions] + fill - first, spare)
+    pads += np.arange(int(spare.sum()))
     lay.a[pads] = lay.pad
     lay.b[pads] = 0
     lay.key[pads] = 0
-    return int(lay.rstart[-1]) if fresh else 0
 
 
 def _grow_regions(lay: RowBands, rows: np.ndarray, per: np.ndarray) -> bool:
@@ -399,15 +542,7 @@ def _grow_regions(lay: RowBands, rows: np.ndarray, per: np.ndarray) -> bool:
         lo, hi, f = int(rstart0[r]), int(rstart[r]), int(fill[r])
         for x in (lay.a, lay.b, lay.key):
             x[hi:hi + f] = x[lo:lo + f]
-    end = rstart[moved] + rcap[moved]
-    spare = end - rstart[moved] - fill[moved]
-    first = np.cumsum(spare) - spare
-    pads = np.repeat(rstart[moved] + fill[moved] - first, spare) + np.arange(
-        int(spare.sum())
-    )
-    lay.a[pads] = lay.pad
-    lay.b[pads] = 0
-    lay.key[pads] = 0
+    _pad_regions(lay, moved, fill[moved])
     return True
 
 
@@ -666,9 +801,9 @@ class CellState:
         None afterwards.
         """
         if binning is None:
-            clist = CellList(self.grid, positions)
             coords = self.grid.coords_of_positions(positions)
             cids = self.grid.cell_id(coords)
+            clist = CellList.from_cids(self.grid, cids)
         else:
             clist = binning
             cids = binning_keys(binning, len(positions))
@@ -687,24 +822,28 @@ class CellState:
         )
 
     def _update(self, positions: np.ndarray, backend, coords=None) -> bool:
-        """Re-band, in place, only the searched regions whose home or
-        neighbour cell changed membership; False (state unspecified, a
-        full build must follow) when the new binning outgrows the
-        layout.
+        """Merge the rows that changed cell into the band layout, in
+        place; False (state unspecified, a full build must follow) when
+        the new binning outgrows the layout.
 
-        The regions are searched at the *build* positions under the
-        *current* binning, so the single skin/2-since-build trigger
-        keeps covering every listed pair.  A row's build position is
-        placed beside its current cell as its current position minus
-        its minimum-image displacement since the build, so one that
-        crossed a periodic face is searched next to its new neighbours
-        (and may sit just outside ``[0, 1)`` of its cell).
+        Only the searched regions whose home or neighbour cell gained or
+        lost a row change (:func:`dirty_regions`): the row search drops
+        their entries of rows that left, re-keys the kept ones and
+        merges in the hits of the pairs a moved row takes part in.
+        Moved rows are searched at their *build* positions under the
+        *current* binning, as every kept pair was, so the single
+        skin/2-since-build trigger keeps covering every listed pair.  A
+        row's build position is placed beside its current cell as its
+        current position minus its minimum-image displacement since the
+        build, so one that crossed a periodic face is searched next to
+        its new neighbours (and may sit just outside ``[0, 1)`` of its
+        cell).
         """
         found_coords, cids, binning, moved = self._next
         rb = self.pairs
         n = len(positions)
         if binning is None:
-            clist, scale = CellList(self.grid, positions), 1
+            clist, scale = CellList.from_cids(self.grid, cids), 1
             coords = found_coords
         else:
             clist, scale = binning, n
@@ -806,9 +945,7 @@ def build_fractions(
     minimum-image displacement since the build, so one that crossed a
     periodic face sits beside its new cell (possibly just outside
     ``[0, 1)``; nothing is clamped)."""
-    box = grid.box
-    d = positions - build_positions
-    d -= box * np.rint(d / box)
+    d = min_image(positions - build_positions, grid.box)
     edge = grid.cell_edge
     return (positions - d - coords * edge) / edge
 
@@ -818,7 +955,11 @@ _skin_exceeded = _FrozenCache(
         positions, build_positions, grid.box, skin
     )
 )
-_build_fractions = _FrozenCache(build_fractions)
+#: In float32, the cast every band search applies: node states that
+#: share one build snapshot make and cast the fractions once per pass.
+_build_fractions = _FrozenCache(
+    lambda *args: build_fractions(*args).astype(np.float32)
+)
 
 
 def _row_search(backend) -> Callable:

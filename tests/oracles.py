@@ -51,6 +51,10 @@ The band search's oracle:
   pairs with ``r2`` at the band edge: a superset and admission oracle.
   It decodes its survivors with the cached :func:`padded_decode`
   tables, as :func:`eval_padded` does.
+* :func:`band_rows_research` — the in-place update ``band_rows`` made
+  before it merged moved rows: every listed region searched again
+  whole, where it lies.  The merge must leave the layout entry for
+  entry as this does when kept rows keep their vectors.
 
 The transport and pair-plan oracles:
 
@@ -82,6 +86,12 @@ from repro.core.packets import P2REncapsulatorChain, Packet, Record
 from repro.core.rings import RingLoadModel
 from repro.faults import ACK_SUFFIX, FaultInjector, TransportConfig, TransportStats
 from repro.md.cells import HALF_SHELL_OFFSETS, CellGrid, CellList
+from repro.md.cellstate import (
+    RowBands,
+    _grow_regions,
+    _pad_regions,
+    _search_regions,
+)
 from repro.md.engine import ReferenceEngine
 from repro.md.kernels import pair_forces_energy, scatter_add
 from repro.md.pairplan import (
@@ -894,6 +904,35 @@ def band_slot_pairs(
         np.concatenate(jj),
         segs,
     )
+
+
+def band_rows_research(
+    plan: CellPairPlan,
+    clist: CellList,
+    packed: np.ndarray,
+    offsets: np.ndarray,
+    band: float,
+    rows: np.ndarray,
+    lay: RowBands,
+) -> int:
+    """Update ``lay`` to the binning ``clist`` by searching each listed
+    region (ascending) whole again, in place: the regions grow as the
+    merge's do (:func:`~repro.md.cellstate._grow_regions`), then get
+    their hits and pads.  Returns 0, or 1 when a region found no
+    room."""
+    lay.version += 1
+    rows = np.asarray(rows, dtype=np.int64)
+    per, hits = _search_regions(plan, clist, packed, offsets, band, rows, lay)
+    if not _grow_regions(lay, rows, per):
+        return 1
+    for idx, a, b, key in hits:
+        cnt = per[idx]
+        dst = np.repeat(lay.rstart[rows[idx]] - (np.cumsum(cnt) - cnt), cnt)
+        dst += np.arange(len(a))
+        lay.a[dst], lay.b[dst], lay.key[dst] = a, b, key
+    _pad_regions(lay, rows, per)
+    lay.binning = clist
+    return 0
 
 
 # ---------------------------------------------------------------------------

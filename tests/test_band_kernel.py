@@ -40,7 +40,7 @@ from repro.md.cellstate import (
 )
 from repro.md.pairplan import ROWS_PER_CELL, candidates_per_cell, plan_for_grid
 from repro.util.errors import ValidationError
-from tests.oracles import band_slot_pairs
+from tests.oracles import band_rows_research, band_slot_pairs
 from tests.test_backends import _half_in_one_cell_box
 from tests.test_degenerate_inputs import CASES as DEGENERATE_CASES
 
@@ -552,6 +552,136 @@ class TestRowSearch:
             kern(plan, clist, packed, offs, band, np.array([plan.n_rows]), lay, True)
         with pytest.raises(ValidationError, match="offsets"):
             kern(plan, clist, packed, offs[:-1], band, np.array([0]), lay, True)
+
+
+def _merge(kern):
+    """``kern``'s in-place update, called as its oracle is."""
+    return lambda *args: kern(*args, False)
+
+
+def _update_chain(kern, update, grid, plan, steps):
+    """A full build of ``steps[0]`` by ``kern``, then in-place updates by
+    ``update`` (``band_rows`` without ``fresh``, or its oracle) to each
+    later set of positions, searched at the first one's build
+    fractions; returns the layout after each update."""
+    x0 = steps[0]
+    _, offs, band, _ = _pack("machine", grid, plan, x0)
+    b0 = CellList(grid, x0)
+    cells = grid.cell_id(grid.coords_of_positions(x0))
+    lay = _row_layout(plan, b0, len(x0))
+    kern(plan, b0, build_fractions(grid, x0, x0, grid.coords_of_positions(x0)),
+         offs, band, np.arange(plan.n_rows), lay, True)
+    out = []
+    for x in steps[1:]:
+        c = grid.coords_of_positions(x)
+        regions = dirty_regions(plan, cells, grid.cell_id(c))
+        cells = grid.cell_id(c)
+        p = build_fractions(grid, x, x0, c)
+        assert update(plan, CellList(grid, x), p, offs, band, regions, lay) == 0
+        out.append(_copy(lay))
+    return out
+
+
+def _fresh_regions(grid, plan, x, x0, stride):
+    """A fresh search of every region of the binning of ``x`` at the
+    build fractions of ``x0``, keyed with ``stride``."""
+    _, offs, band, _ = _pack("machine", grid, plan, x0)
+    b = CellList(grid, x)
+    fresh = _row_layout(plan, b, len(x))
+    fresh.stride = stride
+    band_rows_numpy(plan, b, build_fractions(grid, x, x0, grid.coords_of_positions(x)),
+                    offs, band, np.arange(plan.n_rows), fresh, True)
+    return fresh
+
+
+class TestMergeUpdate:
+    """The in-place update merges the rows that changed cell into the
+    layout: on each backend it leaves the layout entry for entry as the
+    retired re-search of every region it touches
+    (:func:`~tests.oracles.band_rows_research`) does, and its regions
+    hold exactly a fresh search's hits, through chains of updates."""
+
+    @given(
+        dims=dims_st,
+        occ=st.integers(1, 12),
+        moves=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+        pile=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_merge_equals_the_region_research(self, dims, occ, moves, pile, seed):
+        grid = CellGrid(dims, EDGE)
+        plan = plan_for_grid(grid)
+        rng = np.random.default_rng(seed)
+        steps = [_positions(grid, np.full(plan.n_cells, occ), rng, faces=False)]
+        for n_move in moves:
+            steps.append(_migrate(grid, steps[-1], rng, n_move, pile))
+        want = _update_chain(_kernels()[-1], band_rows_research, grid, plan, steps)
+        for kern in _kernels():
+            got = _update_chain(kern, _merge(kern), grid, plan, steps)
+            for x, y in zip(got, want):
+                _same_layout(x, y)
+
+    @pytest.mark.parametrize("kern", _kernels())
+    def test_one_row_across_a_periodic_face(self, kern):
+        """One row steps from the bottom x layer through the box face
+        into the top one: only it moves, and the layout equals the
+        oracle's and a fresh search's."""
+        grid = CellGrid((3, 4, 3), EDGE)
+        plan = plan_for_grid(grid)
+        rng = np.random.default_rng(11)
+        x0 = _positions(grid, np.full(plan.n_cells, 6), rng, faces=False)
+        x0[0] = [0.05, 3.0, 3.0]
+        x1 = x0.copy()
+        x1[0, 0] = grid.box[0] - 0.05
+        assert grid.cell_coords(grid.cell_id(grid.coords_of_positions(x1)))[0][0] == 2
+        got = _update_chain(kern, _merge(kern), grid, plan, [x0, x1])[0]
+        want = _update_chain(kern, band_rows_research, grid, plan, [x0, x1])[0]
+        _same_layout(got, want)
+        fresh = _fresh_regions(grid, plan, x1, x0, got.stride)
+        for r in range(plan.n_rows):
+            for x, y in zip(_hits(got, r), _hits(fresh, r)):
+                assert np.array_equal(x, y)
+        # Its build position sits just past the top face of its new cell.
+        frac = build_fractions(grid, x1, x0, grid.coords_of_positions(x1))
+        assert frac[0, 0] > 1.0
+
+    @pytest.mark.parametrize("kern", _kernels())
+    def test_a_row_in_and_back_out(self, kern):
+        """A row enters a neighbouring cell on one update and goes back
+        on the next: each layout equals the oracle's, and the second is
+        entry for entry the first build's."""
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        rng = np.random.default_rng(12)
+        x0 = _positions(grid, np.full(plan.n_cells, 7), rng, faces=False)
+        x0[0] = [EDGE - 0.1, 1.0, 1.0]
+        x1 = x0.copy()
+        x1[0, 0] = EDGE + 0.1
+        steps = [x0, x1, x0.copy()]
+        got = _update_chain(kern, _merge(kern), grid, plan, steps)
+        want = _update_chain(kern, band_rows_research, grid, plan, steps)
+        for x, y in zip(got, want):
+            _same_layout(x, y)
+        _, offs, band, _ = _pack("machine", grid, plan, x0)
+        b0 = CellList(grid, x0)
+        first = _row_layout(plan, b0, len(x0))
+        kern(plan, b0, build_fractions(grid, x0, x0, grid.coords_of_positions(x0)),
+             offs, band, np.arange(plan.n_rows), first, True)
+        for r in range(plan.n_rows):
+            for x, y in zip(_hits(got[1], r), _hits(first, r)):
+                assert np.array_equal(x, y)
+
+    def test_update_needs_a_searched_layout(self):
+        grid = CellGrid((3, 3, 3), EDGE)
+        plan = plan_for_grid(grid)
+        pos = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        clist = CellList(grid, pos)
+        packed, offs, band, _ = _pack("machine", grid, plan, pos)
+        for kern in _kernels():
+            lay = _row_layout(plan, clist, 2)
+            with pytest.raises(ValidationError, match="searched layout"):
+                kern(plan, clist, packed, offs, band, np.array([0]), lay, False)
 
 
 class TestSkewedFixtures:

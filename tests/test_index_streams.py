@@ -131,6 +131,28 @@ class TestCompiledWrappersRefuse:
         with pytest.raises(ValidationError, match="int32"):
             kern(plan, clist, packed, offs, band, rows, lay, True)
 
+    def test_band_rows_bank(self):
+        """The search and the merge index per-bank-row scratch: a
+        binning with a row past the layout's bank rows, or fewer packed
+        vectors than bank rows, is refused (a cached binning too)."""
+        system, grid = build_dataset((3, 3, 3), particles_per_cell=4, seed=3)
+        plan = plan_for_grid(grid)
+        clist = CellList(grid, system.positions)
+        skin = 0.15 * grid.cell_edge
+        packed, offs, band = engine_pack_fn(grid, plan, skin)(system.positions)
+        lay = RowBands(plan.n_rows)
+        lay.stride = key_stride(int(clist.counts.max()))
+        lay.pad = system.n
+        rows = np.arange(plan.n_rows)
+        kern = resolve_backend("cext").band_rows
+        assert kern(plan, clist, packed, offs, band, rows, lay, True) > 0
+        assert kern(plan, clist, packed, offs, band, rows, lay, False) == 0
+        with pytest.raises(ValidationError, match="packed vector"):
+            kern(plan, clist, packed[:-1], offs, band, rows, lay, False)
+        lay.pad = system.n - 1
+        with pytest.raises(ValidationError, match="past the bank"):
+            kern(plan, clist, packed, offs, band, rows, lay, False)
+
 
 class TestRangeGuard:
     def test_limits(self):
