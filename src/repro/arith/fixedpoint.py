@@ -100,8 +100,26 @@ class FixedPointFormat:
         fractions = np.asarray(fractions, dtype=np.float64)
         if np.any(fractions < 0.0) or np.any(fractions >= 1.0):
             raise ValidationError("cell fractions must lie in [0, 1)")
-        q = self.quantize(fractions)
-        return np.minimum(q, 1.0 - self.scale)
+        return self.quantize_unit(fractions.copy())
+
+    def quantize_unit(self, scratch: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_fraction` of float64 values already in
+        ``[0, 1]`` (or NaN, which is refused), overwriting ``scratch``.
+
+        Equal to :meth:`quantize` followed by the clamp below 1.0: the
+        raw integers are exact in float64 and ``scale`` is a power of
+        two, so clamping them to ``2**frac_bits - 1`` first changes no
+        bit, and the integer round trip turns ``-0.0`` into ``+0.0``.
+        """
+        scratch *= 2.0 ** self.frac_bits
+        raw = np.rint(scratch, out=scratch).astype(np.int64)
+        if raw.min(initial=0) < 0:  # a NaN's cast
+            raise ValidationError(
+                "fixed-point overflow: input outside "
+                f"[0, {2.0 ** self.int_bits}) for {self!r}"
+            )
+        np.minimum(raw, (1 << self.frac_bits) - 1, out=raw)
+        return np.multiply(raw, self.scale, out=scratch)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FixedPointFormat(Q{self.int_bits}.{self.frac_bits})"

@@ -263,6 +263,10 @@ class TabulatedRadialPipeline:
         return forces, energies
 
 
+#: The largest float64 below 1.0, where an in-cell fraction is clamped.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
 def quantize_cell_fractions(
     positions: np.ndarray,
     cell_coords: np.ndarray,
@@ -278,6 +282,8 @@ def quantize_cell_fractions(
     """
     frac = positions / cell_edge - cell_coords
     # Numerical safety: clamp tiny negative / >=1 excursions from the
-    # division before quantizing (a particle exactly on a face).
-    frac = np.clip(frac, 0.0, np.nextafter(1.0, 0.0))
-    return fmt.quantize_fraction(frac)
+    # division before quantizing (a particle exactly on a face).  The
+    # clamp is the one range pass: only a NaN gets past it, and
+    # ``quantize_unit`` refuses that.
+    np.clip(frac, 0.0, _BELOW_ONE, out=frac)
+    return fmt.quantize_unit(frac)

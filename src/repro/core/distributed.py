@@ -633,7 +633,10 @@ class DistributedMachine(MachineCore):
         C = self.grid.n_cells
         n = self.system.n
         n_nodes = len(self._node_coords)
-        order = np.argsort(cids, kind="stable")
+        # The same stable order; on 16-bit keys numpy sorts by radix.
+        order = np.argsort(
+            cids.astype(np.uint16) if C <= 1 << 16 else cids, kind="stable"
+        )
         sorted_cids = cids[order]
         counts = np.bincount(cids, minlength=C)
         start = np.zeros(C + 1, dtype=np.int64)
@@ -783,9 +786,10 @@ class DistributedMachine(MachineCore):
             lo = hi
         ships = n_rec > 0
         self._flows = [flows[f] for f in np.flatnonzero(ships).tolist()]
-        self._flow_table = np.concatenate(
+        # Column-major: each column is a contiguous transport operand.
+        self._flow_table = np.asfortranarray(np.concatenate(
             [self._flow_nodes, n_pkts[:, None]], axis=1
-        )[ships]
+        )[ships])
         # Every record of the binning, flows by destination: one gather
         # packs them all and one scatter per destination lands them.
         by_dst = np.lexsort(self._flow_table[:, :2].T)
@@ -866,15 +870,14 @@ class DistributedMachine(MachineCore):
         # in one transport call.  Without an injector every record
         # arrives and the hot path below is byte-for-byte the lossless
         # one.
+        src, dst, n_pkts = self._flow_table.T
         sent = None
         if self.injector is not None:
             sent = send_flows(
-                self.injector, [f.src for f in flows], [f.dst for f in flows],
-                "position", self._iteration, [f.n_packets for f in flows],
+                self.injector, src, dst, "position", self._iteration, n_pkts,
                 self.transport, resolve_backend(self.force_impl),
             )
             self.transport_stats += sent.stats
-        src, dst, n_pkts = self._flow_table.T
         sent_pkts, got_pkts = n_pkts, n_pkts
         complete = None
         if sent is not None:

@@ -68,12 +68,18 @@ def keyed_draws(seed: int, keys, counts, backend=None) -> np.ndarray:
     words, word_offsets = key_words(seed, keys)
     out_offsets = np.zeros(len(word_offsets), dtype=np.int64)
     np.cumsum(counts, out=out_offsets[1:])
-    if backend is None:
-        # Imported here: repro.md imports this package at load time.
-        from repro.md.backends import keyed_uniforms_numpy as kernel
-    else:
-        kernel = backend.keyed_uniforms
-    return kernel(words, word_offsets, out_offsets)
+    return keyed_kernel(backend)(words, word_offsets, out_offsets)
 
 
-__all__ = ["key_words", "keyed_draws", "keyed_rng"]
+def keyed_kernel(backend=None):
+    """``backend``'s ``keyed_uniforms`` (``None``: the numpy statement,
+    :func:`~repro.md.backends.keyed_uniforms_numpy`)."""
+    if backend is not None:
+        return backend.keyed_uniforms
+    # Imported here: repro.md imports this package at load time.
+    from repro.md.backends import keyed_uniforms_numpy
+
+    return keyed_uniforms_numpy
+
+
+__all__ = ["key_words", "keyed_draws", "keyed_kernel", "keyed_rng"]

@@ -24,11 +24,11 @@ fault-free run — only the cycle and traffic accounting differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.faults.keyed import keyed_draws
+from repro.faults.keyed import _MASK32, _MASK64, key_words, keyed_kernel
 from repro.util.errors import ValidationError
 
 #: Domain-separation salts for the node-level fault streams (disjoint
@@ -157,6 +157,9 @@ class NodeFaultInjector:
 
     def __init__(self, plan: NodeFaultPlan):
         self.plan = plan
+        #: The draw's entropy words per (seed, salts drawn, node count,
+        #: wide iteration): see :meth:`_draw`.
+        self._words: Dict[tuple, tuple] = {}
 
     def faults_at(
         self, iteration: int, n_nodes: int, backend=None
@@ -169,7 +172,9 @@ class NodeFaultInjector:
         are ignored.  Every node's crash and slowdown decisions are the
         first uniforms of their keys ``(salt, node, iteration)``, drawn
         for all nodes in one keyed draw (``backend``'s
-        ``keyed_uniforms``; ``None`` runs the numpy statement).
+        ``keyed_uniforms``; ``None`` runs the numpy statement) whose
+        entropy words are built once per node count and set of active
+        processes; a call rewrites only their iteration words.
         """
         plan = self.plan
         crashed = {
@@ -196,13 +201,8 @@ class NodeFaultInjector:
             if rate > 0 and iteration >= plan.onset_iteration
         ]
         if drawn and n_nodes > 0:
-            keys = [
-                (salt, node, iteration)
-                for salt, _ in drawn
-                for node in range(n_nodes)
-            ]
-            u = keyed_draws(
-                plan.seed, keys, np.ones(len(keys), dtype=np.int64), backend
+            u = self._draw(
+                tuple(salt for salt, _ in drawn), iteration, n_nodes, backend
             ).reshape(len(drawn), n_nodes)
             for (salt, rate), row in zip(drawn, u):
                 hit = np.flatnonzero(row < rate)
@@ -213,6 +213,34 @@ class NodeFaultInjector:
                         factors[hit], plan.slowdown_factor
                     )
         return sorted(crashed), factors
+
+    def _draw(self, salts, iteration: int, n_nodes: int, backend):
+        """The first uniform of every key ``(salt, node, iteration)``,
+        salts outer, nodes inner: :func:`~repro.faults.keyed.keyed_draws`
+        of those keys, from entropy words kept per (salts, node count,
+        whether the iteration needs a high word) with only the iteration
+        words rewritten.  The iteration is each key's last field, so its
+        words end the key's run."""
+        it = int(iteration) & _MASK64
+        wide = it >> 32 != 0
+        cache = (self.plan.seed, salts, n_nodes, wide)
+        held = self._words.get(cache)
+        if held is None:
+            keys = np.empty((len(salts) * n_nodes, 3), dtype=np.int64)
+            keys[:, 0] = np.repeat(salts, n_nodes)
+            keys[:, 1] = np.tile(np.arange(n_nodes), len(salts))
+            keys[:, 2] = iteration
+            words, word_offsets = key_words(self.plan.seed, keys)
+            held = self._words[cache] = (
+                words, word_offsets,
+                np.arange(len(keys) + 1, dtype=np.int64),
+                word_offsets[1:] - (2 if wide else 1),
+            )
+        words, word_offsets, out_offsets, at = held
+        words[at] = it & _MASK32
+        if wide:
+            words[at + 1] = it >> 32
+        return keyed_kernel(backend)(words, word_offsets, out_offsets)
 
     def crashes_at(
         self, iteration: int, n_nodes: int, backend=None

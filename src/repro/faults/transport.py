@@ -16,18 +16,20 @@ round.  Packet loss, corruption (detected by the packet checksum and
 treated as loss), and ACK loss (which causes a spurious retransmission
 of an already-delivered packet) all come from the shared
 :class:`~repro.faults.plan.FaultInjector`, keyed by attempt number, so
-the whole exchange is bitwise reproducible.  Each round draws every
-flow still sending in one batched keyed draw.
+the whole exchange is bitwise reproducible.  A compiled backend runs
+every flow's rounds in one kernel call; the numpy loop draws every
+flow still sending in one batched keyed draw per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.faults.plan import FaultInjector
+from repro.faults.plan import _SALT_MESSAGE, FaultInjector, _channel_id
 from repro.util.errors import ValidationError
 
 #: Channel suffix carrying acknowledgements (its loss process is keyed
@@ -161,13 +163,19 @@ def send_flows(
     """Resolve the packets of many flows of one channel and iteration.
 
     Flow ``k`` runs from ``srcs[k]`` to ``dsts[k]`` with
-    ``n_packets[k]`` packets.  Each round draws the data masks (and,
-    when ACKs are modelled, the ACK masks) of every flow still holding
-    unacknowledged packets in one
+    ``n_packets[k]`` packets.  When ``backend`` has a ``flow_rounds``
+    kernel and ``injector`` draws with :class:`FaultInjector`'s own
+    ``drop_corrupt_arrays`` and ``drop_corrupt_flows``, one kernel call
+    runs every flow's rounds; which channels the injector faults is
+    asked once per call.  Otherwise (the numpy backend, an injector
+    that decides packets itself) each round of the vectorized loop
+    below draws the data masks (and, when ACKs are modelled, the ACK
+    masks) of every flow still holding unacknowledged packets in one
     :meth:`~repro.faults.plan.FaultInjector.drop_corrupt_flows` call,
     whose keyed draw runs on ``backend`` (``None``: the numpy
-    statement).  Every flow's mask and accounting equal those of its
-    own round loop (kept as the oracle in ``tests/oracles.py``).
+    statement); that loop is the kernel's oracle.  Every flow's mask
+    and accounting equal those of its own round loop (kept as the
+    oracle in ``tests/oracles.py``).
 
     Parameters
     ----------
@@ -179,11 +187,11 @@ def send_flows(
         packet checksum at the NIC and discarded, so it manifests as
         loss either way.
     """
-    counts = np.asarray(n_packets, dtype=np.int64).reshape(-1)
+    counts = np.ascontiguousarray(n_packets, dtype=np.int64).reshape(-1)
     if np.any(counts < 0):
         raise ValidationError("n_packets must be >= 0")
-    srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
-    dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+    srcs = np.ascontiguousarray(srcs, dtype=np.int64).reshape(-1)
+    dsts = np.ascontiguousarray(dsts, dtype=np.int64).reshape(-1)
     n_flows = len(counts)
     offsets = np.zeros(n_flows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -196,6 +204,13 @@ def send_flows(
         return FlowOutcome(
             np.ones(total, dtype=bool), offsets,
             np.zeros(n_flows, dtype=np.int64), counts.copy(), stats,
+        )
+
+    kernel = None if backend is None else backend.flow_rounds
+    if kernel is not None and _draws_own_packets(injector):
+        return _compiled_rounds(
+            kernel, injector, srcs, dsts, channel, iteration, counts,
+            offsets, config,
         )
 
     flow_of = np.repeat(np.arange(n_flows), counts)
@@ -253,6 +268,60 @@ def send_flows(
     # Summed left to right, as adding the flows' stats one by one does.
     stats.overhead_cycles = float(np.cumsum(overhead)[-1])
     return FlowOutcome(delivered, offsets, retransmits, n_delivered, stats)
+
+
+def _draws_own_packets(injector: FaultInjector) -> bool:
+    """Whether ``injector`` decides packets by :class:`FaultInjector`'s
+    own keyed draw, which the compiled round loop repeats."""
+    kind = type(injector)
+    return (
+        kind.drop_corrupt_arrays is FaultInjector.drop_corrupt_arrays
+        and kind.drop_corrupt_flows is FaultInjector.drop_corrupt_flows
+    )
+
+
+@lru_cache(maxsize=64)
+def _retry_waits(config: TransportConfig) -> np.ndarray:
+    """The timer wait before each retransmit round ``1..retry_budget``,
+    as the round loop computes it."""
+    waits = np.array([
+        config.timeout_cycles * config.backoff ** (attempt - 1)
+        for attempt in range(1, config.retry_budget + 1)
+    ], dtype=np.float64)
+    waits.flags.writeable = False
+    return waits
+
+
+_NO_WAITS = np.zeros(0, dtype=np.float64)
+
+
+def _compiled_rounds(
+    kernel, injector, srcs, dsts, channel, iteration, counts, offsets, config
+) -> FlowOutcome:
+    """:func:`send_flows` through a backend's ``flow_rounds``: every
+    flow's rounds in one compiled call, drawing ``injector``'s keyed
+    streams; a channel the injector leaves clean draws nothing."""
+    plan = injector.plan
+    ack = channel + ACK_SUFFIX
+    data = injector._drops_or_corrupts(channel, iteration)
+    acks = (
+        config is not None and config.model_acks
+        and injector._drops_or_corrupts(ack, iteration)
+    )
+    delivered, retransmits, n_delivered, tallies, overhead = kernel(
+        srcs, dsts, counts, offsets,
+        (plan.seed, _SALT_MESSAGE, _channel_id(channel), _channel_id(ack),
+         iteration),
+        (plan.drop_rate if data else 0.0, plan.corrupt_rate if data else 0.0,
+         plan.drop_rate if acks else 0.0),
+        _NO_WAITS if config is None else _retry_waits(config),
+        0.0 if config is None else float(config.packet_cycles),
+        config is not None,
+    )
+    return FlowOutcome(
+        delivered, offsets, retransmits, n_delivered,
+        TransportStats(*tallies, overhead_cycles=overhead),
+    )
 
 
 def send_flow(

@@ -80,6 +80,24 @@ Kernel contracts (see DESIGN.md §10)
   stream is **bitwise** ``default_rng(SeedSequence(words)).random(n)``,
   which :func:`keyed_uniforms_numpy` calls key by key as its statement
   and oracle.
+* ``flow_rounds`` (fault layer, int64 flows -> masks and counts): every
+  flow's retry rounds of one reliable-transport call, ``(src, dst,
+  counts, offsets, key, rates, waits, packet_cycles, acks) ->
+  (delivered, retransmits, n_delivered, tallies, overhead)``, with
+  ``key = (seed, salt, channel, ACK channel, iteration)``, ``rates =
+  (drop, corrupt, ACK drop)`` (a zero rate draws nothing), ``waits``
+  the timer wait before each retry round and ``acks`` false for bare
+  UDP (one round, nothing acknowledged).  Per flow and attempt it
+  builds each key's entropy words with
+  :func:`~repro.faults.keyed.key_words`' split rule and draws with the
+  ``keyed_uniforms`` stream code; ``tallies`` are the
+  :class:`~repro.faults.transport.TransportStats` integer fields in
+  declaration order and ``overhead`` the flows' cycles, each flow's
+  summed in round order and the flows in flow order.  Integer
+  bookkeeping and the same float operations in the same order, so it
+  is **bitwise** the vectorized round loop of
+  :func:`~repro.faults.transport.send_flows`, which ``None`` runs and
+  which stays the oracle.
 * ``band_rows`` (build phase, float32): the skin-band search of every
   :class:`~repro.md.cellstate.CellState`, ``(plan, clist, packed,
   offsets, band, rows, lay, fresh) -> int``.  It searches the listed
@@ -145,9 +163,9 @@ class ForceBackend:
     consumers call them unconditionally.  The machine datapath pass is
     entered through :meth:`plan_passes` alone: a backend gives either
     ``datapath_pass``, which the generic :class:`PassPlan` runs, or its
-    own ``pass_plan``.  For ``band_rows``, ``None`` means "run the
-    consumer's numpy code", which stays the oracle the compiled kernel
-    mirrors.
+    own ``pass_plan``.  For ``band_rows`` and ``flow_rounds``, ``None``
+    means "run the consumer's numpy code", which stays the oracle the
+    compiled kernel mirrors.
     ``available`` is probed once at registration; ``why`` records the
     probe outcome for diagnostics.
     """
@@ -173,6 +191,13 @@ class ForceBackend:
     #: Keyed uniform draws of many keys (fault layer): see
     #: :func:`keyed_uniforms_numpy`.
     keyed_uniforms: Optional[Callable] = None
+    #: Every flow's retry rounds of one transport call (fault layer),
+    #: ``(src, dst, counts, offsets, key, rates, waits, packet_cycles,
+    #: acks) -> (delivered, retransmits, n_delivered, tallies,
+    #: overhead)``: see the module docstring.  ``None`` runs the
+    #: vectorized round loop of :func:`~repro.faults.transport.send_flows`,
+    #: which stays the oracle.
+    flow_rounds: Optional[Callable] = None
     #: Skin-band search of a :class:`~repro.md.cellstate.CellState`
     #: (build phase, float32): searches listed plan rows into per-row
     #: regions keyed by bank row, for a full build or an in-place update.
@@ -1045,6 +1070,13 @@ void ring_charge_i64(int64_t *link_load, int64_t n, int64_t direction,
                      const int64_t *counts, int64_t k);
 void keyed_uniforms_f64(const uint32_t *words, const int64_t *word_off,
                         const int64_t *out_off, int64_t n_keys, double *out);
+int64_t flow_rounds_f64(const int64_t *src, const int64_t *dst,
+                        const int64_t *counts, const int64_t *off,
+                        int64_t n_flows, uint32_t seed, const int64_t *key,
+                        const double *rates, const double *waits,
+                        int64_t n_waits, double packet_cycles, int64_t acks,
+                        uint8_t *delivered, int64_t *per_flow,
+                        int64_t *tally, double *overhead);
 int64_t band_rows_f32(const float *ps, const int64_t *order,
                       const int64_t *start, const int64_t *counts,
                       const int64_t *nbr, int64_t n_cells, int64_t n_rows,
@@ -1502,53 +1534,197 @@ static uint32_t ss_mix(uint32_t x, uint32_t y)
     return r;
 }
 
+typedef struct {
+    unsigned __int128 state, inc;
+} keyed_stream;
+
+static const unsigned __int128 PCG_MULT =
+    ((unsigned __int128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL;
+
+/* The PCG64 of default_rng(SeedSequence(e[0:ne])), before its first draw. */
+static void keyed_seed(keyed_stream *s, const uint32_t *e, int64_t ne)
+{
+    uint32_t pool[4], hc = 0x43b0d7e5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < ne ? e[i] : 0u, &hc);
+    for (int a = 0; a < 4; a++)
+        for (int d = 0; d < 4; d++)
+            if (a != d)
+                pool[d] = ss_mix(pool[d], ss_hashmix(pool[a], &hc));
+    for (int64_t a = 4; a < ne; a++)
+        for (int d = 0; d < 4; d++)
+            pool[d] = ss_mix(pool[d], ss_hashmix(e[a], &hc));
+    /* generate_state(4, uint64): eight words, little-endian pairs. */
+    uint32_t st[8], hb = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i & 3] ^ hb;
+        hb *= 0x58f38dedu;
+        v *= hb;
+        v ^= v >> 16;
+        st[i] = v;
+    }
+    uint64_t w[4];
+    for (int i = 0; i < 4; i++)
+        w[i] = (uint64_t)st[2 * i] | ((uint64_t)st[2 * i + 1] << 32);
+    unsigned __int128 init = ((unsigned __int128)w[0] << 64) | w[1];
+    s->inc = ((((unsigned __int128)w[2] << 64) | w[3]) << 1) | 1u;
+    s->state = (s->inc + init) * PCG_MULT + s->inc;   /* 0 * mult + inc */
+}
+
+static inline double keyed_next(keyed_stream *s)
+{
+    s->state = s->state * PCG_MULT + s->inc;
+    uint64_t x = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
+    unsigned rot = (unsigned)(s->state >> 122);
+    x = (x >> rot) | (x << ((64u - rot) & 63u));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
 void keyed_uniforms_f64(const uint32_t *words, const int64_t *word_off,
                         const int64_t *out_off, int64_t n_keys, double *out)
 {
-    const unsigned __int128 mult =
-        ((unsigned __int128)0x2360ed051fc65da4ULL << 64)
-        | 0x4385df649fccf645ULL;
     for (int64_t k = 0; k < n_keys; k++) {
         int64_t lo = out_off[k], hi = out_off[k + 1];
         if (hi <= lo)
             continue;
-        const uint32_t *e = words + word_off[k];
-        int64_t ne = word_off[k + 1] - word_off[k];
-        uint32_t pool[4], hc = 0x43b0d7e5u;
-        for (int i = 0; i < 4; i++)
-            pool[i] = ss_hashmix(i < ne ? e[i] : 0u, &hc);
-        for (int s = 0; s < 4; s++)
-            for (int d = 0; d < 4; d++)
-                if (s != d)
-                    pool[d] = ss_mix(pool[d], ss_hashmix(pool[s], &hc));
-        for (int64_t s = 4; s < ne; s++)
-            for (int d = 0; d < 4; d++)
-                pool[d] = ss_mix(pool[d], ss_hashmix(e[s], &hc));
-        /* generate_state(4, uint64): eight words, little-endian pairs. */
-        uint32_t st[8], hb = 0x8b51f9ddu;
-        for (int i = 0; i < 8; i++) {
-            uint32_t v = pool[i & 3] ^ hb;
-            hb *= 0x58f38dedu;
-            v *= hb;
-            v ^= v >> 16;
-            st[i] = v;
-        }
-        uint64_t w[4];
-        for (int i = 0; i < 4; i++)
-            w[i] = (uint64_t)st[2 * i] | ((uint64_t)st[2 * i + 1] << 32);
-        unsigned __int128 init = ((unsigned __int128)w[0] << 64) | w[1];
-        unsigned __int128 inc =
-            ((((unsigned __int128)w[2] << 64) | w[3]) << 1) | 1u;
-        unsigned __int128 state = inc;              /* 0 * mult + inc */
-        state = (state + init) * mult + inc;
-        for (int64_t j = lo; j < hi; j++) {
-            state = state * mult + inc;
-            uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
-            unsigned rot = (unsigned)(state >> 122);
-            x = (x >> rot) | (x << ((64u - rot) & 63u));
-            out[j] = (double)(x >> 11) * (1.0 / 9007199254740992.0);
-        }
+        keyed_stream s;
+        keyed_seed(&s, words + word_off[k], word_off[k + 1] - word_off[k]);
+        for (int64_t j = lo; j < hi; j++)
+            out[j] = keyed_next(&s);
     }
+}
+
+/* A key field's entropy words as SeedSequence splits a Python int: the
+ * low word, then the high word only when it is nonzero. */
+static int push_field(uint32_t *w, int n, uint64_t v)
+{
+    w[n++] = (uint32_t)v;
+    if (v >> 32)
+        w[n++] = (uint32_t)(v >> 32);
+    return n;
+}
+
+/* The message stream of flow (src, dst) on `chan` at `attempt`: key
+ * (salt, src, dst, chan, iteration, attempt) under `seed`. */
+static void flow_stream(keyed_stream *s, uint32_t seed, const int64_t *key,
+                        int64_t src, int64_t dst, int64_t chan,
+                        int64_t attempt)
+{
+    uint32_t e[13];
+    int n = 0;
+    e[n++] = seed;
+    n = push_field(e, n, (uint64_t)key[0]);
+    n = push_field(e, n, (uint64_t)src);
+    n = push_field(e, n, (uint64_t)dst);
+    n = push_field(e, n, (uint64_t)chan);
+    n = push_field(e, n, (uint64_t)key[3]);
+    n = push_field(e, n, (uint64_t)attempt);
+    keyed_seed(s, e, n);
+}
+
+/* Every flow's retry rounds of one transport call (fault layer).  Flow
+ * k sends counts[k] packets, delivered[off[k]:off[k + 1]] its mask;
+ * key = (salt, data channel, ACK channel, iteration), rates = (drop,
+ * corrupt, ACK drop); a zero rate draws nothing, as a clean channel.
+ * Round a of a flow draws its (drop, corrupt) pairs, then its ACK pairs,
+ * from the streams of attempt a, packet by packet up to its last
+ * unacknowledged one, and retransmits what failed or lost its ACK after
+ * waits[a - 1] cycles, for n_waits rounds after the first.  acks = 0 is
+ * bare UDP: one round, nothing acknowledged.  A packet's byte holds
+ * bit 0 = delivered, bit 1 = unacknowledged until the flow ends.
+ * per_flow gets the retransmits, then the delivered counts; tally the
+ * TransportStats integer fields in declaration order; overhead[0] the
+ * flows' summed cycles, each flow's accumulated in round order.
+ * Returns -1, touching nothing, unless off[0] == 0 and every
+ * off[k + 1] - off[k] == counts[k] >= 0. */
+int64_t flow_rounds_f64(const int64_t *src, const int64_t *dst,
+                        const int64_t *counts, const int64_t *off,
+                        int64_t n_flows, uint32_t seed, const int64_t *key,
+                        const double *rates, const double *waits,
+                        int64_t n_waits, double packet_cycles, int64_t acks,
+                        uint8_t *delivered, int64_t *per_flow,
+                        int64_t *tally, double *overhead)
+{
+    if (off[0] != 0)
+        return -1;
+    for (int64_t k = 0; k < n_flows; k++)
+        if (counts[k] < 0 || off[k + 1] - off[k] != counts[k])
+            return -1;
+    int draw = rates[0] > 0.0 || rates[1] > 0.0;
+    int draw_ack = acks && rates[2] > 0.0;
+    int64_t sent_all = 0, retx = 0, acked = 0, ack_drops = 0, dups = 0;
+    int64_t corrupt = 0, got_all = 0, rounds = 0;
+    double total = 0.0;
+    for (int64_t k = 0; k < n_flows; k++) {
+        int64_t n = counts[k];
+        uint8_t *d = delivered + off[k];
+        double ov = 0.0;
+        int64_t n_send = n, last = n, sent = 0, got = 0;
+        for (int64_t i = 0; i < n; i++)
+            d[i] = 2;
+        for (int64_t a = 0; a <= n_waits && n_send > 0; a++) {
+            if (a + 1 > rounds)
+                rounds = a + 1;
+            sent += n_send;
+            if (a > 0)
+                ov += waits[a - 1] + (double)n_send * packet_cycles;
+            keyed_stream ds, as;
+            if (draw)
+                flow_stream(&ds, seed, key, src[k], dst[k], key[1], a);
+            if (draw_ack)
+                flow_stream(&as, seed, key, src[k], dst[k], key[2], a);
+            int64_t next = 0, top = 0;
+            for (int64_t i = 0; i < last; i++) {
+                int drop = 0, bad = 0, ack_drop = 0;
+                if (draw) {
+                    drop = keyed_next(&ds) < rates[0];
+                    bad = keyed_next(&ds) < rates[1];
+                }
+                if (draw_ack) {
+                    ack_drop = keyed_next(&as) < rates[2];
+                    keyed_next(&as);
+                }
+                if (!(d[i] & 2))
+                    continue;
+                if (drop || bad) {
+                    corrupt += bad && !drop;
+                    next++;
+                    top = i + 1;
+                    continue;
+                }
+                dups += d[i] & 1;
+                d[i] = 1;
+                if (!acks)
+                    continue;
+                acked++;
+                if (ack_drop) {
+                    ack_drops++;
+                    d[i] = 3;
+                    next++;
+                    top = i + 1;
+                }
+            }
+            if (!acks)
+                break;
+            n_send = next;
+            last = top;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            d[i] &= 1;
+            got += d[i];
+        }
+        per_flow[k] = sent - n;
+        per_flow[n_flows + k] = got;
+        sent_all += sent;
+        retx += sent - n;
+        got_all += got;
+        total += ov;
+    }
+    int64_t fields[9] = {sent_all, retx, acked, ack_drops, dups, corrupt,
+                         got_all, off[n_flows] - got_all, rounds};
+    memcpy(tally, fields, sizeof fields);
+    overhead[0] = total;
+    return 0;
 }
 
 /* Band test of one home vector against n neighbour vectors: the
@@ -2269,6 +2445,41 @@ def _make_cext_backend() -> ForceBackend:
         )
         return out
 
+    def flow_rounds(src, dst, counts, offsets, key, rates, waits,
+                    packet_cycles, acks):
+        n = len(counts)
+        if not (
+            all(_is_array(x, np.int64, (n,)) for x in (src, dst, counts))
+            and _is_array(offsets, np.int64, (n + 1,))
+            and _is_array(waits, np.float64)
+        ):
+            raise ValidationError(
+                "flow_rounds: src, dst, counts and offsets must be "
+                "C-contiguous int64 arrays, one entry a flow (offsets one "
+                "more), and waits a C-contiguous float64 array"
+            )
+        seed, salt, chan, ack_chan, iteration = key
+        delivered = np.empty(max(int(offsets[-1]), 0), dtype=np.bool_)
+        per_flow = np.empty(2 * n + 9, dtype=np.int64)
+        overhead = ffi.new("double[1]")
+        if lib.flow_rounds_f64(
+            ptr("int64_t *", src), ptr("int64_t *", dst),
+            ptr("int64_t *", counts), ptr("int64_t *", offsets), n,
+            seed & 0xFFFF_FFFF, [salt, chan, ack_chan, iteration], rates,
+            ptr("double *", waits), len(waits), packet_cycles, acks,
+            ptr("uint8_t *", delivered.view(np.uint8)),
+            ptr("int64_t *", per_flow), ptr("int64_t *", per_flow[2 * n:]),
+            overhead,
+        ):
+            raise ValidationError(
+                "flow_rounds: offsets must start at 0 and step by each "
+                "flow's packet count"
+            )
+        return (
+            delivered, per_flow[:n], per_flow[n:2 * n],
+            per_flow[2 * n:].tolist(), overhead[0],
+        )
+
     def layout_ptrs(lay):
         """The layout's region and entry pointers, checked and made
         again only when one of its arrays is new."""
@@ -2404,6 +2615,7 @@ def _make_cext_backend() -> ForceBackend:
         traffic_flat=traffic_flat,
         ring_charge=ring_charge,
         keyed_uniforms=keyed_uniforms,
+        flow_rounds=flow_rounds,
         band_rows=band_rows,
         pass_plan=lambda: CextPassPlan(backend),
     )

@@ -296,3 +296,37 @@ class TestNodeFaultsAt:
                     want_factors[node] = max(want_factors[node], 3.0)
         assert crashed == sorted(want_crashed)
         assert np.array_equal(factors, want_factors)
+
+
+class TestNodeFaultKeysKept:
+    """One injector, its kept entropy words reused across iterations on
+    both sides of 2**32 (one and two iteration words), node counts and
+    process sets: every call still makes one generator's decisions."""
+
+    @pytest.mark.parametrize("impl", BACKENDS)
+    def test_reused_words_match_fresh_generators(self, impl):
+        plan = NodeFaultPlan(
+            seed=2 ** 33 + 5, crash_rate=0.3, slowdown_rate=0.4,
+            slowdown_factor=2.0, onset_iteration=3,
+        )
+        injector = NodeFaultInjector(plan)
+        calls = [
+            (0, 8), (3, 8), (4, 8), (2 ** 32 - 1, 8), (2 ** 32, 8),
+            (2 ** 32 + 7, 8), (5, 8), (6, 4), (2 ** 40 + 1, 4), (7, 8),
+            (2 ** 32 + 7, 8), (2 ** 40 + 3, 8), (2, 4),
+        ]
+        for iteration, n_nodes in calls:
+            crashed, factors = injector.faults_at(
+                iteration, n_nodes, resolve_backend(impl)
+            )
+            want_crashed, want_factors = [], np.ones(n_nodes)
+            if iteration >= plan.onset_iteration:
+                for node in range(n_nodes):
+                    if keyed_rng(plan.seed, _SALT_CRASH, node,
+                                 iteration).random() < 0.3:
+                        want_crashed.append(node)
+                    if keyed_rng(plan.seed, _SALT_SLOW, node,
+                                 iteration).random() < 0.4:
+                        want_factors[node] = 2.0
+            assert crashed == want_crashed, iteration
+            assert np.array_equal(factors, want_factors), iteration
